@@ -5,7 +5,7 @@ reached node contributes the set of nodes sitting on *all* of its paths
 from the source (its dominator-tree root path).  A reverse-reachable set
 prices the upper bound: who could have cut *some* path to a random
 misinformation receiver.  Coverage counts over many samples turn either
-into an unbiased estimate.
+into an unbiased estimate; `coverage` counts either kind of collection.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from imin import fixtures
 from imin.oracle import ExactModel
 from imin.sampling import (CPCollection, LRRCollection, compute_population,
-                           coverage_cp, coverage_lrr, local_sampling)
+                           coverage, local_sampling)
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
 
     coll = CPCollection(ug, np.random.default_rng(1))
     coll.extend(n)
-    est_low = coverage_cp(coll, B) / coll.n_samples
+    est_low = coverage(coll, B) / coll.n_samples
     print(f"\nlower bound of blocking {B}: "
           f"coverage estimate {est_low:.4f} vs exact "
           f"{model.lower_bound(B):.4f}")
@@ -39,7 +39,7 @@ def main():
     pop = compute_population(ug)
     lcoll = LRRCollection(ug, np.random.default_rng(2))
     lcoll.extend(n)
-    est_up = len(pop) * coverage_lrr(lcoll, B) / lcoll.n_samples
+    est_up = len(pop) * coverage(lcoll, B) / lcoll.n_samples
     print(f"upper bound of blocking {B}: "
           f"scaled coverage {est_up:.4f} vs exact "
           f"{model.upper_bound(B):.4f}")

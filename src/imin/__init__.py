@@ -20,10 +20,9 @@ Typical use::
 
 from .baselines import ag, gr, mc_greedy
 from .diffusion import (Realization, SpreadEstimate, ic_spread_samples,
-                        monte_carlo_spread, sample_realization, simulate_ic,
+                        monte_carlo_spread, sample_realization,
                         stopping_rule_spread)
-from .domtree import DominatorTree, build_dominator_tree, reachable_from, \
-    subtree_sizes
+from .domtree import DominatorTree, build_dominator_tree
 from .graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
                     UnifiedGraph, assign_constant_probability,
                     assign_wc_probabilities, block_nodes, load_edge_list,
@@ -36,8 +35,8 @@ from .oracle import (ExactModel, OracleLimitError, exact_decrease,
                      exact_lower_bound, exact_optimal_blockers, exact_spread,
                      exact_upper_bound)
 from .sampling import (CPCollection, CPSequence, LRRCollection, LRRSet,
-                       compute_population, coverage_cp, coverage_lrr,
-                       global_sampling, local_sampling, marginal_coverage)
+                       compute_population, coverage, global_sampling,
+                       local_sampling, marginal_coverage)
 from .sandwich import (SandwichResult, empirical_ratio, lhga, sand_imin,
                        sand_imin_minus)
 

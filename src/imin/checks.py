@@ -18,7 +18,7 @@ from .diffusion import stopping_rule_spread
 from .domtree import build_dominator_tree
 from .optimize import AlgoParams, lsbm
 from .oracle import ExactModel
-from .sampling import CPCollection, LRRCollection
+from .sampling import CPCollection, LRRCollection, coverage
 
 
 def _check_worked_examples():
@@ -63,18 +63,13 @@ def _check_unbiased(rng):
 
     coll = CPCollection(ug, rng)
     coll.extend(n_samples)
-    state = coll.state()
-    for u in blockers:
-        state.add(u)
-    est_low = state.coverage() / n_samples
+    est_low = coverage(coll, blockers) / n_samples
     true_low = model.lower_bound(blockers)
 
     lcoll = LRRCollection(ug, rng)
     lcoll.extend(n_samples)
-    lstate = lcoll.state()
-    for u in blockers:
-        lstate.add(u)
-    est_up = len(lcoll.population) * lstate.coverage() / lcoll.n_samples
+    est_up = len(lcoll.population) * coverage(lcoll, blockers) \
+        / lcoll.n_samples
     true_up = model.upper_bound(blockers)
 
     ok = (abs(est_low - true_low) < 0.25 * max(1.0, true_low)

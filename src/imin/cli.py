@@ -14,6 +14,7 @@ map to distinct exit codes (see EXIT_*).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -36,6 +37,9 @@ EXIT_BAD_K = 4
 EXIT_BAD_SEEDS = 5
 EXIT_BAD_GRAPH = 6
 EXIT_CHECK_FAILED = 1
+
+# Version of the `<graph>.infcache.npz` seed-ranking cache layout.
+INFCACHE_FORMAT_VERSION = 2
 
 ALGORITHMS = ("ag", "gr", "mc", "sandimin", "sandimin-minus", "lhga")
 
@@ -77,13 +81,18 @@ def _influence_pool(g, pool_size, pool_trials, cache_path=None):
     """Node ids ranked by estimated singleton influence (descending).
 
     Estimated once per graph with a fixed internal seed so the ranking is
-    stable across runs, and cached next to the dataset when possible.
+    stable across runs, and cached next to the dataset when possible.  The
+    cache is keyed on the trial count and a fingerprint of the graph's
+    edges and probabilities, so a different probability model or edge
+    direction never reuses a stale ranking.
     """
+    fingerprint = hashlib.sha256(b"".join(
+        arr.tobytes() for arr in (g.out_ptr, g.out_dst, g.out_p))).hexdigest()
     if cache_path is not None and os.path.exists(cache_path):
         with np.load(cache_path) as data:
-            if (int(data["format_version"]) == 1
+            if (int(data["format_version"]) == INFCACHE_FORMAT_VERSION
                     and int(data["pool_trials"]) == pool_trials
-                    and int(data["n"]) == g.n):
+                    and str(data["fingerprint"]) == fingerprint):
                 return [int(v) for v in data["ranked"][:pool_size]]
     rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
     scores = np.zeros(g.n, dtype=np.float64)
@@ -93,15 +102,35 @@ def _influence_pool(g, pool_size, pool_trials, cache_path=None):
     ranked = np.argsort(-scores, kind="stable").astype(np.int64)
     if cache_path is not None:
         try:
-            np.savez(cache_path, format_version=np.int64(1),
-                     pool_trials=np.int64(pool_trials), n=np.int64(g.n),
-                     ranked=ranked)
+            np.savez(cache_path,
+                     format_version=np.int64(INFCACHE_FORMAT_VERSION),
+                     pool_trials=np.int64(pool_trials),
+                     fingerprint=np.str_(fingerprint), ranked=ranked)
         except OSError:
             pass
     return [int(v) for v in ranked[:pool_size]]
 
 
-def _resolve_seeds(args, g, dataset, rng):
+def _label_ids(spec, g, what):
+    """Node ids of comma-separated labels; a bad label ends with exit 5."""
+    label_to_id = {int(lbl): i for i, lbl in enumerate(g.labels)}
+    ids = []
+    for part in spec.split(","):
+        if not part:
+            continue
+        try:
+            label = int(part)
+        except ValueError:
+            raise CliError(f"bad {what} id {part!r}",
+                           EXIT_BAD_SEEDS) from None
+        if label not in label_to_id:
+            raise CliError(f"{what} id {label} not in graph",
+                           EXIT_BAD_SEEDS)
+        ids.append(label_to_id[label])
+    return ids
+
+
+def _resolve_seeds(args, g, rng):
     spec = args.seeds
     if spec is None:
         if args.graph.startswith("fixture:"):
@@ -109,19 +138,7 @@ def _resolve_seeds(args, g, dataset, rng):
         raise CliError("--seeds is required for file datasets",
                        EXIT_BAD_SEEDS)
     if "," in spec or not spec.lstrip("-").isdigit():
-        parts = [p for p in spec.split(",") if p]
-        label_to_id = {int(lbl): i for i, lbl in enumerate(g.labels)}
-        seeds = []
-        for part in parts:
-            try:
-                label = int(part)
-            except ValueError:
-                raise CliError(f"bad seed id {part!r}",
-                               EXIT_BAD_SEEDS) from None
-            if label not in label_to_id:
-                raise CliError(f"seed id {label} not in graph",
-                               EXIT_BAD_SEEDS)
-            seeds.append(label_to_id[label])
+        seeds = _label_ids(spec, g, "seed")
         if not seeds:
             raise CliError("empty seed list", EXIT_BAD_SEEDS)
         return sorted(set(seeds))
@@ -138,6 +155,16 @@ def _resolve_seeds(args, g, dataset, rng):
             EXIT_BAD_SEEDS)
     picked = rng.choice(len(pool), size=count, replace=False)
     return sorted(int(pool[i]) for i in picked)
+
+
+def _unified_graph(args, g):
+    """Resolve --seeds (drawn from the --rng-seed stream) and unify them."""
+    root = np.random.SeedSequence(args.rng_seed)
+    seed_rng = np.random.default_rng(root.spawn(1)[0])
+    try:
+        return unify_seeds(g, _resolve_seeds(args, g, seed_rng))
+    except GraphError as exc:
+        raise CliError(str(exc), EXIT_BAD_SEEDS) from None
 
 
 def _run_algo(algo, ug, args, rng):
@@ -197,25 +224,25 @@ def _write_csv(path, rows):
             fh.write(text)
 
 
-def cmd_run(args):
-    if args.algo not in ALGORITHMS:
-        raise CliError(f"unknown algorithm {args.algo!r}; choose from "
+def _check_algo_and_k(algo, k):
+    if algo not in ALGORITHMS:
+        raise CliError(f"unknown algorithm {algo!r}; choose from "
                        f"{ALGORITHMS}", EXIT_UNKNOWN_ALGO)
-    if args.k <= 0:
-        raise CliError(f"k must be positive, got {args.k}", EXIT_BAD_K)
+    if k <= 0:
+        raise CliError(f"k must be positive, got {k}", EXIT_BAD_K)
+
+
+def _load_run_graph(args):
+    """Load --graph; an unset --delta defaults to 1/n."""
     g, dataset = _load_graph(args.graph, args.undirected, args.prob,
                              args.prob_value)
     if args.delta is None:
         args.delta = 1.0 / g.n
+    return g, dataset
 
-    root = np.random.SeedSequence(args.rng_seed)
-    seed_rng = np.random.default_rng(root.spawn(1)[0])
-    try:
-        seeds = _resolve_seeds(args, g, dataset, seed_rng)
-        ug = unify_seeds(g, seeds)
-    except GraphError as exc:
-        raise CliError(str(exc), EXIT_BAD_SEEDS) from None
 
+def _run_rows(args, ug, dataset):
+    """All --repeats of one algorithm run: (CSV rows, JSON reports)."""
     rows = []
     reports = []
     for rep in range(args.repeats):
@@ -229,36 +256,53 @@ def cmd_run(args):
         elapsed = time.perf_counter() - t0
         decrease = _evaluate_decrease(ug, blockers, args.eval_trials,
                                       eval_rng)
-        rows.append((dataset, args.algo, args.k, len(seeds), args.epsilon,
-                     args.delta, args.beta, args.gamma, rep, args.rng_seed,
-                     decrease, samples, ratio))
+        rows.append((dataset, args.algo, args.k, len(ug.seeds),
+                     args.epsilon, args.delta, args.beta, args.gamma, rep,
+                     args.rng_seed, decrease, samples, ratio))
         report.update({"dataset": dataset, "algo": args.algo, "repeat": rep,
                        "decrease_mc": decrease, "runtime_s": elapsed,
                        "samples": samples})
         reports.append(report)
+    return rows, reports
 
+
+def _write_outputs(args, rows, reports):
     _write_csv(args.out, rows)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2)
+
+
+def cmd_run(args):
+    _check_algo_and_k(args.algo, args.k)
+    g, dataset = _load_run_graph(args)
+    rows, reports = _run_rows(args, _unified_graph(args, g), dataset)
+    _write_outputs(args, rows, reports)
     return EXIT_OK
 
 
 def cmd_bench(args):
+    """Sweep seeds x k x epsilon; the graph is loaded and each seed spec
+    resolved once, then every (k, epsilon) cell runs on the same seeds."""
     k_list = [int(x) for x in args.k_list.split(",")]
     eps_list = [float(x) for x in args.epsilon_list.split(",")]
     seeds_list = args.seeds_list.split(";") if args.seeds_list else [None]
-    rows_written = 0
+    for k in k_list:
+        _check_algo_and_k(args.algo, k)
+    g, dataset = _load_run_graph(args)
+    rows, reports = [], []
     for n_seeds in seeds_list:
+        sub = argparse.Namespace(**vars(args))
+        sub.seeds = n_seeds if n_seeds is not None else args.seeds
+        ug = _unified_graph(sub, g)
         for k in k_list:
             for eps in eps_list:
-                sub = argparse.Namespace(**vars(args))
                 sub.k, sub.epsilon = k, eps
-                sub.seeds = n_seeds if n_seeds is not None else args.seeds
-                sub.repeats = args.repeats
-                cmd_run(sub)
-                rows_written += args.repeats
-    print(f"bench: wrote {rows_written} rows to {args.out or 'stdout'}")
+                cell_rows, cell_reports = _run_rows(sub, ug, dataset)
+                rows += cell_rows
+                reports += cell_reports
+    _write_outputs(args, rows, reports)
+    print(f"bench: wrote {len(rows)} rows to {args.out or 'stdout'}")
     return EXIT_OK
 
 
@@ -269,15 +313,10 @@ def cmd_oracle(args):
     g, dataset = _load_graph(args.graph, args.undirected, args.prob,
                              args.prob_value)
     seed_rng = np.random.default_rng(np.random.SeedSequence(0))
+    blockers = _label_ids(args.blockers, g, "blocker")
     try:
-        seeds = _resolve_seeds(args, g, dataset, seed_rng)
+        seeds = _resolve_seeds(args, g, seed_rng)
         ug = unify_seeds(g, seeds)
-        blockers = []
-        if args.blockers:
-            label_to_id = {int(lbl): i for i, lbl in enumerate(g.labels)}
-            for part in args.blockers.split(","):
-                if part:
-                    blockers.append(label_to_id[int(part)])
         model = ExactModel(ug)
         print(f"dataset={dataset} n={g.n} m={g.m} seeds={sorted(seeds)} "
               f"blockers={blockers}")
@@ -285,7 +324,7 @@ def cmd_oracle(args):
         print(f"decrease            = {model.decrease(blockers):.6f}")
         print(f"lower bound         = {model.lower_bound(blockers):.6f}")
         print(f"upper bound         = {model.upper_bound(blockers):.6f}")
-    except (GraphError, KeyError) as exc:
+    except GraphError as exc:
         raise CliError(str(exc), EXIT_BAD_SEEDS) from None
     except OracleLimitError as exc:
         raise CliError(str(exc), EXIT_BAD_GRAPH) from None
@@ -340,9 +379,6 @@ def _add_common_options(p, sweep=False):
                    help="Monte-Carlo trials for the final evaluation")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; sampling streams "
-                        "are deterministic regardless")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--json", help="JSON report path")
 

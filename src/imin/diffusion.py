@@ -1,7 +1,7 @@
 """Independent-cascade simulation and adaptive spread estimation.
 
-Two equivalent views of the cascade are provided: a forward frontier
-simulation (`simulate_ic`) and live-edge realization sampling
+Two equivalent views of the cascade are provided: vectorized forward
+cascades (`ic_spread_samples`) and live-edge realization sampling
 (`sample_realization`), whose reachable-set size has the same distribution.
 Spread values count activated non-seed nodes only.
 
@@ -104,34 +104,6 @@ def sample_realization(g: UnifiedGraph, blockers=None,
     return Realization(g, live, blocked=blocked)
 
 
-def simulate_ic(g: UnifiedGraph, blockers=None,
-                rng: np.random.Generator = None) -> int:
-    """One forward cascade; returns the number of activated non-seed nodes."""
-    blocked = g.blocked_with(blockers)
-    active = np.zeros(g.n_total, dtype=bool)
-    active[g.s] = True
-    frontier = [g.s]
-    count = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            lo, hi = g.out_ptr[u], g.out_ptr[u + 1]
-            if hi == lo:
-                continue
-            draws = rng.random(hi - lo)
-            for off in range(lo, hi):
-                v = g.out_dst[off]
-                if active[v] or blocked[v]:
-                    continue
-                if draws[off - lo] < g.out_p[off]:
-                    active[v] = True
-                    nxt.append(v)
-                    if not g.uncounted[v]:
-                        count += 1
-        frontier = nxt
-    return count
-
-
 def ic_spread_samples(g: UnifiedGraph, blockers=None, trials: int = 1,
                       rng: np.random.Generator = None) -> np.ndarray:
     """Vectorized forward cascades; returns one spread value per trial."""
@@ -199,27 +171,6 @@ def monte_carlo_spread(g: UnifiedGraph, blockers=None, trials: int = 10_000,
     return float(ic_spread_samples(g, blockers, trials, rng).mean())
 
 
-def ic_spread_samples_streamed(g: UnifiedGraph, blockers=None,
-                               trials: int = 1,
-                               rng: np.random.Generator = None,
-                               streams: int = 1) -> np.ndarray:
-    """Fan sampling out over independent logical worker streams.
-
-    Trials are partitioned deterministically by stream id and each stream
-    draws from its own child generator, so the result depends only on
-    (seed, streams) and the per-stream pieces could be produced by
-    separate workers and merged in id order.
-    """
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
-    children = rng.spawn(streams)
-    per = [trials // streams + (1 if i < trials % streams else 0)
-           for i in range(streams)]
-    parts = [ic_spread_samples(g, blockers, cnt, child)
-             for cnt, child in zip(per, children) if cnt]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
 @dataclass
 class SpreadEstimate:
     """A spread estimate with its accuracy contract.
@@ -235,25 +186,6 @@ class SpreadEstimate:
     delta: float
     samples_used: int
     exact_zero: bool = False
-
-
-def positive_reach_empty(g: UnifiedGraph, blocked) -> bool:
-    """True when no countable node is reachable over positive-probability edges."""
-    seen = np.zeros(g.n_total, dtype=bool)
-    seen[g.s] = True
-    stack = [g.s]
-    while stack:
-        u = stack.pop()
-        lo, hi = g.out_ptr[u], g.out_ptr[u + 1]
-        for off in range(lo, hi):
-            v = g.out_dst[off]
-            if seen[v] or blocked[v] or g.out_p[off] <= 0.0:
-                continue
-            if not g.uncounted[v]:
-                return False
-            seen[v] = True
-            stack.append(v)
-    return True
 
 
 def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
@@ -274,7 +206,7 @@ def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
         raise ValueError("delta must lie in (0, 1)")
     blocked = g.blocked_with(blockers)
     n = g.base.n
-    if positive_reach_empty(g, blocked):
+    if not (g.positive_reach(blocked) & ~g.uncounted).any():
         return SpreadEstimate(value=0.0, gamma=gamma, delta=delta,
                               samples_used=1, exact_zero=True)
 

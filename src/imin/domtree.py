@@ -4,7 +4,9 @@ The immediate-dominator array is computed with the Lengauer-Tarjan
 semidominator algorithm (the simple variant: path compression without
 balanced link-eval).  Per-node subtree sizes of the tree rooted at the
 cascade source are the unit of spread-decrease estimation used by the
-greedy baselines and by lower-bound sample generation.
+greedy baselines and by lower-bound sample generation.  Reachability
+masks of a realization come from `Realization.reach`; the tree itself
+records reached nodes only through `order`.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Realization, reachable_in_realization
-
-
-def reachable_from(phi: Realization, src: int) -> np.ndarray:
-    """Boolean mask of nodes reachable from `src` over live edges."""
-    return reachable_in_realization(phi, src)
+from .diffusion import Realization
 
 
 @dataclass
@@ -34,7 +31,6 @@ class DominatorTree:
     root: int
     idom: np.ndarray
     order: np.ndarray
-    reachable: np.ndarray
     subtree_size: np.ndarray
 
     def children(self):
@@ -81,13 +77,11 @@ def build_dominator_tree(phi: Realization, src: int = None) -> DominatorTree:
 
     cnt = len(vertex)
     idom_full = np.full(n_tot, -1, dtype=np.int64)
-    reach_mask = np.zeros(n_tot, dtype=bool)
     sizes = np.zeros(n_tot, dtype=np.int64)
     if cnt == 0:
         return DominatorTree(root=src, idom=idom_full,
                              order=np.asarray(vertex, dtype=np.int64),
-                             reachable=reach_mask, subtree_size=sizes)
-    reach_mask[vertex] = True
+                             subtree_size=sizes)
 
     # Everything below works in dfs-number space.
     semi = list(range(cnt))
@@ -157,9 +151,4 @@ def build_dominator_tree(phi: Realization, src: int = None) -> DominatorTree:
 
     return DominatorTree(root=src, idom=idom_full,
                          order=np.asarray(vertex, dtype=np.int64),
-                         reachable=reach_mask, subtree_size=sizes)
-
-
-def subtree_sizes(dt: DominatorTree) -> np.ndarray:
-    """Per-node dominator-subtree sizes (0 for unreachable nodes)."""
-    return dt.subtree_size
+                         subtree_size=sizes)

@@ -97,12 +97,6 @@ class Graph:
                    out_p=out_p, in_ptr=in_ptr, in_src=in_src, in_p=in_p,
                    in_eid=in_eid, labels=labels)
 
-    def out_edges(self, u):
-        """(targets, probabilities, edge ids) of u's outgoing edges."""
-        lo, hi = self.out_ptr[u], self.out_ptr[u + 1]
-        return (self.out_dst[lo:hi], self.out_p[lo:hi],
-                np.arange(lo, hi, dtype=np.int64))
-
     def in_degree(self):
         return np.diff(self.in_ptr)
 
@@ -237,9 +231,6 @@ class BlockerSet:
     def __repr__(self):
         return f"BlockerSet({list(self.nodes)})"
 
-    def as_set(self):
-        return frozenset(self._member)
-
 
 def as_blockers(b) -> BlockerSet:
     if b is None:
@@ -311,6 +302,26 @@ class UnifiedGraph:
             lo, hi = self.base.out_ptr[u], self.base.out_ptr[u + 1]
             targets.update(int(v) for v in self.base.out_dst[lo:hi])
         return sorted(targets - self.seeds)
+
+    def positive_reach(self, blocked=None) -> np.ndarray:
+        """Mask of nodes reachable from ``s`` over positive-probability edges.
+
+        The traversal never enters a node of ``blocked`` (default: the
+        graph's own mask); ``s`` itself is in the mask.
+        """
+        blocked = self.blocked if blocked is None else blocked
+        seen = np.zeros(self.n_total, dtype=bool)
+        seen[self.s] = True
+        stack = [self.s]
+        while stack:
+            u = stack.pop()
+            for off in range(self.out_ptr[u], self.out_ptr[u + 1]):
+                v = self.out_dst[off]
+                if seen[v] or blocked[v] or self.out_p[off] <= 0.0:
+                    continue
+                seen[v] = True
+                stack.append(v)
+        return seen
 
     def check_blockers(self, blockers) -> BlockerSet:
         """Validate a candidate blocker set against this graph."""

@@ -21,7 +21,8 @@ import numpy as np
 
 from .diffusion import SpreadEstimate, stopping_rule_spread
 from .graph import BlockerSet, UnifiedGraph
-from .sampling import CPCollection, LRRCollection, compute_population
+from .sampling import (CPCollection, LRRCollection, compute_population,
+                       coverage)
 
 E_FRACTION = 1.0 - 1.0 / math.e
 
@@ -124,14 +125,14 @@ def _candidates(g: UnifiedGraph):
     return [v for v in range(g.base.n) if v not in g.seeds]
 
 
-def max_coverage(collection, k: int, g: UnifiedGraph = None):
+def max_coverage(collection, k: int):
     """k rounds of best-marginal selection (lazy evaluation, CELF-style).
 
     Ties break toward the lowest node id; zero-gain picks are allowed so
     the result always has min(k, #candidates) nodes.  Returns the chosen
     set plus the trace needed by `cov_upper_opt`.
     """
-    g = g if g is not None else collection.ug
+    g = collection.ug
     cand = _candidates(g)
     state = collection.state()
     gains0 = state.gains_all(g.n_total)
@@ -161,19 +162,18 @@ def _topk_sum(values: np.ndarray, k: int) -> int:
     return int(np.partition(values, len(values) - k)[len(values) - k:].sum())
 
 
-def cov_upper_opt(collection, trace: GreedyTrace, k: int,
-                  g: UnifiedGraph = None) -> float:
+def cov_upper_opt(collection, trace: GreedyTrace, k: int) -> float:
     """Coverage upper bound for the unknown optimum k-set.
 
     For each greedy prefix, the prefix's coverage plus its k largest
     marginal gains bounds any k-set's coverage from above (submodularity);
     the minimum over prefixes is returned.
     """
-    g = g if g is not None else collection.ug
+    n_total = collection.ug.n_total
     state = collection.state()
     best = math.inf
     for i in range(len(trace.selected) + 1):
-        gains = state.gains_all(g.n_total)
+        gains = state.gains_all(n_total)
         best = min(best, trace.coverages[i] + _topk_sum(gains, k))
         if i < len(trace.selected):
             state.add(trace.selected[i])
@@ -242,12 +242,66 @@ def _sigma_upper_term(cov_scaled: float, a2: float) -> float:
     return root * root
 
 
-def _early_on_return(g, k, side, extra):
-    on = g.seed_out_neighbors()
-    blockers = BlockerSet(on)
-    cert = BoundCertificate(side=side, blockers=blockers, early_exit=True,
-                            **extra)
-    return blockers, cert
+def _early_return(side: str, blockers=(), **fields):
+    """Result without sampling: every seed out-neighbor when they fit the
+    budget, or the empty set when the seeds can reach nobody."""
+    blockers = BlockerSet(blockers)
+    return blockers, BoundCertificate(side=side, blockers=blockers,
+                                      early_exit=True, **fields)
+
+
+def _certified_maximize(side, g, params, rng, scale, slack, universe, tail,
+                        new_collection, bounds, **fields):
+    """The doubling, certify and stop loop shared by both maximizers.
+
+    Schedule inputs: the objective's `scale`, the `slack` factor of the
+    sample-size denominator, the candidate `universe` size (seeds are
+    subtracted) and the `tail` numerator of the union-bound log term.
+    `new_collection(rng)` makes an empty sample collection, and
+    `bounds(cov_val, n_val, cov_opt, n_primary, a)` turns coverage counts
+    into (sigma_lower, sigma_upper) with tail log-term `a`.  `fields` go
+    into the returned certificate.
+    """
+    k = params.k
+    opt_low = opt_lower_bound(g, k)
+    if opt_low <= 0.0:
+        raise ValueError("every seed out-edge has zero probability; "
+                         "the schedule lower bound is degenerate")
+    sched = _make_schedule(scale=scale,
+                           denom=slack * params.epsilon ** 2 * opt_low,
+                           ln_choose=_log_binom(universe - len(g.seeds), k),
+                           ln_tail=math.log(tail / params.delta),
+                           delta=params.delta)
+
+    rng_primary, rng_validation = rng.spawn(2)
+    primary = new_collection(rng_primary)
+    validation = new_collection(rng_validation)
+    start = max(1, math.ceil(sched.samples_initial))
+    primary.extend(start)
+    validation.extend(start)
+
+    target = E_FRACTION - params.epsilon
+    checks = []
+    for round_no in range(1, sched.rounds_cap + 1):
+        blockers, trace = max_coverage(primary, k)
+        sigma_low, sigma_up = bounds(
+            coverage(validation, blockers), validation.n_samples,
+            cov_upper_opt(primary, trace, k), primary.n_samples,
+            sched.log_term)
+        ratio = sigma_low / sigma_up
+        stop = ratio >= target or round_no == sched.rounds_cap
+        checks.append(StopCheck(sigma_lower=sigma_low, sigma_upper=sigma_up,
+                                ratio=ratio, stopped=stop))
+        if stop:
+            return blockers, BoundCertificate(
+                side=side, blockers=blockers, ratio=ratio,
+                sigma_lower=sigma_low, sigma_upper=sigma_up,
+                rounds=round_no, samples_primary=primary.n_samples,
+                samples_validation=validation.n_samples, schedule=sched,
+                opt_lower=opt_low, checks=checks,
+                validation_collection=validation, **fields)
+        primary.extend(primary.n_samples)
+        validation.extend(validation.n_samples)
 
 
 def lsbm(g: UnifiedGraph, params: AlgoParams,
@@ -259,74 +313,37 @@ def lsbm(g: UnifiedGraph, params: AlgoParams,
     best achievable with k blockers.
     """
     params.validate()
-    k = params.k
     on = g.seed_out_neighbors()
-    if len(on) <= k:
-        return _early_on_return(g, k, "lower", {})
-
+    if len(on) <= params.k:
+        return _early_return("lower", on)
     ihat = stopping_rule_spread(g, None, gamma=params.beta,
                                 delta=params.delta / 6.0, rng=rng)
     if ihat.exact_zero:
-        empty = BlockerSet()
-        return empty, BoundCertificate(side="lower", blockers=empty,
-                                       early_exit=True, spread_estimate=ihat)
-    opt_low = opt_lower_bound(g, k)
-    if opt_low <= 0.0:
-        raise ValueError("every seed out-edge has zero probability; "
-                         "the schedule lower bound is degenerate")
+        return _early_return("lower", spread_estimate=ihat)
 
-    n, n_seeds = g.base.n, len(g.seeds)
-    denom = (1.0 - params.beta) * params.epsilon ** 2 * opt_low
-    sched = _make_schedule(scale=ihat.value, denom=denom,
-                           ln_choose=_log_binom(n - n_seeds, k),
-                           ln_tail=math.log(12.0 / params.delta),
-                           delta=params.delta)
+    beta = params.beta
 
-    rng_primary, rng_validation = rng.spawn(2)
-    primary = CPCollection(g, rng_primary)
-    validation = CPCollection(g, rng_validation)
-    start = max(1, math.ceil(sched.samples_initial))
-    primary.extend(start)
-    validation.extend(start)
-
-    a1 = a2 = sched.log_term
-    target = E_FRACTION - params.epsilon
-    checks = []
-    for round_no in range(1, sched.rounds_cap + 1):
-        blockers, trace = max_coverage(primary, k, g)
-        val_state = validation.state()
-        for u in blockers:
-            val_state.add(u)
-        cov_val = val_state.coverage()
-
+    def bounds(cov_val, n_val, cov_opt, n_primary, a):
+        # Coverage is normalized by the spread estimate, whose (1 +/- beta)
+        # slack picks the lower-tail branch; neither branch applies when
+        # the two normalized values straddle the threshold.
         sigma_low = 0.0
-        low_arg = cov_val * (1.0 - params.beta) / ihat.value
-        high_arg = cov_val * (1.0 + params.beta) / ihat.value
-        if low_arg >= 5.0 * a1 / 18.0:
-            sigma_low = _sigma_lower_term(low_arg, a1) / validation.n_samples
-        elif high_arg <= 5.0 * a1 / 18.0:
-            sigma_low = _sigma_lower_term(high_arg, a1) / validation.n_samples
+        low_arg = cov_val * (1.0 - beta) / ihat.value
+        high_arg = cov_val * (1.0 + beta) / ihat.value
+        if low_arg >= 5.0 * a / 18.0:
+            sigma_low = _sigma_lower_term(low_arg, a) / n_val
+        elif high_arg <= 5.0 * a / 18.0:
+            sigma_low = _sigma_lower_term(high_arg, a) / n_val
         sigma_low = max(sigma_low, 0.0)
-
-        cov_opt = cov_upper_opt(primary, trace, k, g)
         sigma_up = _sigma_upper_term(
-            cov_opt * (1.0 + params.beta) / ihat.value, a2) \
-            / primary.n_samples
+            cov_opt * (1.0 + beta) / ihat.value, a) / n_primary
+        return sigma_low, sigma_up
 
-        ratio = sigma_low / sigma_up
-        stop = ratio >= target or round_no == sched.rounds_cap
-        checks.append(StopCheck(sigma_lower=sigma_low, sigma_upper=sigma_up,
-                                ratio=ratio, stopped=stop))
-        if stop:
-            return blockers, BoundCertificate(
-                side="lower", blockers=blockers, ratio=ratio,
-                sigma_lower=sigma_low, sigma_upper=sigma_up,
-                rounds=round_no, samples_primary=primary.n_samples,
-                samples_validation=validation.n_samples, schedule=sched,
-                spread_estimate=ihat, opt_lower=opt_low, checks=checks,
-                validation_collection=validation)
-        primary.extend(primary.n_samples)
-        validation.extend(validation.n_samples)
+    return _certified_maximize(
+        "lower", g, params, rng, scale=ihat.value, slack=1.0 - beta,
+        universe=g.base.n, tail=12.0,
+        new_collection=lambda r: CPCollection(g, r), bounds=bounds,
+        spread_estimate=ihat)
 
 
 def gsbm(g: UnifiedGraph, params: AlgoParams,
@@ -338,63 +355,25 @@ def gsbm(g: UnifiedGraph, params: AlgoParams,
     spread-estimation slack.
     """
     params.validate()
-    k = params.k
     on = g.seed_out_neighbors()
-    if len(on) <= k:
-        return _early_on_return(g, k, "upper", {})
-
+    if len(on) <= params.k:
+        return _early_return("upper", on)
     population = compute_population(g)
     if not population:
         # mirror the lower maximizer's zero-spread path so the combined
         # pipeline degrades gracefully on dead graphs
-        empty = BlockerSet()
-        return empty, BoundCertificate(side="upper", blockers=empty,
-                                       early_exit=True, population_size=0)
-    opt_low = opt_lower_bound(g, k)
-    if opt_low <= 0.0:
-        raise ValueError("every seed out-edge has zero probability; "
-                         "the schedule lower bound is degenerate")
+        return _early_return("upper", population_size=0)
 
     npop = len(population)
-    denom = params.epsilon ** 2 * opt_low
-    sched = _make_schedule(scale=float(npop), denom=denom,
-                           ln_choose=_log_binom(npop - len(g.seeds), k),
-                           ln_tail=math.log(6.0 / params.delta),
-                           delta=params.delta)
 
-    rng_primary, rng_validation = rng.spawn(2)
-    primary = LRRCollection(g, rng_primary, population=population)
-    validation = LRRCollection(g, rng_validation, population=population)
-    start = max(1, math.ceil(sched.samples_initial))
-    primary.extend(start)
-    validation.extend(start)
+    def bounds(cov_val, n_val, cov_opt, n_primary, a):
+        sigma_low = max(0.0, _sigma_lower_term(float(cov_val), a)) \
+            * npop / n_val
+        sigma_up = _sigma_upper_term(cov_opt, a) * npop / n_primary
+        return sigma_low, sigma_up
 
-    a1 = a2 = sched.log_term
-    target = E_FRACTION - params.epsilon
-    checks = []
-    for round_no in range(1, sched.rounds_cap + 1):
-        blockers, trace = max_coverage(primary, k, g)
-        val_state = validation.state()
-        for u in blockers:
-            val_state.add(u)
-        cov_val = val_state.coverage()
-
-        sigma_low = max(0.0, _sigma_lower_term(float(cov_val), a1)) \
-            * npop / validation.n_samples
-        cov_opt = cov_upper_opt(primary, trace, k, g)
-        sigma_up = _sigma_upper_term(cov_opt, a2) * npop / primary.n_samples
-
-        ratio = sigma_low / sigma_up
-        stop = ratio >= target or round_no == sched.rounds_cap
-        checks.append(StopCheck(sigma_lower=sigma_low, sigma_upper=sigma_up,
-                                ratio=ratio, stopped=stop))
-        if stop:
-            return blockers, BoundCertificate(
-                side="upper", blockers=blockers, ratio=ratio,
-                sigma_lower=sigma_low, sigma_upper=sigma_up,
-                rounds=round_no, samples_primary=primary.n_samples,
-                samples_validation=validation.n_samples, schedule=sched,
-                population_size=npop, opt_lower=opt_low, checks=checks,
-                validation_collection=validation)
-        primary.extend(primary.n_samples)
-        validation.extend(validation.n_samples)
+    return _certified_maximize(
+        "upper", g, params, rng, scale=float(npop), slack=1.0,
+        universe=npop, tail=6.0,
+        new_collection=lambda r: LRRCollection(g, r, population=population),
+        bounds=bounds, population_size=npop)

@@ -30,26 +30,10 @@ from .diffusion import Realization, sample_realization
 from .domtree import build_dominator_tree
 from .graph import UnifiedGraph, as_blockers
 
-_GEN_CHUNK = 256
-
 
 def compute_population(g: UnifiedGraph) -> list:
     """Non-seed nodes reachable from the source over positive-prob edges."""
-    seen = np.zeros(g.n_total, dtype=bool)
-    seen[g.s] = True
-    stack = [g.s]
-    while stack:
-        u = stack.pop()
-        lo, hi = g.out_ptr[u], g.out_ptr[u + 1]
-        for off in range(lo, hi):
-            v = g.out_dst[off]
-            if seen[v] or g.blocked[v] or g.out_p[off] <= 0.0:
-                continue
-            seen[v] = True
-            stack.append(v)
-    seen[g.s] = False
-    seen[list(g.seeds)] = False
-    return [int(v) for v in np.nonzero(seen)[0]]
+    return [int(v) for v in np.nonzero(g.positive_reach() & ~g.uncounted)[0]]
 
 
 @dataclass
@@ -79,13 +63,10 @@ def _sequence_entries(ug: UnifiedGraph, phi: Realization):
     whose set contains a node form one contiguous block per sequence.
     """
     dt = build_dominator_tree(phi, ug.s)
-    order = dt.order
-    if len(order) <= 1:
+    if len(dt.order) <= 1:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
-    children = [[] for _ in range(ug.n_total)]
-    for v in order[1:]:
-        children[dt.idom[v]].append(int(v))
+    children = dt.children()
 
     nodes, parents, sizes = [], [], []
     entry_of = {}
@@ -108,10 +89,15 @@ def _sequence_entries(ug: UnifiedGraph, phi: Realization):
             np.asarray(sizes, dtype=np.int64))
 
 
+def _cp_sample(ug: UnifiedGraph, rng: np.random.Generator):
+    """One realization and its entry arrays (nodes, parents, sizes)."""
+    phi = sample_realization(ug, None, rng)
+    return (phi,) + _sequence_entries(ug, phi)
+
+
 def local_sampling(g: UnifiedGraph, rng: np.random.Generator) -> CPSequence:
     """Sample one realization and return its common-path sequence."""
-    phi = sample_realization(g, None, rng)
-    nodes, parents, _ = _sequence_entries(g, phi)
+    phi, nodes, parents, _ = _cp_sample(g, rng)
     return CPSequence(realization=phi, nodes=nodes, parents=parents)
 
 
@@ -144,19 +130,28 @@ def _reverse_reach(ug: UnifiedGraph, phi: Realization, target: int,
     return out
 
 
+def _lrr_sample(ug: UnifiedGraph, population, rng: np.random.Generator):
+    """One realization, a uniform target from `population`, and the
+    target's reverse reach inside the realization's receiver subgraph.
+
+    Returns (target, member list), with None for the members when the
+    target is not reached.
+    """
+    phi = sample_realization(ug, None, rng)
+    target = int(population[int(rng.integers(0, len(population)))])
+    reach = phi.reach
+    if not reach[target]:
+        return target, None
+    return target, _reverse_reach(ug, phi, target, reach & ~ug.uncounted)
+
+
 def global_sampling(g: UnifiedGraph, population,
                     rng: np.random.Generator) -> LRRSet:
     """Sample one realization and the reverse-reachable set of a random target."""
     if not population:
         raise ValueError("seeds influence no one: sampling population is empty")
-    phi = sample_realization(g, None, rng)
-    target = int(population[int(rng.integers(0, len(population)))])
-    reach = phi.reach
-    if not reach[target]:
-        return LRRSet(target=target, members=frozenset())
-    inside = reach & ~g.uncounted
-    members = _reverse_reach(g, phi, target, inside)
-    return LRRSet(target=target, members=frozenset(members))
+    target, members = _lrr_sample(g, population, rng)
+    return LRRSet(target=target, members=frozenset(members or ()))
 
 
 class CPCollection:
@@ -179,8 +174,7 @@ class CPCollection:
         """Generate `count` more sequences from the collection's stream."""
         offset = sum(len(a) for a in self._nodes)
         for _ in range(count):
-            phi = sample_realization(self.ug, None, self.rng)
-            nodes, parents, sizes = _sequence_entries(self.ug, phi)
+            _, nodes, parents, sizes = _cp_sample(self.ug, self.rng)
             self._nodes.append(nodes)
             self._parents.append(parents)
             base = offset + np.arange(len(nodes), dtype=np.int64)
@@ -289,17 +283,12 @@ class LRRCollection:
         return len(self._members) + self.n_empty
 
     def extend(self, count: int):
-        ug = self.ug
+        """Generate `count` more samples from the collection's stream."""
         for _ in range(count):
-            phi = sample_realization(ug, None, self.rng)
-            target = int(self._pop_arr[int(self.rng.integers(
-                0, len(self._pop_arr)))])
-            reach = phi.reach
-            if not reach[target]:
+            target, members = _lrr_sample(self.ug, self._pop_arr, self.rng)
+            if members is None:
                 self.n_empty += 1
                 continue
-            inside = reach & ~ug.uncounted
-            members = _reverse_reach(ug, phi, target, inside)
             self._members.append(np.asarray(members, dtype=np.int64))
             self._targets.append(target)
         self._frozen = None
@@ -353,31 +342,24 @@ class _LRRState:
         return out
 
 
-def coverage_cp(collection: CPCollection, blockers) -> int:
-    """Number of common-path entries hit by the blocker set."""
+def _state_with(collection, blockers):
     state = collection.state()
-    for u in as_blockers(blockers):
+    for u in blockers:
         state.add(u)
-    return state.coverage()
+    return state
 
 
-def coverage_lrr(collection: LRRCollection, blockers) -> int:
-    """Number of reverse-reachable sets hit by the blocker set."""
-    state = collection.state()
-    for u in as_blockers(blockers):
-        state.add(u)
-    return state.coverage()
+def coverage(collection, blockers) -> int:
+    """Number of samples (CP entries or LRR sets) hit by the blocker set."""
+    return _state_with(collection, as_blockers(blockers)).coverage()
 
 
 def marginal_coverage(collection, blockers, v) -> int:
     """Coverage gain of adding `v` on top of `blockers`."""
-    state = collection.state()
     b = as_blockers(blockers)
-    for u in b:
-        state.add(u)
     if v in b:
         return 0
-    return state.gain(int(v))
+    return _state_with(collection, b).gain(int(v))
 
 
 def dump_samples(collection, path):

@@ -19,7 +19,7 @@ from .diffusion import SpreadEstimate, stopping_rule_spread
 from .graph import BlockerSet, UnifiedGraph
 from .optimize import (AlgoParams, E_FRACTION, gsbm, lsbm,
                        seed_neighbor_probs)
-from .sampling import LRRCollection
+from .sampling import LRRCollection, compute_population, coverage
 
 log = logging.getLogger(__name__)
 
@@ -89,16 +89,12 @@ def _upper_bound_estimate(g, blockers, certificate, rng):
     """
     coll = certificate.validation_collection if certificate else None
     if coll is None:
-        from .sampling import compute_population
-
-        if not compute_population(g):
+        population = compute_population(g)
+        if not population:
             return 0.0
-        coll = LRRCollection(g, rng)
+        coll = LRRCollection(g, rng, population=population)
         coll.extend(_FALLBACK_RATIO_SAMPLES)
-    state = coll.state()
-    for u in blockers:
-        state.add(u)
-    return len(coll.population) * state.coverage() / coll.n_samples
+    return len(coll.population) * coverage(coll, blockers) / coll.n_samples
 
 
 def empirical_ratio(result: SandwichResult, g: UnifiedGraph,

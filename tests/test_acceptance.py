@@ -18,7 +18,7 @@ from imin.graph import Graph, unify_seeds
 from imin.optimize import AlgoParams, E_FRACTION, gsbm, lsbm
 from imin.oracle import ExactModel
 from imin.sampling import (CPCollection, CPSequence, LRRCollection,
-                           compute_population, coverage_lrr,
+                           compute_population, coverage,
                            _sequence_entries)
 from imin.sandwich import sand_imin
 from imin.baselines import ag, gr, mc_greedy
@@ -143,7 +143,7 @@ def test_criterion_04_estimator_unbiasedness():
         lcoll = LRRCollection(ug, make_rng(7300 + trial))
         lcoll.extend(n_samples)
         pop = len(lcoll.population)
-        hit = coverage_lrr(lcoll, B) / n_samples
+        hit = coverage(lcoll, B) / n_samples
         est = pop * hit
         se_u = pop * math.sqrt(max(hit * (1 - hit), 1e-9) / n_samples)
         true_up = model.upper_bound(B)
@@ -302,7 +302,7 @@ def test_criterion_09_empirical_ratio_soundness():
 def test_criterion_10_cli_determinism(tmp_path):
     run_args = ["run", "--graph", "fixture:small", "--algo", "sandimin",
                 "--k", "1", "--delta", "0.1", "--eval-trials", "5000",
-                "--rng-seed", "21", "--repeats", "2", "--threads", "1"]
+                "--rng-seed", "21", "--repeats", "2"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(run_args + ["--out", str(a)]) == 0
     assert main(run_args + ["--out", str(b)]) == 0

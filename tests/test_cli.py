@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from imin.cli import main
+from imin.cli import _influence_pool, main
+from imin.graph import (assign_constant_probability, assign_wc_probabilities,
+                        load_edge_list)
 
 
 def run_cli(*args):
@@ -117,6 +119,27 @@ class TestBench:
         assert len(rows) == 1 + 4  # header + 2 budgets x 2 epsilons
 
 
+    def test_rows_match_separate_runs(self, tmp_path, capsys):
+        # the sweep loads the graph and resolves each seed spec once; its
+        # rows must equal one `run` per cell
+        sweep = tmp_path / "sweep.csv"
+        common = ["--graph", "fixture:small", "--algo", "lhga",
+                  "--delta", "0.1", "--eval-trials", "1000",
+                  "--rng-seed", "4", "--repeats", "2"]
+        assert main(["bench", *common, "--k-list", "1,2",
+                     "--epsilon-list", "0.2,0.3",
+                     "--seeds-list", "0,;0,1,", "--out", str(sweep)]) == 0
+        single = tmp_path / "single.csv"
+        for seeds in ("0,", "0,1,"):
+            for k in ("1", "2"):
+                for eps in ("0.2", "0.3"):
+                    assert main(["run", *common, "--seeds", seeds,
+                                 "--k", k, "--epsilon", eps,
+                                 "--out", str(single)]) == 0
+        assert sweep.read_bytes() == single.read_bytes()
+        assert len(sweep.read_text().splitlines()) == 1 + 16
+
+
 class TestSeedPool:
     def test_count_seeds_drawn_from_influence_pool(self, tmp_path):
         data = tmp_path / "g.txt"
@@ -133,6 +156,38 @@ class TestSeedPool:
         assert cache.exists()
         assert main(args + ["--out", str(out_b)]) == 0  # cached path
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_cache_not_reused_across_probability_models(self, tmp_path):
+        # Node 0 feeds five in-degree-1 nodes; nodes 1-4 share ten
+        # in-degree-4 targets.  Weighted cascade ranks node 0 first,
+        # a constant 0.3 ranks it last.
+        lines = [f"0 {v}" for v in range(10, 15)]
+        lines += [f"{u} {v}" for u in range(1, 5) for v in range(20, 30)]
+        text = "\n".join(lines) + "\n"
+        warm_dir, cold_dir = tmp_path / "warm", tmp_path / "cold"
+        warm_dir.mkdir()
+        cold_dir.mkdir()
+        (warm_dir / "g.txt").write_text(text)
+        (cold_dir / "g.txt").write_text(text)
+        args = ["run", "--algo", "lhga", "--k", "1", "--seeds", "1",
+                "--seed-rank-pool", "1", "--pool-trials", "200",
+                "--eval-trials", "2000", "--rng-seed", "3"]
+        const = ["--prob", "const", "--prob-value", "0.3"]
+        warm, cold = warm_dir / "g.txt", cold_dir / "g.txt"
+        assert main(args + ["--graph", str(warm),
+                            "--out", str(tmp_path / "wc.csv")]) == 0
+        assert main(args + const + ["--graph", str(warm), "--out",
+                                    str(tmp_path / "warm.csv")]) == 0
+        assert main(args + const + ["--graph", str(cold), "--out",
+                                    str(tmp_path / "cold.csv")]) == 0
+        assert (tmp_path / "warm.csv").read_bytes() \
+            == (tmp_path / "cold.csv").read_bytes()
+        # the two models really rank differently, so a stale cache shows
+        wc_g = load_edge_list(str(cold))
+        wc_top = _influence_pool(assign_wc_probabilities(wc_g), 1, 200)
+        const_top = _influence_pool(
+            assign_constant_probability(wc_g, 0.3), 1, 200)
+        assert wc_top == [0] and const_top != wc_top
 
     def test_count_larger_than_pool_rejected(self, tmp_path):
         data = tmp_path / "g.txt"
@@ -155,6 +210,14 @@ class TestOracleCommands:
         assert "decrease            = 7.000000" in out
         assert "lower bound         = 6.000000" in out
         assert "upper bound         = 8.000000" in out
+
+    def test_oracle_bad_blocker_labels(self, capsys):
+        assert main(["oracle", "--graph", "fixture:three-seeds",
+                     "--blockers", "x"]) == 5
+        assert "bad blocker id 'x'" in capsys.readouterr().err
+        assert main(["oracle", "--graph", "fixture:three-seeds",
+                     "--blockers", "3,999"]) == 5
+        assert "blocker id 999 not in graph" in capsys.readouterr().err
 
     def test_oracle_refuses_large_graph(self, tmp_path):
         data = tmp_path / "g.txt"

@@ -5,7 +5,8 @@ import numpy as np
 
 from imin import fixtures
 from imin.diffusion import Realization, sample_realization
-from imin.domtree import build_dominator_tree, reachable_from, subtree_sizes
+from imin.diffusion import reachable_in_realization
+from imin.domtree import build_dominator_tree
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
 
@@ -58,7 +59,7 @@ class TestReachableFrom:
     def test_worked_realization(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        reach = reachable_from(phi, ug.s)
+        reach = reachable_in_realization(phi, ug.s)
         assert sorted(np.nonzero(reach)[0]) == [0, 1, 2, 3, 5, 6, ug.s]
         assert not reach[4]
 
@@ -66,13 +67,13 @@ class TestReachableFrom:
         g = unify_seeds(Graph.from_edges(2, [0], [1], [1.0]), {0})
         phi = Realization(g, np.zeros(g.m_total, dtype=bool))
         phi.live[-0:] = False
-        reach = reachable_from(phi, g.s)
+        reach = reachable_in_realization(phi, g.s)
         assert sorted(np.nonzero(reach)[0]) == [g.s]
 
     def test_cycle(self):
         g = unify_seeds(Graph.from_edges(2, [0, 1], [1, 0]), {0})
         phi = Realization(g, np.ones(g.m_total, dtype=bool))
-        assert reachable_from(phi, g.s).sum() == 3
+        assert reachable_in_realization(phi, g.s).sum() == 3
 
 
 class TestBuildDominatorTree:
@@ -131,20 +132,20 @@ class TestSubtreeSizes:
     def test_worked_realization_sizes(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        sizes = subtree_sizes(build_dominator_tree(phi, ug.s))
+        sizes = build_dominator_tree(phi, ug.s).subtree_size
         assert {v: int(sizes[v]) for v in range(7)} == {
             0: 6, 1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 
     def test_chain_sizes(self):
         ug = fixtures.chain()
         phi = sample_realization(ug, None, make_rng(0))
-        sizes = subtree_sizes(build_dominator_tree(phi, ug.s))
+        sizes = build_dominator_tree(phi, ug.s).subtree_size
         assert int(sizes[1]) == 2 and int(sizes[2]) == 1
 
     def test_star_leaves(self):
         g = unify_seeds(Graph.from_edges(4, [0, 0, 0], [1, 2, 3]), {0})
         phi = sample_realization(g, None, make_rng(0))
-        sizes = subtree_sizes(build_dominator_tree(phi, g.s))
+        sizes = build_dominator_tree(phi, g.s).subtree_size
         assert [int(sizes[v]) for v in (1, 2, 3)] == [1, 1, 1]
 
     def test_sum_identity_equals_depth_sum(self):

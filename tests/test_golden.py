@@ -1,0 +1,87 @@
+"""Fixed-seed outputs pinned byte for byte.
+
+A refactor must leave every value here unchanged.  A change that alters
+the random stream on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py --update
+
+and says so in CHANGES.md.
+"""
+
+import dataclasses
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+from imin import fixtures
+from imin.graph import Graph, unify_seeds
+from imin.optimize import AlgoParams, gsbm, lsbm
+from imin.sandwich import sand_imin, sand_imin_minus
+
+GOLDEN = pathlib.Path(__file__).with_name("golden.json")
+
+# graph name -> (graph constructor, budgets)
+GRAPHS = {
+    "small": (fixtures.worked_example_small, (1, 2)),
+    "three-seeds": (fixtures.worked_example_three_seeds, (2,)),
+    "mid120": (lambda: fixtures.mid_synthetic(
+        np.random.default_rng(0), 120, 480, 4), (3,)),
+    # seeds whose out-edges all have probability 0: both zero-spread exits
+    "dead": (lambda: unify_seeds(
+        Graph.from_edges(4, [0, 0, 1], [1, 2, 3], [0.0, 0.0, 1.0]), {0}),
+        (1,)),
+}
+SEED = 20240520
+
+
+def _rng(*key):
+    return np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=key))
+
+
+def _maximizer(fn, ug, params, rng):
+    blockers, cert = fn(ug, params, rng)
+    return {"blockers": list(blockers),
+            "certificate": cert.as_dict(),
+            "checks": [dataclasses.asdict(c) for c in cert.checks]}
+
+
+def _pipeline(fn, ug, params, rng):
+    out = fn(ug, params, rng).as_dict()
+    del out["timings_s"]
+    return out
+
+
+def outputs():
+    out = {}
+    for gi, (name, (build, budgets)) in enumerate(GRAPHS.items()):
+        ug = build()
+        for k in budgets:
+            params = AlgoParams(k=k, epsilon=0.2, delta=0.1)
+            key = f"{name}/k={k}"
+            out[key] = {
+                "lsbm": _maximizer(lsbm, ug, params, _rng(gi, k, 0)),
+                "gsbm": _maximizer(gsbm, ug, params, _rng(gi, k, 1)),
+                "sand_imin": _pipeline(sand_imin, ug, params,
+                                       _rng(gi, k, 2)),
+                "sand_imin_minus": _pipeline(sand_imin_minus, ug, params,
+                                             _rng(gi, k, 3)),
+            }
+    # a JSON round trip turns tuples into lists, as in the stored file
+    return json.loads(json.dumps(out))
+
+
+def test_fixed_seed_outputs_unchanged():
+    want = json.loads(GOLDEN.read_text())
+    got = outputs()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        for algo in want[key]:
+            assert got[key][algo] == want[key][algo], f"{key} {algo}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --update")
+    GOLDEN.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")

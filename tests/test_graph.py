@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from imin import fixtures
+from imin.diffusion import stopping_rule_spread
 from imin.graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
                         assign_wc_probabilities, block_nodes, load_edge_list,
                         unify_seeds)
 from imin.oracle import ExactModel
+from imin.sampling import compute_population
 
 from conftest import base_spread_enumeration, make_rng
 
@@ -186,3 +188,39 @@ class TestBlockerSet:
         assert b.nodes == (5, 3, 9)
         assert 3 in b and 4 not in b
         assert len(b) == 3
+
+
+def tiny_with_dead_edges(seed):
+    """A random oracle-sized graph with some edges set to probability 0,
+    plus a random blocker set of up to two non-seed nodes."""
+    rng = make_rng(seed)
+    ug = fixtures.random_tiny(rng, max_nodes=8, max_prob_edges=10)
+    src, dst, p = ug.base.edge_array()
+    p[rng.random(len(p)) < 0.4] = 0.0
+    ug = unify_seeds(Graph.from_edges(ug.base.n, src, dst, p), ug.seeds)
+    cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+    size = int(rng.integers(0, min(2, len(cands)) + 1))
+    blockers = [int(v) for v in rng.choice(cands, size=size, replace=False)]
+    return ug, blockers
+
+
+class TestPositiveReach:
+    def test_zero_spread_exactly_when_oracle_says_so(self):
+        zero = nonzero = 0
+        for seed in range(60):
+            ug, blockers = tiny_with_dead_edges(seed)
+            model = ExactModel(ug)
+            dead = model.spread(blockers) == 0.0
+            assert (compute_population(ug) == []) \
+                == (model.spread() == 0.0), seed
+            assert (compute_population(block_nodes(ug, blockers)) == []) \
+                == dead, (seed, blockers)
+            # Checked last: a zero spread the rule misses never stops its
+            # sampling loop.  Loose (gamma, delta) keeps the loop short when
+            # the spread is positive but tiny.
+            est = stopping_rule_spread(ug, blockers, gamma=0.9, delta=0.9,
+                                       rng=make_rng(seed))
+            assert est.exact_zero == dead, (seed, blockers)
+            zero += dead
+            nonzero += not dead
+        assert zero and nonzero

@@ -10,7 +10,7 @@ from imin.optimize import (AlgoParams, E_FRACTION, cov_upper_opt,
                            direct_activation_prob, gsbm, lsbm, max_coverage,
                            opt_lower_bound)
 from imin.oracle import ExactModel
-from imin.sampling import LRRCollection, coverage_lrr
+from imin.sampling import LRRCollection, coverage
 
 from conftest import make_rng
 
@@ -28,14 +28,14 @@ def naive_greedy(coll, ug, k):
     """Reference greedy: full re-evaluation, lowest id on ties."""
     chosen = []
     cands = [v for v in range(ug.base.n) if v not in ug.seeds]
-    covered = coverage_lrr(coll, [])
+    covered = coverage(coll, [])
     while len(chosen) < k and len(chosen) < len(cands):
         best, best_gain = None, -1
         for v in cands:
             if v in chosen:
                 continue
-            gain = coverage_lrr(coll, chosen + [v]) \
-                - coverage_lrr(coll, chosen)
+            gain = coverage(coll, chosen + [v]) \
+                - coverage(coll, chosen)
             if gain > best_gain:
                 best, best_gain = v, gain
         chosen.append(best)
@@ -45,24 +45,24 @@ def naive_greedy(coll, ug, k):
 class TestMaxCoverage:
     def test_single_pick(self):
         ug, coll = collection_from_sets([[1], [1, 2], [3]])
-        blockers, trace = max_coverage(coll, 1, ug)
+        blockers, trace = max_coverage(coll, 1)
         assert list(blockers) == [1]
         assert trace.gains == [2]
 
     def test_budget_covers_everything(self):
         ug, coll = collection_from_sets([[1], [2], [3], [1, 3]])
-        blockers, trace = max_coverage(coll, 7, ug)
+        blockers, trace = max_coverage(coll, 7)
         assert trace.coverages[-1] == 4
 
     def test_all_sets_empty_fills_by_lowest_id(self):
         ug, coll = collection_from_sets([[], [], []])
-        blockers, trace = max_coverage(coll, 2, ug)
+        blockers, trace = max_coverage(coll, 2)
         assert list(blockers) == [1, 2]
         assert trace.gains == [0, 0]
 
     def test_tie_break_lowest_id(self):
         ug, coll = collection_from_sets([[2], [5]])
-        blockers, _ = max_coverage(coll, 1, ug)
+        blockers, _ = max_coverage(coll, 1)
         assert list(blockers) == [2]
 
     def test_lazy_equals_naive_on_random_collections(self):
@@ -76,7 +76,7 @@ class TestMaxCoverage:
                                             replace=False)))
             ug, coll = collection_from_sets(sets)
             k = int(rng.integers(1, 5))
-            blockers, _ = max_coverage(coll, k, ug)
+            blockers, _ = max_coverage(coll, k)
             assert list(blockers) == naive_greedy(coll, ug, k)
 
 
@@ -123,16 +123,16 @@ class TestOptLowerBound:
 class TestCovUpperOpt:
     def test_never_above_first_term(self):
         ug, coll = collection_from_sets([[1, 2], [2], [3], [1]])
-        _, trace = max_coverage(coll, 2, ug)
+        _, trace = max_coverage(coll, 2)
         state = coll.state()
         gains = state.gains_all(ug.n_total)
         first_term = np.sort(gains)[-2:].sum()
-        assert cov_upper_opt(coll, trace, 2, ug) <= first_term
+        assert cov_upper_opt(coll, trace, 2) <= first_term
 
     def test_single_node_covers_all(self):
         ug, coll = collection_from_sets([[1], [1, 2], [1, 3]])
-        _, trace = max_coverage(coll, 1, ug)
-        assert cov_upper_opt(coll, trace, 1, ug) == 3.0
+        _, trace = max_coverage(coll, 1)
+        assert cov_upper_opt(coll, trace, 1) == 3.0
 
     def test_dominates_every_k_subset(self):
         rng = make_rng(90)
@@ -144,9 +144,9 @@ class TestCovUpperOpt:
                     for _ in range(n_sets)]
             ug, coll = collection_from_sets(sets, n_nodes=7)
             k = int(rng.integers(1, 4))
-            _, trace = max_coverage(coll, k, ug)
-            bound = cov_upper_opt(coll, trace, k, ug)
-            best = max(coverage_lrr(coll, list(combo)) for combo in
+            _, trace = max_coverage(coll, k)
+            bound = cov_upper_opt(coll, trace, k)
+            best = max(coverage(coll, list(combo)) for combo in
                        itertools.combinations(range(1, 7), k))
             assert bound >= best - 1e-9
 
@@ -159,8 +159,8 @@ class TestCovUpperOpt:
                     for _ in range(int(rng.integers(3, 20)))]
             ug, coll = collection_from_sets(sets, n_nodes=7)
             k = int(rng.integers(1, 4))
-            _, trace = max_coverage(coll, k, ug)
-            best = max(coverage_lrr(coll, list(combo)) for combo in
+            _, trace = max_coverage(coll, k)
+            best = max(coverage(coll, list(combo)) for combo in
                        itertools.combinations(range(1, 7), k))
             assert trace.coverages[-1] >= (1 - 1 / math.e) * best - 1e-9
 

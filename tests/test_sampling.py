@@ -9,8 +9,8 @@ from imin.diffusion import sample_realization
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
 from imin.sampling import (CPCollection, LRRCollection, compute_population,
-                           coverage_cp, coverage_lrr, global_sampling,
-                           local_sampling, marginal_coverage)
+                           coverage, global_sampling, local_sampling,
+                           marginal_coverage)
 
 from conftest import make_rng
 
@@ -177,9 +177,9 @@ class TestGlobalSampling:
 class TestCoverage:
     def test_worked_example_counts(self):
         ug, coll = worked_collection()
-        assert coverage_cp(coll, [3]) == 3  # covers C(3), C(5), C(6)
-        assert coverage_cp(coll, []) == 0
-        assert coverage_cp(coll, [1, 2, 3, 4, 5, 6]) == 5  # every entry
+        assert coverage(coll, [3]) == 3  # covers C(3), C(5), C(6)
+        assert coverage(coll, []) == 0
+        assert coverage(coll, [1, 2, 3, 4, 5, 6]) == 5  # every entry
 
     def test_worked_example_marginals(self):
         ug, coll = worked_collection()
@@ -191,14 +191,14 @@ class TestCoverage:
         ug = fixtures.chain()
         coll = LRRCollection.from_sets(ug, [[1, 2], [], [2]],
                                        population=[1, 2])
-        assert coverage_lrr(coll, [2]) == 2
-        assert coverage_lrr(coll, []) == 0
+        assert coverage(coll, [2]) == 2
+        assert coverage(coll, []) == 0
         assert coll.n_samples == 3
 
     def test_all_sets_empty(self):
         ug = fixtures.chain()
         coll = LRRCollection.from_sets(ug, [[], [], []], population=[1, 2])
-        assert coverage_lrr(coll, [1]) == 0
+        assert coverage(coll, [1]) == 0
 
     def test_coverage_monotone_submodular_exhaustive(self):
         ug = fixtures.worked_example_small()
@@ -208,7 +208,7 @@ class TestCoverage:
         vals = {}
         for size in range(len(nodes) + 1):
             for combo in itertools.combinations(nodes, size):
-                vals[frozenset(combo)] = coverage_cp(coll, combo)
+                vals[frozenset(combo)] = coverage(coll, combo)
         for small, big in itertools.product(vals, vals):
             if not small <= big:
                 continue
@@ -249,7 +249,7 @@ class TestUnbiasedness:
             n = 8000
             coll = LRRCollection(ug, make_rng(7000 + trial))
             coll.extend(n)
-            hit_prob = coverage_lrr(coll, B) / n
+            hit_prob = coverage(coll, B) / n
             est = len(pop) * hit_prob
             sigma = len(pop) * math.sqrt(
                 max(hit_prob * (1 - hit_prob), 1e-9) / n)
@@ -282,7 +282,7 @@ class TestConcentration:
         for _ in range(reps):
             coll = CPCollection(ug, rng)
             coll.extend(theta)
-            sums.append(coverage_cp(coll, [1]))
+            sums.append(coverage(coll, [1]))
         sums = np.asarray(sums, dtype=float)
         scale = spread  # normalizing constant of the bound
         for lam_nodes in (8.0, 14.0, 20.0):
