@@ -27,7 +27,7 @@ def _subtree_scores(g: UnifiedGraph, blockers, realizations: int,
     totals = np.zeros(g.n_total, dtype=np.float64)
     for _ in range(realizations):
         phi = sample_realization(g, blockers, rng)
-        totals += build_dominator_tree(phi, g.s).subtree_size
+        totals += build_dominator_tree(phi).subtree_size
     return totals / realizations
 
 

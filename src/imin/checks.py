@@ -34,7 +34,7 @@ def _check_worked_examples():
 def _check_dominator_fixture():
     ug = fixtures.worked_example_small()
     phi = fixtures.worked_example_small_realization(ug)
-    dt = build_dominator_tree(phi, ug.s)
+    dt = build_dominator_tree(phi)
     want = {1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
     got = {v: int(dt.subtree_size[v]) for v in want}
     return got == want, f"subtree sizes {got}, want {want}"

@@ -284,10 +284,8 @@ def cmd_run(args):
 def cmd_bench(args):
     """Sweep seeds x k x epsilon; the graph is loaded and each seed spec
     resolved once, then every (k, epsilon) cell runs on the same seeds."""
-    k_list = [int(x) for x in args.k_list.split(",")]
-    eps_list = [float(x) for x in args.epsilon_list.split(",")]
     seeds_list = args.seeds_list.split(";") if args.seeds_list else [None]
-    for k in k_list:
+    for k in args.k_list:
         _check_algo_and_k(args.algo, k)
     g, dataset = _load_run_graph(args)
     rows, reports = [], []
@@ -295,8 +293,8 @@ def cmd_bench(args):
         sub = argparse.Namespace(**vars(args))
         sub.seeds = n_seeds if n_seeds is not None else args.seeds
         ug = _unified_graph(sub, g)
-        for k in k_list:
-            for eps in eps_list:
+        for k in args.k_list:
+            for eps in args.epsilon_list:
                 sub.k, sub.epsilon = k, eps
                 cell_rows, cell_reports = _run_rows(sub, ug, dataset)
                 rows += cell_rows
@@ -345,7 +343,34 @@ def cmd_oracle_check(args):
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-def _add_common_options(p, sweep=False):
+def _checked(kind, ok, what):
+    """An argparse `type=` that parses with `kind` and requires `ok`."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    return parse
+
+
+def _list_of(parse):
+    """An argparse `type=` for a comma-separated list of `parse` values."""
+    return lambda text: [parse(part) for part in text.split(",")]
+
+
+_INT = _checked(int, lambda x: True, "an integer")
+_COUNT = _checked(int, lambda x: x >= 1, "a positive integer")
+_RNG_SEED = _checked(int, lambda x: x >= 0, "a non-negative integer")
+_OPEN_UNIT = _checked(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_PROB = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+
+
+def _add_graph_options(p):
+    """--graph and how its probabilities and seeds are chosen."""
     p.add_argument("--graph", required=True,
                    help="edge-list path or fixture:<name> "
                         f"({', '.join(sorted(fixtures.BUNDLED))})")
@@ -353,32 +378,36 @@ def _add_common_options(p, sweep=False):
                    help="treat file edges as undirected (doubled)")
     p.add_argument("--prob", choices=("wc", "const"), default="wc",
                    help="edge probability rule for file graphs")
-    p.add_argument("--prob-value", type=float, default=0.1)
-    p.add_argument("--algo", required=True,
-                   help=f"one of {', '.join(ALGORITHMS)}")
-    if not sweep:
-        p.add_argument("--k", type=int, required=True,
-                       help="blocker budget")
-        p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--prob-value", type=_PROB, default=0.1)
     p.add_argument("--seeds",
                    help="seed count (bare integer, drawn from the top "
                         "influence pool), or comma-separated node labels; "
                         "use a trailing comma for one explicit label, e.g. "
                         "'42,' (fixtures default to their built-in seeds)")
-    p.add_argument("--seed-rank-pool", type=int, default=200)
-    p.add_argument("--pool-trials", type=int, default=1000)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--seed-rank-pool", type=_COUNT, default=200)
+    p.add_argument("--pool-trials", type=_COUNT, default=1000)
+
+
+def _add_common_options(p, sweep=False):
+    _add_graph_options(p)
+    p.add_argument("--algo", required=True,
+                   help=f"one of {', '.join(ALGORITHMS)}")
+    if not sweep:
+        p.add_argument("--k", type=int, required=True,
+                       help="blocker budget")
+        p.add_argument("--epsilon", type=_OPEN_UNIT, default=0.2)
+    p.add_argument("--delta", type=_OPEN_UNIT, default=None,
                    help="failure probability (default 1/n)")
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=1000,
+    p.add_argument("--beta", type=_OPEN_UNIT, default=0.1)
+    p.add_argument("--gamma", type=_OPEN_UNIT, default=0.1)
+    p.add_argument("--trials", type=_COUNT, default=1000,
                    help="Monte-Carlo trials per greedy evaluation (mc)")
-    p.add_argument("--realizations", type=int, default=10_000,
+    p.add_argument("--realizations", type=_COUNT, default=10_000,
                    help="realizations per round (ag/gr)")
-    p.add_argument("--eval-trials", type=int, default=100_000,
+    p.add_argument("--eval-trials", type=_COUNT, default=100_000,
                    help="Monte-Carlo trials for the final evaluation")
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--repeats", type=_COUNT, default=1)
+    p.add_argument("--rng-seed", type=_RNG_SEED, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--json", help="JSON report path")
 
@@ -395,27 +424,22 @@ def make_parser():
 
     oc = sub.add_parser("oracle-check",
                         help="exact-oracle invariant suite on fixtures")
-    oc.add_argument("--rng-seed", type=int, default=0)
+    oc.add_argument("--rng-seed", type=_RNG_SEED, default=0)
     oc.set_defaults(func=cmd_oracle_check)
 
     orc = sub.add_parser("oracle",
                          help="exact spread/decrease/bounds on a tiny graph")
-    orc.add_argument("--graph", required=True)
-    orc.add_argument("--undirected", action="store_true")
-    orc.add_argument("--prob", choices=("wc", "const"), default="wc")
-    orc.add_argument("--prob-value", type=float, default=0.1)
-    orc.add_argument("--seeds", help="as in `run`")
-    orc.add_argument("--seed-rank-pool", type=int, default=200)
-    orc.add_argument("--pool-trials", type=int, default=1000)
+    _add_graph_options(orc)
     orc.add_argument("--blockers", default="",
                      help="comma-separated node labels to block")
     orc.set_defaults(func=cmd_oracle)
 
     bench = sub.add_parser("bench", help="sweep k / seeds / epsilon")
     _add_common_options(bench, sweep=True)
-    bench.add_argument("--k-list", default="1",
+    bench.add_argument("--k-list", type=_list_of(_INT), default=[1],
                        help="comma-separated budgets")
-    bench.add_argument("--epsilon-list", default="0.2")
+    bench.add_argument("--epsilon-list", type=_list_of(_OPEN_UNIT),
+                       default=[0.2])
     bench.add_argument("--seeds-list", default=None,
                        help="semicolon-separated --seeds specs")
     bench.set_defaults(func=cmd_bench, k=None, epsilon=None)

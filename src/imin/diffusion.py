@@ -3,7 +3,9 @@
 Two equivalent views of the cascade are provided: vectorized forward
 cascades (`ic_spread_samples`) and live-edge realization sampling
 (`sample_realization`), whose reachable-set size has the same distribution.
-Spread values count activated non-seed nodes only.
+Spread values count activated non-seed nodes only.  `live_dfs` is the one
+forward traversal of a realization: its preorder numbers give the reach
+mask and are the node numbering of the dominator-tree build.
 
 `stopping_rule_spread` is a sequential mean estimator with a relative-error
 contract: it keeps drawing cascades until the running sum of normalized
@@ -29,17 +31,16 @@ class Realization:
     """One live-edge sample of a unified graph.
 
     `live` is a boolean bitmap over edge ids of the unified graph; edges
-    into blocked nodes are never live.  The reachable set of the source is
-    computed lazily.
+    into blocked nodes are never live.  `reach` traverses the realization
+    on every read.
     """
 
-    __slots__ = ("ug", "live", "blocked", "_reach")
+    __slots__ = ("ug", "live", "blocked")
 
     def __init__(self, ug: UnifiedGraph, live: np.ndarray, blocked=None):
         self.ug = ug
         self.live = live
         self.blocked = ug.blocked if blocked is None else blocked
-        self._reach = None
 
     @classmethod
     def from_edge_list(cls, ug: UnifiedGraph, edges):
@@ -63,31 +64,47 @@ class Realization:
 
     @property
     def reach(self):
-        if self._reach is None:
-            self._reach = reachable_in_realization(self, self.ug.s)
-        return self._reach
+        return reachable_in_realization(self)
 
 
-def reachable_in_realization(phi: Realization, src: int) -> np.ndarray:
-    """Boolean mask of nodes with a live-edge path from `src`."""
+def live_dfs(phi: Realization):
+    """Depth-first search of the live subgraph from the source.
+
+    Returns (dfnum, vertex, post): `dfnum[v]` is v's preorder number (-1
+    when v is unreached), `vertex` lists the reached nodes in
+    preorder (int64 array, source first), and `post` lists preorder
+    numbers in postorder.  Out-edges are followed in CSR order, so the
+    numbering is that of the recursive DFS.
+    """
     ug = phi.ug
-    reached = np.zeros(ug.n_total, dtype=bool)
-    if phi.blocked[src]:
-        return reached
-    reached[src] = True
-    stack = [src]
+    out_ptr, out_dst = ug.out_ptr, ug.out_dst
+    live, blocked = phi.live, phi.blocked
+    dfnum = np.full(ug.n_total, -1, dtype=np.int64)
+    dfnum[ug.s] = 0
+    vertex, post = [ug.s], []
+    stack = [(0, iter(range(out_ptr[ug.s], out_ptr[ug.s + 1])))]
     while stack:
-        u = stack.pop()
-        lo, hi = ug.out_ptr[u], ug.out_ptr[u + 1]
-        for off in range(lo, hi):
-            if not phi.live[off]:
+        d, edges = stack[-1]
+        for off in edges:
+            if not live[off]:
                 continue
-            v = ug.out_dst[off]
-            if reached[v] or phi.blocked[v]:
+            v = out_dst[off]
+            if dfnum[v] >= 0 or blocked[v]:
                 continue
-            reached[v] = True
-            stack.append(v)
-    return reached
+            dfnum[v] = len(vertex)
+            stack.append((len(vertex),
+                          iter(range(out_ptr[v], out_ptr[v + 1]))))
+            vertex.append(v)
+            break
+        else:
+            stack.pop()
+            post.append(d)
+    return dfnum, np.asarray(vertex, dtype=np.int64), post
+
+
+def reachable_in_realization(phi: Realization) -> np.ndarray:
+    """Boolean mask of nodes with a live-edge path from the source."""
+    return live_dfs(phi)[0] >= 0
 
 
 def sample_realization(g: UnifiedGraph, blockers=None,

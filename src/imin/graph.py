@@ -193,6 +193,9 @@ def assign_wc_probabilities(g: Graph) -> Graph:
 
 
 def assign_constant_probability(g: Graph, p: float) -> Graph:
+    """Every edge gets probability `p`, which must lie in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise GraphError(f"edge probability must lie in [0, 1], got {p}")
     src, dst, _ = g.edge_array()
     return Graph.from_edges(g.n, src, dst, np.full(g.m, p, dtype=np.float64),
                             labels=g.labels, validate=False)

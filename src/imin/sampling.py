@@ -61,32 +61,14 @@ def _sequence_entries(ug: UnifiedGraph, phi: Realization):
 
     Entries are emitted in dominator-tree preorder so that the entries
     whose set contains a node form one contiguous block per sequence.
+    The source and the seeds (all children of the source) are dropped;
+    an entry whose dominator is one of them has parent -1.
     """
-    dt = build_dominator_tree(phi, ug.s)
-    if len(dt.order) <= 1:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    children = dt.children()
-
-    nodes, parents, sizes = [], [], []
-    entry_of = {}
-    stack = list(reversed(children[ug.s]))
-    while stack:
-        u = stack.pop()
-        if not ug.seed_mask[u]:
-            parent = dt.idom[u]
-            if parent == ug.s or ug.seed_mask[parent]:
-                pe = -1
-            else:
-                pe = entry_of[parent]
-            entry_of[u] = len(nodes)
-            nodes.append(u)
-            parents.append(pe)
-            sizes.append(int(dt.subtree_size[u]))
-        stack.extend(reversed(children[u]))
-    return (np.asarray(nodes, dtype=np.int64),
-            np.asarray(parents, dtype=np.int64),
-            np.asarray(sizes, dtype=np.int64))
+    dt = build_dominator_tree(phi)
+    nodes = dt.order[~ug.uncounted[dt.order]]
+    entry = np.full(ug.n_total, -1, dtype=np.int64)
+    entry[nodes] = np.arange(len(nodes), dtype=np.int64)
+    return nodes, entry[dt.idom[nodes]], dt.subtree_size[nodes]
 
 
 def _cp_sample(ug: UnifiedGraph, rng: np.random.Generator):
@@ -154,6 +136,15 @@ def global_sampling(g: UnifiedGraph, population,
     return LRRSet(target=target, members=frozenset(members or ()))
 
 
+def _inverted_index(flat: np.ndarray, n_total: int):
+    """(order, node_ptr): the positions of node u's occurrences in `flat`
+    are order[node_ptr[u]:node_ptr[u + 1]], ascending."""
+    order = np.argsort(flat, kind="stable")
+    node_ptr = np.zeros(n_total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_total), out=node_ptr[1:])
+    return order, node_ptr
+
+
 class CPCollection:
     """A growing set of common-path sequences with an inverted index."""
 
@@ -189,10 +180,7 @@ class CPCollection:
                      else np.empty(0, dtype=np.int64))
             ends = (np.concatenate(self._ends) if self._ends
                     else np.empty(0, dtype=np.int64))
-            order = np.argsort(nodes, kind="stable")
-            node_ptr = np.zeros(self.ug.n_total + 1, dtype=np.int64)
-            np.add.at(node_ptr, nodes + 1, 1)
-            np.cumsum(node_ptr, out=node_ptr)
+            order, node_ptr = _inverted_index(nodes, self.ug.n_total)
             self._frozen = (nodes, ends, order, node_ptr)
         return self._frozen
 
@@ -298,14 +286,9 @@ class LRRCollection:
             n_sets = len(self._members)
             flat = (np.concatenate(self._members) if self._members
                     else np.empty(0, dtype=np.int64))
-            set_of = np.repeat(
-                np.arange(n_sets, dtype=np.int64),
-                [len(m) for m in self._members]) if n_sets else \
-                np.empty(0, dtype=np.int64)
-            order = np.argsort(flat, kind="stable")
-            node_ptr = np.zeros(self.ug.n_total + 1, dtype=np.int64)
-            np.add.at(node_ptr, flat + 1, 1)
-            np.cumsum(node_ptr, out=node_ptr)
+            set_of = np.repeat(np.arange(n_sets, dtype=np.int64),
+                               [len(m) for m in self._members])
+            order, node_ptr = _inverted_index(flat, self.ug.n_total)
             self._frozen = (flat, set_of, order, node_ptr, n_sets)
         return self._frozen
 

@@ -43,7 +43,7 @@ def tiny_graph_with_wide_seed_boundary(seed, min_on=3):
 def test_criterion_01_worked_realization_reproduction():
     ug = fixtures.worked_example_small()
     phi = fixtures.worked_example_small_realization(ug)
-    dt = build_dominator_tree(phi, ug.s)
+    dt = build_dominator_tree(phi)
     sizes = {v: int(dt.subtree_size[v]) for v in range(1, 7)}
     assert sizes == {1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 

@@ -71,7 +71,7 @@ class TestAg:
         sq = np.zeros(ug.n_total)
         for _ in range(n):
             phi = sample_realization(ug, blocked, rng)
-            s = build_dominator_tree(phi, ug.s).subtree_size
+            s = build_dominator_tree(phi).subtree_size
             totals += s
             sq += s.astype(float) ** 2
         for v in (1, 2):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from imin.cli import _influence_pool, main
 from imin.graph import (assign_constant_probability, assign_wc_probabilities,
                         load_edge_list)
@@ -79,6 +81,54 @@ class TestExitCodes:
     def test_bad_fixture_name(self):
         assert main(["run", "--graph", "fixture:unknown", "--algo", "lhga",
                      "--k", "1"]) == 6
+
+
+class TestBadNumericInput:
+    """Out-of-range or malformed numbers are usage errors (exit 2), not
+    tracebacks."""
+
+    RUN = ["run", "--graph", "fixture:diamond", "--algo", "sandimin",
+           "--k", "1"]
+    BENCH = ["bench", "--graph", "fixture:diamond", "--algo", "lhga"]
+
+    @pytest.mark.parametrize("argv", [
+        RUN + ["--epsilon", "1.5"],
+        RUN + ["--epsilon", "nan"],
+        RUN + ["--delta", "0"],
+        RUN + ["--beta", "1"],
+        RUN + ["--gamma", "-0.1"],
+        RUN + ["--eval-trials", "0"],
+        RUN + ["--trials", "0"],
+        RUN + ["--realizations", "0"],
+        RUN + ["--repeats", "0"],
+        RUN + ["--seed-rank-pool", "0"],
+        RUN + ["--pool-trials", "x"],
+        RUN + ["--prob-value", "-0.5"],
+        RUN + ["--prob-value", "1.5"],
+        RUN + ["--rng-seed", "-1"],
+        BENCH + ["--k-list", "1,x"],
+        BENCH + ["--epsilon-list", "0.2,1.5"],
+        BENCH + ["--epsilon-list", "0.2,"],
+        ["oracle", "--graph", "fixture:diamond", "--prob-value", "2"],
+        ["oracle-check", "--rng-seed", "-3"],
+    ])
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_boundary_values_accepted(self, tmp_path):
+        data = tmp_path / "g.txt"
+        data.write_text("0 1\n1 2\n")
+        for p in ("0", "1"):
+            assert main(["run", "--graph", str(data), "--prob", "const",
+                         "--prob-value", p, "--algo", "lhga", "--k", "1",
+                         "--seeds", "0,", "--eval-trials", "1",
+                         "--out", str(tmp_path / "rows.csv")]) == 0
+
+    def test_nonpositive_k_list_entry_keeps_its_code(self, capsys):
+        assert main(self.BENCH + ["--k-list", "1,0"]) == 4
 
 
 class TestDeterminism:

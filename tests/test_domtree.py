@@ -7,7 +7,7 @@ from imin import fixtures
 from imin.diffusion import Realization, sample_realization
 from imin.diffusion import reachable_in_realization
 from imin.domtree import build_dominator_tree
-from imin.graph import Graph, unify_seeds
+from imin.graph import Graph, assign_constant_probability, unify_seeds
 from imin.oracle import ExactModel
 
 from conftest import make_rng
@@ -55,11 +55,27 @@ def brute_force_idom(ug, phi):
     return reached, idom
 
 
+def _assert_matches_networkx(ug, phi):
+    dt = build_dominator_tree(phi)
+    srcs = np.repeat(np.arange(ug.n_total, dtype=np.int64),
+                     np.diff(ug.out_ptr))
+    dg = nx.DiGraph()
+    dg.add_node(ug.s)
+    for eid in np.nonzero(phi.live)[0]:
+        dg.add_edge(int(srcs[eid]), int(ug.out_dst[eid]))
+    want = nx.immediate_dominators(dg, ug.s)
+    for v, u in want.items():
+        if v == ug.s:
+            continue
+        assert dt.idom[v] == u
+    assert sorted(dt.order.tolist()) == sorted(set(want) | {ug.s})
+
+
 class TestReachableFrom:
     def test_worked_realization(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        reach = reachable_in_realization(phi, ug.s)
+        reach = reachable_in_realization(phi)
         assert sorted(np.nonzero(reach)[0]) == [0, 1, 2, 3, 5, 6, ug.s]
         assert not reach[4]
 
@@ -67,20 +83,20 @@ class TestReachableFrom:
         g = unify_seeds(Graph.from_edges(2, [0], [1], [1.0]), {0})
         phi = Realization(g, np.zeros(g.m_total, dtype=bool))
         phi.live[-0:] = False
-        reach = reachable_in_realization(phi, g.s)
+        reach = reachable_in_realization(phi)
         assert sorted(np.nonzero(reach)[0]) == [g.s]
 
     def test_cycle(self):
         g = unify_seeds(Graph.from_edges(2, [0, 1], [1, 0]), {0})
         phi = Realization(g, np.ones(g.m_total, dtype=bool))
-        assert reachable_in_realization(phi, g.s).sum() == 3
+        assert reachable_in_realization(phi).sum() == 3
 
 
 class TestBuildDominatorTree:
     def test_worked_realization_idoms(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        dt = build_dominator_tree(phi, ug.s)
+        dt = build_dominator_tree(phi)
         assert dt.idom[0] == ug.s
         assert dt.idom[1] == dt.idom[2] == dt.idom[3] == 0
         assert dt.idom[5] == dt.idom[6] == 3
@@ -89,20 +105,20 @@ class TestBuildDominatorTree:
     def test_chain(self):
         ug = fixtures.chain()
         phi = sample_realization(ug, None, make_rng(0))
-        dt = build_dominator_tree(phi, ug.s)
+        dt = build_dominator_tree(phi)
         assert dt.idom[1] == 0 and dt.idom[2] == 1
 
     def test_diamond_join(self):
         ug = fixtures.diamond(1.0)
         phi = sample_realization(ug, None, make_rng(0))
-        dt = build_dominator_tree(phi, ug.s)
+        dt = build_dominator_tree(phi)
         assert dt.idom[3] == 0  # two disjoint paths meet at the seed
 
     def test_matches_brute_force_on_random_realizations(self):
         for trial in range(60):
             ug = fixtures.random_tiny(make_rng(trial), 7, 8)
             phi = sample_realization(ug, None, make_rng(1000 + trial))
-            dt = build_dominator_tree(phi, ug.s)
+            dt = build_dominator_tree(phi)
             reached, want = brute_force_idom(ug, phi)
             got = {v: int(dt.idom[v]) for v in reached if v != ug.s}
             assert got == want
@@ -114,38 +130,35 @@ class TestBuildDominatorTree:
         for trial in range(40):
             ug = fixtures.random_tiny(make_rng(500 + trial), 9, 12)
             phi = sample_realization(ug, None, make_rng(2000 + trial))
-            dt = build_dominator_tree(phi, ug.s)
-            srcs = np.repeat(np.arange(ug.n_total, dtype=np.int64),
-                             np.diff(ug.out_ptr))
-            dg = nx.DiGraph()
-            dg.add_node(ug.s)
-            for eid in np.nonzero(phi.live)[0]:
-                dg.add_edge(int(srcs[eid]), int(ug.out_dst[eid]))
-            want = nx.immediate_dominators(dg, ug.s)
-            for v, u in want.items():
-                if v == ug.s:
-                    continue
-                assert dt.idom[v] == u
+            _assert_matches_networkx(ug, phi)
+        # Most tiny realizations settle in one changing fixed-point pass;
+        # these need more, so the iteration itself is exercised.
+        for trial in range(6):
+            mid = fixtures.mid_synthetic(make_rng(800 + trial), 120, 480)
+            ug = unify_seeds(assign_constant_probability(mid.base, 0.5),
+                             mid.seeds)
+            phi = sample_realization(ug, None, make_rng(2100 + trial))
+            _assert_matches_networkx(ug, phi)
 
 
 class TestSubtreeSizes:
     def test_worked_realization_sizes(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        sizes = build_dominator_tree(phi, ug.s).subtree_size
+        sizes = build_dominator_tree(phi).subtree_size
         assert {v: int(sizes[v]) for v in range(7)} == {
             0: 6, 1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 
     def test_chain_sizes(self):
         ug = fixtures.chain()
         phi = sample_realization(ug, None, make_rng(0))
-        sizes = build_dominator_tree(phi, ug.s).subtree_size
+        sizes = build_dominator_tree(phi).subtree_size
         assert int(sizes[1]) == 2 and int(sizes[2]) == 1
 
     def test_star_leaves(self):
         g = unify_seeds(Graph.from_edges(4, [0, 0, 0], [1, 2, 3]), {0})
         phi = sample_realization(g, None, make_rng(0))
-        sizes = build_dominator_tree(phi, g.s).subtree_size
+        sizes = build_dominator_tree(phi).subtree_size
         assert [int(sizes[v]) for v in (1, 2, 3)] == [1, 1, 1]
 
     def test_sum_identity_equals_depth_sum(self):
@@ -153,7 +166,7 @@ class TestSubtreeSizes:
         for trial in range(25):
             ug = fixtures.random_tiny(make_rng(700 + trial), 9, 12)
             phi = sample_realization(ug, None, make_rng(3000 + trial))
-            dt = build_dominator_tree(phi, ug.s)
+            dt = build_dominator_tree(phi)
             depth = {ug.s: 0}
             for v in dt.order[1:]:
                 depth[int(v)] = depth[int(dt.idom[v])] + 1
@@ -163,11 +176,26 @@ class TestSubtreeSizes:
     def test_subtree_consistency_with_children(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        dt = build_dominator_tree(phi, ug.s)
-        kids = dt.children()
+        dt = build_dominator_tree(phi)
         for v in dt.order:
-            assert dt.subtree_size[v] == 1 + sum(
-                dt.subtree_size[c] for c in kids[v])
+            kids = np.nonzero(dt.idom == v)[0]
+            assert dt.subtree_size[v] == 1 + dt.subtree_size[kids].sum()
+
+    def test_order_lists_each_subtree_as_one_block(self):
+        graphs = [fixtures.random_tiny(make_rng(900 + t), 9, 12)
+                  for t in range(25)]
+        graphs.append(fixtures.mid_synthetic(make_rng(7), 120, 480))
+        for t, ug in enumerate(graphs):
+            dt = build_dominator_tree(
+                sample_realization(ug, None, make_rng(4000 + t)))
+            assert dt.order[0] == ug.s
+            for i, v in enumerate(dt.order):
+                block = dt.order[i:i + dt.subtree_size[v]]
+                assert len(block) == dt.subtree_size[v]
+                for u in block[1:]:
+                    while u != v:
+                        u = dt.idom[u]
+                        assert u >= 0
 
 
 class TestEstimationIdentity:
@@ -182,7 +210,7 @@ class TestEstimationIdentity:
         sq = np.zeros(ug.n_total)
         for _ in range(n):
             phi = sample_realization(ug, None, rng)
-            s = build_dominator_tree(phi, ug.s).subtree_size
+            s = build_dominator_tree(phi).subtree_size
             totals += s
             sq += s.astype(float) ** 2
         for v in range(1, 7):

@@ -4,8 +4,8 @@ import pytest
 from imin import fixtures
 from imin.diffusion import stopping_rule_spread
 from imin.graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
-                        assign_wc_probabilities, block_nodes, load_edge_list,
-                        unify_seeds)
+                        assign_constant_probability, assign_wc_probabilities,
+                        block_nodes, load_edge_list, unify_seeds)
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
 
@@ -80,6 +80,14 @@ class TestValidation:
     def test_probability_range(self):
         with pytest.raises(GraphError, match="probabilities"):
             Graph.from_edges(2, [0], [1], [1.5])
+
+    def test_constant_probability_range(self):
+        g = Graph.from_edges(2, [0], [1])
+        for p in (-0.5, 1.5, float("nan")):
+            with pytest.raises(GraphError, match="probability"):
+                assign_constant_probability(g, p)
+        for p in (0.0, 1.0):
+            assert assign_constant_probability(g, p).out_p.tolist() == [p]
 
     def test_duplicate_edges(self):
         with pytest.raises(GraphError, match="duplicate"):
