@@ -13,7 +13,11 @@ Upper bound: one sample is a *local reverse-reachable set* — a target v
 drawn uniformly from the positive-probability reach of the source, and the
 nodes that can reach v inside the realization's receiver subgraph (reached
 non-seeds only).  Empty sets (target unreached) stay in the collection as
-a counter; they carry denominator weight.
+a counter; they carry denominator weight.  A set is found from its target:
+a reverse search over live in-edges that stops at the seeds, then a
+forward search from the nodes the seeds feed, inside what the reverse
+search found.  Any node on a seed-to-member live path also reaches the
+target, so no forward pass over the whole realization is needed.
 
 Coverage of a blocker set B is the number of samples whose set intersects
 B.  Cov/|collection| (times the population size for the upper side) is an
@@ -91,40 +95,68 @@ class LRRSet:
     members: frozenset
 
 
-def _reverse_reach(ug: UnifiedGraph, phi: Realization, target: int,
-                   inside: np.ndarray) -> list:
-    members = np.zeros(ug.n_total, dtype=bool)
-    members[target] = True
+def _live_ancestors(ug: UnifiedGraph, phi: Realization, target: int):
+    """Reverse search from `target` over live in-edges that never enters a
+    seed or the source.
+
+    Returns (succ, entries): `succ[u]` lists the live successors of a found
+    node u among the found nodes, and `entries` lists the found nodes with
+    a live in-edge from a seed.  The target is reached exactly when
+    `entries` is non-empty.
+    """
+    in_ptr, in_src, in_eid = ug.in_ptr, ug.in_src, ug.in_eid
+    live, uncounted = phi.live, ug.uncounted
+    succ = {target: []}
+    entries = []
     stack = [target]
-    out = [target]
     while stack:
         v = stack.pop()
-        lo, hi = ug.in_ptr[v], ug.in_ptr[v + 1]
-        for off in range(lo, hi):
-            if not phi.live[ug.in_eid[off]]:
+        from_seed = False
+        for off in range(in_ptr[v], in_ptr[v + 1]):
+            if not live[in_eid[off]]:
                 continue
-            u = ug.in_src[off]
-            if members[u] or not inside[u]:
+            u = int(in_src[off])
+            if uncounted[u]:
+                from_seed = True
                 continue
-            members[u] = True
-            out.append(int(u))
-            stack.append(u)
-    return out
+            if u not in succ:
+                succ[u] = []
+                stack.append(u)
+            succ[u].append(v)
+        if from_seed:
+            entries.append(v)
+    return succ, entries
+
+
+def _reverse_reach(target: int, succ: dict, entries: list) -> list:
+    """The found nodes that the seeds reach, target first: a forward search
+    from `entries` over the live edges recorded in `succ`."""
+    seen = set(entries)
+    stack = list(entries)
+    while stack:
+        for v in succ[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    seen.discard(target)
+    return [target] + list(seen)
 
 
 def _lrr_sample(ug: UnifiedGraph, population, rng: np.random.Generator):
     """One realization, a uniform target from `population`, and the
     target's reverse reach inside the realization's receiver subgraph.
 
-    Returns (target, member list), with None for the members when the
-    target is not reached.
+    The target's live non-seed ancestors are found first; the members are
+    those of them that the seeds reach, so no step walks the part of the
+    realization that cannot reach the target.  Returns (target, member
+    list), with None for the members when the target is not reached.
     """
     phi = sample_realization(ug, None, rng)
     target = int(population[int(rng.integers(0, len(population)))])
-    reach = phi.reach
-    if not reach[target]:
+    succ, entries = _live_ancestors(ug, phi, target)
+    if not entries:
         return target, None
-    return target, _reverse_reach(ug, phi, target, reach & ~ug.uncounted)
+    return target, _reverse_reach(target, succ, entries)
 
 
 def global_sampling(g: UnifiedGraph, population,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from imin import fixtures
+from imin.graph import Graph, unify_seeds
+
 
 @pytest.fixture
 def rng():
@@ -47,3 +50,17 @@ def base_spread_enumeration(g, seeds, blockers=()):
                     stack.append(v)
         total += prob * len(reached - set(seeds))
     return total
+
+
+def tiny_with_dead_edges(seed):
+    """A random oracle-sized graph with some edges set to probability 0,
+    plus a random blocker set of up to two non-seed nodes."""
+    rng = make_rng(seed)
+    ug = fixtures.random_tiny(rng, max_nodes=8, max_prob_edges=10)
+    src, dst, p = ug.base.edge_array()
+    p[rng.random(len(p)) < 0.4] = 0.0
+    ug = unify_seeds(Graph.from_edges(ug.base.n, src, dst, p), ug.seeds)
+    cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+    size = int(rng.integers(0, min(2, len(cands)) + 1))
+    blockers = [int(v) for v in rng.choice(cands, size=size, replace=False)]
+    return ug, blockers

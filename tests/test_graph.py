@@ -9,7 +9,8 @@ from imin.graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
 
-from conftest import base_spread_enumeration, make_rng
+from conftest import (base_spread_enumeration, make_rng,
+                      tiny_with_dead_edges)
 
 
 def write(tmp_path, text):
@@ -196,20 +197,6 @@ class TestBlockerSet:
         assert b.nodes == (5, 3, 9)
         assert 3 in b and 4 not in b
         assert len(b) == 3
-
-
-def tiny_with_dead_edges(seed):
-    """A random oracle-sized graph with some edges set to probability 0,
-    plus a random blocker set of up to two non-seed nodes."""
-    rng = make_rng(seed)
-    ug = fixtures.random_tiny(rng, max_nodes=8, max_prob_edges=10)
-    src, dst, p = ug.base.edge_array()
-    p[rng.random(len(p)) < 0.4] = 0.0
-    ug = unify_seeds(Graph.from_edges(ug.base.n, src, dst, p), ug.seeds)
-    cands = [v for v in range(ug.base.n) if v not in ug.seeds]
-    size = int(rng.integers(0, min(2, len(cands)) + 1))
-    blockers = [int(v) for v in rng.choice(cands, size=size, replace=False)]
-    return ug, blockers
 
 
 class TestPositiveReach:

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.diffusion import sample_realization
-from imin.graph import Graph, unify_seeds
+from imin.diffusion import reachable_in_realization, sample_realization
+from imin.graph import Graph, block_nodes, unify_seeds
 from imin.oracle import ExactModel
-from imin.sampling import (CPCollection, LRRCollection, compute_population,
-                           coverage, global_sampling, local_sampling,
-                           marginal_coverage)
+from imin.sampling import (CPCollection, LRRCollection, _lrr_sample,
+                           compute_population, coverage, global_sampling,
+                           local_sampling, marginal_coverage)
 
-from conftest import make_rng
+from conftest import make_rng, tiny_with_dead_edges
 
 
 def cp_sets_by_path_enumeration(ug, phi):
@@ -172,6 +172,64 @@ class TestGlobalSampling:
             assert not sample.members & ug.seeds
             if sample.members:
                 assert sample.target in sample.members
+
+
+def lrr_members_by_forward_reach(ug, phi, target):
+    """The LRR definition read literally (test oracle): the forward reach
+    mask of the realization, then the target's reverse search inside the
+    reached non-seed nodes.  None when the target is unreached."""
+    reach = reachable_in_realization(phi)
+    if not reach[target]:
+        return None
+    inside = reach & ~ug.uncounted
+    found = {target}
+    stack = [target]
+    while stack:
+        v = stack.pop()
+        for off in range(ug.in_ptr[v], ug.in_ptr[v + 1]):
+            u = int(ug.in_src[off])
+            if phi.live[ug.in_eid[off]] and inside[u] and u not in found:
+                found.add(u)
+                stack.append(u)
+    return found
+
+
+class TestTargetFirstLRR:
+    def _check(self, ug, population, rng_seed, samples):
+        rng, twin = make_rng(rng_seed), make_rng(rng_seed)
+        empty = 0
+        for _ in range(samples):
+            target, members = _lrr_sample(ug, population, rng)
+            # the same draws in the same order: realization, then target
+            phi = sample_realization(ug, None, twin)
+            assert target == population[int(twin.integers(0,
+                                                          len(population)))]
+            want = lrr_members_by_forward_reach(ug, phi, target)
+            if want is None:
+                assert members is None
+                empty += 1
+                continue
+            assert members[0] == target
+            assert len(members) == len(set(members))
+            assert set(members) == want
+        return empty
+
+    def test_tiny_graphs_with_dead_edges_and_blockers(self):
+        empty = 0
+        for seed in range(60):
+            ug, blockers = tiny_with_dead_edges(seed)
+            ug = block_nodes(ug, blockers)
+            # every non-seed node, blocked and unreachable ones included
+            population = np.asarray(
+                [v for v in range(ug.base.n) if v not in ug.seeds])
+            empty += self._check(ug, population, 7000 + seed, 40)
+        assert 0 < empty < 60 * 40
+
+    def test_mid_synthetic_realizations(self):
+        for seed in range(4):
+            ug = fixtures.mid_synthetic(make_rng(seed), 120, 480, 4)
+            population = np.asarray(compute_population(ug))
+            self._check(ug, population, 8000 + seed, 400)
 
 
 class TestCoverage:
