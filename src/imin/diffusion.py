@@ -10,7 +10,10 @@ mask and are the node numbering of the dominator-tree build.
 `stopping_rule_spread` is a sequential mean estimator with a relative-error
 contract: it keeps drawing cascades until the running sum of normalized
 spreads crosses a threshold that depends only on (gamma, delta), following
-the classic stopping-rule construction for [0, 1] variables.
+the stopping-rule construction for [0, 1] variables of Dagum, Karp, Luby
+and Ross (SIAM J. Comput. 2000).  Spreads are normalized by the number of
+non-seed nodes the seeds can reach at all rather than by the node count
+n, so nodes no cascade can reach do not inflate the trial count.
 """
 
 from __future__ import annotations
@@ -210,20 +213,27 @@ def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
                          rng: np.random.Generator = None) -> SpreadEstimate:
     """(gamma, delta)-estimate of the expected non-seed spread.
 
-    Draws cascades, normalizes each spread by the base node count n so the
-    samples lie in [0, 1], and stops the first time the running sum reaches
+    Draws cascades and normalizes each spread by N_B, the number of
+    non-seed nodes reachable from the seeds over positive-probability
+    edges that avoid the blocked nodes.  Every activated non-seed node lies
+    in that set, so the samples lie in [0, 1]; the trial count follows the
+    part of the graph the cascade can reach, not the node count n.  It
+    stops the first time the running sum reaches
 
         upsilon = 1 + 4 (e - 2) ln(2 / delta) (1 + gamma) / gamma^2,
 
-    returning upsilon * n / T where T is the number of samples taken.
+    returning upsilon * N_B / T where T is the number of samples taken.
+    N_B = 0 forces a spread of exactly zero, which is returned without
+    sampling.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     blocked = g.blocked_with(blockers)
-    n = g.base.n
-    if not (g.positive_reach(blocked) & ~g.uncounted).any():
+    n_reach = int(np.count_nonzero(g.positive_reach(blocked)
+                                   & ~g.uncounted))
+    if n_reach == 0:
         return SpreadEstimate(value=0.0, gamma=gamma, delta=delta,
                               samples_used=1, exact_zero=True)
 
@@ -232,12 +242,13 @@ def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
     total = 0.0
     taken = 0
     while True:
-        batch = ic_spread_samples(g, blockers, _BATCH, rng) / n
+        batch = ic_spread_samples(g, blockers, _BATCH, rng) / n_reach
         running = total + np.cumsum(batch)
         crossed = np.nonzero(running >= upsilon)[0]
         if len(crossed):
             taken += int(crossed[0]) + 1
-            return SpreadEstimate(value=upsilon * n / taken, gamma=gamma,
-                                  delta=delta, samples_used=taken)
+            return SpreadEstimate(value=upsilon * n_reach / taken,
+                                  gamma=gamma, delta=delta,
+                                  samples_used=taken)
         total = float(running[-1])
         taken += len(batch)

@@ -250,13 +250,13 @@ def _early_return(side: str, blockers=(), **fields):
                                       early_exit=True, **fields)
 
 
-def _certified_maximize(side, g, params, rng, scale, slack, universe, tail,
-                        new_collection, bounds, **fields):
+def _certified_maximize(side, g, params, rng, scale, slack, candidates,
+                        tail, new_collection, bounds, **fields):
     """The doubling, certify and stop loop shared by both maximizers.
 
     Schedule inputs: the objective's `scale`, the `slack` factor of the
-    sample-size denominator, the candidate `universe` size (seeds are
-    subtracted) and the `tail` numerator of the union-bound log term.
+    sample-size denominator, the number of `candidates` a blocker set is
+    chosen from and the `tail` numerator of the union-bound log term.
     `new_collection(rng)` makes an empty sample collection, and
     `bounds(cov_val, n_val, cov_opt, n_primary, a)` turns coverage counts
     into (sigma_lower, sigma_upper) with tail log-term `a`.  `fields` go
@@ -269,7 +269,7 @@ def _certified_maximize(side, g, params, rng, scale, slack, universe, tail,
                          "the schedule lower bound is degenerate")
     sched = _make_schedule(scale=scale,
                            denom=slack * params.epsilon ** 2 * opt_low,
-                           ln_choose=_log_binom(universe - len(g.seeds), k),
+                           ln_choose=_log_binom(candidates, k),
                            ln_tail=math.log(tail / params.delta),
                            delta=params.delta)
 
@@ -341,7 +341,7 @@ def lsbm(g: UnifiedGraph, params: AlgoParams,
 
     return _certified_maximize(
         "lower", g, params, rng, scale=ihat.value, slack=1.0 - beta,
-        universe=g.base.n, tail=12.0,
+        candidates=g.base.n - len(g.seeds), tail=12.0,
         new_collection=lambda r: CPCollection(g, r), bounds=bounds,
         spread_estimate=ihat)
 
@@ -374,6 +374,6 @@ def gsbm(g: UnifiedGraph, params: AlgoParams,
 
     return _certified_maximize(
         "upper", g, params, rng, scale=float(npop), slack=1.0,
-        universe=npop, tail=6.0,
+        candidates=npop, tail=6.0,
         new_collection=lambda r: LRRCollection(g, r, population=population),
         bounds=bounds, population_size=npop)

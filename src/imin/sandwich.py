@@ -70,6 +70,11 @@ class SandwichResult:
             "decrease_estimates": {
                 name: max(0.0, self.base_estimate.value - est.value)
                 for name, est in self.residual_estimates.items()},
+            # stopping-rule trials behind the base and each residual estimate
+            "spread_samples": {
+                name: est.samples_used
+                for name, est in [("base", self.base_estimate),
+                                  *self.residual_estimates.items()]},
             "chosen": self.chosen_name,
             "blockers": list(self.chosen),
             "decrease_estimate": self.decrease_estimate,

@@ -34,6 +34,19 @@ class TestRun:
         assert "runtime_s" in payload[0]
         assert "runtime" not in header
 
+    def test_json_reports_spread_samples(self, tmp_path):
+        report = tmp_path / "report.json"
+        code = main(["run", "--graph", "fixture:small", "--algo",
+                     "sandimin", "--k", "1", "--delta", "0.1",
+                     "--eval-trials", "1000", "--rng-seed", "2",
+                     "--out", str(tmp_path / "rows.csv"),
+                     "--json", str(report)])
+        assert code == 0
+        counts = json.loads(report.read_text())[0]["spread_samples"]
+        assert sorted(counts) == ["base", "heuristic", "lower", "upper"]
+        for value in counts.values():
+            assert isinstance(value, int) and value > 0
+
     def test_chain_lhga(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["run", "--graph", "fixture:chain", "--algo", "lhga",

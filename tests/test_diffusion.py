@@ -222,6 +222,50 @@ class TestStoppingRule:
                                  make_rng(6))
 
 
+def with_padding(ug, pad, edges=()):
+    """`ug`'s base graph plus `pad` new nodes, joined only by `edges`
+    (pairs of padding offsets, probability 0.5) and one edge from every
+    padding node into the original graph, so no seed reaches them."""
+    src, dst, p = ug.base.edge_array()
+    n = ug.base.n
+    extra = [(n + a, n + b) for a, b in edges]
+    extra += [(n + a, a % n) for a in range(pad)]
+    src = np.concatenate([src, [u for u, _ in extra]]).astype(np.int64)
+    dst = np.concatenate([dst, [v for _, v in extra]]).astype(np.int64)
+    p = np.concatenate([p, np.full(len(extra), 0.5)])
+    return unify_seeds(Graph.from_edges(n + pad, src, dst, p), ug.seeds)
+
+
+class TestStoppingRuleIgnoresUnreachableNodes:
+    def test_padding_leaves_estimate_and_trials_unchanged(self):
+        core = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        cycle = [(i, (i + 1) % 8) for i in range(8)]
+        padded = with_padding(core, 40, cycle + [(8, 9), (9, 10)])
+        core = with_padding(core, 0)   # the same core through from_edges
+        cands = [v for v in range(60) if v not in core.seeds]
+        for i in range(10):
+            blockers = [] if i % 2 else cands[2 * i:2 * i + 2]
+            a = stopping_rule_spread(core, blockers, 0.1, 0.1, make_rng(i))
+            b = stopping_rule_spread(padded, blockers, 0.1, 0.1,
+                                     make_rng(i))
+            assert (a.value, a.samples_used) == (b.value, b.samples_used)
+
+    def test_diamond_with_isolated_nodes_coverage_against_oracle(self):
+        # fixtures.diamond(0.5) plus 36 isolated nodes
+        ug = unify_seeds(Graph.from_edges(40, [0, 0, 1, 2], [1, 2, 3, 3],
+                                          [0.5] * 4), {0})
+        true = ExactModel(ug).spread()
+        gamma, delta = 0.1, 0.05
+        hits, runs = 0, 400
+        rng = make_rng(321)
+        for _ in range(runs):
+            est = stopping_rule_spread(ug, None, gamma, delta, rng)
+            if (1 - gamma) * true <= est.value <= (1 + gamma) * true:
+                hits += 1
+        slack = 3 * math.sqrt(delta * (1 - delta) / runs)
+        assert hits / runs >= 1 - delta - slack
+
+
 class TestDeterminism:
     def test_same_seed_same_samples(self):
         ug = fixtures.worked_example_small()

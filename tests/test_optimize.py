@@ -183,10 +183,8 @@ class TestSchedules:
         ug = fixtures.worked_example_small()
         params = AlgoParams(k=1, epsilon=0.3, delta=0.1)
         _, cert = gsbm(ug, params, make_rng(4))
-        pop = cert.population_size
-        s = len(ug.seeds)
-        ln_choose = (math.lgamma(pop - s + 1) - math.lgamma(2)
-                     - math.lgamma(pop - s))
+        pop = cert.population_size  # the candidates: seeds are not in it
+        ln_choose = math.lgamma(pop + 1) - math.lgamma(2) - math.lgamma(pop)
         ln_tail = math.log(6 / params.delta)
         closed = 2 * (E_FRACTION * math.sqrt(ln_tail)
                       + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
