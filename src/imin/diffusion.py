@@ -1,11 +1,17 @@
 """Independent-cascade simulation and adaptive spread estimation.
 
 Two equivalent views of the cascade are provided: vectorized forward
-cascades (`ic_spread_samples`) and live-edge realization sampling
-(`sample_realization`), whose reachable-set size has the same distribution.
-Spread values count activated non-seed nodes only.  `live_dfs` is the one
-forward traversal of a realization: its preorder numbers give the reach
-mask and are the node numbering of the dominator-tree build.
+cascades (`ic_spread_samples`) and live-edge realizations, whose reachable
+set has the same distribution.  Spread values count activated non-seed
+nodes only.  A realization is either drawn eagerly (`sample_realization`,
+one coin per edge of the graph, for the greedy baselines and the tests) or
+searched lazily in batches: `forward_live_edges` and `reverse_live_edges`
+run one breadth-first search over up to `_BATCH` independent realizations
+at once and draw an edge's coin only when the search first reaches the
+node at its near end, so a realization costs what its cascade reaches
+(the live-edge idiom of reverse-reachable-set influence maximization:
+Borgs et al., SODA 2014; Tang et al., SIGMOD 2015).  All batched searches,
+`_ic_batch` included, expand their frontier through one CSR-slice helper.
 
 `stopping_rule_spread` is a sequential mean estimator with a relative-error
 contract: it keeps drawing cascades until the running sum of normalized
@@ -69,45 +75,16 @@ class Realization:
     def reach(self):
         return reachable_in_realization(self)
 
-
-def live_dfs(phi: Realization):
-    """Depth-first search of the live subgraph from the source.
-
-    Returns (dfnum, vertex, post): `dfnum[v]` is v's preorder number (-1
-    when v is unreached), `vertex` lists the reached nodes in
-    preorder (int64 array, source first), and `post` lists preorder
-    numbers in postorder.  Out-edges are followed in CSR order, so the
-    numbering is that of the recursive DFS.
-    """
-    ug = phi.ug
-    out_ptr, out_dst = ug.out_ptr, ug.out_dst
-    live, blocked = phi.live, phi.blocked
-    dfnum = np.full(ug.n_total, -1, dtype=np.int64)
-    dfnum[ug.s] = 0
-    vertex, post = [ug.s], []
-    stack = [(0, iter(range(out_ptr[ug.s], out_ptr[ug.s + 1])))]
-    while stack:
-        d, edges = stack[-1]
-        for off in edges:
-            if not live[off]:
-                continue
-            v = out_dst[off]
-            if dfnum[v] >= 0 or blocked[v]:
-                continue
-            dfnum[v] = len(vertex)
-            stack.append((len(vertex),
-                          iter(range(out_ptr[v], out_ptr[v + 1]))))
-            vertex.append(v)
-            break
-        else:
-            stack.pop()
-            post.append(d)
-    return dfnum, np.asarray(vertex, dtype=np.int64), post
+    def successors(self, v):
+        """Live successors of v that are not blocked, in edge-id order."""
+        lo, hi = self.ug.out_ptr[v], self.ug.out_ptr[v + 1]
+        dst = self.ug.out_dst[lo:hi][self.live[lo:hi]]
+        return dst[~self.blocked[dst]].tolist()
 
 
 def reachable_in_realization(phi: Realization) -> np.ndarray:
     """Boolean mask of nodes with a live-edge path from the source."""
-    return live_dfs(phi)[0] >= 0
+    return phi.ug.positive_reach(phi.blocked, live=phi.live)
 
 
 def sample_realization(g: UnifiedGraph, blockers=None,
@@ -142,21 +119,14 @@ def _ic_batch(g, blocked, batch, rng):
     active = np.zeros((batch, n_tot), dtype=bool)
     active[:, g.s] = True
     counts = np.zeros(batch, dtype=np.int64)
-    deg = np.diff(g.out_ptr)
 
     trial = np.arange(batch, dtype=np.int64)
     node = np.full(batch, g.s, dtype=np.int64)
     while len(node):
-        d = deg[node]
-        keep = d > 0
-        node, t = node[keep], trial[keep]
-        d = d[keep]
-        if not len(node):
+        eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
+        if not len(eids):
             break
-        # Expand every frontier node's out-edge slice into flat arrays.
-        starts = g.out_ptr[node]
-        eids = np.repeat(starts, d) + _ranges(d)
-        t_of_e = np.repeat(t, d)
+        t_of_e = trial[owner]
         hit = rng.random(len(eids)) < g.out_p[eids]
         dst = g.out_dst[eids[hit]]
         t_of_e = t_of_e[hit]
@@ -175,12 +145,96 @@ def _ic_batch(g, blocked, batch, rng):
     return counts
 
 
-def _ranges(lengths):
-    """[0..l0), [0..l1), ... concatenated."""
-    total = int(lengths.sum())
-    out = np.arange(total, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return out - offsets
+def _slices(lo, hi):
+    """(idx, owner): the index ranges [lo[i], hi[i]) concatenated in order,
+    and for each index the i of its range."""
+    lens = hi - lo
+    owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    shift = lo - np.cumsum(lens) + lens
+    return np.arange(len(owner), dtype=np.int64) + shift[owner], owner
+
+
+def _advance(seen, batch, node, trial):
+    """The (node, trial) pairs not yet in `seen`, once each, as the next
+    frontier (node, trial); marks them seen.
+
+    `seen` is a node-major bitmap, indexed by node * batch + trial and
+    allocated with `np.zeros`, so the memory it touches follows the nodes
+    reached, not batch * n.
+    """
+    key = node * batch + trial
+    key = _distinct(key[~seen[key]])
+    seen[key] = True
+    return np.divmod(key, batch)
+
+
+def _distinct(keys):
+    """The sorted distinct values of an integer array, as np.unique gives
+    them, by one sort (np.unique's hash table is slower on these keys)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def forward_live_edges(g: UnifiedGraph, batch: int,
+                       rng: np.random.Generator):
+    """Live edges out of the nodes the source reaches, in `batch`
+    independent realizations searched at once.
+
+    Each edge's coin is drawn when its source node is first reached, so it
+    is drawn at most once per realization; edges into blocked nodes are
+    never live.  Returns (trial, src, dst) of every live edge out of a
+    reached node, grouped by trial; each node's live successors form one
+    run in edge-id (CSR) order.
+    """
+    seen = np.zeros(g.n_total * batch, dtype=bool)
+    trial = np.arange(batch, dtype=np.int64)
+    node = np.full(batch, g.s, dtype=np.int64)
+    seen[node * batch + trial] = True
+    parts = []
+    while len(node):
+        eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
+        dst = g.out_dst[eids]
+        live = (rng.random(len(eids)) < g.out_p[eids]) & ~g.blocked[dst]
+        owner, dst = owner[live], dst[live]
+        t = trial[owner]
+        parts.append((t, node[owner], dst))
+        node, trial = _advance(seen, batch, dst, t)
+    trial, src, dst = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(trial, kind="stable")
+    return trial[order], src[order], dst[order]
+
+
+def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
+                       rng: np.random.Generator):
+    """Live in-edges of the nodes that reach `targets[t]` without passing
+    through a seed or the source, one independent realization per trial t.
+
+    The search starts at each target and never enters a seed or the
+    source.  Each edge's coin is drawn when its target node is first found,
+    so it is drawn at most once per realization; edges into blocked nodes
+    are never live.  Returns (trial, src, dst) of every live in-edge of a
+    found node; an edge whose `src` is a seed marks where the seeds feed
+    the found nodes.
+    """
+    batch = len(targets)
+    seen = np.zeros(g.n_total * batch, dtype=bool)
+    trial = np.arange(batch, dtype=np.int64)
+    node = np.asarray(targets, dtype=np.int64)
+    seen[node * batch + trial] = True
+    parts = []
+    while len(node):
+        offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
+        live = rng.random(len(offs)) < g.out_p[g.in_eid[offs]]
+        live &= ~g.blocked[node[owner]]
+        owner, src = owner[live], g.in_src[offs[live]]
+        t = trial[owner]
+        parts.append((t, src, node[owner]))
+        inner = ~g.uncounted[src]
+        node, trial = _advance(seen, batch, src[inner], t[inner])
+    trial, src, dst = (np.concatenate(a) for a in zip(*parts))
+    return trial, src, dst
 
 
 def monte_carlo_spread(g: UnifiedGraph, blockers=None, trials: int = 10_000,

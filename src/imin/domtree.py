@@ -1,13 +1,15 @@
 """Dominator trees over live-edge realizations.
 
-The immediate-dominator array is computed with the Cooper-Harvey-Kennedy
-iterative algorithm ("A Simple, Fast Dominance Algorithm", 2001) over the
-preorder numbers of `diffusion.live_dfs`.  Per-node subtree sizes of the
-tree rooted at the cascade source are the unit of spread-decrease
-estimation used by the greedy baselines and by lower-bound sample
-generation.  Reachability masks of a realization come from
-`Realization.reach`; the tree itself records reached nodes only through
-`order`.
+`dominators` is the one dominator routine: a depth-first search over live
+successor lists, which numbers the reached nodes in preorder, then the
+Cooper-Harvey-Kennedy iterative algorithm ("A Simple, Fast Dominance
+Algorithm", 2001) over those compact preorder numbers.  Its input is any
+`successors(v)` callable, so the eager `Realization` (one coin per edge of
+the graph) and the batched samplers of `sampling` (coins drawn only on the
+edges a search reaches) share it, and its work and memory follow the
+reached nodes.  Per-node subtree sizes of the tree rooted at the cascade
+source are the unit of spread-decrease estimation used by the greedy
+baselines and by lower-bound sample generation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Realization, _ranges, live_dfs
+from .diffusion import Realization
 
 
 @dataclass
@@ -36,41 +38,56 @@ class DominatorTree:
     subtree_size: np.ndarray
 
 
-def build_dominator_tree(phi: Realization) -> DominatorTree:
-    """Immediate dominators of the live subgraph from the source."""
-    ug = phi.ug
-    dfnum, vertex, post = live_dfs(phi)
+def dominators(successors, root):
+    """Dominator tree of what `root` reaches over `successors(v)`, the live
+    successors of v in edge-id order (None or empty when it has none).
+
+    Returns four lists indexed by preorder number w (the root is 0):
+    `vertex[w]` is the node, `idom[w]` the preorder number of its
+    immediate dominator (-1 for the root), `size[w]` its dominator-subtree
+    size and `slot[w]` its position in dominator-tree preorder, where
+    siblings keep discovery order.  The search follows successors in the
+    order given, so the numbering is that of the recursive DFS.
+    """
+    num = {root: 0}
+    vertex = [root]
+    parent = [0]          # DFS-tree parent: the first live predecessor
+    more = {}             # w -> its other live predecessors
+    post = []
+    stack = [(0, iter(successors(root) or ()))]
+    while stack:
+        d, succ = stack[-1]
+        for v in succ:
+            w = num.get(v)
+            if w is None:
+                w = num[v] = len(vertex)
+                vertex.append(v)
+                parent.append(d)
+                out = successors(v)
+                if out:
+                    stack.append((w, iter(out)))
+                    break
+                post.append(w)      # a leaf finishes where it starts
+            elif w:
+                more.setdefault(w, []).append(d)
+        else:
+            stack.pop()
+            post.append(d)
     cnt = len(vertex)
 
-    # Live predecessors of each reached node, as preorder numbers: those of
-    # preorder number w are preds[pred_ptr[w]:pred_ptr[w + 1]].
-    starts = ug.in_ptr[vertex]
-    degs = ug.in_ptr[vertex + 1] - starts
-    offs = np.repeat(starts, degs) + _ranges(degs)
-    pred = dfnum[ug.in_src[offs]]
-    keep = phi.live[ug.in_eid[offs]] & (pred >= 0)
-    owner = np.repeat(np.arange(cnt, dtype=np.int64), degs)[keep]
-    pred_ptr = np.searchsorted(owner, np.arange(cnt + 1)).tolist()
-    preds = pred[keep].tolist()
-
-    # Everything below works in preorder-number space.  A dominator is a
-    # DFS ancestor, so numbers strictly fall along every idom chain and the
-    # intersection walks up whichever finger has the larger number.
-    idom = [-1] * cnt
-    idom[0] = 0
-    rpo = post[-2::-1]  # reverse postorder without the root
+    # Cooper-Harvey-Kennedy from the DFS tree: a node's dominator is the
+    # nearest common ancestor of its predecessors in the current tree, so
+    # only nodes with more than one live predecessor can move.  A dominator
+    # is a DFS ancestor, so numbers strictly fall along every idom chain
+    # and the intersection walks up whichever finger has the larger number.
+    idom = parent[:]
+    joins = [w for w in reversed(post) if w in more]
     changed = True
     while changed:
         changed = False
-        for w in rpo:
-            new = -1
-            for i in range(pred_ptr[w], pred_ptr[w + 1]):
-                p = preds[i]
-                if idom[p] < 0:
-                    continue
-                if new < 0:
-                    new = p
-                    continue
+        for w in joins:
+            new = parent[w]
+            for p in more[w]:
                 while p != new:
                     while p > new:
                         p = idom[p]
@@ -79,6 +96,7 @@ def build_dominator_tree(phi: Realization) -> DominatorTree:
             if idom[w] != new:
                 idom[w] = new
                 changed = True
+    idom[0] = -1
 
     size = [1] * cnt
     for w in range(cnt - 1, 0, -1):
@@ -92,9 +110,16 @@ def build_dominator_tree(phi: Realization) -> DominatorTree:
         slot[w] = free[p]
         free[p] += size[w]
         free[w] = slot[w] + 1
-    order = np.empty(cnt, dtype=np.int64)
-    order[slot] = vertex
+    return vertex, idom, size, slot
 
+
+def build_dominator_tree(phi: Realization) -> DominatorTree:
+    """Immediate dominators of the live subgraph from the source."""
+    ug = phi.ug
+    vertex, idom, size, slot = dominators(phi.successors, ug.s)
+    vertex = np.asarray(vertex, dtype=np.int64)
+    order = np.empty(len(vertex), dtype=np.int64)
+    order[slot] = vertex
     idom_full = np.full(ug.n_total, -1, dtype=np.int64)
     idom_full[vertex[1:]] = vertex[idom[1:]]
     sizes = np.zeros(ug.n_total, dtype=np.int64)

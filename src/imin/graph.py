@@ -306,13 +306,15 @@ class UnifiedGraph:
             targets.update(int(v) for v in self.base.out_dst[lo:hi])
         return sorted(targets - self.seeds)
 
-    def positive_reach(self, blocked=None) -> np.ndarray:
-        """Mask of nodes reachable from ``s`` over positive-probability edges.
+    def positive_reach(self, blocked=None, live=None) -> np.ndarray:
+        """Mask of nodes reachable from ``s`` over positive-probability edges,
+        or over the edges of the edge mask ``live`` when one is given.
 
         The traversal never enters a node of ``blocked`` (default: the
         graph's own mask); ``s`` itself is in the mask.
         """
         blocked = self.blocked if blocked is None else blocked
+        follow = self.out_p > 0.0 if live is None else live
         seen = np.zeros(self.n_total, dtype=bool)
         seen[self.s] = True
         stack = [self.s]
@@ -320,7 +322,7 @@ class UnifiedGraph:
             u = stack.pop()
             for off in range(self.out_ptr[u], self.out_ptr[u + 1]):
                 v = self.out_dst[off]
-                if seen[v] or blocked[v] or self.out_p[off] <= 0.0:
+                if seen[v] or blocked[v] or not follow[off]:
                     continue
                 seen[v] = True
                 stack.append(v)

@@ -19,6 +19,14 @@ forward search from the nodes the seeds feed, inside what the reverse
 search found.  Any node on a seed-to-member live path also reaches the
 target, so no forward pass over the whole realization is needed.
 
+Both sample types are drawn in batches of up to `diffusion._BATCH`
+realizations, each batch one vectorized search (`forward_live_edges` for
+CP sequences, `reverse_live_edges` for LRR sets) that draws an edge's coin
+only when the search reaches it; a sample costs what its cascade reaches,
+not the size of the graph.  A CP sequence then runs `domtree.dominators`
+over the few live edges its search recorded.  `local_sampling` and
+`global_sampling` are batches of one.
+
 Coverage of a blocker set B is the number of samples whose set intersects
 B.  Cov/|collection| (times the population size for the upper side) is an
 unbiased estimate of the corresponding bound.
@@ -30,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Realization, sample_realization
-from .domtree import build_dominator_tree
+from .diffusion import (_BATCH, _distinct, _slices, forward_live_edges,
+                        reverse_live_edges)
+from .domtree import dominators
 from .graph import UnifiedGraph, as_blockers
 
 
@@ -44,7 +53,6 @@ def compute_population(g: UnifiedGraph) -> list:
 class CPSequence:
     """All common-path sets of one realization (inspection-friendly form)."""
 
-    realization: Realization
     nodes: np.ndarray      # entry -> node id, dominator-tree preorder
     parents: np.ndarray    # entry -> parent entry index or -1
 
@@ -60,31 +68,54 @@ class CPSequence:
         return out
 
 
-def _sequence_entries(ug: UnifiedGraph, phi: Realization):
+class _LiveOut(dict):
+    """The live out-edges of one batched realization's reached nodes:
+    node -> its live successors in edge-id order (absent when none)."""
+
+    successors = dict.get
+
+
+def _sequence_entries(ug: UnifiedGraph, phi):
     """Entry arrays (nodes, parents, subtree sizes) for one realization.
 
-    Entries are emitted in dominator-tree preorder so that the entries
-    whose set contains a node form one contiguous block per sequence.
-    The source and the seeds (all children of the source) are dropped;
-    an entry whose dominator is one of them has parent -1.
+    `phi` is a `Realization` or a batched sample's `_LiveOut`; either
+    lists each node's live successors.  Entries are emitted in
+    dominator-tree preorder so that the entries whose set contains a node
+    form one contiguous block per sequence.  The source and the seeds (all
+    children of the source) are dropped; an entry whose dominator is one
+    of them has parent -1.  Every array is as long as the reached part.
     """
-    dt = build_dominator_tree(phi)
-    nodes = dt.order[~ug.uncounted[dt.order]]
-    entry = np.full(ug.n_total, -1, dtype=np.int64)
-    entry[nodes] = np.arange(len(nodes), dtype=np.int64)
-    return nodes, entry[dt.idom[nodes]], dt.subtree_size[nodes]
+    vertex, idom, size, slot = dominators(phi.successors, ug.s)
+    vertex = np.asarray(vertex, dtype=np.int64)
+    cnt = len(vertex)
+    order = np.empty(cnt, dtype=np.int64)
+    order[slot] = np.arange(cnt, dtype=np.int64)
+    kept = order[~ug.uncounted[vertex[order]]]
+    entry = np.full(cnt, -1, dtype=np.int64)
+    entry[kept] = np.arange(len(kept), dtype=np.int64)
+    return (vertex[kept], entry[np.asarray(idom)[kept]],
+            np.asarray(size, dtype=np.int64)[kept])
 
 
-def _cp_sample(ug: UnifiedGraph, rng: np.random.Generator):
-    """One realization and its entry arrays (nodes, parents, sizes)."""
-    phi = sample_realization(ug, None, rng)
-    return (phi,) + _sequence_entries(ug, phi)
+def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
+    """Entry arrays (nodes, parents, sizes) of `count` realizations drawn
+    by one forward search, one tuple per realization."""
+    trial, src, dst = forward_live_edges(ug, count, rng)
+    # A run of one (trial, src) holds that node's live successors in order.
+    new = np.ones(len(src), dtype=bool)
+    new[1:] = (trial[1:] != trial[:-1]) | (src[1:] != src[:-1])
+    ptr = np.searchsorted(trial, np.arange(count + 1)).tolist()
+    for lo, hi in zip(ptr, ptr[1:]):
+        cuts = np.flatnonzero(new[lo:hi]).tolist() + [hi - lo]
+        heads, succ = src[lo:hi].tolist(), dst[lo:hi].tolist()
+        yield _sequence_entries(ug, _LiveOut(
+            (heads[a], succ[a:b]) for a, b in zip(cuts, cuts[1:])))
 
 
 def local_sampling(g: UnifiedGraph, rng: np.random.Generator) -> CPSequence:
     """Sample one realization and return its common-path sequence."""
-    phi, nodes, parents, _ = _cp_sample(g, rng)
-    return CPSequence(realization=phi, nodes=nodes, parents=parents)
+    nodes, parents, _ = next(_cp_batch(g, 1, rng))
+    return CPSequence(nodes=nodes, parents=parents)
 
 
 @dataclass
@@ -95,77 +126,64 @@ class LRRSet:
     members: frozenset
 
 
-def _live_ancestors(ug: UnifiedGraph, phi: Realization, target: int):
-    """Reverse search from `target` over live in-edges that never enters a
-    seed or the source.
+def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
+    """Members of a batch of `count` LRR samples, as node-major keys
+    node * count + trial: the found nodes that the seeds reach.
 
-    Returns (succ, entries): `succ[u]` lists the live successors of a found
-    node u among the found nodes, and `entries` lists the found nodes with
-    a live in-edge from a seed.  The target is reached exactly when
-    `entries` is non-empty.
+    (trial, src, dst) are the live in-edges a reverse search recorded.  A
+    forward search starts at the nodes a seed feeds and follows the
+    recorded edges between found nodes.
     """
-    in_ptr, in_src, in_eid = ug.in_ptr, ug.in_src, ug.in_eid
-    live, uncounted = phi.live, ug.uncounted
-    succ = {target: []}
-    entries = []
-    stack = [target]
-    while stack:
-        v = stack.pop()
-        from_seed = False
-        for off in range(in_ptr[v], in_ptr[v + 1]):
-            if not live[in_eid[off]]:
-                continue
-            u = int(in_src[off])
-            if uncounted[u]:
-                from_seed = True
-                continue
-            if u not in succ:
-                succ[u] = []
-                stack.append(u)
-            succ[u].append(v)
-        if from_seed:
-            entries.append(v)
-    return succ, entries
+    fed = ug.uncounted[src]
+    tail = src[~fed] * count + trial[~fed]
+    by_tail = np.argsort(tail)
+    tail = tail[by_tail]
+    head = (dst[~fed] * count + trial[~fed])[by_tail]
+    member = np.zeros(ug.n_total * count, dtype=bool)
+    frontier = _distinct(dst[fed] * count + trial[fed])
+    member[frontier] = True
+    reached = [frontier]
+    while len(frontier):
+        offs, _ = _slices(np.searchsorted(tail, frontier),
+                          np.searchsorted(tail, frontier, side="right"))
+        nxt = head[offs]
+        frontier = _distinct(nxt[~member[nxt]])
+        member[frontier] = True
+        reached.append(frontier)
+    return np.concatenate(reached)
 
 
-def _reverse_reach(target: int, succ: dict, entries: list) -> list:
-    """The found nodes that the seeds reach, target first: a forward search
-    from `entries` over the live edges recorded in `succ`."""
-    seen = set(entries)
-    stack = list(entries)
-    while stack:
-        for v in succ[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    seen.discard(target)
-    return [target] + list(seen)
+def _lrr_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
+               rng: np.random.Generator):
+    """`count` LRR samples from one reverse search: one (target, members)
+    pair per realization, members target first, None when the target is
+    not reached.
 
-
-def _lrr_sample(ug: UnifiedGraph, population, rng: np.random.Generator):
-    """One realization, a uniform target from `population`, and the
-    target's reverse reach inside the realization's receiver subgraph.
-
-    The target's live non-seed ancestors are found first; the members are
-    those of them that the seeds reach, so no step walks the part of the
-    realization that cannot reach the target.  Returns (target, member
-    list), with None for the members when the target is not reached.
+    All targets are drawn first, uniformly from `population`.  The reverse
+    search finds each target's live non-seed ancestors; the members are
+    those of them that the seeds reach.
     """
-    phi = sample_realization(ug, None, rng)
-    target = int(population[int(rng.integers(0, len(population)))])
-    succ, entries = _live_ancestors(ug, phi, target)
-    if not entries:
-        return target, None
-    return target, _reverse_reach(target, succ, entries)
+    targets = population[rng.integers(0, len(population), size=count)]
+    node, trial = np.divmod(
+        _reverse_reach(ug, count, *reverse_live_edges(ug, targets, rng)),
+        count)
+    order = np.lexsort((node, node != targets[trial], trial))
+    node, trial = node[order], trial[order]
+    ptr = np.searchsorted(trial, np.arange(count + 1)).tolist()
+    for i in range(count):
+        lo, hi = ptr[i], ptr[i + 1]
+        yield int(targets[i]), (node[lo:hi] if hi > lo else None)
 
 
 def global_sampling(g: UnifiedGraph, population,
                     rng: np.random.Generator) -> LRRSet:
     """Sample one realization and the reverse-reachable set of a random target."""
-    if not population:
+    if not len(population):
         raise ValueError("seeds influence no one: sampling population is empty")
-    target, members = _lrr_sample(g, population, rng)
-    return LRRSet(target=target, members=frozenset(members or ()))
+    target, members = next(_lrr_batch(
+        g, np.asarray(population, dtype=np.int64), 1, rng))
+    return LRRSet(target=target, members=frozenset(
+        () if members is None else members.tolist()))
 
 
 def _inverted_index(flat: np.ndarray, n_total: int):
@@ -196,14 +214,15 @@ class CPCollection:
     def extend(self, count: int):
         """Generate `count` more sequences from the collection's stream."""
         offset = sum(len(a) for a in self._nodes)
-        for _ in range(count):
-            _, nodes, parents, sizes = _cp_sample(self.ug, self.rng)
-            self._nodes.append(nodes)
-            self._parents.append(parents)
-            base = offset + np.arange(len(nodes), dtype=np.int64)
-            self._ends.append(base + sizes)
-            offset += len(nodes)
-            self.n_sequences += 1
+        for done in range(0, count, _BATCH):
+            batch = min(_BATCH, count - done)
+            for nodes, parents, sizes in _cp_batch(self.ug, batch, self.rng):
+                self._nodes.append(nodes)
+                self._parents.append(parents)
+                base = offset + np.arange(len(nodes), dtype=np.int64)
+                self._ends.append(base + sizes)
+                offset += len(nodes)
+            self.n_sequences += batch
         self._frozen = None
 
     def _freeze(self):
@@ -304,13 +323,15 @@ class LRRCollection:
 
     def extend(self, count: int):
         """Generate `count` more samples from the collection's stream."""
-        for _ in range(count):
-            target, members = _lrr_sample(self.ug, self._pop_arr, self.rng)
-            if members is None:
-                self.n_empty += 1
-                continue
-            self._members.append(np.asarray(members, dtype=np.int64))
-            self._targets.append(target)
+        for done in range(0, count, _BATCH):
+            batch = min(_BATCH, count - done)
+            for target, members in _lrr_batch(self.ug, self._pop_arr, batch,
+                                              self.rng):
+                if members is None:
+                    self.n_empty += 1
+                    continue
+                self._members.append(members)
+                self._targets.append(target)
         self._frozen = None
 
     def _freeze(self):
@@ -382,7 +403,7 @@ def dump_samples(collection, path):
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(collection, CPCollection):
             for nodes, parents in zip(collection._nodes, collection._parents):
-                seq = CPSequence(None, nodes, parents)
+                seq = CPSequence(nodes, parents)
                 parts = [
                     f"{v}:" + ",".join(map(str, sorted(members)))
                     for v, members in sorted(seq.sets().items())]

@@ -48,7 +48,7 @@ def test_criterion_01_worked_realization_reproduction():
     assert sizes == {1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 
     nodes, parents, _ = _sequence_entries(ug, phi)
-    got = CPSequence(phi, nodes, parents).sets()
+    got = CPSequence(nodes, parents).sets()
     assert got == {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({3}),
                    5: frozenset({3, 5}), 6: frozenset({3, 6})}
     report(1, f"subtree sizes {sizes}, 5 common-path sets exact")

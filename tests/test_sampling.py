@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imin import fixtures
 from imin.diffusion import reachable_in_realization, sample_realization
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.oracle import ExactModel
-from imin.sampling import (CPCollection, LRRCollection, _lrr_sample,
-                           compute_population, coverage, global_sampling,
-                           local_sampling, marginal_coverage)
+from imin.sampling import (CPCollection, LRRCollection, _cp_batch,
+                           _lrr_batch, _sequence_entries, compute_population,
+                           coverage, global_sampling, local_sampling,
+                           marginal_coverage)
 
 from conftest import make_rng, tiny_with_dead_edges
 
@@ -76,7 +79,7 @@ class TestLocalSampling:
         from imin.sampling import CPSequence, _sequence_entries
 
         nodes, parents, _ = _sequence_entries(ug, phi)
-        got = CPSequence(phi, nodes, parents).sets()
+        got = CPSequence(nodes, parents).sets()
         assert got == {1: frozenset({1}), 2: frozenset({2}),
                        3: frozenset({3}), 5: frozenset({3, 5}),
                        6: frozenset({3, 6})}
@@ -97,7 +100,7 @@ class TestLocalSampling:
             from imin.sampling import CPSequence, _sequence_entries
 
             nodes, parents, _ = _sequence_entries(ug, phi)
-            got = CPSequence(phi, nodes, parents).sets()
+            got = CPSequence(nodes, parents).sets()
             want = cp_sets_by_path_enumeration(ug, phi)
             assert got == want
             gate = set(ug.seeds) | {ug.s}
@@ -194,42 +197,113 @@ def lrr_members_by_forward_reach(ug, phi, target):
     return found
 
 
-class TestTargetFirstLRR:
-    def _check(self, ug, population, rng_seed, samples):
-        rng, twin = make_rng(rng_seed), make_rng(rng_seed)
-        empty = 0
-        for _ in range(samples):
-            target, members = _lrr_sample(ug, population, rng)
-            # the same draws in the same order: realization, then target
-            phi = sample_realization(ug, None, twin)
-            assert target == population[int(twin.integers(0,
-                                                          len(population)))]
+def deterministic(seed):
+    """`tiny_with_dead_edges(seed)` with every positive probability raised
+    to 1 and its blockers applied: each edge is live or dead for sure, so
+    one eager realization is the only one."""
+    ug, blockers = tiny_with_dead_edges(seed)
+    src, dst, p = ug.base.edge_array()
+    g = Graph.from_edges(ug.base.n, src, dst, (p > 0).astype(float))
+    ug = block_nodes(unify_seeds(g, ug.seeds), blockers)
+    return ug, sample_realization(ug, None, make_rng(0))
+
+
+class TestDeterministicSamples:
+    """Batched samples against the eager definitions on 0/1 graphs."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_lrr_members_match_forward_reach(self, seed):
+        ug, phi = deterministic(seed)
+        non_seeds = [v for v in range(ug.base.n) if v not in ug.seeds]
+        rng = make_rng(seed)
+        for target in non_seeds:
             want = lrr_members_by_forward_reach(ug, phi, target)
-            if want is None:
-                assert members is None
-                empty += 1
-                continue
-            assert members[0] == target
-            assert len(members) == len(set(members))
-            assert set(members) == want
-        return empty
+            for got_target, members in _lrr_batch(
+                    ug, np.asarray([target]), 3, rng):
+                assert got_target == target
+                if want is None:
+                    assert members is None
+                    continue
+                assert members[0] == target
+                assert len(members) == len(set(members.tolist()))
+                assert set(members.tolist()) == want
+        # Mixed targets in one batch.
+        for target, members in _lrr_batch(ug, np.asarray(non_seeds), 40,
+                                          rng):
+            want = lrr_members_by_forward_reach(ug, phi, target)
+            assert (None if members is None
+                    else set(members.tolist())) == want
 
-    def test_tiny_graphs_with_dead_edges_and_blockers(self):
-        empty = 0
-        for seed in range(60):
-            ug, blockers = tiny_with_dead_edges(seed)
-            ug = block_nodes(ug, blockers)
-            # every non-seed node, blocked and unreachable ones included
-            population = np.asarray(
-                [v for v in range(ug.base.n) if v not in ug.seeds])
-            empty += self._check(ug, population, 7000 + seed, 40)
-        assert 0 < empty < 60 * 40
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_cp_entries_match_eager_realization(self, seed):
+        ug, phi = deterministic(seed)
+        want = _sequence_entries(ug, phi)
+        for got in _cp_batch(ug, 5, make_rng(seed)):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
-    def test_mid_synthetic_realizations(self):
-        for seed in range(4):
-            ug = fixtures.mid_synthetic(make_rng(seed), 120, 480, 4)
-            population = np.asarray(compute_population(ug))
-            self._check(ug, population, 8000 + seed, 400)
+
+def padded_twin(seed, pad):
+    """A mid_synthetic core, and the same core plus `pad` nodes joined by
+    p=0.5 edges among themselves that no seed can reach."""
+    core = fixtures.mid_synthetic(make_rng(seed), 60, 240, 3)
+    rng = make_rng(seed + 1)
+    u = rng.integers(0, pad, size=4 * pad)
+    v = rng.integers(0, pad, size=4 * pad)
+    key = np.unique((u * pad + v)[u != v])
+    src, dst, p = core.base.edge_array()
+    g = Graph.from_edges(
+        core.base.n + pad, np.concatenate([src, key // pad + core.base.n]),
+        np.concatenate([dst, key % pad + core.base.n]),
+        np.concatenate([p, np.full(len(key), 0.5)]))
+    return core, unify_seeds(g, core.seeds)
+
+
+def collections(ug, rng_seed, count):
+    cp = CPCollection(ug, make_rng(rng_seed))
+    cp.extend(count)
+    lrr = LRRCollection(ug, make_rng(rng_seed))
+    lrr.extend(count)
+    return cp, lrr
+
+
+def assert_same_collections(a, b):
+    (cp_a, lrr_a), (cp_b, lrr_b) = a, b
+    assert cp_a.n_samples == cp_b.n_samples
+    for name in ("_nodes", "_parents", "_ends"):
+        for x, y in zip(getattr(cp_a, name), getattr(cp_b, name),
+                        strict=True):
+            assert np.array_equal(x, y)
+    assert lrr_a.n_empty == lrr_b.n_empty
+    assert lrr_a._targets == lrr_b._targets
+    for x, y in zip(lrr_a._members, lrr_b._members, strict=True):
+        assert np.array_equal(x, y)
+    for coll_a, coll_b in ((cp_a, cp_b), (lrr_a, lrr_b)):
+        assert coll_a.rng.bit_generator.state \
+            == coll_b.rng.bit_generator.state
+
+
+class TestPaddingInvariance:
+    def test_unreachable_padding_changes_nothing(self):
+        for seed in range(3):
+            core, padded = padded_twin(seed, 400)
+            assert compute_population(core) == compute_population(padded)
+            assert_same_collections(collections(core, 30 + seed, 300),
+                                    collections(padded, 30 + seed, 300))
+
+
+class TestBatchedExtend:
+    def test_extend_2500_is_exact_and_reproducible(self):
+        ug = fixtures.mid_synthetic(make_rng(5), 60, 240, 3)
+        first = collections(ug, 12, 2500)
+        assert first[0].n_samples == first[1].n_samples == 2500
+        assert len(first[0]._nodes) == 2500
+        assert len(first[1]._members) + first[1].n_empty == 2500
+        assert_same_collections(first, collections(ug, 12, 2500))
 
 
 class TestCoverage:
@@ -320,7 +394,7 @@ def _per_sequence_coverage_cp(coll, B):
     from imin.sampling import CPSequence
 
     for nodes, parents in zip(coll._nodes, coll._parents):
-        sets = CPSequence(None, nodes, parents).sets()
+        sets = CPSequence(nodes, parents).sets()
         out.append(sum(1 for members in sets.values() if members & bset))
     return np.asarray(out, dtype=float)
 
