@@ -154,27 +154,20 @@ def _slices(lo, hi):
     return np.arange(len(owner), dtype=np.int64) + shift[owner], owner
 
 
-def _advance(seen, batch, node, trial):
-    """The (node, trial) pairs not yet in `seen`, once each, as the next
-    frontier (node, trial); marks them seen.
+def _advance(seen, key):
+    """The keys not yet in `seen`, once each and sorted; marks them seen.
 
-    `seen` is a node-major bitmap, indexed by node * batch + trial and
-    allocated with `np.zeros`, so the memory it touches follows the nodes
-    reached, not batch * n.
+    Keys are node-major, node * batch + trial, and `seen` is allocated with
+    `np.zeros`, so the memory it touches follows the nodes reached, not
+    batch * n.  Duplicates go by one sort: np.unique's hash table is slower
+    on these keys.
     """
-    key = node * batch + trial
-    key = _distinct(key[~seen[key]])
+    key = np.sort(key[~seen[key]])
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    key = key[fresh]
     seen[key] = True
-    return np.divmod(key, batch)
-
-
-def _distinct(keys):
-    """The sorted distinct values of an integer array, as np.unique gives
-    them, by one sort (np.unique's hash table is slower on these keys)."""
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
+    return key
 
 
 def forward_live_edges(g: UnifiedGraph, batch: int,
@@ -200,8 +193,9 @@ def forward_live_edges(g: UnifiedGraph, batch: int,
         owner, dst = owner[live], dst[live]
         t = trial[owner]
         parts.append((t, node[owner], dst))
-        node, trial = _advance(seen, batch, dst, t)
+        node, trial = np.divmod(_advance(seen, dst * batch + t), batch)
     trial, src, dst = (np.concatenate(a) for a in zip(*parts))
+    del parts  # the per-level pieces would stay alive through the sort
     order = np.argsort(trial, kind="stable")
     return trial[order], src[order], dst[order]
 
@@ -232,9 +226,9 @@ def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
         t = trial[owner]
         parts.append((t, src, node[owner]))
         inner = ~g.uncounted[src]
-        node, trial = _advance(seen, batch, src[inner], t[inner])
-    trial, src, dst = (np.concatenate(a) for a in zip(*parts))
-    return trial, src, dst
+        node, trial = np.divmod(
+            _advance(seen, src[inner] * batch + t[inner]), batch)
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def monte_carlo_spread(g: UnifiedGraph, blockers=None, trials: int = 10_000,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (_BATCH, _distinct, _slices, forward_live_edges,
+from .diffusion import (_BATCH, _advance, _slices, forward_live_edges,
                         reverse_live_edges)
 from .domtree import dominators
 from .graph import UnifiedGraph, as_blockers
@@ -140,15 +140,12 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     tail = tail[by_tail]
     head = (dst[~fed] * count + trial[~fed])[by_tail]
     member = np.zeros(ug.n_total * count, dtype=bool)
-    frontier = _distinct(dst[fed] * count + trial[fed])
-    member[frontier] = True
+    frontier = _advance(member, dst[fed] * count + trial[fed])
     reached = [frontier]
     while len(frontier):
         offs, _ = _slices(np.searchsorted(tail, frontier),
                           np.searchsorted(tail, frontier, side="right"))
-        nxt = head[offs]
-        frontier = _distinct(nxt[~member[nxt]])
-        member[frontier] = True
+        frontier = _advance(member, head[offs])
         reached.append(frontier)
     return np.concatenate(reached)
 
