@@ -18,13 +18,14 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 from . import fixtures
 from .baselines import ag, gr, mc_greedy
-from .diffusion import monte_carlo_spread
+from .diffusion import monte_carlo_spread, reverse_reach_counts
 from .graph import (EdgeListParseError, GraphError,
                     assign_constant_probability, assign_wc_probabilities,
                     load_edge_list, unify_seeds)
@@ -39,7 +40,7 @@ EXIT_BAD_GRAPH = 6
 EXIT_CHECK_FAILED = 1
 
 # Version of the `<graph>.infcache.npz` seed-ranking cache layout.
-INFCACHE_FORMAT_VERSION = 2
+INFCACHE_FORMAT_VERSION = 3
 
 ALGORITHMS = ("ag", "gr", "mc", "sandimin", "sandimin-minus", "lhga")
 
@@ -78,37 +79,63 @@ def _fixture_seeds(spec):
 
 
 def _influence_pool(g, pool_size, pool_trials, cache_path=None):
-    """Node ids ranked by estimated singleton influence (descending).
+    """(top nodes, from_cache): the `pool_size` node ids of highest
+    estimated singleton influence, best first, and whether they came from
+    the cache.
 
-    Estimated once per graph with a fixed internal seed so the ranking is
-    stable across runs, and cached next to the dataset when possible.  The
-    cache is keyed on the trial count and a fingerprint of the graph's
-    edges and probabilities, so a different probability model or edge
-    direction never reuses a stale ranking.
+    Every node is scored at once by `pool_trials * n` reverse-reachable
+    sets drawn with a fixed internal seed, so the ranking is stable across
+    runs.  It is cached next to the dataset when possible, keyed on the
+    sample count and a fingerprint of the graph's edges and probabilities,
+    so a different probability model or edge direction never reuses a
+    stale ranking.  A cache file that cannot be read is re-ranked and
+    replaced.
     """
     fingerprint = hashlib.sha256(b"".join(
         arr.tobytes() for arr in (g.out_ptr, g.out_dst, g.out_p))).hexdigest()
-    if cache_path is not None and os.path.exists(cache_path):
+    ranked = _cached_ranking(cache_path, pool_trials, fingerprint)
+    from_cache = ranked is not None
+    if not from_cache:
+        rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
+        counts = reverse_reach_counts(g, pool_trials * g.n, rng)
+        ranked = np.argsort(-counts, kind="stable").astype(np.int64)
+        if cache_path is not None:
+            _save_ranking(cache_path, pool_trials, fingerprint, ranked)
+    return [int(v) for v in ranked[:pool_size]], from_cache
+
+
+def _cached_ranking(cache_path, pool_trials, fingerprint):
+    """The cached ranking if the cache matches; None if it is absent,
+    stale or unreadable."""
+    if cache_path is None:
+        return None
+    try:
         with np.load(cache_path) as data:
             if (int(data["format_version"]) == INFCACHE_FORMAT_VERSION
                     and int(data["pool_trials"]) == pool_trials
                     and str(data["fingerprint"]) == fingerprint):
-                return [int(v) for v in data["ranked"][:pool_size]]
-    rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
-    scores = np.zeros(g.n, dtype=np.float64)
-    for v in range(g.n):
-        ug = unify_seeds(g, {v})
-        scores[v] = monte_carlo_spread(ug, None, pool_trials, rng)
-    ranked = np.argsort(-scores, kind="stable").astype(np.int64)
-    if cache_path is not None:
-        try:
-            np.savez(cache_path,
-                     format_version=np.int64(INFCACHE_FORMAT_VERSION),
+                return data["ranked"]
+    except Exception:  # absent, torn or foreign file: rank again
+        pass
+    return None
+
+
+def _save_ranking(cache_path, pool_trials, fingerprint, ranked):
+    """Write the cache atomically: a reader sees the old file or the new
+    one, never a torn one.  A cache that cannot be written is skipped."""
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(cache_path)), suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, format_version=np.int64(INFCACHE_FORMAT_VERSION),
                      pool_trials=np.int64(pool_trials),
                      fingerprint=np.str_(fingerprint), ranked=ranked)
-        except OSError:
-            pass
-    return [int(v) for v in ranked[:pool_size]]
+        os.replace(tmp, cache_path)
+    except OSError:
+        os.unlink(tmp)
 
 
 def _label_ids(spec, g, what):
@@ -131,38 +158,44 @@ def _label_ids(spec, g, what):
 
 
 def _resolve_seeds(args, g, rng):
+    """(seed ids, seed_rank): seed_rank is {"samples", "from_cache"} of
+    the influence ranking a seed count is drawn from, else None."""
     spec = args.seeds
     if spec is None:
         if args.graph.startswith("fixture:"):
-            return _fixture_seeds(args.graph)
+            return _fixture_seeds(args.graph), None
         raise CliError("--seeds is required for file datasets",
                        EXIT_BAD_SEEDS)
     if "," in spec or not spec.lstrip("-").isdigit():
         seeds = _label_ids(spec, g, "seed")
         if not seeds:
             raise CliError("empty seed list", EXIT_BAD_SEEDS)
-        return sorted(set(seeds))
+        return sorted(set(seeds)), None
     count = int(spec)
     if count < 1 or count > g.n:
         raise CliError(f"seed count {count} out of range", EXIT_BAD_SEEDS)
     cache = None
     if not args.graph.startswith("fixture:"):
         cache = args.graph + ".infcache.npz"
-    pool = _influence_pool(g, args.seed_rank_pool, args.pool_trials, cache)
+    pool, from_cache = _influence_pool(g, args.seed_rank_pool,
+                                       args.pool_trials, cache)
     if count > len(pool):
         raise CliError(
             f"seed count {count} exceeds the rank pool ({len(pool)})",
             EXIT_BAD_SEEDS)
     picked = rng.choice(len(pool), size=count, replace=False)
-    return sorted(int(pool[i]) for i in picked)
+    seed_rank = {"samples": args.pool_trials * g.n, "from_cache": from_cache}
+    return sorted(int(pool[i]) for i in picked), seed_rank
 
 
 def _unified_graph(args, g):
-    """Resolve --seeds (drawn from the --rng-seed stream) and unify them."""
+    """Resolve --seeds (drawn from the --rng-seed stream) and unify them;
+    returns (unified graph, seed_rank of `_resolve_seeds`)."""
     root = np.random.SeedSequence(args.rng_seed)
     seed_rng = np.random.default_rng(root.spawn(1)[0])
     try:
-        return unify_seeds(g, _resolve_seeds(args, g, seed_rng))
+        seeds, seed_rank = _resolve_seeds(args, g, seed_rng)
+        return unify_seeds(g, seeds), seed_rank
     except GraphError as exc:
         raise CliError(str(exc), EXIT_BAD_SEEDS) from None
 
@@ -241,7 +274,7 @@ def _load_run_graph(args):
     return g, dataset
 
 
-def _run_rows(args, ug, dataset):
+def _run_rows(args, ug, dataset, seed_rank):
     """All --repeats of one algorithm run: (CSV rows, JSON reports)."""
     rows = []
     reports = []
@@ -261,7 +294,7 @@ def _run_rows(args, ug, dataset):
                      args.rng_seed, decrease, samples, ratio))
         report.update({"dataset": dataset, "algo": args.algo, "repeat": rep,
                        "decrease_mc": decrease, "runtime_s": elapsed,
-                       "samples": samples})
+                       "samples": samples, "seed_rank": seed_rank})
         reports.append(report)
     return rows, reports
 
@@ -276,7 +309,8 @@ def _write_outputs(args, rows, reports):
 def cmd_run(args):
     _check_algo_and_k(args.algo, args.k)
     g, dataset = _load_run_graph(args)
-    rows, reports = _run_rows(args, _unified_graph(args, g), dataset)
+    ug, seed_rank = _unified_graph(args, g)
+    rows, reports = _run_rows(args, ug, dataset, seed_rank)
     _write_outputs(args, rows, reports)
     return EXIT_OK
 
@@ -292,11 +326,12 @@ def cmd_bench(args):
     for n_seeds in seeds_list:
         sub = argparse.Namespace(**vars(args))
         sub.seeds = n_seeds if n_seeds is not None else args.seeds
-        ug = _unified_graph(sub, g)
+        ug, seed_rank = _unified_graph(sub, g)
         for k in args.k_list:
             for eps in args.epsilon_list:
                 sub.k, sub.epsilon = k, eps
-                cell_rows, cell_reports = _run_rows(sub, ug, dataset)
+                cell_rows, cell_reports = _run_rows(sub, ug, dataset,
+                                                    seed_rank)
                 rows += cell_rows
                 reports += cell_reports
     _write_outputs(args, rows, reports)
@@ -313,7 +348,7 @@ def cmd_oracle(args):
     seed_rng = np.random.default_rng(np.random.SeedSequence(0))
     blockers = _label_ids(args.blockers, g, "blocker")
     try:
-        seeds = _resolve_seeds(args, g, seed_rng)
+        seeds, _ = _resolve_seeds(args, g, seed_rng)
         ug = unify_seeds(g, seeds)
         model = ExactModel(ug)
         print(f"dataset={dataset} n={g.n} m={g.m} seeds={sorted(seeds)} "
@@ -384,8 +419,12 @@ def _add_graph_options(p):
                         "influence pool), or comma-separated node labels; "
                         "use a trailing comma for one explicit label, e.g. "
                         "'42,' (fixtures default to their built-in seeds)")
-    p.add_argument("--seed-rank-pool", type=_COUNT, default=200)
-    p.add_argument("--pool-trials", type=_COUNT, default=1000)
+    p.add_argument("--seed-rank-pool", type=_COUNT, default=200,
+                   help="how many top-ranked nodes a seed count is drawn "
+                        "from")
+    p.add_argument("--pool-trials", type=_COUNT, default=100,
+                   help="reverse-reachable samples per node for the "
+                        "influence ranking")
 
 
 def _add_common_options(p, sweep=False):

@@ -10,8 +10,11 @@ run one breadth-first search over up to `_BATCH` independent realizations
 at once and draw an edge's coin only when the search first reaches the
 node at its near end, so a realization costs what its cascade reaches
 (the live-edge idiom of reverse-reachable-set influence maximization:
-Borgs et al., SODA 2014; Tang et al., SIGMOD 2015).  All batched searches,
-`_ic_batch` included, expand their frontier through one CSR-slice helper.
+Borgs et al., SODA 2014; Tang et al., SIGMOD 2015).  `reverse_reach_counts`
+runs the same reverse search on a plain graph and keeps only how often each
+node is found, which scores every node's singleton influence at once.  All
+batched searches, `_ic_batch` included, expand their frontier through one
+CSR-slice helper.
 
 `stopping_rule_spread` is a sequential mean estimator with a relative-error
 contract: it keeps drawing cascades until the running sum of normalized
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UnifiedGraph
+from .graph import Graph, UnifiedGraph
 
 # Trials per vectorized batch.  Fixed so that results for a given seed do
 # not depend on caller-visible knobs.
@@ -229,6 +232,33 @@ def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
         node, trial = np.divmod(
             _advance(seen, src[inner] * batch + t[inner]), batch)
     return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def reverse_reach_counts(g: Graph, samples: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """For each node, in how many of `samples` reverse-reachable sets of
+    the plain graph `g` it lies.
+
+    Each set is the nodes that reach a uniform random target over live
+    edges, target included, so n * count[v] / samples estimates the
+    expected spread of the seed set {v}, v itself counted (Borgs et al.,
+    SODA 2014).  Sets are searched `_BATCH` at a time with lazy coins, as in
+    `reverse_live_edges`; only the per-node count is kept, not the sets.
+    """
+    counts = np.zeros(g.n, dtype=np.int64)
+    for done in range(0, samples, _BATCH):
+        batch = min(_BATCH, samples - done)
+        seen = np.zeros(g.n * batch, dtype=bool)
+        trial = np.arange(batch, dtype=np.int64)
+        node = rng.integers(0, g.n, size=batch)
+        seen[node * batch + trial] = True
+        while len(node):
+            counts += np.bincount(node, minlength=g.n)
+            offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
+            live = rng.random(len(offs)) < g.in_p[offs]
+            key = g.in_src[offs[live]] * batch + trial[owner[live]]
+            node, trial = np.divmod(_advance(seen, key), batch)
+    return counts
 
 
 def monte_carlo_spread(g: UnifiedGraph, blockers=None, trials: int = 10_000,

@@ -13,6 +13,7 @@ coverage counts.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +26,8 @@ from .sampling import (CPCollection, LRRCollection, compute_population,
                        coverage)
 
 E_FRACTION = 1.0 - 1.0 / math.e
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -292,6 +295,10 @@ def _certified_maximize(side, g, params, rng, scale, slack, candidates,
         stop = ratio >= target or round_no == sched.rounds_cap
         checks.append(StopCheck(sigma_lower=sigma_low, sigma_upper=sigma_up,
                                 ratio=ratio, stopped=stop))
+        log.debug("%s round %d: samples %d primary, %d validation; "
+                     "sigma_lower %.6g, sigma_upper %.6g, ratio %.4f, "
+                     "stopped %s", side, round_no, primary.n_samples,
+                     validation.n_samples, sigma_low, sigma_up, ratio, stop)
         if stop:
             return blockers, BoundCertificate(
                 side=side, blockers=blockers, ratio=ratio,

@@ -5,8 +5,8 @@ import pytest
 
 from imin import fixtures
 from imin.diffusion import (ic_spread_samples,
-                            monte_carlo_spread, sample_realization,
-                            stopping_rule_spread)
+                            monte_carlo_spread, reverse_reach_counts,
+                            sample_realization, stopping_rule_spread)
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
 
@@ -157,6 +157,42 @@ class TestMonteCarlo:
         samples = ic_spread_samples(ug, None, n, make_rng(3))
         sigma = samples.std() / math.sqrt(n)
         assert abs(samples.mean() - true) < 3 * sigma + 1e-12
+
+
+class TestReverseReachCounts:
+    """n * count[v] / samples estimates the spread of the seed set {v},
+    v itself counted."""
+
+    SAMPLES = 5000  # not a multiple of the batch, so a short batch runs
+
+    def assert_unbiased(self, g, seed):
+        counts = reverse_reach_counts(g, self.SAMPLES, make_rng(seed))
+        for v in range(g.n):
+            exact = ExactModel(unify_seeds(g, {v})).spread() + 1.0
+            p = exact / g.n
+            sigma = g.n * math.sqrt(p * (1.0 - p) / self.SAMPLES)
+            est = g.n * counts[v] / self.SAMPLES
+            assert abs(est - exact) <= 4.0 * sigma + 1e-9, (v, est, exact)
+
+    def test_within_four_sigma_of_exact_spread(self):
+        for i in range(20):
+            g = fixtures.random_tiny(make_rng(500 + i)).base
+            self.assert_unbiased(g, 600 + i)
+
+    def test_certain_and_dead_edges(self):
+        # 0 -> 1 -> 2 always fires and 2 -> 3 never does: every set holds
+        # 0 or is {3}, so any mis-drawn coin shows
+        g = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 0.0])
+        counts = reverse_reach_counts(g, self.SAMPLES, make_rng(5))
+        assert counts[0] + counts[3] == self.SAMPLES
+        assert counts[0] >= counts[1] >= counts[2]
+        self.assert_unbiased(g, 6)
+
+    def test_same_seed_same_counts(self):
+        g = fixtures.mid_synthetic(make_rng(3), 60, 240).base
+        a = reverse_reach_counts(g, self.SAMPLES, make_rng(9))
+        b = reverse_reach_counts(g, self.SAMPLES, make_rng(9))
+        assert np.array_equal(a, b)
 
 
 class TestCouplingMonotonicity:

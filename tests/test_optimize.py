@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -326,3 +327,20 @@ class TestCertificateSoundness:
             AlgoParams(k=1, epsilon=1.5).validate()
         with pytest.warns(UserWarning, match="exceeds epsilon"):
             AlgoParams(k=1, epsilon=0.05, beta=0.2).validate()
+
+
+class TestRoundLog:
+    @pytest.mark.parametrize("maximize, seed", [(lsbm, 17), (gsbm, 18)])
+    def test_one_debug_line_per_round(self, maximize, seed, caplog):
+        ug = fixtures.worked_example_small()
+        params = AlgoParams(k=1, epsilon=0.05, delta=0.1, beta=0.02)
+        with caplog.at_level(logging.DEBUG, logger="imin.optimize"):
+            _, cert = maximize(ug, params, make_rng(seed))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "imin.optimize"]
+        assert len(lines) == cert.rounds > 1
+        last = cert.checks[-1]
+        assert lines[-1].startswith(f"{cert.side} round {cert.rounds}:")
+        assert f"{cert.samples_primary} primary" in lines[-1]
+        assert f"ratio {last.ratio:.4f}, stopped True" in lines[-1]
+        assert all("stopped False" in line for line in lines[:-1])
