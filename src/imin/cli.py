@@ -79,9 +79,9 @@ def _fixture_seeds(spec):
 
 
 def _influence_pool(g, pool_size, pool_trials, cache_path=None):
-    """(top nodes, from_cache): the `pool_size` node ids of highest
-    estimated singleton influence, best first, and whether they came from
-    the cache.
+    """(top nodes, seed_rank): the `pool_size` node ids of highest
+    estimated singleton influence, best first, and the ranking's
+    provenance {"samples", "from_cache"}.
 
     Every node is scored at once by `pool_trials * n` reverse-reachable
     sets drawn with a fixed internal seed, so the ranking is stable across
@@ -93,21 +93,23 @@ def _influence_pool(g, pool_size, pool_trials, cache_path=None):
     """
     fingerprint = hashlib.sha256(b"".join(
         arr.tobytes() for arr in (g.out_ptr, g.out_dst, g.out_p))).hexdigest()
+    samples = pool_trials * g.n
     ranked = _cached_ranking(cache_path, pool_trials, fingerprint)
     from_cache = ranked is not None
     if not from_cache:
         rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
-        counts = reverse_reach_counts(g, pool_trials * g.n, rng)
+        counts = reverse_reach_counts(g, samples, rng)
         ranked = np.argsort(-counts, kind="stable").astype(np.int64)
         if cache_path is not None:
             _save_ranking(cache_path, pool_trials, fingerprint, ranked)
-    return [int(v) for v in ranked[:pool_size]], from_cache
+    return ([int(v) for v in ranked[:pool_size]],
+            {"samples": samples, "from_cache": from_cache})
 
 
 def _cached_ranking(cache_path, pool_trials, fingerprint):
     """The cached ranking if the cache matches; None if it is absent,
     stale or unreadable."""
-    if cache_path is None:
+    if cache_path is None or not os.path.exists(cache_path):
         return None
     try:
         with np.load(cache_path) as data:
@@ -115,8 +117,11 @@ def _cached_ranking(cache_path, pool_trials, fingerprint):
                     and int(data["pool_trials"]) == pool_trials
                     and str(data["fingerprint"]) == fingerprint):
                 return data["ranked"]
-    except Exception:  # absent, torn or foreign file: rank again
-        pass
+    # A torn or foreign file raises any of BadZipFile, EOFError, KeyError,
+    # NotImplementedError, OSError, TypeError or ValueError.
+    except Exception as exc:
+        print(f"warning: ignoring unreadable rank cache {cache_path}: "
+              f"{exc!r}", file=sys.stderr)
     return None
 
 
@@ -177,14 +182,13 @@ def _resolve_seeds(args, g, rng):
     cache = None
     if not args.graph.startswith("fixture:"):
         cache = args.graph + ".infcache.npz"
-    pool, from_cache = _influence_pool(g, args.seed_rank_pool,
-                                       args.pool_trials, cache)
+    pool, seed_rank = _influence_pool(g, args.seed_rank_pool,
+                                      args.pool_trials, cache)
     if count > len(pool):
         raise CliError(
             f"seed count {count} exceeds the rank pool ({len(pool)})",
             EXIT_BAD_SEEDS)
     picked = rng.choice(len(pool), size=count, replace=False)
-    seed_rank = {"samples": args.pool_trials * g.n, "from_cache": from_cache}
     return sorted(int(pool[i]) for i in picked), seed_rank
 
 

@@ -296,9 +296,9 @@ def _certified_maximize(side, g, params, rng, scale, slack, candidates,
         checks.append(StopCheck(sigma_lower=sigma_low, sigma_upper=sigma_up,
                                 ratio=ratio, stopped=stop))
         log.debug("%s round %d: samples %d primary, %d validation; "
-                     "sigma_lower %.6g, sigma_upper %.6g, ratio %.4f, "
-                     "stopped %s", side, round_no, primary.n_samples,
-                     validation.n_samples, sigma_low, sigma_up, ratio, stop)
+                  "sigma_lower %.6g, sigma_upper %.6g, ratio %.4f, "
+                  "stopped %s", side, round_no, primary.n_samples,
+                  validation.n_samples, sigma_low, sigma_up, ratio, stop)
         if stop:
             return blockers, BoundCertificate(
                 side=side, blockers=blockers, ratio=ratio,

@@ -209,16 +209,21 @@ class TestBench:
 
 
 class TestSeedPool:
-    def test_count_seeds_drawn_from_influence_pool(self, tmp_path):
+    ARGS = ["--algo", "lhga", "--k", "1", "--seeds", "2",
+            "--seed-rank-pool", "4", "--pool-trials", "60",
+            "--eval-trials", "2000", "--rng-seed", "13"]
+
+    def star_file(self, tmp_path):
         data = tmp_path / "g.txt"
         lines = [f"0 {v}" for v in range(1, 6)]
         lines += [f"{v} {v + 10}" for v in range(1, 6)]
         data.write_text("\n".join(lines) + "\n")
+        return data
+
+    def test_count_seeds_drawn_from_influence_pool(self, tmp_path):
+        data = self.star_file(tmp_path)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["run", "--graph", str(data), "--algo", "lhga", "--k", "1",
-                "--seeds", "2", "--seed-rank-pool", "4",
-                "--pool-trials", "60", "--eval-trials", "2000",
-                "--rng-seed", "13"]
+        args = ["run", "--graph", str(data), *self.ARGS]
         assert main(args + ["--out", str(out_a)]) == 0
         cache = data.with_name(data.name + ".infcache.npz")
         assert cache.exists()
@@ -257,19 +262,9 @@ class TestSeedPool:
             assign_constant_probability(wc_g, 0.3), 1, 200)
         assert wc_top == [0] and const_top != wc_top
 
-    ARGS = ["--algo", "lhga", "--k", "1", "--seeds", "2",
-            "--seed-rank-pool", "4", "--pool-trials", "60",
-            "--eval-trials", "2000", "--rng-seed", "13"]
-
-    def star_file(self, tmp_path):
-        data = tmp_path / "g.txt"
-        lines = [f"0 {v}" for v in range(1, 6)]
-        lines += [f"{v} {v + 10}" for v in range(1, 6)]
-        data.write_text("\n".join(lines) + "\n")
-        return data
-
     @pytest.mark.parametrize("damage", ["garbage", "truncated"])
-    def test_unreadable_cache_is_ranked_again(self, tmp_path, damage):
+    def test_unreadable_cache_is_ranked_again(self, tmp_path, damage,
+                                              capsys):
         data = self.star_file(tmp_path)
         cache = data.with_name(data.name + ".infcache.npz")
         cold, again = tmp_path / "cold.csv", tmp_path / "again.csv"
@@ -283,6 +278,7 @@ class TestSeedPool:
         assert main(["run", "--graph", str(data), *self.ARGS,
                      "--out", str(again)]) == 0
         assert again.read_bytes() == cold.read_bytes()
+        assert "ignoring unreadable rank cache" in capsys.readouterr().err
         with np.load(cache) as npz:  # rewritten whole, not left torn
             assert int(npz["format_version"]) == 3
             assert np.array_equal(npz["ranked"], ranked)
@@ -310,16 +306,16 @@ class TestSeedPool:
         g = assign_wc_probabilities(load_edge_list(str(
             self.star_file(tmp_path))))
         cache = tmp_path / "g.txt.infcache.npz"
-        fresh, from_cache = _influence_pool(g, g.n, 60, str(cache))
-        assert not from_cache
+        fresh, seed_rank = _influence_pool(g, g.n, 60, str(cache))
+        assert seed_rank == {"samples": 60 * g.n, "from_cache": False}
         with np.load(cache) as data:
             assert int(data["format_version"]) == 3
             fingerprint = data["fingerprint"]
         np.savez(cache, format_version=np.int64(2), pool_trials=np.int64(60),
                  fingerprint=fingerprint,
                  ranked=np.arange(g.n, dtype=np.int64)[::-1])
-        assert _influence_pool(g, g.n, 60, str(cache)) == (fresh, False)
-        assert _influence_pool(g, g.n, 60, str(cache)) == (fresh, True)
+        assert _influence_pool(g, g.n, 60, str(cache)) == (fresh, seed_rank)
+        assert _influence_pool(g, g.n, 60, str(cache))[1]["from_cache"]
 
     def test_count_larger_than_pool_rejected(self, tmp_path):
         data = tmp_path / "g.txt"
