@@ -2,7 +2,9 @@
 
 The adaptive estimator carries a (gamma, delta) contract: the returned
 value is within a (1 +/- gamma) factor of the truth with probability at
-least 1 - delta, and it spends only as many cascades as that requires.
+least 1 - delta.  It stops by empirical-Bernstein stopping (Mnih,
+Szepesvari and Audibert, ICML 2008), so the cascades it spends grow with
+the variance of the spread it measures, in whole batches of 1024.
 """
 
 import numpy as np

@@ -5,24 +5,27 @@ cascades (`ic_spread_samples`) and live-edge realizations, whose reachable
 set has the same distribution.  Spread values count activated non-seed
 nodes only.  A realization is either drawn eagerly (`sample_realization`,
 one coin per edge of the graph, for the greedy baselines and the tests) or
-searched lazily in batches: `forward_live_edges` and `reverse_live_edges`
-run one breadth-first search over up to `_BATCH` independent realizations
-at once and draw an edge's coin only when the search first reaches the
-node at its near end, so a realization costs what its cascade reaches
-(the live-edge idiom of reverse-reachable-set influence maximization:
-Borgs et al., SODA 2014; Tang et al., SIGMOD 2015).  `reverse_reach_counts`
-runs the same reverse search on a plain graph and keeps only how often each
-node is found, which scores every node's singleton influence at once.  All
-batched searches, `_ic_batch` included, expand their frontier through one
-CSR-slice helper.
+searched lazily in batches: one breadth-first search runs over up to
+`_BATCH` independent realizations at once and draws an edge's coin only
+when the search first reaches the node at its near end, so a realization
+costs what its cascade reaches (the live-edge idiom of
+reverse-reachable-set influence maximization: Borgs et al., SODA 2014;
+Tang et al., SIGMOD 2015).  The forward search keeps either the live edges
+(`forward_live_edges`) or only how many nodes each cascade activates
+(`ic_spread_samples`); `reverse_live_edges` searches backwards from
+targets, and `reverse_reach_counts` runs the same reverse search on a
+plain graph and keeps only how often each node is found, which scores
+every node's singleton influence at once.  All batched searches expand
+their frontier through one CSR-slice helper.
 
 `stopping_rule_spread` is a sequential mean estimator with a relative-error
-contract: it keeps drawing cascades until the running sum of normalized
-spreads crosses a threshold that depends only on (gamma, delta), following
-the stopping-rule construction for [0, 1] variables of Dagum, Karp, Luby
-and Ross (SIAM J. Comput. 2000).  Spreads are normalized by the number of
-non-seed nodes the seeds can reach at all rather than by the node count
-n, so nodes no cascade can reach do not inflate the trial count.
+contract: it draws cascades a batch at a time until empirical-Bernstein
+confidence bounds on the mean normalized spread are within a factor that
+depends on gamma (EBStop: Mnih, Szepesvari and Audibert, ICML 2008), so
+low-variance spreads need few cascades.  Spreads are normalized by the
+number of non-seed nodes the seeds can reach at all rather than by the
+node count n, so nodes no cascade can reach do not inflate the trial
+count.
 """
 
 from __future__ import annotations
@@ -108,44 +111,13 @@ def ic_spread_samples(g: UnifiedGraph, blockers=None, trials: int = 1,
                       rng: np.random.Generator = None) -> np.ndarray:
     """Vectorized forward cascades; returns one spread value per trial."""
     blocked = g.blocked_with(blockers)
-    out = np.empty(trials, dtype=np.int64)
-    done = 0
-    while done < trials:
+    out = np.zeros(trials, dtype=np.int64)
+    for done in range(0, trials, _BATCH):
         batch = min(_BATCH, trials - done)
-        out[done:done + batch] = _ic_batch(g, blocked, batch, rng)
-        done += batch
+        for *_, node, trial in _forward_levels(g, blocked, batch, rng):
+            out[done:done + batch] += np.bincount(
+                trial[~g.uncounted[node]], minlength=batch)
     return out
-
-
-def _ic_batch(g, blocked, batch, rng):
-    n_tot = g.n_total
-    active = np.zeros((batch, n_tot), dtype=bool)
-    active[:, g.s] = True
-    counts = np.zeros(batch, dtype=np.int64)
-
-    trial = np.arange(batch, dtype=np.int64)
-    node = np.full(batch, g.s, dtype=np.int64)
-    while len(node):
-        eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
-        if not len(eids):
-            break
-        t_of_e = trial[owner]
-        hit = rng.random(len(eids)) < g.out_p[eids]
-        dst = g.out_dst[eids[hit]]
-        t_of_e = t_of_e[hit]
-        ok = ~blocked[dst] & ~active[t_of_e, dst]
-        dst, t_of_e = dst[ok], t_of_e[ok]
-        if not len(dst):
-            break
-        # Two frontier nodes in one trial may both hit the same target;
-        # the target activates once.
-        key = t_of_e * n_tot + dst
-        _, first = np.unique(key, return_index=True)
-        dst, t_of_e = dst[first], t_of_e[first]
-        active[t_of_e, dst] = True
-        np.add.at(counts, t_of_e[~g.uncounted[dst]], 1)
-        node, trial = dst, t_of_e
-    return counts
 
 
 def _slices(lo, hi):
@@ -173,30 +145,41 @@ def _advance(seen, key):
     return key
 
 
-def forward_live_edges(g: UnifiedGraph, batch: int,
-                       rng: np.random.Generator):
-    """Live edges out of the nodes the source reaches, in `batch`
-    independent realizations searched at once.
+def _forward_levels(g, blocked, batch, rng):
+    """Breadth-first search from the source over `batch` independent
+    realizations at once, one level per step.
 
     Each edge's coin is drawn when its source node is first reached, so it
-    is drawn at most once per realization; edges into blocked nodes are
-    never live.  Returns (trial, src, dst) of every live edge out of a
-    reached node, grouped by trial; each node's live successors form one
-    run in edge-id (CSR) order.
+    is drawn at most once per realization; edges into `blocked` nodes are
+    never live.  Yields, per level, (trial, src, dst) of the live edges out
+    of the level's nodes and then (node, trial) of the nodes they reach
+    first, sorted node-major.
     """
     seen = np.zeros(g.n_total * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
     node = np.full(batch, g.s, dtype=np.int64)
     seen[node * batch + trial] = True
-    parts = []
     while len(node):
         eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
         dst = g.out_dst[eids]
-        live = (rng.random(len(eids)) < g.out_p[eids]) & ~g.blocked[dst]
+        live = (rng.random(len(eids)) < g.out_p[eids]) & ~blocked[dst]
         owner, dst = owner[live], dst[live]
-        t = trial[owner]
-        parts.append((t, node[owner], dst))
+        t, src = trial[owner], node[owner]
         node, trial = np.divmod(_advance(seen, dst * batch + t), batch)
+        yield t, src, dst, node, trial
+
+
+def forward_live_edges(g: UnifiedGraph, batch: int,
+                       rng: np.random.Generator):
+    """Live edges out of the nodes the source reaches, in `batch`
+    independent realizations searched at once.
+
+    Returns (trial, src, dst) of every live edge out of a reached node,
+    grouped by trial; each node's live successors form one run in edge-id
+    (CSR) order.
+    """
+    parts = [level[:3] for level in _forward_levels(g, g.blocked, batch,
+                                                     rng)]
     trial, src, dst = (np.concatenate(a) for a in zip(*parts))
     del parts  # the per-level pieces would stay alive through the sort
     order = np.argsort(trial, kind="stable")
@@ -295,14 +278,24 @@ def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
     non-seed nodes reachable from the seeds over positive-probability
     edges that avoid the blocked nodes.  Every activated non-seed node lies
     in that set, so the samples lie in [0, 1]; the trial count follows the
-    part of the graph the cascade can reach, not the node count n.  It
-    stops the first time the running sum reaches
+    part of the graph the cascade can reach, not the node count n.
 
-        upsilon = 1 + 4 (e - 2) ln(2 / delta) (1 + gamma) / gamma^2,
+    Sampling stops by empirical-Bernstein stopping (EBStop: Mnih,
+    Szepesvari and Audibert, ICML 2008).  After batch j, t = j * _BATCH
+    samples in, the mean lies within
 
-    returning upsilon * N_B / T where T is the number of samples taken.
-    N_B = 0 forces a spread of exactly zero, which is returned without
-    sampling.
+        c_t = sqrt(2 V_t L / t) + 3 L / t,   L = ln(3 / d_j),
+
+    of the sample mean with probability at least 1 - d_j, where V_t is the
+    (1/t) sample variance and d_j = 6 delta / (pi^2 j^2), so the failure
+    budgets sum to delta.  The running bounds LB = max(LB, mean - c_t) and
+    UB = min(UB, mean + c_t), from LB = 0 and UB = 1, stop the loop once
+    (1 + gamma) LB >= (1 - gamma) UB, and N_B * ((1 + gamma) LB +
+    (1 - gamma) UB) / 2 is then within (1 +/- gamma) of the mean.  The
+    trial count scales with the samples' variance rather than with the
+    worst case of a [0, 1] variable, but is always a whole number of
+    batches.  N_B = 0 forces a spread of exactly zero, which is returned
+    without sampling.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -315,18 +308,22 @@ def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
         return SpreadEstimate(value=0.0, gamma=gamma, delta=delta,
                               samples_used=1, exact_zero=True)
 
-    upsilon = 1.0 + 4.0 * (math.e - 2.0) * math.log(2.0 / delta) \
-        * (1.0 + gamma) / (gamma * gamma)
-    total = 0.0
-    taken = 0
+    # spreads are integers, so their sums and sums of squares are exact
+    total = square = 0
+    low, high = 0.0, 1.0
+    j = 0
     while True:
-        batch = ic_spread_samples(g, blockers, _BATCH, rng) / n_reach
-        running = total + np.cumsum(batch)
-        crossed = np.nonzero(running >= upsilon)[0]
-        if len(crossed):
-            taken += int(crossed[0]) + 1
-            return SpreadEstimate(value=upsilon * n_reach / taken,
-                                  gamma=gamma, delta=delta,
-                                  samples_used=taken)
-        total = float(running[-1])
-        taken += len(batch)
+        j += 1
+        spreads = ic_spread_samples(g, blockers, _BATCH, rng)
+        total += int(spreads.sum())
+        square += int(spreads @ spreads)
+        t = j * _BATCH
+        mean = total / (t * n_reach)
+        var = max(0.0, square / (t * n_reach * n_reach) - mean * mean)
+        log_term = math.log(math.pi ** 2 * j * j / (2.0 * delta))
+        c = math.sqrt(2.0 * var * log_term / t) + 3.0 * log_term / t
+        low, high = max(low, mean - c), min(high, mean + c)
+        if (1.0 + gamma) * low >= (1.0 - gamma) * high:
+            value = 0.5 * ((1.0 + gamma) * low + (1.0 - gamma) * high)
+            return SpreadEstimate(value=value * n_reach, gamma=gamma,
+                                  delta=delta, samples_used=t)

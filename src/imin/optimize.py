@@ -76,11 +76,17 @@ class StopCheck:
 
 @dataclass
 class BoundCertificate:
-    """Diagnostics attached to a maximizer's returned blocker set."""
+    """Diagnostics attached to a maximizer's returned blocker set.
+
+    `stop_reason` says why the doubling loop ended: "ratio" when the
+    certified ratio cleared its target, "rounds_cap" when the last round
+    allowed by the schedule ran without clearing it, and "early_exit" when
+    no sampling was needed.
+    """
 
     side: str
     blockers: BlockerSet
-    early_exit: bool = False
+    stop_reason: str
     ratio: float = None
     sigma_lower: float = None
     sigma_upper: float = None
@@ -94,11 +100,16 @@ class BoundCertificate:
     checks: list = field(default_factory=list, repr=False)
     validation_collection: object = field(default=None, repr=False)
 
+    @property
+    def early_exit(self):
+        return self.stop_reason == "early_exit"
+
     def as_dict(self):
         return {
             "side": self.side,
             "blockers": list(self.blockers),
             "early_exit": self.early_exit,
+            "stop_reason": self.stop_reason,
             "ratio": self.ratio,
             "sigma_lower": self.sigma_lower,
             "sigma_upper": self.sigma_upper,
@@ -250,7 +261,7 @@ def _early_return(side: str, blockers=(), **fields):
     budget, or the empty set when the seeds can reach nobody."""
     blockers = BlockerSet(blockers)
     return blockers, BoundCertificate(side=side, blockers=blockers,
-                                      early_exit=True, **fields)
+                                      stop_reason="early_exit", **fields)
 
 
 def _certified_maximize(side, g, params, rng, scale, slack, candidates,
@@ -292,7 +303,8 @@ def _certified_maximize(side, g, params, rng, scale, slack, candidates,
             cov_upper_opt(primary, trace, k), primary.n_samples,
             sched.log_term)
         ratio = sigma_low / sigma_up
-        stop = ratio >= target or round_no == sched.rounds_cap
+        reached = ratio >= target
+        stop = reached or round_no == sched.rounds_cap
         checks.append(StopCheck(sigma_lower=sigma_low, sigma_upper=sigma_up,
                                 ratio=ratio, stopped=stop))
         log.debug("%s round %d: samples %d primary, %d validation; "
@@ -301,7 +313,8 @@ def _certified_maximize(side, g, params, rng, scale, slack, candidates,
                   validation.n_samples, sigma_low, sigma_up, ratio, stop)
         if stop:
             return blockers, BoundCertificate(
-                side=side, blockers=blockers, ratio=ratio,
+                side=side, blockers=blockers,
+                stop_reason="ratio" if reached else "rounds_cap", ratio=ratio,
                 sigma_lower=sigma_low, sigma_upper=sigma_up,
                 rounds=round_no, samples_primary=primary.n_samples,
                 samples_validation=validation.n_samples, schedule=sched,

@@ -52,6 +52,24 @@ class TestRun:
         for value in counts.values():
             assert isinstance(value, int) and value > 0
 
+    def test_json_certificate_keys(self, tmp_path):
+        report = tmp_path / "report.json"
+        code = main(["run", "--graph", "fixture:small", "--algo",
+                     "sandimin", "--k", "1", "--delta", "0.1",
+                     "--eval-trials", "1000", "--rng-seed", "2",
+                     "--out", str(tmp_path / "rows.csv"),
+                     "--json", str(report)])
+        assert code == 0
+        certs = json.loads(report.read_text())[0]["certificates"]
+        assert sorted(certs) == ["lower", "upper"]
+        for cert in certs.values():
+            assert sorted(cert) == [
+                "blockers", "early_exit", "opt_lower", "population_size",
+                "ratio", "rounds", "rounds_cap", "samples_cap",
+                "samples_initial", "samples_primary", "samples_validation",
+                "side", "sigma_lower", "sigma_upper", "stop_reason"]
+            assert cert["stop_reason"] == "ratio"
+
     def test_chain_lhga(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["run", "--graph", "fixture:chain", "--algo", "lhga",

@@ -10,7 +10,7 @@ from imin.diffusion import (ic_spread_samples,
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
 
-from conftest import make_rng
+from conftest import make_rng, tiny_with_dead_edges
 
 
 def simulate_ic(g, blockers=None, rng=None):
@@ -256,6 +256,43 @@ class TestStoppingRule:
         with pytest.raises(ValueError):
             stopping_rule_spread(fixtures.chain(), None, 0.1, 1.0,
                                  make_rng(6))
+
+
+class TestEmpiricalBernsteinContract:
+    def test_within_gamma_of_exact_spread_with_random_blockers(self):
+        gamma, delta = 0.1, 0.1
+        hits = runs = 0
+        for seed in range(120):
+            ug, blockers = tiny_with_dead_edges(seed)
+            rng = make_rng(900 + seed)
+            cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+            other = [int(v) for v in rng.choice(
+                cands, size=int(rng.integers(0, min(2, len(cands)) + 1)),
+                replace=False)]
+            tiny = fixtures.random_tiny(rng)
+            for g, b in ((ug, blockers), (ug, other), (tiny, [])):
+                true = ExactModel(g).spread(b)
+                if true == 0.0:
+                    continue
+                est = stopping_rule_spread(g, b, gamma, delta, rng)
+                runs += 1
+                hits += (1 - gamma) * true <= est.value <= (1 + gamma) * true
+        assert runs >= 200
+        slack = 3 * math.sqrt(delta * (1 - delta) / runs)
+        assert hits / runs >= 1 - delta - slack
+
+    def test_low_variance_spread_stops_within_two_batches(self):
+        # normalized spreads here have variance ~0.007 at mean ~0.35; the
+        # worst-case (Bernoulli) rule needed about 2,600 cascades
+        ug = fixtures.mid_synthetic(make_rng(0), 300, 1200, 10)
+        for i in range(5):
+            est = stopping_rule_spread(ug, None, 0.1, 0.1, make_rng(i))
+            assert est.samples_used <= 2048
+
+    def test_samples_used_is_whole_batches(self):
+        est = stopping_rule_spread(single_edge(0.5), None, 0.1, 0.1,
+                                   make_rng(3))
+        assert est.samples_used % 1024 == 0
 
 
 def with_padding(ug, pad, edges=()):

@@ -35,6 +35,13 @@ GRAPHS = {
 }
 SEED = 20240520
 
+# Why each maximizer stopped on each graph: "early_exit" where the budget
+# covers every seed out-neighbor or the seeds reach nobody, "ratio"
+# elsewhere.  No golden case reaches the round cap.
+STOP_REASONS = {"small/k=1": "ratio", "small/k=2": "early_exit",
+                "three-seeds/k=2": "ratio", "mid120/k=3": "ratio",
+                "dead/k=1": "early_exit"}
+
 
 def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=key))
@@ -79,6 +86,20 @@ def test_fixed_seed_outputs_unchanged():
     for key in want:
         for algo in want[key]:
             assert got[key][algo] == want[key][algo], f"{key} {algo}"
+
+
+def test_stop_reasons_pinned():
+    want = json.loads(GOLDEN.read_text())
+    assert sorted(want) == sorted(STOP_REASONS)
+    for key, reason in STOP_REASONS.items():
+        certs = [want[key]["lsbm"]["certificate"],
+                 want[key]["gsbm"]["certificate"],
+                 *want[key]["sand_imin"]["certificates"].values(),
+                 *want[key]["sand_imin_minus"]["certificates"].values()]
+        assert len(certs) == 5
+        for cert in certs:
+            assert cert["stop_reason"] == reason, key
+            assert cert["early_exit"] == (reason == "early_exit"), key
 
 
 if __name__ == "__main__":

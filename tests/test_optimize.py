@@ -7,11 +7,11 @@ import pytest
 
 from imin import fixtures
 from imin.graph import Graph, unify_seeds
-from imin.optimize import (AlgoParams, E_FRACTION, cov_upper_opt,
-                           direct_activation_prob, gsbm, lsbm, max_coverage,
-                           opt_lower_bound)
+from imin.optimize import (AlgoParams, E_FRACTION, _certified_maximize,
+                           cov_upper_opt, direct_activation_prob, gsbm, lsbm,
+                           max_coverage, opt_lower_bound)
 from imin.oracle import ExactModel
-from imin.sampling import LRRCollection, coverage
+from imin.sampling import LRRCollection, compute_population, coverage
 
 from conftest import make_rng
 
@@ -295,6 +295,40 @@ class TestGsbm:
         a, ca = gsbm(ug, params, make_rng(15))
         b, cb = gsbm(ug, params, make_rng(15))
         assert list(a) == list(b) and ca.samples_primary == cb.samples_primary
+
+
+class TestStopReason:
+    def test_ratio_reason_matches_certified_ratio(self):
+        ug = fixtures.worked_example_small()
+        params = AlgoParams(k=1, epsilon=0.2, delta=0.1)
+        for i in range(5):
+            for fn in (lsbm, gsbm):
+                _, cert = fn(ug, params, make_rng(30 + i))
+                reached = cert.ratio >= E_FRACTION - params.epsilon
+                assert cert.stop_reason == ("ratio" if reached
+                                            else "rounds_cap")
+                assert not cert.early_exit
+
+    def test_rounds_cap_when_ratio_never_clears(self):
+        ug = fixtures.worked_example_small()
+        population = compute_population(ug)
+        _, cert = _certified_maximize(
+            "upper", ug, AlgoParams(k=1), make_rng(17),
+            scale=float(len(population)), slack=1.0,
+            candidates=len(population), tail=6.0,
+            new_collection=lambda r: LRRCollection(ug, r,
+                                                   population=population),
+            bounds=lambda *args: (0.0, 1.0))
+        assert cert.stop_reason == "rounds_cap"
+        assert cert.rounds == cert.schedule.rounds_cap
+        assert cert.as_dict()["stop_reason"] == "rounds_cap"
+
+    def test_early_exit_reason(self):
+        ug = fixtures.worked_example_small()  # ON = {1, 2}
+        for fn in (lsbm, gsbm):
+            _, cert = fn(ug, AlgoParams(k=2), make_rng(0))
+            assert cert.stop_reason == "early_exit" and cert.early_exit
+            assert cert.as_dict()["early_exit"] is True
 
 
 class TestCertificateSoundness:
