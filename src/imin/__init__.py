@@ -19,10 +19,8 @@ Typical use::
 """
 
 from .baselines import ag, gr, mc_greedy
-from .diffusion import (Realization, SpreadEstimate, ic_spread_samples,
-                        monte_carlo_spread, sample_realization,
-                        stopping_rule_spread)
-from .domtree import DominatorTree, build_dominator_tree
+from .diffusion import (SpreadEstimate, ic_spread_samples,
+                        monte_carlo_spread, stopping_rule_spread)
 from .graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
                     UnifiedGraph, assign_constant_probability,
                     assign_wc_probabilities, block_nodes, load_edge_list,

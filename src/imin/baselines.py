@@ -1,34 +1,44 @@
 """Prior-art greedy baselines: plain Monte-Carlo greedy, subtree-greedy
-(fresh dominator trees every round) and its seed-neighbor two-stage
-refinement.
+(AdvancedGreedy) and its seed-neighbor two-stage refinement
+(GreedyReplace), after Xie et al., ICDE 2023.
 
 All three re-estimate marginal decreases from scratch after every pick;
-that is their defining cost.  Ties always break toward the lowest node id.
+that is their defining cost.  Subtree scores are common-path entry sizes
+from the batched sampler.  Ties always break toward the lowest node id.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffusion import ic_spread_samples, sample_realization
-from .domtree import build_dominator_tree
-from .graph import BlockerSet, UnifiedGraph
+from .diffusion import ic_spread_samples
+from .graph import BlockerSet, UnifiedGraph, block_nodes
+from .sampling import _cp_batch
 
 NEG_INF = -np.inf
+_MAX_PASSES = 10  # cap on gr's stage-2 sweeps; guarantees termination
 
 
 def _subtree_scores(g: UnifiedGraph, blockers, realizations: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Average dominator-subtree size per node over fresh realizations.
+    """Average dominator-subtree size per non-seed node over realizations.
 
     This is an unbiased estimate of each node's marginal decrease on the
     graph with `blockers` already removed.
     """
-    totals = np.zeros(g.n_total, dtype=np.float64)
-    for _ in range(realizations):
-        phi = sample_realization(g, blockers, rng)
-        totals += build_dominator_tree(phi).subtree_size
+    totals = np.zeros(g.n_total, dtype=np.int64)
+    for nodes, _, sizes in _cp_batch(block_nodes(g, blockers), realizations,
+                                     rng):
+        totals[nodes] += sizes
     return totals / realizations
+
+
+def _candidates(g: UnifiedGraph) -> np.ndarray:
+    """Mask of the base nodes that are neither seeds nor already blocked."""
+    allowed = np.zeros(g.n_total, dtype=bool)
+    allowed[:g.base.n] = True
+    allowed[list(g.seeds)] = False
+    return allowed & ~g.blocked
 
 
 def _argmax_candidate(scores, allowed) -> int:
@@ -44,10 +54,7 @@ def ag(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
     if realizations_per_round < 1:
         raise ValueError("realizations_per_round must be >= 1")
     chosen = []
-    allowed = np.zeros(g.n_total, dtype=bool)
-    allowed[:g.base.n] = True
-    allowed[list(g.seeds)] = False
-    allowed &= ~g.blocked
+    allowed = _candidates(g)
     for _ in range(max(0, k)):
         if not allowed.any():
             break
@@ -59,43 +66,39 @@ def ag(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
 
 
 def gr(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
-       rng: np.random.Generator = None, max_passes: int = 10) -> BlockerSet:
+       rng: np.random.Generator = None) -> BlockerSet:
     """Two-stage subtree-greedy.
 
-    Stage 1 greedily fills the budget from the seed out-neighbors only.
-    Stage 2 walks the blockers in reverse insertion order; each is removed
-    and challenged by the globally best node for the remaining set, and
-    the sweep stops as soon as a blocker survives its challenge (strict
-    improvement required to replace).  Sweeps are capped to guarantee
-    termination.
+    Stage 1 greedily fills the budget from the candidate seed
+    out-neighbors only.  Stage 2 walks the blockers in reverse insertion
+    order; each is removed and challenged by the globally best candidate
+    for the remaining set, and the sweep stops as soon as a blocker
+    survives its challenge (strict improvement required to replace).
+    Sweeps are capped at `_MAX_PASSES` to guarantee termination.
     """
     if realizations_per_round < 1:
         raise ValueError("realizations_per_round must be >= 1")
-    on = g.seed_out_neighbors()
-    budget = min(len(on), max(0, k))
+    candidates = _candidates(g)
+    on_allowed = np.zeros(g.n_total, dtype=bool)
+    on_allowed[g.seed_out_neighbors()] = True
+    on_allowed &= candidates
+    budget = min(int(on_allowed.sum()), max(0, k))
 
     chosen = []
-    on_allowed = np.zeros(g.n_total, dtype=bool)
-    on_allowed[on] = True
     while len(chosen) < budget:
         scores = _subtree_scores(g, chosen, realizations_per_round, rng)
         best = _argmax_candidate(scores, on_allowed)
         chosen.append(best)
         on_allowed[best] = False
 
-    all_allowed = np.zeros(g.n_total, dtype=bool)
-    all_allowed[:g.base.n] = True
-    all_allowed[list(g.seeds)] = False
-    all_allowed &= ~g.blocked
-
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         replaced = False
         i = len(chosen) - 1
         while i >= 0:
             removed = chosen[i]
             rest = chosen[:i] + chosen[i + 1:]
             scores = _subtree_scores(g, rest, realizations_per_round, rng)
-            allowed = all_allowed.copy()
+            allowed = candidates.copy()
             allowed[rest] = False
             best = _argmax_candidate(scores, allowed)
             if best == removed or scores[best] <= scores[removed]:
@@ -114,8 +117,7 @@ def mc_greedy(g: UnifiedGraph, k: int, trials_per_eval: int = 1000,
     if trials_per_eval < 1:
         raise ValueError("trials_per_eval must be >= 1")
     chosen = []
-    candidates = [v for v in range(g.base.n)
-                  if v not in g.seeds and not g.blocked[v]]
+    candidates = np.flatnonzero(_candidates(g)).tolist()
     for _ in range(max(0, k)):
         remaining = [v for v in candidates if v not in chosen]
         if not remaining:

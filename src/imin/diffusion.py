@@ -3,9 +3,9 @@
 Two equivalent views of the cascade are provided: vectorized forward
 cascades (`ic_spread_samples`) and live-edge realizations, whose reachable
 set has the same distribution.  Spread values count activated non-seed
-nodes only.  A realization is either drawn eagerly (`sample_realization`,
-one coin per edge of the graph, for the greedy baselines and the tests) or
-searched lazily in batches: one breadth-first search runs over up to
+nodes only.  The eager `Realization` (`sample_realization`, one coin per
+edge of the graph) is only the tests' reference; the package searches
+realizations lazily in batches: one breadth-first search runs over up to
 `_BATCH` independent realizations at once and draws an edge's coin only
 when the search first reaches the node at its near end, so a realization
 costs what its cascade reaches (the live-edge idiom of
@@ -258,8 +258,8 @@ class SpreadEstimate:
 
     With probability at least 1 - delta the value lies within a factor
     (1 +/- gamma) of the true expected non-seed spread.  `exact_zero` is set
-    when the graph structure forces a spread of exactly zero (no sampling
-    loop is entered in that case).
+    when the graph structure forces a spread of exactly zero; no cascade is
+    drawn in that case, so `samples_used` is 0.
     """
 
     value: float
@@ -306,7 +306,7 @@ def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
                                    & ~g.uncounted))
     if n_reach == 0:
         return SpreadEstimate(value=0.0, gamma=gamma, delta=delta,
-                              samples_used=1, exact_zero=True)
+                              samples_used=0, exact_zero=True)
 
     # spreads are integers, so their sums and sums of squares are exact
     total = square = 0

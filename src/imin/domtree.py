@@ -4,12 +4,12 @@
 successor lists, which numbers the reached nodes in preorder, then the
 Cooper-Harvey-Kennedy iterative algorithm ("A Simple, Fast Dominance
 Algorithm", 2001) over those compact preorder numbers.  Its input is any
-`successors(v)` callable, so the eager `Realization` (one coin per edge of
-the graph) and the batched samplers of `sampling` (coins drawn only on the
-edges a search reaches) share it, and its work and memory follow the
-reached nodes.  Per-node subtree sizes of the tree rooted at the cascade
-source are the unit of spread-decrease estimation used by the greedy
-baselines and by lower-bound sample generation.
+`successors(v)` callable, and its work and memory follow the reached
+nodes.  Per-node subtree sizes of the tree rooted at the cascade source
+are the unit of spread-decrease estimation used by the greedy baselines
+and by lower-bound sample generation, both through the batched common-path
+sampler of `sampling`.  `build_dominator_tree` runs it over an eager
+`diffusion.Realization`: the tests' reference, not a package code path.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .diffusion import Realization
 
 
 @dataclass
@@ -113,8 +111,9 @@ def dominators(successors, root):
     return vertex, idom, size, slot
 
 
-def build_dominator_tree(phi: Realization) -> DominatorTree:
-    """Immediate dominators of the live subgraph from the source."""
+def build_dominator_tree(phi) -> DominatorTree:
+    """Immediate dominators of the live subgraph of the realization `phi`
+    (a `diffusion.Realization`) from the source."""
     ug = phi.ug
     vertex, idom, size, slot = dominators(phi.successors, ug.s)
     vertex = np.asarray(vertex, dtype=np.int64)

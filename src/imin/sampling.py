@@ -19,13 +19,16 @@ forward search from the nodes the seeds feed, inside what the reverse
 search found.  Any node on a seed-to-member live path also reaches the
 target, so no forward pass over the whole realization is needed.
 
-Both sample types are drawn in batches of up to `diffusion._BATCH`
-realizations, each batch one vectorized search (`forward_live_edges` for
-CP sequences, `reverse_live_edges` for LRR sets) that draws an edge's coin
-only when the search reaches it; a sample costs what its cascade reaches,
-not the size of the graph.  A CP sequence then runs `domtree.dominators`
-over the few live edges its search recorded.  `local_sampling` and
-`global_sampling` are batches of one.
+Both sample types come from one generator each, `_cp_batch` and
+`_lrr_batch`, which splits any count into batches of up to
+`diffusion._BATCH` realizations.  Each batch is one vectorized search
+(`forward_live_edges` for CP sequences, `reverse_live_edges` for LRR sets)
+that draws an edge's coin only when the search reaches it; a sample costs
+what its cascade reaches, not the size of the graph.  A CP sequence then
+runs `domtree.dominators` over the few live edges its search recorded.
+The collections, `local_sampling`, `global_sampling` and the greedy
+baselines (which sum CP entry sizes: a non-seed node's entry size is its
+dominator-subtree size) all draw through these two generators.
 
 Coverage of a blocker set B is the number of samples whose set intersects
 B.  Cov/|collection| (times the population size for the upper side) is an
@@ -68,24 +71,17 @@ class CPSequence:
         return out
 
 
-class _LiveOut(dict):
-    """The live out-edges of one batched realization's reached nodes:
-    node -> its live successors in edge-id order (absent when none)."""
-
-    successors = dict.get
-
-
-def _sequence_entries(ug: UnifiedGraph, phi):
+def _sequence_entries(ug: UnifiedGraph, successors):
     """Entry arrays (nodes, parents, subtree sizes) for one realization.
 
-    `phi` is a `Realization` or a batched sample's `_LiveOut`; either
-    lists each node's live successors.  Entries are emitted in
-    dominator-tree preorder so that the entries whose set contains a node
-    form one contiguous block per sequence.  The source and the seeds (all
-    children of the source) are dropped; an entry whose dominator is one
-    of them has parent -1.  Every array is as long as the reached part.
+    `successors(v)` lists v's live successors in edge-id order.  Entries
+    are emitted in dominator-tree preorder so that the entries whose set
+    contains a node form one contiguous block per sequence.  The source
+    and the seeds (all children of the source) are dropped; an entry whose
+    dominator is one of them has parent -1.  Every array is as long as the
+    reached part.
     """
-    vertex, idom, size, slot = dominators(phi.successors, ug.s)
+    vertex, idom, size, slot = dominators(successors, ug.s)
     vertex = np.asarray(vertex, dtype=np.int64)
     cnt = len(vertex)
     order = np.empty(cnt, dtype=np.int64)
@@ -98,18 +94,21 @@ def _sequence_entries(ug: UnifiedGraph, phi):
 
 
 def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
-    """Entry arrays (nodes, parents, sizes) of `count` realizations drawn
-    by one forward search, one tuple per realization."""
-    trial, src, dst = forward_live_edges(ug, count, rng)
-    # A run of one (trial, src) holds that node's live successors in order.
-    new = np.ones(len(src), dtype=bool)
-    new[1:] = (trial[1:] != trial[:-1]) | (src[1:] != src[:-1])
-    ptr = np.searchsorted(trial, np.arange(count + 1)).tolist()
-    for lo, hi in zip(ptr, ptr[1:]):
-        cuts = np.flatnonzero(new[lo:hi]).tolist() + [hi - lo]
-        heads, succ = src[lo:hi].tolist(), dst[lo:hi].tolist()
-        yield _sequence_entries(ug, _LiveOut(
-            (heads[a], succ[a:b]) for a, b in zip(cuts, cuts[1:])))
+    """Entry arrays (nodes, parents, sizes) of `count` realizations, one
+    tuple per realization, drawn by one forward search per `_BATCH`."""
+    for done in range(0, count, _BATCH):
+        batch = min(_BATCH, count - done)
+        trial, src, dst = forward_live_edges(ug, batch, rng)
+        # A run of one (trial, src) holds that node's live successors.
+        new = np.ones(len(src), dtype=bool)
+        new[1:] = (trial[1:] != trial[:-1]) | (src[1:] != src[:-1])
+        ptr = np.searchsorted(trial, np.arange(batch + 1)).tolist()
+        for lo, hi in zip(ptr, ptr[1:]):
+            cuts = np.flatnonzero(new[lo:hi]).tolist() + [hi - lo]
+            heads, succ = src[lo:hi].tolist(), dst[lo:hi].tolist()
+            live_out = {heads[a]: succ[a:b] for a, b in zip(cuts, cuts[1:])}
+            yield _sequence_entries(ug, live_out.get)
+        del trial, src, dst, new  # not alive through the next search
 
 
 def local_sampling(g: UnifiedGraph, rng: np.random.Generator) -> CPSequence:
@@ -152,24 +151,27 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
 
 def _lrr_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
                rng: np.random.Generator):
-    """`count` LRR samples from one reverse search: one (target, members)
-    pair per realization, members target first, None when the target is
-    not reached.
+    """`count` LRR samples, one reverse search per `_BATCH`: one (target,
+    members) pair per realization, members target first, None when the
+    target is not reached.
 
-    All targets are drawn first, uniformly from `population`.  The reverse
-    search finds each target's live non-seed ancestors; the members are
-    those of them that the seeds reach.
+    A batch's targets are drawn first, uniformly from `population`.  The
+    reverse search finds each target's live non-seed ancestors; the
+    members are those of them that the seeds reach.
     """
-    targets = population[rng.integers(0, len(population), size=count)]
-    node, trial = np.divmod(
-        _reverse_reach(ug, count, *reverse_live_edges(ug, targets, rng)),
-        count)
-    order = np.lexsort((node, node != targets[trial], trial))
-    node, trial = node[order], trial[order]
-    ptr = np.searchsorted(trial, np.arange(count + 1)).tolist()
-    for i in range(count):
-        lo, hi = ptr[i], ptr[i + 1]
-        yield int(targets[i]), (node[lo:hi] if hi > lo else None)
+    for done in range(0, count, _BATCH):
+        batch = min(_BATCH, count - done)
+        targets = population[rng.integers(0, len(population), size=batch)]
+        node, trial = np.divmod(
+            _reverse_reach(ug, batch, *reverse_live_edges(ug, targets, rng)),
+            batch)
+        order = np.lexsort((node, node != targets[trial], trial))
+        node, trial = node[order], trial[order]
+        ptr = np.searchsorted(trial, np.arange(batch + 1)).tolist()
+        for i in range(batch):
+            lo, hi = ptr[i], ptr[i + 1]
+            yield int(targets[i]), (node[lo:hi] if hi > lo else None)
+        del trial, order  # not alive through the next search
 
 
 def global_sampling(g: UnifiedGraph, population,
@@ -211,15 +213,13 @@ class CPCollection:
     def extend(self, count: int):
         """Generate `count` more sequences from the collection's stream."""
         offset = sum(len(a) for a in self._nodes)
-        for done in range(0, count, _BATCH):
-            batch = min(_BATCH, count - done)
-            for nodes, parents, sizes in _cp_batch(self.ug, batch, self.rng):
-                self._nodes.append(nodes)
-                self._parents.append(parents)
-                base = offset + np.arange(len(nodes), dtype=np.int64)
-                self._ends.append(base + sizes)
-                offset += len(nodes)
-            self.n_sequences += batch
+        for nodes, parents, sizes in _cp_batch(self.ug, count, self.rng):
+            self._nodes.append(nodes)
+            self._parents.append(parents)
+            self._ends.append(offset + np.arange(len(nodes), dtype=np.int64)
+                              + sizes)
+            offset += len(nodes)
+        self.n_sequences += count
         self._frozen = None
 
     def _freeze(self):
@@ -320,15 +320,13 @@ class LRRCollection:
 
     def extend(self, count: int):
         """Generate `count` more samples from the collection's stream."""
-        for done in range(0, count, _BATCH):
-            batch = min(_BATCH, count - done)
-            for target, members in _lrr_batch(self.ug, self._pop_arr, batch,
-                                              self.rng):
-                if members is None:
-                    self.n_empty += 1
-                    continue
-                self._members.append(members)
-                self._targets.append(target)
+        for target, members in _lrr_batch(self.ug, self._pop_arr, count,
+                                          self.rng):
+            if members is None:
+                self.n_empty += 1
+                continue
+            self._members.append(members)
+            self._targets.append(target)
         self._frozen = None
 
     def _freeze(self):

@@ -64,3 +64,13 @@ def tiny_with_dead_edges(seed):
     size = int(rng.integers(0, min(2, len(cands)) + 1))
     blockers = [int(v) for v in rng.choice(cands, size=size, replace=False)]
     return ug, blockers
+
+
+def certain_edges(seed):
+    """`tiny_with_dead_edges(seed)` with every positive probability raised
+    to 1, so each edge is live or dead for sure and every realization is
+    the same; returned with its blockers, not yet applied."""
+    ug, blockers = tiny_with_dead_edges(seed)
+    src, dst, p = ug.base.edge_array()
+    g = Graph.from_edges(ug.base.n, src, dst, (p > 0).astype(float))
+    return unify_seeds(g, ug.seeds), blockers

@@ -47,7 +47,7 @@ def test_criterion_01_worked_realization_reproduction():
     sizes = {v: int(dt.subtree_size[v]) for v in range(1, 7)}
     assert sizes == {1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 
-    nodes, parents, _ = _sequence_entries(ug, phi)
+    nodes, parents, _ = _sequence_entries(ug, phi.successors)
     got = CPSequence(nodes, parents).sets()
     assert got == {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({3}),
                    5: frozenset({3, 5}), 6: frozenset({3, 6})}

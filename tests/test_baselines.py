@@ -2,13 +2,45 @@ import collections
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from imin import fixtures
-from imin.baselines import ag, gr, mc_greedy
+from imin.baselines import _subtree_scores, ag, gr, mc_greedy
 from imin.diffusion import sample_realization
 from imin.domtree import build_dominator_tree
+from imin.graph import block_nodes
 from imin.oracle import ExactModel
+from imin.sampling import _cp_batch
 
-from conftest import make_rng
+from conftest import certain_edges, make_rng
+
+
+def eager_sizes(ug, blockers, n, rng):
+    """Dominator-subtree sizes of `n` eager realizations (the reference)."""
+    for _ in range(n):
+        yield build_dominator_tree(
+            sample_realization(ug, blockers, rng)).subtree_size
+
+
+def batched_sizes(ug, blockers, n, rng):
+    """The same sizes from the batched common-path sampler."""
+    for nodes, _, sizes in _cp_batch(block_nodes(ug, blockers), n, rng):
+        out = np.zeros(ug.n_total, dtype=np.int64)
+        out[nodes] = sizes
+        yield out
+
+
+class TestSubtreeScores:
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_match_eager_dominator_tree_on_certain_edges(self, seed):
+        ug, blockers = certain_edges(seed)
+        want = next(eager_sizes(ug, blockers, 1, make_rng(0)))
+        got = _subtree_scores(ug, blockers, 5, make_rng(seed))
+        non_seed = [v for v in range(ug.base.n) if v not in ug.seeds]
+        assert np.array_equal(got[non_seed], want[non_seed])
 
 
 class TestMcGreedy:
@@ -61,7 +93,8 @@ class TestAg:
             tuple(ag(ug, 2, 10_000, make_rng(100 + i))) for i in range(20))
         assert outcomes[(3, 1)] > 10
 
-    def test_per_round_estimates_unbiased_under_blocking(self):
+    @pytest.mark.parametrize("sizes_of", [eager_sizes, batched_sizes])
+    def test_per_round_estimates_unbiased_under_blocking(self, sizes_of):
         ug = fixtures.worked_example_small()
         model = ExactModel(ug)
         blocked = [3]
@@ -69,9 +102,7 @@ class TestAg:
         rng = make_rng(6)
         totals = np.zeros(ug.n_total)
         sq = np.zeros(ug.n_total)
-        for _ in range(n):
-            phi = sample_realization(ug, blocked, rng)
-            s = build_dominator_tree(phi).subtree_size
+        for s in sizes_of(ug, blocked, n, rng):
             totals += s
             sq += s.astype(float) ** 2
         for v in (1, 2):
@@ -99,6 +130,16 @@ class TestGr:
         ug = fixtures.chain()  # one seed exit
         got = gr(ug, 3, 300, make_rng(10))
         assert len(got) == 1
+
+    def test_never_returns_an_already_blocked_node(self):
+        # The chain's one seed exit is blocked: nothing is left to pick.
+        chain = block_nodes(fixtures.chain(), [1])
+        assert list(gr(chain, 1, 200, make_rng(11))) == []
+        diamond = block_nodes(fixtures.diamond(0.5), [2])
+        for algo in (ag, gr):
+            got = list(algo(diamond, 2, 200, make_rng(12)))
+            assert 2 not in got and 0 not in got
+            assert 1 in got
 
 
 class TestEffectivenessAgainstOracle:

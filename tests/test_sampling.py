@@ -15,7 +15,7 @@ from imin.sampling import (CPCollection, LRRCollection, _cp_batch,
                            coverage, global_sampling, local_sampling,
                            marginal_coverage)
 
-from conftest import make_rng, tiny_with_dead_edges
+from conftest import certain_edges, make_rng
 
 
 def cp_sets_by_path_enumeration(ug, phi):
@@ -64,7 +64,7 @@ def worked_collection():
     from imin.sampling import _sequence_entries
 
     coll = CPCollection(ug, rng=None)
-    nodes, parents, sizes = _sequence_entries(ug, phi)
+    nodes, parents, sizes = _sequence_entries(ug, phi.successors)
     coll._nodes.append(nodes)
     coll._parents.append(parents)
     coll._ends.append(np.arange(len(nodes)) + sizes)
@@ -78,7 +78,7 @@ class TestLocalSampling:
         phi = fixtures.worked_example_small_realization(ug)
         from imin.sampling import CPSequence, _sequence_entries
 
-        nodes, parents, _ = _sequence_entries(ug, phi)
+        nodes, parents, _ = _sequence_entries(ug, phi.successors)
         got = CPSequence(nodes, parents).sets()
         assert got == {1: frozenset({1}), 2: frozenset({2}),
                        3: frozenset({3}), 5: frozenset({3, 5}),
@@ -99,7 +99,7 @@ class TestLocalSampling:
             phi = sample_realization(ug, None, make_rng(4000 + trial))
             from imin.sampling import CPSequence, _sequence_entries
 
-            nodes, parents, _ = _sequence_entries(ug, phi)
+            nodes, parents, _ = _sequence_entries(ug, phi.successors)
             got = CPSequence(nodes, parents).sets()
             want = cp_sets_by_path_enumeration(ug, phi)
             assert got == want
@@ -198,13 +198,9 @@ def lrr_members_by_forward_reach(ug, phi, target):
 
 
 def deterministic(seed):
-    """`tiny_with_dead_edges(seed)` with every positive probability raised
-    to 1 and its blockers applied: each edge is live or dead for sure, so
-    one eager realization is the only one."""
-    ug, blockers = tiny_with_dead_edges(seed)
-    src, dst, p = ug.base.edge_array()
-    g = Graph.from_edges(ug.base.n, src, dst, (p > 0).astype(float))
-    ug = block_nodes(unify_seeds(g, ug.seeds), blockers)
+    """`certain_edges(seed)` with its blockers applied, and its one eager
+    realization."""
+    ug = block_nodes(*certain_edges(seed))
     return ug, sample_realization(ug, None, make_rng(0))
 
 
@@ -241,7 +237,7 @@ class TestDeterministicSamples:
     @given(st.integers(0, 10 ** 6))
     def test_cp_entries_match_eager_realization(self, seed):
         ug, phi = deterministic(seed)
-        want = _sequence_entries(ug, phi)
+        want = _sequence_entries(ug, phi.successors)
         for got in _cp_batch(ug, 5, make_rng(seed)):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
