@@ -27,9 +27,9 @@ def _subtree_scores(g: UnifiedGraph, blockers, realizations: int,
     graph with `blockers` already removed.
     """
     totals = np.zeros(g.n_total, dtype=np.int64)
-    for nodes, _, sizes in _cp_batch(block_nodes(g, blockers), realizations,
-                                     rng):
-        totals[nodes] += sizes
+    for nodes, _, sizes, _ in _cp_batch(block_nodes(g, blockers),
+                                        realizations, rng):
+        np.add.at(totals, nodes, sizes)   # a node recurs across a batch
     return totals / realizations
 
 

@@ -10,12 +10,16 @@ realizations lazily in batches: one breadth-first search runs over up to
 when the search first reaches the node at its near end, so a realization
 costs what its cascade reaches (the live-edge idiom of
 reverse-reachable-set influence maximization: Borgs et al., SODA 2014;
-Tang et al., SIGMOD 2015).  The forward search keeps either the live edges
-(`forward_live_edges`) or only how many nodes each cascade activates
-(`ic_spread_samples`); `reverse_live_edges` searches backwards from
-targets, and `reverse_reach_counts` runs the same reverse search on a
-plain graph and keeps only how often each node is found, which scores
-every node's singleton influence at once.  All batched searches expand
+Tang et al., SIGMOD 2015).  The forward search (`_forward_levels`) yields
+its live edges and newly reached nodes level by level:
+`domtree.dominators` builds the dominator trees of a whole batch from
+them, and `ic_spread_samples` keeps only how many nodes each cascade
+activates.  It also takes an eager realization's live-edge mask in place
+of coins, so the tests' reference runs the same search.
+`reverse_live_edges` searches backwards from targets, and
+`reverse_reach_counts` runs the same reverse search on a plain graph and
+keeps only how often each node is found, which scores every node's
+singleton influence at once.  All batched searches expand
 their frontier through one CSR-slice helper.
 
 `stopping_rule_spread` is a sequential mean estimator with a relative-error
@@ -145,15 +149,17 @@ def _advance(seen, key):
     return key
 
 
-def _forward_levels(g, blocked, batch, rng):
+def _forward_levels(g, blocked, batch, rng, live=None):
     """Breadth-first search from the source over `batch` independent
     realizations at once, one level per step.
 
     Each edge's coin is drawn when its source node is first reached, so it
-    is drawn at most once per realization; edges into `blocked` nodes are
-    never live.  Yields, per level, (trial, src, dst) of the live edges out
-    of the level's nodes and then (node, trial) of the nodes they reach
-    first, sorted node-major.
+    is drawn at most once per realization; a `live` edge mask, when given,
+    stands in for the coins (one realization, no draws).  Edges into
+    `blocked` nodes are never live.  Yields, per level, (owner, dst) of the
+    live edges out of the level's pairs, owner indexing those pairs in
+    ascending order, then (node, trial) of the pairs they reach first,
+    sorted node-major.
     """
     seen = np.zeros(g.n_total * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
@@ -162,28 +168,12 @@ def _forward_levels(g, blocked, batch, rng):
     while len(node):
         eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
         dst = g.out_dst[eids]
-        live = (rng.random(len(eids)) < g.out_p[eids]) & ~blocked[dst]
-        owner, dst = owner[live], dst[live]
-        t, src = trial[owner], node[owner]
-        node, trial = np.divmod(_advance(seen, dst * batch + t), batch)
-        yield t, src, dst, node, trial
-
-
-def forward_live_edges(g: UnifiedGraph, batch: int,
-                       rng: np.random.Generator):
-    """Live edges out of the nodes the source reaches, in `batch`
-    independent realizations searched at once.
-
-    Returns (trial, src, dst) of every live edge out of a reached node,
-    grouped by trial; each node's live successors form one run in edge-id
-    (CSR) order.
-    """
-    parts = [level[:3] for level in _forward_levels(g, g.blocked, batch,
-                                                     rng)]
-    trial, src, dst = (np.concatenate(a) for a in zip(*parts))
-    del parts  # the per-level pieces would stay alive through the sort
-    order = np.argsort(trial, kind="stable")
-    return trial[order], src[order], dst[order]
+        keep = ((rng.random(len(eids)) < g.out_p[eids]) if live is None
+                else live[eids]) & ~blocked[dst]
+        owner, dst = owner[keep], dst[keep]
+        node, trial = np.divmod(_advance(seen, dst * batch + trial[owner]),
+                                batch)
+        yield owner, dst, node, trial
 
 
 def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,

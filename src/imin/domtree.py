@@ -1,22 +1,45 @@
-"""Dominator trees over live-edge realizations.
+"""Dominator trees over live-edge realizations, a whole batch at a time.
 
-`dominators` is the one dominator routine: a depth-first search over live
-successor lists, which numbers the reached nodes in preorder, then the
-Cooper-Harvey-Kennedy iterative algorithm ("A Simple, Fast Dominance
-Algorithm", 2001) over those compact preorder numbers.  Its input is any
-`successors(v)` callable, and its work and memory follow the reached
-nodes.  Per-node subtree sizes of the tree rooted at the cascade source
-are the unit of spread-decrease estimation used by the greedy baselines
-and by lower-bound sample generation, both through the batched common-path
-sampler of `sampling`.  `build_dominator_tree` runs it over an eager
-`diffusion.Realization`: the tests' reference, not a package code path.
+`dominators` is the one dominator routine.  It takes the levels of a
+breadth-first search over many independent realizations at once
+(`diffusion._forward_levels`) and builds every realization's dominator
+tree with array passes only, so no Python code runs per realization.
+
+Each reached (realization, node) pair is numbered in the order the search
+finds it, one level after another.  A dominator lies on every path,
+including a shortest one, so it sits on an earlier level and has a smaller
+number: numbers fall along every dominator chain.  The tree starts as the
+breadth-first tree (each node under its smallest-numbered predecessor).
+Only join nodes, those with more than one live predecessor, can move.
+Jacobi sweeps set every join's immediate dominator to the nearest common
+ancestor, in the current tree, of its current dominator and all its
+predecessors, until no join moves: the iterative scheme of Cooper, Harvey
+and Kennedy ("A Simple, Fast Dominance Algorithm", 2001) run from a
+spanning tree.  A node only ever moves to one of its ancestors, so the
+sweeps end, and every true dominator stays an ancestor throughout, so the
+fixed point is the dominator tree.  After the first sweep only the joins
+below a node that just moved, or with a predecessor there, are evaluated
+again.  Common ancestors are found by binary lifting, so a sweep costs a
+fixed number of array passes.
+
+Subtree sizes then accumulate bottom-up and dominator-tree preorder slots
+are assigned top-down, one pass per search level; siblings keep their
+search numbers' order.  Per-node subtree sizes of the tree rooted at the
+cascade source are the unit of spread-decrease estimation used by the
+greedy baselines and by lower-bound sample generation, both through the
+batched common-path sampler of `sampling`.  `build_dominator_tree` feeds
+an eager `diffusion.Realization` to the same routine as a batch of one:
+the tests' reference, not a package code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .diffusion import _forward_levels
 
 
 @dataclass
@@ -25,8 +48,8 @@ class DominatorTree:
 
     `idom[v]` is -1 for the root and for nodes unreachable from it.
     `order` lists reachable nodes in dominator-tree preorder (root first,
-    siblings in DFS discovery order), so the subtree of the node at
-    `order[i]` is the block `order[i:i + subtree_size[order[i]]]`.
+    siblings in breadth-first discovery order), so the subtree of the node
+    at `order[i]` is the block `order[i:i + subtree_size[order[i]]]`.
     `subtree_size[v]` counts tree nodes in v's subtree (v included);
     unreachable nodes get 0.
     """
@@ -36,91 +59,180 @@ class DominatorTree:
     subtree_size: np.ndarray
 
 
-def dominators(successors, root):
-    """Dominator tree of what `root` reaches over `successors(v)`, the live
-    successors of v in edge-id order (None or empty when it has none).
+class BatchDominators(NamedTuple):
+    """Dominator trees of a batch, indexed by search number w.
 
-    Returns four lists indexed by preorder number w (the root is 0):
-    `vertex[w]` is the node, `idom[w]` the preorder number of its
-    immediate dominator (-1 for the root), `size[w]` its dominator-subtree
-    size and `slot[w]` its position in dominator-tree preorder, where
-    siblings keep discovery order.  The search follows successors in the
-    order given, so the numbering is that of the recursive DFS.
+    `key[w]` is node * batch + trial of the reached pair; the roots (the
+    source of each realization) are numbers 0..batch-1, in trial order.
+    `idom[w]` is the number of its immediate dominator (a root points to
+    itself) and `size[w]` its dominator-subtree size.  `order` lists the
+    numbers realization by realization, each in dominator-tree preorder
+    with siblings in number order, so every subtree is one block.
+    `joins` counts the join nodes and `sweeps` the sweeps run.
     """
-    num = {root: 0}
-    vertex = [root]
-    parent = [0]          # DFS-tree parent: the first live predecessor
-    more = {}             # w -> its other live predecessors
-    post = []
-    stack = [(0, iter(successors(root) or ()))]
-    while stack:
-        d, succ = stack[-1]
-        for v in succ:
-            w = num.get(v)
-            if w is None:
-                w = num[v] = len(vertex)
-                vertex.append(v)
-                parent.append(d)
-                out = successors(v)
-                if out:
-                    stack.append((w, iter(out)))
-                    break
-                post.append(w)      # a leaf finishes where it starts
-            elif w:
-                more.setdefault(w, []).append(d)
-        else:
-            stack.pop()
-            post.append(d)
-    cnt = len(vertex)
 
-    # Cooper-Harvey-Kennedy from the DFS tree: a node's dominator is the
-    # nearest common ancestor of its predecessors in the current tree, so
-    # only nodes with more than one live predecessor can move.  A dominator
-    # is a DFS ancestor, so numbers strictly fall along every idom chain
-    # and the intersection walks up whichever finger has the larger number.
-    idom = parent[:]
-    joins = [w for w in reversed(post) if w in more]
-    changed = True
-    while changed:
-        changed = False
-        for w in joins:
-            new = parent[w]
-            for p in more[w]:
-                while p != new:
-                    while p > new:
-                        p = idom[p]
-                    while new > p:
-                        new = idom[new]
-            if idom[w] != new:
-                idom[w] = new
-                changed = True
-    idom[0] = -1
+    key: np.ndarray
+    idom: np.ndarray
+    size: np.ndarray
+    order: np.ndarray
+    joins: int
+    sweeps: int
 
-    size = [1] * cnt
-    for w in range(cnt - 1, 0, -1):
-        size[idom[w]] += size[w]
-    # Dominator-tree preorder: each node takes its parent's next free slot,
-    # in ascending preorder number, so siblings keep discovery order.
-    slot = [0] * cnt
-    free = [1] * cnt
-    for w in range(1, cnt):
-        p = idom[w]
-        slot[w] = free[p]
-        free[p] += size[w]
-        free[w] = slot[w] + 1
-    return vertex, idom, size, slot
+
+def _heads(sorted_ids):
+    """Positions where a run of equal values starts in `sorted_ids`."""
+    head = np.ones(len(sorted_ids), dtype=bool)
+    head[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    return np.flatnonzero(head)
+
+
+def _common_ancestors(up, depth, a, b):
+    """Nearest common ancestors of the pairs (a[i], b[i]) in the tree whose
+    2^k-th ancestor table is up[k]; every pair shares a root."""
+    deeper = depth[a] < depth[b]
+    a, b = np.where(deeper, b, a), np.where(deeper, a, b)
+    lift = depth[a] - depth[b]
+    for k in range(int(lift.max(initial=0)).bit_length()):
+        a = np.where(lift >> k & 1 == 1, up[k][a], a)
+    out = a
+    apart = np.flatnonzero(a != b)
+    a, b = a[apart], b[apart]
+    for jump in reversed(up[:int(depth[b].max(initial=0)).bit_length()]):
+        ja, jb = jump[a], jump[b]
+        step = ja != jb
+        a, b = np.where(step, ja, a), np.where(step, jb, b)
+    out[apart] = up[0][a]
+    return out
+
+
+def _search_numbers(levels, root, batch):
+    """Number the pairs a batched search reaches, level by level.
+
+    Returns (key, spans, parent, src, dst): key[w] = node * batch + trial
+    of pair w; spans the [lo, hi) number range of each level after the
+    roots; parent[w] the number of w's breadth-first parent, its
+    smallest-numbered live predecessor (a root is its own parent); and
+    (src, dst) the numbers of the ends of every other live edge.  Only
+    those edges are kept, not the tree edges.
+    """
+    key = [root * batch + np.arange(batch, dtype=np.int64)]
+    parent = [np.arange(batch, dtype=np.int64)]
+    src, head_key = [], []
+    trials = np.arange(batch, dtype=np.int64)     # of the current level
+    start = 0                                     # its first number
+    for owner, dst, node, trial in levels:
+        head = dst * batch + trials[owner]
+        # A stable sort keeps each head's edges in ascending tail order.
+        by_head = np.argsort(head, kind="stable")
+        head, owner = head[by_head], owner[by_head]
+        new = node * batch + trial        # sorted, each the head of an edge
+        first = np.searchsorted(head, new)
+        parent.append(start + owner[first])
+        other = np.ones(len(head), dtype=bool)
+        other[first] = False
+        src.append(start + owner[other])
+        head_key.append(head[other])
+        start += len(trials)
+        key.append(new)
+        trials = trial
+    bounds = np.cumsum([len(k) for k in key]).tolist()
+    key, parent, src, head_key = (np.concatenate(a) for a in
+                                  (key, parent, src, head_key))
+    order = np.argsort(key, kind="stable")    # merges the sorted levels
+    dst = order[np.searchsorted(key[order], head_key)]
+    return key, list(zip(bounds[:-1], bounds[1:])), parent, src, dst
+
+
+def dominators(levels, root, batch) -> BatchDominators:
+    """Dominator trees of the `batch` realizations whose search `levels`
+    yields, per level, (owner, dst, node, trial) as
+    `diffusion._forward_levels` does: the live edges out of the previous
+    level (owner indexes that level's pairs) and the pairs first reached.
+    Every realization's search starts at `root`.
+    """
+    key, spans, idom, src, dst = _search_numbers(levels, root, batch)
+    n = len(key)
+    if n >= 2 ** 31:    # numbers are int32, and number pairs pack into int64
+        raise OverflowError(f"a batch reached {n} (node, trial) pairs")
+    idom = idom.astype(np.int32)
+    # Every predecessor of each join, grouped by join and in ascending
+    # number: the breadth-first parent first, then the other edges' tails.
+    jd, js = np.divmod(np.sort(dst * n + src), n)
+    del src, dst
+    first = _heads(jd)
+    joins = jd[first]
+    jd = np.insert(jd, first, joins)
+    js = np.insert(js, first, idom[joins])
+    first += np.arange(len(first))
+    preds = np.diff(first, append=len(jd))
+
+    depth = np.zeros(n, dtype=np.int32)
+    for lo, hi in spans:
+        depth[lo:hi] = depth[idom[lo:hi]] + 1
+    up = [idom]             # up[k][w]: the 2^k-th ancestor of w
+    while 1 << len(up) <= depth.max():
+        up.append(up[-1][up[-1]])
+    active = np.ones(len(joins), dtype=bool)
+    sweeps = 0
+    while active.any():
+        sweeps += 1
+        pair = np.repeat(active, preds)
+        new = np.minimum.reduceat(
+            _common_ancestors(up, depth, idom[jd[pair]], js[pair]),
+            _heads(jd[pair]))
+        moved = new != idom[joins[active]]
+        moved, new = joins[active][moved], new[moved]
+        idom[moved] = new
+        # Only the nodes below a moved node get new ancestors and depths,
+        # and a join can move again only if it or a predecessor is one.
+        below = np.zeros(n, dtype=bool)
+        below[moved] = True
+        for lo, hi in spans:
+            parent = idom[lo:hi]
+            below[lo:hi] |= below[parent]
+            depth[lo:hi] = depth[parent] + 1
+        active = np.logical_or.reduceat(below[js], first) | below[joins]
+        below = np.flatnonzero(below)
+        for k in range(1, len(up)):
+            up[k][below] = up[k - 1][up[k - 1][below]]
+    del up, depth, jd, js
+
+    size = np.ones(n, dtype=np.int32)
+    for lo, hi in reversed(spans):
+        np.add.at(size, idom[lo:hi], size[lo:hi])
+    # Preorder positions: the realizations one after another; a node sits
+    # one past its parent, after the subtrees of its smaller siblings.
+    kids = idom[batch:].astype(np.int64) * n + np.arange(batch, n)
+    kids.sort()
+    kids %= n
+    run = np.cumsum(size[kids])
+    run -= size[kids]
+    head = _heads(idom[kids])
+    run -= np.repeat(run[head], np.diff(head, append=len(kids)))
+    del head
+    run += 1
+    slot = np.zeros(n, dtype=np.int32)
+    slot[1:batch] = np.cumsum(size[:batch - 1])
+    slot[kids] = run
+    del kids, run
+    for lo, hi in spans:
+        slot[lo:hi] += slot[idom[lo:hi]]
+    order = np.empty(n, dtype=np.int32)
+    order[slot] = np.arange(n, dtype=np.int32)
+    return BatchDominators(key=key, idom=idom, size=size, order=order,
+                           joins=len(joins), sweeps=sweeps)
 
 
 def build_dominator_tree(phi) -> DominatorTree:
     """Immediate dominators of the live subgraph of the realization `phi`
     (a `diffusion.Realization`) from the source."""
     ug = phi.ug
-    vertex, idom, size, slot = dominators(phi.successors, ug.s)
-    vertex = np.asarray(vertex, dtype=np.int64)
-    order = np.empty(len(vertex), dtype=np.int64)
-    order[slot] = vertex
-    idom_full = np.full(ug.n_total, -1, dtype=np.int64)
-    idom_full[vertex[1:]] = vertex[idom[1:]]
+    tree = dominators(_forward_levels(ug, phi.blocked, 1, None,
+                                      live=phi.live), ug.s, 1)
+    node = tree.key         # one realization: the key is the node
+    idom = np.full(ug.n_total, -1, dtype=np.int64)
+    idom[node[1:]] = node[tree.idom[1:]]
     sizes = np.zeros(ug.n_total, dtype=np.int64)
-    sizes[vertex] = size
-    return DominatorTree(idom=idom_full, order=order, subtree_size=sizes)
+    sizes[node] = tree.size
+    return DominatorTree(idom=idom, order=node[tree.order],
+                         subtree_size=sizes)

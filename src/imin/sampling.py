@@ -22,10 +22,14 @@ target, so no forward pass over the whole realization is needed.
 Both sample types come from one generator each, `_cp_batch` and
 `_lrr_batch`, which splits any count into batches of up to
 `diffusion._BATCH` realizations.  Each batch is one vectorized search
-(`forward_live_edges` for CP sequences, `reverse_live_edges` for LRR sets)
-that draws an edge's coin only when the search reaches it; a sample costs
-what its cascade reaches, not the size of the graph.  A CP sequence then
-runs `domtree.dominators` over the few live edges its search recorded.
+(`diffusion._forward_levels` for CP sequences, `reverse_live_edges` for
+LRR sets) that draws an edge's coin only when the search reaches it; a
+sample costs what its cascade reaches, not the size of the graph.
+`_sequence_entries` then builds the dominator trees of the whole CP batch
+at once (`domtree.dominators`) and emits its entries as flat arrays with a
+per-sequence pointer, so no Python code runs per sequence; one DEBUG line
+per batch on this module's logger gives its realizations, entries, join
+nodes and sweeps.  `CPCollection` keeps those arrays as whole-batch chunks.
 The collections, `local_sampling`, `global_sampling` and the greedy
 baselines (which sum CP entry sizes: a non-seed node's entry size is its
 dominator-subtree size) all draw through these two generators.
@@ -37,14 +41,17 @@ unbiased estimate of the corresponding bound.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (_BATCH, _advance, _slices, forward_live_edges,
+from .diffusion import (_BATCH, _advance, _forward_levels, _slices,
                         reverse_live_edges)
 from .domtree import dominators
 from .graph import UnifiedGraph, as_blockers
+
+log = logging.getLogger(__name__)
 
 
 def compute_population(g: UnifiedGraph) -> list:
@@ -71,49 +78,54 @@ class CPSequence:
         return out
 
 
-def _sequence_entries(ug: UnifiedGraph, successors):
-    """Entry arrays (nodes, parents, subtree sizes) for one realization.
+def _sequence_entries(ug: UnifiedGraph, batch: int, levels):
+    """Entry arrays (nodes, parents, sizes, ptr) of the `batch`
+    realizations whose forward search `levels` yields.
 
-    `successors(v)` lists v's live successors in edge-id order.  Entries
-    are emitted in dominator-tree preorder so that the entries whose set
-    contains a node form one contiguous block per sequence.  The source
-    and the seeds (all children of the source) are dropped; an entry whose
-    dominator is one of them has parent -1.  Every array is as long as the
-    reached part.
+    Sequence i is the entries ptr[i]:ptr[i + 1], in dominator-tree
+    preorder, so the entries whose set contains a node form one contiguous
+    block per sequence.  The source and the seeds (all children of the
+    source) are dropped; `parents` index entries within their sequence,
+    and an entry whose dominator is the source or a seed has parent -1.
+    Arrays are dropped as soon as they are used: a batch of a large graph
+    holds millions of entries.
     """
-    vertex, idom, size, slot = dominators(successors, ug.s)
-    vertex = np.asarray(vertex, dtype=np.int64)
-    cnt = len(vertex)
-    order = np.empty(cnt, dtype=np.int64)
-    order[slot] = np.arange(cnt, dtype=np.int64)
-    kept = order[~ug.uncounted[vertex[order]]]
-    entry = np.full(cnt, -1, dtype=np.int64)
-    entry[kept] = np.arange(len(kept), dtype=np.int64)
-    return (vertex[kept], entry[np.asarray(idom)[kept]],
-            np.asarray(size, dtype=np.int64)[kept])
+    key, idom, size, order, joins, sweeps = dominators(levels, ug.s, batch)
+    node = key[order]
+    del key
+    node //= batch
+    at = np.flatnonzero(~ug.uncounted[node])    # preorder positions kept
+    nodes = node[at]
+    del node
+    bounds = np.zeros(batch + 1, dtype=np.int64)
+    np.cumsum(size[:batch], out=bounds[1:])     # each realization's block
+    ptr = np.searchsorted(at, bounds)
+    kept = order[at]
+    del order, at
+    sizes = size[kept].astype(np.int64)
+    del size
+    entry = np.full(len(idom), -1, dtype=np.int64)
+    entry[kept] = np.arange(len(kept))
+    parents = entry[idom[kept]]
+    del entry, idom, kept
+    parents -= np.where(parents >= 0, np.repeat(ptr[:-1], np.diff(ptr)), 0)
+    log.debug("cp batch: %d realizations, %d entries, %d join nodes, "
+              "%d sweeps", batch, len(nodes), joins, sweeps)
+    return nodes, parents, sizes, ptr
 
 
 def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
-    """Entry arrays (nodes, parents, sizes) of `count` realizations, one
-    tuple per realization, drawn by one forward search per `_BATCH`."""
+    """Entry arrays of `count` realizations, one `_sequence_entries` tuple
+    per forward search of up to `_BATCH` realizations."""
     for done in range(0, count, _BATCH):
         batch = min(_BATCH, count - done)
-        trial, src, dst = forward_live_edges(ug, batch, rng)
-        # A run of one (trial, src) holds that node's live successors.
-        new = np.ones(len(src), dtype=bool)
-        new[1:] = (trial[1:] != trial[:-1]) | (src[1:] != src[:-1])
-        ptr = np.searchsorted(trial, np.arange(batch + 1)).tolist()
-        for lo, hi in zip(ptr, ptr[1:]):
-            cuts = np.flatnonzero(new[lo:hi]).tolist() + [hi - lo]
-            heads, succ = src[lo:hi].tolist(), dst[lo:hi].tolist()
-            live_out = {heads[a]: succ[a:b] for a, b in zip(cuts, cuts[1:])}
-            yield _sequence_entries(ug, live_out.get)
-        del trial, src, dst, new  # not alive through the next search
+        yield _sequence_entries(ug, batch, _forward_levels(
+            ug, ug.blocked, batch, rng))
 
 
 def local_sampling(g: UnifiedGraph, rng: np.random.Generator) -> CPSequence:
     """Sample one realization and return its common-path sequence."""
-    nodes, parents, _ = next(_cp_batch(g, 1, rng))
+    nodes, parents, *_ = next(_cp_batch(g, 1, rng))
     return CPSequence(nodes=nodes, parents=parents)
 
 
@@ -195,15 +207,21 @@ def _inverted_index(flat: np.ndarray, n_total: int):
 
 
 class CPCollection:
-    """A growing set of common-path sequences with an inverted index."""
+    """A growing set of common-path sequences with an inverted index.
+
+    Entries are kept in whole-batch chunks; `_starts` holds each chunk's
+    sequence boundaries as global entry offsets.
+    """
 
     def __init__(self, ug: UnifiedGraph, rng: np.random.Generator):
         self.ug = ug
         self.rng = rng
         self.n_sequences = 0
-        self._nodes = []      # list of per-sequence entry-node arrays
-        self._parents = []
-        self._ends = []       # per-entry subtree interval ends (global)
+        empty = np.empty(0, dtype=np.int64)
+        self._nodes = [empty]     # per-chunk entry nodes
+        self._parents = [empty]   # per-chunk parents, sequence-local
+        self._ends = [empty]      # per-entry subtree interval ends (global)
+        self._starts = [np.zeros(1, dtype=np.int64)]
         self._frozen = None
 
     @property
@@ -212,22 +230,32 @@ class CPCollection:
 
     def extend(self, count: int):
         """Generate `count` more sequences from the collection's stream."""
-        offset = sum(len(a) for a in self._nodes)
-        for nodes, parents, sizes in _cp_batch(self.ug, count, self.rng):
-            self._nodes.append(nodes)
-            self._parents.append(parents)
-            self._ends.append(offset + np.arange(len(nodes), dtype=np.int64)
-                              + sizes)
-            offset += len(nodes)
-        self.n_sequences += count
+        for entries in _cp_batch(self.ug, count, self.rng):
+            self._add(*entries)
+
+    def _add(self, nodes, parents, sizes, ptr):
+        """Append one chunk of `_sequence_entries` output."""
         self._frozen = None
+        offset = int(self._starts[-1][-1])
+        self._nodes.append(nodes)
+        self._parents.append(parents)
+        self._ends.append(offset + np.arange(len(nodes)) + sizes)
+        self._starts.append(offset + ptr[1:])
+        self.n_sequences += len(ptr) - 1
+
+    def sequences(self):
+        """Each sequence as a `CPSequence`, in sampling order."""
+        nodes = np.concatenate(self._nodes)
+        parents = np.concatenate(self._parents)
+        starts = np.concatenate(self._starts).tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            yield CPSequence(nodes[lo:hi], parents[lo:hi])
 
     def _freeze(self):
         if self._frozen is None:
-            nodes = (np.concatenate(self._nodes) if self._nodes
-                     else np.empty(0, dtype=np.int64))
-            ends = (np.concatenate(self._ends) if self._ends
-                    else np.empty(0, dtype=np.int64))
+            nodes = np.concatenate(self._nodes)
+            ends = np.concatenate(self._ends)
+            self._nodes, self._ends = [nodes], [ends]   # one copy kept
             order, node_ptr = _inverted_index(nodes, self.ug.n_total)
             self._frozen = (nodes, ends, order, node_ptr)
         return self._frozen
@@ -397,8 +425,7 @@ def dump_samples(collection, path):
     """One sample per line (node lists); debugging aid, not a stable format."""
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(collection, CPCollection):
-            for nodes, parents in zip(collection._nodes, collection._parents):
-                seq = CPSequence(nodes, parents)
+            for seq in collection.sequences():
                 parts = [
                     f"{v}:" + ",".join(map(str, sorted(members)))
                     for v, members in sorted(seq.sets().items())]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.graph import Graph, unify_seeds
+from imin.diffusion import _forward_levels
+from imin.graph import Graph, block_nodes, unify_seeds
+from imin.sampling import _sequence_entries
 
 
 @pytest.fixture
@@ -74,3 +76,130 @@ def certain_edges(seed):
     src, dst, p = ug.base.edge_array()
     g = Graph.from_edges(ug.base.n, src, dst, (p > 0).astype(float))
     return unify_seeds(g, ug.seeds), blockers
+
+
+def dominators(successors, root):
+    """Dominator tree of what `root` reaches over `successors(v)` (test
+    reference): a depth-first search, then the Cooper-Harvey-Kennedy
+    iteration over its preorder numbers, one node at a time.
+
+    Returns three lists indexed by preorder number w (the root is 0):
+    `vertex[w]` is the node, `idom[w]` the preorder number of its
+    immediate dominator (-1 for the root) and `size[w]` its
+    dominator-subtree size.
+    """
+    num = {root: 0}
+    vertex = [root]
+    parent = [0]          # DFS-tree parent: the first live predecessor
+    more = {}             # w -> its other live predecessors
+    post = []
+    stack = [(0, iter(successors(root) or ()))]
+    while stack:
+        d, succ = stack[-1]
+        for v in succ:
+            w = num.get(v)
+            if w is None:
+                w = num[v] = len(vertex)
+                vertex.append(v)
+                parent.append(d)
+                out = successors(v)
+                if out:
+                    stack.append((w, iter(out)))
+                    break
+                post.append(w)      # a leaf finishes where it starts
+            elif w:
+                more.setdefault(w, []).append(d)
+        else:
+            stack.pop()
+            post.append(d)
+
+    # A dominator is a DFS ancestor, so numbers fall along every idom
+    # chain and the intersection walks up whichever finger is larger.
+    idom = parent[:]
+    joins = [w for w in reversed(post) if w in more]
+    changed = True
+    while changed:
+        changed = False
+        for w in joins:
+            new = parent[w]
+            for p in more[w]:
+                while p != new:
+                    while p > new:
+                        p = idom[p]
+                    while new > p:
+                        new = idom[new]
+            if idom[w] != new:
+                idom[w] = new
+                changed = True
+    idom[0] = -1
+    size = [1] * len(vertex)
+    for w in range(len(vertex) - 1, 0, -1):
+        size[idom[w]] += size[w]
+    return vertex, idom, size
+
+
+def eager_entries(ug, phi):
+    """`sampling._sequence_entries` of the eager realization `phi`, fed to
+    the batched search as a batch of one: (nodes, parents, sizes, ptr)."""
+    return _sequence_entries(ug, 1, _forward_levels(
+        ug, phi.blocked, 1, None, live=phi.live))
+
+
+def reference_triples(ug, successors):
+    """`entry_triples` of one realization by the reference `dominators`:
+    counted nodes only, a source or seed dominator reading -1."""
+    vertex, idom, size = dominators(successors, ug.s)
+    out = set()
+    for w in range(1, len(vertex)):
+        if not ug.uncounted[vertex[w]]:
+            dom = vertex[idom[w]]
+            out.add((vertex[w], -1 if ug.uncounted[dom] else dom, size[w]))
+    return out
+
+
+def entry_triples(nodes, parents, sizes):
+    """{(node, dominator node or -1, subtree size)} of one sequence's
+    entries: what coverage reads, whatever the sibling order."""
+    doms = np.where(parents >= 0, nodes[parents], -1)
+    return set(zip(nodes.tolist(), doms.tolist(), sizes.tolist()))
+
+
+def split_sequences(nodes, parents, sizes, ptr):
+    """The per-sequence (nodes, parents, sizes) of one batch's entries."""
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        yield nodes[lo:hi], parents[lo:hi], sizes[lo:hi]
+
+
+def random_flowgraph(seed):
+    """A random unified graph with cycles, edges of probability 0, 1 and
+    in between, seed-to-seed edges and up to two blocked nodes."""
+    rng = make_rng(seed)
+    n = int(rng.integers(3, 14))
+    u, v = rng.integers(0, n, size=(2, 4 * n))
+    key = np.unique((u * n + v)[u != v])
+    p = rng.choice([0.0, 0.3, 0.7, 1.0], size=len(key))
+    seeds = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    ug = unify_seeds(Graph.from_edges(n, key // n, key % n, p),
+                     set(seeds.tolist()))
+    cands = [x for x in range(n) if x not in ug.seeds]
+    size = min(len(cands), int(rng.integers(0, 3)))
+    return block_nodes(ug, rng.choice(cands, size=size,
+                                      replace=False).tolist())
+
+
+def recorded(levels, out):
+    """Pass a search's levels through, appending each to `out`."""
+    for level in levels:
+        out.append(level)
+        yield level
+
+
+def live_successors(levels, root, batch):
+    """Per realization {node: live successors} of recorded search levels."""
+    succ = [{} for _ in range(batch)]
+    node, trial = np.full(batch, root), np.arange(batch)
+    for owner, dst, new_node, new_trial in levels:
+        for o, d in zip(owner.tolist(), dst.tolist()):
+            succ[trial[o]].setdefault(int(node[o]), []).append(d)
+        node, trial = new_node, new_trial
+    return succ

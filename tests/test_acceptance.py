@@ -18,12 +18,11 @@ from imin.graph import Graph, unify_seeds
 from imin.optimize import AlgoParams, E_FRACTION, gsbm, lsbm
 from imin.oracle import ExactModel
 from imin.sampling import (CPCollection, CPSequence, LRRCollection,
-                           compute_population, coverage,
-                           _sequence_entries)
+                           compute_population, coverage)
 from imin.sandwich import sand_imin
 from imin.baselines import ag, gr, mc_greedy
 
-from conftest import make_rng
+from conftest import eager_entries, make_rng
 
 
 def report(criterion, detail):
@@ -47,7 +46,7 @@ def test_criterion_01_worked_realization_reproduction():
     sizes = {v: int(dt.subtree_size[v]) for v in range(1, 7)}
     assert sizes == {1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 
-    nodes, parents, _ = _sequence_entries(ug, phi.successors)
+    nodes, parents, *_ = eager_entries(ug, phi)
     got = CPSequence(nodes, parents).sets()
     assert got == {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({3}),
                    5: frozenset({3, 5}), 6: frozenset({3, 6})}
@@ -157,9 +156,9 @@ def test_criterion_04_estimator_unbiasedness():
 def _per_sequence_coverage(coll, state):
     out = np.zeros(coll.n_sequences)
     pos = 0
-    for i, nodes in enumerate(coll._nodes):
-        out[i] = state.covered[pos:pos + len(nodes)].sum()
-        pos += len(nodes)
+    for i, seq in enumerate(coll.sequences()):
+        out[i] = state.covered[pos:pos + len(seq.nodes)].sum()
+        pos += len(seq.nodes)
     return out
 
 

@@ -13,7 +13,7 @@ from imin.graph import block_nodes
 from imin.oracle import ExactModel
 from imin.sampling import _cp_batch
 
-from conftest import certain_edges, make_rng
+from conftest import certain_edges, make_rng, split_sequences
 
 
 def eager_sizes(ug, blockers, n, rng):
@@ -25,10 +25,11 @@ def eager_sizes(ug, blockers, n, rng):
 
 def batched_sizes(ug, blockers, n, rng):
     """The same sizes from the batched common-path sampler."""
-    for nodes, _, sizes in _cp_batch(block_nodes(ug, blockers), n, rng):
-        out = np.zeros(ug.n_total, dtype=np.int64)
-        out[nodes] = sizes
-        yield out
+    for batch in _cp_batch(block_nodes(ug, blockers), n, rng):
+        for nodes, _, sizes in split_sequences(*batch):
+            out = np.zeros(ug.n_total, dtype=np.int64)
+            out[nodes] = sizes
+            yield out
 
 
 class TestSubtreeScores:

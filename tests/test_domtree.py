@@ -2,15 +2,19 @@ import math
 
 import networkx as nx
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imin import fixtures
-from imin.diffusion import Realization, sample_realization
+from imin.diffusion import Realization, _forward_levels, sample_realization
 from imin.diffusion import reachable_in_realization
-from imin.domtree import build_dominator_tree
+from imin.domtree import build_dominator_tree, dominators
 from imin.graph import Graph, assign_constant_probability, unify_seeds
 from imin.oracle import ExactModel
 
-from conftest import make_rng
+from conftest import dominators as reference_dominators
+from conftest import (live_successors, make_rng, random_flowgraph,
+                      recorded)
 
 
 def brute_force_idom(ug, phi):
@@ -139,6 +143,47 @@ class TestBuildDominatorTree:
                              mid.seeds)
             phi = sample_realization(ug, None, make_rng(2100 + trial))
             _assert_matches_networkx(ug, phi)
+
+
+class TestBatchDominators:
+    """The batched core against the one-at-a-time reference and networkx,
+    one realization at a time."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, 1025]))
+    def test_every_realization_matches_reference(self, seed, batch):
+        ug = random_flowgraph(seed)
+        levels = []
+        tree = dominators(recorded(_forward_levels(
+            ug, ug.blocked, batch, make_rng(seed)), levels), ug.s, batch)
+        node, trial = np.divmod(tree.key, batch)
+        dom = np.where(np.arange(len(node)) < batch, -1, node[tree.idom])
+        at = np.empty(len(node), dtype=np.int64)
+        at[tree.order] = np.arange(len(node))
+        for t, live in enumerate(live_successors(levels, ug.s, batch)):
+            mine = np.flatnonzero(trial == t)
+            got = set(zip(node[mine].tolist(), dom[mine].tolist(),
+                          tree.size[mine].tolist()))
+            vertex, idom, size = reference_dominators(live.get, ug.s)
+            assert got == {(v, vertex[i] if i >= 0 else -1, s)
+                           for v, i, s in zip(vertex, idom, size)}
+            graph = nx.DiGraph([(u, v) for u, vs in live.items()
+                                for v in vs])
+            graph.add_node(ug.s)
+            want = nx.immediate_dominators(graph, ug.s)
+            assert {(v, d) for v, d, _ in got if v != ug.s} \
+                == {(v, d) for v, d in want.items() if v != ug.s}
+            # The realization is one block of the order, and so is every
+            # subtree within it.
+            block = np.sort(at[mine])
+            assert np.array_equal(block, np.arange(block[0],
+                                                   block[0] + len(mine)))
+            for w in mine:
+                for u in tree.order[at[w]:at[w] + tree.size[w]]:
+                    while u != w:
+                        assert tree.idom[u] != u   # never passes a root
+                        u = tree.idom[u]
 
 
 class TestSubtreeSizes:

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -10,12 +11,15 @@ from imin import fixtures
 from imin.diffusion import reachable_in_realization, sample_realization
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.oracle import ExactModel
-from imin.sampling import (CPCollection, LRRCollection, _cp_batch,
-                           _lrr_batch, _sequence_entries, compute_population,
-                           coverage, global_sampling, local_sampling,
-                           marginal_coverage)
+from imin.diffusion import _BATCH, _forward_levels
+from imin.sampling import (CPCollection, CPSequence, LRRCollection,
+                           _cp_batch, _lrr_batch, _sequence_entries,
+                           compute_population, coverage, global_sampling,
+                           local_sampling, marginal_coverage)
 
-from conftest import certain_edges, make_rng
+from conftest import (certain_edges, eager_entries, entry_triples,
+                      live_successors, make_rng, random_flowgraph, recorded,
+                      reference_triples, split_sequences)
 
 
 def cp_sets_by_path_enumeration(ug, phi):
@@ -61,14 +65,8 @@ def worked_collection():
     """A one-sequence collection holding the fixed worked-example draw."""
     ug = fixtures.worked_example_small()
     phi = fixtures.worked_example_small_realization(ug)
-    from imin.sampling import _sequence_entries
-
     coll = CPCollection(ug, rng=None)
-    nodes, parents, sizes = _sequence_entries(ug, phi.successors)
-    coll._nodes.append(nodes)
-    coll._parents.append(parents)
-    coll._ends.append(np.arange(len(nodes)) + sizes)
-    coll.n_sequences = 1
+    coll._add(*eager_entries(ug, phi))
     return ug, coll
 
 
@@ -76,9 +74,7 @@ class TestLocalSampling:
     def test_worked_example_sets(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        from imin.sampling import CPSequence, _sequence_entries
-
-        nodes, parents, _ = _sequence_entries(ug, phi.successors)
+        nodes, parents, *_ = eager_entries(ug, phi)
         got = CPSequence(nodes, parents).sets()
         assert got == {1: frozenset({1}), 2: frozenset({2}),
                        3: frozenset({3}), 5: frozenset({3, 5}),
@@ -97,9 +93,7 @@ class TestLocalSampling:
         for trial in range(40):
             ug = fixtures.random_tiny(make_rng(trial), 8, 10)
             phi = sample_realization(ug, None, make_rng(4000 + trial))
-            from imin.sampling import CPSequence, _sequence_entries
-
-            nodes, parents, _ = _sequence_entries(ug, phi.successors)
+            nodes, parents, *_ = eager_entries(ug, phi)
             got = CPSequence(nodes, parents).sets()
             want = cp_sets_by_path_enumeration(ug, phi)
             assert got == want
@@ -236,11 +230,84 @@ class TestDeterministicSamples:
               database=None)
     @given(st.integers(0, 10 ** 6))
     def test_cp_entries_match_eager_realization(self, seed):
+        # Sibling order is free; each (node, dominator, size) is not.
         ug, phi = deterministic(seed)
-        want = _sequence_entries(ug, phi.successors)
-        for got in _cp_batch(ug, 5, make_rng(seed)):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+        want = reference_triples(ug, phi.successors)
+        assert entry_triples(*eager_entries(ug, phi)[:3]) == want
+        for batch in _cp_batch(ug, 5, make_rng(seed)):
+            for got in split_sequences(*batch):
+                assert entry_triples(*got) == want
+
+
+def assert_subtree_blocks(parents, sizes):
+    """Entry e's subtree (e and the entries below it by parent links) is
+    the block [e, e + sizes[e]) of its sequence."""
+    below = [set() for _ in parents]
+    for f in range(len(parents)):
+        e = f
+        while e >= 0:
+            below[e].add(f)
+            e = parents[e]
+    for e, size in enumerate(sizes.tolist()):
+        assert below[e] == set(range(e, e + size))
+
+
+class TestBatchEntries:
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, 1025]))
+    def test_entries_match_reference_in_subtree_blocks(self, seed, batch):
+        ug = random_flowgraph(seed)
+        levels = []
+        nodes, parents, sizes, ptr = _sequence_entries(ug, batch, recorded(
+            _forward_levels(ug, ug.blocked, batch, make_rng(seed)), levels))
+        assert len(ptr) == batch + 1 and ptr[0] == 0
+        sequences = list(split_sequences(nodes, parents, sizes, ptr))
+        for got, live in zip(sequences, live_successors(levels, ug.s,
+                                                        batch)):
+            assert entry_triples(*got) == reference_triples(ug, live.get)
+            assert_subtree_blocks(*got[1:])
+
+    def test_no_seed_reaches_anyone(self):
+        g = unify_seeds(Graph.from_edges(3, [0, 0], [1, 2], [0.0, 0.0]),
+                        {0})
+        (nodes, parents, sizes, ptr), = _cp_batch(g, 7, make_rng(1))
+        assert len(nodes) == len(parents) == len(sizes) == 0
+        assert ptr.tolist() == [0] * 8
+        coll = CPCollection(g, make_rng(1))
+        coll.extend(7)
+        assert coll.n_samples == 7
+        assert [seq.sets() for seq in coll.sequences()] == [{}] * 7
+        assert coverage(coll, [1, 2]) == 0
+
+    def test_one_debug_line_per_batch(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="imin.sampling")
+        coll = CPCollection(fixtures.mid_synthetic(make_rng(6), 40, 160, 3),
+                            make_rng(3))
+        coll.extend(_BATCH + 3)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "imin.sampling"]
+        assert len(lines) == 2
+        assert lines[1].startswith("cp batch: 3 realizations, ")
+        entries = sum(int(line.split(", ")[1].split()[0]) for line in lines)
+        assert entries == len(coll._freeze()[0])
+        assert all("join nodes" in line and "sweeps" in line
+                   for line in lines)
+
+    def test_count_not_a_multiple_of_the_batch(self):
+        ug = fixtures.mid_synthetic(make_rng(6), 40, 160, 3)
+        batches = list(_cp_batch(ug, _BATCH + 3, make_rng(2)))
+        assert [len(ptr) - 1 for *_, ptr in batches] == [_BATCH, 3]
+        coll = CPCollection(ug, make_rng(2))
+        coll.extend(_BATCH + 3)
+        assert coll.n_samples == _BATCH + 3
+        got = list(coll.sequences())
+        want = [seq for batch in batches for seq in split_sequences(*batch)]
+        assert len(got) == len(want) == _BATCH + 3
+        for seq, (nodes, parents, sizes) in zip(got, want):
+            assert np.array_equal(seq.nodes, nodes)
+            assert np.array_equal(seq.parents, parents)
+            assert_subtree_blocks(parents, sizes)
 
 
 def padded_twin(seed, pad):
@@ -270,10 +337,11 @@ def collections(ug, rng_seed, count):
 def assert_same_collections(a, b):
     (cp_a, lrr_a), (cp_b, lrr_b) = a, b
     assert cp_a.n_samples == cp_b.n_samples
-    for name in ("_nodes", "_parents", "_ends"):
-        for x, y in zip(getattr(cp_a, name), getattr(cp_b, name),
-                        strict=True):
-            assert np.array_equal(x, y)
+    for x, y in zip(cp_a.sequences(), cp_b.sequences(), strict=True):
+        assert np.array_equal(x.nodes, y.nodes)
+        assert np.array_equal(x.parents, y.parents)
+    for x, y in zip(cp_a._freeze()[:2], cp_b._freeze()[:2]):  # nodes, ends
+        assert np.array_equal(x, y)
     assert lrr_a.n_empty == lrr_b.n_empty
     assert lrr_a._targets == lrr_b._targets
     for x, y in zip(lrr_a._members, lrr_b._members, strict=True):
@@ -297,7 +365,7 @@ class TestBatchedExtend:
         ug = fixtures.mid_synthetic(make_rng(5), 60, 240, 3)
         first = collections(ug, 12, 2500)
         assert first[0].n_samples == first[1].n_samples == 2500
-        assert len(first[0]._nodes) == 2500
+        assert len(list(first[0].sequences())) == 2500
         assert len(first[1]._members) + first[1].n_empty == 2500
         assert_same_collections(first, collections(ug, 12, 2500))
 
@@ -387,10 +455,8 @@ class TestUnbiasedness:
 def _per_sequence_coverage_cp(coll, B):
     out = []
     bset = set(B)
-    from imin.sampling import CPSequence
-
-    for nodes, parents in zip(coll._nodes, coll._parents):
-        sets = CPSequence(nodes, parents).sets()
+    for seq in coll.sequences():
+        sets = seq.sets()
         out.append(sum(1 for members in sets.values() if members & bset))
     return np.asarray(out, dtype=float)
 
