@@ -1,7 +1,11 @@
 """Fixed-seed outputs pinned byte for byte.
 
-A refactor must leave every value here unchanged.  A change that alters
-the random stream on purpose regenerates the file with
+A refactor must leave every value here unchanged.  Beside the solvers'
+outputs, the file pins sha256 digests of the sampling kernels' raw
+outputs (and of the generator state each leaves behind) and the picks of
+the `ag`/`gr` baselines, on the `mid120` graph and on a view of it with
+nodes already blocked.  A change that alters the random stream on
+purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
@@ -9,6 +13,7 @@ and says so in CHANGES.md.
 """
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 import sys
@@ -16,8 +21,11 @@ import sys
 import numpy as np
 
 from imin import fixtures
-from imin.graph import Graph, unify_seeds
+from imin.baselines import ag, gr
+from imin.diffusion import ic_spread_samples, reverse_reach_counts
+from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, gsbm, lsbm
+from imin.sampling import _cp_batch, _lrr_batch, compute_population
 from imin.sandwich import sand_imin, sand_imin_minus
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
@@ -43,6 +51,15 @@ STOP_REASONS = {"small/k=1": "ratio", "small/k=2": "early_exit",
                 "dead/k=1": "early_exit"}
 
 
+# The kernels' golden graph, the nodes its blocked view blocks (three seed
+# out-neighbors and two others), the kernels' sample counts (one, a few,
+# and one past a full batch) and the baselines' realizations per round.
+KERNEL_GRAPH = "mid120/k=3"
+KERNEL_BLOCKED = (0, 2, 6, 40, 77)
+KERNEL_COUNTS = (1, 7, 1025)
+BASELINE_REALIZATIONS = 300
+
+
 def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=key))
 
@@ -57,6 +74,55 @@ def _maximizer(fn, ug, params, rng):
 def _pipeline(fn, ug, params, rng):
     out = fn(ug, params, rng).as_dict()
     del out["timings_s"]
+    return out
+
+
+def _digest(*arrays):
+    """sha256 of int64 arrays, each prefixed by its length."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        h.update(np.int64(len(a)).tobytes() + a.tobytes())
+    return h.hexdigest()
+
+
+def _lrr_arrays(ug, count, rng):
+    """(targets, set sizes, members) of `count` LRR samples, flat."""
+    targets, sizes, members = [], [], []
+    for target, found in _lrr_batch(
+            ug, np.asarray(compute_population(ug)), count, rng):
+        targets.append(target)
+        sizes.append(0 if found is None else len(found))
+        if found is not None:
+            members.append(found)
+    return targets, sizes, np.concatenate(members or [[]])
+
+
+def _kernels(ug, gi):
+    """Digests of every sampling kernel's output on `ug` and its blocked
+    view, each followed by one draw from the generator it used, and the
+    baselines' picks."""
+    out = {}
+    views = {"plain": ug, "blocked": block_nodes(ug, KERNEL_BLOCKED)}
+    for vi, (view, g) in enumerate(views.items()):
+        for count in KERNEL_COUNTS:
+            runs = {
+                "cp": lambda r: [a for batch in _cp_batch(g, count, r)
+                                 for a in batch],
+                "lrr": lambda r: _lrr_arrays(g, count, r),
+                "ic": lambda r: [ic_spread_samples(g, None, count, r)],
+            }
+            if view == "plain":
+                runs["rr_counts"] = lambda r: [
+                    reverse_reach_counts(g.base, count, r)]
+            for ki, (kernel, run) in enumerate(runs.items()):
+                r = _rng(gi, vi, count, ki)
+                arrays = run(r)
+                out[f"{view}/{kernel}/{count}"] = _digest(
+                    *arrays, [r.integers(2 ** 62)])
+        for ki, algo in enumerate((ag, gr)):
+            out[f"{view}/{algo.__name__}"] = list(algo(
+                g, 3, BASELINE_REALIZATIONS, _rng(gi, vi, ki, 9)))
     return out
 
 
@@ -75,6 +141,8 @@ def outputs():
                 "sand_imin_minus": _pipeline(sand_imin_minus, ug, params,
                                              _rng(gi, k, 3)),
             }
+            if key == KERNEL_GRAPH:
+                out[key]["kernels"] = _kernels(ug, gi)
     # a JSON round trip turns tuples into lists, as in the stored file
     return json.loads(json.dumps(out))
 
