@@ -141,7 +141,7 @@ def _advance(seen, key):
     batch * n.  Duplicates go by one sort: np.unique's hash table is slower
     on these keys.
     """
-    key = np.sort(key[~seen[key]])
+    key = np.sort(key[np.flatnonzero(~seen[key])])
     fresh = np.ones(len(key), dtype=bool)
     fresh[1:] = key[1:] != key[:-1]
     key = key[fresh]
@@ -167,10 +167,11 @@ def _forward_levels(g, blocked, batch, rng, live=None):
     seen[node * batch + trial] = True
     while len(node):
         eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
-        dst = g.out_dst[eids]
-        keep = ((rng.random(len(eids)) < g.out_p[eids]) if live is None
-                else live[eids]) & ~blocked[dst]
-        owner, dst = owner[keep], dst[keep]
+        hit = np.flatnonzero(rng.random(len(eids)) < g.out_p[eids]
+                             if live is None else live[eids])
+        owner, dst = owner[hit], g.out_dst[eids[hit]]
+        hit = np.flatnonzero(~blocked[dst])
+        owner, dst = owner[hit], dst[hit]
         node, trial = np.divmod(_advance(seen, dst * batch + trial[owner]),
                                 batch)
         yield owner, dst, node, trial
@@ -196,9 +197,10 @@ def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
     parts = []
     while len(node):
         offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
-        live = rng.random(len(offs)) < g.out_p[g.in_eid[offs]]
-        live &= ~g.blocked[node[owner]]
-        owner, src = owner[live], g.in_src[offs[live]]
+        hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
+        owner, offs = owner[hit], offs[hit]
+        hit = np.flatnonzero(~g.blocked[node[owner]])
+        owner, src = owner[hit], g.in_src[offs[hit]]
         t = trial[owner]
         parts.append((t, src, node[owner]))
         inner = ~g.uncounted[src]
@@ -228,8 +230,8 @@ def reverse_reach_counts(g: Graph, samples: int,
         while len(node):
             counts += np.bincount(node, minlength=g.n)
             offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
-            live = rng.random(len(offs)) < g.in_p[offs]
-            key = g.in_src[offs[live]] * batch + trial[owner[live]]
+            hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
+            key = g.in_src[offs[hit]] * batch + trial[owner[hit]]
             node, trial = np.divmod(_advance(seen, key), batch)
     return counts
 
