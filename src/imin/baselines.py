@@ -33,14 +33,6 @@ def _subtree_scores(g: UnifiedGraph, blockers, realizations: int,
     return totals / realizations
 
 
-def _candidates(g: UnifiedGraph) -> np.ndarray:
-    """Mask of the base nodes that are neither seeds nor already blocked."""
-    allowed = np.zeros(g.n_total, dtype=bool)
-    allowed[:g.base.n] = True
-    allowed[list(g.seeds)] = False
-    return allowed & ~g.blocked
-
-
 def _argmax_candidate(scores, allowed) -> int:
     masked = np.full(len(scores), NEG_INF)
     masked[allowed] = scores[allowed]
@@ -54,7 +46,7 @@ def ag(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
     if realizations_per_round < 1:
         raise ValueError("realizations_per_round must be >= 1")
     chosen = []
-    allowed = _candidates(g)
+    allowed = g.candidates()
     for _ in range(max(0, k)):
         if not allowed.any():
             break
@@ -78,7 +70,7 @@ def gr(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
     """
     if realizations_per_round < 1:
         raise ValueError("realizations_per_round must be >= 1")
-    candidates = _candidates(g)
+    candidates = g.candidates()
     on_allowed = np.zeros(g.n_total, dtype=bool)
     on_allowed[g.seed_out_neighbors()] = True
     on_allowed &= candidates
@@ -117,7 +109,7 @@ def mc_greedy(g: UnifiedGraph, k: int, trials_per_eval: int = 1000,
     if trials_per_eval < 1:
         raise ValueError("trials_per_eval must be >= 1")
     chosen = []
-    candidates = np.flatnonzero(_candidates(g)).tolist()
+    candidates = np.flatnonzero(g.candidates()).tolist()
     for _ in range(max(0, k)):
         remaining = [v for v in candidates if v not in chosen]
         if not remaining:

@@ -20,7 +20,10 @@ of coins, so the tests' reference runs the same search.
 `reverse_reach_counts` runs the same reverse search on a plain graph and
 keeps only how often each node is found, which scores every node's
 singleton influence at once.  All batched searches expand
-their frontier through one CSR-slice helper.
+their frontier through one CSR-slice helper, and each level step
+compresses its examined edges once, by index: coins are compared with
+every examined edge's probability, and only the live edges' owners and
+heads are gathered and tested against the blocked mask.
 
 `stopping_rule_spread` is a sequential mean estimator with a relative-error
 contract: it draws cascades a batch at a time until empirical-Bernstein

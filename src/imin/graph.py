@@ -299,12 +299,20 @@ class UnifiedGraph:
         self.uncounted.setflags(write=False)
 
     def seed_out_neighbors(self):
-        """Nodes directly reachable from the seed set, excluding seeds."""
+        """Nodes directly reachable from the seed set, excluding seeds and
+        blocked nodes."""
         targets = set()
         for u in self.seeds:
             lo, hi = self.base.out_ptr[u], self.base.out_ptr[u + 1]
             targets.update(int(v) for v in self.base.out_dst[lo:hi])
-        return sorted(targets - self.seeds)
+        return sorted(v for v in targets - self.seeds if not self.blocked[v])
+
+    def candidates(self) -> np.ndarray:
+        """Mask of the nodes a blocker may be chosen from: base nodes that
+        are neither seeds nor already blocked."""
+        allowed = ~(self.seed_mask | self.blocked)
+        allowed[self.s] = False
+        return allowed
 
     def positive_reach(self, blocked=None, live=None) -> np.ndarray:
         """Mask of nodes reachable from ``s`` over positive-probability edges,

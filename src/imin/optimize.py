@@ -8,11 +8,17 @@ sets is reached).  The certified ratio compares a high-probability lower
 bound on the chosen set's objective value with a high-probability upper
 bound on the optimum, both obtained by inverting martingale tail bounds on
 coverage counts.
+
+The greedy pick is one array pass per pick: every node's marginal gain at
+once, the best candidate by `np.argmax` (ties to the lowest id, as lazy
+greedy would break them).  Each prefix's k largest gains are recorded on
+the way, so the upper bound on the optimum needs no second pass.  Blockers
+are chosen from `UnifiedGraph.candidates()`: base nodes that are neither
+seeds nor already blocked.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import warnings
@@ -128,45 +134,41 @@ class BoundCertificate:
 
 @dataclass
 class GreedyTrace:
-    """Greedy selection order with per-step gains and prefix coverages."""
+    """Greedy selection order with per-step gains, prefix coverages and,
+    for each prefix, the sum of its k largest marginal gains."""
 
     selected: list
     gains: list
     coverages: list  # coverage of the empty prefix, then after each pick
-
-
-def _candidates(g: UnifiedGraph):
-    return [v for v in range(g.base.n) if v not in g.seeds]
+    top_k: list      # k largest gains summed: empty prefix, then each pick
 
 
 def max_coverage(collection, k: int):
-    """k rounds of best-marginal selection (lazy evaluation, CELF-style).
+    """k rounds of best-marginal selection, one pass of all gains each.
 
     Ties break toward the lowest node id; zero-gain picks are allowed so
-    the result always has min(k, #candidates) nodes.  Returns the chosen
-    set plus the trace needed by `cov_upper_opt`.
+    the result always has min(k, #candidates) nodes, chosen from the
+    graph's `candidates()`.  Returns the chosen set plus the trace needed
+    by `cov_upper_opt`.
     """
     g = collection.ug
-    cand = _candidates(g)
+    allowed = g.candidates()
     state = collection.state()
-    gains0 = state.gains_all(g.n_total)
-    heap = [(-int(gains0[v]), v, 0) for v in cand]
-    heapq.heapify(heap)
-
+    marginal = state.gains_all(g.n_total)
     selected, gains, coverages = [], [], [0]
-    step = 0
-    while heap and len(selected) < k:
-        neg, v, at = heapq.heappop(heap)
-        if at < step:
-            heapq.heappush(heap, (-state.gain(v), v, step))
-            continue
+    top_k = [_topk_sum(marginal, k)]
+    for _ in range(min(k, int(allowed.sum()))):
+        v = int(np.argmax(np.where(allowed, marginal, -1)))
+        allowed[v] = False
         selected.append(v)
-        gains.append(-neg)
+        gains.append(int(marginal[v]))
+        coverages.append(coverages[-1] + gains[-1])
         state.add(v)
-        coverages.append(coverages[-1] + (-neg))
-        step += 1
+        marginal = state.gains_all(g.n_total)
+        top_k.append(_topk_sum(marginal, k))
     return (BlockerSet(selected),
-            GreedyTrace(selected=selected, gains=gains, coverages=coverages))
+            GreedyTrace(selected=selected, gains=gains, coverages=coverages,
+                        top_k=top_k))
 
 
 def _topk_sum(values: np.ndarray, k: int) -> int:
@@ -176,22 +178,14 @@ def _topk_sum(values: np.ndarray, k: int) -> int:
     return int(np.partition(values, len(values) - k)[len(values) - k:].sum())
 
 
-def cov_upper_opt(collection, trace: GreedyTrace, k: int) -> float:
+def cov_upper_opt(trace: GreedyTrace) -> float:
     """Coverage upper bound for the unknown optimum k-set.
 
     For each greedy prefix, the prefix's coverage plus its k largest
     marginal gains bounds any k-set's coverage from above (submodularity);
     the minimum over prefixes is returned.
     """
-    n_total = collection.ug.n_total
-    state = collection.state()
-    best = math.inf
-    for i in range(len(trace.selected) + 1):
-        gains = state.gains_all(n_total)
-        best = min(best, trace.coverages[i] + _topk_sum(gains, k))
-        if i < len(trace.selected):
-            state.add(trace.selected[i])
-    return float(best)
+    return float(min(c + t for c, t in zip(trace.coverages, trace.top_k)))
 
 
 def direct_activation_prob(g: UnifiedGraph, v: int) -> float:
@@ -300,7 +294,7 @@ def _certified_maximize(side, g, params, rng, scale, slack, candidates,
         blockers, trace = max_coverage(primary, k)
         sigma_low, sigma_up = bounds(
             coverage(validation, blockers), validation.n_samples,
-            cov_upper_opt(primary, trace, k), primary.n_samples,
+            cov_upper_opt(trace), primary.n_samples,
             sched.log_term)
         ratio = sigma_low / sigma_up
         reached = ratio >= target
@@ -361,7 +355,7 @@ def lsbm(g: UnifiedGraph, params: AlgoParams,
 
     return _certified_maximize(
         "lower", g, params, rng, scale=ihat.value, slack=1.0 - beta,
-        candidates=g.base.n - len(g.seeds), tail=12.0,
+        candidates=int(g.candidates().sum()), tail=12.0,
         new_collection=lambda r: CPCollection(g, r), bounds=bounds,
         spread_estimate=ihat)
 

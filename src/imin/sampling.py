@@ -29,14 +29,19 @@ sample costs what its cascade reaches, not the size of the graph.
 at once (`domtree.dominators`) and emits its entries as flat arrays with a
 per-sequence pointer, so no Python code runs per sequence; one DEBUG line
 per batch on this module's logger gives its realizations, entries, join
-nodes and sweeps.  `CPCollection` keeps those arrays as whole-batch chunks.
-The collections, `local_sampling`, `global_sampling` and the greedy
-baselines (which sum CP entry sizes: a non-seed node's entry size is its
-dominator-subtree size) all draw through these two generators.
+nodes and sweeps.  `_lrr_batch` likewise yields one (targets, members,
+ptr) tuple per batch.  `CPCollection` and `LRRCollection` keep those
+arrays as whole-batch chunks.  The collections, `local_sampling`,
+`global_sampling` and the greedy baselines (which sum CP entry sizes: a
+non-seed node's entry size is its dominator-subtree size) all draw through
+these two generators.
 
 Coverage of a blocker set B is the number of samples whose set intersects
 B.  Cov/|collection| (times the population size for the upper side) is an
-unbiased estimate of the corresponding bound.
+unbiased estimate of the corresponding bound.  The coverage states work
+on the chunks concatenated once (`_freeze`), with no inverted index: a
+node's entries or memberships are found by one comparison over the flat
+arrays, and every node's marginal gain by one `np.bincount`.
 """
 
 from __future__ import annotations
@@ -163,9 +168,10 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
 
 def _lrr_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
                rng: np.random.Generator):
-    """`count` LRR samples, one reverse search per `_BATCH`: one (target,
-    members) pair per realization, members target first, None when the
-    target is not reached.
+    """`count` LRR samples, one reverse search per `_BATCH`: one (targets,
+    members, ptr) tuple per batch.  Sample i's set is
+    members[ptr[i]:ptr[i + 1]], target first, and is empty when the target
+    is not reached.
 
     A batch's targets are drawn first, uniformly from `population`.  The
     reverse search finds each target's live non-seed ancestors; the
@@ -179,11 +185,10 @@ def _lrr_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
             batch)
         order = np.lexsort((node, node != targets[trial], trial))
         node, trial = node[order], trial[order]
-        ptr = np.searchsorted(trial, np.arange(batch + 1)).tolist()
-        for i in range(batch):
-            lo, hi = ptr[i], ptr[i + 1]
-            yield int(targets[i]), (node[lo:hi] if hi > lo else None)
-        del trial, order  # not alive through the next search
+        del order
+        ptr = np.searchsorted(trial, np.arange(batch + 1))
+        del trial  # not alive through the next search
+        yield targets, node, ptr
 
 
 def global_sampling(g: UnifiedGraph, population,
@@ -191,23 +196,13 @@ def global_sampling(g: UnifiedGraph, population,
     """Sample one realization and the reverse-reachable set of a random target."""
     if not len(population):
         raise ValueError("seeds influence no one: sampling population is empty")
-    target, members = next(_lrr_batch(
+    targets, members, _ = next(_lrr_batch(
         g, np.asarray(population, dtype=np.int64), 1, rng))
-    return LRRSet(target=target, members=frozenset(
-        () if members is None else members.tolist()))
-
-
-def _inverted_index(flat: np.ndarray, n_total: int):
-    """(order, node_ptr): the positions of node u's occurrences in `flat`
-    are order[node_ptr[u]:node_ptr[u + 1]], ascending."""
-    order = np.argsort(flat, kind="stable")
-    node_ptr = np.zeros(n_total + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_total), out=node_ptr[1:])
-    return order, node_ptr
+    return LRRSet(target=int(targets[0]), members=frozenset(members.tolist()))
 
 
 class CPCollection:
-    """A growing set of common-path sequences with an inverted index.
+    """A growing set of common-path sequences.
 
     Entries are kept in whole-batch chunks; `_starts` holds each chunk's
     sequence boundaries as global entry offsets.
@@ -252,12 +247,11 @@ class CPCollection:
             yield CPSequence(nodes[lo:hi], parents[lo:hi])
 
     def _freeze(self):
+        """(nodes, ends) of all entries, concatenated once."""
         if self._frozen is None:
-            nodes = np.concatenate(self._nodes)
-            ends = np.concatenate(self._ends)
-            self._nodes, self._ends = [nodes], [ends]   # one copy kept
-            order, node_ptr = _inverted_index(nodes, self.ug.n_total)
-            self._frozen = (nodes, ends, order, node_ptr)
+            self._nodes = [np.concatenate(self._nodes)]   # one copy kept
+            self._ends = [np.concatenate(self._ends)]
+            self._frozen = (self._nodes[0], self._ends[0])
         return self._frozen
 
     def state(self):
@@ -265,51 +259,33 @@ class CPCollection:
 
 
 class _CPState:
-    """Incremental coverage bookkeeping over a frozen CP collection."""
+    """Coverage bookkeeping over a frozen CP collection: a blocker covers
+    the entries of its dominator subtrees."""
 
     def __init__(self, coll: CPCollection):
-        nodes, ends, order, node_ptr = coll._freeze()
-        self.nodes = nodes
-        self.ends = ends
-        self.order = order
-        self.node_ptr = node_ptr
-        self.n_entries = len(nodes)
-        self.covered = np.zeros(self.n_entries, dtype=bool)
-        self._prefix = None
-
-    def _entries_of(self, u):
-        return self.order[self.node_ptr[u]:self.node_ptr[u + 1]]
+        self.nodes, self.ends = coll._freeze()
+        self.covered = np.zeros(len(self.nodes), dtype=bool)
 
     def add(self, u):
-        for e in self._entries_of(u):
-            self.covered[e:self.ends[e]] = True
-        self._prefix = None
+        # u's entries lie in distinct sequences, so its intervals are disjoint
+        at = np.flatnonzero(self.nodes == u)
+        self.covered[_slices(at, self.ends[at])[0]] = True
 
     def coverage(self) -> int:
         return int(self.covered.sum())
 
-    def _uncovered_prefix(self):
-        if self._prefix is None:
-            pre = np.zeros(self.n_entries + 1, dtype=np.int64)
-            np.cumsum(~self.covered, out=pre[1:])
-            self._prefix = pre
-        return self._prefix
-
-    def gain(self, u) -> int:
-        pre = self._uncovered_prefix()
-        es = self._entries_of(u)
-        return int((pre[self.ends[es]] - pre[es]).sum())
-
     def gains_all(self, n_nodes) -> np.ndarray:
-        pre = self._uncovered_prefix()
-        per_entry = pre[self.ends] - pre[np.arange(self.n_entries)]
-        out = np.zeros(n_nodes, dtype=np.int64)
-        np.add.at(out, self.nodes, per_entry)
-        return out
+        """Per node, the uncovered entries its subtrees would cover."""
+        pre = np.zeros(len(self.nodes) + 1, dtype=np.int64)
+        np.cumsum(~self.covered, out=pre[1:])
+        return np.bincount(self.nodes, weights=pre[self.ends] - pre[:-1],
+                           minlength=n_nodes).astype(np.int64)
 
 
 class LRRCollection:
-    """A growing set of reverse-reachable samples (empty sets kept as a count)."""
+    """A growing set of reverse-reachable samples, kept in whole-batch
+    chunks.  An empty set (target unreached) has no members but counts as
+    a sample."""
 
     def __init__(self, ug: UnifiedGraph, rng: np.random.Generator,
                  population=None):
@@ -321,9 +297,11 @@ class LRRCollection:
             raise ValueError("seeds influence no one: sampling population "
                              "is empty")
         self._pop_arr = np.asarray(self.population, dtype=np.int64)
+        self.n_samples = 0
         self.n_empty = 0
-        self._members = []   # per nonempty set, member node array
-        self._targets = []
+        empty = np.empty(0, dtype=np.int64)
+        self._members = [empty]   # per-chunk members, set after set
+        self._sizes = [empty]     # per-chunk set sizes
         self._frozen = None
 
     @classmethod
@@ -333,39 +311,42 @@ class LRRCollection:
         Empty member lists become counted empty sets, as in sampling.
         """
         coll = cls(ug, rng=None, population=population)
-        for members in sets:
-            members = list(members)
-            if members:
-                coll._members.append(np.asarray(members, dtype=np.int64))
-                coll._targets.append(members[0])
-            else:
-                coll.n_empty += 1
+        sets = [list(members) for members in sets]
+        coll._add(np.asarray([v for m in sets for v in m], dtype=np.int64),
+                  np.asarray([len(m) for m in sets], dtype=np.int64))
         return coll
-
-    @property
-    def n_samples(self):
-        return len(self._members) + self.n_empty
 
     def extend(self, count: int):
         """Generate `count` more samples from the collection's stream."""
-        for target, members in _lrr_batch(self.ug, self._pop_arr, count,
+        for _, members, ptr in _lrr_batch(self.ug, self._pop_arr, count,
                                           self.rng):
-            if members is None:
-                self.n_empty += 1
-                continue
-            self._members.append(members)
-            self._targets.append(target)
+            self._add(members, np.diff(ptr))
+
+    def _add(self, members, sizes):
+        """Append one chunk: `sizes[i]` members per set, set after set."""
         self._frozen = None
+        self._members.append(members)
+        self._sizes.append(sizes)
+        self.n_samples += len(sizes)
+        self.n_empty += int(np.count_nonzero(sizes == 0))
+
+    def sets(self):
+        """Each sample's members, target first, in sampling order; an
+        empty array where the target was not reached."""
+        members = np.concatenate(self._members)
+        starts = np.cumsum(np.concatenate([[0], *self._sizes])).tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            yield members[lo:hi]
 
     def _freeze(self):
+        """(members, set of each member, number of sets), concatenated
+        once."""
         if self._frozen is None:
-            n_sets = len(self._members)
-            flat = (np.concatenate(self._members) if self._members
-                    else np.empty(0, dtype=np.int64))
-            set_of = np.repeat(np.arange(n_sets, dtype=np.int64),
-                               [len(m) for m in self._members])
-            order, node_ptr = _inverted_index(flat, self.ug.n_total)
-            self._frozen = (flat, set_of, order, node_ptr, n_sets)
+            self._members = [np.concatenate(self._members)]  # one copy kept
+            self._sizes = [np.concatenate(self._sizes)]
+            set_of = np.repeat(np.arange(self.n_samples, dtype=np.int64),
+                               self._sizes[0])
+            self._frozen = (self._members[0], set_of, self.n_samples)
         return self._frozen
 
     def state(self):
@@ -373,32 +354,23 @@ class LRRCollection:
 
 
 class _LRRState:
+    """Coverage bookkeeping over a frozen LRR collection: a blocker covers
+    the sets it is a member of."""
+
     def __init__(self, coll: LRRCollection):
-        flat, set_of, order, node_ptr, n_sets = coll._freeze()
-        self.member_node = flat
-        self.member_set = set_of
-        self.order = order
-        self.node_ptr = node_ptr
+        self.member_node, self.member_set, n_sets = coll._freeze()
         self.covered = np.zeros(n_sets, dtype=bool)
 
-    def _sets_of(self, u):
-        return self.member_set[self.order[
-            self.node_ptr[u]:self.node_ptr[u + 1]]]
-
     def add(self, u):
-        self.covered[self._sets_of(u)] = True
+        self.covered[self.member_set[self.member_node == u]] = True
 
     def coverage(self) -> int:
         return int(self.covered.sum())
 
-    def gain(self, u) -> int:
-        return int(np.count_nonzero(~self.covered[self._sets_of(u)]))
-
     def gains_all(self, n_nodes) -> np.ndarray:
-        alive = ~self.covered[self.member_set]
-        out = np.zeros(n_nodes, dtype=np.int64)
-        np.add.at(out, self.member_node[alive], 1)
-        return out
+        """Per node, the uncovered sets it is a member of."""
+        alive = np.flatnonzero(~self.covered[self.member_set])
+        return np.bincount(self.member_node[alive], minlength=n_nodes)
 
 
 def _state_with(collection, blockers):
@@ -418,7 +390,7 @@ def marginal_coverage(collection, blockers, v) -> int:
     b = as_blockers(blockers)
     if v in b:
         return 0
-    return _state_with(collection, b).gain(int(v))
+    return coverage(collection, [*b, v]) - coverage(collection, b)
 
 
 def dump_samples(collection, path):
@@ -431,9 +403,8 @@ def dump_samples(collection, path):
                     for v, members in sorted(seq.sets().items())]
                 fh.write(" ".join(parts) + "\n")
         else:
-            for target, members in zip(collection._targets,
-                                       collection._members):
-                fh.write(f"{target}:"
-                         + ",".join(map(str, sorted(members))) + "\n")
-            for _ in range(collection.n_empty):
-                fh.write("-\n")
+            for members in collection.sets():
+                line = (f"{members[0]}:" + ",".join(
+                    map(str, sorted(members.tolist()))) if len(members)
+                    else "-")
+                fh.write(line + "\n")

@@ -1,10 +1,13 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.diffusion import _forward_levels
+from imin.diffusion import _forward_levels, _slices
 from imin.graph import Graph, block_nodes, unify_seeds
-from imin.sampling import _sequence_entries
+from imin.sampling import CPCollection, _sequence_entries
 
 
 @pytest.fixture
@@ -170,6 +173,14 @@ def split_sequences(nodes, parents, sizes, ptr):
         yield nodes[lo:hi], parents[lo:hi], sizes[lo:hi]
 
 
+def split_sets(batches):
+    """The per-sample (target, members) of `sampling._lrr_batch` output;
+    members is empty where the target was not reached."""
+    for targets, members, ptr in batches:
+        for i, target in enumerate(targets.tolist()):
+            yield target, members[ptr[i]:ptr[i + 1]]
+
+
 def random_flowgraph(seed):
     """A random unified graph with cycles, edges of probability 0, 1 and
     in between, seed-to-seed edges and up to two blocked nodes."""
@@ -203,3 +214,134 @@ def live_successors(levels, root, batch):
             succ[trial[o]].setdefault(int(node[o]), []).append(d)
         node, trial = new_node, new_trial
     return succ
+
+
+# The level step of the batched searches as it was first written: one
+# boolean mask per level, applied to every examined edge's arrays.  The
+# searches in `imin.diffusion` must yield the same arrays and draw the
+# same coins.
+
+def reference_advance(seen, key):
+    """`diffusion._advance` by boolean masks."""
+    key = np.sort(key[~seen[key]])
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    key = key[fresh]
+    seen[key] = True
+    return key
+
+
+def reference_forward_levels(g, blocked, batch, rng, live=None):
+    """`diffusion._forward_levels` by boolean masks."""
+    seen = np.zeros(g.n_total * batch, dtype=bool)
+    trial = np.arange(batch, dtype=np.int64)
+    node = np.full(batch, g.s, dtype=np.int64)
+    seen[node * batch + trial] = True
+    while len(node):
+        eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
+        dst = g.out_dst[eids]
+        keep = ((rng.random(len(eids)) < g.out_p[eids]) if live is None
+                else live[eids]) & ~blocked[dst]
+        owner, dst = owner[keep], dst[keep]
+        node, trial = np.divmod(
+            reference_advance(seen, dst * batch + trial[owner]), batch)
+        yield owner, dst, node, trial
+
+
+def reference_reverse_live_edges(g, targets, rng):
+    """`diffusion.reverse_live_edges` by boolean masks."""
+    batch = len(targets)
+    seen = np.zeros(g.n_total * batch, dtype=bool)
+    trial = np.arange(batch, dtype=np.int64)
+    node = np.asarray(targets, dtype=np.int64)
+    seen[node * batch + trial] = True
+    parts = []
+    while len(node):
+        offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
+        live = rng.random(len(offs)) < g.out_p[g.in_eid[offs]]
+        live &= ~g.blocked[node[owner]]
+        owner, src = owner[live], g.in_src[offs[live]]
+        t = trial[owner]
+        parts.append((t, src, node[owner]))
+        inner = ~g.uncounted[src]
+        node, trial = np.divmod(
+            reference_advance(seen, src[inner] * batch + t[inner]), batch)
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def reference_reverse_reach_counts(g, samples, rng):
+    """`diffusion.reverse_reach_counts` by boolean masks."""
+    counts = np.zeros(g.n, dtype=np.int64)
+    for done in range(0, samples, 1024):
+        batch = min(1024, samples - done)
+        seen = np.zeros(g.n * batch, dtype=bool)
+        trial = np.arange(batch, dtype=np.int64)
+        node = rng.integers(0, g.n, size=batch)
+        seen[node * batch + trial] = True
+        while len(node):
+            counts += np.bincount(node, minlength=g.n)
+            offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
+            live = rng.random(len(offs)) < g.in_p[offs]
+            key = g.in_src[offs[live]] * batch + trial[owner[live]]
+            node, trial = np.divmod(reference_advance(seen, key), batch)
+    return counts
+
+
+class ReferenceCoverage:
+    """Coverage of a frozen CP or LRR collection in plain Python sets: the
+    items (CP entries, or LRR sets) each node covers."""
+
+    def __init__(self, coll):
+        if isinstance(coll, CPCollection):
+            nodes, ends = coll._freeze()
+            items = [range(e, end) for e, end in enumerate(ends.tolist())]
+        else:
+            nodes, set_of, _ = coll._freeze()
+            items = [[i] for i in set_of.tolist()]
+        self.covers = {}
+        for v, item in zip(nodes.tolist(), items):
+            self.covers.setdefault(v, set()).update(item)
+        self.covered = set()
+
+    def gain(self, v):
+        return len(self.covers.get(v, set()) - self.covered)
+
+    def add(self, v):
+        self.covered |= self.covers.get(v, set())
+
+
+def celf_max_coverage(coll, k):
+    """Lazy greedy (CELF): a heap of (-gain, node, pick count when the gain
+    was computed), a stale top re-scored before it is taken.  The test
+    reference for `optimize.max_coverage`; returns (selected, gains,
+    coverages) as in its trace."""
+    state = ReferenceCoverage(coll)
+    heap = [(-state.gain(v), v, 0)
+            for v in np.flatnonzero(coll.ug.candidates()).tolist()]
+    heapq.heapify(heap)
+    selected, gains, coverages = [], [], [0]
+    while heap and len(selected) < k:
+        neg, v, at = heapq.heappop(heap)
+        if at < len(selected):
+            heapq.heappush(heap, (-state.gain(v), v, len(selected)))
+            continue
+        selected.append(v)
+        gains.append(-neg)
+        coverages.append(coverages[-1] - neg)
+        state.add(v)
+    return selected, gains, coverages
+
+
+def replayed_cov_upper_opt(coll, selected, coverages, k):
+    """Min over greedy prefixes of the prefix's coverage plus its k largest
+    gains over all nodes, each prefix replayed on a fresh state.  The test
+    reference for `optimize.cov_upper_opt`."""
+    state = ReferenceCoverage(coll)
+    best = math.inf
+    for i in range(len(selected) + 1):
+        gains = sorted((state.gain(v) for v in range(coll.ug.n_total)),
+                       reverse=True)
+        best = min(best, coverages[i] + sum(gains[:k]))
+        if i < len(selected):
+            state.add(selected[i])
+    return float(best)

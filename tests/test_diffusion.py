@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imin import fixtures
-from imin.diffusion import (ic_spread_samples,
-                            monte_carlo_spread, reverse_reach_counts,
-                            sample_realization, stopping_rule_spread)
+from imin.diffusion import (_forward_levels, ic_spread_samples,
+                            monte_carlo_spread, reverse_live_edges,
+                            reverse_reach_counts, sample_realization,
+                            stopping_rule_spread)
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
+from imin.sampling import compute_population
 
-from conftest import make_rng, tiny_with_dead_edges
+from conftest import (make_rng, random_flowgraph, reference_forward_levels,
+                      reference_reverse_live_edges,
+                      reference_reverse_reach_counts, tiny_with_dead_edges)
 
 
 def simulate_ic(g, blockers=None, rng=None):
@@ -341,3 +347,58 @@ class TestDeterminism:
         a = ic_spread_samples(ug, None, 500, make_rng(77))
         b = ic_spread_samples(ug, None, 500, make_rng(77))
         assert np.array_equal(a, b)
+
+
+def assert_same_arrays(got, want):
+    """Two sequences of array tuples are equal, array by array."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for x, y in zip(g, w):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestLevelStepMatchesReference:
+    """Each batched search yields what the boolean-mask reference level
+    step yields, and leaves its generator in the same state, so the coins
+    were drawn in the same count and order."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, 1025]))
+    def test_forward_levels(self, seed, batch):
+        ug = random_flowgraph(seed)
+        got, want = make_rng(seed), make_rng(seed)
+        assert_same_arrays(
+            _forward_levels(ug, ug.blocked, batch, got),
+            reference_forward_levels(ug, ug.blocked, batch, want))
+        assert got.bit_generator.state == want.bit_generator.state
+        live = make_rng(seed + 1).random(ug.m_total) < 0.5
+        assert_same_arrays(
+            _forward_levels(ug, ug.blocked, 1, None, live=live),
+            reference_forward_levels(ug, ug.blocked, 1, None, live=live))
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, 1025]))
+    def test_reverse_live_edges(self, seed, batch):
+        ug = random_flowgraph(seed)
+        population = compute_population(ug)
+        if not population:
+            return
+        targets = make_rng(seed + 1).choice(population, size=batch)
+        got, want = make_rng(seed), make_rng(seed)
+        assert_same_arrays([reverse_live_edges(ug, targets, got)],
+                           [reference_reverse_live_edges(ug, targets, want)])
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, 1025]))
+    def test_reverse_reach_counts(self, seed, batch):
+        g = random_flowgraph(seed).base
+        got, want = make_rng(seed), make_rng(seed)
+        assert_same_arrays([[reverse_reach_counts(g, batch, got)]],
+                           [[reference_reverse_reach_counts(g, batch, want)]])
+        assert got.bit_generator.state == want.bit_generator.state

@@ -88,14 +88,11 @@ def _digest(*arrays):
 
 def _lrr_arrays(ug, count, rng):
     """(targets, set sizes, members) of `count` LRR samples, flat."""
-    targets, sizes, members = [], [], []
-    for target, found in _lrr_batch(
-            ug, np.asarray(compute_population(ug)), count, rng):
-        targets.append(target)
-        sizes.append(0 if found is None else len(found))
-        if found is not None:
-            members.append(found)
-    return targets, sizes, np.concatenate(members or [[]])
+    batches = list(_lrr_batch(ug, np.asarray(compute_population(ug)),
+                              count, rng))
+    return (np.concatenate([t for t, _, _ in batches]),
+            np.concatenate([np.diff(p) for _, _, p in batches]),
+            np.concatenate([m for _, m, _ in batches]))
 
 
 def _kernels(ug, gi):

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imin import fixtures
-from imin.graph import Graph, unify_seeds
+from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import (AlgoParams, E_FRACTION, _certified_maximize,
                            cov_upper_opt, direct_activation_prob, gsbm, lsbm,
                            max_coverage, opt_lower_bound)
 from imin.oracle import ExactModel
-from imin.sampling import LRRCollection, compute_population, coverage
+from imin.sampling import (CPCollection, LRRCollection, compute_population,
+                           coverage)
 
-from conftest import make_rng
+from conftest import (celf_max_coverage, make_rng, random_flowgraph,
+                      replayed_cov_upper_opt)
 
 
 def collection_from_sets(sets, n_nodes=8):
@@ -81,6 +85,53 @@ class TestMaxCoverage:
             assert list(blockers) == naive_greedy(coll, ug, k)
 
 
+    def test_never_picks_a_blocked_node(self):
+        ug = block_nodes(collection_from_sets([])[0], [1, 4])
+        coll = LRRCollection.from_sets(ug, [[1, 2], [3], [], [1]],
+                                       population=range(1, 8))
+        blockers, trace = max_coverage(coll, 9)
+        assert list(blockers) == [2, 3, 5, 6, 7]
+        assert trace.gains == [1, 1, 0, 0, 0]
+
+
+def random_collections(seed, count):
+    """A CP and an LRR collection of `count` samples of a random graph
+    (cycles, 0/1/partial edges, blocked nodes), and an explicit LRR
+    collection of random sets, empty ones and blocked nodes included."""
+    ug = random_flowgraph(seed)
+    rng = make_rng(seed)
+    colls = [CPCollection(ug, rng)]
+    if compute_population(ug):
+        colls.append(LRRCollection(ug, rng))
+    for coll in colls:
+        coll.extend(count)
+    sets = [rng.choice(ug.base.n, size=int(rng.integers(0, 4)),
+                       replace=False).tolist() for _ in range(count % 30)]
+    colls.append(LRRCollection.from_sets(ug, sets,
+                                         population=range(ug.base.n)))
+    return colls
+
+
+class TestGreedyMatchesReference:
+    """One greedy pass picks what lazy greedy (CELF) picks, and its bound
+    equals the bound replayed prefix by prefix."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 14),
+           st.sampled_from([0, 1, 7, 40, 1025]))
+    def test_selection_and_bound(self, seed, k, count):
+        for coll in random_collections(seed, count):
+            blockers, trace = max_coverage(coll, k)
+            selected, gains, coverages = celf_max_coverage(coll, k)
+            assert list(blockers) == trace.selected == selected
+            assert trace.gains == gains
+            assert trace.coverages == coverages
+            assert coverages[-1] == coverage(coll, selected)
+            assert cov_upper_opt(trace) == replayed_cov_upper_opt(
+                coll, selected, coverages, k)
+
+
 class TestDirectActivation:
     def test_single_edge(self):
         g = unify_seeds(Graph.from_edges(2, [0], [1], [0.4]), {0})
@@ -128,12 +179,12 @@ class TestCovUpperOpt:
         state = coll.state()
         gains = state.gains_all(ug.n_total)
         first_term = np.sort(gains)[-2:].sum()
-        assert cov_upper_opt(coll, trace, 2) <= first_term
+        assert cov_upper_opt(trace) <= first_term
 
     def test_single_node_covers_all(self):
         ug, coll = collection_from_sets([[1], [1, 2], [1, 3]])
         _, trace = max_coverage(coll, 1)
-        assert cov_upper_opt(coll, trace, 1) == 3.0
+        assert cov_upper_opt(trace) == 3.0
 
     def test_dominates_every_k_subset(self):
         rng = make_rng(90)
@@ -146,7 +197,7 @@ class TestCovUpperOpt:
             ug, coll = collection_from_sets(sets, n_nodes=7)
             k = int(rng.integers(1, 4))
             _, trace = max_coverage(coll, k)
-            bound = cov_upper_opt(coll, trace, k)
+            bound = cov_upper_opt(trace)
             best = max(coverage(coll, list(combo)) for combo in
                        itertools.combinations(range(1, 7), k))
             assert bound >= best - 1e-9

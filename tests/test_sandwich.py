@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from imin import fixtures
 from imin.diffusion import SpreadEstimate
-from imin.graph import BlockerSet, Graph, unify_seeds
+from imin.graph import BlockerSet, Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, E_FRACTION
 from imin.oracle import ExactModel
 from imin.sandwich import (SandwichResult, empirical_ratio, lhga, sand_imin,
@@ -163,3 +164,20 @@ class TestSandwichOrderingWitness:
         B = [2, 6, 11]
         assert model.lower_bound(B) <= model.decrease(B) \
             <= model.upper_bound(B)
+
+
+class TestPreBlockedNodes:
+    def test_no_blocked_node_is_returned(self):
+        # 50 of the 57 non-seeds are blocked; before the candidates
+        # excluded them, both maximizers picked node 1 with zero gain and
+        # lhga returned five blocked nodes.
+        ug = fixtures.mid_synthetic(np.random.default_rng(0), 60, 150, 3)
+        non_seeds = [v for v in range(ug.base.n) if v not in ug.seeds]
+        blocked = set(non_seeds[:50])
+        g = block_nodes(ug, blocked)
+        assert not set(g.seed_out_neighbors()) & blocked
+        result = sand_imin(g, AlgoParams(k=5), make_rng(1))
+        for name in ("lower", "upper", "heuristic"):
+            assert result.candidate(name)
+            assert not set(result.candidate(name)) & blocked
+        assert not set(lhga(g, 5)) & blocked
