@@ -9,9 +9,9 @@ bound on the chosen set's objective value with a high-probability upper
 bound on the optimum, both obtained by inverting martingale tail bounds on
 coverage counts.
 
-The greedy pick is one array pass per pick: every node's marginal gain at
-once, the best candidate by `np.argmax` (ties to the lowest id, as lazy
-greedy would break them).  Each prefix's k largest gains are recorded on
+Greedy selection takes one array pass per pick: every node's marginal
+gain at once, then the best candidate by `np.argmax` (ties to the lowest
+id, as lazy greedy would break them).  Each prefix's k largest gains are recorded on
 the way, so the upper bound on the optimum needs no second pass.  Blockers
 are chosen from `UnifiedGraph.candidates()`: base nodes that are neither
 seeds nor already blocked.

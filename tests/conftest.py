@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.diffusion import _forward_levels, _slices
+from imin.diffusion import _BATCH, _forward_levels, _slices
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.sampling import CPCollection, _sequence_entries
 
@@ -272,8 +272,8 @@ def reference_reverse_live_edges(g, targets, rng):
 def reference_reverse_reach_counts(g, samples, rng):
     """`diffusion.reverse_reach_counts` by boolean masks."""
     counts = np.zeros(g.n, dtype=np.int64)
-    for done in range(0, samples, 1024):
-        batch = min(1024, samples - done)
+    for done in range(0, samples, _BATCH):
+        batch = min(_BATCH, samples - done)
         seen = np.zeros(g.n * batch, dtype=bool)
         trial = np.arange(batch, dtype=np.int64)
         node = rng.integers(0, g.n, size=batch)
