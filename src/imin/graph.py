@@ -2,15 +2,19 @@
 
 Graphs are stored in CSR form over dense integer node ids.  Original node
 labels from an edge-list file are kept in a side array so results can be
-reported in the input's vocabulary.  Graphs are immutable after
-construction; blocking is expressed as a node mask rather than a rewritten
+reported in the input's vocabulary.  Building a graph sorts each CSR
+direction once, by the packed key src * n + dst.  Setting probabilities
+keeps the CSR and replaces only the probability arrays, and attaching the
+virtual source appends its edges to the CSR, so neither sorts again.
+Graphs are immutable after construction, and the arrays they share are
+read-only; blocking is expressed as a node mask rather than a rewritten
 edge set, so repeated re-blocking (greedy baselines) never copies the
 adjacency arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -26,15 +30,14 @@ class GraphError(ValueError):
     """Raised on invalid graph construction or invalid blocker/seed input."""
 
 
-def _build_csr(n, src, dst, values):
-    """Group (src, dst, values) by source into CSR arrays, sorting targets."""
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    vals = [v[order] for v in values]
+def _build_csr(n, src, dst):
+    """(order, ptr) of the CSR by `src` with targets ascending: the edges'
+    order, by one sort of the packed keys src * n + dst, and the row
+    pointers."""
+    order = np.argsort(src * n + dst)
     ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(ptr, src + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    return ptr, dst, vals
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return order, ptr
 
 
 @dataclass
@@ -78,24 +81,34 @@ class Graph:
                 raise GraphError("edge endpoint out of range")
             if np.any(src == dst):
                 raise GraphError("self-loops are not allowed")
-            if np.any((p < 0.0) | (p > 1.0)):
+            if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise GraphError("edge probabilities must lie in [0, 1]")
-            if len(src) > 1:
-                key = src * n + dst
-                if len(np.unique(key)) != len(key):
-                    raise GraphError("duplicate edges are not allowed")
-        out_ptr, out_dst, (out_p,) = _build_csr(n, src, dst, [p])
+            if labels is not None and len(labels) != n:
+                raise GraphError("labels must have one entry per node")
+        order, out_ptr = _build_csr(n, src, dst)
         # Edge id == position in the forward CSR arrays.
+        out_dst, out_p = dst[order], p[order]
         fwd_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(out_ptr))
-        in_ptr, in_src, (in_p, in_eid) = _build_csr(
-            n, out_dst, fwd_src, [out_p, np.arange(len(src), dtype=np.int64)])
+        # Equal keys are neighbours in sorted order.
+        if validate and np.any((np.diff(fwd_src) == 0)
+                               & (np.diff(out_dst) == 0)):
+            raise GraphError("duplicate edges are not allowed")
+        in_eid, in_ptr = _build_csr(n, out_dst, fwd_src)
         if labels is None:
             labels = np.arange(n, dtype=np.int64)
-        else:
-            labels = np.asarray(labels, dtype=np.int64)
+        else:   # a copy, so freezing it leaves the caller's array alone
+            labels = np.array(labels, dtype=np.int64)
         return cls(n=n, m=len(src), out_ptr=out_ptr, out_dst=out_dst,
-                   out_p=out_p, in_ptr=in_ptr, in_src=in_src, in_p=in_p,
-                   in_eid=in_eid, labels=labels)
+                   out_p=out_p, in_ptr=in_ptr, in_src=fwd_src[in_eid],
+                   in_p=out_p[in_eid], in_eid=in_eid, labels=labels)
+
+    def __post_init__(self):
+        # Graphs share arrays (a probability change keeps the structure),
+        # so none may change after construction.
+        for a in (self.out_ptr, self.out_dst, self.out_p, self.in_ptr,
+                  self.in_src, self.in_p, self.in_eid, self.labels):
+            if a is not None:
+                a.setflags(write=False)
 
     def in_degree(self):
         return np.diff(self.in_ptr)
@@ -180,25 +193,25 @@ def load_edge_list(path, directed=True):
     key = src * n + dst
     _, keep = np.unique(key, return_index=True)
     keep.sort()
-    return Graph.from_edges(n, src[keep], dst[keep],
-                            labels=np.asarray(labels, dtype=np.int64))
+    return Graph.from_edges(n, src[keep], dst[keep], labels=labels)
+
+
+def _with_probabilities(g: Graph, p) -> Graph:
+    """`g` with forward edge probabilities `p`; shares every other array."""
+    return replace(g, out_p=p, in_p=p[g.in_eid])
 
 
 def assign_wc_probabilities(g: Graph) -> Graph:
     """Weighted-cascade convention: p(u, v) = 1 / in-degree(v)."""
     indeg = g.in_degree().astype(np.float64)
-    src, dst, _ = g.edge_array()
-    p = 1.0 / indeg[dst]
-    return Graph.from_edges(g.n, src, dst, p, labels=g.labels, validate=False)
+    return _with_probabilities(g, 1.0 / indeg[g.out_dst])
 
 
 def assign_constant_probability(g: Graph, p: float) -> Graph:
     """Every edge gets probability `p`, which must lie in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must lie in [0, 1], got {p}")
-    src, dst, _ = g.edge_array()
-    return Graph.from_edges(g.n, src, dst, np.full(g.m, p, dtype=np.float64),
-                            labels=g.labels, validate=False)
+    return _with_probabilities(g, np.full(g.m, p, dtype=np.float64))
 
 
 class BlockerSet:
@@ -243,6 +256,29 @@ def as_blockers(b) -> BlockerSet:
     return BlockerSet(b)
 
 
+def _attach_source(base: Graph, seeds):
+    """The seven CSR arrays of `base` plus a probability-1 edge from the
+    source s = n to each of the sorted `seeds`.
+
+    s has the largest id, so its edges come last in the forward CSR (edge
+    ids m ... m+k-1) and last in each seed's reverse slice: the arrays are
+    those of `Graph.from_edges` on the extended edge list.
+    """
+    n, m, k = base.n, base.m, len(seeds)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    # Each seed's new reverse slot goes at the end of its slice, which
+    # moves every later slice by the number of seeds before it.
+    slot = base.in_ptr[seeds + 1]
+    shift = np.searchsorted(seeds, np.arange(n + 2))
+    return (np.append(base.out_ptr, m + k),
+            np.concatenate([base.out_dst, seeds]),
+            np.concatenate([base.out_p, np.ones(k)]),
+            np.append(base.in_ptr, m) + shift,
+            np.insert(base.in_src, slot, n),
+            np.insert(base.in_p, slot, 1.0),
+            np.insert(base.in_eid, slot, np.arange(m, m + k)))
+
+
 class UnifiedGraph:
     """A graph extended with a virtual source ``s`` wired to every seed.
 
@@ -267,22 +303,11 @@ class UnifiedGraph:
         self.s = base.n
         self.n_total = base.n + 1
 
-        if _arrays is not None:
-            (self.out_ptr, self.out_dst, self.out_p,
-             self.in_ptr, self.in_src, self.in_p, self.in_eid) = _arrays
-            self.m_total = len(self.out_dst)
-        else:
-            src, dst, p = base.edge_array()
-            seed_arr = np.asarray(sorted(seeds), dtype=np.int64)
-            src = np.concatenate([src, np.full(len(seed_arr), self.s)])
-            dst = np.concatenate([dst, seed_arr])
-            p = np.concatenate([p, np.ones(len(seed_arr))])
-            ext = Graph.from_edges(self.n_total, src, dst, p, validate=False)
-            self.out_ptr, self.out_dst, self.out_p = (
-                ext.out_ptr, ext.out_dst, ext.out_p)
-            self.in_ptr, self.in_src, self.in_p, self.in_eid = (
-                ext.in_ptr, ext.in_src, ext.in_p, ext.in_eid)
-            self.m_total = ext.m
+        if _arrays is None:
+            _arrays = _attach_source(base, sorted(seeds))
+        (self.out_ptr, self.out_dst, self.out_p,
+         self.in_ptr, self.in_src, self.in_p, self.in_eid) = _arrays
+        self.m_total = len(self.out_dst)
 
         self.seed_mask = np.zeros(self.n_total, dtype=bool)
         self.seed_mask[list(seeds)] = True
@@ -294,9 +319,9 @@ class UnifiedGraph:
             self.blocked = np.zeros(self.n_total, dtype=bool)
         else:
             self.blocked = np.asarray(blocked, dtype=bool).copy()
-        self.blocked.setflags(write=False)
-        self.seed_mask.setflags(write=False)
-        self.uncounted.setflags(write=False)
+        # block_nodes views share the adjacency arrays.
+        for a in (*_arrays, self.blocked, self.seed_mask, self.uncounted):
+            a.setflags(write=False)
 
     def seed_out_neighbors(self):
         """Nodes directly reachable from the seed set, excluding seeds and
@@ -321,19 +346,14 @@ class UnifiedGraph:
         The traversal never enters a node of ``blocked`` (default: the
         graph's own mask); ``s`` itself is in the mask.
         """
+        from .diffusion import _forward_levels  # diffusion imports graph
+
         blocked = self.blocked if blocked is None else blocked
         follow = self.out_p > 0.0 if live is None else live
         seen = np.zeros(self.n_total, dtype=bool)
         seen[self.s] = True
-        stack = [self.s]
-        while stack:
-            u = stack.pop()
-            for off in range(self.out_ptr[u], self.out_ptr[u + 1]):
-                v = self.out_dst[off]
-                if seen[v] or blocked[v] or not follow[off]:
-                    continue
-                seen[v] = True
-                stack.append(v)
+        for *_, node, _ in _forward_levels(self, blocked, 1, None, follow):
+            seen[node] = True
         return seen
 
     def check_blockers(self, blockers) -> BlockerSet:

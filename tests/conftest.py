@@ -216,6 +216,80 @@ def live_successors(levels, root, batch):
     return succ
 
 
+# The graph builders as first written: every CSR by np.lexsort and
+# np.add.at pointers, and a full rebuild to set probabilities or attach the
+# source.  `imin.graph` must build the same arrays, dtypes included.
+
+def reference_csr(n, src, dst, values):
+    """Group (src, dst, values) by source into CSR arrays, sorting
+    targets: (ptr, dst, values)."""
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    vals = [v[order] for v in values]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(ptr, src + 1, 1)
+    np.cumsum(ptr, out=ptr)
+    return ptr, dst, vals
+
+
+def reference_from_edges(n, src, dst, p, labels=None):
+    """`Graph.from_edges` on valid input by `reference_csr`."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    out_ptr, out_dst, (out_p,) = reference_csr(
+        n, src, dst, [np.asarray(p, dtype=np.float64)])
+    fwd_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(out_ptr))
+    in_ptr, in_src, (in_p, in_eid) = reference_csr(
+        n, out_dst, fwd_src, [out_p, np.arange(len(src), dtype=np.int64)])
+    labels = np.arange(n) if labels is None else labels
+    return Graph(n=n, m=len(src), out_ptr=out_ptr, out_dst=out_dst,
+                 out_p=out_p, in_ptr=in_ptr, in_src=in_src, in_p=in_p,
+                 in_eid=in_eid, labels=np.asarray(labels, dtype=np.int64))
+
+
+def reference_assign_wc(g):
+    """`assign_wc_probabilities` by a rebuild from the edge list."""
+    src, dst, _ = g.edge_array()
+    indeg = g.in_degree().astype(np.float64)
+    return reference_from_edges(g.n, src, dst, 1.0 / indeg[dst], g.labels)
+
+
+def reference_assign_constant(g, p):
+    """`assign_constant_probability` by a rebuild from the edge list."""
+    src, dst, _ = g.edge_array()
+    return reference_from_edges(g.n, src, dst, np.full(g.m, p), g.labels)
+
+
+def reference_unified(g, seeds):
+    """The extended graph `unify_seeds(g, seeds)` wires: `g` plus an edge
+    of probability 1 from s = n to each seed, rebuilt from the edge list."""
+    seeds = np.asarray(sorted(seeds), dtype=np.int64)
+    src, dst, p = g.edge_array()
+    return reference_from_edges(
+        g.n + 1, np.concatenate([src, np.full(len(seeds), g.n)]),
+        np.concatenate([dst, seeds]),
+        np.concatenate([p, np.ones(len(seeds))]))
+
+
+def reference_positive_reach(ug, blocked=None, live=None):
+    """`UnifiedGraph.positive_reach` by a depth-first search, one edge at
+    a time."""
+    blocked = ug.blocked if blocked is None else blocked
+    follow = ug.out_p > 0.0 if live is None else live
+    seen = np.zeros(ug.n_total, dtype=bool)
+    seen[ug.s] = True
+    stack = [ug.s]
+    while stack:
+        u = stack.pop()
+        for off in range(ug.out_ptr[u], ug.out_ptr[u + 1]):
+            v = ug.out_dst[off]
+            if seen[v] or blocked[v] or not follow[off]:
+                continue
+            seen[v] = True
+            stack.append(v)
+    return seen
+
+
 # The level step of the batched searches as it was first written: one
 # boolean mask per level, applied to every examined edge's arrays.  The
 # searches in `imin.diffusion` must yield the same arrays and draw the

@@ -1,10 +1,15 @@
-"""The CSR arrays of every graph the package builds, pinned byte for byte.
+"""The CSR arrays of every graph the package builds, byte for byte.
 
-Each case is digested over the dtype, shape and bytes of the seven CSR
-arrays of its base graph, the base graph's labels and the seven arrays
-of its unified graph.  A change to how graphs are built must leave every
-digest here unchanged: edge ids, probabilities and the source's edges
-feed every random draw.  Print fresh digests with
+The builders must give the arrays, dtypes and edge ids of the reference
+builders in `conftest`, which sort each CSR by np.lexsort and rebuild
+both directions to set probabilities or attach the source: edge ids,
+probabilities and the source's edges feed every random draw.
+
+The digests below pin the cases the solvers and the CLI build.  Each is
+taken over the dtype, shape and bytes of the seven CSR arrays of its base
+graph, the base graph's labels and the seven arrays of its unified graph,
+and a change to how graphs are built must leave every one unchanged.
+Print fresh digests with
 
     PYTHONPATH=src python tests/test_csr.py
 """
@@ -13,10 +18,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imin import cli, fixtures
-from imin.graph import (Graph, assign_constant_probability,
-                        assign_wc_probabilities, unify_seeds)
+from imin.graph import (Graph, GraphError, assign_constant_probability,
+                        assign_wc_probabilities, block_nodes, unify_seeds)
+
+from conftest import (reference_assign_constant, reference_assign_wc,
+                      reference_from_edges, reference_unified)
 
 CSR = ("out_ptr", "out_dst", "out_p", "in_ptr", "in_src", "in_p", "in_eid")
 
@@ -109,6 +119,76 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csr_arrays_unchanged(name, tmp_path):
     assert digest(CASES[name](tmp_path)) == DIGESTS[name]
+
+
+
+def assert_same_csr(got, want):
+    for name in CSR:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@st.composite
+def edge_sets(draw):
+    """(n, src, dst, p, seeds): distinct edges in random order, with
+    probabilities 0, 1 and in between, and a non-empty seed set."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    pairs = draw(st.lists(st.sampled_from(pairs), unique=True)
+                 if pairs else st.just([]))
+    p = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      min_size=len(pairs), max_size=len(pairs)))
+    seeds = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    src = [u for u, _ in pairs]
+    dst = [v for _, v in pairs]
+    return n, src, dst, p, sorted(seeds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets())
+# no edges; isolated nodes, the highest id a seed with no in-edges; every
+# node a seed
+@example((3, [], [], [], [0]))
+@example((5, [0, 1], [1, 0], [0.5, 1.0], [4]))
+@example((4, [3, 2, 0, 1], [0, 1, 2, 3], [1.0] * 4, [0, 1, 2, 3]))
+def test_builders_match_the_reference(case):
+    n, src, dst, p, seeds = case
+    labels = np.arange(100, 100 + n)
+    g = Graph.from_edges(n, src, dst, p, labels=labels)
+    want = reference_from_edges(n, src, dst, p, labels)
+    assert_same_csr(g, want)
+    assert np.array_equal(g.labels, want.labels)
+    assert g.labels.dtype == want.labels.dtype
+    assert_same_csr(assign_wc_probabilities(g), reference_assign_wc(want))
+    assert_same_csr(assign_constant_probability(g, 0.3),
+                    reference_assign_constant(want, 0.3))
+
+    ug = unify_seeds(g, seeds)
+    assert_same_csr(ug, reference_unified(want, seeds))
+    assert ug.m_total == g.m + len(seeds)
+    cands = [v for v in range(n) if v not in seeds]
+    view = block_nodes(ug, cands[:2])
+    assert_same_csr(view, reference_unified(want, seeds))
+
+    if src:
+        with pytest.raises(GraphError, match="duplicate"):
+            Graph.from_edges(n, src + src[-1:], dst + dst[-1:], p + p[-1:])
+
+
+def test_shared_arrays_are_read_only():
+    g = Graph.from_edges(3, [0, 1, 2], [1, 2, 0], [0.5, 0.5, 0.5])
+    wc = assign_wc_probabilities(g)
+    assert wc.out_dst is g.out_dst and wc.in_eid is g.in_eid
+    ug = unify_seeds(wc, {0})
+    view = block_nodes(ug, [1])
+    assert view.in_src is ug.in_src
+    for graph in (g, wc, ug, view):
+        for name in CSR:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(graph, name)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        g.labels[0] = 7
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ from imin.graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
 
-from conftest import (base_spread_enumeration, make_rng,
-                      tiny_with_dead_edges)
+from conftest import (base_spread_enumeration, make_rng, random_flowgraph,
+                      reference_positive_reach, tiny_with_dead_edges)
 
 
 def write(tmp_path, text):
@@ -81,6 +81,16 @@ class TestValidation:
     def test_probability_range(self):
         with pytest.raises(GraphError, match="probabilities"):
             Graph.from_edges(2, [0], [1], [1.5])
+
+    def test_nan_probability(self):
+        with pytest.raises(GraphError, match="probabilities"):
+            Graph.from_edges(3, [0, 1], [1, 2], [float("nan"), 0.5])
+
+    def test_labels_one_per_node(self):
+        with pytest.raises(GraphError, match="labels"):
+            Graph.from_edges(3, [0, 1], [1, 2], labels=[7])
+        g = Graph.from_edges(3, [0, 1], [1, 2], labels=[7, 8, 9])
+        assert g.labels.tolist() == [7, 8, 9]
 
     def test_constant_probability_range(self):
         g = Graph.from_edges(2, [0], [1])
@@ -219,3 +229,18 @@ class TestPositiveReach:
             zero += dead
             nonzero += not dead
         assert zero and nonzero
+
+    def test_matches_reference_search(self):
+        """Over edges of probability 0, the graph's blocked mask, other
+        blocked masks and live-edge masks."""
+        for seed in range(40):
+            ug = random_flowgraph(seed)
+            rng = make_rng(seed)
+            other = rng.random(ug.n_total) < 0.3
+            other[ug.s] = False
+            live = rng.random(ug.m_total) < 0.6
+            for blocked, mask in ((None, None), (other, None), (None, live),
+                                  (other, live)):
+                assert np.array_equal(
+                    ug.positive_reach(blocked, live=mask),
+                    reference_positive_reach(ug, blocked, live=mask)), seed
