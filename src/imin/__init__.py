@@ -32,9 +32,9 @@ from .optimize import (AlgoParams, BoundCertificate, GreedyTrace,
 from .oracle import (ExactModel, OracleLimitError, exact_decrease,
                      exact_lower_bound, exact_optimal_blockers, exact_spread,
                      exact_upper_bound)
-from .sampling import (CPCollection, CPSequence, LRRCollection, LRRSet,
-                       compute_population, coverage, global_sampling,
-                       local_sampling, marginal_coverage)
+from .sampling import (ChainCollection, CPCollection, CPSequence,
+                       LRRCollection, LRRSet, compute_population, coverage,
+                       global_sampling, local_sampling, marginal_coverage)
 from .sandwich import (SandwichResult, empirical_ratio, lhga, sand_imin,
                        sand_imin_minus)
 

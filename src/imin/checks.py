@@ -18,7 +18,8 @@ from .diffusion import stopping_rule_spread
 from .domtree import build_dominator_tree
 from .optimize import AlgoParams, lsbm
 from .oracle import ExactModel
-from .sampling import CPCollection, LRRCollection, coverage
+from .sampling import (ChainCollection, CPCollection, LRRCollection,
+                       coverage)
 
 
 def _check_worked_examples():
@@ -66,16 +67,18 @@ def _check_unbiased(rng):
     est_low = coverage(coll, blockers) / n_samples
     true_low = model.lower_bound(blockers)
 
-    lcoll = LRRCollection(ug, rng)
-    lcoll.extend(n_samples)
-    est_up = len(lcoll.population) * coverage(lcoll, blockers) \
-        / lcoll.n_samples
-    true_up = model.upper_bound(blockers)
+    def scaled(coll):   # population size times the covered fraction
+        coll.extend(n_samples)
+        return len(coll.population) * coverage(coll, blockers) / n_samples
 
-    ok = (abs(est_low - true_low) < 0.25 * max(1.0, true_low)
-          and abs(est_up - true_up) < 0.25 * max(1.0, true_up))
-    return ok, (f"lower est {est_low:.3f} vs {true_low:.3f}; "
-                f"upper est {est_up:.3f} vs {true_up:.3f}")
+    est_up = scaled(LRRCollection(ug, rng))
+    true_up = model.upper_bound(blockers)
+    est_chain = scaled(ChainCollection(ug, rng))
+
+    ok = all(abs(est - true) < 0.25 * max(1.0, true) for est, true in
+             ((est_low, true_low), (est_chain, true_low), (est_up, true_up)))
+    return ok, (f"lower est {est_low:.3f} (chains {est_chain:.3f}) vs "
+                f"{true_low:.3f}; upper est {est_up:.3f} vs {true_up:.3f}")
 
 
 def _check_stopping_rule(rng):

@@ -441,7 +441,8 @@ def _add_common_options(p, sweep=False):
         p.add_argument("--epsilon", type=_OPEN_UNIT, default=0.2)
     p.add_argument("--delta", type=_OPEN_UNIT, default=None,
                    help="failure probability (default 1/n)")
-    p.add_argument("--beta", type=_OPEN_UNIT, default=0.1)
+    p.add_argument("--beta", type=_OPEN_UNIT, default=0.1,
+                   help="no effect (range-checked; kept in the CSV)")
     p.add_argument("--gamma", type=_OPEN_UNIT, default=0.1)
     p.add_argument("--trials", type=_COUNT, default=1000,
                    help="Monte-Carlo trials per greedy evaluation (mc)")

@@ -26,10 +26,10 @@ Subtree sizes then accumulate bottom-up and dominator-tree preorder slots
 are assigned top-down, one pass per search level; siblings keep their
 search numbers' order.  Per-node subtree sizes of the tree rooted at the
 cascade source are the unit of spread-decrease estimation used by the
-greedy baselines and by lower-bound sample generation, both through the
-batched common-path sampler of `sampling`.  `build_dominator_tree` feeds
-an eager `diffusion.Realization` to the same routine as a batch of one:
-the tests' reference, not a package code path.
+greedy baselines, through the batched common-path sampler of `sampling`;
+the lower bound's chains come from trees of reverse-reachable member
+searches.  `build_dominator_tree` feeds an eager `diffusion.Realization`
+to the same routine as a batch of one: the tests' reference only.
 """
 
 from __future__ import annotations

@@ -65,33 +65,31 @@ class Graph:
     labels: np.ndarray = field(repr=False, default=None)
 
     @classmethod
-    def from_edges(cls, n, src, dst, p=None, labels=None, validate=True):
+    def from_edges(cls, n, src, dst, p=None, labels=None):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if p is None:
             p = np.ones(len(src), dtype=np.float64)
         p = np.asarray(p, dtype=np.float64)
-        if validate:
-            if n <= 0:
-                raise GraphError("graph must have at least one node")
-            if len(src) != len(dst) or len(src) != len(p):
-                raise GraphError("edge arrays must have equal length")
-            if len(src) and (src.min() < 0 or src.max() >= n
-                             or dst.min() < 0 or dst.max() >= n):
-                raise GraphError("edge endpoint out of range")
-            if np.any(src == dst):
-                raise GraphError("self-loops are not allowed")
-            if not np.all((p >= 0.0) & (p <= 1.0)):
-                raise GraphError("edge probabilities must lie in [0, 1]")
-            if labels is not None and len(labels) != n:
-                raise GraphError("labels must have one entry per node")
+        if n <= 0:
+            raise GraphError("graph must have at least one node")
+        if len(src) != len(dst) or len(src) != len(p):
+            raise GraphError("edge arrays must have equal length")
+        if len(src) and (src.min() < 0 or src.max() >= n
+                         or dst.min() < 0 or dst.max() >= n):
+            raise GraphError("edge endpoint out of range")
+        if np.any(src == dst):
+            raise GraphError("self-loops are not allowed")
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise GraphError("edge probabilities must lie in [0, 1]")
+        if labels is not None and len(labels) != n:
+            raise GraphError("labels must have one entry per node")
         order, out_ptr = _build_csr(n, src, dst)
         # Edge id == position in the forward CSR arrays.
         out_dst, out_p = dst[order], p[order]
         fwd_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(out_ptr))
         # Equal keys are neighbours in sorted order.
-        if validate and np.any((np.diff(fwd_src) == 0)
-                               & (np.diff(out_dst) == 0)):
+        if np.any((np.diff(fwd_src) == 0) & (np.diff(out_dst) == 0)):
             raise GraphError("duplicate edges are not allowed")
         in_eid, in_ptr = _build_csr(n, out_dst, fwd_src)
         if labels is None:
@@ -130,6 +128,8 @@ class Graph:
 
     @classmethod
     def load(cls, path):
+        """Read a cache file written by `save`, validated as `from_edges`
+        validates its input."""
         with np.load(path) as data:
             version = int(data["format_version"])
             if version != CACHE_FORMAT_VERSION:
@@ -137,8 +137,7 @@ class Graph:
                     f"unsupported graph cache version {version} "
                     f"(expected {CACHE_FORMAT_VERSION})")
             return cls.from_edges(int(data["n"]), data["src"], data["dst"],
-                                  data["p"], labels=data["labels"],
-                                  validate=False)
+                                  data["p"], labels=data["labels"])
 
 
 def load_edge_list(path, directed=True):

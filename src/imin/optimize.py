@@ -1,13 +1,15 @@
 """Greedy coverage maximization with adaptive sample-doubling certificates.
 
-Both bound maximizers share one skeleton: grow two independent sample
+Both bound maximizers run one loop: grow two independent sample
 collections, pick a blocker set greedily on the first, certify it against
 the second, and stop as soon as the certified ratio clears 1 - 1/e -
 epsilon (or a sample cap derived from a union bound over all candidate
 sets is reached).  The certified ratio compares a high-probability lower
 bound on the chosen set's objective value with a high-probability upper
 bound on the optimum, both obtained by inverting martingale tail bounds on
-coverage counts.
+coverage counts.  Both objectives are the exactly known population size
+times a covered fraction of samples (reverse-reachable sets for `gsbm`,
+dominator chains for `lsbm`), so each certificate spends its whole delta.
 
 Greedy selection takes one array pass per pick: every node's marginal
 gain at once, then the best candidate by `np.argmax` (ties to the lowest
@@ -21,14 +23,14 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import SpreadEstimate, stopping_rule_spread
+# Not called here; perfbench's span table resolves this name.
+from .diffusion import stopping_rule_spread  # noqa: F401
 from .graph import BlockerSet, UnifiedGraph
-from .sampling import (CPCollection, LRRCollection, compute_population,
+from .sampling import (ChainCollection, LRRCollection, compute_population,
                        coverage)
 
 E_FRACTION = 1.0 - 1.0 / math.e
@@ -38,7 +40,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class AlgoParams:
-    """Budget and error knobs shared by the bound maximizers."""
+    """Budget and error knobs shared by the bound maximizers.  `beta` has
+    no effect (it was the accuracy of a spread estimate the lower
+    maximizer no longer draws) but is still range-checked."""
 
     k: int
     epsilon: float = 0.2
@@ -53,11 +57,6 @@ class AlgoParams:
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {val}")
-        if 2.0 * self.beta / (1.0 + self.beta) > self.epsilon:
-            warnings.warn(
-                "2*beta/(1+beta) exceeds epsilon; the stated running-time "
-                "bound does not apply (results remain valid)",
-                stacklevel=2)
 
 
 @dataclass
@@ -100,7 +99,6 @@ class BoundCertificate:
     samples_primary: int = 0
     samples_validation: int = 0
     schedule: SampleSchedule = None
-    spread_estimate: SpreadEstimate = None
     population_size: int = None
     opt_lower: float = None
     checks: list = field(default_factory=list, repr=False)
@@ -258,32 +256,38 @@ def _early_return(side: str, blockers=(), **fields):
                                       stop_reason="early_exit", **fields)
 
 
-def _certified_maximize(side, g, params, rng, scale, slack, candidates,
-                        tail, new_collection, bounds, **fields):
+def _certified_maximize(side, g, params, rng, collection, tail,
+                        candidates=None):
     """The doubling, certify and stop loop shared by both maximizers.
 
-    Schedule inputs: the objective's `scale`, the `slack` factor of the
-    sample-size denominator, the number of `candidates` a blocker set is
-    chosen from and the `tail` numerator of the union-bound log term.
-    `new_collection(rng)` makes an empty sample collection, and
-    `bounds(cov_val, n_val, cov_opt, n_primary, a)` turns coverage counts
-    into (sigma_lower, sigma_upper) with tail log-term `a`.  `fields` go
-    into the returned certificate.
+    Samples are drawn by `collection(g, rng, population=...)` over the
+    population of nodes the seeds can reach, and the objective is the
+    population size times the covered fraction of samples.  Schedule
+    inputs: the number of `candidates` a blocker set is chosen from (the
+    population size when not given) and the `tail` numerator of the
+    union-bound log term.
     """
+    params.validate()
+    on = g.seed_out_neighbors()
+    if len(on) <= params.k:
+        return _early_return(side, on)
+    population = compute_population(g)
+    if not population:
+        return _early_return(side, population_size=0)
+    npop = len(population)
     k = params.k
     opt_low = opt_lower_bound(g, k)
     if opt_low <= 0.0:
         raise ValueError("every seed out-edge has zero probability; "
                          "the schedule lower bound is degenerate")
-    sched = _make_schedule(scale=scale,
-                           denom=slack * params.epsilon ** 2 * opt_low,
-                           ln_choose=_log_binom(candidates, k),
-                           ln_tail=math.log(tail / params.delta),
-                           delta=params.delta)
+    sched = _make_schedule(
+        scale=float(npop), denom=params.epsilon ** 2 * opt_low,
+        ln_choose=_log_binom(npop if candidates is None else candidates, k),
+        ln_tail=math.log(tail / params.delta), delta=params.delta)
 
     rng_primary, rng_validation = rng.spawn(2)
-    primary = new_collection(rng_primary)
-    validation = new_collection(rng_validation)
+    primary = collection(g, rng_primary, population=population)
+    validation = collection(g, rng_validation, population=population)
     start = max(1, math.ceil(sched.samples_initial))
     primary.extend(start)
     validation.extend(start)
@@ -292,10 +296,11 @@ def _certified_maximize(side, g, params, rng, scale, slack, candidates,
     checks = []
     for round_no in range(1, sched.rounds_cap + 1):
         blockers, trace = max_coverage(primary, k)
-        sigma_low, sigma_up = bounds(
-            coverage(validation, blockers), validation.n_samples,
-            cov_upper_opt(trace), primary.n_samples,
-            sched.log_term)
+        sigma_low = max(0.0, _sigma_lower_term(
+            float(coverage(validation, blockers)), sched.log_term)) \
+            * npop / validation.n_samples
+        sigma_up = _sigma_upper_term(cov_upper_opt(trace), sched.log_term) \
+            * npop / primary.n_samples
         ratio = sigma_low / sigma_up
         reached = ratio >= target
         stop = reached or round_no == sched.rounds_cap
@@ -312,8 +317,8 @@ def _certified_maximize(side, g, params, rng, scale, slack, candidates,
                 sigma_lower=sigma_low, sigma_upper=sigma_up,
                 rounds=round_no, samples_primary=primary.n_samples,
                 samples_validation=validation.n_samples, schedule=sched,
-                opt_lower=opt_low, checks=checks,
-                validation_collection=validation, **fields)
+                population_size=npop, opt_lower=opt_low, checks=checks,
+                validation_collection=validation)
         primary.extend(primary.n_samples)
         validation.extend(validation.n_samples)
 
@@ -324,70 +329,21 @@ def lsbm(g: UnifiedGraph, params: AlgoParams,
 
     Returns (blockers, certificate).  With probability at least 1 - delta
     the returned set's lower-bound value is within 1 - 1/e - epsilon of the
-    best achievable with k blockers.
+    best achievable with k blockers.  The samples are dominator chains of
+    uniform targets (`ChainCollection`), so the lower bound is estimated
+    as the upper bound is, at the population's scale.
     """
-    params.validate()
-    on = g.seed_out_neighbors()
-    if len(on) <= params.k:
-        return _early_return("lower", on)
-    ihat = stopping_rule_spread(g, None, gamma=params.beta,
-                                delta=params.delta / 6.0, rng=rng)
-    if ihat.exact_zero:
-        return _early_return("lower", spread_estimate=ihat)
-
-    beta = params.beta
-
-    def bounds(cov_val, n_val, cov_opt, n_primary, a):
-        # Coverage is normalized by the spread estimate, whose (1 +/- beta)
-        # slack picks the lower-tail branch; neither branch applies when
-        # the two normalized values straddle the threshold.
-        sigma_low = 0.0
-        low_arg = cov_val * (1.0 - beta) / ihat.value
-        high_arg = cov_val * (1.0 + beta) / ihat.value
-        if low_arg >= 5.0 * a / 18.0:
-            sigma_low = _sigma_lower_term(low_arg, a) / n_val
-        elif high_arg <= 5.0 * a / 18.0:
-            sigma_low = _sigma_lower_term(high_arg, a) / n_val
-        sigma_low = max(sigma_low, 0.0)
-        sigma_up = _sigma_upper_term(
-            cov_opt * (1.0 + beta) / ihat.value, a) / n_primary
-        return sigma_low, sigma_up
-
     return _certified_maximize(
-        "lower", g, params, rng, scale=ihat.value, slack=1.0 - beta,
-        candidates=int(g.candidates().sum()), tail=12.0,
-        new_collection=lambda r: CPCollection(g, r), bounds=bounds,
-        spread_estimate=ihat)
+        "lower", g, params, rng, ChainCollection, tail=12.0,
+        candidates=int(g.candidates().sum()))
 
 
 def gsbm(g: UnifiedGraph, params: AlgoParams,
          rng: np.random.Generator) -> tuple:
     """Blocker selection maximizing the upper-bound objective.
 
-    Same doubling skeleton as `lsbm` over reverse-reachable samples; the
-    population size is known exactly, so the certified bounds carry no
-    spread-estimation slack.
+    The same loop as `lsbm` over reverse-reachable samples; a blocker set
+    covers a sample when it holds one of the set's members.
     """
-    params.validate()
-    on = g.seed_out_neighbors()
-    if len(on) <= params.k:
-        return _early_return("upper", on)
-    population = compute_population(g)
-    if not population:
-        # mirror the lower maximizer's zero-spread path so the combined
-        # pipeline degrades gracefully on dead graphs
-        return _early_return("upper", population_size=0)
-
-    npop = len(population)
-
-    def bounds(cov_val, n_val, cov_opt, n_primary, a):
-        sigma_low = max(0.0, _sigma_lower_term(float(cov_val), a)) \
-            * npop / n_val
-        sigma_up = _sigma_upper_term(cov_opt, a) * npop / n_primary
-        return sigma_low, sigma_up
-
-    return _certified_maximize(
-        "upper", g, params, rng, scale=float(npop), slack=1.0,
-        candidates=npop, tail=6.0,
-        new_collection=lambda r: LRRCollection(g, r, population=population),
-        bounds=bounds, population_size=npop)
+    return _certified_maximize("upper", g, params, rng, LRRCollection,
+                               tail=6.0)

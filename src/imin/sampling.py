@@ -1,47 +1,43 @@
 """Sample generation and coverage counting for the two bound estimators.
 
-Lower bound: one sample is a *common-path sequence* — per realization, for
-every non-seed node v reached by the source, the set of nodes that sit on
-every source-to-v live path.  Those sets are exactly the dominator-tree
-root paths truncated below the seed layer, so a whole sequence costs one
-dominator-tree build.  Sets are stored as parent pointers plus a preorder
-interval per entry: the entries whose set contains node u are precisely
-the contiguous block of u's dominator subtree, which makes coverage
-marking a slice assignment.
+Both bounds are coverage functions over (realization, target) pairs, the
+target drawn uniformly from the population of non-seed nodes the seeds can
+reach: each is the population size times the chance that a blocker set
+meets one sample.  Upper bound: the sample is a *local reverse-reachable
+set*, the nodes that reach the target inside the realization's receiver
+subgraph (reached non-seeds only).  Lower bound: the sample is the
+target's *dominator chain*, the non-seed nodes on every live
+source-to-target path.  An unreached target gives an empty sample, which
+stays in the collection as denominator weight.
 
-Upper bound: one sample is a *local reverse-reachable set* — a target v
-drawn uniformly from the positive-probability reach of the source, and the
-nodes that can reach v inside the realization's receiver subgraph (reached
-non-seeds only).  Empty sets (target unreached) stay in the collection as
-a counter; they carry denominator weight.  A set is found from its target:
-a reverse search over live in-edges that stops at the seeds, then a
-forward search from the nodes the seeds feed, inside what the reverse
-search found.  Any node on a seed-to-member live path also reaches the
-target, so no forward pass over the whole realization is needed.
+Both come from one reverse search per batch (`reverse_live_edges`), which
+records the live in-edges of the target's non-seed ancestors and stops at
+the seeds, then a forward search from the nodes the seeds feed inside what
+it found (`_reverse_reach`): the pairs it reaches are the members.  Every
+live source-to-member path runs through members, so `domtree.dominators`
+on that search gives the realization's dominators, and a chain is the
+target's path to the root.  The paper's "local sampling" draws the lower
+bound forward instead; the objective is the same.
 
-Both sample types come from one generator each, `_cp_batch` and
-`_lrr_batch`, which splits any count into batches of up to
-`diffusion._BATCH` realizations.  Each batch is one vectorized search
-(`diffusion._forward_levels` for CP sequences, `reverse_live_edges` for
-LRR sets) that draws an edge's coin only when the search reaches it; a
-sample costs what its cascade reaches, not the size of the graph.
-`_sequence_entries` then builds the dominator trees of the whole CP batch
-at once (`domtree.dominators`) and emits its entries as flat arrays with a
-per-sequence pointer, so no Python code runs per sequence; one DEBUG line
-per batch on this module's logger gives its realizations, entries, join
-nodes and sweeps.  `_lrr_batch` likewise yields one (targets, members,
-ptr) tuple per batch.  `CPCollection` and `LRRCollection` keep those
-arrays as whole-batch chunks.  The collections, `local_sampling`,
-`global_sampling` and the greedy baselines (which sum CP entry sizes: a
-non-seed node's entry size is its dominator-subtree size) all draw through
-these two generators.
+That forward estimator stays as the reference: one *common-path sequence*
+per realization holds every reached non-seed node's dominator-tree root
+path, truncated below the seed layer, from one dominator-tree build of the
+forward search (`diffusion._forward_levels`).  Sets are stored as parent
+pointers plus a preorder interval per entry, so the entries whose set
+contains u are the block of u's dominator subtree.  The greedy baselines
+score nodes by these entries' sizes (a node's dominator-subtree size).
 
-Coverage of a blocker set B is the number of samples whose set intersects
-B.  Cov/|collection| (times the population size for the upper side) is an
-unbiased estimate of the corresponding bound.  The coverage states work
-on the chunks concatenated once (`_freeze`), with no inverted index: a
-node's entries or memberships are found by one comparison over the flat
-arrays, and every node's marginal gain by one `np.bincount`.
+Each sample type has one generator (`_lrr_batch`, `_chain_batch`,
+`_cp_batch`) that splits any count into batches of up to `_BATCH`
+realizations, each one vectorized search drawing an edge's coin only when
+the search reaches it: a sample costs what its search reaches, not the size
+of the graph.  The chain and CP generators log one DEBUG line per batch.
+`LRRCollection`, `ChainCollection` and `CPCollection` keep the arrays as
+whole-batch chunks, and their coverage states work on the chunks
+concatenated once (`_freeze`), with no inverted index: a node's entries or
+memberships are found by one comparison over the flat arrays, and every
+node's marginal gain by one `np.bincount`.  Cov/|collection|, times the
+population size for LRR sets and chains, estimates the bound unbiasedly.
 """
 
 from __future__ import annotations
@@ -143,12 +139,15 @@ class LRRSet:
 
 
 def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
-    """Members of a batch of `count` LRR samples, as node-major keys
-    node * count + trial: the found nodes that the seeds reach.
+    """Search the members of a batch of `count` LRR samples from the
+    source, yielding levels as `diffusion._forward_levels` does: (owner,
+    dst) of the live edges out of the level's pairs, then (node, trial) of
+    the member pairs they reach first.
 
-    (trial, src, dst) are the live in-edges a reverse search recorded.  A
-    forward search starts at the nodes a seed feeds and follows the
-    recorded edges between found nodes.
+    (trial, src, dst) are the live in-edges a reverse search recorded.
+    Trial t's root is the source (pair t of level 0), the seeds collapsed
+    into it: level 1 is one edge to each member a seed feeds, and later
+    levels follow the recorded edges between found nodes.
     """
     fed = ug.uncounted[src]
     tail = src[~fed] * count + trial[~fed]
@@ -157,13 +156,14 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     head = (dst[~fed] * count + trial[~fed])[by_tail]
     member = np.zeros(ug.n_total * count, dtype=bool)
     frontier = _advance(member, dst[fed] * count + trial[fed])
-    reached = [frontier]
+    node, found = np.divmod(frontier, count)
+    yield found, node, node, found
     while len(frontier):
-        offs, _ = _slices(np.searchsorted(tail, frontier),
-                          np.searchsorted(tail, frontier, side="right"))
-        frontier = _advance(member, head[offs])
-        reached.append(frontier)
-    return np.concatenate(reached)
+        offs, owner = _slices(np.searchsorted(tail, frontier),
+                              np.searchsorted(tail, frontier, side="right"))
+        heads = head[offs]
+        frontier = _advance(member, heads)
+        yield (owner, heads // count, *np.divmod(frontier, count))
 
 
 def _lrr_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
@@ -180,15 +180,44 @@ def _lrr_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
     for done in range(0, count, _BATCH):
         batch = min(_BATCH, count - done)
         targets = population[rng.integers(0, len(population), size=batch)]
-        node, trial = np.divmod(
-            _reverse_reach(ug, batch, *reverse_live_edges(ug, targets, rng)),
-            batch)
+        node, trial = (np.concatenate(a) for a in zip(*(
+            level[2:] for level in _reverse_reach(
+                ug, batch, *reverse_live_edges(ug, targets, rng)))))
         order = np.lexsort((node, node != targets[trial], trial))
         node, trial = node[order], trial[order]
         del order
         ptr = np.searchsorted(trial, np.arange(batch + 1))
         del trial  # not alive through the next search
         yield targets, node, ptr
+
+
+def _chain_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
+                 rng: np.random.Generator):
+    """`count` dominator-chain samples, one reverse search per `_BATCH`:
+    one (targets, chains, ptr) tuple per batch.  Sample i's chain is
+    chains[ptr[i]:ptr[i + 1]]: the target, then its dominators up to the
+    seeds, and empty when the target is not reached.
+
+    Targets and searches are drawn as in `_lrr_batch`; each reached target
+    walks its immediate dominators in the member search's dominator trees.
+    """
+    for done in range(0, count, _BATCH):
+        batch = min(_BATCH, count - done)
+        targets = population[rng.integers(0, len(population), size=batch)]
+        tree = dominators(_reverse_reach(
+            ug, batch, *reverse_live_edges(ug, targets, rng)), ug.s, batch)
+        node, trial = np.divmod(tree.key, batch)
+        links = [np.flatnonzero(node == targets[trial])]
+        while len(links[-1]):       # numbers below `batch` are the roots
+            up = tree.idom[links[-1]]
+            links.append(up[up >= batch])
+        chain = np.concatenate(links)
+        # a stable sort keeps each chain in walk order, target first
+        chain = chain[np.argsort(trial[chain], kind="stable")]
+        ptr = np.searchsorted(trial[chain], np.arange(batch + 1))
+        log.debug("chain batch: %d samples, %d chain nodes, %d join nodes, "
+                  "%d sweeps", batch, len(chain), tree.joins, tree.sweeps)
+        yield targets, node[chain], ptr
 
 
 def global_sampling(g: UnifiedGraph, population,
@@ -202,7 +231,9 @@ def global_sampling(g: UnifiedGraph, population,
 
 
 class CPCollection:
-    """A growing set of common-path sequences.
+    """A growing set of common-path sequences: the paper's forward
+    estimator of the lower bound, kept as the reference the tests and
+    `checks` compare `ChainCollection` against.  No solver samples it.
 
     Entries are kept in whole-batch chunks; `_starts` holds each chunk's
     sequence boundaries as global entry offsets.
@@ -316,10 +347,12 @@ class LRRCollection:
                   np.asarray([len(m) for m in sets], dtype=np.int64))
         return coll
 
+    _batches = staticmethod(_lrr_batch)
+
     def extend(self, count: int):
         """Generate `count` more samples from the collection's stream."""
-        for _, members, ptr in _lrr_batch(self.ug, self._pop_arr, count,
-                                          self.rng):
+        for _, members, ptr in self._batches(self.ug, self._pop_arr, count,
+                                             self.rng):
             self._add(members, np.diff(ptr))
 
     def _add(self, members, sizes):
@@ -353,6 +386,13 @@ class LRRCollection:
         return _LRRState(self)
 
 
+class ChainCollection(LRRCollection):
+    """A growing set of dominator chains (`_chain_batch`), kept and scored
+    as LRR sets are: the lower bound's samples."""
+
+    _batches = staticmethod(_chain_batch)
+
+
 class _LRRState:
     """Coverage bookkeeping over a frozen LRR collection: a blocker covers
     the sets it is a member of."""
@@ -381,7 +421,8 @@ def _state_with(collection, blockers):
 
 
 def coverage(collection, blockers) -> int:
-    """Number of samples (CP entries or LRR sets) hit by the blocker set."""
+    """Number of samples (CP entries, LRR sets or chains) the blocker set
+    meets."""
     return _state_with(collection, as_blockers(blockers)).coverage()
 
 

@@ -25,7 +25,8 @@ from imin.baselines import ag, gr
 from imin.diffusion import ic_spread_samples, reverse_reach_counts
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, gsbm, lsbm
-from imin.sampling import _cp_batch, _lrr_batch, compute_population
+from imin.sampling import (_chain_batch, _cp_batch, _lrr_batch,
+                           compute_population)
 from imin.sandwich import sand_imin, sand_imin_minus
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
@@ -86,10 +87,11 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _lrr_arrays(ug, count, rng):
-    """(targets, set sizes, members) of `count` LRR samples, flat."""
-    batches = list(_lrr_batch(ug, np.asarray(compute_population(ug)),
-                              count, rng))
+def _set_arrays(sample, ug, count, rng):
+    """(targets, set sizes, members) of `count` LRR or chain samples, flat;
+    `sample` is `_lrr_batch` or `_chain_batch`."""
+    batches = list(sample(ug, np.asarray(compute_population(ug)), count,
+                          rng))
     return (np.concatenate([t for t, _, _ in batches]),
             np.concatenate([np.diff(p) for _, _, p in batches]),
             np.concatenate([m for _, m, _ in batches]))
@@ -106,12 +108,13 @@ def _kernels(ug, gi):
             runs = {
                 "cp": lambda r: [a for batch in _cp_batch(g, count, r)
                                  for a in batch],
-                "lrr": lambda r: _lrr_arrays(g, count, r),
+                "lrr": lambda r: _set_arrays(_lrr_batch, g, count, r),
                 "ic": lambda r: [ic_spread_samples(g, None, count, r)],
             }
             if view == "plain":
                 runs["rr_counts"] = lambda r: [
                     reverse_reach_counts(g.base, count, r)]
+            runs["chain"] = lambda r: _set_arrays(_chain_batch, g, count, r)
             for ki, (kernel, run) in enumerate(runs.items()):
                 r = _rng(gi, vi, count, ki)
                 arrays = run(r)

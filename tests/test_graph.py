@@ -61,6 +61,22 @@ class TestLoadEdgeList:
         assert np.array_equal(h.out_p, g.out_p)
         assert np.array_equal(h.labels, g.labels)
 
+    @pytest.mark.parametrize("defect, match", [
+        ({"dst": [1, 1], "src": [0, 0]}, "duplicate"),
+        ({"dst": [1, 5]}, "out of range"),
+        ({"p": [float("nan"), 0.5]}, "probabilities"),
+        ({"p": [0.5, 2.0]}, "probabilities"),
+        ({"labels": [5]}, "labels"),
+    ])
+    def test_cache_file_is_validated(self, tmp_path, defect, match):
+        # Each defect alone in an otherwise valid file (edges 0->1, 1->2).
+        arrays = {"format_version": 1, "n": 3, "src": [0, 1], "dst": [1, 2],
+                  "p": [0.5, 0.5], "labels": [5, 6, 7], **defect}
+        cache = tmp_path / "graph.npz"
+        np.savez(cache, **{k: np.asarray(v) for k, v in arrays.items()})
+        with pytest.raises(GraphError, match=match):
+            Graph.load(cache)
+
 
 class TestWcProbabilities:
     def test_shared_target(self):

@@ -1,13 +1,14 @@
 import itertools
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imin import fixtures
+from imin import fixtures, optimize
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import (AlgoParams, E_FRACTION, _certified_maximize,
                            cov_upper_opt, direct_activation_prob, gsbm, lsbm,
@@ -294,7 +295,7 @@ class TestLsbm:
             Graph.from_edges(3, [0, 0], [1, 2], [0.0, 0.0]), {0})
         blockers, cert = lsbm(g, AlgoParams(k=1), make_rng(9))
         assert list(blockers) == []
-        assert cert.spread_estimate.exact_zero
+        assert cert.population_size == 0
 
     def test_guarantee_smoke(self):
         ug = fixtures.worked_example_small()
@@ -360,16 +361,13 @@ class TestStopReason:
                                             else "rounds_cap")
                 assert not cert.early_exit
 
-    def test_rounds_cap_when_ratio_never_clears(self):
+    def test_rounds_cap_when_ratio_never_clears(self, monkeypatch):
         ug = fixtures.worked_example_small()
-        population = compute_population(ug)
+        monkeypatch.setattr(optimize, "_sigma_lower_term",
+                            lambda *args: 0.0)
         _, cert = _certified_maximize(
-            "upper", ug, AlgoParams(k=1), make_rng(17),
-            scale=float(len(population)), slack=1.0,
-            candidates=len(population), tail=6.0,
-            new_collection=lambda r: LRRCollection(ug, r,
-                                                   population=population),
-            bounds=lambda *args: (0.0, 1.0))
+            "upper", ug, AlgoParams(k=1), make_rng(17), LRRCollection,
+            tail=6.0)
         assert cert.stop_reason == "rounds_cap"
         assert cert.rounds == cert.schedule.rounds_cap
         assert cert.as_dict()["stop_reason"] == "rounds_cap"
@@ -388,7 +386,6 @@ class TestCertificateSoundness:
         # returned set; sigma_upper should rarely undercut the optimum.
         ug = fixtures.worked_example_small()
         model = ExactModel(ug)
-        spread = model.spread()
         _, opt = model.optimal_blockers(1, "lower")
         params = AlgoParams(k=1, epsilon=0.2, delta=0.1, beta=0.1)
         rng = make_rng(16)
@@ -396,9 +393,9 @@ class TestCertificateSoundness:
         runs = 60
         for _ in range(runs):
             blockers, cert = lsbm(ug, params, rng)
-            if cert.sigma_lower > model.lower_bound(blockers) / spread + 1e-9:
+            if cert.sigma_lower > model.lower_bound(blockers) + 1e-9:
                 low_bad += 1
-            if cert.sigma_upper < opt / spread - 1e-9:
+            if cert.sigma_upper < opt - 1e-9:
                 up_bad += 1
         # per-round failure budget is delta/(3 * rounds_cap); across runs
         # allow generous binomial noise on top
@@ -410,7 +407,10 @@ class TestCertificateSoundness:
             AlgoParams(k=0).validate()
         with pytest.raises(ValueError, match="epsilon"):
             AlgoParams(k=1, epsilon=1.5).validate()
-        with pytest.warns(UserWarning, match="exceeds epsilon"):
+        with pytest.raises(ValueError, match="beta"):
+            AlgoParams(k=1, beta=0.0).validate()
+        with warnings.catch_warnings():     # beta no longer warns
+            warnings.simplefilter("error")
             AlgoParams(k=1, epsilon=0.05, beta=0.2).validate()
 
 

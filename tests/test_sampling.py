@@ -12,14 +12,16 @@ from imin.diffusion import reachable_in_realization, sample_realization
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.oracle import ExactModel
 from imin.diffusion import _BATCH, _forward_levels
-from imin.sampling import (CPCollection, CPSequence, LRRCollection,
-                           _cp_batch, _lrr_batch, _sequence_entries,
-                           compute_population, coverage, global_sampling,
-                           local_sampling, marginal_coverage)
+from imin import sampling
+from imin.sampling import (ChainCollection, CPCollection, CPSequence,
+                           LRRCollection, _chain_batch, _cp_batch, _lrr_batch,
+                           _sequence_entries, compute_population, coverage,
+                           global_sampling, local_sampling, marginal_coverage)
 
-from conftest import (certain_edges, eager_entries, entry_triples,
-                      live_successors, make_rng, random_flowgraph, recorded,
-                      reference_triples, split_sequences, split_sets)
+from conftest import (certain_edges, dominators, eager_entries,
+                      entry_triples, live_successors, make_rng,
+                      random_flowgraph, recorded, reference_triples,
+                      split_sequences, split_sets, tiny_with_dead_edges)
 
 
 def cp_sets_by_path_enumeration(ug, phi):
@@ -236,6 +238,96 @@ class TestDeterministicSamples:
         for batch in _cp_batch(ug, 5, make_rng(seed)):
             for got in split_sequences(*batch):
                 assert entry_triples(*got) == want
+
+
+class TestChainSamples:
+    """Dominator chains from the member search (`_chain_batch`)."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_chains_match_cp_sets_on_certain_edges(self, seed):
+        ug, phi = deterministic(seed)
+        nodes, parents, *_ = eager_entries(ug, phi)
+        want = CPSequence(nodes, parents).sets()
+        non_seeds = [v for v in range(ug.base.n) if v not in ug.seeds]
+        for target, chain in split_sets(_chain_batch(
+                ug, np.asarray(non_seeds), 40, make_rng(seed))):
+            if target not in want:
+                assert len(chain) == 0
+                continue
+            assert chain[0] == target
+            assert len(chain) == len(want[target])
+            assert set(chain.tolist()) == want[target]
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, _BATCH]))
+    def test_chains_are_root_paths_of_the_reverse_edges(self, seed, batch):
+        # Each chain is its target's root path in the reference dominator
+        # tree of the live in-edges the reverse search recorded, a seed's
+        # edges leaving the source, and lies in the LRR set drawn from the
+        # same stream.
+        ug = random_flowgraph(seed)
+        pop = np.asarray(compute_population(ug))
+        if not len(pop):
+            return
+        edges = []
+        search = sampling.reverse_live_edges
+
+        def recording(*args):
+            edges.append(search(*args))
+            return edges[-1]
+
+        try:
+            sampling.reverse_live_edges = recording
+            (targets, chains, ptr), = _chain_batch(ug, pop, batch,
+                                                   make_rng(seed))
+        finally:
+            sampling.reverse_live_edges = search
+        live = [{} for _ in range(batch)]
+        for t, u, v in zip(*(a.tolist() for a in edges[0])):
+            live[t].setdefault(ug.s if ug.uncounted[u] else u, []).append(v)
+        lrr = split_sets(_lrr_batch(ug, pop, batch, make_rng(seed)))
+        for t, (target, members) in enumerate(lrr):
+            assert targets[t] == target
+            chain = chains[ptr[t]:ptr[t + 1]].tolist()
+            vertex, idom, _ = dominators(live[t].get, ug.s)
+            want, w = [], vertex.index(target) if target in vertex else 0
+            while w:
+                want.append(vertex[w])
+                w = idom[w]
+            assert chain == want
+            assert set(chain) <= set(members.tolist())
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_scaled_coverage_estimates_lower_bound(self, seed):
+        # Zero-probability edges, nodes blocked before sampling and a
+        # random blocker set among the rest; within 3 sigma of the exact
+        # lower bound, sigma from the exact hit probability.
+        ug, pre = tiny_with_dead_edges(seed)
+        ug = block_nodes(ug, pre)
+        rng = make_rng(seed)
+        cands = np.flatnonzero(ug.candidates()).tolist()
+        size = int(rng.integers(1, 3)) if cands else 0
+        blockers = rng.choice(cands, size=min(size, len(cands)),
+                              replace=False).tolist()
+        want = ExactModel(ug).lower_bound(blockers)
+        pop = compute_population(ug)
+        if not pop:     # the seeds reach nobody
+            assert want == 0.0
+            with pytest.raises(ValueError, match="influence no one"):
+                ChainCollection(ug, rng)
+            return
+        n = 4000
+        coll = ChainCollection(ug, rng)
+        coll.extend(n)
+        est = len(pop) * coverage(coll, blockers) / n
+        hit = want / len(pop)
+        sigma = len(pop) * math.sqrt(hit * (1 - hit) / n)
+        assert abs(est - want) <= 3 * sigma + 1e-9
 
 
 def assert_subtree_blocks(parents, sizes):
@@ -515,3 +607,14 @@ class TestCollectionGrowth:
         lpath = tmp_path / "lrr.txt"
         dump_samples(lcoll, lpath)
         assert len(lpath.read_text().splitlines()) == 5
+
+        # a chain per line as target:members, "-" for an unreached target
+        g = unify_seeds(Graph.from_edges(3, [0, 1], [1, 2], [1.0, 0.5]),
+                        {0})
+        ccoll = ChainCollection(g, make_rng(11))
+        ccoll.extend(40)
+        cpath = tmp_path / "chains.txt"
+        dump_samples(ccoll, cpath)
+        lines = cpath.read_text().splitlines()
+        assert len(lines) == 40
+        assert set(lines) == {"1:1", "2:1,2", "-"}
