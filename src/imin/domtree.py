@@ -22,14 +22,14 @@ below a node that just moved, or with a predecessor there, are evaluated
 again.  Common ancestors are found by binary lifting, so a sweep costs a
 fixed number of array passes.
 
-Subtree sizes then accumulate bottom-up and dominator-tree preorder slots
-are assigned top-down, one pass per search level; siblings keep their
-search numbers' order.  Per-node subtree sizes of the tree rooted at the
-cascade source are the unit of spread-decrease estimation used by the
-greedy baselines, through the batched common-path sampler of `sampling`;
-the lower bound's chains come from trees of reverse-reachable member
-searches.  `build_dominator_tree` feeds an eager `diffusion.Realization`
-to the same routine as a batch of one: the tests' reference only.
+Where subtrees are read (not for the lower bound's chains), `preorder`
+accumulates their sizes bottom-up and assigns dominator-tree preorder
+slots top-down, one pass per search level; siblings keep their search
+numbers' order.  Per-node subtree sizes of the tree rooted at the cascade
+source are the unit of spread-decrease estimation used by the greedy
+baselines, through the batched common-path sampler of `sampling`.
+`build_dominator_tree` feeds an eager `diffusion.Realization` to the same
+routines as a batch of one: the tests' reference only.
 """
 
 from __future__ import annotations
@@ -65,16 +65,13 @@ class BatchDominators(NamedTuple):
     `key[w]` is node * batch + trial of the reached pair; the roots (the
     source of each realization) are numbers 0..batch-1, in trial order.
     `idom[w]` is the number of its immediate dominator (a root points to
-    itself) and `size[w]` its dominator-subtree size.  `order` lists the
-    numbers realization by realization, each in dominator-tree preorder
-    with siblings in number order, so every subtree is one block.
-    `joins` counts the join nodes and `sweeps` the sweeps run.
+    itself).  `spans` are the [lo, hi) number ranges of the levels after
+    the roots; `joins` and `sweeps` count join nodes and sweeps run.
     """
 
     key: np.ndarray
     idom: np.ndarray
-    size: np.ndarray
-    order: np.ndarray
+    spans: list
     joins: int
     sweeps: int
 
@@ -196,7 +193,15 @@ def dominators(levels, root, batch) -> BatchDominators:
         for k in range(1, len(up)):
             up[k][below] = up[k - 1][up[k - 1][below]]
     del up, depth, jd, js
+    return BatchDominators(key=key, idom=idom, spans=spans,
+                           joins=len(joins), sweeps=sweeps)
 
+
+def preorder(idom, spans, batch):
+    """(size, order) of the trees `dominators` found: each number's subtree
+    size, and the numbers in dominator-tree preorder, realization by
+    realization and siblings in number order: every subtree is a block."""
+    n = len(idom)
     size = np.ones(n, dtype=np.int32)
     for lo, hi in reversed(spans):
         np.add.at(size, idom[lo:hi], size[lo:hi])
@@ -219,8 +224,7 @@ def dominators(levels, root, batch) -> BatchDominators:
         slot[lo:hi] += slot[idom[lo:hi]]
     order = np.empty(n, dtype=np.int32)
     order[slot] = np.arange(n, dtype=np.int32)
-    return BatchDominators(key=key, idom=idom, size=size, order=order,
-                           joins=len(joins), sweeps=sweeps)
+    return size, order
 
 
 def build_dominator_tree(phi) -> DominatorTree:
@@ -229,10 +233,10 @@ def build_dominator_tree(phi) -> DominatorTree:
     ug = phi.ug
     tree = dominators(_forward_levels(ug, phi.blocked, 1, None,
                                       live=phi.live), ug.s, 1)
+    size, order = preorder(tree.idom, tree.spans, 1)
     node = tree.key         # one realization: the key is the node
     idom = np.full(ug.n_total, -1, dtype=np.int64)
     idom[node[1:]] = node[tree.idom[1:]]
     sizes = np.zeros(ug.n_total, dtype=np.int64)
-    sizes[node] = tree.size
-    return DominatorTree(idom=idom, order=node[tree.order],
-                         subtree_size=sizes)
+    sizes[node] = size
+    return DominatorTree(idom=idom, order=node[order], subtree_size=sizes)

@@ -1,15 +1,17 @@
 """Greedy coverage maximization with adaptive sample-doubling certificates.
 
-Both bound maximizers run one loop: grow two independent sample
-collections, pick a blocker set greedily on the first, certify it against
-the second, and stop as soon as the certified ratio clears 1 - 1/e -
-epsilon (or a sample cap derived from a union bound over all candidate
-sets is reached).  The certified ratio compares a high-probability lower
-bound on the chosen set's objective value with a high-probability upper
-bound on the optimum, both obtained by inverting martingale tail bounds on
-coverage counts.  Both objectives are the exactly known population size
-times a covered fraction of samples (reverse-reachable sets for `gsbm`,
-dominator chains for `lsbm`), so each certificate spends its whole delta.
+Both bound maximizers run one loop: round r picks a blocker set greedily
+on the first N_r pairs of a primary stream (`sampling.PairStream`),
+certifies it on the first N_r of an independent validation stream, and
+stops once the certified ratio clears 1 - 1/e - epsilon, or at the last
+round a union bound over all candidate sets allows.  N_r is
+samples_initial * 2^(r-1) rounded up to whole `_BATCH` batches, and a
+round with the pairs of the round before is not checked again.  The ratio
+compares high-probability bounds from martingale tail bounds on coverage
+counts: a lower one on the chosen set's value, an upper one on the
+optimum's.  Both objectives are the exactly known population size times a
+covered fraction of pairs (LRR sets for `gsbm`, dominator chains for
+`lsbm`), so each certificate spends its whole delta.
 
 Greedy selection takes one array pass per pick: every node's marginal
 gain at once, then the best candidate by `np.argmax` (ties to the lowest
@@ -23,15 +25,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
+from .diffusion import _BATCH
 # Not called here; perfbench's span table resolves this name.
 from .diffusion import stopping_rule_spread  # noqa: F401
 from .graph import BlockerSet, UnifiedGraph
-from .sampling import (ChainCollection, LRRCollection, compute_population,
-                       coverage)
+from .sampling import ChainCollection, LRRCollection, coverage, pair_streams
 
 E_FRACTION = 1.0 - 1.0 / math.e
 
@@ -71,8 +73,11 @@ class SampleSchedule:
 
 @dataclass
 class StopCheck:
-    """One round's certified bounds and the stop decision."""
+    """One checked round: index, pairs read, bounds and stop decision."""
 
+    round: int
+    samples_primary: int
+    samples_validation: int
     sigma_lower: float
     sigma_upper: float
     ratio: float
@@ -120,13 +125,11 @@ class BoundCertificate:
             "rounds": self.rounds,
             "samples_primary": self.samples_primary,
             "samples_validation": self.samples_validation,
-            "samples_initial": (self.schedule.samples_initial
-                                if self.schedule else None),
-            "samples_cap": (self.schedule.samples_cap
-                            if self.schedule else None),
-            "rounds_cap": self.schedule.rounds_cap if self.schedule else None,
+            **{key: getattr(self.schedule, key, None) for key in
+               ("samples_initial", "samples_cap", "rounds_cap")},
             "population_size": self.population_size,
             "opt_lower": self.opt_lower,
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -257,12 +260,11 @@ def _early_return(side: str, blockers=(), **fields):
 
 
 def _certified_maximize(side, g, params, rng, collection, tail,
-                        candidates=None):
+                        candidates=None, streams=None):
     """The doubling, certify and stop loop shared by both maximizers.
 
-    Samples are drawn by `collection(g, rng, population=...)` over the
-    population of nodes the seeds can reach, and the objective is the
-    population size times the covered fraction of samples.  Schedule
+    Each round reads its pairs as `collection` from `streams` (primary,
+    validation), or from two `PairStream`s spawned off `rng`.  Schedule
     inputs: the number of `candidates` a blocker set is chosen from (the
     population size when not given) and the `tail` numerator of the
     union-bound log term.
@@ -271,10 +273,10 @@ def _certified_maximize(side, g, params, rng, collection, tail,
     on = g.seed_out_neighbors()
     if len(on) <= params.k:
         return _early_return(side, on)
-    population = compute_population(g)
-    if not population:
+    streams = streams or pair_streams(g, rng)
+    npop = len(streams[0].population)
+    if not npop:
         return _early_return(side, population_size=0)
-    npop = len(population)
     k = params.k
     opt_low = opt_lower_bound(g, k)
     if opt_low <= 0.0:
@@ -285,16 +287,15 @@ def _certified_maximize(side, g, params, rng, collection, tail,
         ln_choose=_log_binom(npop if candidates is None else candidates, k),
         ln_tail=math.log(tail / params.delta), delta=params.delta)
 
-    rng_primary, rng_validation = rng.spawn(2)
-    primary = collection(g, rng_primary, population=population)
-    validation = collection(g, rng_validation, population=population)
-    start = max(1, math.ceil(sched.samples_initial))
-    primary.extend(start)
-    validation.extend(start)
-
-    target = E_FRACTION - params.epsilon
-    checks = []
+    checks, count = [], 0
     for round_no in range(1, sched.rounds_cap + 1):
+        last, before = round_no == sched.rounds_cap, count
+        count = _BATCH * math.ceil(
+            sched.samples_initial * 2 ** (round_no - 1) / _BATCH)
+        if count == before and not last:
+            continue        # the same pairs as the round before
+        primary, validation = (s.collection(collection, count)
+                               for s in streams)
         blockers, trace = max_coverage(primary, k)
         sigma_low = max(0.0, _sigma_lower_term(
             float(coverage(validation, blockers)), sched.log_term)) \
@@ -302,14 +303,14 @@ def _certified_maximize(side, g, params, rng, collection, tail,
         sigma_up = _sigma_upper_term(cov_upper_opt(trace), sched.log_term) \
             * npop / primary.n_samples
         ratio = sigma_low / sigma_up
-        reached = ratio >= target
-        stop = reached or round_no == sched.rounds_cap
-        checks.append(StopCheck(sigma_lower=sigma_low, sigma_upper=sigma_up,
-                                ratio=ratio, stopped=stop))
+        reached = ratio >= E_FRACTION - params.epsilon
+        stop = reached or last
+        checks.append(StopCheck(round_no, primary.n_samples,
+                                validation.n_samples, sigma_low, sigma_up,
+                                ratio, stop))
         log.debug("%s round %d: samples %d primary, %d validation; "
                   "sigma_lower %.6g, sigma_upper %.6g, ratio %.4f, "
-                  "stopped %s", side, round_no, primary.n_samples,
-                  validation.n_samples, sigma_low, sigma_up, ratio, stop)
+                  "stopped %s", side, *astuple(checks[-1]))
         if stop:
             return blockers, BoundCertificate(
                 side=side, blockers=blockers,
@@ -319,12 +320,10 @@ def _certified_maximize(side, g, params, rng, collection, tail,
                 samples_validation=validation.n_samples, schedule=sched,
                 population_size=npop, opt_lower=opt_low, checks=checks,
                 validation_collection=validation)
-        primary.extend(primary.n_samples)
-        validation.extend(validation.n_samples)
 
 
-def lsbm(g: UnifiedGraph, params: AlgoParams,
-         rng: np.random.Generator) -> tuple:
+def lsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
+         streams=None) -> tuple:
     """Blocker selection maximizing the lower-bound objective.
 
     Returns (blockers, certificate).  With probability at least 1 - delta
@@ -335,15 +334,15 @@ def lsbm(g: UnifiedGraph, params: AlgoParams,
     """
     return _certified_maximize(
         "lower", g, params, rng, ChainCollection, tail=12.0,
-        candidates=int(g.candidates().sum()))
+        candidates=int(g.candidates().sum()), streams=streams)
 
 
-def gsbm(g: UnifiedGraph, params: AlgoParams,
-         rng: np.random.Generator) -> tuple:
+def gsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
+         streams=None) -> tuple:
     """Blocker selection maximizing the upper-bound objective.
 
     The same loop as `lsbm` over reverse-reachable samples; a blocker set
     covers a sample when it holds one of the set's members.
     """
     return _certified_maximize("upper", g, params, rng, LRRCollection,
-                               tail=6.0)
+                               tail=6.0, streams=streams)

@@ -10,34 +10,31 @@ target's *dominator chain*, the non-seed nodes on every live
 source-to-target path.  An unreached target gives an empty sample, which
 stays in the collection as denominator weight.
 
-Both come from one reverse search per batch (`reverse_live_edges`), which
-records the live in-edges of the target's non-seed ancestors and stops at
-the seeds, then a forward search from the nodes the seeds feed inside what
-it found (`_reverse_reach`): the pairs it reaches are the members.  Every
-live source-to-member path runs through members, so `domtree.dominators`
-on that search gives the realization's dominators, and a chain is the
-target's path to the root.  The paper's "local sampling" draws the lower
-bound forward instead; the objective is the same.
+Both come from one reverse search per batch (`_pair_batch`): it records
+the live in-edges of each target's non-seed ancestors, stopping at the
+seeds (`reverse_live_edges`), then searches forward from the nodes the
+seeds feed inside what it found (`_reverse_reach`); the pairs it reaches
+are the LRR set.  Every live source-to-member path runs through members,
+so `domtree.dominators` on that search gives the realization's
+dominators; the chain is the target's path to the root.  A `PairStream`
+keeps both samples of every pair: both bounds can read the same pairs.  The paper's "local sampling" draws
+the lower bound forward, as the reference kept here: a *common-path
+sequence* holds the dominator-tree root path, cut below the seeds, of
+every reached non-seed node of one forward search
+(`diffusion._forward_levels`), as parent pointers plus a preorder
+interval per entry, so the entries whose set contains u are the block of
+u's dominator subtree, whose sizes the greedy baselines score nodes by.
 
-That forward estimator stays as the reference: one *common-path sequence*
-per realization holds every reached non-seed node's dominator-tree root
-path, truncated below the seed layer, from one dominator-tree build of the
-forward search (`diffusion._forward_levels`).  Sets are stored as parent
-pointers plus a preorder interval per entry, so the entries whose set
-contains u are the block of u's dominator subtree.  The greedy baselines
-score nodes by these entries' sizes (a node's dominator-subtree size).
-
-Each sample type has one generator (`_lrr_batch`, `_chain_batch`,
-`_cp_batch`) that splits any count into batches of up to `_BATCH`
-realizations, each one vectorized search drawing an edge's coin only when
-the search reaches it: a sample costs what its search reaches, not the size
-of the graph.  The chain and CP generators log one DEBUG line per batch.
-`LRRCollection`, `ChainCollection` and `CPCollection` keep the arrays as
-whole-batch chunks, and their coverage states work on the chunks
-concatenated once (`_freeze`), with no inverted index: a node's entries or
-memberships are found by one comparison over the flat arrays, and every
-node's marginal gain by one `np.bincount`.  Cov/|collection|, times the
-population size for LRR sets and chains, estimates the bound unbiasedly.
+Both generators (`_pair_batch`, `_cp_batch`) split any count into
+batches of up to `_BATCH` realizations, each one vectorized search drawing
+an edge's coin only when the search reaches it: a sample costs what its
+search reaches, not the size of the graph.  Each logs one DEBUG line per
+batch.  The collections keep the arrays as whole-batch chunks, and their
+coverage states work on the chunks concatenated once (`_freeze`), with no
+inverted index: a node's entries or memberships are found by one
+comparison over the flat arrays, and every node's marginal gain by one
+`np.bincount`.  Cov/|collection|, times the population size for LRR sets
+and chains, estimates the bound unbiasedly.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import numpy as np
 
 from .diffusion import (_BATCH, _advance, _forward_levels, _slices,
                         reverse_live_edges)
-from .domtree import dominators
+from .domtree import dominators, preorder
 from .graph import UnifiedGraph, as_blockers
 
 log = logging.getLogger(__name__)
@@ -91,7 +88,8 @@ def _sequence_entries(ug: UnifiedGraph, batch: int, levels):
     Arrays are dropped as soon as they are used: a batch of a large graph
     holds millions of entries.
     """
-    key, idom, size, order, joins, sweeps = dominators(levels, ug.s, batch)
+    key, idom, spans, joins, sweeps = dominators(levels, ug.s, batch)
+    size, order = preorder(idom, spans, batch)
     node = key[order]
     del key
     node //= batch
@@ -166,40 +164,14 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
         yield (owner, heads // count, *np.divmod(frontier, count))
 
 
-def _lrr_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
-               rng: np.random.Generator):
-    """`count` LRR samples, one reverse search per `_BATCH`: one (targets,
-    members, ptr) tuple per batch.  Sample i's set is
-    members[ptr[i]:ptr[i + 1]], target first, and is empty when the target
-    is not reached.
-
-    A batch's targets are drawn first, uniformly from `population`.  The
-    reverse search finds each target's live non-seed ancestors; the
-    members are those of them that the seeds reach.
-    """
-    for done in range(0, count, _BATCH):
-        batch = min(_BATCH, count - done)
-        targets = population[rng.integers(0, len(population), size=batch)]
-        node, trial = (np.concatenate(a) for a in zip(*(
-            level[2:] for level in _reverse_reach(
-                ug, batch, *reverse_live_edges(ug, targets, rng)))))
-        order = np.lexsort((node, node != targets[trial], trial))
-        node, trial = node[order], trial[order]
-        del order
-        ptr = np.searchsorted(trial, np.arange(batch + 1))
-        del trial  # not alive through the next search
-        yield targets, node, ptr
-
-
-def _chain_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
-                 rng: np.random.Generator):
-    """`count` dominator-chain samples, one reverse search per `_BATCH`:
-    one (targets, chains, ptr) tuple per batch.  Sample i's chain is
-    chains[ptr[i]:ptr[i + 1]]: the target, then its dominators up to the
-    seeds, and empty when the target is not reached.
-
-    Targets and searches are drawn as in `_lrr_batch`; each reached target
-    walks its immediate dominators in the member search's dominator trees.
+def _pair_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
+                rng: np.random.Generator):
+    """`count` (realization, target) pairs, one reverse search per
+    `_BATCH`: one (targets, LRR sets, chains) tuple per batch, the sets
+    and the chains each as (nodes, sizes), pair after pair, target first
+    and empty when the target is not reached.  A batch's targets are drawn
+    first, uniformly from `population`; each chain walks up the immediate
+    dominators of the member search.
     """
     for done in range(0, count, _BATCH):
         batch = min(_BATCH, count - done)
@@ -207,17 +179,23 @@ def _chain_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
         tree = dominators(_reverse_reach(
             ug, batch, *reverse_live_edges(ug, targets, rng)), ug.s, batch)
         node, trial = np.divmod(tree.key, batch)
-        links = [np.flatnonzero(node == targets[trial])]
-        while len(links[-1]):       # numbers below `batch` are the roots
+        mine = node == targets[trial]
+        # the member pairs are every number but the roots (below `batch`)
+        order = batch + np.lexsort((node[batch:], ~mine[batch:],
+                                    trial[batch:]))
+        lrr = node[order], np.bincount(trial[batch:], minlength=batch)
+        links = [np.flatnonzero(mine)]
+        while len(links[-1]):
             up = tree.idom[links[-1]]
             links.append(up[up >= batch])
         chain = np.concatenate(links)
         # a stable sort keeps each chain in walk order, target first
         chain = chain[np.argsort(trial[chain], kind="stable")]
-        ptr = np.searchsorted(trial[chain], np.arange(batch + 1))
-        log.debug("chain batch: %d samples, %d chain nodes, %d join nodes, "
-                  "%d sweeps", batch, len(chain), tree.joins, tree.sweeps)
-        yield targets, node[chain], ptr
+        log.debug("pair batch: %d samples, %d members, %d chain nodes, "
+                  "%d join nodes, %d sweeps", batch, len(order), len(chain),
+                  tree.joins, tree.sweeps)
+        yield targets, lrr, (node[chain], np.bincount(
+            trial[chain], minlength=batch))
 
 
 def global_sampling(g: UnifiedGraph, population,
@@ -225,7 +203,7 @@ def global_sampling(g: UnifiedGraph, population,
     """Sample one realization and the reverse-reachable set of a random target."""
     if not len(population):
         raise ValueError("seeds influence no one: sampling population is empty")
-    targets, members, _ = next(_lrr_batch(
+    targets, (members, _), _ = next(_pair_batch(
         g, np.asarray(population, dtype=np.int64), 1, rng))
     return LRRSet(target=int(targets[0]), members=frozenset(members.tolist()))
 
@@ -347,13 +325,12 @@ class LRRCollection:
                   np.asarray([len(m) for m in sets], dtype=np.int64))
         return coll
 
-    _batches = staticmethod(_lrr_batch)
+    _part = 1   # the sets in each `_pair_batch` tuple
 
     def extend(self, count: int):
         """Generate `count` more samples from the collection's stream."""
-        for _, members, ptr in self._batches(self.ug, self._pop_arr, count,
-                                             self.rng):
-            self._add(members, np.diff(ptr))
+        for batch in _pair_batch(self.ug, self._pop_arr, count, self.rng):
+            self._add(*batch[self._part])
 
     def _add(self, members, sizes):
         """Append one chunk: `sizes[i]` members per set, set after set."""
@@ -387,10 +364,41 @@ class LRRCollection:
 
 
 class ChainCollection(LRRCollection):
-    """A growing set of dominator chains (`_chain_batch`), kept and scored
-    as LRR sets are: the lower bound's samples."""
+    """A growing set of dominator chains, kept and scored as LRR sets are:
+    the lower bound's samples."""
 
-    _batches = staticmethod(_chain_batch)
+    _part = 2
+
+
+class PairStream:
+    """(realization, target) pairs drawn on demand in whole `_BATCH`
+    batches, each kept as both its LRR set and its chain.  Pairs are only
+    ever appended, so the first `count` never change."""
+
+    def __init__(self, ug: UnifiedGraph, population, rng):
+        self.ug, self.population, self.rng = ug, population, rng
+        self.n_pairs = 0
+        self._batches = []
+
+    def collection(self, kind, count: int):
+        """The first `count` pairs as a `kind` (`LRRCollection` or
+        `ChainCollection`), drawing whole batches as needed."""
+        self._batches += _pair_batch(
+            self.ug, np.asarray(self.population, dtype=np.int64),
+            _BATCH * -((self.n_pairs - count) // _BATCH), self.rng)
+        self.n_pairs = sum(len(batch[0]) for batch in self._batches)
+        coll = kind(self.ug, None, self.population)
+        for batch in self._batches[:-(-count // _BATCH)]:
+            nodes, sizes = batch[kind._part]
+            sizes = sizes[:count - coll.n_samples]
+            coll._add(nodes[:sizes.sum()], sizes)
+        return coll
+
+
+def pair_streams(ug: UnifiedGraph, rng: np.random.Generator):
+    """A primary and a validation `PairStream`, spawned from `rng`."""
+    population = compute_population(ug)
+    return tuple(PairStream(ug, population, r) for r in rng.spawn(2))
 
 
 class _LRRState:
@@ -413,17 +421,13 @@ class _LRRState:
         return np.bincount(self.member_node[alive], minlength=n_nodes)
 
 
-def _state_with(collection, blockers):
-    state = collection.state()
-    for u in blockers:
-        state.add(u)
-    return state
-
-
 def coverage(collection, blockers) -> int:
     """Number of samples (CP entries, LRR sets or chains) the blocker set
     meets."""
-    return _state_with(collection, as_blockers(blockers)).coverage()
+    state = collection.state()
+    for u in as_blockers(blockers):
+        state.add(u)
+    return state.coverage()
 
 
 def marginal_coverage(collection, blockers, v) -> int:

@@ -1,10 +1,11 @@
 """The three-candidate sandwich combiner and its data-dependent ratio.
 
-Three blocker sets are produced — the two certified bound maximizers plus
-a one-hop heuristic — and the one whose residual spread estimate is
-smallest wins.  Because the upper-bound objective dominates the true
-decrease, the ratio of the winner-side estimates yields a computable lower
-bound on the approximation ratio actually achieved.
+Three blocker sets are produced — the two certified bound maximizers,
+which read the same `sampling.pair_streams`, plus a one-hop heuristic —
+and the one whose residual spread estimate is smallest wins.  Because the
+upper-bound objective dominates the true decrease, the ratio of the
+winner-side estimates yields a computable lower bound on the
+approximation ratio actually achieved.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .diffusion import SpreadEstimate, stopping_rule_spread
 from .graph import BlockerSet, UnifiedGraph
 from .optimize import (AlgoParams, E_FRACTION, gsbm, lsbm,
                        seed_neighbor_probs)
-from .sampling import LRRCollection, compute_population, coverage
+from .sampling import (LRRCollection, compute_population, coverage,
+                       pair_streams)
 
 log = logging.getLogger(__name__)
 
@@ -127,28 +129,18 @@ def empirical_ratio(result: SandwichResult, g: UnifiedGraph,
 
 def _combine(g, params, rng, with_upper):
     params.validate()
-    rng_low, rng_up, rng_est, rng_ratio = rng.spawn(4)
-    timings = {}
-    certificates = {}
-
-    t0 = time.perf_counter()
-    b_low, cert_low = lsbm(g, params, rng_low)
-    timings["lower"] = time.perf_counter() - t0
-    certificates["lower"] = cert_low
-
-    b_up = None
-    if with_upper:
+    rng_pairs, _, rng_est, rng_ratio = rng.spawn(4)
+    streams = pair_streams(g, rng_pairs)
+    timings, certificates, sets = {}, {}, {"lower": None, "upper": None}
+    for name, maximize in [("lower", lsbm), ("upper", gsbm)][:1 + with_upper]:
         t0 = time.perf_counter()
-        b_up, cert_up = gsbm(g, params, rng_up)
-        timings["upper"] = time.perf_counter() - t0
-        certificates["upper"] = cert_up
+        sets[name], certificates[name] = maximize(g, params, None, streams)
+        timings[name] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    b_heur = lhga(g, params.k)
+    sets["heuristic"] = lhga(g, params.k)
     timings["heuristic"] = time.perf_counter() - t0
-
-    names = ["lower"] + (["upper"] if with_upper else []) + ["heuristic"]
-    sets = {"lower": b_low, "upper": b_up, "heuristic": b_heur}
+    names = [name for name, b in sets.items() if b is not None]
 
     t0 = time.perf_counter()
     base = stopping_rule_spread(g, None, gamma=params.gamma,
@@ -164,7 +156,8 @@ def _combine(g, params, rng, with_upper):
     decrease = max(0.0, base.value - residuals[chosen_name].value)
 
     result = SandwichResult(
-        b_lower=b_low, b_upper=b_up, b_heuristic=b_heur,
+        b_lower=sets["lower"], b_upper=sets["upper"],
+        b_heuristic=sets["heuristic"],
         base_estimate=base, residual_estimates=residuals,
         chosen_name=chosen_name, chosen=sets[chosen_name],
         decrease_estimate=decrease, empirical_ratio=None,

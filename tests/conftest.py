@@ -173,12 +173,15 @@ def split_sequences(nodes, parents, sizes, ptr):
         yield nodes[lo:hi], parents[lo:hi], sizes[lo:hi]
 
 
-def split_sets(batches):
-    """The per-sample (target, members) of `sampling._lrr_batch` output;
-    members is empty where the target was not reached."""
-    for targets, members, ptr in batches:
-        for i, target in enumerate(targets.tolist()):
-            yield target, members[ptr[i]:ptr[i + 1]]
+def split_sets(batches, part=1):
+    """The per-pair (target, members) of `sampling._pair_batch` output, its
+    LRR sets (`part` 1) or chains (`part` 2); members is empty where the
+    target was not reached."""
+    for batch in batches:
+        members, sizes = batch[part]
+        ends = np.cumsum(sizes).tolist()
+        for target, end, size in zip(batch[0].tolist(), ends, sizes.tolist()):
+            yield target, members[end - size:end]
 
 
 def random_flowgraph(seed):

@@ -194,6 +194,37 @@ def test_criterion_05_maximizer_guarantees():
               f">= {threshold:.3f}")
 
 
+def test_criterion_05b_guarantees_on_shared_streams():
+    # sand_imin hands lsbm and gsbm the same two pair streams; each set
+    # still reaches its bound's guarantee at the certified rate.
+    params = AlgoParams(k=2, epsilon=0.2, delta=0.1, beta=0.1)
+    runs = 200
+    threshold = (1 - params.delta) \
+        - 3 * math.sqrt(params.delta * (1 - params.delta) / runs)
+    worst = {"lower": 1.0, "upper": 1.0}
+    for trial in range(5):
+        ug = tiny_graph_with_wide_seed_boundary(8500 + trial)
+        model = ExactModel(ug)
+        target = {side: (E_FRACTION - params.epsilon)
+                  * model.optimal_blockers(params.k, side)[1]
+                  for side in worst}
+        rng = make_rng(8600 + trial)
+        hits = {"lower": 0, "upper": 0}
+        for _ in range(runs):
+            res = sand_imin(ug, params, rng)
+            hits["lower"] += model.lower_bound(res.b_lower) \
+                >= target["lower"] - 1e-9
+            hits["upper"] += model.upper_bound(res.b_upper) \
+                >= target["upper"] - 1e-9
+        for side in worst:
+            assert hits[side] / runs >= threshold, \
+                f"graph {trial} {side}: {hits[side]}/{runs}"
+            worst[side] = min(worst[side], hits[side] / runs)
+    report("5b", f"5 graphs x {runs} sand_imin runs; worst success rates "
+                 f"lower {worst['lower']:.3f}, upper {worst['upper']:.3f} "
+                 f">= {threshold:.3f}")
+
+
 def test_criterion_06_stopping_rule_coverage():
     ug = fixtures.diamond(0.5)
     true = ExactModel(ug).spread()

@@ -64,11 +64,23 @@ class TestRun:
         assert sorted(certs) == ["lower", "upper"]
         for cert in certs.values():
             assert sorted(cert) == [
-                "blockers", "early_exit", "opt_lower", "population_size",
-                "ratio", "rounds", "rounds_cap", "samples_cap",
-                "samples_initial", "samples_primary", "samples_validation",
-                "side", "sigma_lower", "sigma_upper", "stop_reason"]
+                "blockers", "checks", "early_exit", "opt_lower",
+                "population_size", "ratio", "rounds", "rounds_cap",
+                "samples_cap", "samples_initial", "samples_primary",
+                "samples_validation", "side", "sigma_lower", "sigma_upper",
+                "stop_reason"]
             assert cert["stop_reason"] == "ratio"
+            # one entry per checked round, the last one the stopping round
+            assert cert["checks"]
+            for check in cert["checks"]:
+                assert sorted(check) == [
+                    "ratio", "round", "samples_primary",
+                    "samples_validation", "sigma_lower", "sigma_upper",
+                    "stopped"]
+            last = cert["checks"][-1]
+            assert last["stopped"] and last["round"] == cert["rounds"]
+            assert last["samples_primary"] == cert["samples_primary"]
+            assert last["ratio"] == cert["ratio"]
 
     def test_chain_lhga(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from imin import fixtures
 from imin.diffusion import Realization, _forward_levels, sample_realization
 from imin.diffusion import reachable_in_realization
-from imin.domtree import build_dominator_tree, dominators
+from imin.domtree import build_dominator_tree, dominators, preorder
 from imin.graph import Graph, assign_constant_probability, unify_seeds
 from imin.oracle import ExactModel
 
@@ -157,14 +157,15 @@ class TestBatchDominators:
         levels = []
         tree = dominators(recorded(_forward_levels(
             ug, ug.blocked, batch, make_rng(seed)), levels), ug.s, batch)
+        sizes, order = preorder(tree.idom, tree.spans, batch)
         node, trial = np.divmod(tree.key, batch)
         dom = np.where(np.arange(len(node)) < batch, -1, node[tree.idom])
         at = np.empty(len(node), dtype=np.int64)
-        at[tree.order] = np.arange(len(node))
+        at[order] = np.arange(len(node))
         for t, live in enumerate(live_successors(levels, ug.s, batch)):
             mine = np.flatnonzero(trial == t)
             got = set(zip(node[mine].tolist(), dom[mine].tolist(),
-                          tree.size[mine].tolist()))
+                          sizes[mine].tolist()))
             vertex, idom, size = reference_dominators(live.get, ug.s)
             assert got == {(v, vertex[i] if i >= 0 else -1, s)
                            for v, i, s in zip(vertex, idom, size)}
@@ -180,7 +181,7 @@ class TestBatchDominators:
             assert np.array_equal(block, np.arange(block[0],
                                                    block[0] + len(mine)))
             for w in mine:
-                for u in tree.order[at[w]:at[w] + tree.size[w]]:
+                for u in order[at[w]:at[w] + sizes[w]]:
                     while u != w:
                         assert tree.idom[u] != u   # never passes a root
                         u = tree.idom[u]

@@ -12,7 +12,6 @@ purpose regenerates the file with
 and says so in CHANGES.md.
 """
 
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -25,8 +24,7 @@ from imin.baselines import ag, gr
 from imin.diffusion import ic_spread_samples, reverse_reach_counts
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, gsbm, lsbm
-from imin.sampling import (_chain_batch, _cp_batch, _lrr_batch,
-                           compute_population)
+from imin.sampling import _cp_batch, _pair_batch, compute_population
 from imin.sandwich import sand_imin, sand_imin_minus
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
@@ -67,9 +65,7 @@ def _rng(*key):
 
 def _maximizer(fn, ug, params, rng):
     blockers, cert = fn(ug, params, rng)
-    return {"blockers": list(blockers),
-            "certificate": cert.as_dict(),
-            "checks": [dataclasses.asdict(c) for c in cert.checks]}
+    return {"blockers": list(blockers), "certificate": cert.as_dict()}
 
 
 def _pipeline(fn, ug, params, rng):
@@ -87,14 +83,14 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _set_arrays(sample, ug, count, rng):
-    """(targets, set sizes, members) of `count` LRR or chain samples, flat;
-    `sample` is `_lrr_batch` or `_chain_batch`."""
-    batches = list(sample(ug, np.asarray(compute_population(ug)), count,
-                          rng))
-    return (np.concatenate([t for t, _, _ in batches]),
-            np.concatenate([np.diff(p) for _, _, p in batches]),
-            np.concatenate([m for _, m, _ in batches]))
+def _set_arrays(part, ug, count, rng):
+    """(targets, set sizes, members) of `count` LRR sets (`part` 1) or
+    chains (`part` 2) of `_pair_batch`, flat."""
+    batches = list(_pair_batch(ug, np.asarray(compute_population(ug)), count,
+                               rng))
+    return (np.concatenate([b[0] for b in batches]),
+            np.concatenate([b[part][1] for b in batches]),
+            np.concatenate([b[part][0] for b in batches]))
 
 
 def _kernels(ug, gi):
@@ -108,13 +104,13 @@ def _kernels(ug, gi):
             runs = {
                 "cp": lambda r: [a for batch in _cp_batch(g, count, r)
                                  for a in batch],
-                "lrr": lambda r: _set_arrays(_lrr_batch, g, count, r),
+                "lrr": lambda r: _set_arrays(1, g, count, r),
                 "ic": lambda r: [ic_spread_samples(g, None, count, r)],
             }
             if view == "plain":
                 runs["rr_counts"] = lambda r: [
                     reverse_reach_counts(g.base, count, r)]
-            runs["chain"] = lambda r: _set_arrays(_chain_batch, g, count, r)
+            runs["chain"] = lambda r: _set_arrays(2, g, count, r)
             for ki, (kernel, run) in enumerate(runs.items()):
                 r = _rng(gi, vi, count, ki)
                 arrays = run(r)

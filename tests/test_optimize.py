@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from imin import fixtures, optimize
 from imin.graph import Graph, block_nodes, unify_seeds
+from imin.diffusion import _BATCH
 from imin.optimize import (AlgoParams, E_FRACTION, _certified_maximize,
                            cov_upper_opt, direct_activation_prob, gsbm, lsbm,
                            max_coverage, opt_lower_bound)
@@ -265,13 +266,27 @@ class TestLsbm:
         assert cert.samples_primary == 0
 
     def test_doubling_sample_counts(self):
-        ug = fixtures.worked_example_small()
-        params = AlgoParams(k=1, epsilon=0.2, delta=0.1)
-        _, cert = lsbm(ug, params, make_rng(6))
-        start = max(1, math.ceil(cert.schedule.samples_initial))
-        assert cert.samples_primary == start * 2 ** (cert.rounds - 1)
-        assert cert.samples_primary <= 2 * cert.schedule.samples_cap
-        assert cert.samples_primary == cert.samples_validation
+        # Round r reads N_r pairs on each side: whole batches, at least the
+        # schedule's samples_initial * 2^(r-1) and less than one batch
+        # more.  A round with the pairs of the round before is not checked.
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        params = AlgoParams(k=3, epsilon=0.05, delta=0.1)
+        _, cert = lsbm(ug, params, make_rng(17))
+        sched = cert.schedule
+        counts = {check.round: check.samples_primary for check in cert.checks}
+        assert len(counts) >= 3 and max(counts) == cert.rounds
+        for r, count in counts.items():
+            want = sched.samples_initial * 2 ** (r - 1)
+            assert count % _BATCH == 0
+            assert want <= count < want + _BATCH
+        for r in range(2, cert.rounds + 1):
+            want = sched.samples_initial * 2 ** (r - 1)
+            same = math.ceil(want / _BATCH) == math.ceil(want / 2 / _BATCH)
+            assert (r in counts) == (not same or r == sched.rounds_cap)
+        assert all(c.samples_validation == c.samples_primary
+                   for c in cert.checks)
+        assert cert.samples_primary == cert.samples_validation \
+            == counts[cert.rounds]
 
     def test_deterministic_given_seed(self):
         ug = fixtures.worked_example_small()
@@ -417,15 +432,22 @@ class TestCertificateSoundness:
 class TestRoundLog:
     @pytest.mark.parametrize("maximize, seed", [(lsbm, 17), (gsbm, 18)])
     def test_one_debug_line_per_round(self, maximize, seed, caplog):
-        ug = fixtures.worked_example_small()
-        params = AlgoParams(k=1, epsilon=0.05, delta=0.1, beta=0.02)
+        # This input needs three checked rounds on each side; the rounds
+        # whose pairs equal the round before's log nothing.
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        params = AlgoParams(k=3, epsilon=0.05, delta=0.1)
         with caplog.at_level(logging.DEBUG, logger="imin.optimize"):
             _, cert = maximize(ug, params, make_rng(seed))
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "imin.optimize"]
-        assert len(lines) == cert.rounds > 1
-        last = cert.checks[-1]
-        assert lines[-1].startswith(f"{cert.side} round {cert.rounds}:")
-        assert f"{cert.samples_primary} primary" in lines[-1]
-        assert f"ratio {last.ratio:.4f}, stopped True" in lines[-1]
-        assert all("stopped False" in line for line in lines[:-1])
+        assert len(lines) == len(cert.checks) >= 2
+        assert cert.checks[-1].round == cert.rounds > len(cert.checks)
+        for line, check in zip(lines, cert.checks):
+            assert line.startswith(f"{cert.side} round {check.round}: "
+                                   f"samples {check.samples_primary} "
+                                   f"primary, {check.samples_validation} "
+                                   "validation;")
+            assert line.endswith(f"ratio {check.ratio:.4f}, "
+                                 f"stopped {check.stopped}")
+        assert [c.stopped for c in cert.checks] \
+            == [False] * (len(lines) - 1) + [True]

@@ -14,9 +14,10 @@ from imin.oracle import ExactModel
 from imin.diffusion import _BATCH, _forward_levels
 from imin import sampling
 from imin.sampling import (ChainCollection, CPCollection, CPSequence,
-                           LRRCollection, _chain_batch, _cp_batch, _lrr_batch,
+                           LRRCollection, PairStream, _cp_batch, _pair_batch,
                            _sequence_entries, compute_population, coverage,
-                           global_sampling, local_sampling, marginal_coverage)
+                           global_sampling, local_sampling, marginal_coverage,
+                           pair_streams)
 
 from conftest import (certain_edges, dominators, eager_entries,
                       entry_triples, live_successors, make_rng,
@@ -212,7 +213,7 @@ class TestDeterministicSamples:
         rng = make_rng(seed)
         for target in non_seeds:
             want = lrr_members_by_forward_reach(ug, phi, target)
-            for got_target, members in split_sets(_lrr_batch(
+            for got_target, members in split_sets(_pair_batch(
                     ug, np.asarray([target]), 3, rng)):
                 assert got_target == target
                 if want is None:
@@ -222,7 +223,7 @@ class TestDeterministicSamples:
                 assert len(members) == len(set(members.tolist()))
                 assert set(members.tolist()) == want
         # Mixed targets in one batch.
-        for target, members in split_sets(_lrr_batch(
+        for target, members in split_sets(_pair_batch(
                 ug, np.asarray(non_seeds), 40, rng)):
             want = lrr_members_by_forward_reach(ug, phi, target)
             assert (set(members.tolist()) or None) == want
@@ -241,7 +242,7 @@ class TestDeterministicSamples:
 
 
 class TestChainSamples:
-    """Dominator chains from the member search (`_chain_batch`)."""
+    """Dominator chains from the member search (`_pair_batch`)."""
 
     @settings(derandomize=True, max_examples=80, deadline=None,
               database=None)
@@ -251,8 +252,8 @@ class TestChainSamples:
         nodes, parents, *_ = eager_entries(ug, phi)
         want = CPSequence(nodes, parents).sets()
         non_seeds = [v for v in range(ug.base.n) if v not in ug.seeds]
-        for target, chain in split_sets(_chain_batch(
-                ug, np.asarray(non_seeds), 40, make_rng(seed))):
+        for target, chain in split_sets(_pair_batch(
+                ug, np.asarray(non_seeds), 40, make_rng(seed)), part=2):
             if target not in want:
                 assert len(chain) == 0
                 continue
@@ -281,17 +282,15 @@ class TestChainSamples:
 
         try:
             sampling.reverse_live_edges = recording
-            (targets, chains, ptr), = _chain_batch(ug, pop, batch,
-                                                   make_rng(seed))
+            pairs = list(_pair_batch(ug, pop, batch, make_rng(seed)))
         finally:
             sampling.reverse_live_edges = search
         live = [{} for _ in range(batch)]
         for t, u, v in zip(*(a.tolist() for a in edges[0])):
             live[t].setdefault(ug.s if ug.uncounted[u] else u, []).append(v)
-        lrr = split_sets(_lrr_batch(ug, pop, batch, make_rng(seed)))
-        for t, (target, members) in enumerate(lrr):
-            assert targets[t] == target
-            chain = chains[ptr[t]:ptr[t + 1]].tolist()
+        for t, ((target, members), (_, chain)) in enumerate(zip(
+                split_sets(pairs), split_sets(pairs, part=2))):
+            chain = chain.tolist()
             vertex, idom, _ = dominators(live[t].get, ug.s)
             want, w = [], vertex.index(target) if target in vertex else 0
             while w:
@@ -328,6 +327,47 @@ class TestChainSamples:
         hit = want / len(pop)
         sigma = len(pop) * math.sqrt(hit * (1 - hit) / n)
         assert abs(est - want) <= 3 * sigma + 1e-9
+
+
+class TestPairStream:
+    """One reverse search per batch yields both sample types."""
+
+    def test_collections_read_a_fixed_prefix(self):
+        # The first `count` pairs of a stream do not depend on how far it
+        # was drawn, and equal a collection extended from the same
+        # generator; the stream draws whole batches only.
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        pop = compute_population(ug)
+        for kind in (LRRCollection, ChainCollection):
+            ref = kind(ug, make_rng(5), pop)
+            ref.extend(3 * _BATCH)
+            want = list(ref.sets())
+            stream = PairStream(ug, pop, make_rng(5))
+            for count, drawn in ((1500, 2), (_BATCH, 2), (2 * _BATCH + 1, 3),
+                                 (700, 3), (3 * _BATCH, 3)):
+                coll = stream.collection(kind, count)
+                assert stream.n_pairs == drawn * _BATCH
+                assert coll.n_samples == count
+                got = list(coll.sets())
+                assert len(got) == count
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(got, want[:count]))
+                assert coll.n_empty == sum(len(m) == 0
+                                           for m in want[:count])
+
+    def test_primary_and_validation_are_spawned(self):
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        rng = make_rng(6)
+        primary, validation = pair_streams(ug, rng)
+        assert primary.population == validation.population \
+            == compute_population(ug)
+        spawned = make_rng(6).spawn(2)
+        for stream, r in zip((primary, validation), spawned):
+            want = LRRCollection(ug, r, stream.population)
+            want.extend(_BATCH)
+            got = stream.collection(LRRCollection, _BATCH)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.sets(), want.sets()))
 
 
 def assert_subtree_blocks(parents, sizes):

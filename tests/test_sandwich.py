@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from imin import fixtures
+from imin import fixtures, sandwich
 from imin.diffusion import SpreadEstimate
 from imin.graph import BlockerSet, Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, E_FRACTION
 from imin.oracle import ExactModel
+from imin.sampling import ChainCollection, LRRCollection
 from imin.sandwich import (SandwichResult, empirical_ratio, lhga, sand_imin,
                            sand_imin_minus)
 
@@ -116,6 +117,47 @@ class TestSandIminMinus:
         shared = sum(v for k, v in minus.timings.items())
         total = sum(v for k, v in full.timings.items())
         assert shared <= total * 1.5 + 0.05
+
+
+class TestSharedPairStreams:
+    def test_both_certificates_read_the_same_pairs(self, monkeypatch):
+        # lsbm and gsbm get the same primary and validation streams, which
+        # draw only as many pairs as the larger side reads.  Pair by pair,
+        # the lower side's chain lies in the upper side's LRR set and
+        # starts at the same target; primary and validation pairs differ.
+        streams = {}
+        for name in ("lsbm", "gsbm"):
+            def spy(g, params, rng, pairs, _real=getattr(sandwich, name),
+                    _name=name):
+                streams[_name] = pairs
+                return _real(g, params, rng, pairs)
+            monkeypatch.setattr(sandwich, name, spy)
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        res = sand_imin(ug, AlgoParams(k=3, epsilon=0.1, delta=0.1),
+                        make_rng(3))
+        low, up = res.certificates["lower"], res.certificates["upper"]
+        assert low.samples_primary != up.samples_primary
+        primary, validation = streams["lsbm"]
+        assert streams["gsbm"][0] is primary
+        assert streams["gsbm"][1] is validation
+        assert primary is not validation
+        for stream in (primary, validation):
+            assert stream.n_pairs == max(low.samples_primary,
+                                         up.samples_primary)
+        count = min(low.samples_primary, up.samples_primary)
+        chains = list(low.validation_collection.sets())[:count]
+        sets = list(up.validation_collection.sets())[:count]
+        assert sum(len(c) > 0 for c in chains) > count // 4
+        assert sum(len(m) > len(c) for c, m in zip(chains, sets)) > 0
+        for chain, members in zip(chains, sets):
+            assert len(chain) == 0 if len(members) == 0 else (
+                chain[0] == members[0]
+                and set(chain.tolist()) <= set(members.tolist()))
+        for kind in (ChainCollection, LRRCollection):
+            drawn = [list(s.collection(kind, count).sets())
+                     for s in (primary, validation)]
+            assert sum(not np.array_equal(a, b)
+                       for a, b in zip(*drawn)) > count // 4
 
 
 class TestEmpiricalRatio:
