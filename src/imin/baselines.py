@@ -3,8 +3,10 @@
 (GreedyReplace), after Xie et al., ICDE 2023.
 
 All three re-estimate marginal decreases from scratch after every pick;
-that is their defining cost.  Subtree scores are common-path entry sizes
-from the batched sampler.  Ties always break toward the lowest node id.
+that is their defining cost.  A node's dominator-subtree size in a
+realization is the number of common-path chains (from the batched
+forward sampler) that contain it.  Ties always break toward the lowest
+node id.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ def _subtree_scores(g: UnifiedGraph, blockers, realizations: int,
     graph with `blockers` already removed.
     """
     totals = np.zeros(g.n_total, dtype=np.int64)
-    for nodes, _, sizes, _ in _cp_batch(block_nodes(g, blockers),
-                                        realizations, rng):
-        np.add.at(totals, nodes, sizes)   # a node recurs across a batch
+    for _, members, _, _ in _cp_batch(block_nodes(g, blockers),
+                                      realizations, rng):
+        totals += np.bincount(members, minlength=g.n_total)
     return totals / realizations
 
 

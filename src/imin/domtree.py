@@ -22,14 +22,13 @@ below a node that just moved, or with a predecessor there, are evaluated
 again.  Common ancestors are found by binary lifting, so a sweep costs a
 fixed number of array passes.
 
-Where subtrees are read (not for the lower bound's chains), `preorder`
-accumulates their sizes bottom-up and assigns dominator-tree preorder
-slots top-down, one pass per search level; siblings keep their search
-numbers' order.  Per-node subtree sizes of the tree rooted at the cascade
-source are the unit of spread-decrease estimation used by the greedy
-baselines, through the batched common-path sampler of `sampling`.
+The trees are read through root paths: `sampling` walks `idom` up from a
+node, stopping below the seeds, to get its dominator chain.  The chains
+that contain a node are its subtree, so the greedy baselines' subtree
+sizes (the unit of spread-decrease estimation) are chain-member counts.
 `build_dominator_tree` feeds an eager `diffusion.Realization` to the same
-routines as a batch of one: the tests' reference only.
+routine as a batch of one and sums subtree sizes bottom-up, one pass per
+search level: the tests' reference only.
 """
 
 from __future__ import annotations
@@ -47,15 +46,11 @@ class DominatorTree:
     """Immediate dominators of a realization, rooted at the source.
 
     `idom[v]` is -1 for the root and for nodes unreachable from it.
-    `order` lists reachable nodes in dominator-tree preorder (root first,
-    siblings in breadth-first discovery order), so the subtree of the node
-    at `order[i]` is the block `order[i:i + subtree_size[order[i]]]`.
     `subtree_size[v]` counts tree nodes in v's subtree (v included);
     unreachable nodes get 0.
     """
 
     idom: np.ndarray
-    order: np.ndarray
     subtree_size: np.ndarray
 
 
@@ -197,46 +192,18 @@ def dominators(levels, root, batch) -> BatchDominators:
                            joins=len(joins), sweeps=sweeps)
 
 
-def preorder(idom, spans, batch):
-    """(size, order) of the trees `dominators` found: each number's subtree
-    size, and the numbers in dominator-tree preorder, realization by
-    realization and siblings in number order: every subtree is a block."""
-    n = len(idom)
-    size = np.ones(n, dtype=np.int32)
-    for lo, hi in reversed(spans):
-        np.add.at(size, idom[lo:hi], size[lo:hi])
-    # Preorder positions: the realizations one after another; a node sits
-    # one past its parent, after the subtrees of its smaller siblings.
-    kids = idom[batch:].astype(np.int64) * n + np.arange(batch, n)
-    kids.sort()
-    kids %= n
-    run = np.cumsum(size[kids])
-    run -= size[kids]
-    head = _heads(idom[kids])
-    run -= np.repeat(run[head], np.diff(head, append=len(kids)))
-    del head
-    run += 1
-    slot = np.zeros(n, dtype=np.int32)
-    slot[1:batch] = np.cumsum(size[:batch - 1])
-    slot[kids] = run
-    del kids, run
-    for lo, hi in spans:
-        slot[lo:hi] += slot[idom[lo:hi]]
-    order = np.empty(n, dtype=np.int32)
-    order[slot] = np.arange(n, dtype=np.int32)
-    return size, order
-
-
 def build_dominator_tree(phi) -> DominatorTree:
     """Immediate dominators of the live subgraph of the realization `phi`
     (a `diffusion.Realization`) from the source."""
     ug = phi.ug
     tree = dominators(_forward_levels(ug, phi.blocked, 1, None,
                                       live=phi.live), ug.s, 1)
-    size, order = preorder(tree.idom, tree.spans, 1)
+    size = np.ones(len(tree.key), dtype=np.int64)
+    for lo, hi in reversed(tree.spans):     # children before parents
+        np.add.at(size, tree.idom[lo:hi], size[lo:hi])
     node = tree.key         # one realization: the key is the node
     idom = np.full(ug.n_total, -1, dtype=np.int64)
     idom[node[1:]] = node[tree.idom[1:]]
     sizes = np.zeros(ug.n_total, dtype=np.int64)
     sizes[node] = size
-    return DominatorTree(idom=idom, order=node[order], subtree_size=sizes)
+    return DominatorTree(idom=idom, subtree_size=sizes)

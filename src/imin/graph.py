@@ -146,7 +146,8 @@ def load_edge_list(path, directed=True):
     Node ids are compacted to 0..n-1 in first-appearance order, self-loops
     are dropped, duplicate (u, v) pairs are deduplicated, and undirected
     input is doubled into two directed edges.  All probabilities start at 1
-    (see :func:`assign_wc_probabilities`).
+    (see :func:`assign_wc_probabilities`).  A directory or a file that is
+    not UTF-8 text raises `EdgeListParseError`.
     """
     id_of = {}
     labels = []
@@ -160,29 +161,34 @@ def load_edge_list(path, directed=True):
             labels.append(label)
         return node
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(
-                    f"{path}: line {lineno}: expected 'u v', got {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"{path}: line {lineno}: non-integer node id in {line!r}"
-                ) from None
-            if a == b:
-                continue
-            u, v = intern(a), intern(b)
-            src.append(u)
-            dst.append(v)
-            if not directed:
-                src.append(v)
-                dst.append(u)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise EdgeListParseError(
+                        f"{path}: line {lineno}: expected 'u v', got {line!r}")
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise EdgeListParseError(
+                        f"{path}: line {lineno}: non-integer node id in "
+                        f"{line!r}") from None
+                if a == b:
+                    continue
+                u, v = intern(a), intern(b)
+                src.append(u)
+                dst.append(v)
+                if not directed:
+                    src.append(v)
+                    dst.append(u)
+    except IsADirectoryError:
+        raise EdgeListParseError(f"{path}: is a directory") from None
+    except UnicodeDecodeError:
+        raise EdgeListParseError(f"{path}: not UTF-8 text") from None
 
     if not src:
         raise EdgeListParseError(f"{path}: empty graph (no usable edges)")

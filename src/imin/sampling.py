@@ -17,24 +17,27 @@ seeds feed inside what it found (`_reverse_reach`); the pairs it reaches
 are the LRR set.  Every live source-to-member path runs through members,
 so `domtree.dominators` on that search gives the realization's
 dominators; the chain is the target's path to the root.  A `PairStream`
-keeps both samples of every pair: both bounds can read the same pairs.  The paper's "local sampling" draws
-the lower bound forward, as the reference kept here: a *common-path
-sequence* holds the dominator-tree root path, cut below the seeds, of
-every reached non-seed node of one forward search
-(`diffusion._forward_levels`), as parent pointers plus a preorder
-interval per entry, so the entries whose set contains u are the block of
-u's dominator subtree, whose sizes the greedy baselines score nodes by.
+keeps both samples of every pair: both bounds can read the same pairs.
+
+The paper's "local sampling" draws the lower bound forward, as the
+reference kept here: a *common-path sequence* holds one entry per reached
+non-seed node of one forward search (`diffusion._forward_levels`), whose
+set is that node's chain, its dominator-tree root path cut below the
+seeds.  The entries whose chain contains u are u's dominator subtree, so
+counting chain members gives the subtree sizes the greedy baselines score
+nodes by.  One walk (`_chains`) builds every chain, of pairs and of
+entries alike.
 
 Both generators (`_pair_batch`, `_cp_batch`) split any count into
 batches of up to `_BATCH` realizations, each one vectorized search drawing
 an edge's coin only when the search reaches it: a sample costs what its
 search reaches, not the size of the graph.  Each logs one DEBUG line per
-batch.  The collections keep the arrays as whole-batch chunks, and their
-coverage states work on the chunks concatenated once (`_freeze`), with no
-inverted index: a node's entries or memberships are found by one
-comparison over the flat arrays, and every node's marginal gain by one
-`np.bincount`.  Cov/|collection|, times the population size for LRR sets
-and chains, estimates the bound unbiasedly.
+batch.  Every collection keeps its samples as member sets in whole-batch
+chunks, and one coverage state works on the chunks concatenated once
+(`_freeze`), with no inverted index: a node's memberships are found by
+one comparison over the flat arrays, and every node's marginal gain by
+one `np.bincount`.  Cov/|collection|, times the population size for LRR
+sets and chains, estimates the bound unbiasedly.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 
 from .diffusion import (_BATCH, _advance, _forward_levels, _slices,
                         reverse_live_edges)
-from .domtree import dominators, preorder
+from .domtree import dominators
 from .graph import UnifiedGraph, as_blockers
 
 log = logging.getLogger(__name__)
@@ -61,56 +64,57 @@ def compute_population(g: UnifiedGraph) -> list:
 class CPSequence:
     """All common-path sets of one realization (inspection-friendly form)."""
 
-    nodes: np.ndarray      # entry -> node id, dominator-tree preorder
-    parents: np.ndarray    # entry -> parent entry index or -1
+    members: np.ndarray    # the entries' chains, entry after entry
+    sizes: np.ndarray      # entry -> chain size; a chain starts at its node
 
     def sets(self):
         """{node: frozenset of its common-path set}, materialized."""
-        out = {}
-        chains = []
-        for e in range(len(self.nodes)):
-            p = self.parents[e]
-            chain = (chains[p] if p >= 0 else []) + [int(self.nodes[e])]
-            chains.append(chain)
-            out[int(self.nodes[e])] = frozenset(chain)
-        return out
+        ends = np.cumsum(self.sizes).tolist()
+        chains = [self.members[end - size:end].tolist()
+                  for end, size in zip(ends, self.sizes.tolist())]
+        return {chain[0]: frozenset(chain) for chain in chains}
+
+
+def _chains(idom, counted, starts):
+    """The dominator chain of each search number in `starts`, start after
+    start: (numbers, sizes).  A chain walks up `idom` from its start and
+    stops before the first number that `counted` drops: a root, or a seed
+    of a forward search."""
+    steps = [(starts, np.arange(len(starts)))]     # (numbers, their chain)
+    while len(steps[-1][0]):
+        numbers, owner = steps[-1]
+        up = idom[numbers]
+        keep = np.flatnonzero(counted[up])
+        steps.append((up[keep], owner[keep]))
+    sizes = np.bincount(np.concatenate([owner for _, owner in steps]),
+                        minlength=len(starts))
+    slot = np.cumsum(sizes) - sizes                 # each chain's first
+    out = np.empty(int(sizes.sum()), dtype=np.int64)
+    for step, (numbers, owner) in enumerate(steps):
+        out[slot[owner] + step] = numbers
+    return out, sizes
 
 
 def _sequence_entries(ug: UnifiedGraph, batch: int, levels):
-    """Entry arrays (nodes, parents, sizes, ptr) of the `batch`
+    """Entry arrays (nodes, members, sizes, ptr) of the `batch`
     realizations whose forward search `levels` yields.
 
-    Sequence i is the entries ptr[i]:ptr[i + 1], in dominator-tree
-    preorder, so the entries whose set contains a node form one contiguous
-    block per sequence.  The source and the seeds (all children of the
-    source) are dropped; `parents` index entries within their sequence,
-    and an entry whose dominator is the source or a seed has parent -1.
-    Arrays are dropped as soon as they are used: a batch of a large graph
-    holds millions of entries.
+    Sequence i is the entries ptr[i]:ptr[i + 1], one per reached node
+    other than the source and the seeds, in ascending node order.  Entry
+    e's set is its chain: `sizes[e]` of `members`, entry after entry, the
+    node first and then its dominators other than the source and seeds.
     """
-    key, idom, spans, joins, sweeps = dominators(levels, ug.s, batch)
-    size, order = preorder(idom, spans, batch)
-    node = key[order]
-    del key
-    node //= batch
-    at = np.flatnonzero(~ug.uncounted[node])    # preorder positions kept
-    nodes = node[at]
-    del node
-    bounds = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(size[:batch], out=bounds[1:])     # each realization's block
-    ptr = np.searchsorted(at, bounds)
-    kept = order[at]
-    del order, at
-    sizes = size[kept].astype(np.int64)
-    del size
-    entry = np.full(len(idom), -1, dtype=np.int64)
-    entry[kept] = np.arange(len(kept))
-    parents = entry[idom[kept]]
-    del entry, idom, kept
-    parents -= np.where(parents >= 0, np.repeat(ptr[:-1], np.diff(ptr)), 0)
-    log.debug("cp batch: %d realizations, %d entries, %d join nodes, "
-              "%d sweeps", batch, len(nodes), joins, sweeps)
-    return nodes, parents, sizes, ptr
+    tree = dominators(levels, ug.s, batch)
+    node, trial = np.divmod(tree.key, batch)
+    counted = ~ug.uncounted[node]
+    starts = np.flatnonzero(counted)
+    starts = starts[np.argsort(trial[starts] * ug.n_total + node[starts])]
+    members, sizes = _chains(tree.idom, counted, starts)
+    log.debug("cp batch: %d realizations, %d entries, %d chain nodes, "
+              "%d join nodes, %d sweeps", batch, len(starts), len(members),
+              tree.joins, tree.sweeps)
+    return (node[starts], node[members], sizes,
+            np.searchsorted(trial[starts], np.arange(batch + 1)))
 
 
 def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
@@ -124,8 +128,8 @@ def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
 
 def local_sampling(g: UnifiedGraph, rng: np.random.Generator) -> CPSequence:
     """Sample one realization and return its common-path sequence."""
-    nodes, parents, *_ = next(_cp_batch(g, 1, rng))
-    return CPSequence(nodes=nodes, parents=parents)
+    _, members, sizes, _ = next(_cp_batch(g, 1, rng))
+    return CPSequence(members, sizes)
 
 
 @dataclass
@@ -184,13 +188,9 @@ def _pair_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
         order = batch + np.lexsort((node[batch:], ~mine[batch:],
                                     trial[batch:]))
         lrr = node[order], np.bincount(trial[batch:], minlength=batch)
-        links = [np.flatnonzero(mine)]
-        while len(links[-1]):
-            up = tree.idom[links[-1]]
-            links.append(up[up >= batch])
-        chain = np.concatenate(links)
-        # a stable sort keeps each chain in walk order, target first
-        chain = chain[np.argsort(trial[chain], kind="stable")]
+        reached = np.flatnonzero(mine)
+        chain, _ = _chains(tree.idom, ~ug.uncounted[node],
+                           reached[np.argsort(trial[reached])])
         log.debug("pair batch: %d samples, %d members, %d chain nodes, "
                   "%d join nodes, %d sweeps", batch, len(order), len(chain),
                   tree.joins, tree.sweeps)
@@ -208,110 +208,89 @@ def global_sampling(g: UnifiedGraph, population,
     return LRRSet(target=int(targets[0]), members=frozenset(members.tolist()))
 
 
-class CPCollection:
-    """A growing set of common-path sequences: the paper's forward
-    estimator of the lower bound, kept as the reference the tests and
-    `checks` compare `ChainCollection` against.  No solver samples it.
-
-    Entries are kept in whole-batch chunks; `_starts` holds each chunk's
-    sequence boundaries as global entry offsets.
-    """
+class _SetChunks:
+    """Samples kept as member sets in whole-batch chunks and scored by
+    `_LRRState`: an LRR set, a chain or a common-path entry is one set."""
 
     def __init__(self, ug: UnifiedGraph, rng: np.random.Generator):
         self.ug = ug
         self.rng = rng
-        self.n_sequences = 0
+        self.n_samples = 0
         empty = np.empty(0, dtype=np.int64)
-        self._nodes = [empty]     # per-chunk entry nodes
-        self._parents = [empty]   # per-chunk parents, sequence-local
-        self._ends = [empty]      # per-entry subtree interval ends (global)
-        self._starts = [np.zeros(1, dtype=np.int64)]
+        self._members = [empty]   # per-chunk members, set after set
+        self._sizes = [empty]     # per-chunk set sizes
         self._frozen = None
 
-    @property
-    def n_samples(self):
-        return self.n_sequences
+    def _chunk(self, members, sizes):
+        """Append one chunk: `sizes[i]` members per set, set after set."""
+        self._frozen = None
+        self._members.append(members)
+        self._sizes.append(sizes)
+
+    def _freeze(self):
+        """(members, set of each member, number of sets), concatenated
+        once."""
+        if self._frozen is None:
+            self._members = [np.concatenate(self._members)]  # one copy kept
+            self._sizes = [np.concatenate(self._sizes)]
+            sizes = self._sizes[0]
+            set_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+            self._frozen = (self._members[0], set_of, len(sizes))
+        return self._frozen
+
+    def state(self):
+        return _LRRState(self)
+
+
+class CPCollection(_SetChunks):
+    """A growing set of common-path sequences: the paper's forward
+    estimator of the lower bound, kept as the reference the tests and
+    `checks` compare `ChainCollection` against.  No solver samples it.
+
+    Each entry is one set, its chain; `n_samples` counts sequences, and
+    `_starts` holds each chunk's sequence boundaries as global entry
+    offsets.
+    """
+
+    def __init__(self, ug: UnifiedGraph, rng: np.random.Generator):
+        super().__init__(ug, rng)
+        self._starts = [np.zeros(1, dtype=np.int64)]
 
     def extend(self, count: int):
         """Generate `count` more sequences from the collection's stream."""
         for entries in _cp_batch(self.ug, count, self.rng):
             self._add(*entries)
 
-    def _add(self, nodes, parents, sizes, ptr):
+    def _add(self, nodes, members, sizes, ptr):
         """Append one chunk of `_sequence_entries` output."""
-        self._frozen = None
-        offset = int(self._starts[-1][-1])
-        self._nodes.append(nodes)
-        self._parents.append(parents)
-        self._ends.append(offset + np.arange(len(nodes)) + sizes)
-        self._starts.append(offset + ptr[1:])
-        self.n_sequences += len(ptr) - 1
+        self._chunk(members, sizes)
+        self._starts.append(self._starts[-1][-1] + ptr[1:])
+        self.n_samples += len(ptr) - 1
 
     def sequences(self):
         """Each sequence as a `CPSequence`, in sampling order."""
-        nodes = np.concatenate(self._nodes)
-        parents = np.concatenate(self._parents)
+        members = np.concatenate(self._members)
+        sizes = np.concatenate(self._sizes)
+        at = np.concatenate([[0], np.cumsum(sizes)])    # each entry's chain
         starts = np.concatenate(self._starts).tolist()
         for lo, hi in zip(starts, starts[1:]):
-            yield CPSequence(nodes[lo:hi], parents[lo:hi])
-
-    def _freeze(self):
-        """(nodes, ends) of all entries, concatenated once."""
-        if self._frozen is None:
-            self._nodes = [np.concatenate(self._nodes)]   # one copy kept
-            self._ends = [np.concatenate(self._ends)]
-            self._frozen = (self._nodes[0], self._ends[0])
-        return self._frozen
-
-    def state(self):
-        return _CPState(self)
+            yield CPSequence(members[at[lo]:at[hi]], sizes[lo:hi])
 
 
-class _CPState:
-    """Coverage bookkeeping over a frozen CP collection: a blocker covers
-    the entries of its dominator subtrees."""
-
-    def __init__(self, coll: CPCollection):
-        self.nodes, self.ends = coll._freeze()
-        self.covered = np.zeros(len(self.nodes), dtype=bool)
-
-    def add(self, u):
-        # u's entries lie in distinct sequences, so its intervals are disjoint
-        at = np.flatnonzero(self.nodes == u)
-        self.covered[_slices(at, self.ends[at])[0]] = True
-
-    def coverage(self) -> int:
-        return int(self.covered.sum())
-
-    def gains_all(self, n_nodes) -> np.ndarray:
-        """Per node, the uncovered entries its subtrees would cover."""
-        pre = np.zeros(len(self.nodes) + 1, dtype=np.int64)
-        np.cumsum(~self.covered, out=pre[1:])
-        return np.bincount(self.nodes, weights=pre[self.ends] - pre[:-1],
-                           minlength=n_nodes).astype(np.int64)
-
-
-class LRRCollection:
-    """A growing set of reverse-reachable samples, kept in whole-batch
-    chunks.  An empty set (target unreached) has no members but counts as
-    a sample."""
+class LRRCollection(_SetChunks):
+    """A growing set of reverse-reachable samples.  An empty set (target
+    unreached) has no members but counts as a sample."""
 
     def __init__(self, ug: UnifiedGraph, rng: np.random.Generator,
                  population=None):
-        self.ug = ug
-        self.rng = rng
+        super().__init__(ug, rng)
         self.population = (compute_population(ug) if population is None
                            else list(population))
         if not self.population:
             raise ValueError("seeds influence no one: sampling population "
                              "is empty")
         self._pop_arr = np.asarray(self.population, dtype=np.int64)
-        self.n_samples = 0
         self.n_empty = 0
-        empty = np.empty(0, dtype=np.int64)
-        self._members = [empty]   # per-chunk members, set after set
-        self._sizes = [empty]     # per-chunk set sizes
-        self._frozen = None
 
     @classmethod
     def from_sets(cls, ug: UnifiedGraph, sets, population=None):
@@ -333,10 +312,8 @@ class LRRCollection:
             self._add(*batch[self._part])
 
     def _add(self, members, sizes):
-        """Append one chunk: `sizes[i]` members per set, set after set."""
-        self._frozen = None
-        self._members.append(members)
-        self._sizes.append(sizes)
+        """Append one chunk of sets."""
+        self._chunk(members, sizes)
         self.n_samples += len(sizes)
         self.n_empty += int(np.count_nonzero(sizes == 0))
 
@@ -347,20 +324,6 @@ class LRRCollection:
         starts = np.cumsum(np.concatenate([[0], *self._sizes])).tolist()
         for lo, hi in zip(starts, starts[1:]):
             yield members[lo:hi]
-
-    def _freeze(self):
-        """(members, set of each member, number of sets), concatenated
-        once."""
-        if self._frozen is None:
-            self._members = [np.concatenate(self._members)]  # one copy kept
-            self._sizes = [np.concatenate(self._sizes)]
-            set_of = np.repeat(np.arange(self.n_samples, dtype=np.int64),
-                               self._sizes[0])
-            self._frozen = (self._members[0], set_of, self.n_samples)
-        return self._frozen
-
-    def state(self):
-        return _LRRState(self)
 
 
 class ChainCollection(LRRCollection):
@@ -402,10 +365,11 @@ def pair_streams(ug: UnifiedGraph, rng: np.random.Generator):
 
 
 class _LRRState:
-    """Coverage bookkeeping over a frozen LRR collection: a blocker covers
-    the sets it is a member of."""
+    """Coverage bookkeeping over a frozen collection of sets (LRR sets,
+    chains or common-path entries): a blocker covers the sets it is a
+    member of."""
 
-    def __init__(self, coll: LRRCollection):
+    def __init__(self, coll: _SetChunks):
         self.member_node, self.member_set, n_sets = coll._freeze()
         self.covered = np.zeros(n_sets, dtype=bool)
 

@@ -7,7 +7,7 @@ import pytest
 from imin import fixtures
 from imin.diffusion import _BATCH, _forward_levels, _slices
 from imin.graph import Graph, block_nodes, unify_seeds
-from imin.sampling import CPCollection, _sequence_entries
+from imin.sampling import _sequence_entries
 
 
 @pytest.fixture
@@ -143,34 +143,36 @@ def dominators(successors, root):
 
 def eager_entries(ug, phi):
     """`sampling._sequence_entries` of the eager realization `phi`, fed to
-    the batched search as a batch of one: (nodes, parents, sizes, ptr)."""
+    the batched search as a batch of one: (nodes, members, sizes, ptr)."""
     return _sequence_entries(ug, 1, _forward_levels(
         ug, phi.blocked, 1, None, live=phi.live))
 
 
-def reference_triples(ug, successors):
-    """`entry_triples` of one realization by the reference `dominators`:
-    counted nodes only, a source or seed dominator reading -1."""
-    vertex, idom, size = dominators(successors, ug.s)
-    out = set()
-    for w in range(1, len(vertex)):
-        if not ug.uncounted[vertex[w]]:
-            dom = vertex[idom[w]]
-            out.add((vertex[w], -1 if ug.uncounted[dom] else dom, size[w]))
+def reference_chains(ug, successors):
+    """The common-path entries of one realization by the reference
+    `dominators`: for every reached node but the source and the seeds, in
+    ascending node order, its root path cut below the seeds (the node
+    first)."""
+    vertex, idom, _ = dominators(successors, ug.s)
+    out = []
+    for w in sorted(range(len(vertex)), key=vertex.__getitem__):
+        chain = []
+        while w > 0 and not ug.uncounted[vertex[w]]:
+            chain.append(vertex[w])
+            w = idom[w]
+        if chain:
+            out.append(chain)
     return out
 
 
-def entry_triples(nodes, parents, sizes):
-    """{(node, dominator node or -1, subtree size)} of one sequence's
-    entries: what coverage reads, whatever the sibling order."""
-    doms = np.where(parents >= 0, nodes[parents], -1)
-    return set(zip(nodes.tolist(), doms.tolist(), sizes.tolist()))
-
-
-def split_sequences(nodes, parents, sizes, ptr):
-    """The per-sequence (nodes, parents, sizes) of one batch's entries."""
-    for lo, hi in zip(ptr[:-1], ptr[1:]):
-        yield nodes[lo:hi], parents[lo:hi], sizes[lo:hi]
+def split_chains(members, sizes, ptr):
+    """Per sequence of `sampling._sequence_entries` output, its entries'
+    chains as lists, entry after entry."""
+    ends = np.cumsum(sizes).tolist()
+    chains = [members[end - size:end].tolist()
+              for end, size in zip(ends, sizes.tolist())]
+    for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
+        yield chains[lo:hi]
 
 
 def split_sets(batches, part=1):
@@ -365,19 +367,14 @@ def reference_reverse_reach_counts(g, samples, rng):
 
 
 class ReferenceCoverage:
-    """Coverage of a frozen CP or LRR collection in plain Python sets: the
-    items (CP entries, or LRR sets) each node covers."""
+    """Coverage of a frozen collection in plain Python sets: the sets (CP
+    entries, LRR sets or chains) each node is a member of."""
 
     def __init__(self, coll):
-        if isinstance(coll, CPCollection):
-            nodes, ends = coll._freeze()
-            items = [range(e, end) for e, end in enumerate(ends.tolist())]
-        else:
-            nodes, set_of, _ = coll._freeze()
-            items = [[i] for i in set_of.tolist()]
+        members, set_of, _ = coll._freeze()
         self.covers = {}
-        for v, item in zip(nodes.tolist(), items):
-            self.covers.setdefault(v, set()).update(item)
+        for v, i in zip(members.tolist(), set_of.tolist()):
+            self.covers.setdefault(v, set()).add(i)
         self.covered = set()
 
     def gain(self, v):

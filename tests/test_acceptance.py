@@ -46,8 +46,7 @@ def test_criterion_01_worked_realization_reproduction():
     sizes = {v: int(dt.subtree_size[v]) for v in range(1, 7)}
     assert sizes == {1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 
-    nodes, parents, *_ = eager_entries(ug, phi)
-    got = CPSequence(nodes, parents).sets()
+    got = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
     assert got == {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({3}),
                    5: frozenset({3, 5}), 6: frozenset({3, 6})}
     report(1, f"subtree sizes {sizes}, 5 common-path sets exact")
@@ -154,11 +153,11 @@ def test_criterion_04_estimator_unbiasedness():
 
 
 def _per_sequence_coverage(coll, state):
-    out = np.zeros(coll.n_sequences)
+    out = np.zeros(coll.n_samples)
     pos = 0
     for i, seq in enumerate(coll.sequences()):
-        out[i] = state.covered[pos:pos + len(seq.nodes)].sum()
-        pos += len(seq.nodes)
+        out[i] = state.covered[pos:pos + len(seq.sizes)].sum()
+        pos += len(seq.sizes)
     return out
 
 

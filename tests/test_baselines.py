@@ -13,7 +13,7 @@ from imin.graph import block_nodes
 from imin.oracle import ExactModel
 from imin.sampling import _cp_batch
 
-from conftest import certain_edges, make_rng, split_sequences
+from conftest import certain_edges, make_rng, split_chains
 
 
 def eager_sizes(ug, blockers, n, rng):
@@ -24,12 +24,12 @@ def eager_sizes(ug, blockers, n, rng):
 
 
 def batched_sizes(ug, blockers, n, rng):
-    """The same sizes from the batched common-path sampler."""
+    """The same sizes from the batched common-path sampler: per
+    realization, the number of chains that contain each node."""
     for batch in _cp_batch(block_nodes(ug, blockers), n, rng):
-        for nodes, _, sizes in split_sequences(*batch):
-            out = np.zeros(ug.n_total, dtype=np.int64)
-            out[nodes] = sizes
-            yield out
+        for chains in split_chains(*batch[1:]):
+            yield np.bincount(np.asarray(sum(chains, []), dtype=np.int64),
+                              minlength=ug.n_total)
 
 
 class TestSubtreeScores:

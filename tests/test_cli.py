@@ -119,12 +119,18 @@ class TestExitCodes:
         assert main(["run", "--graph", str(data), "--algo", "lhga",
                      "--k", "1", "--seeds", "99"]) == 5  # count too large
 
-    def test_missing_graph_no_partial_output(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["absent", "directory", "not-utf8"])
+    def test_missing_graph_no_partial_output(self, tmp_path, capsys, kind):
+        graph = tmp_path / "graph.txt"
+        if kind == "directory":
+            graph.mkdir()
+        elif kind == "not-utf8":
+            graph.write_bytes(b"1 2\n\xff\xfe 3\n")
         out = tmp_path / "rows.csv"
-        assert main(["run", "--graph", str(tmp_path / "absent.txt"),
-                     "--algo", "lhga", "--k", "1", "--seeds", "1",
-                     "--out", str(out)]) == 6
+        assert main(["run", "--graph", str(graph), "--algo", "lhga",
+                     "--k", "1", "--seeds", "1", "--out", str(out)]) == 6
         assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_fixture_name(self):
         assert main(["run", "--graph", "fixture:unknown", "--algo", "lhga",

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from imin import fixtures
 from imin.diffusion import Realization, _forward_levels, sample_realization
 from imin.diffusion import reachable_in_realization
-from imin.domtree import build_dominator_tree, dominators, preorder
+from imin.domtree import build_dominator_tree, dominators
 from imin.graph import Graph, assign_constant_probability, unify_seeds
 from imin.oracle import ExactModel
+from imin.sampling import _chains, _cp_batch
 
 from conftest import dominators as reference_dominators
 from conftest import (live_successors, make_rng, random_flowgraph,
@@ -72,7 +73,8 @@ def _assert_matches_networkx(ug, phi):
         if v == ug.s:
             continue
         assert dt.idom[v] == u
-    assert sorted(dt.order.tolist()) == sorted(set(want) | {ug.s})
+    assert np.flatnonzero(dt.subtree_size).tolist() \
+        == sorted(set(want) | {ug.s})
 
 
 class TestReachableFrom:
@@ -157,11 +159,14 @@ class TestBatchDominators:
         levels = []
         tree = dominators(recorded(_forward_levels(
             ug, ug.blocked, batch, make_rng(seed)), levels), ug.s, batch)
-        sizes, order = preorder(tree.idom, tree.spans, batch)
         node, trial = np.divmod(tree.key, batch)
-        dom = np.where(np.arange(len(node)) < batch, -1, node[tree.idom])
-        at = np.empty(len(node), dtype=np.int64)
-        at[order] = np.arange(len(node))
+        number = np.arange(len(node))
+        dom = np.where(number < batch, -1, node[tree.idom])
+        # A subtree size counts the chains through the number, and every
+        # number of a realization lies below its root.
+        chains, _ = _chains(tree.idom, number >= batch, number[batch:])
+        sizes = np.bincount(chains, minlength=len(node))
+        sizes[:batch] = np.bincount(trial, minlength=batch)
         for t, live in enumerate(live_successors(levels, ug.s, batch)):
             mine = np.flatnonzero(trial == t)
             got = set(zip(node[mine].tolist(), dom[mine].tolist(),
@@ -175,16 +180,6 @@ class TestBatchDominators:
             want = nx.immediate_dominators(graph, ug.s)
             assert {(v, d) for v, d, _ in got if v != ug.s} \
                 == {(v, d) for v, d in want.items() if v != ug.s}
-            # The realization is one block of the order, and so is every
-            # subtree within it.
-            block = np.sort(at[mine])
-            assert np.array_equal(block, np.arange(block[0],
-                                                   block[0] + len(mine)))
-            for w in mine:
-                for u in order[at[w]:at[w] + sizes[w]]:
-                    while u != w:
-                        assert tree.idom[u] != u   # never passes a root
-                        u = tree.idom[u]
 
 
 class TestSubtreeSizes:
@@ -213,52 +208,40 @@ class TestSubtreeSizes:
             ug = fixtures.random_tiny(make_rng(700 + trial), 9, 12)
             phi = sample_realization(ug, None, make_rng(3000 + trial))
             dt = build_dominator_tree(phi)
-            depth = {ug.s: 0}
-            for v in dt.order[1:]:
-                depth[int(v)] = depth[int(dt.idom[v])] + 1
-            assert sum(int(dt.subtree_size[v]) for v in dt.order[1:]) \
-                == sum(depth[int(v)] for v in dt.order)
+            depth_sum = 0
+            for v in np.flatnonzero(dt.subtree_size):
+                while v != ug.s:
+                    v = dt.idom[v]
+                    depth_sum += 1
+            assert dt.subtree_size.sum() - dt.subtree_size[ug.s] \
+                == depth_sum
 
     def test_subtree_consistency_with_children(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
         dt = build_dominator_tree(phi)
-        for v in dt.order:
+        for v in np.flatnonzero(dt.subtree_size):
             kids = np.nonzero(dt.idom == v)[0]
             assert dt.subtree_size[v] == 1 + dt.subtree_size[kids].sum()
-
-    def test_order_lists_each_subtree_as_one_block(self):
-        graphs = [fixtures.random_tiny(make_rng(900 + t), 9, 12)
-                  for t in range(25)]
-        graphs.append(fixtures.mid_synthetic(make_rng(7), 120, 480))
-        for t, ug in enumerate(graphs):
-            dt = build_dominator_tree(
-                sample_realization(ug, None, make_rng(4000 + t)))
-            assert dt.order[0] == ug.s
-            for i, v in enumerate(dt.order):
-                block = dt.order[i:i + dt.subtree_size[v]]
-                assert len(block) == dt.subtree_size[v]
-                for u in block[1:]:
-                    while u != v:
-                        u = dt.idom[u]
-                        assert u >= 0
 
 
 class TestEstimationIdentity:
     def test_mean_subtree_size_matches_singleton_decrease(self):
-        # The per-realization subtree size is an unbiased estimate of the
+        # The per-realization subtree size, the number of common-path
+        # chains that contain the node, is an unbiased estimate of the
         # expected decrease from blocking that single node.
         ug = fixtures.worked_example_small()
         model = ExactModel(ug)
         n = 20_000
-        rng = make_rng(42)
         totals = np.zeros(ug.n_total)
         sq = np.zeros(ug.n_total)
-        for _ in range(n):
-            phi = sample_realization(ug, None, rng)
-            s = build_dominator_tree(phi).subtree_size
-            totals += s
-            sq += s.astype(float) ** 2
+        for _, members, sizes, ptr in _cp_batch(ug, n, make_rng(42)):
+            batch = len(ptr) - 1
+            seq = np.repeat(np.repeat(np.arange(batch), np.diff(ptr)), sizes)
+            s = np.bincount(seq * ug.n_total + members,
+                            minlength=batch * ug.n_total).reshape(batch, -1)
+            totals += s.sum(axis=0)
+            sq += (s.astype(float) ** 2).sum(axis=0)
         for v in range(1, 7):
             mean = totals[v] / n
             sigma = math.sqrt(max(sq[v] / n - mean ** 2, 1e-12) / n)

@@ -19,10 +19,10 @@ from imin.sampling import (ChainCollection, CPCollection, CPSequence,
                            global_sampling, local_sampling, marginal_coverage,
                            pair_streams)
 
-from conftest import (certain_edges, dominators, eager_entries,
-                      entry_triples, live_successors, make_rng,
-                      random_flowgraph, recorded, reference_triples,
-                      split_sequences, split_sets, tiny_with_dead_edges)
+from conftest import (certain_edges, eager_entries, live_successors,
+                      make_rng, random_flowgraph, recorded,
+                      reference_chains, split_chains, split_sets,
+                      tiny_with_dead_edges)
 
 
 def cp_sets_by_path_enumeration(ug, phi):
@@ -77,8 +77,7 @@ class TestLocalSampling:
     def test_worked_example_sets(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        nodes, parents, *_ = eager_entries(ug, phi)
-        got = CPSequence(nodes, parents).sets()
+        got = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
         assert got == {1: frozenset({1}), 2: frozenset({2}),
                        3: frozenset({3}), 5: frozenset({3, 5}),
                        6: frozenset({3, 6})}
@@ -96,8 +95,7 @@ class TestLocalSampling:
         for trial in range(40):
             ug = fixtures.random_tiny(make_rng(trial), 8, 10)
             phi = sample_realization(ug, None, make_rng(4000 + trial))
-            nodes, parents, *_ = eager_entries(ug, phi)
-            got = CPSequence(nodes, parents).sets()
+            got = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
             want = cp_sets_by_path_enumeration(ug, phi)
             assert got == want
             gate = set(ug.seeds) | {ug.s}
@@ -232,13 +230,11 @@ class TestDeterministicSamples:
               database=None)
     @given(st.integers(0, 10 ** 6))
     def test_cp_entries_match_eager_realization(self, seed):
-        # Sibling order is free; each (node, dominator, size) is not.
         ug, phi = deterministic(seed)
-        want = reference_triples(ug, phi.successors)
-        assert entry_triples(*eager_entries(ug, phi)[:3]) == want
+        want = reference_chains(ug, phi.successors)
+        assert list(split_chains(*eager_entries(ug, phi)[1:])) == [want]
         for batch in _cp_batch(ug, 5, make_rng(seed)):
-            for got in split_sequences(*batch):
-                assert entry_triples(*got) == want
+            assert list(split_chains(*batch[1:])) == [want] * 5
 
 
 class TestChainSamples:
@@ -249,8 +245,7 @@ class TestChainSamples:
     @given(st.integers(0, 10 ** 6))
     def test_chains_match_cp_sets_on_certain_edges(self, seed):
         ug, phi = deterministic(seed)
-        nodes, parents, *_ = eager_entries(ug, phi)
-        want = CPSequence(nodes, parents).sets()
+        want = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
         non_seeds = [v for v in range(ug.base.n) if v not in ug.seeds]
         for target, chain in split_sets(_pair_batch(
                 ug, np.asarray(non_seeds), 40, make_rng(seed)), part=2):
@@ -291,12 +286,8 @@ class TestChainSamples:
         for t, ((target, members), (_, chain)) in enumerate(zip(
                 split_sets(pairs), split_sets(pairs, part=2))):
             chain = chain.tolist()
-            vertex, idom, _ = dominators(live[t].get, ug.s)
-            want, w = [], vertex.index(target) if target in vertex else 0
-            while w:
-                want.append(vertex[w])
-                w = idom[w]
-            assert chain == want
+            want = {c[0]: c for c in reference_chains(ug, live[t].get)}
+            assert chain == want.get(target, [])
             assert set(chain) <= set(members.tolist())
 
     @settings(derandomize=True, max_examples=40, deadline=None,
@@ -370,40 +361,28 @@ class TestPairStream:
                        for a, b in zip(got.sets(), want.sets()))
 
 
-def assert_subtree_blocks(parents, sizes):
-    """Entry e's subtree (e and the entries below it by parent links) is
-    the block [e, e + sizes[e]) of its sequence."""
-    below = [set() for _ in parents]
-    for f in range(len(parents)):
-        e = f
-        while e >= 0:
-            below[e].add(f)
-            e = parents[e]
-    for e, size in enumerate(sizes.tolist()):
-        assert below[e] == set(range(e, e + size))
-
-
 class TestBatchEntries:
     @settings(derandomize=True, max_examples=40, deadline=None,
               database=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, 1025]))
-    def test_entries_match_reference_in_subtree_blocks(self, seed, batch):
+    def test_entry_chains_match_reference(self, seed, batch):
+        # Per realization: the entries in ascending node order, each chain
+        # the node's root path in the reference tree, cut below the seeds.
         ug = random_flowgraph(seed)
         levels = []
-        nodes, parents, sizes, ptr = _sequence_entries(ug, batch, recorded(
+        nodes, members, sizes, ptr = _sequence_entries(ug, batch, recorded(
             _forward_levels(ug, ug.blocked, batch, make_rng(seed)), levels))
         assert len(ptr) == batch + 1 and ptr[0] == 0
-        sequences = list(split_sequences(nodes, parents, sizes, ptr))
-        for got, live in zip(sequences, live_successors(levels, ug.s,
-                                                        batch)):
-            assert entry_triples(*got) == reference_triples(ug, live.get)
-            assert_subtree_blocks(*got[1:])
+        assert np.array_equal(nodes, members[np.cumsum(sizes) - sizes])
+        assert list(split_chains(members, sizes, ptr)) == [
+            reference_chains(ug, live.get)
+            for live in live_successors(levels, ug.s, batch)]
 
     def test_no_seed_reaches_anyone(self):
         g = unify_seeds(Graph.from_edges(3, [0, 0], [1, 2], [0.0, 0.0]),
                         {0})
-        (nodes, parents, sizes, ptr), = _cp_batch(g, 7, make_rng(1))
-        assert len(nodes) == len(parents) == len(sizes) == 0
+        (nodes, members, sizes, ptr), = _cp_batch(g, 7, make_rng(1))
+        assert len(nodes) == len(members) == len(sizes) == 0
         assert ptr.tolist() == [0] * 8
         coll = CPCollection(g, make_rng(1))
         coll.extend(7)
@@ -420,8 +399,11 @@ class TestBatchEntries:
                  if r.name == "imin.sampling"]
         assert len(lines) == 2
         assert lines[1].startswith("cp batch: 3 realizations, ")
-        entries = sum(int(line.split(", ")[1].split()[0]) for line in lines)
-        assert entries == len(coll._freeze()[0])
+        entries, chain_nodes = (
+            sum(int(line.split(", ")[i].split()[0]) for line in lines)
+            for i in (1, 2))
+        members, _, n_sets = coll._freeze()
+        assert (entries, chain_nodes) == (n_sets, len(members))
         assert all("join nodes" in line and "sweeps" in line
                    for line in lines)
 
@@ -432,13 +414,11 @@ class TestBatchEntries:
         coll = CPCollection(ug, make_rng(2))
         coll.extend(_BATCH + 3)
         assert coll.n_samples == _BATCH + 3
-        got = list(coll.sequences())
-        want = [seq for batch in batches for seq in split_sequences(*batch)]
-        assert len(got) == len(want) == _BATCH + 3
-        for seq, (nodes, parents, sizes) in zip(got, want):
-            assert np.array_equal(seq.nodes, nodes)
-            assert np.array_equal(seq.parents, parents)
-            assert_subtree_blocks(parents, sizes)
+        got = [seq.sets() for seq in coll.sequences()]
+        want = [{chain[0]: frozenset(chain) for chain in chains}
+                for batch in batches for chains in split_chains(*batch[1:])]
+        assert len(got) == _BATCH + 3
+        assert got == want
 
 
 def padded_twin(seed, pad):
@@ -467,16 +447,14 @@ def collections(ug, rng_seed, count):
 
 def assert_same_collections(a, b):
     (cp_a, lrr_a), (cp_b, lrr_b) = a, b
-    assert cp_a.n_samples == cp_b.n_samples
-    for x, y in zip(cp_a.sequences(), cp_b.sequences(), strict=True):
-        assert np.array_equal(x.nodes, y.nodes)
-        assert np.array_equal(x.parents, y.parents)
-    for x, y in zip(cp_a._freeze()[:2], cp_b._freeze()[:2]):  # nodes, ends
-        assert np.array_equal(x, y)
+    assert [len(s.sizes) for s in cp_a.sequences()] \
+        == [len(s.sizes) for s in cp_b.sequences()]
     assert lrr_a.n_empty == lrr_b.n_empty
-    for x, y in zip(lrr_a.sets(), lrr_b.sets(), strict=True):
-        assert np.array_equal(x, y)
     for coll_a, coll_b in ((cp_a, cp_b), (lrr_a, lrr_b)):
+        assert coll_a.n_samples == coll_b.n_samples
+        # members, the set of each member, the number of sets
+        for x, y in zip(coll_a._freeze(), coll_b._freeze()):
+            assert np.array_equal(x, y)
         assert coll_a.rng.bit_generator.state \
             == coll_b.rng.bit_generator.state
 
