@@ -119,12 +119,20 @@ class TestExitCodes:
         assert main(["run", "--graph", str(data), "--algo", "lhga",
                      "--k", "1", "--seeds", "99"]) == 5  # count too large
 
-    @pytest.mark.parametrize("kind", ["absent", "directory", "not-utf8"])
-    def test_missing_graph_no_partial_output(self, tmp_path, capsys, kind):
+    def test_missing_graph_no_partial_output(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--graph", str(tmp_path / "absent.txt"),
+                     "--algo", "lhga", "--k", "1", "--seeds", "1",
+                     "--out", str(out)]) == 6
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_graph_no_partial_output(self, tmp_path, capsys, kind):
         graph = tmp_path / "graph.txt"
         if kind == "directory":
             graph.mkdir()
-        elif kind == "not-utf8":
+        else:
             graph.write_bytes(b"1 2\n\xff\xfe 3\n")
         out = tmp_path / "rows.csv"
         assert main(["run", "--graph", str(graph), "--algo", "lhga",
