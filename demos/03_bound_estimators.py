@@ -15,14 +15,16 @@ import numpy as np
 from imin import fixtures
 from imin.oracle import ExactModel
 from imin.sampling import (ChainCollection, CPCollection, LRRCollection,
-                           compute_population, coverage, local_sampling)
+                           compute_population, coverage)
 
 
 def main():
     ug = fixtures.worked_example_small()
     rng = np.random.default_rng(11)
 
-    seq = local_sampling(ug, rng)
+    one = CPCollection(ug, rng)
+    one.extend(1)
+    seq = next(one.sequences())
     print("one common-path sequence:")
     for node, members in sorted(seq.sets().items()):
         print(f"  node {node}: every source path crosses {sorted(members)}")

@@ -29,12 +29,9 @@ from .optimize import (AlgoParams, BoundCertificate, GreedyTrace,
                        SampleSchedule, StopCheck, cov_upper_opt,
                        direct_activation_prob, gsbm, lsbm, max_coverage,
                        opt_lower_bound)
-from .oracle import (ExactModel, OracleLimitError, exact_decrease,
-                     exact_lower_bound, exact_optimal_blockers, exact_spread,
-                     exact_upper_bound)
+from .oracle import ExactModel, OracleLimitError
 from .sampling import (ChainCollection, CPCollection, CPSequence,
-                       LRRCollection, LRRSet, compute_population, coverage,
-                       global_sampling, local_sampling, marginal_coverage)
+                       LRRCollection, compute_population, coverage)
 from .sandwich import (SandwichResult, empirical_ratio, lhga, sand_imin,
                        sand_imin_minus)
 

@@ -86,9 +86,7 @@ def gr(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
         on_allowed[best] = False
 
     for _ in range(_MAX_PASSES):
-        replaced = False
-        i = len(chosen) - 1
-        while i >= 0:
+        for i in reversed(range(len(chosen))):
             removed = chosen[i]
             rest = chosen[:i] + chosen[i + 1:]
             scores = _subtree_scores(g, rest, realizations_per_round, rng)
@@ -98,10 +96,6 @@ def gr(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
             if best == removed or scores[best] <= scores[removed]:
                 return BlockerSet(chosen)
             chosen = rest + [best]
-            replaced = True
-            i -= 1
-        if not replaced:
-            break
     return BlockerSet(chosen)
 
 

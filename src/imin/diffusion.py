@@ -88,12 +88,6 @@ class Realization:
     def reach(self):
         return reachable_in_realization(self)
 
-    def successors(self, v):
-        """Live successors of v that are not blocked, in edge-id order."""
-        lo, hi = self.ug.out_ptr[v], self.ug.out_ptr[v + 1]
-        dst = self.ug.out_dst[lo:hi][self.live[lo:hi]]
-        return dst[~self.blocked[dst]].tolist()
-
 
 def reachable_in_realization(phi: Realization) -> np.ndarray:
     """Boolean mask of nodes with a live-edge path from the source."""

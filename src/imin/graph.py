@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-CACHE_FORMAT_VERSION = 1
+_INT64 = range(-(1 << 63), 1 << 63)  # node labels are stored as int64
 
 
 class EdgeListParseError(ValueError):
@@ -120,25 +120,6 @@ class Graph:
                         np.diff(self.out_ptr))
         return src, self.out_dst.copy(), self.out_p.copy()
 
-    def save(self, path):
-        """Write the normalized graph to a versioned binary cache file."""
-        src, dst, p = self.edge_array()
-        np.savez(path, format_version=np.int64(CACHE_FORMAT_VERSION),
-                 n=np.int64(self.n), src=src, dst=dst, p=p, labels=self.labels)
-
-    @classmethod
-    def load(cls, path):
-        """Read a cache file written by `save`, validated as `from_edges`
-        validates its input."""
-        with np.load(path) as data:
-            version = int(data["format_version"])
-            if version != CACHE_FORMAT_VERSION:
-                raise GraphError(
-                    f"unsupported graph cache version {version} "
-                    f"(expected {CACHE_FORMAT_VERSION})")
-            return cls.from_edges(int(data["n"]), data["src"], data["dst"],
-                                  data["p"], labels=data["labels"])
-
 
 def load_edge_list(path, directed=True):
     """Load a SNAP-style edge list ("u v" per line, '#' comments).
@@ -146,8 +127,9 @@ def load_edge_list(path, directed=True):
     Node ids are compacted to 0..n-1 in first-appearance order, self-loops
     are dropped, duplicate (u, v) pairs are deduplicated, and undirected
     input is doubled into two directed edges.  All probabilities start at 1
-    (see :func:`assign_wc_probabilities`).  A directory or a file that is
-    not UTF-8 text raises `EdgeListParseError`.
+    (see :func:`assign_wc_probabilities`).  A directory, a file that is
+    not UTF-8 text and a node id outside the int64 range raise
+    `EdgeListParseError`.
     """
     id_of = {}
     labels = []
@@ -177,6 +159,10 @@ def load_edge_list(path, directed=True):
                     raise EdgeListParseError(
                         f"{path}: line {lineno}: non-integer node id in "
                         f"{line!r}") from None
+                if a not in _INT64 or b not in _INT64:
+                    raise EdgeListParseError(
+                        f"{path}: line {lineno}: node id outside the 64-bit "
+                        f"integer range in {line!r}")
                 if a == b:
                     continue
                 u, v = intern(a), intern(b)

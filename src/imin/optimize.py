@@ -91,7 +91,9 @@ class BoundCertificate:
     `stop_reason` says why the doubling loop ended: "ratio" when the
     certified ratio cleared its target, "rounds_cap" when the last round
     allowed by the schedule ran without clearing it, and "early_exit" when
-    no sampling was needed.
+    no sampling was needed.  `value` is the blockers' bound estimated on
+    the final validation pairs (population size times covered fraction),
+    None after an early exit; `as_dict` leaves it out.
     """
 
     side: str
@@ -107,7 +109,7 @@ class BoundCertificate:
     population_size: int = None
     opt_lower: float = None
     checks: list = field(default_factory=list, repr=False)
-    validation_collection: object = field(default=None, repr=False)
+    value: float = None
 
     @property
     def early_exit(self):
@@ -135,10 +137,9 @@ class BoundCertificate:
 
 @dataclass
 class GreedyTrace:
-    """Greedy selection order with per-step gains, prefix coverages and,
-    for each prefix, the sum of its k largest marginal gains."""
+    """Greedy per-step gains, prefix coverages and, for each prefix, the
+    sum of its k largest marginal gains."""
 
-    selected: list
     gains: list
     coverages: list  # coverage of the empty prefix, then after each pick
     top_k: list      # k largest gains summed: empty prefix, then each pick
@@ -168,8 +169,7 @@ def max_coverage(collection, k: int):
         marginal = state.gains_all(g.n_total)
         top_k.append(_topk_sum(marginal, k))
     return (BlockerSet(selected),
-            GreedyTrace(selected=selected, gains=gains, coverages=coverages,
-                        top_k=top_k))
+            GreedyTrace(gains=gains, coverages=coverages, top_k=top_k))
 
 
 def _topk_sum(values: np.ndarray, k: int) -> int:
@@ -297,9 +297,9 @@ def _certified_maximize(side, g, params, rng, collection, tail,
         primary, validation = (s.collection(collection, count)
                                for s in streams)
         blockers, trace = max_coverage(primary, k)
+        covered = coverage(validation, blockers)
         sigma_low = max(0.0, _sigma_lower_term(
-            float(coverage(validation, blockers)), sched.log_term)) \
-            * npop / validation.n_samples
+            float(covered), sched.log_term)) * npop / validation.n_samples
         sigma_up = _sigma_upper_term(cov_upper_opt(trace), sched.log_term) \
             * npop / primary.n_samples
         ratio = sigma_low / sigma_up
@@ -319,7 +319,7 @@ def _certified_maximize(side, g, params, rng, collection, tail,
                 rounds=round_no, samples_primary=primary.n_samples,
                 samples_validation=validation.n_samples, schedule=sched,
                 population_size=npop, opt_lower=opt_low, checks=checks,
-                validation_collection=validation)
+                value=npop * covered / validation.n_samples)
 
 
 def lsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,

@@ -42,9 +42,8 @@ def _closure(adj, start):
 class ExactModel:
     """Cached outcome enumeration for one unified graph.
 
-    Public wrappers (`exact_spread` etc.) build a fresh model per call;
-    tests that evaluate many blocker sets on one graph should hold on to a
-    model instance so the per-outcome caches are reused.  Caching is
+    Tests that evaluate many blocker sets on one graph should hold on to
+    one instance so the per-outcome caches are reused.  Caching is
     disabled above 2^16 outcomes and every query then streams the
     enumeration.
     """
@@ -201,22 +200,3 @@ class ExactModel:
                 best, best_val = combo, val
         return best, best_val
 
-
-def exact_spread(g: UnifiedGraph, blockers=None) -> float:
-    return ExactModel(g).spread(blockers)
-
-
-def exact_decrease(g: UnifiedGraph, blockers) -> float:
-    return ExactModel(g).decrease(blockers)
-
-
-def exact_lower_bound(g: UnifiedGraph, blockers) -> float:
-    return ExactModel(g).lower_bound(blockers)
-
-
-def exact_upper_bound(g: UnifiedGraph, blockers) -> float:
-    return ExactModel(g).upper_bound(blockers)
-
-
-def exact_optimal_blockers(g: UnifiedGraph, k, objective="decrease"):
-    return ExactModel(g).optimal_blockers(k, objective)

@@ -126,20 +126,6 @@ def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
             ug, ug.blocked, batch, rng))
 
 
-def local_sampling(g: UnifiedGraph, rng: np.random.Generator) -> CPSequence:
-    """Sample one realization and return its common-path sequence."""
-    _, members, sizes, _ = next(_cp_batch(g, 1, rng))
-    return CPSequence(members, sizes)
-
-
-@dataclass
-class LRRSet:
-    """One reverse-reachable sample: a target and who can reach it."""
-
-    target: int
-    members: frozenset
-
-
 def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     """Search the members of a batch of `count` LRR samples from the
     source, yielding levels as `diffusion._forward_levels` does: (owner,
@@ -196,16 +182,6 @@ def _pair_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
                   tree.joins, tree.sweeps)
         yield targets, lrr, (node[chain], np.bincount(
             trial[chain], minlength=batch))
-
-
-def global_sampling(g: UnifiedGraph, population,
-                    rng: np.random.Generator) -> LRRSet:
-    """Sample one realization and the reverse-reachable set of a random target."""
-    if not len(population):
-        raise ValueError("seeds influence no one: sampling population is empty")
-    targets, (members, _), _ = next(_pair_batch(
-        g, np.asarray(population, dtype=np.int64), 1, rng))
-    return LRRSet(target=int(targets[0]), members=frozenset(members.tolist()))
 
 
 class _SetChunks:
@@ -392,28 +368,3 @@ def coverage(collection, blockers) -> int:
     for u in as_blockers(blockers):
         state.add(u)
     return state.coverage()
-
-
-def marginal_coverage(collection, blockers, v) -> int:
-    """Coverage gain of adding `v` on top of `blockers`."""
-    b = as_blockers(blockers)
-    if v in b:
-        return 0
-    return coverage(collection, [*b, v]) - coverage(collection, b)
-
-
-def dump_samples(collection, path):
-    """One sample per line (node lists); debugging aid, not a stable format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(collection, CPCollection):
-            for seq in collection.sequences():
-                parts = [
-                    f"{v}:" + ",".join(map(str, sorted(members)))
-                    for v, members in sorted(seq.sets().items())]
-                fh.write(" ".join(parts) + "\n")
-        else:
-            for members in collection.sets():
-                line = (f"{members[0]}:" + ",".join(
-                    map(str, sorted(members.tolist()))) if len(members)
-                    else "-")
-                fh.write(line + "\n")

@@ -90,18 +90,19 @@ class SandwichResult:
 def _upper_bound_estimate(g, blockers, certificate, rng):
     """Estimate the upper-bound value of `blockers` from reverse samples.
 
-    Reuses the maximizer's final validation collection (independent of the
-    selection) when available, falling back to a fresh collection after an
-    early exit.  A graph whose seeds influence nobody has value 0.
+    Takes the value the maximizer measured on its final validation pairs
+    (independent of the selection) when it sampled, falling back to a
+    fresh collection after an early exit.  A graph whose seeds influence
+    nobody has value 0.
     """
-    coll = certificate.validation_collection if certificate else None
-    if coll is None:
-        population = compute_population(g)
-        if not population:
-            return 0.0
-        coll = LRRCollection(g, rng, population=population)
-        coll.extend(_FALLBACK_RATIO_SAMPLES)
-    return len(coll.population) * coverage(coll, blockers) / coll.n_samples
+    if certificate is not None and certificate.value is not None:
+        return certificate.value
+    population = compute_population(g)
+    if not population:
+        return 0.0
+    coll = LRRCollection(g, rng, population=population)
+    coll.extend(_FALLBACK_RATIO_SAMPLES)
+    return len(population) * coverage(coll, blockers) / coll.n_samples
 
 
 def empirical_ratio(result: SandwichResult, g: UnifiedGraph,

@@ -148,6 +148,18 @@ def eager_entries(ug, phi):
         ug, phi.blocked, 1, None, live=phi.live))
 
 
+def realization_successors(phi):
+    """`successors(v)` of the eager realization `phi`: v's live successors
+    that are not blocked, in edge-id order."""
+    ug = phi.ug
+
+    def successors(v):
+        lo, hi = ug.out_ptr[v], ug.out_ptr[v + 1]
+        dst = ug.out_dst[lo:hi][phi.live[lo:hi]]
+        return dst[~phi.blocked[dst]].tolist()
+    return successors
+
+
 def reference_chains(ug, successors):
     """The common-path entries of one realization by the reference
     `dominators`: for every reached node but the source and the seeds, in

@@ -127,13 +127,17 @@ class TestExitCodes:
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", [
+        "directory", "not-utf8", "above-int64", "below-int64"])
     def test_unreadable_graph_no_partial_output(self, tmp_path, capsys, kind):
         graph = tmp_path / "graph.txt"
         if kind == "directory":
             graph.mkdir()
         else:
-            graph.write_bytes(b"1 2\n\xff\xfe 3\n")
+            graph.write_bytes({
+                "not-utf8": b"1 2\n\xff\xfe 3\n",
+                "above-int64": b"1 2\n2 99999999999999999999\n",
+                "below-int64": b"1 2\n2 -9223372036854775809\n"}[kind])
         out = tmp_path / "rows.csv"
         assert main(["run", "--graph", str(graph), "--algo", "lhga",
                      "--k", "1", "--seeds", "1", "--out", str(out)]) == 6

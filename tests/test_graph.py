@@ -45,37 +45,16 @@ class TestLoadEdgeList:
             load_edge_list(write(tmp_path, "0 1\n0 1 2\n"))
         with pytest.raises(EdgeListParseError, match="line 1"):
             load_edge_list(write(tmp_path, "a b\n"))
+        for label in (1 << 63, -(1 << 63) - 1):
+            with pytest.raises(EdgeListParseError, match="line 2.*64-bit"):
+                load_edge_list(write(tmp_path, f"0 1\n1 {label}\n"))
+        extremes = [(1 << 63) - 1, -(1 << 63)]
+        g = load_edge_list(write(tmp_path, "%d %d\n" % tuple(extremes)))
+        assert g.labels.tolist() == extremes
 
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(EdgeListParseError, match="empty"):
             load_edge_list(write(tmp_path, "# nothing\n1 1\n"))
-
-    def test_roundtrip_through_cache(self, tmp_path):
-        g = load_edge_list(write(tmp_path, "3 7\n7 4\n4 3\n"))
-        g = assign_wc_probabilities(g)
-        cache = tmp_path / "graph.npz"
-        g.save(cache)
-        h = Graph.load(cache)
-        assert h.n == g.n and h.m == g.m
-        assert np.array_equal(h.out_dst, g.out_dst)
-        assert np.array_equal(h.out_p, g.out_p)
-        assert np.array_equal(h.labels, g.labels)
-
-    @pytest.mark.parametrize("defect, match", [
-        ({"dst": [1, 1], "src": [0, 0]}, "duplicate"),
-        ({"dst": [1, 5]}, "out of range"),
-        ({"p": [float("nan"), 0.5]}, "probabilities"),
-        ({"p": [0.5, 2.0]}, "probabilities"),
-        ({"labels": [5]}, "labels"),
-    ])
-    def test_cache_file_is_validated(self, tmp_path, defect, match):
-        # Each defect alone in an otherwise valid file (edges 0->1, 1->2).
-        arrays = {"format_version": 1, "n": 3, "src": [0, 1], "dst": [1, 2],
-                  "p": [0.5, 0.5], "labels": [5, 6, 7], **defect}
-        cache = tmp_path / "graph.npz"
-        np.savez(cache, **{k: np.asarray(v) for k, v in arrays.items()})
-        with pytest.raises(GraphError, match=match):
-            Graph.load(cache)
 
 
 class TestWcProbabilities:
@@ -115,6 +94,22 @@ class TestValidation:
                 assign_constant_probability(g, p)
         for p in (0.0, 1.0):
             assert assign_constant_probability(g, p).out_p.tolist() == [p]
+
+    @pytest.mark.parametrize("defect, match", [
+        ({"dst": [1, 1], "src": [0, 0]}, "duplicate"),
+        ({"dst": [1, 5]}, "out of range"),
+        ({"p": [float("nan"), 0.5]}, "probabilities"),
+        ({"p": [0.5, 2.0]}, "probabilities"),
+        ({"labels": [5]}, "labels"),
+    ])
+    def test_each_defect_is_rejected(self, defect, match):
+        # Each defect alone in otherwise valid arrays (edges 0->1, 1->2).
+        arrays = {"src": [0, 1], "dst": [1, 2], "p": [0.5, 0.5],
+                  "labels": [5, 6, 7], **defect}
+        arrays = {k: np.asarray(v) for k, v in arrays.items()}
+        with pytest.raises(GraphError, match=match):
+            Graph.from_edges(3, arrays["src"], arrays["dst"], arrays["p"],
+                             labels=arrays["labels"])
 
     def test_duplicate_edges(self):
         with pytest.raises(GraphError, match="duplicate"):

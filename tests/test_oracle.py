@@ -4,9 +4,7 @@ import pytest
 
 from imin import fixtures
 from imin.graph import Graph, unify_seeds
-from imin.oracle import (ExactModel, OracleLimitError, exact_decrease,
-                         exact_lower_bound, exact_optimal_blockers,
-                         exact_spread, exact_upper_bound)
+from imin.oracle import ExactModel, OracleLimitError
 
 from conftest import make_rng
 
@@ -19,14 +17,15 @@ def single_edge(p):
 
 class TestExactSpread:
     def test_single_half_edge(self):
-        assert exact_spread(single_edge(0.5)) == 0.5
+        assert ExactModel(single_edge(0.5)).spread() == 0.5
 
     def test_deterministic_chain(self):
-        assert exact_spread(fixtures.chain()) == 2.0
+        assert ExactModel(fixtures.chain()).spread() == 2.0
 
     def test_diamond_half(self):
         # 16-outcome enumeration: P[v3] = 1 - (1 - 1/4)^2 = 7/16
-        assert exact_spread(fixtures.diamond(0.5)) == 0.5 + 0.5 + 7 / 16
+        model = ExactModel(fixtures.diamond(0.5))
+        assert model.spread() == 0.5 + 0.5 + 7 / 16
 
     def test_limit_refused(self):
         n = 26
@@ -34,16 +33,16 @@ class TestExactSpread:
         dst = list(range(1, n))
         g = unify_seeds(Graph.from_edges(n, src, dst, [0.5] * (n - 1)), {0})
         with pytest.raises(OracleLimitError, match="22"):
-            exact_spread(g)
+            ExactModel(g).spread()
 
 
 class TestExactDecrease:
     def test_three_seed_fixture(self):
         ug = fixtures.worked_example_three_seeds()
-        assert exact_decrease(ug, [V3, V7, V12]) == 7.0
+        assert ExactModel(ug).decrease([V3, V7, V12]) == 7.0
 
     def test_empty_blockers(self):
-        assert exact_decrease(fixtures.diamond(0.5), []) == 0.0
+        assert ExactModel(fixtures.diamond(0.5)).decrease([]) == 0.0
 
     def test_blocking_all_seed_exits(self):
         ug = fixtures.worked_example_small()
@@ -55,7 +54,7 @@ class TestExactDecrease:
 class TestExactLowerBound:
     def test_three_seed_fixture(self):
         ug = fixtures.worked_example_three_seeds()
-        assert exact_lower_bound(ug, [V3, V7, V12]) == 6.0
+        assert ExactModel(ug).lower_bound([V3, V7, V12]) == 6.0
 
     def test_singleton_equals_decrease(self):
         for trial in range(5):
@@ -76,11 +75,11 @@ class TestExactLowerBound:
 class TestExactUpperBound:
     def test_three_seed_fixture(self):
         ug = fixtures.worked_example_three_seeds()
-        assert exact_upper_bound(ug, [V3, V7, V12]) == 8.0
+        assert ExactModel(ug).upper_bound([V3, V7, V12]) == 8.0
 
     def test_chain_tree_case_tight(self):
-        ug = fixtures.chain()
-        assert exact_upper_bound(ug, [1]) == exact_decrease(ug, [1]) == 2.0
+        model = ExactModel(fixtures.chain())
+        assert model.upper_bound([1]) == model.decrease([1]) == 2.0
 
     def test_diamond_overcount(self):
         model = ExactModel(fixtures.diamond(1.0))
@@ -90,22 +89,23 @@ class TestExactUpperBound:
 
 class TestOptimalBlockers:
     def test_diamond(self):
-        best, val = exact_optimal_blockers(fixtures.diamond(1.0), 2)
+        best, val = ExactModel(fixtures.diamond(1.0)).optimal_blockers(2)
         assert (best, val) == ((1, 2), 3.0)
 
     def test_fan_gadget_singleton(self):
-        best, val = exact_optimal_blockers(fixtures.fan_gadget(8), 1)
+        best, val = ExactModel(fixtures.fan_gadget(8)).optimal_blockers(1)
         # blocking the junction protects it and its four leaves
         assert best == (3,)
         assert val == 5.0
 
     def test_k_zero(self):
-        assert exact_optimal_blockers(fixtures.diamond(1.0), 0) == ((), 0.0)
+        model = ExactModel(fixtures.diamond(1.0))
+        assert model.optimal_blockers(0) == ((), 0.0)
 
     def test_lexicographic_tie(self):
         # two symmetric branches: {1} and {2} tie, smallest set wins
         g = Graph.from_edges(5, [0, 0, 1, 2], [1, 2, 3, 4])
-        best, val = exact_optimal_blockers(unify_seeds(g, {0}), 1)
+        best, val = ExactModel(unify_seeds(g, {0})).optimal_blockers(1)
         assert best == (1,)
         assert val == 2.0
 

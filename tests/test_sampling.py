@@ -16,13 +16,27 @@ from imin import sampling
 from imin.sampling import (ChainCollection, CPCollection, CPSequence,
                            LRRCollection, PairStream, _cp_batch, _pair_batch,
                            _sequence_entries, compute_population, coverage,
-                           global_sampling, local_sampling, marginal_coverage,
                            pair_streams)
 
 from conftest import (certain_edges, eager_entries, live_successors,
-                      make_rng, random_flowgraph, recorded,
-                      reference_chains, split_chains, split_sets,
+                      make_rng, random_flowgraph, realization_successors,
+                      recorded, reference_chains, split_chains, split_sets,
                       tiny_with_dead_edges)
+
+
+def one_sequence(ug, rng):
+    """The common-path sequence of one sampled realization."""
+    coll = CPCollection(ug, rng)
+    coll.extend(1)
+    return next(coll.sequences())
+
+
+def one_lrr_set(ug, population, rng):
+    """One sampled LRR set: its members, target first, or an empty array
+    where the target was not reached."""
+    coll = LRRCollection(ug, rng, population=population)
+    coll.extend(1)
+    return next(coll.sets())
 
 
 def cp_sets_by_path_enumeration(ug, phi):
@@ -83,12 +97,12 @@ class TestLocalSampling:
                        6: frozenset({3, 6})}
 
     def test_chain_single_path(self):
-        seq = local_sampling(fixtures.chain(), make_rng(0))
+        seq = one_sequence(fixtures.chain(), make_rng(0))
         assert seq.sets() == {1: frozenset({1}), 2: frozenset({1, 2})}
 
     def test_unreached_source_gives_empty_sequence(self):
         g = unify_seeds(Graph.from_edges(2, [0], [1], [0.0]), {0})
-        seq = local_sampling(g, make_rng(0))
+        seq = one_sequence(g, make_rng(0))
         assert seq.sets() == {}
 
     def test_matches_path_enumeration(self):
@@ -129,10 +143,10 @@ class TestGlobalSampling:
         v8 = 7  # label v8
         rng = make_rng(1)
         for _ in range(200):
-            sample = global_sampling(ug, pop, rng)
-            if sample.target == v8:
-                assert {7, 6} <= sample.members  # v8 and v7
-                assert sample.members == {7, 6, 11}  # plus v12
+            members = one_lrr_set(ug, pop, rng).tolist()
+            if members[:1] == [v8]:
+                assert {7, 6} <= set(members)  # v8 and v7
+                assert set(members) == {7, 6, 11}  # plus v12
                 break
         else:
             pytest.fail("target v8 never drawn")
@@ -141,9 +155,9 @@ class TestGlobalSampling:
         ug = fixtures.chain()
         rng = make_rng(2)
         for _ in range(50):
-            sample = global_sampling(ug, [1, 2], rng)
-            if sample.target == 2:
-                assert sample.members == {1, 2}
+            members = one_lrr_set(ug, [1, 2], rng).tolist()
+            if members[:1] == [2]:
+                assert set(members) == {1, 2}
                 return
         pytest.fail("target never drawn")
 
@@ -158,7 +172,7 @@ class TestGlobalSampling:
     def test_empty_population_rejected(self):
         g = unify_seeds(Graph.from_edges(2, [0], [1], [0.0]), {0})
         with pytest.raises(ValueError, match="influence no one"):
-            global_sampling(g, compute_population(g), make_rng(0))
+            one_lrr_set(g, compute_population(g), make_rng(0))
 
     def test_members_exclude_seeds_and_contain_target(self):
         for trial in range(20):
@@ -166,10 +180,10 @@ class TestGlobalSampling:
             pop = compute_population(ug)
             if not pop:
                 continue
-            sample = global_sampling(ug, pop, make_rng(5000 + trial))
-            assert not sample.members & ug.seeds
-            if sample.members:
-                assert sample.target in sample.members
+            members = one_lrr_set(ug, pop, make_rng(5000 + trial)).tolist()
+            assert not set(members) & ug.seeds
+            if members:
+                assert members[0] in pop
 
 
 def lrr_members_by_forward_reach(ug, phi, target):
@@ -231,7 +245,7 @@ class TestDeterministicSamples:
     @given(st.integers(0, 10 ** 6))
     def test_cp_entries_match_eager_realization(self, seed):
         ug, phi = deterministic(seed)
-        want = reference_chains(ug, phi.successors)
+        want = reference_chains(ug, realization_successors(phi))
         assert list(split_chains(*eager_entries(ug, phi)[1:])) == [want]
         for batch in _cp_batch(ug, 5, make_rng(seed)):
             assert list(split_chains(*batch[1:])) == [want] * 5
@@ -487,9 +501,9 @@ class TestCoverage:
 
     def test_worked_example_marginals(self):
         ug, coll = worked_collection()
-        assert marginal_coverage(coll, [3], 1) == 1
-        assert marginal_coverage(coll, [3], 3) == 0
-        assert marginal_coverage(coll, [1, 2, 3], 5) == 0
+        assert coverage(coll, [3, 1]) - coverage(coll, [3]) == 1
+        assert coverage(coll, [3, 3]) == coverage(coll, [3])
+        assert coverage(coll, [1, 2, 3, 5]) == coverage(coll, [1, 2, 3])
 
     def test_lrr_direct_counts(self):
         ug = fixtures.chain()
@@ -609,30 +623,3 @@ class TestCollectionGrowth:
         assert coll.n_samples == 10
         coll.extend(10)
         assert coll.n_samples == 20
-
-    def test_dump_formats(self, tmp_path):
-        from imin.sampling import dump_samples
-
-        ug = fixtures.chain()
-        coll = CPCollection(ug, make_rng(9))
-        coll.extend(3)
-        path = tmp_path / "cp.txt"
-        dump_samples(coll, path)
-        assert len(path.read_text().splitlines()) == 3
-
-        lcoll = LRRCollection(ug, make_rng(10))
-        lcoll.extend(5)
-        lpath = tmp_path / "lrr.txt"
-        dump_samples(lcoll, lpath)
-        assert len(lpath.read_text().splitlines()) == 5
-
-        # a chain per line as target:members, "-" for an unreached target
-        g = unify_seeds(Graph.from_edges(3, [0, 1], [1, 2], [1.0, 0.5]),
-                        {0})
-        ccoll = ChainCollection(g, make_rng(11))
-        ccoll.extend(40)
-        cpath = tmp_path / "chains.txt"
-        dump_samples(ccoll, cpath)
-        lines = cpath.read_text().splitlines()
-        assert len(lines) == 40
-        assert set(lines) == {"1:1", "2:1,2", "-"}
