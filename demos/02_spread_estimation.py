@@ -10,7 +10,7 @@ the variance of the spread it measures, in whole batches of 1024.
 import numpy as np
 
 from imin import fixtures
-from imin.diffusion import monte_carlo_spread, stopping_rule_spread
+from imin.diffusion import ic_spread_samples, stopping_rule_spread
 from imin.oracle import ExactModel
 
 
@@ -20,7 +20,7 @@ def main():
     true = ExactModel(ug).spread()
     print(f"diamond with p=0.5 everywhere: exact spread = {true}")
 
-    mc = monte_carlo_spread(ug, None, trials=100_000, rng=rng)
+    mc = ic_spread_samples(ug, None, trials=100_000, rng=rng).mean()
     print(f"monte carlo (1e5 trials):      {mc:.4f}")
 
     for gamma, delta in ((0.2, 0.1), (0.1, 0.05), (0.05, 0.01)):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fixtures
 from .baselines import ag, gr, mc_greedy
-from .diffusion import monte_carlo_spread, reverse_reach_counts
+from .diffusion import reverse_reach_counts, spread_samples
 from .graph import (EdgeListParseError, GraphError,
                     assign_constant_probability, assign_wc_probabilities,
                     load_edge_list, unify_seeds)
@@ -231,9 +231,10 @@ def _run_algo(algo, ug, args, rng):
 
 
 def _evaluate_decrease(ug, blockers, trials, rng):
-    base = monte_carlo_spread(ug, None, trials, rng)
-    residual = monte_carlo_spread(ug, blockers, trials, rng)
-    return base - residual
+    """Mean per-trial decrease: the base and the residual spread of each
+    forward cascade come from the same realization."""
+    base, residual = spread_samples(ug, [None, blockers], trials, rng)
+    return float((base - residual).mean())
 
 
 def _format_row(values):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.cli import _influence_pool, main
-from imin.diffusion import monte_carlo_spread
-from imin.graph import (assign_constant_probability, assign_wc_probabilities,
-                        load_edge_list, unify_seeds)
+from imin.cli import _evaluate_decrease, _influence_pool, main
+from imin.diffusion import ic_spread_samples, spread_samples
+from imin.graph import (Graph, assign_constant_probability,
+                        assign_wc_probabilities, load_edge_list, unify_seeds)
 
 from conftest import make_rng
 
@@ -38,6 +38,20 @@ class TestRun:
         assert payload[0]["algo"] == "sandimin"
         assert "runtime_s" in payload[0]
         assert "runtime" not in header
+
+    def test_decrease_is_a_mean_of_paired_trials(self):
+        # base and residual come from the same cascades, so the decrease
+        # is a mean of per-trial differences, none of them negative
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        blockers = ug.seed_out_neighbors()[:2]
+        rows = spread_samples(ug, [None, blockers], 3000, make_rng(1))
+        assert (rows[1] <= rows[0]).all()
+        assert _evaluate_decrease(ug, blockers, 3000, make_rng(1)) \
+            == (rows[0] - rows[1]).mean() > 0.0
+        # a blocker the seeds cannot reach changes no cascade
+        ug = unify_seeds(Graph.from_edges(4, [0, 2], [1, 3], [0.5, 1.0]),
+                         {0})
+        assert _evaluate_decrease(ug, [3], 1000, make_rng(2)) == 0.0
 
     def test_json_reports_spread_samples(self, tmp_path):
         report = tmp_path / "report.json"
@@ -381,8 +395,8 @@ class TestRankingQuality:
 
     @staticmethod
     def mc_scores(g, trials, rng):
-        return np.array([monte_carlo_spread(unify_seeds(g, {v}), None,
-                                            trials, rng)
+        return np.array([ic_spread_samples(unify_seeds(g, {v}), None,
+                                           trials, rng).mean()
                          for v in range(g.n)])
 
     def test_top_k_overlap_not_worse_than_forward_mc(self):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imin import fixtures
-from imin.diffusion import (_forward_levels, ic_spread_samples,
-                            monte_carlo_spread, reverse_live_edges,
+from imin.diffusion import (_BATCH, _forward_levels, _run_levels,
+                            ic_spread_samples, reverse_live_edges,
                             reverse_reach_counts, sample_realization,
-                            stopping_rule_spread)
+                            spread_samples, stopping_rule_spread,
+                            stopping_rule_spreads)
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
@@ -149,11 +150,12 @@ class TestLiveEdgeEquivalence:
 
 class TestMonteCarlo:
     def test_deterministic_chain_exact(self):
-        assert monte_carlo_spread(fixtures.chain(), None, 50, make_rng(1)) \
-            == 2.0
+        assert ic_spread_samples(fixtures.chain(), None, 50,
+                                 make_rng(1)).mean() == 2.0
 
     def test_single_half_edge(self):
-        est = monte_carlo_spread(single_edge(0.5), None, 100_000, make_rng(2))
+        est = ic_spread_samples(single_edge(0.5), None, 100_000,
+                                make_rng(2)).mean()
         assert abs(est - 0.5) < 0.01
 
     def test_diamond_against_oracle(self):
@@ -402,3 +404,176 @@ class TestLevelStepMatchesReference:
         assert_same_arrays([[reverse_reach_counts(g, batch, got)]],
                            [[reference_reverse_reach_counts(g, batch, want)]])
         assert got.bit_generator.state == want.bit_generator.state
+
+
+class TestSharedRealizations:
+    """`spread_samples` runs every blocker set on the same realizations,
+    with replayed coins wherever two or more sets are searched."""
+
+    TRIALS = 3000   # not a multiple of the batch, so a short batch runs
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 2))
+    def test_rows_against_exact_model(self, seed, copied):
+        rng = make_rng(seed)
+        ug = fixtures.random_tiny(rng)
+        cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+        drawn = rng.choice(cands, size=int(rng.integers(1, len(cands) + 1)),
+                           replace=False)
+        sets = [set(), set(ug.seed_out_neighbors()),
+                set(int(v) for v in drawn)]
+        sets.append(sets[copied])
+        rows = spread_samples(ug, sets, self.TRIALS, make_rng(seed + 1))
+        assert rows.shape == (4, self.TRIALS)
+        assert np.array_equal(rows[3], rows[copied])
+        assert not rows[1].any()   # every seed exit blocked
+        model = ExactModel(ug)
+        for b, row in zip(sets, rows):
+            sigma = row.std() / math.sqrt(self.TRIALS)
+            assert abs(row.mean() - model.spread(b)) <= 3 * sigma + 1e-9
+        # blocking more only removes nodes from each shared realization
+        for small, row_small in zip(sets, rows):
+            for big, row_big in zip(sets, rows):
+                if small <= big:
+                    assert (row_big <= row_small).all()
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_one_set_draws_what_the_one_run_search_draws(self, seed):
+        ug, blockers = tiny_with_dead_edges(seed)
+        got, ic, want = (make_rng(seed) for _ in range(3))
+        rows = spread_samples(ug, [blockers], self.TRIALS, got)
+        assert rows.shape == (1, self.TRIALS)
+        assert np.array_equal(
+            rows[0], ic_spread_samples(ug, blockers, self.TRIALS, ic))
+        blocked = ug.blocked_with(blockers)
+        ref = []
+        for done in range(0, self.TRIALS, _BATCH):
+            batch = min(_BATCH, self.TRIALS - done)
+            ref.append(np.zeros(batch, dtype=np.int64))
+            for *_, node, trial in reference_forward_levels(
+                    ug, blocked, batch, want):
+                np.add.at(ref[-1], trial[~ug.uncounted[node]], 1)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows[0], np.concatenate(ref))
+        assert got.bit_generator.state == ic.bit_generator.state \
+            == want.bit_generator.state
+
+    def test_a_late_run_replays_the_coins_an_early_run_saw(self):
+        # the base reaches 3 through 1 at level 2; blocking 1 leaves the
+        # longer way through 2 and 4, so that run reaches 3 a level later
+        # and must see the same coin on the edge 3 -> 5
+        ug = unify_seeds(Graph.from_edges(
+            6, [0, 0, 1, 2, 4, 3], [1, 2, 3, 4, 3, 5],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 0.5]), {0})
+        rows = spread_samples(ug, [[], [1]], self.TRIALS, make_rng(4))
+        assert np.array_equal(rows[0] - rows[1], np.ones(self.TRIALS))
+        assert 0.45 < (rows[0] == 5).mean() < 0.55
+
+    def test_replayed_edge_frequencies(self):
+        # one seed, four leaves: each trial's reach is its live edges
+        probs = [0.0, 1e-4, 1 / 3, 1.0]
+        ug = unify_seeds(Graph.from_edges(6, [0] * 4, [1, 2, 3, 4], probs),
+                         {0})
+        masks = np.stack([ug.blocked_with(b) for b in ([], [5])])
+        rng = make_rng(11)
+        batches = 100
+        live = np.zeros(5, dtype=np.int64)
+        for _ in range(batches):
+            for node, trial, bits in _run_levels(ug, masks, _BATCH, rng):
+                # the isolated node 5 blocks nothing: both runs see one
+                # realization, so every pair gains both bits at once
+                assert (bits == 3).all()
+                live += np.bincount(node[node < 5], minlength=5)
+        n = batches * _BATCH
+        assert live[0] == n             # the seed itself
+        for leaf, p in enumerate(probs, start=1):
+            sigma = math.sqrt(p * (1 - p) / n)
+            assert abs(live[leaf] / n - p) <= 3 * sigma, (leaf, p)
+
+
+def ebstop_reference(rows, n_reach, gamma, delta):
+    """EBStop, as `stopping_rule_spreads` documents it, replayed on a
+    fixed row of spreads: (value, samples) at the first batch whose bounds
+    close, or None if the row runs out first."""
+    low, high = 0.0, 1.0
+    for j in range(1, len(rows) // _BATCH + 1):
+        t = j * _BATCH
+        total, square = int(rows[:t].sum()), int(rows[:t] @ rows[:t])
+        mean = total / (t * n_reach)
+        var = max(0.0, square / (t * n_reach * n_reach) - mean * mean)
+        log_term = math.log(math.pi ** 2 * j * j / (2 * delta))
+        c = math.sqrt(2 * var * log_term / t) + 3 * log_term / t
+        low, high = max(low, mean - c), min(high, mean + c)
+        if (1 + gamma) * low >= (1 - gamma) * high:
+            return (0.5 * ((1 + gamma) * low + (1 - gamma) * high) * n_reach,
+                    t)
+    return None
+
+
+class TestStoppingRuleSpreads:
+    def test_within_gamma_of_exact_spread(self):
+        gamma, delta = 0.1, 0.1
+        hits = runs = 0
+        for seed in range(80):
+            rng = make_rng(700 + seed)
+            ug = fixtures.random_tiny(rng)
+            cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+            sets = [[], [int(v) for v in rng.choice(cands, size=1)],
+                    ug.seed_out_neighbors()[:1]]
+            model = ExactModel(ug)
+            for b, est in zip(sets, stopping_rule_spreads(
+                    ug, sets, gamma, delta, rng)):
+                true = model.spread(b)
+                if true == 0.0:
+                    assert est.value == 0.0
+                    continue
+                runs += 1
+                hits += (1 - gamma) * true <= est.value <= (1 + gamma) * true
+        assert runs >= 150
+        slack = 3 * math.sqrt(delta * (1 - delta) / runs)
+        assert hits / runs >= 1 - delta - slack
+
+    def test_cut_off_set_is_exact_zero_while_others_sample(self):
+        ug = fixtures.worked_example_small()
+        cut = ug.seed_out_neighbors()
+        base, zero, again = stopping_rule_spreads(ug, [None, cut, cut], 0.1,
+                                                  0.1, make_rng(3))
+        assert zero.exact_zero and zero.value == 0.0
+        assert zero.samples_used == 0
+        assert again is zero
+        assert base.samples_used > 0 and base.value > 0.0
+        # with one set left to sample, the call is the one-set call
+        assert base == stopping_rule_spread(ug, None, 0.1, 0.1, make_rng(3))
+
+    def test_a_set_that_stops_keeps_its_value(self):
+        # the seed's sure edge to 1 is all that blocking 2 leaves: that
+        # set stops after one batch, while the rare branch through 2 keeps
+        # the base sampling.  Each estimate is EBStop replayed on the rows
+        # one spread_samples call draws from the same generator.
+        ug = unify_seeds(Graph.from_edges(
+            13, [0, 0] + [2] * 10, [1, 2] + list(range(3, 13)),
+            [1.0, 0.05] + [1.0] * 10), {0})
+        gamma, delta = 0.1, 0.1
+        for seed in range(5):
+            base, early = stopping_rule_spreads(ug, [None, [2]], gamma,
+                                                delta, make_rng(seed))
+            assert early.samples_used == _BATCH < base.samples_used
+            rows = spread_samples(ug, [None, [2]], base.samples_used,
+                                  make_rng(seed))
+            assert ebstop_reference(rows[0], 12, gamma, delta) \
+                == (base.value, base.samples_used)
+            assert ebstop_reference(rows[1], 1, gamma, delta) \
+                == (early.value, early.samples_used)
+
+    def test_more_sets_than_runs(self):
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        sets = [[v] for v in ug.seed_out_neighbors()[:9]]
+        assert len(sets) == 9
+        with pytest.raises(ValueError, match="distinct"):
+            stopping_rule_spreads(ug, sets, 0.1, 0.1, make_rng(0))
+        # equal sets share a run, so nine copies of one set are one run
+        rows = spread_samples(ug, [sets[0]] * 9, 10, make_rng(0))
+        assert (rows == rows[0]).all()

@@ -21,7 +21,8 @@ import numpy as np
 
 from imin import fixtures
 from imin.baselines import ag, gr
-from imin.diffusion import ic_spread_samples, reverse_reach_counts
+from imin.diffusion import (ic_spread_samples, reverse_reach_counts,
+                            spread_samples)
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, gsbm, lsbm
 from imin.sampling import _cp_batch, _pair_batch, compute_population
@@ -57,6 +58,8 @@ KERNEL_GRAPH = "mid120/k=3"
 KERNEL_BLOCKED = (0, 2, 6, 40, 77)
 KERNEL_COUNTS = (1, 7, 1025)
 BASELINE_REALIZATIONS = 300
+# The blocker sets of the three-run spread kernel, each inside the next.
+KERNEL_RUNS = (None, (7, 9), (7, 9, 12, 13))
 
 
 def _rng(*key):
@@ -111,6 +114,8 @@ def _kernels(ug, gi):
                 runs["rr_counts"] = lambda r: [
                     reverse_reach_counts(g.base, count, r)]
             runs["chain"] = lambda r: _set_arrays(2, g, count, r)
+            runs["spread"] = lambda r: list(
+                spread_samples(g, KERNEL_RUNS, count, r))
             for ki, (kernel, run) in enumerate(runs.items()):
                 r = _rng(gi, vi, count, ki)
                 arrays = run(r)

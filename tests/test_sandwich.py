@@ -169,6 +169,40 @@ class TestSharedPairStreams:
                 coll, cert.blockers) / coll.n_samples
 
 
+class TestSharedEvaluation:
+    def test_one_call_and_equal_candidates_share_an_estimate(
+            self, monkeypatch):
+        # the base and every candidate come from one stopping-rule call;
+        # equal candidates share one run and one estimate, and the first
+        # of lower, upper and heuristic wins a tie
+        calls = []
+
+        def spy(g, sets, *args, _real=sandwich.stopping_rule_spreads,
+                **kwargs):
+            calls.append(list(sets))
+            return _real(g, sets, *args, **kwargs)
+        monkeypatch.setattr(sandwich, "stopping_rule_spreads", spy)
+        ug = fixtures.mid_synthetic(np.random.default_rng(0), 120, 480, 4)
+        names = ("lower", "upper", "heuristic")
+        shared = ties = 0
+        for seed in range(8):
+            calls.clear()
+            res = sand_imin(ug, AlgoParams(k=3, epsilon=0.2, delta=0.1),
+                            make_rng(seed))
+            assert calls == [[None, *(res.candidate(n) for n in names)]]
+            est = res.residual_estimates
+            for i, a in enumerate(names):
+                for b in names[i + 1:]:
+                    same = set(res.candidate(a)) == set(res.candidate(b))
+                    assert (est[a] is est[b]) == same
+                    shared += same
+            best = min(e.value for e in est.values())
+            first = next(n for n in names if est[n].value == best)
+            assert res.chosen_name == first
+            ties += sum(e is est[first] for e in est.values()) > 1
+        assert shared >= 4 and ties >= 2
+
+
 class TestEmpiricalRatio:
     def test_chain_tight_bounds_arithmetic(self):
         # decrease and upper bound coincide on the chain, so the ratio is
