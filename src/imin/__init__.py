@@ -19,8 +19,7 @@ Typical use::
 """
 
 from .baselines import ag, gr, mc_greedy
-from .diffusion import (SpreadEstimate, ic_spread_samples, spread_samples,
-                        stopping_rule_spread, stopping_rule_spreads)
+from .diffusion import SpreadEstimate, ic_spread_samples, stopping_rule_spread
 from .graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
                     UnifiedGraph, assign_constant_probability,
                     assign_wc_probabilities, block_nodes, load_edge_list,

@@ -26,18 +26,18 @@ every examined edge's probability, and only the live edges' owners and
 heads are gathered and tested against the blocked mask.
 
 Several blocker sets are compared on shared realizations (common random
-numbers): `_run_levels` searches a batch once for up to eight runs, one
-per set, and each (node, trial) pair carries one bit per run that has
-reached it, in a uint8 where one run has a bool.  Blocking only removes
-nodes, so a blocked run reaches a subset of what the base run reaches,
-often later; a pair is expanded again at each level where it gains bits,
-for those bits only.  A late run must see the live edges an early run
-saw, so its coins are replayed rather than stored: edge e's coin in trial
-t is output e * batch + t of a SplitMix64 stream (Steele, Lea and Flood,
-OOPSLA 2014) keyed once per batch from the Generator.  One run keeps
-`_forward_levels` and `rng.random`: its callers keep their bytes, and a
-SplitMix64 coin costs about six Generator coins (12.0 against 1.9 ms for
-508k coins in one array, on a 2-core x86 VM).
+numbers): `_forward_levels` searches a batch once for up to eight runs,
+one per set, and each (node, trial) pair carries one bit per run that has
+reached it, in a uint8.  Blocking only removes nodes, so a blocked run
+reaches a subset of what the base run reaches, often later; a pair is
+expanded again at each level where it gains bits, for those bits only.  A
+late run must see the live edges an early run saw, so with two or more
+runs the coins are replayed rather than stored: edge e's coin in trial t
+is output e * batch + t of a SplitMix64 stream (Steele, Lea and Flood,
+OOPSLA 2014) keyed once per batch from the Generator.  One run gains each
+pair once, so it draws `rng.random` coins as they are needed: its callers
+keep their bytes, and a SplitMix64 coin costs about six Generator coins
+(12.0 against 1.9 ms for 508k coins in one array, on a 2-core x86 VM).
 
 `stopping_rule_spreads` is a sequential mean estimator with a
 relative-error contract for each of several blocker sets: it draws
@@ -172,25 +172,16 @@ def _distinct_masks(g, blocker_sets):
     return np.stack(masks), row
 
 
-def _batch_spreads(g, masks, batch, rng, replay=False):
+def _batch_spreads(g, masks, batch, rng):
     """(runs, batch) spreads of one forward search, run r blocking
-    `masks[r]`: `_forward_levels` for one run, `_run_levels` for several
-    runs or with `replay`.
-
-    Several runs count each reached pair per trial and set of runs gained,
-    and each run sums the sets that hold it.
-    """
+    `masks[r]`: each reached pair is counted per trial and set of runs
+    gained, and each run sums the sets that hold it."""
     runs = len(masks)
-    if runs == 1 and not replay:
-        out = np.zeros(batch, dtype=np.int64)
-        for *_, node, trial in _forward_levels(g, masks[0], batch, rng):
-            out += np.bincount(trial[~g.uncounted[node]], minlength=batch)
-        return out[None]
-    per_set = np.zeros((1 << runs) * batch, dtype=np.int64)
-    for node, trial, bits in _run_levels(g, masks, batch, rng):
-        counted = np.flatnonzero(~g.uncounted[node])
-        per_set += np.bincount(bits[counted].astype(np.int64) * batch
-                               + trial[counted], minlength=len(per_set))
+    offset = np.arange(1 << runs, dtype=np.int64) * batch
+    per_set = np.zeros(batch << runs, dtype=np.int64)
+    for *_, node, trial, bits in _forward_levels(g, masks, batch, rng):
+        per_set += np.bincount((offset[bits] + trial)[~g.uncounted[node]],
+                               minlength=len(per_set))
     holds = np.unpackbits(np.arange(1 << runs, dtype=np.uint8)[None],
                           axis=0, count=runs, bitorder="little")
     return holds @ per_set.reshape(1 << runs, batch)
@@ -221,34 +212,6 @@ def _advance(seen, key):
     return key
 
 
-def _forward_levels(g, blocked, batch, rng, live=None):
-    """Breadth-first search from the source over `batch` independent
-    realizations at once, one level per step.
-
-    Each edge's coin is drawn when its source node is first reached, so it
-    is drawn at most once per realization; a `live` edge mask, when given,
-    stands in for the coins (one realization, no draws).  Edges into
-    `blocked` nodes are never live.  Yields, per level, (owner, dst) of the
-    live edges out of the level's pairs, owner indexing those pairs in
-    ascending order, then (node, trial) of the pairs they reach first,
-    sorted node-major.
-    """
-    seen = np.zeros(g.n_total * batch, dtype=bool)
-    trial = np.arange(batch, dtype=np.int64)
-    node = np.full(batch, g.s, dtype=np.int64)
-    seen[node * batch + trial] = True
-    while len(node):
-        eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
-        hit = np.flatnonzero(rng.random(len(eids)) < g.out_p[eids]
-                             if live is None else live[eids])
-        owner, dst = owner[hit], g.out_dst[eids[hit]]
-        hit = np.flatnonzero(~blocked[dst])
-        owner, dst = owner[hit], dst[hit]
-        node, trial = np.divmod(_advance(seen, dst * batch + trial[owner]),
-                                batch)
-        yield owner, dst, node, trial
-
-
 def _replayed_coins(key, index):
     """Uniform [0, 1) coins: output number `index` of the SplitMix64
     stream seeded with `key` (Steele, Lea and Flood, OOPSLA 2014), with its
@@ -265,51 +228,85 @@ def _replayed_coins(key, index):
     return z * 2.0 ** -53
 
 
-def _run_levels(g, blocked, batch, rng):
-    """`_forward_levels` for up to `_MAX_RUNS` runs at once: run r never
-    enters the nodes of the mask `blocked[r]`.
+def _advance_bits(seen, key, gain):
+    """`_advance` for run bits: the keys that gain bits not yet in `seen`,
+    once each and sorted, and the bits each gains, the union of its
+    `gain` entries; adds them to `seen`."""
+    gain &= ~seen[key]
+    hit = np.flatnonzero(gain)
+    # each key packs its gain into its low byte, so one sort groups both
+    packed = np.sort(key[hit] << 8 | gain[hit])
+    key = packed >> 8
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    head = np.flatnonzero(head)
+    bits = np.bitwise_or.reduceat(packed.astype(np.uint8), head)
+    key = key[head]
+    seen[key] |= bits
+    return key, bits
 
-    Each (node, trial) pair carries one bit per run that has reached it.
-    A pair is expanded again at every level where it gains bits, and only
-    for those bits: each live edge out of it passes them to its head, less
-    the runs that block the head and those the head already has.  A run
-    that reaches a pair late must see the live edges that an earlier run
-    saw, so the coin of edge e in trial t is `_replayed_coins(key, e *
-    batch + t)`, for one key drawn from `rng` per search, computed again
-    at each expansion rather than stored.  Yields, per level, (node,
-    trial) of the pairs that gain bits, sorted node-major, and the bits
-    each gains.
+
+def _forward_levels(g, blocked, batch, rng, live=None):
+    """Breadth-first search from the source over `batch` independent
+    realizations at once, one level per step, for one run or several.
+
+    `blocked` is a node mask, or a stack of up to `_MAX_RUNS` of them, one
+    per run; run r never enters the nodes of its mask.  Each (node, trial)
+    pair carries one bit per run that has reached it.  A pair is expanded
+    again at every level where it gains bits, and only for those bits:
+    each live edge out of it passes them to its head, less the runs that
+    block the head and those the head already has.  One run gains each pair
+    once, so its level step is `_advance` on a bool `seen`: the bit
+    bookkeeping of `_advance_bits` made a one-run batch about a third
+    slower (`fixtures.mid_synthetic(300, 1200, 10)`, 2-core x86 VM).
+
+    With one run each edge's coin is drawn from `rng` when its source node
+    is first reached, so it is drawn at most once per realization; a
+    `live` edge mask, when given, stands in for the coins (one
+    realization, no draws).  With several runs, a run that reaches a pair
+    late must see the live edges that an earlier run saw, so the coin of
+    edge e in trial t is `_replayed_coins(key, e * batch + t)`, for one key
+    drawn from `rng` per search, computed again at each expansion rather
+    than stored.
+
+    Yields, per level, (owner, dst) of the live edges that pass on at
+    least one bit, owner indexing the level's pairs in ascending order,
+    then (node, trial) of the pairs that gain bits, sorted node-major, and
+    the bits each gains.
     """
+    blocked = np.atleast_2d(blocked)
     runs = len(blocked)
-    key = rng.integers(2 ** 64, dtype=np.uint64)
-    stop = np.zeros(g.n_total, dtype=np.uint8)
-    for r, mask in enumerate(blocked):
-        stop[mask] |= np.uint8(1 << r)
-    seen = np.zeros(g.n_total * batch, dtype=np.uint8)
+    allow = np.packbits(~blocked, axis=0, bitorder="little")[0]
+    key = rng.integers(2 ** 64, dtype=np.uint64) if runs > 1 else None
+    seen = np.zeros(g.n_total * batch, dtype=bool if runs == 1 else np.uint8)
     trial = np.arange(batch, dtype=np.int64)
     node = np.full(batch, g.s, dtype=np.int64)
     bits = np.full(batch, (1 << runs) - 1, dtype=np.uint8)
     seen[node * batch + trial] = bits
     while len(node):
         eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
-        at = trial[owner]
-        hit = np.flatnonzero(_replayed_coins(key, eids * batch + at)
-                             < g.out_p[eids])
+        if live is not None:
+            hit = live[eids]
+        elif key is None:
+            hit = rng.random(len(eids)) < g.out_p[eids]
+        else:
+            hit = (_replayed_coins(key, eids * batch + trial[owner])
+                   < g.out_p[eids])
+        hit = np.flatnonzero(hit)
         owner, dst = owner[hit], g.out_dst[eids[hit]]
-        pair = dst * batch + at[hit]
-        gain = bits[owner] & ~stop[dst] & ~seen[pair]
+        # the runs each live edge passes on: its tail's, less those that
+        # block its head (one run's tail always has the bit)
+        gain = allow[dst] if runs == 1 else bits[owner] & allow[dst]
         hit = np.flatnonzero(gain)
-        # a pair reached by several edges gains the union of their bits
-        packed = np.sort(pair[hit] << 8 | gain[hit])
-        pair = packed >> 8
-        head = np.ones(len(pair), dtype=bool)
-        head[1:] = pair[1:] != pair[:-1]
-        head = np.flatnonzero(head)
-        pair = pair[head]
-        bits = np.bitwise_or.reduceat((packed & 0xFF).astype(np.uint8), head)
-        seen[pair] |= bits
+        owner, dst = owner[hit], dst[hit]
+        pair = dst * batch + trial[owner]
+        if runs == 1:
+            pair = _advance(seen, pair)
+            bits = np.ones(len(pair), dtype=np.uint8)
+        else:
+            pair, bits = _advance_bits(seen, pair, gain[hit])
         node, trial = np.divmod(pair, batch)
-        yield node, trial, bits
+        yield owner, dst, node, trial, bits
 
 
 def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
@@ -450,10 +447,11 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
 
     Every batch is one forward search with one run per set still
     sampling; a set that stops leaves the search, and its estimate is what
-    it had then.  When two or more sets sample at the start, every batch
-    replays its coins (`_run_levels`), so the cascades a set reads do not
-    depend on which other sets still sample.  Equal sets share one run and
-    one estimate object.
+    it had then.  A batch of two or more runs replays its coins and a batch
+    of one draws them from `rng`, as `_forward_levels` does; either way a
+    batch is independent of the batches before it, so each set's contract
+    holds whichever sets still sample.  Equal sets share one run and one
+    estimate object.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -467,9 +465,8 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
         value=0.0, gamma=gamma, delta=delta, samples_used=0, exact_zero=True)
         for rule in rules]
     active = [r for r, e in enumerate(est) if e is None]
-    replay = len(active) > 1
     while active:
-        spreads = _batch_spreads(g, masks[active], _BATCH, rng, replay)
+        spreads = _batch_spreads(g, masks[active], _BATCH, rng)
         for r, row_spreads in zip(active, spreads):
             est[r] = rules[r].add(row_spreads)
         active = [r for r in active if est[r] is None]

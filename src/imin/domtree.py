@@ -112,7 +112,7 @@ def _search_numbers(levels, root, batch):
     src, head_key = [], []
     trials = np.arange(batch, dtype=np.int64)     # of the current level
     start = 0                                     # its first number
-    for owner, dst, node, trial in levels:
+    for owner, dst, node, trial, *_ in levels:
         head = dst * batch + trials[owner]
         # A stable sort keeps each head's edges in ascending tail order.
         by_head = np.argsort(head, kind="stable")
@@ -138,8 +138,9 @@ def _search_numbers(levels, root, batch):
 def dominators(levels, root, batch) -> BatchDominators:
     """Dominator trees of the `batch` realizations whose search `levels`
     yields, per level, (owner, dst, node, trial) as
-    `diffusion._forward_levels` does: the live edges out of the previous
-    level (owner indexes that level's pairs) and the pairs first reached.
+    `diffusion._forward_levels` does for one run (what follows them, such
+    as its run bits, is ignored): the live edges out of the previous level
+    (owner indexes that level's pairs) and the pairs first reached.
     Every realization's search starts at `root`.
     """
     key, spans, idom, src, dst = _search_numbers(levels, root, batch)

@@ -343,7 +343,8 @@ class UnifiedGraph:
         follow = self.out_p > 0.0 if live is None else live
         seen = np.zeros(self.n_total, dtype=bool)
         seen[self.s] = True
-        for *_, node, _ in _forward_levels(self, blocked, 1, None, follow):
+        for _, _, node, _, _ in _forward_levels(self, blocked, 1, None,
+                                                follow):
             seen[node] = True
         return seen
 

@@ -226,7 +226,7 @@ def live_successors(levels, root, batch):
     """Per realization {node: live successors} of recorded search levels."""
     succ = [{} for _ in range(batch)]
     node, trial = np.full(batch, root), np.arange(batch)
-    for owner, dst, new_node, new_trial in levels:
+    for owner, dst, new_node, new_trial, *_ in levels:
         for o, d in zip(owner.tolist(), dst.tolist()):
             succ[trial[o]].setdefault(int(node[o]), []).append(d)
         node, trial = new_node, new_trial
@@ -323,7 +323,8 @@ def reference_advance(seen, key):
 
 
 def reference_forward_levels(g, blocked, batch, rng, live=None):
-    """`diffusion._forward_levels` by boolean masks."""
+    """A one-run `diffusion._forward_levels` by boolean masks: every pair
+    reached gains the run's one bit."""
     seen = np.zeros(g.n_total * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
     node = np.full(batch, g.s, dtype=np.int64)
@@ -336,7 +337,7 @@ def reference_forward_levels(g, blocked, batch, rng, live=None):
         owner, dst = owner[keep], dst[keep]
         node, trial = np.divmod(
             reference_advance(seen, dst * batch + trial[owner]), batch)
-        yield owner, dst, node, trial
+        yield owner, dst, node, trial, np.ones(len(node), dtype=np.uint8)
 
 
 def reference_reverse_live_edges(g, targets, rng):

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imin import fixtures
-from imin.diffusion import (_BATCH, _forward_levels, _run_levels,
-                            ic_spread_samples, reverse_live_edges,
-                            reverse_reach_counts, sample_realization,
-                            spread_samples, stopping_rule_spread,
-                            stopping_rule_spreads)
+from imin.diffusion import (_BATCH, _forward_levels, ic_spread_samples,
+                            reverse_live_edges, reverse_reach_counts,
+                            sample_realization, spread_samples,
+                            stopping_rule_spread, stopping_rule_spreads)
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
@@ -453,7 +452,7 @@ class TestSharedRealizations:
         for done in range(0, self.TRIALS, _BATCH):
             batch = min(_BATCH, self.TRIALS - done)
             ref.append(np.zeros(batch, dtype=np.int64))
-            for *_, node, trial in reference_forward_levels(
+            for *_, node, trial, _ in reference_forward_levels(
                     ug, blocked, batch, want):
                 np.add.at(ref[-1], trial[~ug.uncounted[node]], 1)
         assert rows.dtype == np.int64
@@ -482,7 +481,8 @@ class TestSharedRealizations:
         batches = 100
         live = np.zeros(5, dtype=np.int64)
         for _ in range(batches):
-            for node, trial, bits in _run_levels(ug, masks, _BATCH, rng):
+            for *_, node, trial, bits in _forward_levels(ug, masks, _BATCH,
+                                                         rng):
                 # the isolated node 5 blocks nothing: both runs see one
                 # realization, so every pair gains both bits at once
                 assert (bits == 3).all()
@@ -551,8 +551,9 @@ class TestStoppingRuleSpreads:
     def test_a_set_that_stops_keeps_its_value(self):
         # the seed's sure edge to 1 is all that blocking 2 leaves: that
         # set stops after one batch, while the rare branch through 2 keeps
-        # the base sampling.  Each estimate is EBStop replayed on the rows
-        # one spread_samples call draws from the same generator.
+        # the base sampling.  The early set's estimate is EBStop on the
+        # first shared batch; the base samples on alone, one-run batches
+        # from the same generator, until its own bounds close.
         ug = unify_seeds(Graph.from_edges(
             13, [0, 0] + [2] * 10, [1, 2] + list(range(3, 13)),
             [1.0, 0.05] + [1.0] * 10), {0})
@@ -560,13 +561,16 @@ class TestStoppingRuleSpreads:
         for seed in range(5):
             base, early = stopping_rule_spreads(ug, [None, [2]], gamma,
                                                 delta, make_rng(seed))
-            assert early.samples_used == _BATCH < base.samples_used
-            rows = spread_samples(ug, [None, [2]], base.samples_used,
-                                  make_rng(seed))
-            assert ebstop_reference(rows[0], 12, gamma, delta) \
+            rng = make_rng(seed)
+            shared = spread_samples(ug, [None, [2]], _BATCH, rng)
+            assert ebstop_reference(shared[1], 1, gamma, delta) \
+                == (early.value, early.samples_used) == (early.value, _BATCH)
+            assert base.samples_used > _BATCH
+            alone = ic_spread_samples(ug, None, base.samples_used - _BATCH,
+                                      rng)
+            assert ebstop_reference(np.concatenate([shared[0], alone]), 12,
+                                    gamma, delta) \
                 == (base.value, base.samples_used)
-            assert ebstop_reference(rows[1], 1, gamma, delta) \
-                == (early.value, early.samples_used)
 
     def test_more_sets_than_runs(self):
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
