@@ -40,7 +40,7 @@ EXIT_BAD_GRAPH = 6
 EXIT_CHECK_FAILED = 1
 
 # Version of the `<graph>.infcache.npz` seed-ranking cache layout.
-INFCACHE_FORMAT_VERSION = 3
+INFCACHE_FORMAT_VERSION = 4
 
 ALGORITHMS = ("ag", "gr", "mc", "sandimin", "sandimin-minus", "lhga")
 
@@ -232,7 +232,10 @@ def _run_algo(algo, ug, args, rng):
 
 def _evaluate_decrease(ug, blockers, trials, rng):
     """Mean per-trial decrease: the base and the residual spread of each
-    forward cascade come from the same realization."""
+    forward cascade come from the same realization.  The two sets nest, so
+    each batch searches the blocked cascade and resumes it as the base
+    from the edges that stopped at a blocker (`diffusion._forward_levels`);
+    no pair is expanded twice."""
     base, residual = spread_samples(ug, [None, blockers], trials, rng)
     return float((base - residual).mean())
 

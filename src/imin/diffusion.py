@@ -28,16 +28,21 @@ heads are gathered and tested against the blocked mask.
 Several blocker sets are compared on shared realizations (common random
 numbers): `_forward_levels` searches a batch once for up to eight runs,
 one per set, and each (node, trial) pair carries one bit per run that has
-reached it, in a uint8.  Blocking only removes nodes, so a blocked run
-reaches a subset of what the base run reaches, often later; a pair is
-expanded again at each level where it gains bits, for those bits only.  A
-late run must see the live edges an early run saw, so with two or more
-runs the coins are replayed rather than stored: edge e's coin in trial t
-is output e * batch + t of a SplitMix64 stream (Steele, Lea and Flood,
-OOPSLA 2014) keyed once per batch from the Generator.  One run gains each
-pair once, so it draws `rng.random` coins as they are needed: its callers
-keep their bytes, and a SplitMix64 coin costs about six Generator coins
-(12.0 against 1.9 ms for 508k coins in one array, on a 2-core x86 VM).
+reached it.  Blocking only removes nodes, so a blocked run reaches a
+subset of what the base run reaches.  When the sets nest (each blocks a
+superset of the next, as the base and one blocker set do), each
+less-blocked run is the run before it continued: the most-blocked run is
+searched alone with `rng.random` coins, and each next run resumes it from
+the live edges that stopped at a node it no longer blocks, so every pair
+is expanded once and every coin is drawn once.  Sets that do not nest are
+searched together: a pair is expanded again at each level where it gains
+bits, for those bits only, and a late run must see the live edges an
+early run saw, so the coins are replayed rather than stored: edge e's
+coin in trial t is output e * batch + t of a SplitMix64 stream (Steele,
+Lea and Flood, OOPSLA 2014) keyed once per batch from the Generator.  One
+run is the one-set case of the nested search, so its callers keep their
+bytes; a SplitMix64 coin costs about six Generator coins (12.0 against
+1.9 ms for 508k coins in one array, on a 2-core x86 VM).
 
 `stopping_rule_spreads` is a sequential mean estimator with a
 relative-error contract for each of several blocker sets: it draws
@@ -64,6 +69,11 @@ from .graph import Graph, UnifiedGraph
 # Trials per vectorized batch.  Fixed so that results for a given seed do
 # not depend on caller-visible knobs.
 _BATCH = 1024
+
+# Bytes of one `reverse_reach_counts` batch's `seen` bitmap (one per node
+# and set): larger batches cost less per set, but a 4 MB bitmap added 4-6 MB
+# of peak RSS to a cold `imin run`.
+_RANK_SEEN_BYTES = 1 << 20
 
 # Runs per forward search: one bit each of a uint8 per (node, trial) pair.
 _MAX_RUNS = 8
@@ -246,67 +256,110 @@ def _advance_bits(seen, key, gain):
     return key, bits
 
 
+def _nested_order(blocked):
+    """The runs of the mask stack `blocked`, most blocked first, if each
+    mask holds the next (a chain, as one mask is); else None."""
+    order = np.argsort(-np.count_nonzero(blocked, axis=1), kind="stable")
+    chain = blocked[order]
+    return None if (chain[1:] & ~chain[:-1]).any() else order
+
+
 def _forward_levels(g, blocked, batch, rng, live=None):
     """Breadth-first search from the source over `batch` independent
     realizations at once, one level per step, for one run or several.
 
     `blocked` is a node mask, or a stack of up to `_MAX_RUNS` of them, one
     per run; run r never enters the nodes of its mask.  Each (node, trial)
-    pair carries one bit per run that has reached it.  A pair is expanded
+    pair carries one bit per run that has reached it.  The masks select
+    one of two searches.
+
+    Nested masks (each stack member, most blocked first, holds the next;
+    one mask always is) are searched one run after another.  Blocking only
+    removes nodes, so each less-blocked run is the run before it
+    continued: the first run is searched alone, and the keys of the live
+    edges it stops at a blocked head are held.  Each next run resumes with
+    the same `seen` and coins, from the held pairs it no longer blocks, and
+    a pair gains at once the bits of the run that first reaches it and of
+    every less-blocked run.  Every pair is expanded once, so the level step
+    is `_advance` on a bool `seen`, and each edge's coin is drawn from `rng`
+    when its source node is first reached; a `live` edge mask, when given,
+    stands in for the coins (one realization, no draws).
+
+    Masks that do not nest are searched together.  A pair is expanded
     again at every level where it gains bits, and only for those bits:
     each live edge out of it passes them to its head, less the runs that
-    block the head and those the head already has.  One run gains each pair
-    once, so its level step is `_advance` on a bool `seen`: the bit
-    bookkeeping of `_advance_bits` made a one-run batch about a third
-    slower (`fixtures.mid_synthetic(300, 1200, 10)`, 2-core x86 VM).
-
-    With one run each edge's coin is drawn from `rng` when its source node
-    is first reached, so it is drawn at most once per realization; a
-    `live` edge mask, when given, stands in for the coins (one
-    realization, no draws).  With several runs, a run that reaches a pair
-    late must see the live edges that an earlier run saw, so the coin of
-    edge e in trial t is `_replayed_coins(key, e * batch + t)`, for one key
-    drawn from `rng` per search, computed again at each expansion rather
-    than stored.
+    block the head and those the head already has.  A run that reaches a
+    pair late must see the live edges that an earlier run saw, so the coin
+    of edge e in trial t is `_replayed_coins(key, e * batch + t)`, for one
+    key drawn from `rng` per search, computed again at each expansion
+    rather than stored.  The bit bookkeeping of `_advance_bits` made a
+    one-run batch about a third slower than `_advance`
+    (`fixtures.mid_synthetic(300, 1200, 10)`, 2-core x86 VM).
 
     Yields, per level, (owner, dst) of the live edges that pass on at
     least one bit, owner indexing the level's pairs in ascending order,
     then (node, trial) of the pairs that gain bits, sorted node-major, and
-    the bits each gains.
+    the bits each gains.  A resumed run's first step yields the held pairs
+    it gains, with no edges.
     """
     blocked = np.atleast_2d(blocked)
     runs = len(blocked)
-    allow = np.packbits(~blocked, axis=0, bitorder="little")[0]
-    key = rng.integers(2 ** 64, dtype=np.uint64) if runs > 1 else None
-    seen = np.zeros(g.n_total * batch, dtype=bool if runs == 1 else np.uint8)
+    order = _nested_order(blocked)
+    nested = order is not None
     trial = np.arange(batch, dtype=np.int64)
     node = np.full(batch, g.s, dtype=np.int64)
-    bits = np.full(batch, (1 << runs) - 1, dtype=np.uint8)
-    seen[node * batch + trial] = bits
-    while len(node):
-        eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
-        if live is not None:
-            hit = live[eids]
-        elif key is None:
-            hit = rng.random(len(eids)) < g.out_p[eids]
-        else:
-            hit = (_replayed_coins(key, eids * batch + trial[owner])
-                   < g.out_p[eids])
-        hit = np.flatnonzero(hit)
-        owner, dst = owner[hit], g.out_dst[eids[hit]]
-        # the runs each live edge passes on: its tail's, less those that
-        # block its head (one run's tail always has the bit)
-        gain = allow[dst] if runs == 1 else bits[owner] & allow[dst]
-        hit = np.flatnonzero(gain)
-        owner, dst = owner[hit], dst[hit]
-        pair = dst * batch + trial[owner]
-        if runs == 1:
-            pair = _advance(seen, pair)
-            bits = np.ones(len(pair), dtype=np.uint8)
-        else:
-            pair, bits = _advance_bits(seen, pair, gain[hit])
-        node, trial = np.divmod(pair, batch)
-        yield owner, dst, node, trial, bits
+    seen = np.zeros(g.n_total * batch, dtype=bool if nested else np.uint8)
+    seen[node * batch + trial] = (1 << runs) - 1    # True in a bool seen
+    if nested:
+        # per run, most blocked first: the nodes it may enter, and the bits
+        # its new pairs gain (its own and every less-blocked run's)
+        stages = [(~blocked[r], np.bitwise_or.reduce(1 << order[i:]))
+                  for i, r in enumerate(order)]
+        held = [np.zeros(0, dtype=np.int64)]
+    else:
+        allow = np.packbits(~blocked, axis=0, bitorder="little")[0]
+        key = rng.integers(2 ** 64, dtype=np.uint64)
+        bits = np.full(batch, (1 << runs) - 1, dtype=np.uint8)
+        stages = [(None, None)]
+    for stage, (free, gained) in enumerate(stages):
+        if stage:
+            held = np.concatenate(held)
+            resume = free[held // batch]
+            pair = _advance(seen, held[resume])
+            held = [held[~resume]]
+            node, trial = np.divmod(pair, batch)
+            yield (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                   node, trial, np.full(len(pair), gained, dtype=np.uint8))
+        while len(node):
+            eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
+            if live is not None:
+                hit = live[eids]
+            elif nested:
+                hit = rng.random(len(eids)) < g.out_p[eids]
+            else:
+                hit = (_replayed_coins(key, eids * batch + trial[owner])
+                       < g.out_p[eids])
+            hit = np.flatnonzero(hit)
+            owner, dst = owner[hit], g.out_dst[eids[hit]]
+            if nested:
+                enter = free[dst]
+                if stage + 1 < len(stages):
+                    stop = np.flatnonzero(~enter)
+                    held.append(dst[stop] * batch + trial[owner[stop]])
+                hit = np.flatnonzero(enter)
+                owner, dst = owner[hit], dst[hit]
+                pair = _advance(seen, dst * batch + trial[owner])
+                bits = np.full(len(pair), gained, dtype=np.uint8)
+            else:
+                # the runs each live edge passes on: its tail's, less
+                # those that block its head
+                gain = bits[owner] & allow[dst]
+                hit = np.flatnonzero(gain)
+                owner, dst = owner[hit], dst[hit]
+                pair, bits = _advance_bits(seen, dst * batch + trial[owner],
+                                           gain[hit])
+            node, trial = np.divmod(pair, batch)
+            yield owner, dst, node, trial, bits
 
 
 def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
@@ -349,22 +402,27 @@ def reverse_reach_counts(g: Graph, samples: int,
     Each set is the nodes that reach a uniform random target over live
     edges, target included, so n * count[v] / samples estimates the
     expected spread of the seed set {v}, v itself counted (Borgs et al.,
-    SODA 2014).  Sets are searched `_BATCH` at a time with lazy coins, as in
-    `reverse_live_edges`; only the per-node count is kept, not the sets.
+    SODA 2014).  Sets are searched with lazy coins, as in
+    `reverse_live_edges`, in batches of `max(_BATCH, _RANK_SEEN_BYTES // n)`,
+    so each batch's `seen` bitmap stays near `_RANK_SEEN_BYTES`; only the
+    per-node count is kept, not the sets.
     """
     counts = np.zeros(g.n, dtype=np.int64)
-    for done in range(0, samples, _BATCH):
-        batch = min(_BATCH, samples - done)
+    size = max(_BATCH, _RANK_SEEN_BYTES // g.n)
+    for done in range(0, samples, size):
+        batch = min(size, samples - done)
         seen = np.zeros(g.n * batch, dtype=bool)
         trial = np.arange(batch, dtype=np.int64)
         node = rng.integers(0, g.n, size=batch)
         seen[node * batch + trial] = True
+        found = []
         while len(node):
-            counts += np.bincount(node, minlength=g.n)
+            found.append(node)
             offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
             hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
             key = g.in_src[offs[hit]] * batch + trial[owner[hit]]
             node, trial = np.divmod(_advance(seen, key), batch)
+        counts += np.bincount(np.concatenate(found), minlength=g.n)
     return counts
 
 
@@ -447,11 +505,12 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
 
     Every batch is one forward search with one run per set still
     sampling; a set that stops leaves the search, and its estimate is what
-    it had then.  A batch of two or more runs replays its coins and a batch
-    of one draws them from `rng`, as `_forward_levels` does; either way a
-    batch is independent of the batches before it, so each set's contract
-    holds whichever sets still sample.  Equal sets share one run and one
-    estimate object.
+    it had then.  As in `_forward_levels`, a batch whose sets still
+    sampling nest (one set alone always does) resumes one search with
+    coins from `rng`, and a batch of sets that do not nest carries run
+    bits and replays its coins; either way a batch is independent of the
+    batches before it, so each set's contract holds whichever sets still
+    sample.  Equal sets share one run and one estimate object.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.diffusion import _BATCH, _forward_levels, _slices
+from imin.diffusion import (_BATCH, _RANK_SEEN_BYTES, _forward_levels,
+                            _slices)
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.sampling import _sequence_entries
 
@@ -364,14 +365,15 @@ def reference_reverse_live_edges(g, targets, rng):
 def reference_reverse_reach_counts(g, samples, rng):
     """`diffusion.reverse_reach_counts` by boolean masks."""
     counts = np.zeros(g.n, dtype=np.int64)
-    for done in range(0, samples, _BATCH):
-        batch = min(_BATCH, samples - done)
+    size = max(_BATCH, _RANK_SEEN_BYTES // g.n)
+    for done in range(0, samples, size):
+        batch = min(size, samples - done)
         seen = np.zeros(g.n * batch, dtype=bool)
         trial = np.arange(batch, dtype=np.int64)
         node = rng.integers(0, g.n, size=batch)
         seen[node * batch + trial] = True
         while len(node):
-            counts += np.bincount(node, minlength=g.n)
+            np.add.at(counts, node, 1)
             offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
             live = rng.random(len(offs)) < g.in_p[offs]
             key = g.in_src[offs[live]] * batch + trial[owner[live]]

@@ -342,7 +342,7 @@ class TestSeedPool:
         assert again.read_bytes() == cold.read_bytes()
         assert "ignoring unreadable rank cache" in capsys.readouterr().err
         with np.load(cache) as npz:  # rewritten whole, not left torn
-            assert int(npz["format_version"]) == 3
+            assert int(npz["format_version"]) == 4
             assert np.array_equal(npz["ranked"], ranked)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "again.csv", "cold.csv", "g.txt", "g.txt.infcache.npz"]
@@ -371,9 +371,9 @@ class TestSeedPool:
         fresh, seed_rank = _influence_pool(g, g.n, 60, str(cache))
         assert seed_rank == {"samples": 60 * g.n, "from_cache": False}
         with np.load(cache) as data:
-            assert int(data["format_version"]) == 3
+            assert int(data["format_version"]) == 4
             fingerprint = data["fingerprint"]
-        np.savez(cache, format_version=np.int64(2), pool_trials=np.int64(60),
+        np.savez(cache, format_version=np.int64(3), pool_trials=np.int64(60),
                  fingerprint=fingerprint,
                  ranked=np.arange(g.n, dtype=np.int64)[::-1])
         assert _influence_pool(g, g.n, 60, str(cache)) == (fresh, seed_rank)

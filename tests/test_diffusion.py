@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imin import fixtures
-from imin.diffusion import (_BATCH, _forward_levels, ic_spread_samples,
-                            reverse_live_edges, reverse_reach_counts,
-                            sample_realization, spread_samples,
-                            stopping_rule_spread, stopping_rule_spreads)
+from imin.diffusion import (_BATCH, _RANK_SEEN_BYTES, _forward_levels,
+                            ic_spread_samples, reverse_live_edges,
+                            reverse_reach_counts, sample_realization,
+                            spread_samples, stopping_rule_spread,
+                            stopping_rule_spreads)
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
@@ -404,10 +406,22 @@ class TestLevelStepMatchesReference:
                            [[reference_reverse_reach_counts(g, batch, want)]])
         assert got.bit_generator.state == want.bit_generator.state
 
+    @pytest.mark.parametrize("n", [400, 1500])
+    def test_reverse_reach_counts_across_batches(self, n):
+        # batches of 2621 sets at n=400 (the bitmap budget) and of _BATCH
+        # at n=1500; each count ends in a short batch
+        g = fixtures.mid_synthetic(make_rng(n), n, 4 * n, 5).base
+        samples = 2 * max(_BATCH, _RANK_SEEN_BYTES // n) + 5
+        got, want = make_rng(1), make_rng(1)
+        assert_same_arrays(
+            [[reverse_reach_counts(g, samples, got)]],
+            [[reference_reverse_reach_counts(g, samples, want)]])
+        assert got.bit_generator.state == want.bit_generator.state
+
 
 class TestSharedRealizations:
-    """`spread_samples` runs every blocker set on the same realizations,
-    with replayed coins wherever two or more sets are searched."""
+    """`spread_samples` runs every blocker set on the same realizations:
+    nested sets by resuming one search, other sets by replayed coins."""
 
     TRIALS = 3000   # not a multiple of the batch, so a short batch runs
 
@@ -418,24 +432,75 @@ class TestSharedRealizations:
         rng = make_rng(seed)
         ug = fixtures.random_tiny(rng)
         cands = [v for v in range(ug.base.n) if v not in ug.seeds]
-        drawn = rng.choice(cands, size=int(rng.integers(1, len(cands) + 1)),
-                           replace=False)
-        sets = [set(), set(ug.seed_out_neighbors()),
-                set(int(v) for v in drawn)]
-        sets.append(sets[copied])
-        rows = spread_samples(ug, sets, self.TRIALS, make_rng(seed + 1))
-        assert rows.shape == (4, self.TRIALS)
-        assert np.array_equal(rows[3], rows[copied])
-        assert not rows[1].any()   # every seed exit blocked
+
+        def draw():
+            return set(int(v) for v in rng.choice(
+                cands, size=int(rng.integers(1, len(cands) + 1)),
+                replace=False))
+
+        drawn, b, c = draw(), draw(), draw()
+        exits = set(ug.seed_out_neighbors())
+        # three sets whose masks need not nest, then a nested family
+        # (empty, B, B | C) in shuffled order
+        apart = [set(), exits, drawn]
+        nested = [[set(), b, b | c][i] for i in rng.permutation(3)]
         model = ExactModel(ug)
-        for b, row in zip(sets, rows):
-            sigma = row.std() / math.sqrt(self.TRIALS)
-            assert abs(row.mean() - model.spread(b)) <= 3 * sigma + 1e-9
-        # blocking more only removes nodes from each shared realization
-        for small, row_small in zip(sets, rows):
-            for big, row_big in zip(sets, rows):
-                if small <= big:
-                    assert (row_big <= row_small).all()
+        for family, sets in enumerate((apart, nested)):
+            sets = sets + [sets[copied]]
+            rows = spread_samples(ug, sets, self.TRIALS,
+                                  make_rng(seed + 1 + family))
+            assert rows.shape == (4, self.TRIALS)
+            for i, j in itertools.combinations(range(4), 2):
+                if sets[i] == sets[j]:
+                    assert np.array_equal(rows[i], rows[j])
+            for blockers, row in zip(sets, rows):
+                if exits <= blockers:
+                    assert not row.any()
+                sigma = row.std() / math.sqrt(self.TRIALS)
+                assert abs(row.mean() - model.spread(blockers)) \
+                    <= 3 * sigma + 1e-9
+            # blocking more only removes nodes from each shared realization
+            for small, row_small in zip(sets, rows):
+                for big, row_big in zip(sets, rows):
+                    if small <= big:
+                        assert (row_big <= row_small).all()
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_a_nested_batch_starts_with_the_most_blocked_set(self, seed):
+        # the most-blocked set is searched first, alone, as a one-set call
+        # searches it; the others resume from where it stopped
+        ug, blockers = tiny_with_dead_edges(seed)
+        most = sorted(set(blockers) | set(ug.seed_out_neighbors()[:1]))
+        got, want = make_rng(seed), make_rng(seed)
+        rows = spread_samples(ug, [None, most, blockers], _BATCH, got)
+        assert np.array_equal(rows[1], ic_spread_samples(ug, most, _BATCH,
+                                                         want))
+        assert (rows[1] <= rows[2]).all() and (rows[2] <= rows[0]).all()
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_nested_runs_reach_what_each_run_reaches_alone(self, seed):
+        # on one realization, the pairs that gain run r's bit are what a
+        # one-run search of run r's mask reaches
+        ug = random_flowgraph(seed)
+        rng = make_rng(seed + 1)
+        live = rng.random(ug.m_total) < 0.7
+        picks = rng.permutation(ug.base.n)
+        masks = np.stack([ug.blocked] * 3)
+        for r, size in enumerate((0, 1, 3)):
+            masks[r, picks[:size]] = True
+        masks = masks[rng.permutation(3)]
+        reached = np.zeros((3, ug.n_total), dtype=bool)
+        reached[:, ug.s] = True
+        for _, _, node, _, bits in _forward_levels(ug, masks, 1, None, live):
+            for r in range(3):
+                reached[r, node[bits >> r & 1 == 1]] = True
+        for r in range(3):
+            assert np.array_equal(reached[r],
+                                  ug.positive_reach(masks[r], live))
 
     @settings(derandomize=True, max_examples=20, deadline=None,
               database=None)
@@ -472,18 +537,20 @@ class TestSharedRealizations:
         assert 0.45 < (rows[0] == 5).mean() < 0.55
 
     def test_replayed_edge_frequencies(self):
-        # one seed, four leaves: each trial's reach is its live edges
+        # one seed, four leaves: each trial's reach is its live edges.
+        # The masks of the isolated nodes 5 and 6 do not nest, so the runs
+        # are searched together, on replayed coins
         probs = [0.0, 1e-4, 1 / 3, 1.0]
-        ug = unify_seeds(Graph.from_edges(6, [0] * 4, [1, 2, 3, 4], probs),
+        ug = unify_seeds(Graph.from_edges(7, [0] * 4, [1, 2, 3, 4], probs),
                          {0})
-        masks = np.stack([ug.blocked_with(b) for b in ([], [5])])
+        masks = np.stack([ug.blocked_with(b) for b in ([5], [6])])
         rng = make_rng(11)
         batches = 100
         live = np.zeros(5, dtype=np.int64)
         for _ in range(batches):
             for *_, node, trial, bits in _forward_levels(ug, masks, _BATCH,
                                                          rng):
-                # the isolated node 5 blocks nothing: both runs see one
+                # the isolated nodes block nothing: both runs see one
                 # realization, so every pair gains both bits at once
                 assert (bits == 3).all()
                 live += np.bincount(node[node < 5], minlength=5)

@@ -9,7 +9,7 @@ purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-and says so in CHANGES.md.
+(which prints the keys whose values changed) and says so in CHANGES.md.
 """
 
 import hashlib
@@ -53,13 +53,16 @@ STOP_REASONS = {"small/k=1": "ratio", "small/k=2": "early_exit",
 
 # The kernels' golden graph, the nodes its blocked view blocks (three seed
 # out-neighbors and two others), the kernels' sample counts (one, a few,
-# and one past a full batch) and the baselines' realizations per round.
+# and one past a full batch of 1024; `rr_counts` draws all 1025 in one
+# batch on this graph) and the baselines' realizations per round.
 KERNEL_GRAPH = "mid120/k=3"
 KERNEL_BLOCKED = (0, 2, 6, 40, 77)
 KERNEL_COUNTS = (1, 7, 1025)
 BASELINE_REALIZATIONS = 300
-# The blocker sets of the three-run spread kernel, each inside the next.
+# The blocker sets of the two three-run spread kernels: each inside the
+# next (one resumed search), and two that do not nest (run bits).
 KERNEL_RUNS = (None, (7, 9), (7, 9, 12, 13))
+KERNEL_APART = (None, (7, 9), (12, 13))
 
 
 def _rng(*key):
@@ -116,6 +119,8 @@ def _kernels(ug, gi):
             runs["chain"] = lambda r: _set_arrays(2, g, count, r)
             runs["spread"] = lambda r: list(
                 spread_samples(g, KERNEL_RUNS, count, r))
+            runs["spread_apart"] = lambda r: list(
+                spread_samples(g, KERNEL_APART, count, r))
             for ki, (kernel, run) in enumerate(runs.items()):
                 r = _rng(gi, vi, count, ki)
                 arrays = run(r)
@@ -171,7 +176,22 @@ def test_stop_reasons_pinned():
             assert cert["early_exit"] == (reason == "early_exit"), key
 
 
+def _leaves(tree, path=()):
+    """{path: value} of every non-dict value in nested dicts."""
+    if not isinstance(tree, dict):
+        return {"/".join(path): tree}
+    return {k: v for key, sub in tree.items()
+            for k, v in _leaves(sub, path + (key,)).items()}
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --update")
-    GOLDEN.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")
+    old = _leaves(json.loads(GOLDEN.read_text())) if GOLDEN.exists() else {}
+    new = outputs()
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    new = _leaves(new)
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key, None) != new.get(key, None):
+            print("changed" if key in old and key in new
+                  else "added" if key in new else "removed", key)
