@@ -18,8 +18,7 @@ def main():
     ug = fixtures.mid_synthetic(rng, n=1200, m=6000, n_seeds=8)
     print(f"graph: n={ug.base.n} m={ug.base.m} seeds={sorted(ug.seeds)}")
 
-    params = AlgoParams(k=8, epsilon=0.2, delta=1 / ug.base.n, beta=0.1,
-                        gamma=0.1)
+    params = AlgoParams(k=8, epsilon=0.2, delta=1 / ug.base.n, gamma=0.1)
     result = sand_imin(ug, params, np.random.default_rng(17))
 
     print(f"\nbase spread estimate: {result.base_estimate.value:.1f}")

@@ -30,7 +30,7 @@ def main():
         blockers = fn()
         runs[name] = (blockers, time.perf_counter() - t0)
 
-    params = AlgoParams(k=k, epsilon=0.2, delta=0.1, beta=0.1, gamma=0.1)
+    params = AlgoParams(k=k, epsilon=0.2, delta=0.1, gamma=0.1)
     timed("sandimin", lambda: sand_imin(
         ug, params, np.random.default_rng(1)).chosen)
     timed("sandimin-minus", lambda: sand_imin_minus(

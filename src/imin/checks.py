@@ -99,7 +99,7 @@ def _check_stopping_rule(rng):
 def _check_guarantee(rng):
     ug = fixtures.worked_example_small()
     model = ExactModel(ug)
-    params = AlgoParams(k=2, epsilon=0.2, delta=0.2, beta=0.1)
+    params = AlgoParams(k=2, epsilon=0.2, delta=0.2)
     _, opt_val = model.optimal_blockers(2, "lower")
     target = (1 - 1 / math.e - params.epsilon) * opt_val
     hits = 0

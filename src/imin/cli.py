@@ -44,8 +44,8 @@ INFCACHE_FORMAT_VERSION = 4
 
 ALGORITHMS = ("ag", "gr", "mc", "sandimin", "sandimin-minus", "lhga")
 
-CSV_FIELDS = ("dataset", "algo", "k", "n_seeds", "epsilon", "delta", "beta",
-              "gamma", "repeat", "rng_seed", "decrease", "samples", "ratio")
+CSV_FIELDS = ("dataset", "algo", "k", "n_seeds", "epsilon", "delta", "gamma",
+              "repeat", "rng_seed", "decrease", "samples", "ratio")
 
 
 class CliError(Exception):
@@ -207,7 +207,7 @@ def _unified_graph(args, g):
 def _run_algo(algo, ug, args, rng):
     """Dispatch one algorithm; returns (blockers, samples, ratio, report)."""
     params = AlgoParams(k=args.k, epsilon=args.epsilon, delta=args.delta,
-                        beta=args.beta, gamma=args.gamma)
+                        gamma=args.gamma)
     if algo == "sandimin" or algo == "sandimin-minus":
         fn = sand_imin if algo == "sandimin" else sand_imin_minus
         result = fn(ug, params, rng)
@@ -298,7 +298,7 @@ def _run_rows(args, ug, dataset, seed_rank):
         decrease = _evaluate_decrease(ug, blockers, args.eval_trials,
                                       eval_rng)
         rows.append((dataset, args.algo, args.k, len(ug.seeds),
-                     args.epsilon, args.delta, args.beta, args.gamma, rep,
+                     args.epsilon, args.delta, args.gamma, rep,
                      args.rng_seed, decrease, samples, ratio))
         report.update({"dataset": dataset, "algo": args.algo, "repeat": rep,
                        "decrease_mc": decrease, "runtime_s": elapsed,
@@ -445,8 +445,6 @@ def _add_common_options(p, sweep=False):
         p.add_argument("--epsilon", type=_OPEN_UNIT, default=0.2)
     p.add_argument("--delta", type=_OPEN_UNIT, default=None,
                    help="failure probability (default 1/n)")
-    p.add_argument("--beta", type=_OPEN_UNIT, default=0.1,
-                   help="no effect (range-checked; kept in the CSV)")
     p.add_argument("--gamma", type=_OPEN_UNIT, default=0.1)
     p.add_argument("--trials", type=_COUNT, default=1000,
                    help="Monte-Carlo trials per greedy evaluation (mc)")

@@ -44,7 +44,8 @@ log = logging.getLogger(__name__)
 class AlgoParams:
     """Budget and error knobs shared by the bound maximizers.  `beta` has
     no effect (it was the accuracy of a spread estimate the lower
-    maximizer no longer draws) but is still range-checked."""
+    maximizer no longer draws); it is kept, range-checked, only because
+    the benchmark harness passes it."""
 
     k: int
     epsilon: float = 0.2

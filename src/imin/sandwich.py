@@ -6,14 +6,18 @@ and the one whose residual spread estimate is smallest wins.  The base
 spread and every candidate's residual come from one
 `diffusion.stopping_rule_spreads` call, so all of them are measured on
 the same realizations (common random numbers, as the sandwich of Lu, Chen
-and Lakshmanan, PVLDB 2015, compares its candidates): one forward search
-per batch carries one run bit per set, with coins replayed from a
-per-batch key, and the residuals differ only by what the candidates
-block.  Equal candidates share one run and one estimate, and ties go to
-the first of lower, upper and heuristic.  Because the upper-bound
-objective dominates the true decrease, the ratio of the winner-side
-estimates yields a computable lower bound on the approximation ratio
-actually achieved.
+and Lakshmanan, PVLDB 2015, compares its candidates), and the residuals
+differ only by what the candidates block.  When the active sets nest,
+each inside the next, a batch searches the most-blocked one and resumes
+the others from the pairs it held back, with Generator coins; sets that
+do not nest share one search that carries one run bit per set, with
+coins replayed from a per-batch key.  Equal candidates share one run and
+one estimate, and ties go to the first of lower, upper and heuristic.
+Because the upper-bound objective dominates the true decrease, the ratio
+of the winner-side estimates yields a computable lower bound on the
+approximation ratio actually achieved.  Its upper value is the upper
+maximizer's validation estimate, or after an early exit the base spread
+estimate, which no upper value exceeds.
 """
 
 from __future__ import annotations
@@ -30,12 +34,9 @@ from .diffusion import stopping_rule_spread  # noqa: F401
 from .graph import BlockerSet, UnifiedGraph
 from .optimize import (AlgoParams, E_FRACTION, gsbm, lsbm,
                        seed_neighbor_probs)
-from .sampling import (LRRCollection, compute_population, coverage,
-                       pair_streams)
+from .sampling import pair_streams
 
 log = logging.getLogger(__name__)
-
-_FALLBACK_RATIO_SAMPLES = 2048
 
 
 def lhga(g: UnifiedGraph, k: int) -> BlockerSet:
@@ -97,38 +98,27 @@ class SandwichResult:
         }
 
 
-def _upper_bound_estimate(g, blockers, certificate, rng):
-    """Estimate the upper-bound value of `blockers` from reverse samples.
-
-    Takes the value the maximizer measured on its final validation pairs
-    (independent of the selection) when it sampled, falling back to a
-    fresh collection after an early exit.  A graph whose seeds influence
-    nobody has value 0.
-    """
-    if certificate is not None and certificate.value is not None:
-        return certificate.value
-    population = compute_population(g)
-    if not population:
-        return 0.0
-    coll = LRRCollection(g, rng, population=population)
-    coll.extend(_FALLBACK_RATIO_SAMPLES)
-    return len(population) * coverage(coll, blockers) / coll.n_samples
-
-
-def empirical_ratio(result: SandwichResult, g: UnifiedGraph,
-                    params: AlgoParams, rng: np.random.Generator) -> float:
+def empirical_ratio(result: SandwichResult, params: AlgoParams) -> float:
     """Computable lower bound on the achieved approximation ratio.
 
-    ((1-gamma)/(1+gamma))^2 * (1-1/e-epsilon) * D_hat(B_U) / D_hat^U(B_U),
+    ((1-gamma)/(1+gamma))^2 * (1-1/e-epsilon) * D_hat(B_U) / U_hat(B_U),
     clamped to [0, 1]; zero (with a log warning) when the upper-side
-    estimate is degenerate.
+    estimate is degenerate.  U_hat(B_U) is the value the upper maximizer
+    measured on its final validation pairs (independent of the
+    selection).  After an early exit there is none, and the base spread
+    estimate stands in: a receiver subgraph holds only reached non-seeds,
+    so U(B) <= sigma(empty) for every B, with equality for the early-exit
+    set (every seed out-neighbor).  Its residual is then exactly zero, so
+    the ratio is the scale factor itself.
     """
     if result.b_upper is None:
         raise ValueError("empirical ratio needs the upper-bound candidate")
     dec_upper = max(0.0, result.base_estimate.value
                     - result.residual_estimates["upper"].value)
-    upper_val = _upper_bound_estimate(
-        g, result.b_upper, result.certificates.get("upper"), rng)
+    certificate = result.certificates.get("upper")
+    upper_val = (certificate.value
+                 if certificate is not None and certificate.value is not None
+                 else result.base_estimate.value)
     if upper_val <= 0.0:
         log.warning("degenerate upper-bound estimate (0); ratio set to 0")
         return 0.0
@@ -140,7 +130,7 @@ def empirical_ratio(result: SandwichResult, g: UnifiedGraph,
 
 def _combine(g, params, rng, with_upper):
     params.validate()
-    rng_pairs, _, rng_est, rng_ratio = rng.spawn(4)
+    rng_pairs, _, rng_est = rng.spawn(3)
     streams = pair_streams(g, rng_pairs)
     timings, certificates, sets = {}, {}, {"lower": None, "upper": None}
     for name, maximize in [("lower", lsbm), ("upper", gsbm)][:1 + with_upper]:
@@ -174,8 +164,7 @@ def _combine(g, params, rng, with_upper):
 
     if with_upper:
         t0 = time.perf_counter()
-        result.empirical_ratio = empirical_ratio(result, g, params,
-                                                 rng_ratio)
+        result.empirical_ratio = empirical_ratio(result, params)
         timings["ratio"] = time.perf_counter() - t0
     return result
 

@@ -31,8 +31,8 @@ class TestRun:
         assert code == 0
         header, row = out.read_text().strip().splitlines()
         assert header.startswith("dataset,algo,k,n_seeds")
-        fields = row.split(",")
-        decrease = float(fields[10])
+        fields = dict(zip(header.split(","), row.split(",")))
+        decrease = float(fields["decrease"])
         assert abs(decrease - 3.0) < 0.05
         payload = json.loads(report.read_text())
         assert payload[0]["algo"] == "sandimin"
@@ -96,14 +96,41 @@ class TestRun:
             assert last["samples_primary"] == cert["samples_primary"]
             assert last["ratio"] == cert["ratio"]
 
+    SANDWICH_KEYS = [
+        "algo", "base_spread_estimate", "blockers", "candidates",
+        "certificates", "chosen", "dataset", "decrease_estimate",
+        "decrease_estimates", "decrease_mc", "empirical_ratio", "repeat",
+        "residual_estimates", "runtime_s", "samples", "seed_rank",
+        "spread_samples", "timings_s"]
+
+    @pytest.mark.parametrize("algo, keys", [
+        ("sandimin", SANDWICH_KEYS),
+        ("sandimin-minus", SANDWICH_KEYS),
+        ("lhga", ["algo", "blockers", "dataset", "decrease_mc", "repeat",
+                  "runtime_s", "samples", "seed_rank"]),
+    ])
+    def test_json_report_keys(self, tmp_path, algo, keys):
+        # the top-level keys of a report, pinned exactly: a change that
+        # adds, drops or renames one updates this list on purpose
+        report = tmp_path / "report.json"
+        code = main(["run", "--graph", "fixture:small", "--algo", algo,
+                     "--k", "1", "--delta", "0.1", "--eval-trials", "1000",
+                     "--rng-seed", "2", "--out", str(tmp_path / "rows.csv"),
+                     "--json", str(report)])
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert len(payload) == 1
+        assert sorted(payload[0]) == keys
+
     def test_chain_lhga(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["run", "--graph", "fixture:chain", "--algo", "lhga",
                      "--k", "1", "--delta", "0.1", "--eval-trials", "4000",
                      "--out", str(out)])
         assert code == 0
-        row = out.read_text().strip().splitlines()[1]
-        assert float(row.split(",")[10]) == 2.0
+        header, row = out.read_text().strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert float(fields["decrease"]) == 2.0
 
     def test_edge_list_with_label_seeds(self, tmp_path):
         data = tmp_path / "g.txt"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -103,8 +105,7 @@ class TestSandIminMinus:
         assert res.empirical_ratio is None
         assert res.chosen_name in ("lower", "heuristic")
         with pytest.raises(ValueError, match="upper"):
-            empirical_ratio(res, fixtures.worked_example_small(),
-                            AlgoParams(k=1, delta=0.1), make_rng(7))
+            empirical_ratio(res, AlgoParams(k=1, delta=0.1))
 
     def test_skips_the_upper_phase_entirely(self):
         ug = fixtures.worked_example_small()
@@ -220,10 +221,37 @@ class TestEmpiricalRatio:
             res = sand_imin(ug, params, make_rng(trial))
             assert 0.0 <= res.empirical_ratio <= 1.0
 
+    def test_base_spread_caps_every_upper_value(self):
+        # The ratio's fallback upper value after an early exit: a receiver
+        # subgraph holds only reached non-seeds, so U(B) <= sigma(empty)
+        # for every B, with equality for the early-exit set.
+        scale = ((1 - 0.1) / (1 + 0.1)) ** 2 * (E_FRACTION - 0.2)
+        for trial in range(20):
+            ug = fixtures.random_tiny(make_rng(trial + 300), 8, 10)
+            model = ExactModel(ug)
+            spread = model.spread()
+            candidates = [v for v in range(ug.base.n) if v not in ug.seeds]
+            for size in range(3):
+                for b in itertools.combinations(candidates, size):
+                    assert model.upper_bound(b) <= spread + 1e-9
+            on = ug.seed_out_neighbors()
+            assert model.upper_bound(on) == pytest.approx(spread, abs=1e-9)
+            # a budget that covers every seed out-neighbor, and one that
+            # covers every candidate: both maximizers exit early
+            for k in (len(on), len(candidates)):
+                params = AlgoParams(k=k, epsilon=0.2, delta=0.1, gamma=0.1)
+                res = sand_imin(ug, params, make_rng(trial))
+                assert all(cert.early_exit
+                           for cert in res.certificates.values())
+                assert sorted(res.certificates) == ["lower", "upper"]
+                assert res.empirical_ratio == pytest.approx(scale,
+                                                            abs=1e-12)
+                _, opt = model.optimal_blockers(k, "decrease")
+                assert scale <= model.decrease(res.chosen) / opt + 1e-9
+
     def test_useless_upper_candidate_gives_zero(self):
-        # hand-build a result whose upper candidate protects nobody
-        g = Graph.from_edges(4, [0, 2], [1, 3], [1.0, 1.0])
-        ug = unify_seeds(g, {0})  # node 2 -> 3 unreachable from the seed
+        # hand-build a result whose upper candidate protects nobody: its
+        # residual equals the base spread
         params = AlgoParams(k=1, delta=0.1)
         est0 = SpreadEstimate(1.0, 0.1, 0.1, 1)
         res = SandwichResult(
@@ -232,7 +260,7 @@ class TestEmpiricalRatio:
             residual_estimates={"upper": SpreadEstimate(1.0, 0.1, 0.1, 1)},
             chosen_name="upper", chosen=BlockerSet([3]),
             decrease_estimate=0.0, empirical_ratio=None)
-        assert empirical_ratio(res, ug, params, make_rng(9)) == 0.0
+        assert empirical_ratio(res, params) == 0.0
 
 
 class TestSandwichOrderingWitness:
