@@ -19,11 +19,32 @@ of coins, so the tests' reference runs the same search.
 `reverse_live_edges` searches backwards from targets, and
 `reverse_reach_counts` runs the same reverse search on a plain graph and
 keeps only how often each node is found, which scores every node's
-singleton influence at once.  All batched searches expand
-their frontier through one CSR-slice helper, and each level step
-compresses its examined edges once, by index: coins are compared with
-every examined edge's probability, and only the live edges' owners and
-heads are gathered and tested against the blocked mask.
+singleton influence at once.  All batched searches expand their
+frontier through one CSR-slice helper, and each step compresses its
+examined edges once, by index: coins are compared with every examined
+edge's probability, and only the live edges' owners and heads are
+gathered and tested against the blocked mask.
+
+Each lazy-coin search examines a level in steps of at most `_EDGE_BUDGET`
+CSR entries, split by the slice helper's own prefix sum (a level within
+the budget is one step, with no extra pass), and a node's edges may span
+steps.  A step draws its coins, filters its edges and builds its keys; the
+keys, held keys, run-bit gains and yielded edges of a level are
+concatenated in step order, and one `_advance` or `_advance_bits` call per
+level deduplicates them, as a whole level does.  PCG64's `random(a)` then
+`random(b)` draws what `random(a + b)` draws, so every output, the
+Generator's stream included, is what one step gives.  2^14 int64s are
+128 KiB, glibc's default mmap threshold, and a step's temporaries stay
+that small however large the level: one `spread_samples(..., 1024)` batch
+on `fixtures.mid_synthetic(2000, 8000, 20)` peaks at 7.9 MB of
+tracemalloc, not 16.9 MB.  On perfbench's `mid`, 2^15 and 2^16 gave back
+part of the peak-RSS gain, and 2^12 and 2^13 added nothing to it.  What
+stays whole-level grows with a level's live edges, not its examined ones:
+the per-level `_advance` and what a level yields.  The LRR member search
+(`sampling._reverse_reach`) draws no coins and only gathers recorded live
+edges, so it joins its steps at once.  The `n_total * batch` `seen`
+bitmap is then most of the peak on large graphs (51 of 68 MB on
+`mid_synthetic(50000, 200000, 50)`).
 
 Several blocker sets are compared on shared realizations (common random
 numbers): `_forward_levels` searches a batch once for up to eight runs,
@@ -74,6 +95,11 @@ _BATCH = 1024
 # and set): larger batches cost less per set, but a 4 MB bitmap added 4-6 MB
 # of peak RSS to a cold `imin run`.
 _RANK_SEEN_BYTES = 1 << 20
+
+# Most CSR entries one step of a lazy-coin search's level examines: 2^14
+# int64s are 128 KiB, glibc's default mmap threshold (see the module
+# docstring for the budgets measured).
+_EDGE_BUDGET = 1 << 14
 
 # Runs per forward search: one bit each of a uint8 per (node, trial) pair.
 _MAX_RUNS = 8
@@ -198,12 +224,35 @@ def _batch_spreads(g, masks, batch, rng):
 
 
 def _slices(lo, hi):
-    """(idx, owner): the index ranges [lo[i], hi[i]) concatenated in order,
-    and for each index the i of its range."""
+    """(idx, owner) of the index ranges [lo[i], hi[i]) concatenated in
+    order, in steps of at most `_EDGE_BUDGET` indices (a range longer than
+    that spans steps), owner the i of each index's range.  A total within
+    the budget is one step, and any total yields at least one."""
     lens = hi - lo
-    owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-    shift = lo - np.cumsum(lens) + lens
-    return np.arange(len(owner), dtype=np.int64) + shift[owner], owner
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    if total <= _EDGE_BUDGET:
+        owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+        yield np.arange(total, dtype=np.int64) + (hi - ends)[owner], owner
+        return
+    shift = hi - ends                   # index minus position, per range
+    del lo, hi, lens                    # not kept through the steps
+    for start in range(0, total, _EDGE_BUDGET):
+        stop = min(start + _EDGE_BUDGET, total)
+        # the ranges that meet [start, stop), each clipped to it
+        first = np.searchsorted(ends, start, side="right")
+        last = np.searchsorted(ends, stop) + 1
+        counts = np.diff(np.minimum(ends[first:last], stop), prepend=start)
+        owner = np.repeat(np.arange(first, last, dtype=np.int64), counts)
+        yield np.arange(start, stop, dtype=np.int64) + shift[owner], owner
+
+
+def _joined(parts):
+    """The list `parts` concatenated, one part as it is, uncopied; empties
+    `parts`, so the parts are freed once the result is."""
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    return out
 
 
 def _advance(seen, key):
@@ -266,7 +315,7 @@ def _nested_order(blocked):
 
 def _forward_levels(g, blocked, batch, rng, live=None):
     """Breadth-first search from the source over `batch` independent
-    realizations at once, one level per step, for one run or several.
+    realizations at once, level by level, for one run or several.
 
     `blocked` is a node mask, or a stack of up to `_MAX_RUNS` of them, one
     per run; run r never enters the nodes of its mask.  Each (node, trial)
@@ -280,10 +329,11 @@ def _forward_levels(g, blocked, batch, rng, live=None):
     edges it stops at a blocked head are held.  Each next run resumes with
     the same `seen` and coins, from the held pairs it no longer blocks, and
     a pair gains at once the bits of the run that first reaches it and of
-    every less-blocked run.  Every pair is expanded once, so the level step
-    is `_advance` on a bool `seen`, and each edge's coin is drawn from `rng`
-    when its source node is first reached; a `live` edge mask, when given,
-    stands in for the coins (one realization, no draws).
+    every less-blocked run.  Every pair is expanded once, so a level is
+    deduplicated by `_advance` on a bool `seen`, and each edge's coin is
+    drawn from `rng` when its source node is first reached; a `live` edge
+    mask, when given, stands in for the coins (one realization, no
+    draws).
 
     Masks that do not nest are searched together.  A pair is expanded
     again at every level where it gains bits, and only for those bits:
@@ -296,11 +346,13 @@ def _forward_levels(g, blocked, batch, rng, live=None):
     one-run batch about a third slower than `_advance`
     (`fixtures.mid_synthetic(300, 1200, 10)`, 2-core x86 VM).
 
-    Yields, per level, (owner, dst) of the live edges that pass on at
-    least one bit, owner indexing the level's pairs in ascending order,
-    then (node, trial) of the pairs that gain bits, sorted node-major, and
-    the bits each gains.  A resumed run's first step yields the held pairs
-    it gains, with no edges.
+    Either search examines a level's edges in steps of at most
+    `_EDGE_BUDGET`, and takes `live` in place of coins; the run-bit search
+    then draws no key.  Yields, per level, (owner, dst) of the live edges
+    that pass on at least one bit, owner indexing the level's pairs in
+    ascending order, then (node, trial) of the pairs that gain bits,
+    sorted node-major, and the bits each gains.  A resumed run's first
+    level yields the held pairs it gains, with no edges.
     """
     blocked = np.atleast_2d(blocked)
     runs = len(blocked)
@@ -318,7 +370,8 @@ def _forward_levels(g, blocked, batch, rng, live=None):
         held = [np.zeros(0, dtype=np.int64)]
     else:
         allow = np.packbits(~blocked, axis=0, bitorder="little")[0]
-        key = rng.integers(2 ** 64, dtype=np.uint64)
+        stream = None if live is not None else rng.integers(
+            2 ** 64, dtype=np.uint64)
         bits = np.full(batch, (1 << runs) - 1, dtype=np.uint8)
         stages = [(None, None)]
     for stage, (free, gained) in enumerate(stages):
@@ -331,35 +384,40 @@ def _forward_levels(g, blocked, batch, rng, live=None):
             yield (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                    node, trial, np.full(len(pair), gained, dtype=np.uint8))
         while len(node):
-            eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
-            if live is not None:
-                hit = live[eids]
-            elif nested:
-                hit = rng.random(len(eids)) < g.out_p[eids]
-            else:
-                hit = (_replayed_coins(key, eids * batch + trial[owner])
-                       < g.out_p[eids])
-            hit = np.flatnonzero(hit)
-            owner, dst = owner[hit], g.out_dst[eids[hit]]
+            owners, dsts, keys, gains = [], [], [], []
+            for eids, owner in _slices(g.out_ptr[node], g.out_ptr[node + 1]):
+                if live is not None:
+                    hit = live[eids]
+                elif nested:
+                    hit = rng.random(len(eids)) < g.out_p[eids]
+                else:
+                    hit = (_replayed_coins(stream, eids * batch + trial[owner])
+                           < g.out_p[eids])
+                hit = np.flatnonzero(hit)
+                owner, dst = owner[hit], g.out_dst[eids[hit]]
+                if nested:
+                    enter = free[dst]
+                    if stage + 1 < len(stages):
+                        stop = np.flatnonzero(~enter)
+                        held.append(dst[stop] * batch + trial[owner[stop]])
+                    hit = np.flatnonzero(enter)
+                else:
+                    # the runs each live edge passes on: its tail's, less
+                    # those that block its head
+                    gain = bits[owner] & allow[dst]
+                    hit = np.flatnonzero(gain)
+                    gains.append(gain[hit])
+                owner, dst = owner[hit], dst[hit]
+                owners.append(owner)
+                dsts.append(dst)
+                keys.append(dst * batch + trial[owner])
             if nested:
-                enter = free[dst]
-                if stage + 1 < len(stages):
-                    stop = np.flatnonzero(~enter)
-                    held.append(dst[stop] * batch + trial[owner[stop]])
-                hit = np.flatnonzero(enter)
-                owner, dst = owner[hit], dst[hit]
-                pair = _advance(seen, dst * batch + trial[owner])
-                bits = np.full(len(pair), gained, dtype=np.uint8)
+                node = _advance(seen, _joined(keys))
+                bits = np.full(len(node), gained, dtype=np.uint8)
             else:
-                # the runs each live edge passes on: its tail's, less
-                # those that block its head
-                gain = bits[owner] & allow[dst]
-                hit = np.flatnonzero(gain)
-                owner, dst = owner[hit], dst[hit]
-                pair, bits = _advance_bits(seen, dst * batch + trial[owner],
-                                           gain[hit])
-            node, trial = np.divmod(pair, batch)
-            yield owner, dst, node, trial, bits
+                node, bits = _advance_bits(seen, _joined(keys), _joined(gains))
+            node, trial = np.divmod(node, batch)
+            yield _joined(owners), _joined(dsts), node, trial, bits
 
 
 def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
@@ -381,16 +439,17 @@ def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
     seen[node * batch + trial] = True
     parts = []
     while len(node):
-        offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
-        hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
-        owner, offs = owner[hit], offs[hit]
-        hit = np.flatnonzero(~g.blocked[node[owner]])
-        owner, src = owner[hit], g.in_src[offs[hit]]
-        t = trial[owner]
-        parts.append((t, src, node[owner]))
-        inner = ~g.uncounted[src]
-        node, trial = np.divmod(
-            _advance(seen, src[inner] * batch + t[inner]), batch)
+        keys = []
+        for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
+            hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
+            owner, offs = owner[hit], offs[hit]
+            hit = np.flatnonzero(~g.blocked[node[owner]])
+            owner, src = owner[hit], g.in_src[offs[hit]]
+            t = trial[owner]
+            parts.append((t, src, node[owner]))
+            inner = ~g.uncounted[src]
+            keys.append(src[inner] * batch + t[inner])
+        node, trial = np.divmod(_advance(seen, _joined(keys)), batch)
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -404,8 +463,9 @@ def reverse_reach_counts(g: Graph, samples: int,
     expected spread of the seed set {v}, v itself counted (Borgs et al.,
     SODA 2014).  Sets are searched with lazy coins, as in
     `reverse_live_edges`, in batches of `max(_BATCH, _RANK_SEEN_BYTES // n)`,
-    so each batch's `seen` bitmap stays near `_RANK_SEEN_BYTES`; only the
-    per-node count is kept, not the sets.
+    so each batch's `seen` bitmap stays near `_RANK_SEEN_BYTES`, and one
+    batch's bitmap is freed before the next is allocated.  Each level adds
+    its nodes to the per-node count; the sets are not kept.
     """
     counts = np.zeros(g.n, dtype=np.int64)
     size = max(_BATCH, _RANK_SEEN_BYTES // g.n)
@@ -415,14 +475,14 @@ def reverse_reach_counts(g: Graph, samples: int,
         trial = np.arange(batch, dtype=np.int64)
         node = rng.integers(0, g.n, size=batch)
         seen[node * batch + trial] = True
-        found = []
         while len(node):
-            found.append(node)
-            offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
-            hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
-            key = g.in_src[offs[hit]] * batch + trial[owner[hit]]
-            node, trial = np.divmod(_advance(seen, key), batch)
-        counts += np.bincount(np.concatenate(found), minlength=g.n)
+            np.add.at(counts, node, 1)
+            keys = []
+            for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
+                hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
+                keys.append(g.in_src[offs[hit]] * batch + trial[owner[hit]])
+            node, trial = np.divmod(_advance(seen, _joined(keys)), batch)
+        del seen                        # before the next batch's bitmap
     return counts
 
 
@@ -517,9 +577,8 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     masks, row = _distinct_masks(g, blocker_sets)
-    rules = [_EBStop(int(np.count_nonzero(g.positive_reach(mask)
-                                          & ~g.uncounted)), gamma, delta)
-             for mask in masks]
+    rules = [_EBStop(int(np.count_nonzero(reach & ~g.uncounted)), gamma,
+                     delta) for reach in g.positive_reach(masks)]
     est = [None if rule.n_reach else SpreadEstimate(
         value=0.0, gamma=gamma, delta=delta, samples_used=0, exact_zero=True)
         for rule in rules]

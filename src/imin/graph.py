@@ -335,18 +335,22 @@ class UnifiedGraph:
         or over the edges of the edge mask ``live`` when one is given.
 
         The traversal never enters a node of ``blocked`` (default: the
-        graph's own mask); ``s`` itself is in the mask.
+        graph's own mask); ``s`` itself is in the mask.  A stack of up to
+        eight node masks gives one row per mask, all from one search.
         """
         from .diffusion import _forward_levels  # diffusion imports graph
 
         blocked = self.blocked if blocked is None else blocked
         follow = self.out_p > 0.0 if live is None else live
-        seen = np.zeros(self.n_total, dtype=bool)
-        seen[self.s] = True
-        for _, _, node, _, _ in _forward_levels(self, blocked, 1, None,
-                                                follow):
-            seen[node] = True
-        return seen
+        runs = np.atleast_2d(blocked)
+        reach = np.zeros(self.n_total, dtype=np.uint8)
+        reach[self.s] = (1 << len(runs)) - 1
+        for _, _, node, _, bits in _forward_levels(self, runs, 1, None,
+                                                   follow):
+            reach[node] |= bits
+        rows = np.unpackbits(reach[None], axis=0, count=len(runs),
+                             bitorder="little").view(bool)
+        return rows if np.ndim(blocked) == 2 else rows[0]
 
     def check_blockers(self, blockers) -> BlockerSet:
         """Validate a candidate blocker set against this graph."""

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (_BATCH, _advance, _forward_levels, _slices,
-                        reverse_live_edges)
+from .diffusion import (_BATCH, _advance, _forward_levels, _joined,
+                        _slices, reverse_live_edges)
 from .domtree import dominators
 from .graph import UnifiedGraph, as_blockers
 
@@ -147,11 +147,15 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     node, found = np.divmod(frontier, count)
     yield found, node, node, found
     while len(frontier):
-        offs, owner = _slices(np.searchsorted(tail, frontier),
-                              np.searchsorted(tail, frontier, side="right"))
-        heads = head[offs]
+        owners, heads = [], []
+        for offs, owner in _slices(
+                np.searchsorted(tail, frontier),
+                np.searchsorted(tail, frontier, side="right")):
+            owners.append(owner)
+            heads.append(head[offs])
+        heads = _joined(heads)
         frontier = _advance(member, heads)
-        yield (owner, heads // count, *np.divmod(frontier, count))
+        yield (_joined(owners), heads // count, *np.divmod(frontier, count))
 
 
 def _pair_batch(ug: UnifiedGraph, population: np.ndarray, count: int,

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.diffusion import (_BATCH, _RANK_SEEN_BYTES, _forward_levels,
-                            _slices)
+from imin.diffusion import _BATCH, _RANK_SEEN_BYTES, _forward_levels
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.sampling import _sequence_entries
 
@@ -313,6 +312,15 @@ def reference_positive_reach(ug, blocked=None, live=None):
 # searches in `imin.diffusion` must yield the same arrays and draw the
 # same coins.
 
+def reference_slices(lo, hi):
+    """`diffusion._slices` as one step: (idx, owner) of the index ranges
+    [lo[i], hi[i]) concatenated in order."""
+    lens = hi - lo
+    owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    shift = lo - np.cumsum(lens) + lens
+    return np.arange(len(owner), dtype=np.int64) + shift[owner], owner
+
+
 def reference_advance(seen, key):
     """`diffusion._advance` by boolean masks."""
     key = np.sort(key[~seen[key]])
@@ -331,7 +339,7 @@ def reference_forward_levels(g, blocked, batch, rng, live=None):
     node = np.full(batch, g.s, dtype=np.int64)
     seen[node * batch + trial] = True
     while len(node):
-        eids, owner = _slices(g.out_ptr[node], g.out_ptr[node + 1])
+        eids, owner = reference_slices(g.out_ptr[node], g.out_ptr[node + 1])
         dst = g.out_dst[eids]
         keep = ((rng.random(len(eids)) < g.out_p[eids]) if live is None
                 else live[eids]) & ~blocked[dst]
@@ -350,7 +358,7 @@ def reference_reverse_live_edges(g, targets, rng):
     seen[node * batch + trial] = True
     parts = []
     while len(node):
-        offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
+        offs, owner = reference_slices(g.in_ptr[node], g.in_ptr[node + 1])
         live = rng.random(len(offs)) < g.out_p[g.in_eid[offs]]
         live &= ~g.blocked[node[owner]]
         owner, src = owner[live], g.in_src[offs[live]]
@@ -374,7 +382,7 @@ def reference_reverse_reach_counts(g, samples, rng):
         seen[node * batch + trial] = True
         while len(node):
             np.add.at(counts, node, 1)
-            offs, owner = _slices(g.in_ptr[node], g.in_ptr[node + 1])
+            offs, owner = reference_slices(g.in_ptr[node], g.in_ptr[node + 1])
             live = rng.random(len(offs)) < g.in_p[offs]
             key = g.in_src[offs[live]] * batch + trial[owner[live]]
             node, trial = np.divmod(reference_advance(seen, key), batch)

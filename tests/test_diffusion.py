@@ -1,24 +1,26 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imin import fixtures
+from imin import diffusion, fixtures
 from imin.diffusion import (_BATCH, _RANK_SEEN_BYTES, _forward_levels,
-                            ic_spread_samples, reverse_live_edges,
+                            _slices, ic_spread_samples, reverse_live_edges,
                             reverse_reach_counts, sample_realization,
                             spread_samples, stopping_rule_spread,
                             stopping_rule_spreads)
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel
-from imin.sampling import compute_population
+from imin.sampling import _cp_batch, _pair_batch, compute_population
 
 from conftest import (make_rng, random_flowgraph, reference_forward_levels,
                       reference_reverse_live_edges,
-                      reference_reverse_reach_counts, tiny_with_dead_edges)
+                      reference_reverse_reach_counts, reference_slices,
+                      tiny_with_dead_edges)
 
 
 def simulate_ic(g, blockers=None, rng=None):
@@ -417,6 +419,92 @@ class TestLevelStepMatchesReference:
             [[reverse_reach_counts(g, samples, got)]],
             [[reference_reverse_reach_counts(g, samples, want)]])
         assert got.bit_generator.state == want.bit_generator.state
+
+
+class TestBoundedSteps:
+    """A level whose examined CSR entries exceed `_EDGE_BUDGET` is
+    examined in steps, and yields, returns and draws what one step
+    would."""
+
+    TRIALS = 50
+
+    @classmethod
+    def outputs(cls, ug, rng):
+        """The arrays every lazy-coin search returns or yields on `ug`,
+        one after another, and the generator's state after them."""
+        a, b, c = (int(v) for v in ug.seed_out_neighbors()[:3])
+        # one set, a nested pair, then three sets that do not nest
+        out = [spread_samples(ug, sets, cls.TRIALS, rng)
+               for sets in ([None], [None, [a, b]], [None, [a], [b, c]])]
+        population = np.asarray(compute_population(ug))
+        for targets, lrr, chains in _pair_batch(ug, population, cls.TRIALS,
+                                                rng):
+            out += [targets, *lrr, *chains]
+        for entries in _cp_batch(ug, cls.TRIALS, rng):
+            out += list(entries)
+        out.append(reverse_reach_counts(ug.base, cls.TRIALS, rng))
+        masks = np.stack([ug.blocked_with(s) for s in ([a], [b], [a, c])])
+        out += [*ug.positive_reach(masks), ug.positive_reach()]
+        # one trial: the seeds' level is their out-edges alone
+        for level in _forward_levels(ug, ug.blocked, 1, rng):
+            out += list(level)
+        return out, rng.bit_generator.state
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_steps_split_the_ranges_in_order(self, monkeypatch, budget):
+        monkeypatch.setattr(diffusion, "_EDGE_BUDGET", budget)
+        rng = make_rng(budget)
+        for _ in range(200):
+            lo = rng.integers(0, 50, size=int(rng.integers(0, 12)))
+            hi = lo + rng.integers(0, 2 * budget + 2, size=len(lo))
+            steps = list(_slices(lo, hi))
+            total = int((hi - lo).sum())
+            assert len(steps) == max(1, -(-total // budget))
+            assert all(len(idx) <= budget for idx, _ in steps)
+            assert_same_arrays(
+                [tuple(np.concatenate(a) for a in zip(*steps))],
+                [reference_slices(lo, hi)])
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_same_bytes_as_one_step(self, monkeypatch, budget):
+        ug = fixtures.mid_synthetic(make_rng(0), 30, 150, 2)
+        # some node's out-edges, and some node's in-edges, span steps
+        assert np.diff(ug.out_ptr).max() > 7
+        assert np.diff(ug.base.in_ptr).max() > 7
+        want, want_state = self.outputs(ug, make_rng(1))
+        monkeypatch.setattr(diffusion, "_EDGE_BUDGET", budget)
+        got, got_state = self.outputs(ug, make_rng(1))
+        assert_same_arrays([got], [want])
+        assert got_state == want_state
+
+
+def traced_peak(fn):
+    """Peak bytes that `fn()` allocates, by tracemalloc: unlike a timing,
+    the same on every run."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_forward_batch(self):
+        # the batch's `seen` bitmap is 2 MB.  Examining each level whole
+        # peaked at 16-17 MB; bounded steps peak near 8 MB
+        ug = fixtures.mid_synthetic(make_rng(1), 2000, 8000, 20)
+        blockers = ug.seed_out_neighbors()[:10]
+        assert traced_peak(lambda: spread_samples(
+            ug, [None, blockers], _BATCH, make_rng(2))) < 12e6
+
+    def test_reverse_reach_counts_holds_one_bitmap(self):
+        # three batches; each batch's bitmap is freed before the next
+        g = fixtures.mid_synthetic(make_rng(2), 2000, 8000, 20).base
+        size = max(_BATCH, _RANK_SEEN_BYTES // g.n)
+        peak = traced_peak(lambda: reverse_reach_counts(
+            g, 2 * size + 5, make_rng(3)))
+        assert peak < 1.5 * g.n * size
 
 
 class TestSharedRealizations:

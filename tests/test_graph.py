@@ -255,3 +255,19 @@ class TestPositiveReach:
                 assert np.array_equal(
                     ug.positive_reach(blocked, live=mask),
                     reference_positive_reach(ug, blocked, live=mask)), seed
+
+    def test_mask_stack_gives_each_mask_row(self):
+        """One search for a stack of masks, nested or not."""
+        for seed in range(40):
+            ug = random_flowgraph(seed)
+            rng = make_rng(seed)
+            masks = (rng.random((3, ug.n_total)) < 0.3) | ug.blocked
+            masks[:, ug.s] = False
+            live = rng.random(ug.m_total) < 0.6
+            for stack in (masks, np.stack([masks[0], masks[0] | masks[1]])):
+                for mask in (None, live):
+                    rows = ug.positive_reach(stack, live=mask)
+                    assert rows.shape == stack.shape and rows.dtype == bool
+                    for row, blocked in zip(rows, stack):
+                        assert np.array_equal(row, reference_positive_reach(
+                            ug, blocked, live=mask)), seed
