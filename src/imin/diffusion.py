@@ -16,14 +16,20 @@ its live edges and newly reached nodes level by level:
 them, and `ic_spread_samples` keeps only how many nodes each cascade
 activates.  It also takes an eager realization's live-edge mask in place
 of coins, so the tests' reference runs the same search.
-`reverse_live_edges` searches backwards from targets, and
-`reverse_reach_counts` runs the same reverse search on a plain graph and
-keeps only how often each node is found, which scores every node's
-singleton influence at once.  All batched searches expand their
-frontier through one CSR-slice helper, and each step compresses its
-examined edges once, by index: coins are compared with every examined
-edge's probability, and only the live edges' owners and heads are
-gathered and tested against the blocked mask.
+`reverse_live_edges` searches backwards from targets, for the trials of
+one or several segments, each drawing its coins from its own Generator as
+a search of its own would, and `reverse_reach_counts` runs the same
+reverse search on a plain graph and keeps only how often each node is
+found, which scores every node's singleton influence at once.
+`reverse_reach_counts` sizes its batches, and
+`sampling.stream_collections` its shared pair searches, by one budget for
+a reverse search's `n_total * trials` `seen` bitmap, `_SEEN_BYTES`.  All
+batched searches expand their frontier through one CSR-slice helper, and
+each step compresses its examined edges once, by index: coins are
+compared with every examined edge's probability, and only the live
+edges' owners and heads are gathered and tested against the blocked mask
+(the reverse search tests an edge's head with its coin, and only when
+some node is blocked).
 
 Each lazy-coin search examines a level in steps of at most `_EDGE_BUDGET`
 CSR entries, split by the slice helper's own prefix sum (a level within
@@ -91,10 +97,12 @@ from .graph import Graph, UnifiedGraph
 # not depend on caller-visible knobs.
 _BATCH = 1024
 
-# Bytes of one `reverse_reach_counts` batch's `seen` bitmap (one per node
-# and set): larger batches cost less per set, but a 4 MB bitmap added 4-6 MB
-# of peak RSS to a cold `imin run`.
-_RANK_SEEN_BYTES = 1 << 20
+# Bytes of the `seen` bitmap (one per node and trial) that a reverse search
+# may grow to: `reverse_reach_counts` sizes its batches by it, and pair
+# streams share a search only while theirs fits.  Larger searches cost less
+# per trial, but a 4 MB bitmap added 4-6 MB of peak RSS to a cold
+# `imin run`.
+_SEEN_BYTES = 1 << 20
 
 # Most CSR entries one step of a lazy-coin search's level examines: 2^14
 # int64s are 128 KiB, glibc's default mmap threshold (see the module
@@ -420,37 +428,58 @@ def _forward_levels(g, blocked, batch, rng, live=None):
             yield _joined(owners), _joined(dsts), node, trial, bits
 
 
-def reverse_live_edges(g: UnifiedGraph, targets: np.ndarray,
-                       rng: np.random.Generator):
-    """Live in-edges of the nodes that reach `targets[t]` without passing
-    through a seed or the source, one independent realization per trial t.
+def reverse_live_edges(g: UnifiedGraph, segments):
+    """Live in-edges of the nodes that reach trial t's target without
+    passing through a seed or the source, one independent realization per
+    trial t: one trial per target of each segment (targets, rng) of
+    `segments`, numbered segment after segment.
 
     The search starts at each target and never enters a seed or the
     source.  Each edge's coin is drawn when its target node is first found,
     so it is drawn at most once per realization; edges into blocked nodes
-    are never live.  Returns (trial, src, dst) of every live in-edge of a
+    are never live.  A segment's coins come from its own `rng`, level by
+    level, in the order a search of that segment alone draws them: a
+    frontier sorted node-major holds each segment's pairs in the order its
+    own search would, so each segment's edges, coins and Generator state are
+    that search's.  Returns (trial, src, dst) of every live in-edge of a
     found node; an edge whose `src` is a seed marks where the seeds feed
     the found nodes.
     """
-    batch = len(targets)
+    rngs = [rng for _, rng in segments]
+    node = np.concatenate([targets for targets, _ in segments]).astype(
+        np.int64, copy=False)
+    batch = len(node)
+    segment = np.repeat(np.arange(len(rngs)), [len(t) for t, _ in segments])
+    blocked = g.blocked if g.blocked.any() else None
     seen = np.zeros(g.n_total * batch, dtype=bool)
+    seen.reshape(g.n_total, batch)[g.uncounted] = True    # never entered
     trial = np.arange(batch, dtype=np.int64)
-    node = np.asarray(targets, dtype=np.int64)
     seen[node * batch + trial] = True
     parts = []
     while len(node):
         keys = []
         for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
-            hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
-            owner, offs = owner[hit], offs[hit]
-            hit = np.flatnonzero(~g.blocked[node[owner]])
+            live = (rngs[0].random(len(offs)) if len(rngs) == 1 else
+                    _segment_coins(rngs, segment[trial[owner]])) < g.in_p[offs]
+            if blocked is not None:
+                live &= ~blocked[node[owner]]
+            hit = np.flatnonzero(live)
             owner, src = owner[hit], g.in_src[offs[hit]]
             t = trial[owner]
             parts.append((t, src, node[owner]))
-            inner = ~g.uncounted[src]
-            keys.append(src[inner] * batch + t[inner])
+            keys.append(src * batch + t)
         node, trial = np.divmod(_advance(seen, _joined(keys)), batch)
     return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _segment_coins(rngs, segment):
+    """One uniform coin per entry of `segment`, entry i's from
+    `rngs[segment[i]]`, each Generator's drawn in entry order."""
+    coins = np.empty(len(segment))
+    for i, rng in enumerate(rngs):
+        at = segment == i
+        coins[at] = rng.random(np.count_nonzero(at))
+    return coins
 
 
 def reverse_reach_counts(g: Graph, samples: int,
@@ -462,13 +491,13 @@ def reverse_reach_counts(g: Graph, samples: int,
     edges, target included, so n * count[v] / samples estimates the
     expected spread of the seed set {v}, v itself counted (Borgs et al.,
     SODA 2014).  Sets are searched with lazy coins, as in
-    `reverse_live_edges`, in batches of `max(_BATCH, _RANK_SEEN_BYTES // n)`,
-    so each batch's `seen` bitmap stays near `_RANK_SEEN_BYTES`, and one
+    `reverse_live_edges`, in batches of `max(_BATCH, _SEEN_BYTES // n)`,
+    so each batch's `seen` bitmap stays near `_SEEN_BYTES`, and one
     batch's bitmap is freed before the next is allocated.  Each level adds
     its nodes to the per-node count; the sets are not kept.
     """
     counts = np.zeros(g.n, dtype=np.int64)
-    size = max(_BATCH, _RANK_SEEN_BYTES // g.n)
+    size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
         batch = min(size, samples - done)
         seen = np.zeros(g.n * batch, dtype=bool)

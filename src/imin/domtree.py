@@ -167,6 +167,7 @@ def dominators(levels, root, batch) -> BatchDominators:
         up.append(up[-1][up[-1]])
     active = np.ones(len(joins), dtype=bool)
     sweeps = 0
+    level_ends = np.array([hi for _, hi in spans], dtype=np.int64)
     while active.any():
         sweeps += 1
         pair = np.repeat(active, preds)
@@ -175,12 +176,16 @@ def dominators(levels, root, batch) -> BatchDominators:
             _heads(jd[pair]))
         moved = new != idom[joins[active]]
         moved, new = joins[active][moved], new[moved]
+        if not len(moved):
+            break
         idom[moved] = new
-        # Only the nodes below a moved node get new ancestors and depths,
-        # and a join can move again only if it or a predecessor is one.
+        # Only the nodes below a moved node, all numbered after it, get new
+        # ancestors and depths, and a join can move again only if it or a
+        # predecessor is one.
         below = np.zeros(n, dtype=bool)
         below[moved] = True
-        for lo, hi in spans:
+        top = int(moved.min())
+        for lo, hi in spans[np.searchsorted(level_ends, top, side="right"):]:
             parent = idom[lo:hi]
             below[lo:hi] |= below[parent]
             depth[lo:hi] = depth[parent] + 1

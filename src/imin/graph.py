@@ -15,6 +15,7 @@ adjacency arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -322,6 +323,28 @@ class UnifiedGraph:
             lo, hi = self.base.out_ptr[u], self.base.out_ptr[u + 1]
             targets.update(int(v) for v in self.base.out_dst[lo:hi])
         return sorted(v for v in targets - self.seeds if not self.blocked[v])
+
+    @cached_property
+    def seed_activation(self):
+        """(nodes, probs): `seed_out_neighbors()` as an array, and the
+        probability that the seed layer activates each node directly, one
+        minus the product of its seed in-edges' misses.  Computed once per
+        graph; each product runs in edge order, as a loop over the edges
+        would multiply, so the floats are that loop's."""
+        base = self.base
+        nodes = np.asarray(self.seed_out_neighbors(), dtype=np.int64)
+        lo, hi = base.in_ptr[nodes], base.in_ptr[nodes + 1]
+        owner = np.repeat(np.arange(len(nodes)), hi - lo)
+        offs = np.arange(len(owner)) + (lo - np.cumsum(hi - lo) + hi - lo)[
+            owner]
+        keep = self.seed_mask[base.in_src[offs]]
+        owner, offs = owner[keep], offs[keep]
+        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        miss = np.ones(len(nodes))
+        for step in range(int(rank.max(initial=-1)) + 1):
+            at = rank == step       # each node's seed in-edge number `step`
+            miss[owner[at]] *= 1.0 - base.in_p[offs[at]]
+        return nodes, 1.0 - miss
 
     def candidates(self) -> np.ndarray:
         """Mask of the nodes a blocker may be chosen from: base nodes that

@@ -33,7 +33,8 @@ from .diffusion import _BATCH
 # Not called here; perfbench's span table resolves this name.
 from .diffusion import stopping_rule_spread  # noqa: F401
 from .graph import BlockerSet, UnifiedGraph
-from .sampling import ChainCollection, LRRCollection, coverage, pair_streams
+from .sampling import (ChainCollection, LRRCollection, coverage, pair_streams,
+                       stream_collections)
 
 E_FRACTION = 1.0 - 1.0 / math.e
 
@@ -192,28 +193,16 @@ def cov_upper_opt(trace: GreedyTrace) -> float:
 
 def direct_activation_prob(g: UnifiedGraph, v: int) -> float:
     """One-hop probability that the seed layer activates v directly."""
-    base = g.base
-    lo, hi = base.in_ptr[v], base.in_ptr[v + 1]
-    miss = 1.0
-    found = False
-    for off in range(lo, hi):
-        if int(base.in_src[off]) in g.seeds:
-            found = True
-            miss *= 1.0 - base.in_p[off]
-    if not found:
+    nodes, probs = g.seed_activation
+    at = int(np.searchsorted(nodes, v))
+    if at == len(nodes) or nodes[at] != v:
         raise ValueError(f"node {v} is not an out-neighbor of the seed set")
-    return 1.0 - miss
-
-
-def seed_neighbor_probs(g: UnifiedGraph):
-    """(node, one-hop activation probability) for every seed out-neighbor."""
-    return [(v, direct_activation_prob(g, v)) for v in g.seed_out_neighbors()]
+    return float(probs[at])
 
 
 def opt_lower_bound(g: UnifiedGraph, k: int) -> float:
     """Sum of the k largest one-hop seed-activation probabilities."""
-    probs = sorted((p for _, p in seed_neighbor_probs(g)), reverse=True)
-    return float(sum(probs[:k]))
+    return float(sum(np.sort(g.seed_activation[1])[::-1][:k].tolist()))
 
 
 def _log_binom(a: int, b: int) -> float:
@@ -295,8 +284,7 @@ def _certified_maximize(side, g, params, rng, collection, tail,
             sched.samples_initial * 2 ** (round_no - 1) / _BATCH)
         if count == before and not last:
             continue        # the same pairs as the round before
-        primary, validation = (s.collection(collection, count)
-                               for s in streams)
+        primary, validation = stream_collections(streams, collection, count)
         blockers, trace = max_coverage(primary, k)
         covered = coverage(validation, blockers)
         sigma_low = max(0.0, _sigma_lower_term(

@@ -10,14 +10,27 @@ target's *dominator chain*, the non-seed nodes on every live
 source-to-target path.  An unreached target gives an empty sample, which
 stays in the collection as denominator weight.
 
-Both come from one reverse search per batch (`_pair_batch`): it records
-the live in-edges of each target's non-seed ancestors, stopping at the
-seeds (`reverse_live_edges`), then searches forward from the nodes the
-seeds feed inside what it found (`_reverse_reach`); the pairs it reaches
-are the LRR set.  Every live source-to-member path runs through members,
-so `domtree.dominators` on that search gives the realization's
-dominators; the chain is the target's path to the root.  A `PairStream`
-keeps both samples of every pair: both bounds can read the same pairs.
+Both come from one reverse search (`_pair_search`): it records the live
+in-edges of each target's non-seed ancestors, stopping at the seeds
+(`reverse_live_edges`), then searches forward from the nodes the seeds
+feed inside what it found (`_reverse_reach`); the pairs it reaches are the
+LRR set.  Every live source-to-member path runs through members, so
+`domtree.dominators` on that search gives the realization's dominators;
+the chain is the target's path to the root.  A `PairStream` keeps both
+samples of every pair: both bounds can read the same pairs.
+
+One search may serve several streams, one segment of pairs each: every
+segment draws its targets and coins from its own stream's Generator in
+the order a search of its own would, and a pair's samples depend on its
+realization only, so sharing changes no byte of any stream.  A small
+search pays a fixed cost per level, so `stream_collections` draws batch
+j of every stream (a maximizer's primary and validation pairs) in one
+search while the search's `seen` bitmap, one byte per node and pair,
+fits `diffusion._SEEN_BYTES`.  On `fixtures.mid_synthetic(300, 1200,
+10)` one search of two 1024-pair segments took about 13 ms, against
+about 9 ms for a 1024-pair search alone (2-core x86 VM).  Larger graphs
+search each batch alone, so peak memory does not grow with the number of
+streams.
 
 The paper's "local sampling" draws the lower bound forward, as the
 reference kept here: a *common-path sequence* holds one entry per reached
@@ -31,8 +44,8 @@ entries alike.
 Both generators (`_pair_batch`, `_cp_batch`) split any count into
 batches of up to `_BATCH` realizations, each one vectorized search drawing
 an edge's coin only when the search reaches it: a sample costs what its
-search reaches, not the size of the graph.  Each logs one DEBUG line per
-batch.  Every collection keeps its samples as member sets in whole-batch
+search reaches, not the size of the graph.  Each search logs one DEBUG
+line.  Every collection keeps its samples as member sets in whole-batch
 chunks, and one coverage state works on the chunks concatenated once
 (`_freeze`), with no inverted index: a node's memberships are found by
 one comparison over the flat arrays, and every node's marginal gain by
@@ -47,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (_BATCH, _advance, _forward_levels, _joined,
-                        _slices, reverse_live_edges)
+from .diffusion import (_BATCH, _SEEN_BYTES, _advance, _forward_levels,
+                        _joined, _slices, reverse_live_edges)
 from .domtree import dominators
 from .graph import UnifiedGraph, as_blockers
 
@@ -158,34 +171,61 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
         yield (_joined(owners), heads // count, *np.divmod(frontier, count))
 
 
+def _pair_search(ug: UnifiedGraph, population: np.ndarray, draws):
+    """The (realization, target) pairs of one reverse search over
+    segments, one per (count, rng) of `draws`: one (targets, LRR sets,
+    chains) tuple per segment, the sets and the chains each as (nodes,
+    sizes), pair after pair, target first and empty when the target is not
+    reached.
+
+    Each segment draws its targets first, uniformly from `population`, and
+    then its coins (`reverse_live_edges`), from its own Generator in the
+    order a search of its pairs alone would.  One member search and one
+    dominator routine then run over every segment's pairs, and each chain
+    walks up the immediate dominators.  A pair's samples depend on its own
+    realization only, so every segment gets the output, and leaves its
+    Generator in the state, of a search of its own.
+    """
+    targets = [population[rng.integers(0, len(population), size=count)]
+               for count, rng in draws]
+    batch = sum(len(t) for t in targets)
+    tree = dominators(_reverse_reach(ug, batch, *reverse_live_edges(
+        ug, [(t, rng) for t, (_, rng) in zip(targets, draws)])), ug.s, batch)
+    node, trial = np.divmod(tree.key, batch)
+    mine = node == np.concatenate(targets)[trial]
+    # the member pairs are every number but the roots (below `batch`), each
+    # (node, trial) once: sorted by trial, then target first, then node
+    members = np.sort((trial[batch:] * 2 + ~mine[batch:]) * ug.n_total
+                      + node[batch:]) % ug.n_total
+    reached = np.flatnonzero(mine)
+    chain, _ = _chains(tree.idom, ~ug.uncounted[node],
+                       reached[np.argsort(trial[reached])])
+    log.debug("pair search: %d samples in %d segments, %d members, %d chain "
+              "nodes, %d join nodes, %d sweeps", batch, len(draws),
+              len(members), len(chain), tree.joins, tree.sweeps)
+    ends = np.cumsum([0] + [len(t) for t in targets])
+    return list(zip(targets, *(
+        _segments(nodes, np.bincount(trials, minlength=batch), ends)
+        for nodes, trials in ((members, trial[batch:]),
+                              (node[chain], trial[chain])))))
+
+
+def _segments(nodes, sizes, ends):
+    """(nodes, sizes) of sets, set after set, cut into the sets
+    ends[i]:ends[i + 1], one part per i."""
+    cuts = np.concatenate([[0], np.cumsum(sizes)])[ends].tolist()
+    ends = ends.tolist()
+    return [(nodes[cuts[i]:cuts[i + 1]], sizes[ends[i]:ends[i + 1]])
+            for i in range(len(ends) - 1)]
+
+
 def _pair_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
                 rng: np.random.Generator):
-    """`count` (realization, target) pairs, one reverse search per
-    `_BATCH`: one (targets, LRR sets, chains) tuple per batch, the sets
-    and the chains each as (nodes, sizes), pair after pair, target first
-    and empty when the target is not reached.  A batch's targets are drawn
-    first, uniformly from `population`; each chain walks up the immediate
-    dominators of the member search.
-    """
+    """`count` (realization, target) pairs of one stream, one
+    `_pair_search` of one segment per `_BATCH`."""
     for done in range(0, count, _BATCH):
-        batch = min(_BATCH, count - done)
-        targets = population[rng.integers(0, len(population), size=batch)]
-        tree = dominators(_reverse_reach(
-            ug, batch, *reverse_live_edges(ug, targets, rng)), ug.s, batch)
-        node, trial = np.divmod(tree.key, batch)
-        mine = node == targets[trial]
-        # the member pairs are every number but the roots (below `batch`)
-        order = batch + np.lexsort((node[batch:], ~mine[batch:],
-                                    trial[batch:]))
-        lrr = node[order], np.bincount(trial[batch:], minlength=batch)
-        reached = np.flatnonzero(mine)
-        chain, _ = _chains(tree.idom, ~ug.uncounted[node],
-                           reached[np.argsort(trial[reached])])
-        log.debug("pair batch: %d samples, %d members, %d chain nodes, "
-                  "%d join nodes, %d sweeps", batch, len(order), len(chain),
-                  tree.joins, tree.sweeps)
-        yield targets, lrr, (node[chain], np.bincount(
-            trial[chain], minlength=batch))
+        yield from _pair_search(ug, population,
+                                [(min(_BATCH, count - done), rng)])
 
 
 class _SetChunks:
@@ -314,22 +354,25 @@ class ChainCollection(LRRCollection):
 
 
 class PairStream:
-    """(realization, target) pairs drawn on demand in whole `_BATCH`
-    batches, each kept as both its LRR set and its chain.  Pairs are only
-    ever appended, so the first `count` never change."""
+    """(realization, target) pairs of one Generator, drawn on demand in
+    whole `_BATCH` batches, each kept as both its LRR set and its chain.
+    Pairs are only ever appended, so the first `count` never change.
+    `searches` lists the pairs of each reverse search that drew a batch,
+    one list shared by the streams of one `pair_streams` call."""
 
-    def __init__(self, ug: UnifiedGraph, population, rng):
+    def __init__(self, ug: UnifiedGraph, population, rng, searches=None):
         self.ug, self.population, self.rng = ug, population, rng
+        self.searches = [] if searches is None else searches
         self.n_pairs = 0
+        self._pop_arr = np.asarray(population, dtype=np.int64)
         self._batches = []
 
     def collection(self, kind, count: int):
         """The first `count` pairs as a `kind` (`LRRCollection` or
-        `ChainCollection`), drawing whole batches as needed."""
-        self._batches += _pair_batch(
-            self.ug, np.asarray(self.population, dtype=np.int64),
-            _BATCH * -((self.n_pairs - count) // _BATCH), self.rng)
-        self.n_pairs = sum(len(batch[0]) for batch in self._batches)
+        `ChainCollection`), drawing whole batches alone as needed."""
+        return stream_collections([self], kind, count)[0]
+
+    def _read(self, kind, count):
         coll = kind(self.ug, None, self.population)
         for batch in self._batches[:-(-count // _BATCH)]:
             nodes, sizes = batch[kind._part]
@@ -338,10 +381,33 @@ class PairStream:
         return coll
 
 
+def stream_collections(streams, kind, count: int):
+    """The first `count` pairs of each of `streams` (of one `pair_streams`
+    call) as a `kind`, drawing the whole batches each lacks.
+
+    The streams short of `count` draw their next batches together, one
+    segment each in one `_pair_search`, while its `seen` bitmap, one byte
+    per node and pair, fits `_SEEN_BYTES`; else in as many searches as
+    keep it within that budget, a batch alone when even two do not fit.
+    """
+    ug = streams[0].ug
+    share = max(1, _SEEN_BYTES // (ug.n_total * _BATCH))
+    while short := [s for s in streams if s.n_pairs < count]:
+        for lo in range(0, len(short), share):
+            group = short[lo:lo + share]
+            for stream, batch in zip(group, _pair_search(
+                    ug, group[0]._pop_arr, [(_BATCH, s.rng) for s in group])):
+                stream._batches.append(batch)
+                stream.n_pairs += _BATCH
+            group[0].searches.append(_BATCH * len(group))
+    return [stream._read(kind, count) for stream in streams]
+
+
 def pair_streams(ug: UnifiedGraph, rng: np.random.Generator):
     """A primary and a validation `PairStream`, spawned from `rng`."""
-    population = compute_population(ug)
-    return tuple(PairStream(ug, population, r) for r in rng.spawn(2))
+    population, searches = compute_population(ug), []
+    return tuple(PairStream(ug, population, r, searches)
+                 for r in rng.spawn(2))
 
 
 class _LRRState:

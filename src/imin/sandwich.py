@@ -32,8 +32,7 @@ from .diffusion import SpreadEstimate, stopping_rule_spreads
 # Not called here; perfbench's span table resolves this name.
 from .diffusion import stopping_rule_spread  # noqa: F401
 from .graph import BlockerSet, UnifiedGraph
-from .optimize import (AlgoParams, E_FRACTION, gsbm, lsbm,
-                       seed_neighbor_probs)
+from .optimize import AlgoParams, E_FRACTION, gsbm, lsbm
 from .sampling import pair_streams
 
 log = logging.getLogger(__name__)
@@ -42,12 +41,11 @@ log = logging.getLogger(__name__)
 def lhga(g: UnifiedGraph, k: int) -> BlockerSet:
     """Heuristic blockers: seed out-neighbors scored by one-hop activation
     probability times base out-degree (ties: lowest id)."""
-    scored = seed_neighbor_probs(g)
-    if k >= len(scored):
-        return BlockerSet(v for v, _ in scored)
-    outdeg = g.base.out_degree()
-    ranked = sorted(scored, key=lambda vp: (-vp[1] * outdeg[vp[0]], vp[0]))
-    return BlockerSet(v for v, _ in ranked[:k])
+    nodes, probs = g.seed_activation
+    if k < len(nodes):
+        score = probs * g.base.out_degree()[nodes]
+        nodes = nodes[np.lexsort((nodes, -score))[:k]]
+    return BlockerSet(nodes.tolist())
 
 
 @dataclass
@@ -65,6 +63,8 @@ class SandwichResult:
     empirical_ratio: float       # None when b_upper is absent
     certificates: dict = field(default_factory=dict, repr=False)
     timings: dict = field(default_factory=dict, repr=False)
+    # pairs each shared stream drew, and the reverse searches that drew them
+    pair_streams: dict = field(default_factory=dict, repr=False)
 
     def candidate(self, name):
         return {"lower": self.b_lower, "upper": self.b_upper,
@@ -95,6 +95,7 @@ class SandwichResult:
             "certificates": {name: cert.as_dict()
                              for name, cert in self.certificates.items()},
             "timings_s": self.timings,
+            "pair_streams": self.pair_streams,
         }
 
 
@@ -160,7 +161,10 @@ def _combine(g, params, rng, with_upper):
         base_estimate=base, residual_estimates=residuals,
         chosen_name=chosen_name, chosen=sets[chosen_name],
         decrease_estimate=decrease, empirical_ratio=None,
-        certificates=certificates, timings=timings)
+        certificates=certificates, timings=timings,
+        pair_streams={"primary": streams[0].n_pairs,
+                      "validation": streams[1].n_pairs,
+                      "searches": len(streams[0].searches)})
 
     if with_upper:
         t0 = time.perf_counter()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.diffusion import _BATCH, _RANK_SEEN_BYTES, _forward_levels
+from imin.diffusion import _BATCH, _SEEN_BYTES, _forward_levels
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.sampling import _sequence_entries
 
@@ -373,7 +373,7 @@ def reference_reverse_live_edges(g, targets, rng):
 def reference_reverse_reach_counts(g, samples, rng):
     """`diffusion.reverse_reach_counts` by boolean masks."""
     counts = np.zeros(g.n, dtype=np.int64)
-    size = max(_BATCH, _RANK_SEEN_BYTES // g.n)
+    size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
         batch = min(size, samples - done)
         seen = np.zeros(g.n * batch, dtype=bool)

@@ -99,9 +99,9 @@ class TestRun:
     SANDWICH_KEYS = [
         "algo", "base_spread_estimate", "blockers", "candidates",
         "certificates", "chosen", "dataset", "decrease_estimate",
-        "decrease_estimates", "decrease_mc", "empirical_ratio", "repeat",
-        "residual_estimates", "runtime_s", "samples", "seed_rank",
-        "spread_samples", "timings_s"]
+        "decrease_estimates", "decrease_mc", "empirical_ratio",
+        "pair_streams", "repeat", "residual_estimates", "runtime_s",
+        "samples", "seed_rank", "spread_samples", "timings_s"]
 
     @pytest.mark.parametrize("algo, keys", [
         ("sandimin", SANDWICH_KEYS),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imin import diffusion, fixtures
-from imin.diffusion import (_BATCH, _RANK_SEEN_BYTES, _forward_levels,
+from imin.diffusion import (_BATCH, _SEEN_BYTES, _forward_levels,
                             _slices, ic_spread_samples, reverse_live_edges,
                             reverse_reach_counts, sample_realization,
                             spread_samples, stopping_rule_spread,
@@ -394,7 +394,7 @@ class TestLevelStepMatchesReference:
             return
         targets = make_rng(seed + 1).choice(population, size=batch)
         got, want = make_rng(seed), make_rng(seed)
-        assert_same_arrays([reverse_live_edges(ug, targets, got)],
+        assert_same_arrays([reverse_live_edges(ug, [(targets, got)])],
                            [reference_reverse_live_edges(ug, targets, want)])
         assert got.bit_generator.state == want.bit_generator.state
 
@@ -413,7 +413,7 @@ class TestLevelStepMatchesReference:
         # batches of 2621 sets at n=400 (the bitmap budget) and of _BATCH
         # at n=1500; each count ends in a short batch
         g = fixtures.mid_synthetic(make_rng(n), n, 4 * n, 5).base
-        samples = 2 * max(_BATCH, _RANK_SEEN_BYTES // n) + 5
+        samples = 2 * max(_BATCH, _SEEN_BYTES // n) + 5
         got, want = make_rng(1), make_rng(1)
         assert_same_arrays(
             [[reverse_reach_counts(g, samples, got)]],
@@ -501,7 +501,7 @@ class TestPeakMemory:
     def test_reverse_reach_counts_holds_one_bitmap(self):
         # three batches; each batch's bitmap is freed before the next
         g = fixtures.mid_synthetic(make_rng(2), 2000, 8000, 20).base
-        size = max(_BATCH, _RANK_SEEN_BYTES // g.n)
+        size = max(_BATCH, _SEEN_BYTES // g.n)
         peak = traced_peak(lambda: reverse_reach_counts(
             g, 2 * size + 5, make_rng(3)))
         assert peak < 1.5 * g.n * size

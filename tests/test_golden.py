@@ -76,7 +76,8 @@ def _maximizer(fn, ug, params, rng):
 
 def _pipeline(fn, ug, params, rng):
     out = fn(ug, params, rng).as_dict()
-    del out["timings_s"]
+    # how long and in how many searches, not what: neither is pinned here
+    del out["timings_s"], out["pair_streams"]
     return out
 
 

@@ -153,6 +153,30 @@ class TestDirectActivation:
         with pytest.raises(ValueError, match="out-neighbor"):
             direct_activation_prob(ug, 2)
 
+    def test_matches_the_edge_loop_float_for_float(self):
+        # each product in edge order, as a loop over the in-edges takes it;
+        # graphs with many seeds give nodes several seed in-edges
+        graphs = [random_flowgraph(seed) for seed in range(60)] + [
+            fixtures.mid_synthetic(make_rng(seed), n, 4 * n, seeds)
+            for seed, (n, seeds) in enumerate([(300, 10), (100, 30)])]
+        for ug in graphs:
+            nodes, probs = ug.seed_activation
+            assert nodes.tolist() == ug.seed_out_neighbors()
+            base = ug.base
+            for v, p in zip(nodes.tolist(), probs.tolist()):
+                miss = 1.0
+                for off in range(base.in_ptr[v], base.in_ptr[v + 1]):
+                    if int(base.in_src[off]) in ug.seeds:
+                        miss *= 1.0 - base.in_p[off]
+                assert p == 1.0 - miss == direct_activation_prob(ug, v)
+
+    def test_blocked_neighbor_rejected(self):
+        ug = block_nodes(unify_seeds(
+            Graph.from_edges(3, [0, 0], [1, 2], [0.5, 0.5]), {0}), [1])
+        assert direct_activation_prob(ug, 2) == 0.5
+        with pytest.raises(ValueError, match="out-neighbor"):
+            direct_activation_prob(ug, 1)
+
 
 class TestOptLowerBound:
     def test_top_two(self):

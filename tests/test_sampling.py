@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from imin.graph import Graph, block_nodes, unify_seeds
 from imin.oracle import ExactModel
 from imin.diffusion import _BATCH, _forward_levels
 from imin import sampling
+from imin.optimize import AlgoParams
 from imin.sampling import (ChainCollection, CPCollection, CPSequence,
                            LRRCollection, PairStream, _cp_batch, _pair_batch,
-                           _sequence_entries, compute_population, coverage,
-                           pair_streams)
+                           _pair_search, _sequence_entries,
+                           compute_population, coverage, pair_streams,
+                           stream_collections)
+from imin.sandwich import sand_imin
 
 from conftest import (certain_edges, eager_entries, live_successors,
                       make_rng, random_flowgraph, realization_successors,
@@ -373,6 +377,122 @@ class TestPairStream:
             got = stream.collection(LRRCollection, _BATCH)
             assert all(np.array_equal(a, b)
                        for a, b in zip(got.sets(), want.sets()))
+
+
+def assert_same_pairs(got, want):
+    """Two lists of `_pair_search` tuples hold equal arrays."""
+    assert len(got) == len(want)
+    for (t_a, lrr_a, chain_a), (t_b, lrr_b, chain_b) in zip(got, want):
+        for a, b in ((t_a, t_b), *zip(lrr_a, lrr_b), *zip(chain_a, chain_b)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def pair_search_calls(monkeypatch):
+    """The segment count of every `_pair_search` call from now on."""
+    calls = []
+
+    def spy(ug, population, draws):
+        calls.append(len(draws))
+        return search(ug, population, draws)
+
+    search = sampling._pair_search
+    monkeypatch.setattr(sampling, "_pair_search", spy)
+    return calls
+
+
+class TestSharedPairSearch:
+    """One reverse search over several streams' segments gives each stream
+    the pairs, and leaves its Generator in the state, of a lone search."""
+
+    GRAPHS = [lambda seed: fixtures.random_tiny(make_rng(seed), 8, 12),
+              lambda seed: fixtures.mid_synthetic(make_rng(seed), 300, 1200,
+                                                  10)]
+
+    @pytest.mark.parametrize("graph", [0, 1])
+    @pytest.mark.parametrize("counts", [(_BATCH, _BATCH), (1, 7),
+                                        (700, _BATCH), (5, 3, 9)])
+    def test_segments_match_lone_batches(self, graph, counts):
+        for seed in range(3):
+            ug = self.GRAPHS[graph](seed)
+            pop = np.asarray(compute_population(ug))
+            if not len(pop):
+                continue
+            for population in (pop, pop[-1:]):     # one node, or all
+                got = [make_rng(10 * seed + i) for i in range(len(counts))]
+                want = [make_rng(10 * seed + i) for i in range(len(counts))]
+                shared = _pair_search(ug, population, list(zip(counts, got)))
+                lone = [batch for count, r in zip(counts, want)
+                        for batch in _pair_batch(ug, population, count, r)]
+                assert_same_pairs(shared, lone)
+                for a, b in zip(got, want):
+                    assert a.random() == b.random()
+
+    @pytest.mark.parametrize("graph", [0, 1])
+    def test_streams_match_lone_streams(self, graph):
+        # a shared draw, a count that is not a multiple of the batch, then
+        # one stream drawn alone, then the other catching up
+        for seed in range(3):
+            ug = self.GRAPHS[graph](seed)
+            if not compute_population(ug):
+                continue
+            streams = pair_streams(ug, make_rng(seed))
+            lone = [PairStream(ug, streams[0].population, r)
+                    for r in make_rng(seed).spawn(2)]
+            for draw, count in (([0, 1], 1500), ([0], 3 * _BATCH + 1),
+                                ([0, 1], 3 * _BATCH + 1)):
+                for kind in (LRRCollection, ChainCollection):
+                    got = stream_collections([streams[i] for i in draw],
+                                             kind, count)
+                    for coll, i in zip(got, draw):
+                        want = lone[i].collection(kind, count)
+                        assert coll.n_samples == want.n_samples == count
+                        for a, b in zip(coll._freeze(), want._freeze()):
+                            assert np.array_equal(a, b)
+            assert [s.n_pairs for s in streams] == [4 * _BATCH] * 2
+            for a, b in zip(streams, lone):
+                assert a.rng.random() == b.rng.random()
+
+    def test_one_search_per_round_on_mid(self, monkeypatch):
+        # n_total 301: both streams' batches share each search, and every
+        # checked round that needs more pairs draws one batch per stream
+        calls = pair_search_calls(monkeypatch)
+        for seed in (0, 3):
+            ug = fixtures.mid_synthetic(make_rng(seed), 300, 1200, 10)
+            calls.clear()
+            result = sand_imin(ug, AlgoParams(k=10), make_rng(seed + 10))
+            counts = {check.samples_primary
+                      for cert in result.certificates.values()
+                      for check in cert.checks}
+            assert calls == [2] * len(counts)
+            assert result.as_dict()["pair_streams"] == {
+                "primary": max(counts), "validation": max(counts),
+                "searches": len(calls)}
+
+    def test_one_search_per_batch_when_the_bitmap_is_large(self,
+                                                           monkeypatch):
+        # n_total 2001: two batches' bitmap would pass the budget
+        ug = fixtures.mid_synthetic(make_rng(0), 2000, 8000, 20)
+        calls = pair_search_calls(monkeypatch)
+        result = sand_imin(ug, AlgoParams(k=10), make_rng(10))
+        pairs = result.as_dict()["pair_streams"]
+        assert pairs["primary"] == pairs["validation"]
+        assert calls == [1] * (2 * pairs["primary"] // _BATCH)
+        assert pairs["searches"] == len(calls)
+
+    @pytest.mark.parametrize("n, m, seeds, bound_mb", [
+        (300, 1200, 10, 2.0),     # shared: 1.6 MB, against 0.8 MB lone
+        (2000, 8000, 20, 4.0),    # lone: 3.0 MB, against 5.7 MB shared
+    ])
+    def test_round_draw_peak_memory(self, n, m, seeds, bound_mb):
+        ug = fixtures.mid_synthetic(make_rng(1), n, m, seeds)
+        streams = pair_streams(ug, make_rng(2))
+        tracemalloc.start()
+        try:
+            stream_collections(streams, ChainCollection, _BATCH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
 
 class TestBatchEntries:
