@@ -2,9 +2,13 @@
 
 The adaptive estimator carries a (gamma, delta) contract: the returned
 value is within a (1 +/- gamma) factor of the truth with probability at
-least 1 - delta.  It stops by empirical-Bernstein stopping (Mnih,
-Szepesvari and Audibert, ICML 2008), so the cascades it spends grow with
-the variance of the spread it measures, in whole batches of 1024.
+least 1 - delta.  It stops on a betting confidence sequence (Waudby-Smith
+and Ramdas, JRSS-B 2023): bets on the cascades form test martingales at
+the true mean, so by Ville's inequality the interval where neither bet's
+capital reaches 2/delta holds the mean at every batch at once.  The
+cascades it spends grow with the variance of the spread it measures, in
+whole batches of 1024, and each estimate reports the interval it stopped
+on.
 """
 
 import numpy as np
@@ -26,7 +30,8 @@ def main():
     for gamma, delta in ((0.2, 0.1), (0.1, 0.05), (0.05, 0.01)):
         est = stopping_rule_spread(ug, None, gamma, delta, rng)
         print(f"adaptive gamma={gamma:<5} delta={delta:<5} -> "
-              f"{est.value:.4f} using {est.samples_used} cascades")
+              f"{est.value:.4f} in [{est.low:.4f}, {est.high:.4f}] "
+              f"using {est.samples_used} cascades")
 
     print("\nblocked to zero:")
     est = stopping_rule_spread(fixtures.chain(), [1], 0.1, 0.1, rng)

@@ -73,15 +73,26 @@ bytes; a SplitMix64 coin costs about six Generator coins (12.0 against
 
 `stopping_rule_spreads` is a sequential mean estimator with a
 relative-error contract for each of several blocker sets: it draws
-cascades a batch at a time until empirical-Bernstein confidence bounds on
-each set's mean normalized spread are within a factor that depends on
-gamma (EBStop: Mnih, Szepesvari and Audibert, ICML 2008), so low-variance
-spreads need few cascades.  All sets read one stream of shared batches,
-and a set that stops leaves the search.  Spreads are normalized by the
-number of non-seed nodes the seeds can reach at all rather than by the
-node count n, so nodes no cascade can reach do not inflate the trial
-count.  `ic_spread_samples` and `stopping_rule_spread` are the one-set
-calls of `spread_samples` and `stopping_rule_spreads`.
+cascades a batch at a time until a confidence interval on each set's mean
+normalized spread is within a factor that depends on gamma.  The interval
+is a betting confidence sequence (Waudby-Smith and Ramdas, JRSS-B 2023):
+for each candidate mean m, a mixture of bets on the samples exceeding or
+falling short of m is a test martingale when m is the true mean, a
+nonnegative martingale from 1; by Ville's inequality it ever reaches
+2/delta with probability at most delta/2, so the set of m where neither
+side's capital has reached that level holds the mean at every batch at
+once, with no union bound over batches and no separate range term.  The
+upward bet's capital falls and the downward one's rises in m, so the set
+is an interval whose ends are root searches, and each search returns the
+rejected side of its bracket, so the computed interval holds the exact
+one.  Low-variance spreads close in few cascades, and on the benchmark's
+graphs every estimate closes in the first batch.  All sets read one
+stream of shared batches, and a set that stops leaves the search.
+Spreads are normalized by the number of non-seed nodes the seeds can
+reach at all rather than by the node count n, so nodes no cascade can
+reach do not inflate the trial count.  `ic_spread_samples` and
+`stopping_rule_spread` are the one-set calls of `spread_samples` and
+`stopping_rule_spreads`.
 """
 
 from __future__ import annotations
@@ -111,6 +122,35 @@ _EDGE_BUDGET = 1 << 14
 
 # Runs per forward search: one bit each of a uint8 per (node, trial) pair.
 _MAX_RUNS = 8
+
+# The bets of a stopping rule's capital (see `stopping_rule_spreads`): a
+# geometric grid, each bet capped at _BET_CAP / m, so every factor of the
+# capital stays at least 1 - _BET_CAP.
+_BETS = 2.0 ** np.arange(-4, 11)
+_BET_CAP = 0.9
+
+
+def _log_shares(bets):
+    """Row b: the log of each bet column's share of the mean over `bets`
+    when b of them lie under the cap: 1 / len(bets) for each column under
+    it, the rest on column b, the cap's, and none after it."""
+    below = np.arange(len(bets) + 1)[:, None]
+    col = np.arange(len(bets))
+    share = np.where(col < below, 1.0, np.where(col == below,
+                                                len(bets) - below, 0.0))
+    with np.errstate(divide="ignore"):
+        return np.log(share / len(bets))
+
+
+_LOG_SHARE = _log_shares(_BETS)
+
+# An interval end's root search (`_lower_ends`): its first trials, as
+# multiples of an empirical-Bernstein guess of the radius; the share of the
+# end's distance to the sample mean its bracket closes to; and a cap on its
+# steps, after which it returns its bracket's rejected side as it stands.
+_FIRST_TRIALS = (0.8, 1.0, 1.25)
+_ROOT_TOL = 1e-4
+_ROOT_STEPS = 100
 
 # SplitMix64's stream increment and the multipliers of its output mix.
 _SPLITMIX = tuple(np.uint64(c) for c in (
@@ -520,9 +560,11 @@ class SpreadEstimate:
     """A spread estimate with its accuracy contract.
 
     With probability at least 1 - delta the value lies within a factor
-    (1 +/- gamma) of the true expected non-seed spread.  `exact_zero` is set
-    when the graph structure forces a spread of exactly zero; no cascade is
-    drawn in that case, so `samples_used` is 0.
+    (1 +/- gamma) of the true expected non-seed spread.  `low` and `high`
+    are the confidence interval the estimate stopped on, in spread units.
+    `exact_zero` is set when the graph structure forces a spread of exactly
+    zero; no cascade is drawn in that case, so `samples_used` is 0 and the
+    interval is (0, 0).
     """
 
     value: float
@@ -530,37 +572,156 @@ class SpreadEstimate:
     delta: float
     samples_used: int
     exact_zero: bool = False
+    low: float = 0.0
+    high: float = 0.0
 
 
-class _EBStop:
-    """One estimate's empirical-Bernstein stopping state (see
-    `stopping_rule_spreads`), fed one batch of spreads at a time."""
+class _BettingStop:
+    """One set's stopping state (see `stopping_rule_spreads`): its spreads
+    as a histogram over 0..N_B, and its running interval on the mean
+    normalized spread."""
 
-    def __init__(self, n_reach, gamma, delta):
-        self.n_reach, self.gamma, self.delta = n_reach, gamma, delta
-        # spreads are integers, so their sums and sums of squares are exact
-        self.total = self.square = self.batches = 0
+    def __init__(self, n_reach):
+        self.n_reach = n_reach
+        self.counts = np.zeros(n_reach + 1, dtype=np.int64)
+        self.samples = 0
         self.low, self.high = 0.0, 1.0
 
     def add(self, spreads):
-        """Fold in one batch; the estimate once the bounds close, else
-        None."""
-        self.batches += 1
-        j, n_reach, gamma = self.batches, self.n_reach, self.gamma
-        self.total += int(spreads.sum())
-        self.square += int(spreads @ spreads)
-        t = j * _BATCH
-        mean = self.total / (t * n_reach)
-        var = max(0.0, self.square / (t * n_reach * n_reach) - mean * mean)
-        log_term = math.log(math.pi ** 2 * j * j / (2.0 * self.delta))
-        c = math.sqrt(2.0 * var * log_term / t) + 3.0 * log_term / t
-        self.low = max(self.low, mean - c)
-        self.high = min(self.high, mean + c)
-        if (1.0 + gamma) * self.low < (1.0 - gamma) * self.high:
+        self.counts += np.bincount(spreads, minlength=self.n_reach + 1)
+        self.samples += len(spreads)
+
+    def estimate(self, gamma, delta):
+        """The estimate once the interval is within the gamma contract,
+        else None."""
+        low, high = self.low, self.high
+        if (1.0 + gamma) * low < (1.0 - gamma) * high:
             return None
-        value = 0.5 * ((1.0 + gamma) * self.low + (1.0 - gamma) * self.high)
-        return SpreadEstimate(value=value * n_reach, gamma=gamma,
-                              delta=self.delta, samples_used=t)
+        value = 0.5 * ((1.0 + gamma) * low + (1.0 - gamma) * high)
+        n = self.n_reach
+        return SpreadEstimate(value=value * n, gamma=gamma, delta=delta,
+                              samples_used=self.samples, low=low * n,
+                              high=high * n)
+
+
+def _tighten(rules, delta):
+    """Intersect each rule's interval with its betting confidence set
+    {m : K+(m) < 2/delta and K-(m) < 2/delta}, every rule at once.
+
+    K-(m) of spreads x is K+(1 - m) of 1 - x, so each upper end is the
+    lower end of a mirrored row, and one `_lower_ends` call finds all ends.
+    """
+    values = [np.flatnonzero(rule.counts) for rule in rules]
+    sets = len(rules)
+    x = np.zeros((2 * sets, max(map(len, values))))
+    w = np.zeros_like(x)
+    for i, (rule, v) in enumerate(zip(rules, values)):
+        x[i, :len(v)] = v / rule.n_reach
+        x[sets + i, :len(v)] = 1.0 - x[i, :len(v)]
+        w[i, :len(v)] = w[sets + i, :len(v)] = rule.counts[v]
+    floor = np.array([r.low for r in rules] + [1.0 - r.high for r in rules])
+    ends = _lower_ends(x, w, floor, math.log(2.0 / delta))
+    for i, rule in enumerate(rules):
+        rule.low, rule.high = ends[i], 1.0 - ends[sets + i]
+
+
+def _log_capital(x, w, total, m):
+    """log K+(m), one row of values `x` with counts `w` per entry of `m`:
+    the log of the mean over `_BETS` of prod_i (1 + lam (x_i - m))^w_i,
+    lam = min(bet, _BET_CAP / m).  Padding has count 0.  The bets at the
+    cap are one column, weighted by how many bets it stands for, and each
+    factor is taken as lam (x_i + 1 / lam - m), one pass over the values
+    per column."""
+    cap = _BET_CAP / np.maximum(m, 1e-300)
+    below = np.searchsorted(_BETS, cap)            # bets under each cap
+    cols = min(len(_BETS), int(below.max()) + 1)
+    lam = np.minimum(_BETS[:cols], cap[:, None])
+    z = x[:, None, :] + (1.0 / lam - m[:, None])[:, :, None]
+    np.log(z, out=z)
+    log_k = (z @ w[:, :, None])[:, :, 0] + np.log(lam) * total[:, None]
+    return np.logaddexp.reduce(log_k + _LOG_SHARE[below, :cols], axis=1)
+
+
+def _lower_ends(x, w, floor, thr):
+    """Per row of values `x` in [0, 1] with counts `w`: max(floor, L),
+    L = inf {m : log K+(m) < thr}, rounded down to a rejected point.
+
+    K+ falls in m, and K+(mean) <= 1 (log(1 + y) <= y), so L lies below
+    the sample mean, and a floor at or above the mean stays.  Each row
+    keeps a bracket: `a`, the highest point rejected (log K+ >= thr), or
+    the floor until one is, and `b`, the lowest accepted, from the mean.
+    The first trials are `_FIRST_TRIALS` times an empirical-Bernstein
+    guess of the radius below the mean; each next trial is an inverse
+    quadratic interpolation of distance against log K+ through a row's
+    three best trials, or the bracket's midpoint if it falls outside.  An
+    estimate within 30 tolerances of an end is tried at 0.3 tolerances on
+    either side, which closes the bracket when the estimate is that close.
+    A row ends once b - a is within `_ROOT_TOL` of its distance b to the
+    mean and returns a: the computed end is at or below the exact one, so
+    the interval holds the exact confidence set.  Every step evaluates the
+    trials of all rows in one `_log_capital` call; the few rows' brackets
+    are kept in plain floats.
+    """
+    total = w.sum(axis=1)
+    mean = (x * w).sum(axis=1) / total
+    var = np.maximum((x * x * w).sum(axis=1) / total - mean * mean, 0.0)
+    guess = np.sqrt(2.0 * var * (thr + 1.0) / total) + 1.0 / total
+    ends = floor.tolist()
+    mean = mean.tolist()
+    # open row -> [a, b, (distance below the mean, log K+ - thr) of its
+    # best three trials]
+    search = {i: [lo, mu, []] for i, (lo, mu) in enumerate(zip(ends, mean))
+              if lo < mu}
+    trials = [(i, max(mean[i] - f * r, ends[i]))
+              for i, r in zip(search, guess[list(search)].tolist())
+              for f in _FIRST_TRIALS]
+    for _ in range(_ROOT_STEPS):
+        if not trials:
+            break
+        rows = [i for i, _ in trials]
+        values = _log_capital(x[rows], w[rows], total[rows],
+                              np.array([m for _, m in trials])) - thr
+        for (i, m), v in zip(trials, values.tolist()):
+            bracket = search[i]
+            if v >= 0.0:
+                bracket[0] = max(bracket[0], m)
+            else:
+                bracket[1] = min(bracket[1], m)
+            bracket[2].append((mean[i] - m, v))
+        trials = []
+        for i, (a, b, points) in list(search.items()):
+            tol = _ROOT_TOL * (mean[i] - b)
+            if b - a <= tol:
+                ends[i] = a
+                del search[i]
+                continue
+            points.sort(key=lambda point: abs(point[1]))
+            del points[3:]
+            est = mean[i] - _interpolate(points)
+            step = 0.3 * tol
+            if not a - step < est < b + step:
+                trials.append((i, 0.5 * (a + b)))
+                continue
+            est = min(max(est, a), b)
+            if min(est - a, b - est) < 100.0 * step:
+                trials += [(i, max(est - step, a)), (i, min(est + step, b))]
+            else:
+                trials.append((i, est))
+    for i, (a, _, _) in search.items():
+        ends[i] = a
+    return np.array(ends)
+
+
+def _interpolate(points):
+    """The distance at value 0 of the quadratic through three (distance,
+    value) points, as a function of the value; NaN if two values tie."""
+    (d0, v0), (d1, v1), (d2, v2) = points
+    try:
+        return (d0 * v1 * v2 / ((v0 - v1) * (v0 - v2))
+                + d1 * v0 * v2 / ((v1 - v0) * (v1 - v2))
+                + d2 * v0 * v1 / ((v2 - v0) * (v2 - v1)))
+    except ZeroDivisionError:
+        return math.nan
 
 
 def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
@@ -572,25 +733,41 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     Each set's cascades are normalized by N_B, the number of non-seed
     nodes reachable from the seeds over positive-probability edges that
     avoid the blocked nodes.  Every activated non-seed node lies in that
-    set, so the samples lie in [0, 1]; the trial count follows the part of
-    the graph the cascade can reach, not the node count n.
+    set, so the samples x_i lie in [0, 1]; the trial count follows the part
+    of the graph the cascade can reach, not the node count n.
 
-    Each set stops by empirical-Bernstein stopping (EBStop: Mnih,
-    Szepesvari and Audibert, ICML 2008).  After batch j, t = j * _BATCH
-    samples in, the mean lies within
+    Each set stops on a betting confidence sequence (Waudby-Smith and
+    Ramdas, "Estimating means of bounded random variables by betting",
+    JRSS-B 2023).  For a candidate mean m, the capital
 
-        c_t = sqrt(2 V_t L / t) + 3 L / t,   L = ln(3 / d_j),
+        K+(m) = mean over bets of prod_i (1 + lam (x_i - m)),
+        lam = min(bet, c / m),
 
-    of the sample mean with probability at least 1 - d_j, where V_t is the
-    (1/t) sample variance and d_j = 6 delta / (pi^2 j^2), so the failure
-    budgets sum to delta.  The running bounds LB = max(LB, mean - c_t) and
-    UB = min(UB, mean + c_t), from LB = 0 and UB = 1, stop the set once
-    (1 + gamma) LB >= (1 - gamma) UB, and N_B * ((1 + gamma) LB +
-    (1 - gamma) UB) / 2 is then within (1 +/- gamma) of the mean.  The
-    trial count scales with the samples' variance rather than with the
-    worst case of a [0, 1] variable, but is always a whole number of
-    batches.  N_B = 0 forces a spread of exactly zero, which is returned
-    without sampling.
+    bets on a fixed geometric grid `_BETS` and c = `_BET_CAP` < 1, has
+    every factor at least 1 - c > 0; at the true mean each factor has
+    expectation 1, so each product, and their mean, is a nonnegative
+    martingale from 1 (a test martingale).  Ville's inequality bounds the
+    chance that it ever reaches 2 / delta by delta / 2, at every sample
+    count at once, so no union bound over batches is spent.  K-(m) bets
+    the other way, with lam = min(bet, c / (1 - m)).  With probability at
+    least 1 - delta the true mean lies in
+
+        C_t = {m : K+(m) < 2 / delta and K-(m) < 2 / delta}
+
+    after every batch, and so in the running intersection [LB, UB] of the
+    C_t, from [0, 1].  K+ falls and K- rises in m (each factor moves one
+    way, the cap included), so C_t is an interval and each end is one
+    bracketed root search over the histogram's distinct values; the
+    search returns the rejected side of its bracket (`_lower_ends`), so
+    the computed interval always holds C_t.  A set stops once (1 + gamma)
+    LB >= (1 - gamma) UB, and N_B * ((1 + gamma) LB + (1 - gamma) UB) / 2
+    is then within (1 +/- gamma) of the mean.  Each set keeps its spreads
+    as a histogram over 0..N_B, so a batch costs its distinct values, and
+    the ends of all sets still sampling are searched together.  The trial
+    count scales with the samples' variance rather than with the worst
+    case of a [0, 1] variable, but is always a whole number of batches.
+    N_B = 0 forces a spread of exactly zero, which is returned without
+    sampling.
 
     Every batch is one forward search with one run per set still
     sampling; a set that stops leaves the search, and its estimate is what
@@ -606,8 +783,14 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     masks, row = _distinct_masks(g, blocker_sets)
-    rules = [_EBStop(int(np.count_nonzero(reach & ~g.uncounted)), gamma,
-                     delta) for reach in g.positive_reach(masks)]
+    # the graph's own mask reads its cached reach; one search does the rest
+    own = (masks == g.blocked).all(axis=1)
+    reach = np.empty_like(masks)
+    reach[own] = g.reach
+    if not own.all():
+        reach[~own] = g.positive_reach(masks[~own])
+    rules = [_BettingStop(int(np.count_nonzero(r & ~g.uncounted)))
+             for r in reach]
     est = [None if rule.n_reach else SpreadEstimate(
         value=0.0, gamma=gamma, delta=delta, samples_used=0, exact_zero=True)
         for rule in rules]
@@ -615,7 +798,10 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     while active:
         spreads = _batch_spreads(g, masks[active], _BATCH, rng)
         for r, row_spreads in zip(active, spreads):
-            est[r] = rules[r].add(row_spreads)
+            rules[r].add(row_spreads)
+        _tighten([rules[r] for r in active], delta)
+        for r in active:
+            est[r] = rules[r].estimate(gamma, delta)
         active = [r for r in active if est[r] is None]
     return [est[r] for r in row]
 

@@ -346,6 +346,15 @@ class UnifiedGraph:
             miss[owner[at]] *= 1.0 - base.in_p[offs[at]]
         return nodes, 1.0 - miss
 
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """`positive_reach()`, read-only: the nodes the seeds can reach at
+        all past the graph's own blocked nodes.  Computed once per graph;
+        the pair samplers' population and the base spread's N_B read it."""
+        mask = self.positive_reach()
+        mask.setflags(write=False)
+        return mask
+
     def candidates(self) -> np.ndarray:
         """Mask of the nodes a blocker may be chosen from: base nodes that
         are neither seeds nor already blocked."""

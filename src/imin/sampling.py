@@ -69,8 +69,9 @@ log = logging.getLogger(__name__)
 
 
 def compute_population(g: UnifiedGraph) -> list:
-    """Non-seed nodes reachable from the source over positive-prob edges."""
-    return [int(v) for v in np.nonzero(g.positive_reach() & ~g.uncounted)[0]]
+    """Non-seed nodes reachable from the source over positive-prob edges
+    (`g.reach`, searched once per graph)."""
+    return [int(v) for v in np.nonzero(g.reach & ~g.uncounted)[0]]
 
 
 @dataclass

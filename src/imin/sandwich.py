@@ -7,17 +7,20 @@ spread and every candidate's residual come from one
 `diffusion.stopping_rule_spreads` call, so all of them are measured on
 the same realizations (common random numbers, as the sandwich of Lu, Chen
 and Lakshmanan, PVLDB 2015, compares its candidates), and the residuals
-differ only by what the candidates block.  When the active sets nest,
-each inside the next, a batch searches the most-blocked one and resumes
-the others from the pairs it held back, with Generator coins; sets that
-do not nest share one search that carries one run bit per set, with
-coins replayed from a per-batch key.  Equal candidates share one run and
-one estimate, and ties go to the first of lower, upper and heuristic.
-Because the upper-bound objective dominates the true decrease, the ratio
-of the winner-side estimates yields a computable lower bound on the
-approximation ratio actually achieved.  Its upper value is the upper
-maximizer's validation estimate, or after an early exit the base spread
-estimate, which no upper value exceeds.
+differ only by what the candidates block.  Each estimate stops on its own
+betting confidence sequence, valid at every batch at once, as soon as its
+interval is within the gamma contract, and then leaves the shared search;
+`as_dict` reports the interval each stopped on (`spread_bounds`).  When
+the active sets nest, each inside the next, a batch searches the
+most-blocked one and resumes the others from the pairs it held back, with
+Generator coins; sets that do not nest share one search that carries one
+run bit per set, with coins replayed from a per-batch key.  Equal
+candidates share one run and one estimate, and ties go to the first of
+lower, upper and heuristic.  Because the upper-bound objective dominates
+the true decrease, the ratio of the winner-side estimates yields a
+computable lower bound on the approximation ratio actually achieved.
+Its upper value is the upper maximizer's validation estimate, or after an
+early exit the base spread estimate, which no upper value exceeds.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ class SandwichResult:
                 "heuristic": self.b_heuristic}[name]
 
     def as_dict(self):
+        estimates = [("base", self.base_estimate),
+                     *self.residual_estimates.items()]
         return {
             "candidates": {
                 name: (list(self.candidate(name))
@@ -83,11 +88,12 @@ class SandwichResult:
             "decrease_estimates": {
                 name: max(0.0, self.base_estimate.value - est.value)
                 for name, est in self.residual_estimates.items()},
-            # stopping-rule trials behind the base and each residual estimate
+            # stopping-rule trials behind the base and each residual
+            # estimate, and the confidence interval each stopped on
             "spread_samples": {
-                name: est.samples_used
-                for name, est in [("base", self.base_estimate),
-                                  *self.residual_estimates.items()]},
+                name: est.samples_used for name, est in estimates},
+            "spread_bounds": {
+                name: [est.low, est.high] for name, est in estimates},
             "chosen": self.chosen_name,
             "blockers": list(self.chosen),
             "decrease_estimate": self.decrease_estimate,

@@ -61,10 +61,20 @@ class TestRun:
                      "--out", str(tmp_path / "rows.csv"),
                      "--json", str(report)])
         assert code == 0
-        counts = json.loads(report.read_text())[0]["spread_samples"]
+        payload = json.loads(report.read_text())[0]
+        counts = payload["spread_samples"]
         assert sorted(counts) == ["base", "heuristic", "lower", "upper"]
         for value in counts.values():
             assert isinstance(value, int) and value > 0
+        # each estimate's interval holds its value and is within its
+        # gamma contract
+        bounds = payload["spread_bounds"]
+        assert sorted(bounds) == sorted(counts)
+        values = {"base": payload["base_spread_estimate"],
+                  **payload["residual_estimates"]}
+        for name, (low, high) in bounds.items():
+            assert 0.0 < low <= values[name] <= high
+            assert (1 - 0.1) * high <= (1 + 0.1) * low
 
     def test_json_certificate_keys(self, tmp_path):
         report = tmp_path / "report.json"
@@ -101,7 +111,8 @@ class TestRun:
         "certificates", "chosen", "dataset", "decrease_estimate",
         "decrease_estimates", "decrease_mc", "empirical_ratio",
         "pair_streams", "repeat", "residual_estimates", "runtime_s",
-        "samples", "seed_rank", "spread_samples", "timings_s"]
+        "samples", "seed_rank", "spread_bounds", "spread_samples",
+        "timings_s"]
 
     @pytest.mark.parametrize("algo, keys", [
         ("sandimin", SANDWICH_KEYS),

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imin import diffusion, fixtures
-from imin.diffusion import (_BATCH, _SEEN_BYTES, _forward_levels,
-                            _slices, ic_spread_samples, reverse_live_edges,
+from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _SEEN_BYTES,
+                            _BettingStop, _forward_levels, _slices,
+                            _tighten, ic_spread_samples, reverse_live_edges,
                             reverse_reach_counts, sample_realization,
                             spread_samples, stopping_rule_spread,
                             stopping_rule_spreads)
@@ -269,7 +270,7 @@ class TestStoppingRule:
                                  make_rng(6))
 
 
-class TestEmpiricalBernsteinContract:
+class TestBettingContract:
     def test_within_gamma_of_exact_spread_with_random_blockers(self):
         gamma, delta = 0.1, 0.1
         hits = runs = 0
@@ -300,6 +301,189 @@ class TestEmpiricalBernsteinContract:
         for i in range(5):
             est = stopping_rule_spread(ug, None, 0.1, 0.1, make_rng(i))
             assert est.samples_used <= 2048
+
+    def test_residual_closes_in_the_first_batch(self):
+        # the residual of `lhga`'s five blockers on a 150-node core: an
+        # empirical-Bernstein rule with a union bound over batches needs
+        # 3072 cascades for each of these runs; the betting sequence needs
+        # neither the union bound nor a range term, and closes at once
+        core = fixtures.mid_synthetic(make_rng(5), 150, 600, 3)
+        blockers = [5, 43, 35, 27, 22]
+        for i in range(4):
+            est = stopping_rule_spread(core, blockers, 0.1, 0.1, make_rng(i))
+            assert est.samples_used == _BATCH
+            assert 0.0 < est.low <= est.value <= est.high
+            assert (1 - 0.1) * est.high <= (1 + 0.1) * est.low
+
+
+def reference_log_capital(x, w, grid):
+    """log K+(m) of values `x` with counts `w` at each m of `grid`, as
+    `stopping_rule_spreads` documents it: the log of the mean over the
+    bets of prod_i (1 + min(bet, c / m) (x_i - m))^w_i, every bet its own
+    term."""
+    m = np.asarray(grid, dtype=float)[:, None, None]
+    with np.errstate(divide="ignore"):
+        lam = np.minimum(_BETS[:, None], _BET_CAP / m)
+    logs = (np.log1p(lam * (x - m)) * w).sum(axis=2)
+    return np.logaddexp.reduce(logs, axis=1) - math.log(len(_BETS))
+
+
+def reference_lower_end(x, w, thr, points=129, levels=6):
+    """The lower end of {m : log K+(m) < thr} by dense grids: the first
+    accepted point of a grid over [0, mean], then of a grid between it and
+    the rejected point before it, `levels` times over; the result is
+    within mean / (points - 1) ** levels above the exact end."""
+    lo, hi = 0.0, float(x @ w / w.sum())
+    for _ in range(levels):
+        grid = np.linspace(lo, hi, points)
+        first = int(np.argmax(reference_log_capital(x, w, grid) < thr))
+        if first == 0:
+            return grid[0]
+        lo, hi = grid[first - 1], grid[first]
+    return hi
+
+
+def betting_reference(batches, n_reach, delta):
+    """The running interval [LB, UB] of the betting confidence sequence,
+    on the mean normalized spread, after each array of spreads in
+    `batches`, from dense grids: K-(m) of spreads x is K+(1 - m) of
+    1 - x."""
+    thr = math.log(2 / delta)
+    counts = np.zeros(n_reach + 1)
+    low, high = 0.0, 1.0
+    for spreads in batches:
+        counts += np.bincount(spreads, minlength=n_reach + 1)
+        values = np.flatnonzero(counts)
+        x, w = values / n_reach, counts[values]
+        low = max(low, reference_lower_end(x, w, thr))
+        high = min(high, 1.0 - reference_lower_end(1.0 - x, w, thr))
+        yield low, high
+
+
+def betting_stop_reference(rows, n_reach, gamma, delta):
+    """The betting stop replayed on a fixed row of spreads, one `_BATCH`
+    at a time: (value, samples, half-width of the interval, in spread
+    units) at the first batch whose interval closes, or None."""
+    batches = [rows[t:t + _BATCH] for t in range(0, len(rows), _BATCH)]
+    for j, (low, high) in enumerate(
+            betting_reference(batches, n_reach, delta), start=1):
+        if (1 + gamma) * low >= (1 - gamma) * high:
+            value = 0.5 * ((1 + gamma) * low + (1 - gamma) * high)
+            return value * n_reach, j * _BATCH, 0.5 * (high - low) * n_reach
+    return None
+
+
+def assert_matches_reference(est, ref):
+    """`est` stopped where the replayed reference did, with its value
+    within 1e-3 of the reference interval's half-width."""
+    value, samples, half = ref
+    assert est.samples_used == samples
+    assert est.value == pytest.approx(value, rel=0, abs=1e-3 * half)
+
+
+class TestBettingEnds:
+    """`_tighten`'s root searches against the dense-grid reference: the
+    computed interval holds the reference's after every batch, and each
+    end lies within 1e-3 of the reference interval's half-width."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              database=None)
+    @given(st.integers(1, 300),
+           st.sampled_from(["random", "zeros", "full", "single"]),
+           st.integers(1, 4), st.integers(0, 10 ** 6))
+    def test_ends_hold_the_dense_grid_interval(self, n_reach, kind,
+                                               batches, seed):
+        rng = make_rng(seed)
+        if kind == "random":
+            support = rng.choice(n_reach + 1, replace=False, size=int(
+                rng.integers(1, min(n_reach + 1, 20) + 1)))
+        else:
+            support = [{"zeros": 0, "full": n_reach,
+                        "single": int(rng.integers(0, n_reach + 1))}[kind]]
+        probs = rng.dirichlet(np.ones(len(support)))
+        rows = [rng.choice(support, p=probs, size=int(rng.integers(1, 2049)))
+                for _ in range(batches)]
+        rule = _BettingStop(n_reach)
+        for spreads, (low, high) in zip(
+                rows, betting_reference(rows, n_reach, 0.1)):
+            rule.add(spreads)
+            _tighten([rule], 0.1)
+            assert rule.low <= low and rule.high >= high
+            tol = 1e-3 * 0.5 * (high - low)
+            assert low - rule.low <= tol and rule.high - high <= tol
+
+    def test_sets_searched_together_as_alone(self):
+        # the ends of several sets come from one search; each set's
+        # interval is what it gets searched alone
+        ug = fixtures.mid_synthetic(make_rng(1), 60, 240, 3)
+        cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+        sets = [None, ug.seed_out_neighbors()[:1], cands[5:7]]
+        rows = spread_samples(ug, sets, 2 * _BATCH, make_rng(2))
+        n_reach = [int(np.count_nonzero(r & ~ug.uncounted))
+                   for r in ug.positive_reach(np.stack(
+                       [ug.blocked_with(b) for b in sets]))]
+        together = [_BettingStop(n) for n in n_reach]
+        alone = [_BettingStop(n) for n in n_reach]
+        for t in (0, _BATCH):
+            for rule, one, row in zip(together, alone, rows):
+                rule.add(row[t:t + _BATCH])
+                one.add(row[t:t + _BATCH])
+                _tighten([one], 0.1)
+            _tighten(together, 0.1)
+            for rule, one in zip(together, alone):
+                assert (rule.low, rule.high) == pytest.approx(
+                    (one.low, one.high), rel=0, abs=1e-9)
+
+
+class TestAnytimeCoverage:
+    """The betting sequence's running interval holds the exact mean at
+    every batch of a run at once, not only where the run stops."""
+
+    BATCHES = 4
+
+    def covered(self, ug, blockers, delta, runs, rng):
+        """Runs, of `runs`, whose interval held the exact normalized mean
+        after each of their `BATCHES` batches; the spread must not be
+        zero."""
+        n_reach = int(np.count_nonzero(
+            ug.positive_reach(ug.blocked_with(blockers)) & ~ug.uncounted))
+        exact = ExactModel(ug).spread(blockers) / n_reach
+        hits = 0
+        for _ in range(runs):
+            rule, held = _BettingStop(n_reach), True
+            for _ in range(self.BATCHES):
+                rule.add(ic_spread_samples(ug, blockers, _BATCH, rng))
+                _tighten([rule], delta)
+                held &= rule.low <= exact <= rule.high
+            hits += held
+        return hits
+
+    @staticmethod
+    def assert_rate(hits, runs, delta):
+        slack = 3 * math.sqrt(delta * (1 - delta) / runs)
+        assert hits / runs >= 1 - delta - slack
+
+    @pytest.mark.parametrize("delta", [0.1, 0.02])
+    def test_diamond(self, delta):
+        runs = 150
+        hits = self.covered(fixtures.diamond(0.5), None, delta, runs,
+                            make_rng(31))
+        self.assert_rate(hits, runs, delta)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.02])
+    def test_random_tiny(self, delta):
+        hits = runs = 0
+        rng = make_rng(37)
+        while runs < 150:
+            ug = fixtures.random_tiny(rng)
+            cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+            blockers = [int(v) for v in rng.choice(
+                cands, size=int(rng.integers(0, 2)), replace=False)]
+            if ExactModel(ug).spread(blockers) == 0.0:
+                continue
+            hits += self.covered(ug, blockers, delta, 5, rng)
+            runs += 5
+        self.assert_rate(hits, runs, delta)
 
 
 def with_padding(ug, pad, edges=()):
@@ -649,25 +833,6 @@ class TestSharedRealizations:
             assert abs(live[leaf] / n - p) <= 3 * sigma, (leaf, p)
 
 
-def ebstop_reference(rows, n_reach, gamma, delta):
-    """EBStop, as `stopping_rule_spreads` documents it, replayed on a
-    fixed row of spreads: (value, samples) at the first batch whose bounds
-    close, or None if the row runs out first."""
-    low, high = 0.0, 1.0
-    for j in range(1, len(rows) // _BATCH + 1):
-        t = j * _BATCH
-        total, square = int(rows[:t].sum()), int(rows[:t] @ rows[:t])
-        mean = total / (t * n_reach)
-        var = max(0.0, square / (t * n_reach * n_reach) - mean * mean)
-        log_term = math.log(math.pi ** 2 * j * j / (2 * delta))
-        c = math.sqrt(2 * var * log_term / t) + 3 * log_term / t
-        low, high = max(low, mean - c), min(high, mean + c)
-        if (1 + gamma) * low >= (1 - gamma) * high:
-            return (0.5 * ((1 + gamma) * low + (1 - gamma) * high) * n_reach,
-                    t)
-    return None
-
-
 class TestStoppingRuleSpreads:
     def test_within_gamma_of_exact_spread(self):
         gamma, delta = 0.1, 0.1
@@ -706,9 +871,9 @@ class TestStoppingRuleSpreads:
     def test_a_set_that_stops_keeps_its_value(self):
         # the seed's sure edge to 1 is all that blocking 2 leaves: that
         # set stops after one batch, while the rare branch through 2 keeps
-        # the base sampling.  The early set's estimate is EBStop on the
-        # first shared batch; the base samples on alone, one-run batches
-        # from the same generator, until its own bounds close.
+        # the base sampling.  The early set's estimate is the betting stop
+        # on the first shared batch; the base samples on alone, one-run
+        # batches from the same generator, until its own interval closes.
         ug = unify_seeds(Graph.from_edges(
             13, [0, 0] + [2] * 10, [1, 2] + list(range(3, 13)),
             [1.0, 0.05] + [1.0] * 10), {0})
@@ -718,14 +883,14 @@ class TestStoppingRuleSpreads:
                                                 delta, make_rng(seed))
             rng = make_rng(seed)
             shared = spread_samples(ug, [None, [2]], _BATCH, rng)
-            assert ebstop_reference(shared[1], 1, gamma, delta) \
-                == (early.value, early.samples_used) == (early.value, _BATCH)
+            assert early.samples_used == _BATCH
+            assert_matches_reference(early, betting_stop_reference(
+                shared[1], 1, gamma, delta))
             assert base.samples_used > _BATCH
             alone = ic_spread_samples(ug, None, base.samples_used - _BATCH,
                                       rng)
-            assert ebstop_reference(np.concatenate([shared[0], alone]), 12,
-                                    gamma, delta) \
-                == (base.value, base.samples_used)
+            assert_matches_reference(base, betting_stop_reference(
+                np.concatenate([shared[0], alone]), 12, gamma, delta))
 
     def test_more_sets_than_runs(self):
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
