@@ -25,9 +25,8 @@ from .graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
                     assign_wc_probabilities, block_nodes, load_edge_list,
                     unify_seeds)
 from .optimize import (AlgoParams, BoundCertificate, GreedyTrace,
-                       SampleSchedule, StopCheck, cov_upper_opt,
-                       direct_activation_prob, gsbm, lsbm, max_coverage,
-                       opt_lower_bound)
+                       SampleSchedule, StopCheck, cov_upper_opt, gsbm, lsbm,
+                       max_coverage, opt_lower_bound)
 from .oracle import ExactModel, OracleLimitError
 from .sampling import (ChainCollection, CPCollection, CPSequence,
                        LRRCollection, compute_population, coverage)

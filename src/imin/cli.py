@@ -1,9 +1,10 @@
 """Command-line experiment harness.
 
-Three subcommands:
+Four subcommands:
 
   run           run one algorithm on one graph, append CSV rows
   oracle-check  exact-oracle invariant suite on the bundled fixtures
+  oracle        exact spread, decrease and bounds on a tiny graph
   bench         parameter sweeps (k / seed count / epsilon), one CSV
 
 CSV rows are byte-identical for a fixed --rng-seed; wall-clock timings
@@ -33,6 +34,7 @@ from .optimize import AlgoParams
 from .sandwich import lhga, sand_imin, sand_imin_minus
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_UNKNOWN_ALGO = 3
 EXIT_BAD_K = 4
 EXIT_BAD_SEEDS = 5
@@ -273,8 +275,27 @@ def _check_algo_and_k(algo, k):
         raise CliError(f"k must be positive, got {k}", EXIT_BAD_K)
 
 
+def _check_outputs(args):
+    """--out and --json must name files in existing directories; checked
+    before any work, so a bad path ends with exit 2 and writes nothing."""
+    for flag, path in (("--out", args.out), ("--json", args.json)):
+        if path is None:
+            continue
+        if not path:
+            reason = "is empty"
+        elif os.path.isdir(path):
+            reason = "is a directory"
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            reason = "names a missing directory"
+        else:
+            continue
+        raise CliError(f"{flag} {path!r} {reason}", EXIT_USAGE)
+
+
 def _load_run_graph(args):
-    """Load --graph; an unset --delta defaults to 1/n."""
+    """Check --out and --json, then load --graph; an unset --delta
+    defaults to 1/n."""
+    _check_outputs(args)
     g, dataset = _load_graph(args.graph, args.undirected, args.prob,
                              args.prob_value)
     if args.delta is None:
@@ -343,7 +364,8 @@ def cmd_bench(args):
                 rows += cell_rows
                 reports += cell_reports
     _write_outputs(args, rows, reports)
-    print(f"bench: wrote {len(rows)} rows to {args.out or 'stdout'}")
+    print(f"bench: wrote {len(rows)} rows to {args.out or 'stdout'}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -21,8 +21,8 @@ one or several segments, each drawing its coins from its own Generator as
 a search of its own would, and `reverse_reach_counts` runs the same
 reverse search on a plain graph and keeps only how often each node is
 found, which scores every node's singleton influence at once.
-`reverse_reach_counts` sizes its batches, and
-`sampling.stream_collections` its shared pair searches, by one budget for
+`reverse_reach_counts` sizes its batches, and `sampling.PairSource` its
+shared pair searches, by one budget for
 a reverse search's `n_total * trials` `seen` bitmap, `_SEEN_BYTES`.  All
 batched searches expand their frontier through one CSR-slice helper, and
 each step compresses its examined edges once, by index: coins are
@@ -161,8 +161,8 @@ class Realization:
     """One live-edge sample of a unified graph.
 
     `live` is a boolean bitmap over edge ids of the unified graph; edges
-    into blocked nodes are never live.  `reach` traverses the realization
-    on every read.
+    into blocked nodes are never live; `reachable_in_realization`
+    traverses it.
     """
 
     __slots__ = ("ug", "live", "blocked")
@@ -191,10 +191,6 @@ class Realization:
         if wanted:
             raise ValueError(f"edges not present in graph: {sorted(wanted)}")
         return cls(ug, live)
-
-    @property
-    def reach(self):
-        return reachable_in_realization(self)
 
 
 def reachable_in_realization(phi: Realization) -> np.ndarray:

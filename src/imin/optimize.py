@@ -1,10 +1,11 @@
 """Greedy coverage maximization with adaptive sample-doubling certificates.
 
-Both bound maximizers run one loop: round r picks a blocker set greedily
-on the first N_r pairs of a primary stream (`sampling.PairStream`),
-certifies it on the first N_r of an independent validation stream, and
-stops once the certified ratio clears 1 - 1/e - epsilon, or at the last
-round a union bound over all candidate sets allows.  N_r is
+Both bound maximizers run one loop: round r reads the first N_r pairs of
+a primary and of an independent validation stream in one call
+(`sampling.PairSource`), picks a blocker set greedily on the primary
+pairs, certifies it on the validation pairs, and stops once the
+certified ratio clears 1 - 1/e - epsilon, or at the last round a union
+bound over all candidate sets allows.  N_r is
 samples_initial * 2^(r-1) rounded up to whole `_BATCH` batches, and a
 round with the pairs of the round before is not checked again.  The ratio
 compares high-probability bounds from martingale tail bounds on coverage
@@ -15,10 +16,10 @@ covered fraction of pairs (LRR sets for `gsbm`, dominator chains for
 
 Greedy selection takes one array pass per pick: every node's marginal
 gain at once, then the best candidate by `np.argmax` (ties to the lowest
-id, as lazy greedy would break them).  Each prefix's k largest gains are recorded on
-the way, so the upper bound on the optimum needs no second pass.  Blockers
-are chosen from `UnifiedGraph.candidates()`: base nodes that are neither
-seeds nor already blocked.
+id, as lazy greedy would break them).  Each prefix's k largest gains are
+recorded on the way, so the upper bound on the optimum needs no second
+pass.  Blockers are chosen from `UnifiedGraph.candidates()`: base nodes
+that are neither seeds nor already blocked.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .diffusion import _BATCH
 # Not called here; perfbench's span table resolves this name.
 from .diffusion import stopping_rule_spread  # noqa: F401
 from .graph import BlockerSet, UnifiedGraph
-from .sampling import (ChainCollection, LRRCollection, coverage, pair_streams,
-                       stream_collections)
+from .sampling import ChainCollection, LRRCollection, PairSource, coverage
 
 E_FRACTION = 1.0 - 1.0 / math.e
 
@@ -191,15 +191,6 @@ def cov_upper_opt(trace: GreedyTrace) -> float:
     return float(min(c + t for c, t in zip(trace.coverages, trace.top_k)))
 
 
-def direct_activation_prob(g: UnifiedGraph, v: int) -> float:
-    """One-hop probability that the seed layer activates v directly."""
-    nodes, probs = g.seed_activation
-    at = int(np.searchsorted(nodes, v))
-    if at == len(nodes) or nodes[at] != v:
-        raise ValueError(f"node {v} is not an out-neighbor of the seed set")
-    return float(probs[at])
-
-
 def opt_lower_bound(g: UnifiedGraph, k: int) -> float:
     """Sum of the k largest one-hop seed-activation probabilities."""
     return float(sum(np.sort(g.seed_activation[1])[::-1][:k].tolist()))
@@ -250,11 +241,11 @@ def _early_return(side: str, blockers=(), **fields):
 
 
 def _certified_maximize(side, g, params, rng, collection, tail,
-                        candidates=None, streams=None):
+                        candidates=None, pairs=None):
     """The doubling, certify and stop loop shared by both maximizers.
 
-    Each round reads its pairs as `collection` from `streams` (primary,
-    validation), or from two `PairStream`s spawned off `rng`.  Schedule
+    Each round reads its primary and validation pairs as `collection` from
+    `pairs`, a `PairSource`, or from one made off `rng`.  Schedule
     inputs: the number of `candidates` a blocker set is chosen from (the
     population size when not given) and the `tail` numerator of the
     union-bound log term.
@@ -263,8 +254,8 @@ def _certified_maximize(side, g, params, rng, collection, tail,
     on = g.seed_out_neighbors()
     if len(on) <= params.k:
         return _early_return(side, on)
-    streams = streams or pair_streams(g, rng)
-    npop = len(streams[0].population)
+    pairs = pairs or PairSource(g, rng)
+    npop = len(pairs.population)
     if not npop:
         return _early_return(side, population_size=0)
     k = params.k
@@ -284,7 +275,7 @@ def _certified_maximize(side, g, params, rng, collection, tail,
             sched.samples_initial * 2 ** (round_no - 1) / _BATCH)
         if count == before and not last:
             continue        # the same pairs as the round before
-        primary, validation = stream_collections(streams, collection, count)
+        primary, validation = pairs.read(collection, count)
         blockers, trace = max_coverage(primary, k)
         covered = coverage(validation, blockers)
         sigma_low = max(0.0, _sigma_lower_term(
@@ -312,7 +303,7 @@ def _certified_maximize(side, g, params, rng, collection, tail,
 
 
 def lsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
-         streams=None) -> tuple:
+         pairs=None) -> tuple:
     """Blocker selection maximizing the lower-bound objective.
 
     Returns (blockers, certificate).  With probability at least 1 - delta
@@ -323,15 +314,15 @@ def lsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
     """
     return _certified_maximize(
         "lower", g, params, rng, ChainCollection, tail=12.0,
-        candidates=int(g.candidates().sum()), streams=streams)
+        candidates=int(g.candidates().sum()), pairs=pairs)
 
 
 def gsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
-         streams=None) -> tuple:
+         pairs=None) -> tuple:
     """Blocker selection maximizing the upper-bound objective.
 
     The same loop as `lsbm` over reverse-reachable samples; a blocker set
     covers a sample when it holds one of the set's members.
     """
     return _certified_maximize("upper", g, params, rng, LRRCollection,
-                               tail=6.0, streams=streams)
+                               tail=6.0, pairs=pairs)

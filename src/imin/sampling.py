@@ -16,21 +16,21 @@ in-edges of each target's non-seed ancestors, stopping at the seeds
 feed inside what it found (`_reverse_reach`); the pairs it reaches are the
 LRR set.  Every live source-to-member path runs through members, so
 `domtree.dominators` on that search gives the realization's dominators;
-the chain is the target's path to the root.  A `PairStream` keeps both
-samples of every pair: both bounds can read the same pairs.
+the chain is the target's path to the root.  A solve's `PairSource`
+keeps both samples of every pair of its primary and validation streams:
+both bounds read the same pairs.
 
 One search may serve several streams, one segment of pairs each: every
 segment draws its targets and coins from its own stream's Generator in
 the order a search of its own would, and a pair's samples depend on its
 realization only, so sharing changes no byte of any stream.  A small
-search pays a fixed cost per level, so `stream_collections` draws batch
-j of every stream (a maximizer's primary and validation pairs) in one
-search while the search's `seen` bitmap, one byte per node and pair,
-fits `diffusion._SEEN_BYTES`.  On `fixtures.mid_synthetic(300, 1200,
-10)` one search of two 1024-pair segments took about 13 ms, against
-about 9 ms for a 1024-pair search alone (2-core x86 VM).  Larger graphs
-search each batch alone, so peak memory does not grow with the number of
-streams.
+search pays a fixed cost per level, so `PairSource` draws batch j of
+both streams in one search while the search's `seen` bitmap, one byte
+per node and pair, fits `diffusion._SEEN_BYTES`.  On
+`fixtures.mid_synthetic(300, 1200, 10)` one search of two 1024-pair
+segments took about 13 ms, against about 9 ms for a 1024-pair search
+alone (2-core x86 VM).  Larger graphs search each batch alone, so peak
+memory does not grow with the number of streams.
 
 The paper's "local sampling" draws the lower bound forward, as the
 reference kept here: a *common-path sequence* holds one entry per reached
@@ -305,12 +305,12 @@ class LRRCollection(_SetChunks):
     def __init__(self, ug: UnifiedGraph, rng: np.random.Generator,
                  population=None):
         super().__init__(ug, rng)
-        self.population = (compute_population(ug) if population is None
-                           else list(population))
-        if not self.population:
+        self.population = np.asarray(
+            compute_population(ug) if population is None else population,
+            dtype=np.int64)
+        if not len(self.population):
             raise ValueError("seeds influence no one: sampling population "
                              "is empty")
-        self._pop_arr = np.asarray(self.population, dtype=np.int64)
         self.n_empty = 0
 
     @classmethod
@@ -329,7 +329,8 @@ class LRRCollection(_SetChunks):
 
     def extend(self, count: int):
         """Generate `count` more samples from the collection's stream."""
-        for batch in _pair_batch(self.ug, self._pop_arr, count, self.rng):
+        for batch in _pair_batch(self.ug, self.population, count,
+                                 self.rng):
             self._add(*batch[self._part])
 
     def _add(self, members, sizes):
@@ -354,61 +355,45 @@ class ChainCollection(LRRCollection):
     _part = 2
 
 
-class PairStream:
-    """(realization, target) pairs of one Generator, drawn on demand in
-    whole `_BATCH` batches, each kept as both its LRR set and its chain.
+class PairSource:
+    """A solve's primary and validation pairs: two streams of (realization,
+    target) pairs, each from its own Generator spawned off `rng`, drawn on
+    demand in whole `_BATCH` batches and kept as both LRR sets and chains.
     Pairs are only ever appended, so the first `count` never change.
-    `searches` lists the pairs of each reverse search that drew a batch,
-    one list shared by the streams of one `pair_streams` call."""
 
-    def __init__(self, ug: UnifiedGraph, population, rng, searches=None):
-        self.ug, self.population, self.rng = ug, population, rng
-        self.searches = [] if searches is None else searches
-        self.n_pairs = 0
-        self._pop_arr = np.asarray(population, dtype=np.int64)
-        self._batches = []
-
-    def collection(self, kind, count: int):
-        """The first `count` pairs as a `kind` (`LRRCollection` or
-        `ChainCollection`), drawing whole batches alone as needed."""
-        return stream_collections([self], kind, count)[0]
-
-    def _read(self, kind, count):
-        coll = kind(self.ug, None, self.population)
-        for batch in self._batches[:-(-count // _BATCH)]:
-            nodes, sizes = batch[kind._part]
-            sizes = sizes[:count - coll.n_samples]
-            coll._add(nodes[:sizes.sum()], sizes)
-        return coll
-
-
-def stream_collections(streams, kind, count: int):
-    """The first `count` pairs of each of `streams` (of one `pair_streams`
-    call) as a `kind`, drawing the whole batches each lacks.
-
-    The streams short of `count` draw their next batches together, one
-    segment each in one `_pair_search`, while its `seen` bitmap, one byte
-    per node and pair, fits `_SEEN_BYTES`; else in as many searches as
-    keep it within that budget, a batch alone when even two do not fit.
+    Batch j of both streams is one two-segment `_pair_search` while its
+    `seen` bitmap, one byte per node and pair, fits `_SEEN_BYTES`; else
+    each stream's batch is searched alone, the primary first.  `searches`
+    counts the reverse searches drawn, `n_pairs` the pairs of each stream.
     """
-    ug = streams[0].ug
-    share = max(1, _SEEN_BYTES // (ug.n_total * _BATCH))
-    while short := [s for s in streams if s.n_pairs < count]:
-        for lo in range(0, len(short), share):
-            group = short[lo:lo + share]
-            for stream, batch in zip(group, _pair_search(
-                    ug, group[0]._pop_arr, [(_BATCH, s.rng) for s in group])):
-                stream._batches.append(batch)
-                stream.n_pairs += _BATCH
-            group[0].searches.append(_BATCH * len(group))
-    return [stream._read(kind, count) for stream in streams]
 
+    def __init__(self, ug: UnifiedGraph, rng: np.random.Generator):
+        self.ug = ug
+        self.population = np.asarray(compute_population(ug), dtype=np.int64)
+        self.rngs = rng.spawn(2)
+        self.searches = self.n_pairs = 0
+        self._batches = []     # per batch: the primary's, validation's pairs
 
-def pair_streams(ug: UnifiedGraph, rng: np.random.Generator):
-    """A primary and a validation `PairStream`, spawned from `rng`."""
-    population, searches = compute_population(ug), []
-    return tuple(PairStream(ug, population, r, searches)
-                 for r in rng.spawn(2))
+    def read(self, kind, count: int):
+        """(primary, validation): the first `count` pairs of each stream
+        as a `kind` (`LRRCollection` or `ChainCollection`), drawing the
+        whole batches they lack."""
+        draws = [(_BATCH, rng) for rng in self.rngs]
+        groups = ([draws] if 2 * self.ug.n_total * _BATCH <= _SEEN_BYTES
+                  else [[draw] for draw in draws])
+        while self.n_pairs < count:
+            self._batches.append([pairs for group in groups for pairs in
+                                  _pair_search(self.ug, self.population,
+                                               group)])
+            self.searches += len(groups)
+            self.n_pairs += _BATCH
+        colls = [kind(self.ug, None, self.population) for _ in self.rngs]
+        for batch in self._batches[:-(-count // _BATCH)]:
+            for coll, pairs in zip(colls, batch):
+                nodes, sizes = pairs[kind._part]
+                sizes = sizes[:count - coll.n_samples]
+                coll._add(nodes[:sizes.sum()], sizes)
+        return tuple(colls)
 
 
 class _LRRState:

@@ -1,7 +1,7 @@
 """The three-candidate sandwich combiner and its data-dependent ratio.
 
 Three blocker sets are produced — the two certified bound maximizers,
-which read the same `sampling.pair_streams`, plus a one-hop heuristic —
+which read the same `sampling.PairSource`, plus a one-hop heuristic —
 and the one whose residual spread estimate is smallest wins.  The base
 spread and every candidate's residual come from one
 `diffusion.stopping_rule_spreads` call, so all of them are measured on
@@ -36,7 +36,7 @@ from .diffusion import SpreadEstimate, stopping_rule_spreads
 from .diffusion import stopping_rule_spread  # noqa: F401
 from .graph import BlockerSet, UnifiedGraph
 from .optimize import AlgoParams, E_FRACTION, gsbm, lsbm
-from .sampling import pair_streams
+from .sampling import PairSource
 
 log = logging.getLogger(__name__)
 
@@ -138,11 +138,11 @@ def empirical_ratio(result: SandwichResult, params: AlgoParams) -> float:
 def _combine(g, params, rng, with_upper):
     params.validate()
     rng_pairs, _, rng_est = rng.spawn(3)
-    streams = pair_streams(g, rng_pairs)
+    pairs = PairSource(g, rng_pairs)
     timings, certificates, sets = {}, {}, {"lower": None, "upper": None}
     for name, maximize in [("lower", lsbm), ("upper", gsbm)][:1 + with_upper]:
         t0 = time.perf_counter()
-        sets[name], certificates[name] = maximize(g, params, None, streams)
+        sets[name], certificates[name] = maximize(g, params, None, pairs)
         timings[name] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -168,9 +168,8 @@ def _combine(g, params, rng, with_upper):
         chosen_name=chosen_name, chosen=sets[chosen_name],
         decrease_estimate=decrease, empirical_ratio=None,
         certificates=certificates, timings=timings,
-        pair_streams={"primary": streams[0].n_pairs,
-                      "validation": streams[1].n_pairs,
-                      "searches": len(streams[0].searches)})
+        pair_streams={"primary": pairs.n_pairs, "validation": pairs.n_pairs,
+                      "searches": pairs.searches})
 
     if with_upper:
         t0 = time.perf_counter()

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from imin import fixtures
-from imin.cli import _evaluate_decrease, _influence_pool, main
+from imin import cli, fixtures
+from imin.cli import CSV_FIELDS, _evaluate_decrease, _influence_pool, main
 from imin.diffusion import ic_spread_samples, spread_samples
 from imin.graph import (Graph, assign_constant_probability,
                         assign_wc_probabilities, load_edge_list, unify_seeds)
@@ -200,6 +200,36 @@ class TestExitCodes:
         assert main(["run", "--graph", "fixture:unknown", "--algo", "lhga",
                      "--k", "1"]) == 6
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory",
+                                      "empty"])
+    def test_bad_output_path_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, kind):
+        # the graph is never loaded, nothing is written, and one line
+        # names the path
+        def load(*args):
+            raise AssertionError("the graph was loaded")
+        monkeypatch.setattr(cli, "_load_graph", load)
+        bad, reason = {
+            "missing-directory": (tmp_path / "absent" / "out.txt",
+                                  "names a missing directory"),
+            "directory": (tmp_path, "is a directory"),
+            "empty": ("", "is empty")}[kind]
+        good = {"--out": tmp_path / "rows.csv",
+                "--json": tmp_path / "report.json"}
+        good[flag] = bad
+        argv = [command, "--graph", "fixture:small", "--algo", "lhga",
+                *(["--k", "1"] if command == "run" else ["--k-list", "1,2"]),
+                "--delta", "0.1", "--eval-trials", "100"]
+        for name, path in good.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {flag} {str(bad)!r} {reason}"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBadNumericInput:
     """Out-of-range or malformed numbers are usage errors (exit 2), not
@@ -285,6 +315,18 @@ class TestBench:
         assert a.read_bytes() == b.read_bytes()
         rows = a.read_text().strip().splitlines()
         assert len(rows) == 1 + 4  # header + 2 budgets x 2 epsilons
+
+    def test_stdout_holds_only_the_csv(self, capsys):
+        # without --out the CSV goes to stdout and the summary to stderr
+        assert main(["bench", "--graph", "fixture:small", "--algo", "lhga",
+                     "--k-list", "1,2", "--delta", "0.1",
+                     "--eval-trials", "100", "--rng-seed", "9"]) == 0
+        out, err = capsys.readouterr()
+        header, *rows = out.splitlines()
+        assert header == ",".join(CSV_FIELDS)
+        assert len(rows) == 2
+        assert all(len(row.split(",")) == len(CSV_FIELDS) for row in rows)
+        assert err == "bench: wrote 2 rows to stdout\n"
 
 
     def test_rows_match_separate_runs(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from imin import diffusion, fixtures
 from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _SEEN_BYTES,
                             _BettingStop, _forward_levels, _slices,
                             _tighten, ic_spread_samples, reverse_live_edges,
+                            reachable_in_realization,
                             reverse_reach_counts, sample_realization,
                             spread_samples, stopping_rule_spread,
                             stopping_rule_spreads)
@@ -75,13 +76,14 @@ class TestSampleRealization:
         ug = fixtures.diamond(1.0)
         phi = sample_realization(ug, None, rng)
         assert phi.live.all()
-        assert phi.reach.sum() == 5  # s plus all four nodes
+        # s plus all four nodes
+        assert reachable_in_realization(phi).sum() == 5
 
     def test_zero_probability_edges_dead(self, rng):
         ug = single_edge(0.0)
         phi = sample_realization(ug, None, rng)
         # only the unification edge s->seed survives
-        assert phi.reach.sum() == 2
+        assert reachable_in_realization(phi).sum() == 2
 
     def test_worked_realization_is_reachable_draw(self):
         # The fixed worked-example draw must appear among sampled
@@ -95,13 +97,13 @@ class TestSampleRealization:
                 break
         else:
             pytest.fail("fixed realization never sampled")
-        reached = sorted(int(v) for v in np.nonzero(want.reach)[0])
+        reached = np.flatnonzero(reachable_in_realization(want)).tolist()
         assert reached == [0, 1, 2, 3, 5, 6, ug.s]
 
     def test_blocked_targets_never_live(self, rng):
         ug = fixtures.diamond(1.0)
         phi = sample_realization(ug, [3], rng)
-        assert not phi.reach[3]
+        assert not reachable_in_realization(phi)[3]
 
 
 class TestSimulateIC:
@@ -137,7 +139,7 @@ class TestLiveEdgeEquivalence:
         counts = {}
         for _ in range(n):
             phi = sample_realization(ug, None, rng)
-            size = int((phi.reach & keep).sum())
+            size = int((reachable_in_realization(phi) & keep).sum())
             counts[size] = counts.get(size, 0) + 1
         for size, p in pmf.items():
             freq = counts.get(size, 0) / n
@@ -214,8 +216,8 @@ class TestCouplingMonotonicity:
         for i in range(200):
             phi_free = sample_realization(ug, None, make_rng(1000 + i))
             phi_blocked = sample_realization(ug, [3], make_rng(1000 + i))
-            assert (phi_blocked.reach & keep).sum() \
-                <= (phi_free.reach & keep).sum()
+            assert (reachable_in_realization(phi_blocked) & keep).sum() \
+                <= (reachable_in_realization(phi_free) & keep).sum()
 
 
 class TestStoppingRule:

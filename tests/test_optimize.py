@@ -12,8 +12,8 @@ from imin import fixtures, optimize
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.diffusion import _BATCH
 from imin.optimize import (AlgoParams, E_FRACTION, _certified_maximize,
-                           cov_upper_opt, direct_activation_prob, gsbm, lsbm,
-                           max_coverage, opt_lower_bound)
+                           cov_upper_opt, gsbm, lsbm, max_coverage,
+                           opt_lower_bound)
 from imin.oracle import ExactModel
 from imin.sampling import (CPCollection, LRRCollection, compute_population,
                            coverage)
@@ -134,24 +134,27 @@ class TestGreedyMatchesReference:
                 coll, selected, coverages, k)
 
 
+def seed_activation(ug):
+    """{seed out-neighbor: its one-hop activation probability}."""
+    return dict(zip(*(a.tolist() for a in ug.seed_activation)))
+
+
 class TestDirectActivation:
     def test_single_edge(self):
         g = unify_seeds(Graph.from_edges(2, [0], [1], [0.4]), {0})
-        assert direct_activation_prob(g, 1) == pytest.approx(0.4)
+        assert seed_activation(g) == {1: pytest.approx(0.4)}
 
     def test_two_seed_parents(self):
         g = unify_seeds(
             Graph.from_edges(3, [0, 1], [2, 2], [0.5, 0.5]), {0, 1})
-        assert direct_activation_prob(g, 2) == pytest.approx(0.75)
+        assert seed_activation(g) == {2: pytest.approx(0.75)}
 
     def test_certain_edge(self):
         g = unify_seeds(Graph.from_edges(2, [0], [1], [1.0]), {0})
-        assert direct_activation_prob(g, 1) == 1.0
+        assert seed_activation(g) == {1: 1.0}
 
     def test_non_neighbor_rejected(self):
-        ug = fixtures.chain()
-        with pytest.raises(ValueError, match="out-neighbor"):
-            direct_activation_prob(ug, 2)
+        assert 2 not in seed_activation(fixtures.chain())
 
     def test_matches_the_edge_loop_float_for_float(self):
         # each product in edge order, as a loop over the in-edges takes it;
@@ -168,14 +171,12 @@ class TestDirectActivation:
                 for off in range(base.in_ptr[v], base.in_ptr[v + 1]):
                     if int(base.in_src[off]) in ug.seeds:
                         miss *= 1.0 - base.in_p[off]
-                assert p == 1.0 - miss == direct_activation_prob(ug, v)
+                assert p == 1.0 - miss
 
     def test_blocked_neighbor_rejected(self):
         ug = block_nodes(unify_seeds(
             Graph.from_edges(3, [0, 0], [1, 2], [0.5, 0.5]), {0}), [1])
-        assert direct_activation_prob(ug, 2) == 0.5
-        with pytest.raises(ValueError, match="out-neighbor"):
-            direct_activation_prob(ug, 1)
+        assert seed_activation(ug) == {2: 0.5}
 
 
 class TestOptLowerBound:

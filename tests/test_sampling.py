@@ -16,10 +16,9 @@ from imin.diffusion import _BATCH, _forward_levels
 from imin import sampling
 from imin.optimize import AlgoParams
 from imin.sampling import (ChainCollection, CPCollection, CPSequence,
-                           LRRCollection, PairStream, _cp_batch, _pair_batch,
+                           LRRCollection, PairSource, _cp_batch, _pair_batch,
                            _pair_search, _sequence_entries,
-                           compute_population, coverage, pair_streams,
-                           stream_collections)
+                           compute_population, coverage)
 from imin.sandwich import sand_imin
 
 from conftest import (certain_edges, eager_entries, live_successors,
@@ -339,44 +338,51 @@ class TestChainSamples:
 
 
 class TestPairStream:
-    """One reverse search per batch yields both sample types."""
+    """A solve's pair source: one reverse search per batch yields both
+    sample types of both streams."""
 
     def test_collections_read_a_fixed_prefix(self):
-        # The first `count` pairs of a stream do not depend on how far it
-        # was drawn, and equal a collection extended from the same
-        # generator; the stream draws whole batches only.
+        # The first `count` pairs of each stream do not depend on how far
+        # it was drawn, and equal a collection extended from the stream's
+        # spawned generator; the source draws whole batches only.
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
         pop = compute_population(ug)
         for kind in (LRRCollection, ChainCollection):
-            ref = kind(ug, make_rng(5), pop)
-            ref.extend(3 * _BATCH)
-            want = list(ref.sets())
-            stream = PairStream(ug, pop, make_rng(5))
+            want = []
+            for r in make_rng(5).spawn(2):
+                ref = kind(ug, r, pop)
+                ref.extend(3 * _BATCH)
+                want.append(list(ref.sets()))
+            pairs = PairSource(ug, make_rng(5))
             for count, drawn in ((1500, 2), (_BATCH, 2), (2 * _BATCH + 1, 3),
                                  (700, 3), (3 * _BATCH, 3)):
-                coll = stream.collection(kind, count)
-                assert stream.n_pairs == drawn * _BATCH
-                assert coll.n_samples == count
-                got = list(coll.sets())
-                assert len(got) == count
-                assert all(np.array_equal(a, b)
-                           for a, b in zip(got, want[:count]))
-                assert coll.n_empty == sum(len(m) == 0
-                                           for m in want[:count])
+                colls = pairs.read(kind, count)
+                assert pairs.n_pairs == drawn * _BATCH
+                assert len(colls) == 2
+                for coll, sets in zip(colls, want):
+                    assert coll.n_samples == count
+                    got = list(coll.sets())
+                    assert len(got) == count
+                    assert all(np.array_equal(a, b)
+                               for a, b in zip(got, sets[:count]))
+                    assert coll.n_empty == sum(len(m) == 0
+                                               for m in sets[:count])
 
     def test_primary_and_validation_are_spawned(self):
+        # each stream reads the Generator spawned for it, and a read hands
+        # the source's population to its collections without copying it
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
-        rng = make_rng(6)
-        primary, validation = pair_streams(ug, rng)
-        assert primary.population == validation.population \
-            == compute_population(ug)
-        spawned = make_rng(6).spawn(2)
-        for stream, r in zip((primary, validation), spawned):
-            want = LRRCollection(ug, r, stream.population)
+        pairs = PairSource(ug, make_rng(6))
+        assert pairs.population.tolist() == compute_population(ug)
+        got = pairs.read(LRRCollection, _BATCH)
+        for coll, r in zip(got, make_rng(6).spawn(2)):
+            assert coll.population is pairs.population
+            want = LRRCollection(ug, r, pairs.population)
             want.extend(_BATCH)
-            got = stream.collection(LRRCollection, _BATCH)
             assert all(np.array_equal(a, b)
-                       for a, b in zip(got.sets(), want.sets()))
+                       for a, b in zip(coll.sets(), want.sets()))
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(got[0].sets(), got[1].sets()))
 
 
 def assert_same_pairs(got, want):
@@ -428,29 +434,35 @@ class TestSharedPairSearch:
                     assert a.random() == b.random()
 
     @pytest.mark.parametrize("graph", [0, 1])
-    def test_streams_match_lone_streams(self, graph):
-        # a shared draw, a count that is not a multiple of the batch, then
-        # one stream drawn alone, then the other catching up
-        for seed in range(3):
-            ug = self.GRAPHS[graph](seed)
-            if not compute_population(ug):
-                continue
-            streams = pair_streams(ug, make_rng(seed))
-            lone = [PairStream(ug, streams[0].population, r)
-                    for r in make_rng(seed).spawn(2)]
-            for draw, count in (([0, 1], 1500), ([0], 3 * _BATCH + 1),
-                                ([0, 1], 3 * _BATCH + 1)):
-                for kind in (LRRCollection, ChainCollection):
-                    got = stream_collections([streams[i] for i in draw],
-                                             kind, count)
-                    for coll, i in zip(got, draw):
-                        want = lone[i].collection(kind, count)
-                        assert coll.n_samples == want.n_samples == count
-                        for a, b in zip(coll._freeze(), want._freeze()):
-                            assert np.array_equal(a, b)
-            assert [s.n_pairs for s in streams] == [4 * _BATCH] * 2
-            for a, b in zip(streams, lone):
-                assert a.rng.random() == b.rng.random()
+    def test_streams_match_lone_streams(self, graph, monkeypatch):
+        # both streams read in one call, a count that is not a multiple of
+        # the batch and then more, with their batches searched together
+        # (the graphs' bitmaps fit the budget) and then alone
+        for budget in (sampling._SEEN_BYTES, 0):
+            monkeypatch.setattr(sampling, "_SEEN_BYTES", budget)
+            for seed in range(3):
+                ug = self.GRAPHS[graph](seed)
+                pop = np.asarray(compute_population(ug))
+                if not len(pop):
+                    continue
+                pairs = PairSource(ug, make_rng(seed))
+                lone = make_rng(seed).spawn(2)
+                batches = [list(_pair_batch(ug, pop, 4 * _BATCH, r))
+                           for r in lone]
+                for count in (1500, 3 * _BATCH + 1):
+                    for kind in (LRRCollection, ChainCollection):
+                        got = pairs.read(kind, count)
+                        for coll, stream in zip(got, batches):
+                            want = kind(ug, None, pop)
+                            for batch in stream:
+                                want._add(*batch[kind._part])
+                            assert coll.n_samples == count
+                            for a, b in zip(coll.sets(), want.sets()):
+                                assert np.array_equal(a, b)
+                assert pairs.n_pairs == 4 * _BATCH
+                assert pairs.searches == (4 if budget else 8)
+                for a, b in zip(pairs.rngs, lone):
+                    assert a.random() == b.random()
 
     def test_one_search_per_round_on_mid(self, monkeypatch):
         # n_total 301: both streams' batches share each search, and every
@@ -485,10 +497,10 @@ class TestSharedPairSearch:
     ])
     def test_round_draw_peak_memory(self, n, m, seeds, bound_mb):
         ug = fixtures.mid_synthetic(make_rng(1), n, m, seeds)
-        streams = pair_streams(ug, make_rng(2))
+        pairs = PairSource(ug, make_rng(2))
         tracemalloc.start()
         try:
-            stream_collections(streams, ChainCollection, _BATCH)
+            pairs.read(ChainCollection, _BATCH)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -125,15 +125,15 @@ class TestSandIminMinus:
 
 class TestSharedPairStreams:
     def test_both_certificates_read_the_same_pairs(self, monkeypatch):
-        # lsbm and gsbm get the same primary and validation streams, which
-        # draw only as many pairs as the larger side reads.  Pair by pair,
-        # the lower side's chain lies in the upper side's LRR set and
-        # starts at the same target; primary and validation pairs differ.
-        streams = {}
+        # lsbm and gsbm get the same pair source, whose streams draw only
+        # as many pairs as the larger side reads.  Pair by pair, the lower
+        # side's chain lies in the upper side's LRR set and starts at the
+        # same target; primary and validation pairs differ.
+        sources = {}
         for name in ("lsbm", "gsbm"):
             def spy(g, params, rng, pairs, _real=getattr(sandwich, name),
                     _name=name):
-                streams[_name] = pairs
+                sources[_name] = pairs
                 return _real(g, params, rng, pairs)
             monkeypatch.setattr(sandwich, name, spy)
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
@@ -141,33 +141,34 @@ class TestSharedPairStreams:
                         make_rng(3))
         low, up = res.certificates["lower"], res.certificates["upper"]
         assert low.samples_primary != up.samples_primary
-        primary, validation = streams["lsbm"]
-        assert streams["gsbm"][0] is primary
-        assert streams["gsbm"][1] is validation
-        assert primary is not validation
-        for stream in (primary, validation):
-            assert stream.n_pairs == max(low.samples_primary,
-                                         up.samples_primary)
+        pairs = sources["lsbm"]
+        assert sources["gsbm"] is pairs
+        assert pairs.n_pairs == max(low.samples_primary, up.samples_primary)
         count = min(low.samples_primary, up.samples_primary)
-        chains = list(validation.collection(ChainCollection, count).sets())
-        sets = list(validation.collection(LRRCollection, count).sets())
-        assert sum(len(c) > 0 for c in chains) > count // 4
-        assert sum(len(m) > len(c) for c, m in zip(chains, sets)) > 0
-        for chain, members in zip(chains, sets):
-            assert len(chain) == 0 if len(members) == 0 else (
-                chain[0] == members[0]
-                and set(chain.tolist()) <= set(members.tolist()))
-        for kind in (ChainCollection, LRRCollection):
-            drawn = [list(s.collection(kind, count).sets())
-                     for s in (primary, validation)]
-            assert sum(not np.array_equal(a, b)
-                       for a, b in zip(*drawn)) > count // 4
+        chains = pairs.read(ChainCollection, count)
+        sets = pairs.read(LRRCollection, count)
+        for chain_coll, set_coll in zip(chains, sets):
+            stream_chains = list(chain_coll.sets())
+            stream_sets = list(set_coll.sets())
+            assert sum(len(c) > 0 for c in stream_chains) > count // 4
+            assert sum(len(m) > len(c)
+                       for c, m in zip(stream_chains, stream_sets)) > 0
+            for chain, members in zip(stream_chains, stream_sets):
+                assert len(chain) == 0 if len(members) == 0 else (
+                    chain[0] == members[0]
+                    and set(chain.tolist()) <= set(members.tolist()))
+        for primary, validation in (chains, sets):
+            assert sum(not np.array_equal(a, b) for a, b in
+                       zip(primary.sets(), validation.sets())) > count // 4
         # each certificate's value is its blockers' coverage of its own
         # validation pairs, scaled to the population
         for cert, kind in ((low, ChainCollection), (up, LRRCollection)):
-            coll = validation.collection(kind, cert.samples_validation)
+            _, coll = pairs.read(kind, cert.samples_validation)
             assert cert.value == len(coll.population) * coverage(
                 coll, cert.blockers) / coll.n_samples
+        assert res.as_dict()["pair_streams"] == {
+            "primary": pairs.n_pairs, "validation": pairs.n_pairs,
+            "searches": pairs.searches}
 
 
 class TestSharedEvaluation:
