@@ -207,7 +207,9 @@ def _unified_graph(args, g):
 
 
 def _run_algo(algo, ug, args, rng):
-    """Dispatch one algorithm; returns (blockers, samples, ratio, report)."""
+    """Dispatch one algorithm of `ALGORITHMS` (its callers check the name
+    first, with `_check_algo_and_k`); returns (blockers, samples, ratio,
+    report)."""
     params = AlgoParams(k=args.k, epsilon=args.epsilon, delta=args.delta,
                         gamma=args.gamma)
     if algo == "sandimin" or algo == "sandimin-minus":
@@ -224,10 +226,8 @@ def _run_algo(algo, ug, args, rng):
         blockers = ag(ug, args.k, args.realizations, rng)
     elif algo == "gr":
         blockers = gr(ug, args.k, args.realizations, rng)
-    elif algo == "mc":
-        blockers = mc_greedy(ug, args.k, args.trials, rng)
     else:
-        raise CliError(f"unknown algorithm {algo!r}", EXIT_UNKNOWN_ALGO)
+        blockers = mc_greedy(ug, args.k, args.trials, rng)
     samples = args.realizations if algo in ("ag", "gr") else args.trials
     return blockers, samples, None, {"blockers": list(blockers)}
 

@@ -16,14 +16,14 @@ its live edges and newly reached nodes level by level:
 them, and `ic_spread_samples` keeps only how many nodes each cascade
 activates.  It also takes an eager realization's live-edge mask in place
 of coins, so the tests' reference runs the same search.
-`reverse_live_edges` searches backwards from targets, for the trials of
-one or several segments, each drawing its coins from its own Generator as
-a search of its own would, and `reverse_reach_counts` runs the same
-reverse search on a plain graph and keeps only how often each node is
-found, which scores every node's singleton influence at once.
-`reverse_reach_counts` sizes its batches, and `sampling.PairSource` its
-shared pair searches, by one budget for
-a reverse search's `n_total * trials` `seen` bitmap, `_SEEN_BYTES`.  All
+`reverse_live_edges` searches backwards from targets with coins from one
+Generator, and `reverse_reach_counts` runs the same reverse search
+(`_reverse_levels`, the one reverse level loop) on a plain graph and
+keeps only how often each node is found, which scores every node's
+singleton influence at once.  `reverse_reach_counts` sizes its batches,
+and `sampling.PairSource` decides which pair searches to join, by one
+budget for a reverse search's `n_total * trials` `seen` bitmap,
+`_SEEN_BYTES`.  All
 batched searches expand their frontier through one CSR-slice helper, and
 each step compresses its examined edges once, by index: coins are
 compared with every examined edge's probability, and only the live
@@ -109,10 +109,10 @@ from .graph import Graph, UnifiedGraph
 _BATCH = 1024
 
 # Bytes of the `seen` bitmap (one per node and trial) that a reverse search
-# may grow to: `reverse_reach_counts` sizes its batches by it, and pair
-# streams share a search only while theirs fits.  Larger searches cost less
-# per trial, but a 4 MB bitmap added 4-6 MB of peak RSS to a cold
-# `imin run`.
+# may grow to: `reverse_reach_counts` sizes its batches by it, and a pair
+# source joins two batches' searches only while theirs fits.  Larger
+# searches cost less per trial, but a 4 MB bitmap added 4-6 MB of peak RSS
+# to a cold `imin run`.
 _SEEN_BYTES = 1 << 20
 
 # Most CSR entries one step of a lazy-coin search's level examines: 2^14
@@ -392,9 +392,10 @@ def _forward_levels(g, blocked, batch, rng, live=None):
 
     Either search examines a level's edges in steps of at most
     `_EDGE_BUDGET`, and takes `live` in place of coins; the run-bit search
-    then draws no key.  Yields, per level, (owner, dst) of the live edges
+    then draws no key.  Yields, per level, (owner, head) of the live edges
     that pass on at least one bit, owner indexing the level's pairs in
-    ascending order, then (node, trial) of the pairs that gain bits,
+    ascending order and head the key dst * batch + trial of the pair the
+    edge enters, then (node, trial) of the pairs that gain bits,
     sorted node-major, and the bits each gains.  A resumed run's first
     level yields the held pairs it gains, with no edges.
     """
@@ -428,7 +429,7 @@ def _forward_levels(g, blocked, batch, rng, live=None):
             yield (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                    node, trial, np.full(len(pair), gained, dtype=np.uint8))
         while len(node):
-            owners, dsts, keys, gains = [], [], [], []
+            owners, heads, gains = [], [], []
             for eids, owner in _slices(g.out_ptr[node], g.out_ptr[node + 1]):
                 if live is not None:
                     hit = live[eids]
@@ -451,71 +452,69 @@ def _forward_levels(g, blocked, batch, rng, live=None):
                     gain = bits[owner] & allow[dst]
                     hit = np.flatnonzero(gain)
                     gains.append(gain[hit])
-                owner, dst = owner[hit], dst[hit]
+                owner = owner[hit]
                 owners.append(owner)
-                dsts.append(dst)
-                keys.append(dst * batch + trial[owner])
+                heads.append(dst[hit] * batch + trial[owner])
+            head = _joined(heads)
             if nested:
-                node = _advance(seen, _joined(keys))
+                node = _advance(seen, head)
                 bits = np.full(len(node), gained, dtype=np.uint8)
             else:
-                node, bits = _advance_bits(seen, _joined(keys), _joined(gains))
+                node, bits = _advance_bits(seen, head, _joined(gains))
             node, trial = np.divmod(node, batch)
-            yield _joined(owners), _joined(dsts), node, trial, bits
+            yield _joined(owners), head, node, trial, bits
 
 
-def reverse_live_edges(g: UnifiedGraph, segments):
-    """Live in-edges of the nodes that reach trial t's target without
-    passing through a seed or the source, one independent realization per
-    trial t: one trial per target of each segment (targets, rng) of
-    `segments`, numbered segment after segment.
+def _reverse_levels(g, node, rng, skip, blocked):
+    """Breadth-first search backwards over `len(node)` independent
+    realizations at once, trial t's from `node[t]`, level by level.
 
-    The search starts at each target and never enters a seed or the
-    source.  Each edge's coin is drawn when its target node is first found,
-    so it is drawn at most once per realization; edges into blocked nodes
-    are never live.  A segment's coins come from its own `rng`, level by
-    level, in the order a search of that segment alone draws them: a
-    frontier sorted node-major holds each segment's pairs in the order its
-    own search would, so each segment's edges, coins and Generator state are
-    that search's.  Returns (trial, src, dst) of every live in-edge of a
-    found node; an edge whose `src` is a seed marks where the seeds feed
-    the found nodes.
+    The search never enters a node of the `skip` mask, and no edge into a
+    node of the `blocked` mask is live (either mask may be None).  Each
+    edge's coin is drawn from `rng` when the search first finds its target
+    node, so it is drawn at most once per realization.  Yields, per level,
+    (node, trial) of the pairs it expands, sorted node-major, then (owner,
+    src) of their live in-edges, owner indexing the level's pairs.  The
+    `seen` bitmap is freed when the search ends.
     """
-    rngs = [rng for _, rng in segments]
-    node = np.concatenate([targets for targets, _ in segments]).astype(
-        np.int64, copy=False)
     batch = len(node)
-    segment = np.repeat(np.arange(len(rngs)), [len(t) for t, _ in segments])
-    blocked = g.blocked if g.blocked.any() else None
-    seen = np.zeros(g.n_total * batch, dtype=bool)
-    seen.reshape(g.n_total, batch)[g.uncounted] = True    # never entered
+    seen = np.zeros((len(g.in_ptr) - 1) * batch, dtype=bool)
+    if skip is not None:
+        seen.reshape(-1, batch)[skip] = True
     trial = np.arange(batch, dtype=np.int64)
     seen[node * batch + trial] = True
-    parts = []
     while len(node):
-        keys = []
+        owners, srcs = [], []
         for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
-            live = (rngs[0].random(len(offs)) if len(rngs) == 1 else
-                    _segment_coins(rngs, segment[trial[owner]])) < g.in_p[offs]
+            live = rng.random(len(offs)) < g.in_p[offs]
             if blocked is not None:
                 live &= ~blocked[node[owner]]
             hit = np.flatnonzero(live)
-            owner, src = owner[hit], g.in_src[offs[hit]]
-            t = trial[owner]
-            parts.append((t, src, node[owner]))
-            keys.append(src * batch + t)
-        node, trial = np.divmod(_advance(seen, _joined(keys)), batch)
+            owners.append(owner[hit])
+            srcs.append(g.in_src[offs[hit]])
+        owner, src = _joined(owners), _joined(srcs)
+        yield node, trial, owner, src
+        node, trial = np.divmod(
+            _advance(seen, src * batch + trial[owner]), batch)
+
+
+def reverse_live_edges(g: UnifiedGraph, targets, rng: np.random.Generator):
+    """Live in-edges of the nodes that reach trial t's target without
+    passing through a seed or the source, one independent realization per
+    trial t, one trial per entry of `targets`.
+
+    The search (`_reverse_levels`) starts at each target, never enters a
+    seed or the source, and draws its coins from `rng`; edges into blocked
+    nodes are never live.  Returns (trial, src, dst) of every live in-edge
+    of a found node; an edge whose `src` is a seed marks where the seeds
+    feed the found nodes.
+    """
+    levels = _reverse_levels(g, np.asarray(targets, dtype=np.int64), rng,
+                             g.uncounted,
+                             g.blocked if g.blocked.any() else None)
+    parts = [(trial[owner], src, node[owner])
+             for node, trial, owner, src in levels]
     return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _segment_coins(rngs, segment):
-    """One uniform coin per entry of `segment`, entry i's from
-    `rngs[segment[i]]`, each Generator's drawn in entry order."""
-    coins = np.empty(len(segment))
-    for i, rng in enumerate(rngs):
-        at = segment == i
-        coins[at] = rng.random(np.count_nonzero(at))
-    return coins
 
 
 def reverse_reach_counts(g: Graph, samples: int,
@@ -526,28 +525,18 @@ def reverse_reach_counts(g: Graph, samples: int,
     Each set is the nodes that reach a uniform random target over live
     edges, target included, so n * count[v] / samples estimates the
     expected spread of the seed set {v}, v itself counted (Borgs et al.,
-    SODA 2014).  Sets are searched with lazy coins, as in
-    `reverse_live_edges`, in batches of `max(_BATCH, _SEEN_BYTES // n)`,
-    so each batch's `seen` bitmap stays near `_SEEN_BYTES`, and one
-    batch's bitmap is freed before the next is allocated.  Each level adds
-    its nodes to the per-node count; the sets are not kept.
+    SODA 2014).  Sets are searched with lazy coins (`_reverse_levels`) in
+    batches of `max(_BATCH, _SEEN_BYTES // n)`, so each batch's `seen`
+    bitmap stays near `_SEEN_BYTES`, and one batch's search, its bitmap
+    with it, ends before the next begins.  Each level adds its nodes to the
+    per-node count; the sets are not kept.
     """
     counts = np.zeros(g.n, dtype=np.int64)
     size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
-        batch = min(size, samples - done)
-        seen = np.zeros(g.n * batch, dtype=bool)
-        trial = np.arange(batch, dtype=np.int64)
-        node = rng.integers(0, g.n, size=batch)
-        seen[node * batch + trial] = True
-        while len(node):
+        targets = rng.integers(0, g.n, size=min(size, samples - done))
+        for node, *_ in _reverse_levels(g, targets, rng, None, None):
             np.add.at(counts, node, 1)
-            keys = []
-            for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
-                hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
-                keys.append(g.in_src[offs[hit]] * batch + trial[owner[hit]])
-            node, trial = np.divmod(_advance(seen, _joined(keys)), batch)
-        del seen                        # before the next batch's bitmap
     return counts
 
 

@@ -110,10 +110,8 @@ def _search_numbers(levels, root, batch):
     key = [root * batch + np.arange(batch, dtype=np.int64)]
     parent = [np.arange(batch, dtype=np.int64)]
     src, head_key = [], []
-    trials = np.arange(batch, dtype=np.int64)     # of the current level
-    start = 0                                     # its first number
-    for owner, dst, node, trial, *_ in levels:
-        head = dst * batch + trials[owner]
+    start = 0                           # the current level's first number
+    for owner, head, node, trial, *_ in levels:
         # A stable sort keeps each head's edges in ascending tail order.
         by_head = np.argsort(head, kind="stable")
         head, owner = head[by_head], owner[by_head]
@@ -124,9 +122,8 @@ def _search_numbers(levels, root, batch):
         other[first] = False
         src.append(start + owner[other])
         head_key.append(head[other])
-        start += len(trials)
+        start += len(key[-1])
         key.append(new)
-        trials = trial
     bounds = np.cumsum([len(k) for k in key]).tolist()
     key, parent, src, head_key = (np.concatenate(a) for a in
                                   (key, parent, src, head_key))
@@ -137,10 +134,11 @@ def _search_numbers(levels, root, batch):
 
 def dominators(levels, root, batch) -> BatchDominators:
     """Dominator trees of the `batch` realizations whose search `levels`
-    yields, per level, (owner, dst, node, trial) as
+    yields, per level, (owner, head, node, trial) as
     `diffusion._forward_levels` does for one run (what follows them, such
     as its run bits, is ignored): the live edges out of the previous level
-    (owner indexes that level's pairs) and the pairs first reached.
+    (owner indexes that level's pairs, head is the key node * batch +
+    trial of the pair entered) and the pairs first reached.
     Every realization's search starts at `root`.
     """
     key, spans, idom, src, dst = _search_numbers(levels, root, batch)

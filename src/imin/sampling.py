@@ -20,17 +20,16 @@ the chain is the target's path to the root.  A solve's `PairSource`
 keeps both samples of every pair of its primary and validation streams:
 both bounds read the same pairs.
 
-One search may serve several streams, one segment of pairs each: every
-segment draws its targets and coins from its own stream's Generator in
-the order a search of its own would, and a pair's samples depend on its
-realization only, so sharing changes no byte of any stream.  A small
-search pays a fixed cost per level, so `PairSource` draws batch j of
-both streams in one search while the search's `seen` bitmap, one byte
-per node and pair, fits `diffusion._SEEN_BYTES`.  On
-`fixtures.mid_synthetic(300, 1200, 10)` one search of two 1024-pair
-segments took about 13 ms, against about 9 ms for a 1024-pair search
-alone (2-core x86 VM).  Larger graphs search each batch alone, so peak
-memory does not grow with the number of streams.
+The validation pairs need only be independent of the primary ones, and
+fresh draws from one Generator are, as the pairs of one search already
+are.  So a `PairSource` draws both streams from the one Generator it is
+given, as one list of `_BATCH`-pair batches: batch 2j is primary batch j
+and batch 2j + 1 validation batch j.  A small search pays a fixed cost
+per level, so both batches of a pair come from one search of
+2 * `_BATCH` pairs, cut in two, while that search's `seen` bitmap, one
+byte per node and pair, fits `diffusion._SEEN_BYTES`.  Larger graphs
+draw them in two consecutive `_BATCH` searches, so peak memory does not
+grow with the number of streams.
 
 The paper's "local sampling" draws the lower bound forward, as the
 reference kept here: a *common-path sequence* holds one entry per reached
@@ -143,7 +142,7 @@ def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
 def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     """Search the members of a batch of `count` LRR samples from the
     source, yielding levels as `diffusion._forward_levels` does: (owner,
-    dst) of the live edges out of the level's pairs, then (node, trial) of
+    head) of the live edges out of the level's pairs, then (node, trial) of
     the member pairs they reach first.
 
     (trial, src, dst) are the live in-edges a reverse search recorded.
@@ -159,7 +158,7 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     member = np.zeros(ug.n_total * count, dtype=bool)
     frontier = _advance(member, dst[fed] * count + trial[fed])
     node, found = np.divmod(frontier, count)
-    yield found, node, node, found
+    yield found, frontier, node, found
     while len(frontier):
         owners, heads = [], []
         for offs, owner in _slices(
@@ -169,64 +168,53 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
             heads.append(head[offs])
         heads = _joined(heads)
         frontier = _advance(member, heads)
-        yield (_joined(owners), heads // count, *np.divmod(frontier, count))
+        yield (_joined(owners), heads, *np.divmod(frontier, count))
 
 
-def _pair_search(ug: UnifiedGraph, population: np.ndarray, draws):
-    """The (realization, target) pairs of one reverse search over
-    segments, one per (count, rng) of `draws`: one (targets, LRR sets,
-    chains) tuple per segment, the sets and the chains each as (nodes,
-    sizes), pair after pair, target first and empty when the target is not
-    reached.
+def _pair_search(ug: UnifiedGraph, population: np.ndarray, count: int,
+                 rng: np.random.Generator):
+    """The `count` (realization, target) pairs of one reverse search, cut
+    into batches of `_BATCH` pairs: one (targets, LRR sets, chains) tuple
+    per batch, the sets and the chains each as (nodes, sizes), pair after
+    pair, target first and empty when the target is not reached.
 
-    Each segment draws its targets first, uniformly from `population`, and
-    then its coins (`reverse_live_edges`), from its own Generator in the
-    order a search of its pairs alone would.  One member search and one
-    dominator routine then run over every segment's pairs, and each chain
-    walks up the immediate dominators.  A pair's samples depend on its own
-    realization only, so every segment gets the output, and leaves its
-    Generator in the state, of a search of its own.
+    The search draws its targets first, uniformly from `population`, and
+    then its coins (`reverse_live_edges`), all from `rng`.  One member
+    search and one dominator routine then run over all its pairs, and each
+    chain walks up the immediate dominators.
     """
-    targets = [population[rng.integers(0, len(population), size=count)]
-               for count, rng in draws]
-    batch = sum(len(t) for t in targets)
-    tree = dominators(_reverse_reach(ug, batch, *reverse_live_edges(
-        ug, [(t, rng) for t, (_, rng) in zip(targets, draws)])), ug.s, batch)
-    node, trial = np.divmod(tree.key, batch)
-    mine = node == np.concatenate(targets)[trial]
-    # the member pairs are every number but the roots (below `batch`), each
+    targets = population[rng.integers(0, len(population), size=count)]
+    tree = dominators(_reverse_reach(ug, count, *reverse_live_edges(
+        ug, targets, rng)), ug.s, count)
+    node, trial = np.divmod(tree.key, count)
+    mine = node == targets[trial]
+    # the member pairs are every number but the roots (below `count`), each
     # (node, trial) once: sorted by trial, then target first, then node
-    members = np.sort((trial[batch:] * 2 + ~mine[batch:]) * ug.n_total
-                      + node[batch:]) % ug.n_total
+    members = np.sort((trial[count:] * 2 + ~mine[count:]) * ug.n_total
+                      + node[count:]) % ug.n_total
     reached = np.flatnonzero(mine)
     chain, _ = _chains(tree.idom, ~ug.uncounted[node],
                        reached[np.argsort(trial[reached])])
-    log.debug("pair search: %d samples in %d segments, %d members, %d chain "
-              "nodes, %d join nodes, %d sweeps", batch, len(draws),
-              len(members), len(chain), tree.joins, tree.sweeps)
-    ends = np.cumsum([0] + [len(t) for t in targets])
-    return list(zip(targets, *(
-        _segments(nodes, np.bincount(trials, minlength=batch), ends)
-        for nodes, trials in ((members, trial[batch:]),
-                              (node[chain], trial[chain])))))
-
-
-def _segments(nodes, sizes, ends):
-    """(nodes, sizes) of sets, set after set, cut into the sets
-    ends[i]:ends[i + 1], one part per i."""
-    cuts = np.concatenate([[0], np.cumsum(sizes)])[ends].tolist()
-    ends = ends.tolist()
-    return [(nodes[cuts[i]:cuts[i + 1]], sizes[ends[i]:ends[i + 1]])
-            for i in range(len(ends) - 1)]
+    log.debug("pair search: %d samples, %d members, %d chain nodes, %d join "
+              "nodes, %d sweeps", count, len(members), len(chain), tree.joins,
+              tree.sweeps)
+    cut = np.arange(_BATCH, count, _BATCH)      # each later batch's first
+    parts = [np.split(targets, cut)]
+    for nodes, trials in ((members, trial[count:]),
+                          (node[chain], trial[chain])):
+        sizes = np.bincount(trials, minlength=count)
+        parts.append(list(zip(np.split(nodes, np.cumsum(sizes)[cut - 1]),
+                              np.split(sizes, cut))))
+    return list(zip(*parts))
 
 
 def _pair_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
                 rng: np.random.Generator):
     """`count` (realization, target) pairs of one stream, one
-    `_pair_search` of one segment per `_BATCH`."""
+    `_pair_search` per `_BATCH`."""
     for done in range(0, count, _BATCH):
-        yield from _pair_search(ug, population,
-                                [(min(_BATCH, count - done), rng)])
+        yield from _pair_search(ug, population, min(_BATCH, count - done),
+                                rng)
 
 
 class _SetChunks:
@@ -357,42 +345,42 @@ class ChainCollection(LRRCollection):
 
 class PairSource:
     """A solve's primary and validation pairs: two streams of (realization,
-    target) pairs, each from its own Generator spawned off `rng`, drawn on
-    demand in whole `_BATCH` batches and kept as both LRR sets and chains.
-    Pairs are only ever appended, so the first `count` never change.
+    target) pairs drawn from the one Generator `rng`, on demand in whole
+    `_BATCH` batches, and kept as both LRR sets and chains.  Pairs are only
+    ever appended, so the first `count` never change.
 
-    Batch j of both streams is one two-segment `_pair_search` while its
-    `seen` bitmap, one byte per node and pair, fits `_SEEN_BYTES`; else
-    each stream's batch is searched alone, the primary first.  `searches`
-    counts the reverse searches drawn, `n_pairs` the pairs of each stream.
+    The batches form one list: batch 2j is primary batch j and batch
+    2j + 1 validation batch j.  Both come from one `_pair_search` of
+    2 * `_BATCH` pairs while its `seen` bitmap, one byte per node and pair,
+    fits `_SEEN_BYTES`; else from two consecutive `_BATCH` searches.
+    `searches` counts the reverse searches drawn, `n_pairs` the pairs of
+    each stream.
     """
 
     def __init__(self, ug: UnifiedGraph, rng: np.random.Generator):
         self.ug = ug
         self.population = np.asarray(compute_population(ug), dtype=np.int64)
-        self.rngs = rng.spawn(2)
+        self.rng = rng
         self.searches = self.n_pairs = 0
-        self._batches = []     # per batch: the primary's, validation's pairs
+        self._batches = []     # primary, validation, primary, ...
 
     def read(self, kind, count: int):
         """(primary, validation): the first `count` pairs of each stream
         as a `kind` (`LRRCollection` or `ChainCollection`), drawing the
         whole batches they lack."""
-        draws = [(_BATCH, rng) for rng in self.rngs]
-        groups = ([draws] if 2 * self.ug.n_total * _BATCH <= _SEEN_BYTES
-                  else [[draw] for draw in draws])
+        shared = 2 * self.ug.n_total * _BATCH <= _SEEN_BYTES
         while self.n_pairs < count:
-            self._batches.append([pairs for group in groups for pairs in
-                                  _pair_search(self.ug, self.population,
-                                               group)])
-            self.searches += len(groups)
+            for size in [2 * _BATCH] if shared else [_BATCH, _BATCH]:
+                self._batches += _pair_search(self.ug, self.population, size,
+                                              self.rng)
+                self.searches += 1
             self.n_pairs += _BATCH
-        colls = [kind(self.ug, None, self.population) for _ in self.rngs]
-        for batch in self._batches[:-(-count // _BATCH)]:
-            for coll, pairs in zip(colls, batch):
-                nodes, sizes = pairs[kind._part]
-                sizes = sizes[:count - coll.n_samples]
-                coll._add(nodes[:sizes.sum()], sizes)
+        colls = [kind(self.ug, None, self.population) for _ in range(2)]
+        for i, pairs in enumerate(self._batches[:2 * -(-count // _BATCH)]):
+            coll = colls[i % 2]
+            nodes, sizes = pairs[kind._part]
+            sizes = sizes[:count - coll.n_samples]
+            coll._add(nodes[:sizes.sum()], sizes)
         return tuple(colls)
 
 

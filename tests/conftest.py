@@ -226,8 +226,8 @@ def live_successors(levels, root, batch):
     """Per realization {node: live successors} of recorded search levels."""
     succ = [{} for _ in range(batch)]
     node, trial = np.full(batch, root), np.arange(batch)
-    for owner, dst, new_node, new_trial, *_ in levels:
-        for o, d in zip(owner.tolist(), dst.tolist()):
+    for owner, head, new_node, new_trial, *_ in levels:
+        for o, d in zip(owner.tolist(), (head // batch).tolist()):
             succ[trial[o]].setdefault(int(node[o]), []).append(d)
         node, trial = new_node, new_trial
     return succ
@@ -344,9 +344,9 @@ def reference_forward_levels(g, blocked, batch, rng, live=None):
         keep = ((rng.random(len(eids)) < g.out_p[eids]) if live is None
                 else live[eids]) & ~blocked[dst]
         owner, dst = owner[keep], dst[keep]
-        node, trial = np.divmod(
-            reference_advance(seen, dst * batch + trial[owner]), batch)
-        yield owner, dst, node, trial, np.ones(len(node), dtype=np.uint8)
+        head = dst * batch + trial[owner]
+        node, trial = np.divmod(reference_advance(seen, head), batch)
+        yield owner, head, node, trial, np.ones(len(node), dtype=np.uint8)
 
 
 def reference_reverse_live_edges(g, targets, rng):

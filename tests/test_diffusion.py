@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -580,7 +581,7 @@ class TestLevelStepMatchesReference:
             return
         targets = make_rng(seed + 1).choice(population, size=batch)
         got, want = make_rng(seed), make_rng(seed)
-        assert_same_arrays([reverse_live_edges(ug, [(targets, got)])],
+        assert_same_arrays([reverse_live_edges(ug, targets, got)],
                            [reference_reverse_live_edges(ug, targets, want)])
         assert got.bit_generator.state == want.bit_generator.state
 
@@ -699,8 +700,12 @@ class TestSharedRealizations:
 
     TRIALS = 3000   # not a multiple of the batch, so a short batch runs
 
-    @settings(derandomize=True, max_examples=20, deadline=None,
-              database=None)
+    # Eight row means per example at 3 sigma: a fixed example stream, not
+    # one derived from the test's source, so an edit draws no new examples
+    # (seed=7852, copied=0 gave a 3.56 sigma nested-family row at 3000
+    # trials and 0.27 sigma at 16 times as many, so it was chance).
+    @hypothesis.seed(20240520)
+    @settings(max_examples=20, deadline=None, database=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 2))
     def test_rows_against_exact_model(self, seed, copied):
         rng = make_rng(seed)

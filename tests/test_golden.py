@@ -25,7 +25,8 @@ from imin.diffusion import (ic_spread_samples, reverse_reach_counts,
                             spread_samples)
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, gsbm, lsbm
-from imin.sampling import _cp_batch, _pair_batch, compute_population
+from imin.sampling import (ChainCollection, LRRCollection, PairSource,
+                           _cp_batch, _pair_batch, compute_population)
 from imin.sandwich import sand_imin, sand_imin_minus
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
@@ -54,7 +55,8 @@ STOP_REASONS = {"small/k=1": "ratio", "small/k=2": "early_exit",
 # The kernels' golden graph, the nodes its blocked view blocks (three seed
 # out-neighbors and two others), the kernels' sample counts (one, a few,
 # and one past a full batch of 1024; `rr_counts` draws all 1025 in one
-# batch on this graph) and the baselines' realizations per round.
+# batch on this graph, and `pair_source` reads only the last count) and
+# the baselines' realizations per round.
 KERNEL_GRAPH = "mid120/k=3"
 KERNEL_BLOCKED = (0, 2, 6, 40, 77)
 KERNEL_COUNTS = (1, 7, 1025)
@@ -100,11 +102,26 @@ def _set_arrays(part, ug, count, rng):
             np.concatenate([b[part][0] for b in batches]))
 
 
+def _pair_source(ug, count, rng):
+    """(set sizes, members) of the primary and then the validation
+    pairs of one `PairSource` read of `count` pairs as LRR sets, then as
+    chains."""
+    pairs = PairSource(ug, rng)
+    return [a for kind in (LRRCollection, ChainCollection)
+            for coll in pairs.read(kind, count)
+            for a in (np.concatenate(coll._sizes),
+                      np.concatenate(coll._members))]
+
+
 def _kernels(ug, gi):
     """Digests of every sampling kernel's output on `ug` and its blocked
     view, each followed by one draw from the generator it used, and the
     baselines' picks."""
     out = {}
+    r = _rng(gi, 0, 9)
+    count = KERNEL_COUNTS[-1]
+    out[f"plain/pair_source/{count}"] = _digest(
+        *_pair_source(ug, count, r), [r.integers(2 ** 62)])
     views = {"plain": ug, "blocked": block_nodes(ug, KERNEL_BLOCKED)}
     for vi, (view, g) in enumerate(views.items()):
         for count in KERNEL_COUNTS:

@@ -275,12 +275,12 @@ class TestChainSamples:
 
     @settings(derandomize=True, max_examples=40, deadline=None,
               database=None)
-    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, _BATCH]))
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 7, _BATCH + 5]))
     def test_chains_are_root_paths_of_the_reverse_edges(self, seed, batch):
         # Each chain is its target's root path in the reference dominator
         # tree of the live in-edges the reverse search recorded, a seed's
         # edges leaving the source, and lies in the LRR set drawn from the
-        # same stream.
+        # same search; a search past `_BATCH` pairs is cut into batches.
         ug = random_flowgraph(seed)
         pop = np.asarray(compute_population(ug))
         if not len(pop):
@@ -294,9 +294,11 @@ class TestChainSamples:
 
         try:
             sampling.reverse_live_edges = recording
-            pairs = list(_pair_batch(ug, pop, batch, make_rng(seed)))
+            pairs = _pair_search(ug, pop, batch, make_rng(seed))
         finally:
             sampling.reverse_live_edges = search
+        assert [len(targets) for targets, *_ in pairs] == [
+            min(_BATCH, batch - done) for done in range(0, batch, _BATCH)]
         live = [{} for _ in range(batch)]
         for t, u, v in zip(*(a.tolist() for a in edges[0])):
             live[t].setdefault(ug.s if ug.uncounted[u] else u, []).append(v)
@@ -338,21 +340,16 @@ class TestChainSamples:
 
 
 class TestPairStream:
-    """A solve's pair source: one reverse search per batch yields both
-    sample types of both streams."""
+    """A solve's pair source: both streams read one Generator, and one
+    reverse search yields both sample types of its pairs."""
 
     def test_collections_read_a_fixed_prefix(self):
         # The first `count` pairs of each stream do not depend on how far
-        # it was drawn, and equal a collection extended from the stream's
-        # spawned generator; the source draws whole batches only.
+        # the source was drawn, and the source draws whole batches only.
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
-        pop = compute_population(ug)
         for kind in (LRRCollection, ChainCollection):
-            want = []
-            for r in make_rng(5).spawn(2):
-                ref = kind(ug, r, pop)
-                ref.extend(3 * _BATCH)
-                want.append(list(ref.sets()))
+            want = [list(coll.sets()) for coll in
+                    PairSource(ug, make_rng(5)).read(kind, 3 * _BATCH)]
             pairs = PairSource(ug, make_rng(5))
             for count, drawn in ((1500, 2), (_BATCH, 2), (2 * _BATCH + 1, 3),
                                  (700, 3), (3 * _BATCH, 3)):
@@ -368,38 +365,48 @@ class TestPairStream:
                     assert coll.n_empty == sum(len(m) == 0
                                                for m in sets[:count])
 
-    def test_primary_and_validation_are_spawned(self):
-        # each stream reads the Generator spawned for it, and a read hands
-        # the source's population to its collections without copying it
-        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
-        pairs = PairSource(ug, make_rng(6))
-        assert pairs.population.tolist() == compute_population(ug)
-        got = pairs.read(LRRCollection, _BATCH)
-        for coll, r in zip(got, make_rng(6).spawn(2)):
-            assert coll.population is pairs.population
-            want = LRRCollection(ug, r, pairs.population)
-            want.extend(_BATCH)
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(coll.sets(), want.sets()))
-        assert not all(np.array_equal(a, b)
-                       for a, b in zip(got[0].sets(), got[1].sets()))
-
-
-def assert_same_pairs(got, want):
-    """Two lists of `_pair_search` tuples hold equal arrays."""
-    assert len(got) == len(want)
-    for (t_a, lrr_a, chain_a), (t_b, lrr_b, chain_b) in zip(got, want):
-        for a, b in ((t_a, t_b), *zip(lrr_a, lrr_b), *zip(chain_a, chain_b)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_scaled_coverage_estimates_both_bounds(self, budget,
+                                                   monkeypatch):
+        # Each half of a read, primary and validation, estimates the exact
+        # upper bound as LRR sets and the exact lower bound as chains,
+        # within 3 sigma (sigma from the exact hit probability), with the
+        # batches of a pair searched together and (budget 0) apart.
+        if budget is not None:
+            monkeypatch.setattr(sampling, "_SEEN_BYTES", budget)
+        n, checked = 4000, 0
+        for seed in range(12):
+            rng = make_rng(seed)
+            ug = fixtures.random_tiny(rng, 8, 10)
+            pop = compute_population(ug)
+            cands = np.flatnonzero(ug.candidates()).tolist()
+            if not pop or not cands:
+                continue
+            blockers = rng.choice(cands, size=min(int(rng.integers(1, 3)),
+                                                  len(cands)),
+                                  replace=False).tolist()
+            model = ExactModel(ug)
+            pairs = PairSource(ug, rng)
+            for kind, want in ((LRRCollection, model.upper_bound(blockers)),
+                               (ChainCollection,
+                                model.lower_bound(blockers))):
+                hit = want / len(pop)
+                sigma = len(pop) * math.sqrt(hit * (1 - hit) / n)
+                for coll in pairs.read(kind, n):
+                    est = len(pop) * coverage(coll, blockers) / n
+                    assert abs(est - want) <= 3 * sigma + 1e-9
+                    checked += 1
+            assert pairs.searches == (4 if budget is None else 8)
+        assert checked >= 20
 
 
 def pair_search_calls(monkeypatch):
-    """The segment count of every `_pair_search` call from now on."""
+    """The pair count of every `_pair_search` call from now on."""
     calls = []
 
-    def spy(ug, population, draws):
-        calls.append(len(draws))
-        return search(ug, population, draws)
+    def spy(ug, population, count, rng):
+        calls.append(count)
+        return search(ug, population, count, rng)
 
     search = sampling._pair_search
     monkeypatch.setattr(sampling, "_pair_search", spy)
@@ -407,37 +414,20 @@ def pair_search_calls(monkeypatch):
 
 
 class TestSharedPairSearch:
-    """One reverse search over several streams' segments gives each stream
-    the pairs, and leaves its Generator in the state, of a lone search."""
+    """Batch j of both streams is the two halves of one search of
+    2 * `_BATCH` pairs while its bitmap fits the budget, else two
+    consecutive `_BATCH` searches, all on the source's one Generator."""
 
     GRAPHS = [lambda seed: fixtures.random_tiny(make_rng(seed), 8, 12),
               lambda seed: fixtures.mid_synthetic(make_rng(seed), 300, 1200,
                                                   10)]
 
     @pytest.mark.parametrize("graph", [0, 1])
-    @pytest.mark.parametrize("counts", [(_BATCH, _BATCH), (1, 7),
-                                        (700, _BATCH), (5, 3, 9)])
-    def test_segments_match_lone_batches(self, graph, counts):
-        for seed in range(3):
-            ug = self.GRAPHS[graph](seed)
-            pop = np.asarray(compute_population(ug))
-            if not len(pop):
-                continue
-            for population in (pop, pop[-1:]):     # one node, or all
-                got = [make_rng(10 * seed + i) for i in range(len(counts))]
-                want = [make_rng(10 * seed + i) for i in range(len(counts))]
-                shared = _pair_search(ug, population, list(zip(counts, got)))
-                lone = [batch for count, r in zip(counts, want)
-                        for batch in _pair_batch(ug, population, count, r)]
-                assert_same_pairs(shared, lone)
-                for a, b in zip(got, want):
-                    assert a.random() == b.random()
-
-    @pytest.mark.parametrize("graph", [0, 1])
-    def test_streams_match_lone_streams(self, graph, monkeypatch):
+    def test_streams_match_lone_searches(self, graph, monkeypatch):
         # both streams read in one call, a count that is not a multiple of
         # the batch and then more, with their batches searched together
-        # (the graphs' bitmaps fit the budget) and then alone
+        # (the graphs' bitmaps fit the budget) and then apart; a read hands
+        # the source's population to its collections without copying it
         for budget in (sampling._SEEN_BYTES, 0):
             monkeypatch.setattr(sampling, "_SEEN_BYTES", budget)
             for seed in range(3):
@@ -446,23 +436,28 @@ class TestSharedPairSearch:
                 if not len(pop):
                     continue
                 pairs = PairSource(ug, make_rng(seed))
-                lone = make_rng(seed).spawn(2)
-                batches = [list(_pair_batch(ug, pop, 4 * _BATCH, r))
-                           for r in lone]
+                assert pairs.population.tolist() == pop.tolist()
+                lone = make_rng(seed)
+                searches = ([2 * _BATCH] if budget else [_BATCH, _BATCH]) * 4
+                batches = [batch for size in searches
+                           for batch in _pair_search(ug, pop, size, lone)]
                 for count in (1500, 3 * _BATCH + 1):
                     for kind in (LRRCollection, ChainCollection):
                         got = pairs.read(kind, count)
-                        for coll, stream in zip(got, batches):
+                        for coll, stream in zip(got, (batches[0::2],
+                                                      batches[1::2])):
+                            assert coll.population is pairs.population
                             want = kind(ug, None, pop)
                             for batch in stream:
                                 want._add(*batch[kind._part])
                             assert coll.n_samples == count
                             for a, b in zip(coll.sets(), want.sets()):
                                 assert np.array_equal(a, b)
+                        assert not all(np.array_equal(a, b) for a, b in
+                                       zip(got[0].sets(), got[1].sets()))
                 assert pairs.n_pairs == 4 * _BATCH
-                assert pairs.searches == (4 if budget else 8)
-                for a, b in zip(pairs.rngs, lone):
-                    assert a.random() == b.random()
+                assert pairs.searches == len(searches)
+                assert pairs.rng.random() == lone.random()
 
     def test_one_search_per_round_on_mid(self, monkeypatch):
         # n_total 301: both streams' batches share each search, and every
@@ -475,7 +470,7 @@ class TestSharedPairSearch:
             counts = {check.samples_primary
                       for cert in result.certificates.values()
                       for check in cert.checks}
-            assert calls == [2] * len(counts)
+            assert calls == [2 * _BATCH] * len(counts)
             assert result.as_dict()["pair_streams"] == {
                 "primary": max(counts), "validation": max(counts),
                 "searches": len(calls)}
@@ -488,7 +483,7 @@ class TestSharedPairSearch:
         result = sand_imin(ug, AlgoParams(k=10), make_rng(10))
         pairs = result.as_dict()["pair_streams"]
         assert pairs["primary"] == pairs["validation"]
-        assert calls == [1] * (2 * pairs["primary"] // _BATCH)
+        assert calls == [_BATCH] * (2 * pairs["primary"] // _BATCH)
         assert pairs["searches"] == len(calls)
 
     @pytest.mark.parametrize("n, m, seeds, bound_mb", [
