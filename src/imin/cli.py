@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixtures
 from .baselines import ag, gr, mc_greedy
-from .diffusion import reverse_reach_counts, spread_samples
+from .diffusion import reverse_reach_counts, stopping_rule_decrease
 from .graph import (EdgeListParseError, GraphError,
                     assign_constant_probability, assign_wc_probabilities,
                     load_edge_list, unify_seeds)
@@ -232,14 +232,12 @@ def _run_algo(algo, ug, args, rng):
     return blockers, samples, None, {"blockers": list(blockers)}
 
 
-def _evaluate_decrease(ug, blockers, trials, rng):
-    """Mean per-trial decrease: the base and the residual spread of each
-    forward cascade come from the same realization.  The two sets nest, so
-    each batch searches the blocked cascade and resumes it as the base
-    from the edges that stopped at a blocker (`diffusion._forward_levels`);
-    no pair is expanded twice."""
-    base, residual = spread_samples(ug, [None, blockers], trials, rng)
-    return float((base - residual).mean())
+def _evaluate_decrease(ug, blockers, args, rng):
+    """The decrease of `blockers` to the run's --gamma and --delta, from at
+    most --eval-trials paired cascades (`diffusion.stopping_rule_decrease`):
+    the base and the residual spread of each come from one realization."""
+    return stopping_rule_decrease(ug, blockers, args.gamma, args.delta, rng,
+                                  args.eval_trials)
 
 
 def _format_row(values):
@@ -316,14 +314,16 @@ def _run_rows(args, ug, dataset, seed_rank):
         blockers, samples, ratio, report = _run_algo(args.algo, ug, args,
                                                      algo_rng)
         elapsed = time.perf_counter() - t0
-        decrease = _evaluate_decrease(ug, blockers, args.eval_trials,
-                                      eval_rng)
+        decrease = _evaluate_decrease(ug, blockers, args, eval_rng)
         rows.append((dataset, args.algo, args.k, len(ug.seeds),
                      args.epsilon, args.delta, args.gamma, rep,
-                     args.rng_seed, decrease, samples, ratio))
+                     args.rng_seed, decrease.value, samples, ratio))
         report.update({"dataset": dataset, "algo": args.algo, "repeat": rep,
-                       "decrease_mc": decrease, "runtime_s": elapsed,
-                       "samples": samples, "seed_rank": seed_rank})
+                       "decrease_mc": decrease.value,
+                       "decrease_trials": decrease.samples_used,
+                       "decrease_bounds": [decrease.low, decrease.high],
+                       "runtime_s": elapsed, "samples": samples,
+                       "seed_rank": seed_rank})
         reports.append(report)
     return rows, reports
 
@@ -473,7 +473,9 @@ def _add_common_options(p, sweep=False):
     p.add_argument("--realizations", type=_COUNT, default=10_000,
                    help="realizations per round (ag/gr)")
     p.add_argument("--eval-trials", type=_COUNT, default=100_000,
-                   help="Monte-Carlo trials for the final evaluation")
+                   help="most paired cascades for the final decrease, "
+                        "which stops sooner once its interval meets "
+                        "--gamma at --delta")
     p.add_argument("--repeats", type=_COUNT, default=1)
     p.add_argument("--rng-seed", type=_RNG_SEED, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")

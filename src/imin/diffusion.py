@@ -5,8 +5,8 @@ cascades (`spread_samples`) and live-edge realizations, whose reachable
 set has the same distribution.  Spread values count activated non-seed
 nodes only.  The eager `Realization` (`sample_realization`, one coin per
 edge of the graph) is only the tests' reference; the package searches
-realizations lazily in batches: one breadth-first search runs over up to
-`_BATCH` independent realizations at once and draws an edge's coin only
+realizations lazily in batches: one breadth-first search runs over a
+batch of independent realizations at once and draws an edge's coin only
 when the search first reaches the node at its near end, so a realization
 costs what its cascade reaches (the live-edge idiom of
 reverse-reachable-set influence maximization: Borgs et al., SODA 2014;
@@ -20,10 +20,10 @@ of coins, so the tests' reference runs the same search.
 Generator, and `reverse_reach_counts` runs the same reverse search
 (`_reverse_levels`, the one reverse level loop) on a plain graph and
 keeps only how often each node is found, which scores every node's
-singleton influence at once.  `reverse_reach_counts` sizes its batches,
-and `sampling.PairSource` decides which pair searches to join, by one
-budget for a reverse search's `n_total * trials` `seen` bitmap,
-`_SEEN_BYTES`.  All
+singleton influence at once.  `reverse_reach_counts` and the
+sequential estimates size their batches, and `sampling.PairSource`
+decides which pair searches to join, by one budget for a search's
+`n_total * trials` `seen` bitmap, `_SEEN_BYTES`.  All
 batched searches expand their frontier through one CSR-slice helper, and
 each step compresses its examined edges once, by index: coins are
 compared with every examined edge's probability, and only the live
@@ -85,14 +85,18 @@ once, with no union bound over batches and no separate range term.  The
 upward bet's capital falls and the downward one's rises in m, so the set
 is an interval whose ends are root searches, and each search returns the
 rejected side of its bracket, so the computed interval holds the exact
-one.  Low-variance spreads close in few cascades, and on the benchmark's
-graphs every estimate closes in the first batch.  All sets read one
-stream of shared batches, and a set that stops leaves the search.
-Spreads are normalized by the number of non-seed nodes the seeds can
-reach at all rather than by the node count n, so nodes no cascade can
-reach do not inflate the trial count.  `ic_spread_samples` and
-`stopping_rule_spread` are the one-set calls of `spread_samples` and
-`stopping_rule_spreads`.
+one.  Because the sequence holds at every batch, batch sizes spend no
+delta: the first batch is `_FIRST_BATCH` trials, and each next one
+doubles up to a cap taken from `_SEEN_BYTES` (`_batch_sizes`).
+Low-variance spreads close in few cascades, and on the benchmark's graphs
+every estimate closes in the first batch.  All sets read one stream of
+shared batches, and a set that stops leaves the search.  Spreads are
+normalized by the number of non-seed nodes the seeds can reach at all
+rather than by the node count n, so nodes no cascade can reach do not
+inflate the trial count.  `ic_spread_samples` and `stopping_rule_spread`
+are the one-set calls of `spread_samples` and `stopping_rule_spreads`.
+`stopping_rule_decrease` runs the same stop on the paired per-trial
+decrease of one blocker set, up to a trial cap.
 """
 
 from __future__ import annotations
@@ -104,9 +108,15 @@ import numpy as np
 
 from .graph import Graph, UnifiedGraph
 
-# Trials per vectorized batch.  Fixed so that results for a given seed do
-# not depend on caller-visible knobs.
+# Trials per vectorized batch of the fixed-trial calls (`spread_samples`,
+# the samplers) and the least cap of a sequential estimate's batches.
+# Fixed so that results for a given seed do not depend on caller-visible
+# knobs.
 _BATCH = 1024
+
+# A sequential estimate's first batch (see `_batch_sizes`).  On perfbench's
+# `mid` every estimate closed in its first batch at 512 and at 1024 trials.
+_FIRST_BATCH = 512
 
 # Bytes of the `seen` bitmap (one per node and trial) that a reverse search
 # may grow to: `reverse_reach_counts` sizes its batches by it, and a pair
@@ -265,6 +275,20 @@ def _batch_spreads(g, masks, batch, rng):
     holds = np.unpackbits(np.arange(1 << runs, dtype=np.uint8)[None],
                           axis=0, count=runs, bitorder="little")
     return holds @ per_set.reshape(1 << runs, batch)
+
+
+def _batch_sizes(g, runs):
+    """The trials of each batch of a sequential estimate of `runs` sets:
+    `_FIRST_BATCH`, then doubling up to max(_BATCH, _SEEN_BYTES // width),
+    width the larger per-trial cost of a batch, its `seen` bitmap's
+    `g.n_total` bytes or `_batch_spreads`' 8 << runs bytes of counts.  So
+    neither grows past the larger of one `_BATCH` batch's and
+    `_SEEN_BYTES`, as `reverse_reach_counts` sizes its batches."""
+    cap = max(_BATCH, _SEEN_BYTES // max(g.n_total, 8 << runs))
+    size = _FIRST_BATCH
+    while True:
+        yield size
+        size = min(2 * size, cap)
 
 
 def _slices(lo, hi):
@@ -549,7 +573,8 @@ class SpreadEstimate:
     are the confidence interval the estimate stopped on, in spread units.
     `exact_zero` is set when the graph structure forces a spread of exactly
     zero; no cascade is drawn in that case, so `samples_used` is 0 and the
-    interval is (0, 0).
+    interval is (0, 0).  A `stopping_rule_decrease` estimate is of a decrease,
+    and one that reaches its trial cap first holds only its interval.
     """
 
     value: float
@@ -750,9 +775,12 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     as a histogram over 0..N_B, so a batch costs its distinct values, and
     the ends of all sets still sampling are searched together.  The trial
     count scales with the samples' variance rather than with the worst
-    case of a [0, 1] variable, but is always a whole number of batches.
-    N_B = 0 forces a spread of exactly zero, which is returned without
-    sampling.
+    case of a [0, 1] variable.  Since the sequence holds at every batch,
+    the batch sizes spend no delta: the first batch is `_FIRST_BATCH`
+    trials and each next one doubles, up to a cap that keeps a batch's
+    memory within `_SEEN_BYTES` (`_batch_sizes`), so a set stops after a
+    prefix sum of that schedule.  N_B = 0 forces a spread of exactly zero,
+    which is returned without sampling.
 
     Every batch is one forward search with one run per set still
     sampling; a set that stops leaves the search, and its estimate is what
@@ -780,8 +808,9 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
         value=0.0, gamma=gamma, delta=delta, samples_used=0, exact_zero=True)
         for rule in rules]
     active = [r for r, e in enumerate(est) if e is None]
+    sizes = _batch_sizes(g, len(active))
     while active:
-        spreads = _batch_spreads(g, masks[active], _BATCH, rng)
+        spreads = _batch_spreads(g, masks[active], next(sizes), rng)
         for r, row_spreads in zip(active, spreads):
             rules[r].add(row_spreads)
         _tighten([rules[r] for r in active], delta)
@@ -797,3 +826,50 @@ def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
     """(gamma, delta)-estimate of the expected non-seed spread of
     `blockers`: the one-set call of `stopping_rule_spreads`."""
     return stopping_rule_spreads(g, [blockers], gamma, delta, rng)[0]
+
+
+def stopping_rule_decrease(g: UnifiedGraph, blockers, gamma: float,
+                           delta: float, rng: np.random.Generator,
+                           cap: int) -> SpreadEstimate:
+    """(gamma, delta)-estimate of the expected decrease sigma(none) -
+    sigma(blockers), from at most `cap` paired cascades.
+
+    Each trial runs the base and the blocked cascade on one realization
+    (one resumed search per batch, as `spread_samples` pairs nested sets),
+    and its decrease D_t = base_t - residual_t takes the place of one
+    set's spread in `stopping_rule_spreads`: the blocked cascade reaches a
+    subset of the base one, so D_t is an integer in [0, N], N the non-seed
+    nodes the seeds can reach at all.  D_t / N stops on the same betting
+    confidence sequence and batch schedule (`_batch_sizes`).  The value is
+    the mean of the D_t, clipped to the values within a factor
+    (1 +/- gamma) of every point of the interval, so a constant decrease
+    is returned exactly.  A run that reaches `cap` trials before its
+    interval closes clips the mean to the interval alone, which still
+    holds the decrease with probability at least 1 - delta.  When no
+    blocker lies in `g.reach`, no cascade can differ, and the decrease is
+    exactly zero, with no cascade drawn.
+    """
+    blocked = g.blocked_with(blockers)
+    if not (blocked & g.reach).any():
+        return SpreadEstimate(value=0.0, gamma=gamma, delta=delta,
+                              samples_used=0, exact_zero=True)
+    masks = np.stack([g.blocked, blocked])
+    rule = _BettingStop(int(np.count_nonzero(g.reach & ~g.uncounted)))
+    for size in _batch_sizes(g, len(masks)):
+        size = min(size, cap - rule.samples)
+        base, residual = _batch_spreads(g, masks, size, rng)
+        rule.add(base - residual)
+        _tighten([rule], delta)
+        low, high = rule.low, rule.high
+        if (1.0 + gamma) * low >= (1.0 - gamma) * high:
+            # the values within a factor (1 +/- gamma) of every point
+            low, high = (max(low, (1.0 - gamma) * high),
+                         min(high, (1.0 + gamma) * low))
+        elif rule.samples < cap:
+            continue
+        n = rule.n_reach
+        mean = rule.counts @ np.arange(n + 1) / rule.samples
+        return SpreadEstimate(value=min(max(mean, low * n), high * n),
+                              gamma=gamma, delta=delta,
+                              samples_used=rule.samples, low=rule.low * n,
+                              high=rule.high * n)

@@ -10,6 +10,8 @@ and Lakshmanan, PVLDB 2015, compares its candidates), and the residuals
 differ only by what the candidates block.  Each estimate stops on its own
 betting confidence sequence, valid at every batch at once, as soon as its
 interval is within the gamma contract, and then leaves the shared search;
+the batches are 512 trials, then doubling (`diffusion._batch_sizes`), so
+an estimate that closes early draws few cascades;
 `as_dict` reports the interval each stopped on (`spread_bounds`).  When
 the active sets nest, each inside the next, a batch searches the
 most-blocked one and resumes the others from the pairs it held back, with

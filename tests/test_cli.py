@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from imin import cli, fixtures
 from imin.cli import CSV_FIELDS, _evaluate_decrease, _influence_pool, main
-from imin.diffusion import ic_spread_samples, spread_samples
+from imin.diffusion import _batch_spreads, ic_spread_samples
 from imin.graph import (Graph, assign_constant_probability,
                         assign_wc_probabilities, load_edge_list, unify_seeds)
 
@@ -41,17 +42,27 @@ class TestRun:
 
     def test_decrease_is_a_mean_of_paired_trials(self):
         # base and residual come from the same cascades, so the decrease
-        # is a mean of per-trial differences, none of them negative
+        # is a mean of per-trial differences, none of them negative.  This
+        # interval is still open at the 3000-trial cap, drawn in batches
+        # of 512, 1024 and the 1464 left, and the value is the mean.
+        args = argparse.Namespace(gamma=0.1, delta=0.1, eval_trials=3000)
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
         blockers = ug.seed_out_neighbors()[:2]
-        rows = spread_samples(ug, [None, blockers], 3000, make_rng(1))
+        masks = np.stack([ug.blocked, ug.blocked_with(blockers)])
+        rng = make_rng(1)
+        rows = np.hstack([_batch_spreads(ug, masks, size, rng)
+                          for size in (512, 1024, 1464)])
         assert (rows[1] <= rows[0]).all()
-        assert _evaluate_decrease(ug, blockers, 3000, make_rng(1)) \
-            == (rows[0] - rows[1]).mean() > 0.0
-        # a blocker the seeds cannot reach changes no cascade
+        est = _evaluate_decrease(ug, blockers, args, make_rng(1))
+        assert est.samples_used == 3000
+        assert est.value == (rows[0] - rows[1]).mean() > 0.0
+        assert est.low < est.value < est.high
+        # a blocker the seeds cannot reach changes no cascade, and none is
+        # drawn
         ug = unify_seeds(Graph.from_edges(4, [0, 2], [1, 3], [0.5, 1.0]),
                          {0})
-        assert _evaluate_decrease(ug, [3], 1000, make_rng(2)) == 0.0
+        est = _evaluate_decrease(ug, [3], args, make_rng(2))
+        assert est.value == 0.0 and est.samples_used == 0
 
     def test_json_reports_spread_samples(self, tmp_path):
         report = tmp_path / "report.json"
@@ -108,8 +119,9 @@ class TestRun:
 
     SANDWICH_KEYS = [
         "algo", "base_spread_estimate", "blockers", "candidates",
-        "certificates", "chosen", "dataset", "decrease_estimate",
-        "decrease_estimates", "decrease_mc", "empirical_ratio",
+        "certificates", "chosen", "dataset", "decrease_bounds",
+        "decrease_estimate", "decrease_estimates", "decrease_mc",
+        "decrease_trials", "empirical_ratio",
         "pair_streams", "repeat", "residual_estimates", "runtime_s",
         "samples", "seed_rank", "spread_bounds", "spread_samples",
         "timings_s"]
@@ -117,8 +129,9 @@ class TestRun:
     @pytest.mark.parametrize("algo, keys", [
         ("sandimin", SANDWICH_KEYS),
         ("sandimin-minus", SANDWICH_KEYS),
-        ("lhga", ["algo", "blockers", "dataset", "decrease_mc", "repeat",
-                  "runtime_s", "samples", "seed_rank"]),
+        ("lhga", ["algo", "blockers", "dataset", "decrease_bounds",
+                  "decrease_mc", "decrease_trials", "repeat", "runtime_s",
+                  "samples", "seed_rank"]),
     ])
     def test_json_report_keys(self, tmp_path, algo, keys):
         # the top-level keys of a report, pinned exactly: a change that

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imin import diffusion, fixtures
-from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _SEEN_BYTES,
-                            _BettingStop, _forward_levels, _slices,
-                            _tighten, ic_spread_samples, reverse_live_edges,
+from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _FIRST_BATCH,
+                            _SEEN_BYTES, _BettingStop, _batch_sizes,
+                            _batch_spreads, _distinct_masks, _forward_levels,
+                            _slices, _tighten, ic_spread_samples,
+                            reverse_live_edges,
                             reachable_in_realization,
                             reverse_reach_counts, sample_realization,
                             spread_samples, stopping_rule_spread,
                             stopping_rule_spreads)
-from imin.graph import Graph, unify_seeds
+from imin.graph import Graph, assign_constant_probability, unify_seeds
 from imin.oracle import ExactModel
 from imin.sampling import _cp_batch, _pair_batch, compute_population
 
@@ -309,12 +311,13 @@ class TestBettingContract:
         # the residual of `lhga`'s five blockers on a 150-node core: an
         # empirical-Bernstein rule with a union bound over batches needs
         # 3072 cascades for each of these runs; the betting sequence needs
-        # neither the union bound nor a range term, and closes at once
+        # neither the union bound nor a range term, and closes at once,
+        # in a first batch of 512
         core = fixtures.mid_synthetic(make_rng(5), 150, 600, 3)
         blockers = [5, 43, 35, 27, 22]
         for i in range(4):
             est = stopping_rule_spread(core, blockers, 0.1, 0.1, make_rng(i))
-            assert est.samples_used == _BATCH
+            assert est.samples_used == _FIRST_BATCH == 512
             assert 0.0 < est.low <= est.value <= est.high
             assert (1 - 0.1) * est.high <= (1 + 0.1) * est.low
 
@@ -363,16 +366,35 @@ def betting_reference(batches, n_reach, delta):
         yield low, high
 
 
-def betting_stop_reference(rows, n_reach, gamma, delta):
-    """The betting stop replayed on a fixed row of spreads, one `_BATCH`
-    at a time: (value, samples, half-width of the interval, in spread
-    units) at the first batch whose interval closes, or None."""
-    batches = [rows[t:t + _BATCH] for t in range(0, len(rows), _BATCH)]
-    for j, (low, high) in enumerate(
-            betting_reference(batches, n_reach, delta), start=1):
+def schedule(g, runs, total):
+    """The batch sizes of a sequential estimate of `runs` sets on `g`
+    (`_batch_sizes`) whose sum first reaches `total`."""
+    sizes = []
+    for size in _batch_sizes(g, runs):
+        if sum(sizes) >= total:
+            return sizes
+        sizes.append(size)
+
+
+def replay_batches(g, sets, sizes, rng):
+    """The rows of `spread_samples(g, sets, sum(sizes), rng)` as a
+    sequential estimate draws them: one search per batch of `sizes`."""
+    masks, row = _distinct_masks(g, sets)
+    return np.hstack([_batch_spreads(g, masks, size, rng)
+                      for size in sizes])[row]
+
+
+def betting_stop_reference(rows, n_reach, gamma, delta, sizes):
+    """The betting stop replayed on a fixed row of spreads, one batch of
+    `sizes` at a time: (value, samples, half-width of the interval, in
+    spread units) at the first batch whose interval closes, or None."""
+    ends = np.cumsum(sizes)
+    batches = np.split(rows, ends[ends < len(rows)])
+    for end, (low, high) in zip(
+            ends, betting_reference(batches, n_reach, delta)):
         if (1 + gamma) * low >= (1 - gamma) * high:
             value = 0.5 * ((1 + gamma) * low + (1 - gamma) * high)
-            return value * n_reach, j * _BATCH, 0.5 * (high - low) * n_reach
+            return value * n_reach, end, 0.5 * (high - low) * n_reach
     return None
 
 
@@ -879,8 +901,9 @@ class TestStoppingRuleSpreads:
         # the seed's sure edge to 1 is all that blocking 2 leaves: that
         # set stops after one batch, while the rare branch through 2 keeps
         # the base sampling.  The early set's estimate is the betting stop
-        # on the first shared batch; the base samples on alone, one-run
-        # batches from the same generator, until its own interval closes.
+        # on the first shared batch of 512; the base samples on alone, in
+        # one-run batches of the same schedule (1024, 2048, ...) from the
+        # same generator, until its own interval closes.
         ug = unify_seeds(Graph.from_edges(
             13, [0, 0] + [2] * 10, [1, 2] + list(range(3, 13)),
             [1.0, 0.05] + [1.0] * 10), {0})
@@ -888,16 +911,16 @@ class TestStoppingRuleSpreads:
         for seed in range(5):
             base, early = stopping_rule_spreads(ug, [None, [2]], gamma,
                                                 delta, make_rng(seed))
+            sizes = schedule(ug, 2, base.samples_used)
+            assert sum(sizes) == base.samples_used > sizes[0]
             rng = make_rng(seed)
-            shared = spread_samples(ug, [None, [2]], _BATCH, rng)
-            assert early.samples_used == _BATCH
+            shared = spread_samples(ug, [None, [2]], sizes[0], rng)
+            assert early.samples_used == sizes[0] == 512
             assert_matches_reference(early, betting_stop_reference(
-                shared[1], 1, gamma, delta))
-            assert base.samples_used > _BATCH
-            alone = ic_spread_samples(ug, None, base.samples_used - _BATCH,
-                                      rng)
+                shared[1], 1, gamma, delta, sizes))
+            alone = replay_batches(ug, [None], sizes[1:], rng)[0]
             assert_matches_reference(base, betting_stop_reference(
-                np.concatenate([shared[0], alone]), 12, gamma, delta))
+                np.concatenate([shared[0], alone]), 12, gamma, delta, sizes))
 
     def test_more_sets_than_runs(self):
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
@@ -908,3 +931,63 @@ class TestStoppingRuleSpreads:
         # equal sets share a run, so nine copies of one set are one run
         rows = spread_samples(ug, [sets[0]] * 9, 10, make_rng(0))
         assert (rows == rows[0]).all()
+
+
+class TestBatchSchedule:
+    """Sequential estimates draw batches of 512, 1024, 2048, ..., up to
+    the cap `_batch_sizes` takes from `_SEEN_BYTES`, so a batch's forward
+    `seen` bitmap does not grow with batch x n."""
+
+    def test_batches_follow_the_schedule_within_the_bitmap_budget(
+            self, monkeypatch):
+        # constant p = 0.01: the estimates run past two batches into the
+        # cap (1 MB / 301 nodes = 3483 trials), and this small decrease is
+        # still open at its 10,000-trial cap, where its last batch is cut
+        mid = fixtures.mid_synthetic(make_rng(0), 300, 1200, 10)
+        ug = unify_seeds(assign_constant_probability(mid.base, 0.01),
+                         mid.seeds)
+        drawn = []
+
+        def spy(g, masks, batch, rng, _real=diffusion._batch_spreads):
+            assert g.n_total * batch <= max(_BATCH * g.n_total, _SEEN_BYTES)
+            drawn.append(batch)
+            return _real(g, masks, batch, rng)
+
+        monkeypatch.setattr(diffusion, "_batch_spreads", spy)
+        sets = [None, ug.seed_out_neighbors()[:1]]
+        ests = stopping_rule_spreads(ug, sets, 0.1, 0.1, make_rng(1))
+        assert drawn[:4] == [512, 1024, 2048, _SEEN_BYTES // 301]
+        assert drawn == schedule(ug, 2, sum(drawn))
+        for est in ests:
+            assert est.samples_used in np.cumsum(drawn)
+        drawn.clear()
+        est = diffusion.stopping_rule_decrease(ug, sets[1], 0.1, 0.1,
+                                               make_rng(2), 10_000)
+        assert drawn[:-1] == schedule(ug, 2, 10_000)[:-1]
+        assert est.samples_used == sum(drawn) == 10_000
+
+
+class TestStoppingRuleDecrease:
+    def test_interval_holds_the_exact_decrease(self):
+        gamma, delta = 0.1, 0.1
+        hits = runs = 0
+        for seed in range(160):
+            rng = make_rng(1100 + seed)
+            ug = fixtures.random_tiny(rng)
+            cands = [v for v in range(ug.base.n) if v not in ug.seeds]
+            blockers = [int(v) for v in rng.choice(
+                cands, size=int(rng.integers(1, min(2, len(cands)) + 1)),
+                replace=False)]
+            exact = ExactModel(ug).decrease(blockers)
+            est = diffusion.stopping_rule_decrease(ug, blockers, gamma,
+                                                   delta, rng, 4096)
+            assert 0.0 <= est.low <= est.value <= est.high
+            if est.exact_zero:
+                assert exact == pytest.approx(0.0, abs=1e-12)
+                assert est.samples_used == 0
+                continue
+            runs += 1
+            hits += est.low <= exact <= est.high
+        assert runs >= 100
+        slack = 3 * math.sqrt(delta * (1 - delta) / runs)
+        assert hits / runs >= 1 - delta - slack
