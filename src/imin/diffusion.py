@@ -614,6 +614,16 @@ class _BettingStop:
                               high=high * n)
 
 
+def _check_contract(gamma, delta, cap=1):
+    """Raise ValueError unless gamma and delta lie in (0, 1) and the trial
+    cap is at least 1."""
+    for name, value in (("gamma", gamma), ("delta", delta)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1)")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+
+
 def _tighten(rules, delta):
     """Intersect each rule's interval with its betting confidence set
     {m : K+(m) < 2/delta and K-(m) < 2/delta}, every rule at once.
@@ -791,10 +801,7 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     batches before it, so each set's contract holds whichever sets still
     sample.  Equal sets share one run and one estimate object.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_contract(gamma, delta)
     masks, row = _distinct_masks(g, blocker_sets)
     # the graph's own mask reads its cached reach; one search does the rest
     own = (masks == g.blocked).all(axis=1)
@@ -849,6 +856,7 @@ def stopping_rule_decrease(g: UnifiedGraph, blockers, gamma: float,
     blocker lies in `g.reach`, no cascade can differ, and the decrease is
     exactly zero, with no cascade drawn.
     """
+    _check_contract(gamma, delta, cap)
     blocked = g.blocked_with(blockers)
     if not (blocked & g.reach).any():
         return SpreadEstimate(value=0.0, gamma=gamma, delta=delta,

@@ -317,34 +317,29 @@ class UnifiedGraph:
 
     def seed_out_neighbors(self):
         """Nodes directly reachable from the seed set, excluding seeds and
-        blocked nodes."""
-        targets = set()
-        for u in self.seeds:
-            lo, hi = self.base.out_ptr[u], self.base.out_ptr[u + 1]
-            targets.update(int(v) for v in self.base.out_dst[lo:hi])
-        return sorted(v for v in targets - self.seeds if not self.blocked[v])
+        blocked nodes, ascending."""
+        return self.seed_activation[0].tolist()
 
     @cached_property
     def seed_activation(self):
         """(nodes, probs): `seed_out_neighbors()` as an array, and the
         probability that the seed layer activates each node directly, one
         minus the product of its seed in-edges' misses.  Computed once per
-        graph; each product runs in edge order, as a loop over the edges
-        would multiply, so the floats are that loop's."""
+        graph from the seeds' out-edges; each product runs in ascending seed
+        order, the order of a node's in-edges, as a loop over them would
+        multiply, so the floats are that loop's."""
         base = self.base
-        nodes = np.asarray(self.seed_out_neighbors(), dtype=np.int64)
-        lo, hi = base.in_ptr[nodes], base.in_ptr[nodes + 1]
-        owner = np.repeat(np.arange(len(nodes)), hi - lo)
-        offs = np.arange(len(owner)) + (lo - np.cumsum(hi - lo) + hi - lo)[
-            owner]
-        keep = self.seed_mask[base.in_src[offs]]
-        owner, offs = owner[keep], offs[keep]
-        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        miss = np.ones(len(nodes))
-        for step in range(int(rank.max(initial=-1)) + 1):
-            at = rank == step       # each node's seed in-edge number `step`
-            miss[owner[at]] *= 1.0 - base.in_p[offs[at]]
-        return nodes, 1.0 - miss
+        seeds = np.flatnonzero(self.seed_mask[:base.n])
+        lo, lens = base.out_ptr[seeds], np.diff(base.out_ptr)[seeds]
+        eids = np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens,
+                                                 lens)
+        dst = base.out_dst[eids]
+        keep = np.flatnonzero(~(self.seed_mask[dst] | self.blocked[dst]))
+        order = keep[np.argsort(dst[keep], kind="stable")]
+        dst = dst[order]
+        head = np.flatnonzero(np.diff(dst, prepend=-1))
+        miss = np.multiply.reduceat(1.0 - base.out_p[eids[order]], head)
+        return dst[head], 1.0 - miss
 
     @cached_property
     def reach(self) -> np.ndarray:

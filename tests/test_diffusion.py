@@ -991,3 +991,21 @@ class TestStoppingRuleDecrease:
         assert runs >= 100
         slack = 3 * math.sqrt(delta * (1 - delta) / runs)
         assert hits / runs >= 1 - delta - slack
+
+    @pytest.mark.parametrize("gamma, delta, cap, name", [
+        (1.5, 0.1, 10_000, "gamma"), (0.0, 0.1, 10_000, "gamma"),
+        (0.1, 0.0, 10_000, "delta"), (0.1, 1.0, 10_000, "delta"),
+        (0.1, 0.1, 0, "cap")])
+    def test_rejects_a_contract_outside_its_range(self, gamma, delta, cap,
+                                                  name):
+        # the contract is checked before any cascade, as the spread
+        # estimates check theirs
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        blockers = ug.seed_out_neighbors()[:1]
+        with pytest.raises(ValueError, match=name):
+            diffusion.stopping_rule_decrease(ug, blockers, gamma, delta,
+                                             make_rng(1), cap)
+        if name != "cap":
+            with pytest.raises(ValueError, match=name):
+                stopping_rule_spreads(ug, [blockers], gamma, delta,
+                                      make_rng(1))
