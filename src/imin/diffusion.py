@@ -89,14 +89,16 @@ one.  Because the sequence holds at every batch, batch sizes spend no
 delta: the first batch is `_FIRST_BATCH` trials, and each next one
 doubles up to a cap taken from `_SEEN_BYTES` (`_batch_sizes`).
 Low-variance spreads close in few cascades, and on the benchmark's graphs
-every estimate closes in the first batch.  All sets read one stream of
+every estimate closes in the first batch.  Each value is the mean of its
+samples clipped to the gamma contract of its interval
+(`_BettingStop.estimate`).  All sets read one stream of
 shared batches, and a set that stops leaves the search.  Spreads are
 normalized by the number of non-seed nodes the seeds can reach at all
 rather than by the node count n, so nodes no cascade can reach do not
 inflate the trial count.  `ic_spread_samples` and `stopping_rule_spread`
 are the one-set calls of `spread_samples` and `stopping_rule_spreads`.
-`stopping_rule_decrease` runs the same stop on the paired per-trial
-decrease of one blocker set, up to a trial cap.
+`stopping_rule_decrease` runs the same stop and value rule on the paired
+per-trial decrease of one blocker set, up to a trial cap.
 """
 
 from __future__ import annotations
@@ -569,8 +571,9 @@ class SpreadEstimate:
     """A spread estimate with its accuracy contract.
 
     With probability at least 1 - delta the value lies within a factor
-    (1 +/- gamma) of the true expected non-seed spread.  `low` and `high`
-    are the confidence interval the estimate stopped on, in spread units.
+    (1 +/- gamma) of the true expected non-seed spread: it is the samples'
+    mean clipped to the values within that factor of every point of
+    [`low`, `high`], the confidence interval it stopped on, in spread units.
     `exact_zero` is set when the graph structure forces a spread of exactly
     zero; no cascade is drawn in that case, so `samples_used` is 0 and the
     interval is (0, 0).  A `stopping_rule_decrease` estimate is of a decrease,
@@ -601,22 +604,27 @@ class _BettingStop:
         self.counts += np.bincount(spreads, minlength=self.n_reach + 1)
         self.samples += len(spreads)
 
-    def estimate(self, gamma, delta):
-        """The estimate once the interval is within the gamma contract,
-        else None."""
+    def estimate(self, gamma, delta, final=False):
+        """The estimate once the interval is within the gamma contract, or
+        at a trial cap (`final`), else None: the samples' mean clipped to
+        the values within a factor (1 +/- gamma) of every point of the
+        interval, or at a cap, to the interval alone."""
         low, high = self.low, self.high
-        if (1.0 + gamma) * low < (1.0 - gamma) * high:
+        if (1.0 + gamma) * low >= (1.0 - gamma) * high:
+            low, high = (max(low, (1.0 - gamma) * high),
+                         min(high, (1.0 + gamma) * low))
+        elif not final:
             return None
-        value = 0.5 * ((1.0 + gamma) * low + (1.0 - gamma) * high)
         n = self.n_reach
-        return SpreadEstimate(value=value * n, gamma=gamma, delta=delta,
-                              samples_used=self.samples, low=low * n,
-                              high=high * n)
+        mean = self.counts @ np.arange(n + 1) / self.samples
+        return SpreadEstimate(value=min(max(mean, low * n), high * n),
+                              gamma=gamma, delta=delta,
+                              samples_used=self.samples, low=self.low * n,
+                              high=self.high * n)
 
 
 def _check_contract(gamma, delta, cap=1):
-    """Raise ValueError unless gamma and delta lie in (0, 1) and the trial
-    cap is at least 1."""
+    """Raise ValueError unless gamma and delta lie in (0, 1) and cap >= 1."""
     for name, value in (("gamma", gamma), ("delta", delta)):
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie in (0, 1)")
@@ -780,8 +788,10 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     bracketed root search over the histogram's distinct values; the
     search returns the rejected side of its bracket (`_lower_ends`), so
     the computed interval always holds C_t.  A set stops once (1 + gamma)
-    LB >= (1 - gamma) UB, and N_B * ((1 + gamma) LB + (1 - gamma) UB) / 2
-    is then within (1 +/- gamma) of the mean.  Each set keeps its spreads
+    LB >= (1 - gamma) UB, and N_B times the samples' mean, clipped to the
+    values within (1 +/- gamma) of every point of [LB, UB], is then within
+    (1 +/- gamma) of the mean (`_BettingStop.estimate`); a constant
+    spread comes out exact.  Each set keeps its spreads
     as a histogram over 0..N_B, so a batch costs its distinct values, and
     the ends of all sets still sampling are searched together.  The trial
     count scales with the samples' variance rather than with the worst
@@ -847,14 +857,12 @@ def stopping_rule_decrease(g: UnifiedGraph, blockers, gamma: float,
     set's spread in `stopping_rule_spreads`: the blocked cascade reaches a
     subset of the base one, so D_t is an integer in [0, N], N the non-seed
     nodes the seeds can reach at all.  D_t / N stops on the same betting
-    confidence sequence and batch schedule (`_batch_sizes`).  The value is
-    the mean of the D_t, clipped to the values within a factor
-    (1 +/- gamma) of every point of the interval, so a constant decrease
-    is returned exactly.  A run that reaches `cap` trials before its
-    interval closes clips the mean to the interval alone, which still
-    holds the decrease with probability at least 1 - delta.  When no
-    blocker lies in `g.reach`, no cascade can differ, and the decrease is
-    exactly zero, with no cascade drawn.
+    confidence sequence, batch schedule (`_batch_sizes`) and value rule
+    (`_BettingStop.estimate`).  A run that reaches `cap` trials before its
+    interval closes clips the mean to the interval alone, which still holds
+    the decrease with probability at least 1 - delta.  When no blocker lies
+    in `g.reach`, no cascade can differ, and the decrease is exactly zero,
+    with no cascade drawn.
     """
     _check_contract(gamma, delta, cap)
     blocked = g.blocked_with(blockers)
@@ -868,16 +876,6 @@ def stopping_rule_decrease(g: UnifiedGraph, blockers, gamma: float,
         base, residual = _batch_spreads(g, masks, size, rng)
         rule.add(base - residual)
         _tighten([rule], delta)
-        low, high = rule.low, rule.high
-        if (1.0 + gamma) * low >= (1.0 - gamma) * high:
-            # the values within a factor (1 +/- gamma) of every point
-            low, high = (max(low, (1.0 - gamma) * high),
-                         min(high, (1.0 + gamma) * low))
-        elif rule.samples < cap:
-            continue
-        n = rule.n_reach
-        mean = rule.counts @ np.arange(n + 1) / rule.samples
-        return SpreadEstimate(value=min(max(mean, low * n), high * n),
-                              gamma=gamma, delta=delta,
-                              samples_used=rule.samples, low=rule.low * n,
-                              high=rule.high * n)
+        est = rule.estimate(gamma, delta, final=rule.samples == cap)
+        if est is not None:
+            return est

@@ -1,18 +1,20 @@
 """Greedy coverage maximization with adaptive sample-doubling certificates.
 
-Both bound maximizers run one loop: round r reads the first N_r pairs of
-a primary and of an independent validation stream in one call
-(`sampling.PairSource`), picks a blocker set greedily on the primary
-pairs, certifies it on the validation pairs, and stops once the
-certified ratio clears 1 - 1/e - epsilon, or at the last round a union
-bound over all candidate sets allows.  N_r is
-samples_initial * 2^(r-1) rounded up to whole `_BATCH` batches, and a
-round with the pairs of the round before is not checked again.  The ratio
-compares high-probability bounds from martingale tail bounds on coverage
-counts: a lower one on the chosen set's value, an upper one on the
-optimum's.  Both objectives are the exactly known population size times a
-covered fraction of pairs (LRR sets for `gsbm`, dominator chains for
-`lsbm`), so each certificate spends its whole delta.
+Both bound maximizers run one loop on one schedule and differ only in
+their samples (LRR sets for `gsbm`, dominator chains for `lsbm`): round r
+reads the first N_r pairs of a primary and of an independent validation
+stream in one call (`sampling.PairSource`), picks a blocker set greedily
+on the primary pairs, certifies it on the validation pairs, and stops once
+the certified ratio clears 1 - 1/e - epsilon, or at the schedule's last
+round.  N_r is samples_initial * 2^(r-1) rounded up to whole `_BATCH`
+batches, and a round with the pairs of the round before is not checked
+again.  The ratio compares high-probability bounds from martingale tail
+bounds on coverage counts: a lower one on the chosen set's value, an upper
+one on the optimum's.  Both objectives are the exactly known population
+size times a covered fraction of pairs, so no spread estimate shares delta
+and each certificate's tail term is ln(6 / delta).  Samples hold population
+nodes only, so the union bound is over the sets that differ on the
+population, at most sum_{j <= k} C(N_pop, j) <= C(N_pop + k, k).
 
 Greedy selection takes one array pass per pick: every node's marginal
 gain at once, then the best candidate by `np.argmax` (ties to the lowest
@@ -44,9 +46,9 @@ log = logging.getLogger(__name__)
 @dataclass
 class AlgoParams:
     """Budget and error knobs shared by the bound maximizers.  `beta` has
-    no effect (it was the accuracy of a spread estimate the lower
-    maximizer no longer draws); it is kept, range-checked, only because
-    the benchmark harness passes it."""
+    no effect: the last leftover of the paper's spread estimate, which the
+    lower maximizer no longer draws, it is kept, range-checked, only
+    because the benchmark harness passes it."""
 
     k: int
     epsilon: float = 0.2
@@ -196,28 +198,26 @@ def opt_lower_bound(g: UnifiedGraph, k: int) -> float:
     return float(sum(np.sort(g.seed_activation[1])[::-1][:k].tolist()))
 
 
-def _log_binom(a: int, b: int) -> float:
-    a = max(a, b)
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+def _make_schedule(npop: int, k: int, params: AlgoParams,
+                   opt_low: float) -> SampleSchedule:
+    """The schedule of both maximizers (see the module docstring): with
+    ln_choose = ln C(npop + k, k) and ln_tail = ln(6 / delta),
 
-
-def _make_schedule(scale: float, denom: float, ln_choose: float,
-                   ln_tail: float, delta: float) -> SampleSchedule:
-    """Common schedule arithmetic for both maximizers.
-
-    samples_cap = 2 * scale * ((1-1/e) sqrt(ln_tail) +
-                  sqrt((1-1/e)(ln_choose + ln_tail)))^2 / denom,
-    samples_initial = samples_cap * denom / scale.
+    samples_initial = 2 ((1-1/e) sqrt(ln_tail) +
+                         sqrt((1-1/e)(ln_choose + ln_tail)))^2,
+    samples_cap = samples_initial * npop / (epsilon^2 * opt_low).
     """
-    core = 2.0 * (E_FRACTION * math.sqrt(ln_tail)
-                  + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
-    samples_cap = scale * core / denom
-    samples_initial = samples_cap * denom / scale
+    ln_choose = (math.lgamma(npop + k + 1) - math.lgamma(k + 1)
+                 - math.lgamma(npop + 1))
+    ln_tail = math.log(6.0 / params.delta)
+    samples_initial = 2.0 * (E_FRACTION * math.sqrt(ln_tail) + math.sqrt(
+        E_FRACTION * (ln_choose + ln_tail))) ** 2
+    samples_cap = samples_initial * npop / (params.epsilon ** 2 * opt_low)
     rounds_cap = max(1, math.ceil(math.log2(samples_cap / samples_initial)))
     return SampleSchedule(samples_initial=samples_initial,
                           samples_cap=samples_cap,
                           rounds_cap=rounds_cap,
-                          log_term=math.log(3.0 * rounds_cap / delta))
+                          log_term=math.log(3.0 * rounds_cap / params.delta))
 
 
 def _sigma_lower_term(cov_scaled: float, a1: float) -> float:
@@ -240,15 +240,13 @@ def _early_return(side: str, blockers=(), **fields):
                                       stop_reason="early_exit", **fields)
 
 
-def _certified_maximize(side, g, params, rng, collection, tail,
-                        candidates=None, pairs=None):
+def _certified_maximize(side, g, params, rng, collection, pairs=None):
     """The doubling, certify and stop loop shared by both maximizers.
 
     Each round reads its primary and validation pairs as `collection` from
-    `pairs`, a `PairSource`, or from one made off `rng`.  Schedule
-    inputs: the number of `candidates` a blocker set is chosen from (the
-    population size when not given) and the `tail` numerator of the
-    union-bound log term.
+    `pairs`, a `PairSource`, or from one made off `rng`.  The schedule
+    depends on the sample kind in nothing: its tail term is ln(6 / delta)
+    and its union bound ln C(N_pop + k, k) (see the module docstring).
     """
     params.validate()
     on = g.seed_out_neighbors()
@@ -263,10 +261,7 @@ def _certified_maximize(side, g, params, rng, collection, tail,
     if opt_low <= 0.0:
         raise ValueError("every seed out-edge has zero probability; "
                          "the schedule lower bound is degenerate")
-    sched = _make_schedule(
-        scale=float(npop), denom=params.epsilon ** 2 * opt_low,
-        ln_choose=_log_binom(npop if candidates is None else candidates, k),
-        ln_tail=math.log(tail / params.delta), delta=params.delta)
+    sched = _make_schedule(npop, k, params, opt_low)
 
     checks, count = [], 0
     for round_no in range(1, sched.rounds_cap + 1):
@@ -312,9 +307,8 @@ def lsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
     uniform targets (`ChainCollection`), so the lower bound is estimated
     as the upper bound is, at the population's scale.
     """
-    return _certified_maximize(
-        "lower", g, params, rng, ChainCollection, tail=12.0,
-        candidates=int(g.candidates().sum()), pairs=pairs)
+    return _certified_maximize("lower", g, params, rng, ChainCollection,
+                               pairs)
 
 
 def gsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
@@ -325,4 +319,4 @@ def gsbm(g: UnifiedGraph, params: AlgoParams, rng: np.random.Generator,
     covers a sample when it holds one of the set's members.
     """
     return _certified_maximize("upper", g, params, rng, LRRCollection,
-                               tail=6.0, pairs=pairs)
+                               pairs)

@@ -198,6 +198,22 @@ def split_sets(batches, part=1):
             yield target, members[end - size:end]
 
 
+def padded_twin(seed, pad):
+    """A mid_synthetic core, and the same core plus `pad` nodes joined by
+    p=0.5 edges among themselves that no seed can reach."""
+    core = fixtures.mid_synthetic(make_rng(seed), 60, 240, 3)
+    rng = make_rng(seed + 1)
+    u = rng.integers(0, pad, size=4 * pad)
+    v = rng.integers(0, pad, size=4 * pad)
+    key = np.unique((u * pad + v)[u != v])
+    src, dst, p = core.base.edge_array()
+    g = Graph.from_edges(
+        core.base.n + pad, np.concatenate([src, key // pad + core.base.n]),
+        np.concatenate([dst, key % pad + core.base.n]),
+        np.concatenate([p, np.full(len(key), 0.5)]))
+    return core, unify_seeds(g, core.seeds)
+
+
 def random_flowgraph(seed):
     """A random unified graph with cycles, edges of probability 0, 1 and
     in between, seed-to-seed edges and up to two blocked nodes."""

@@ -250,10 +250,10 @@ def test_criterion_07_sample_count_trend():
         _, cert = lsbm(ug, params, make_rng(701))
         finals.append(cert.samples_primary)
         initials.append(cert.schedule.samples_initial)
-        n, s = ug.base.n, len(ug.seeds)
-        ln_choose = (math.lgamma(n - s + 1) - math.lgamma(k + 1)
-                     - math.lgamma(n - s - k + 1))
-        ln_tail = math.log(12 / delta)
+        pop = cert.population_size
+        ln_choose = (math.lgamma(pop + k + 1) - math.lgamma(k + 1)
+                     - math.lgamma(pop + 1))
+        ln_tail = math.log(6 / delta)
         closed = 2 * (E_FRACTION * math.sqrt(ln_tail)
                       + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
         assert cert.schedule.samples_initial \

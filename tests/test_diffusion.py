@@ -387,13 +387,16 @@ def replay_batches(g, sets, sizes, rng):
 def betting_stop_reference(rows, n_reach, gamma, delta, sizes):
     """The betting stop replayed on a fixed row of spreads, one batch of
     `sizes` at a time: (value, samples, half-width of the interval, in
-    spread units) at the first batch whose interval closes, or None."""
+    spread units) at the first batch whose interval closes, or None.  The
+    value is the mean of the spreads so far, clipped to the values within
+    a factor (1 +/- gamma) of every point of the interval."""
     ends = np.cumsum(sizes)
     batches = np.split(rows, ends[ends < len(rows)])
     for end, (low, high) in zip(
             ends, betting_reference(batches, n_reach, delta)):
         if (1 + gamma) * low >= (1 - gamma) * high:
-            value = 0.5 * ((1 + gamma) * low + (1 - gamma) * high)
+            lo, hi = max(low, (1 - gamma) * high), min(high, (1 + gamma) * low)
+            value = min(max(rows[:end].mean() / n_reach, lo), hi)
             return value * n_reach, end, 0.5 * (high - low) * n_reach
     return None
 
@@ -884,6 +887,21 @@ class TestStoppingRuleSpreads:
         assert runs >= 150
         slack = 3 * math.sqrt(delta * (1 - delta) / runs)
         assert hits / runs >= 1 - delta - slack
+
+    def test_deterministic_spreads_are_exact(self):
+        # every cascade of these graphs activates the same nodes, so the
+        # samples' mean is the spread, and the interval holds it
+        for ug, blockers, spread in (
+                (fixtures.chain(1.0), None, 2.0),
+                (fixtures.fan_gadget(8), None, 7.0),
+                (fixtures.fan_gadget(8), [1], 6.0),
+                (fixtures.worked_example_three_seeds(), None, 10.0)):
+            est = stopping_rule_spread(ug, blockers, 0.1, 0.1, make_rng(0))
+            assert est.value == spread
+            assert est.low <= spread <= est.high
+        est = diffusion.stopping_rule_decrease(
+            fixtures.fan_gadget(8), [1], 0.1, 0.1, make_rng(0), 10_000)
+        assert est.value == 1.0
 
     def test_cut_off_set_is_exact_zero_while_others_sample(self):
         ug = fixtures.worked_example_small()

@@ -18,8 +18,8 @@ from imin.oracle import ExactModel
 from imin.sampling import (CPCollection, LRRCollection, compute_population,
                            coverage)
 
-from conftest import (celf_max_coverage, make_rng, random_flowgraph,
-                      replayed_cov_upper_opt)
+from conftest import (celf_max_coverage, make_rng, padded_twin,
+                      random_flowgraph, replayed_cov_upper_opt)
 
 
 def collection_from_sets(sets, n_nodes=8):
@@ -158,14 +158,18 @@ class TestDirectActivation:
 
     def test_matches_the_edge_loop_float_for_float(self):
         # each product in edge order, as a loop over the in-edges takes it;
-        # graphs with many seeds give nodes several seed in-edges
+        # graphs with many seeds give nodes several seed in-edges, and
+        # random flow graphs have blocked nodes
         graphs = [random_flowgraph(seed) for seed in range(60)] + [
             fixtures.mid_synthetic(make_rng(seed), n, 4 * n, seeds)
             for seed, (n, seeds) in enumerate([(300, 10), (100, 30)])]
         for ug in graphs:
             nodes, probs = ug.seed_activation
-            assert nodes.tolist() == ug.seed_out_neighbors()
             base = ug.base
+            heads = {int(v) for u in ug.seeds for v in
+                     base.out_dst[base.out_ptr[u]:base.out_ptr[u + 1]]}
+            want = sorted(v for v in heads - ug.seeds if not ug.blocked[v])
+            assert nodes.tolist() == ug.seed_out_neighbors() == want
             for v, p in zip(nodes.tolist(), probs.tolist()):
                 miss = 1.0
                 for off in range(base.in_ptr[v], base.in_ptr[v + 1]):
@@ -245,30 +249,44 @@ class TestCovUpperOpt:
 
 
 class TestSchedules:
-    def test_initial_size_matches_closed_form_lower(self):
-        ug = fixtures.worked_example_small()
-        params = AlgoParams(k=1, epsilon=0.3, delta=0.1, beta=0.1)
-        _, cert = lsbm(ug, params, make_rng(3))
-        n, s = ug.base.n, len(ug.seeds)
-        ln_choose = (math.lgamma(n - s + 1) - math.lgamma(2)
-                     - math.lgamma(n - s))
-        ln_tail = math.log(12 / params.delta)
-        closed = 2 * (E_FRACTION * math.sqrt(ln_tail)
-                      + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
-        assert cert.schedule.samples_initial \
-            == pytest.approx(closed, rel=1e-9)
-
-    def test_initial_size_matches_closed_form_upper(self):
+    def test_initial_size_matches_closed_form_on_both_sides(self):
+        # one schedule: the union bound over the blocker sets that differ
+        # on the population, ln C(N_pop + k, k), and the tail ln(6 / delta)
         ug = fixtures.worked_example_small()
         params = AlgoParams(k=1, epsilon=0.3, delta=0.1)
-        _, cert = gsbm(ug, params, make_rng(4))
-        pop = cert.population_size  # the candidates: seeds are not in it
-        ln_choose = math.lgamma(pop + 1) - math.lgamma(2) - math.lgamma(pop)
-        ln_tail = math.log(6 / params.delta)
-        closed = 2 * (E_FRACTION * math.sqrt(ln_tail)
-                      + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
-        assert cert.schedule.samples_initial \
-            == pytest.approx(closed, rel=1e-9)
+        for fn in (lsbm, gsbm):
+            _, cert = fn(ug, params, make_rng(3))
+            pop, k = cert.population_size, params.k
+            ln_choose = (math.lgamma(pop + k + 1) - math.lgamma(k + 1)
+                         - math.lgamma(pop + 1))
+            ln_tail = math.log(6 / params.delta)
+            closed = 2 * (E_FRACTION * math.sqrt(ln_tail)
+                          + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
+            assert cert.schedule.samples_initial \
+                == pytest.approx(closed, rel=1e-9)
+
+    def test_both_sides_report_one_schedule(self):
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        params = AlgoParams(k=3, epsilon=0.2, delta=0.1)
+        (_, lower), (_, upper) = (fn(ug, params, make_rng(5))
+                                  for fn in (lsbm, gsbm))
+        keys = ("samples_initial", "samples_cap", "rounds_cap")
+        assert [lower.as_dict()[key] for key in keys] \
+            == [upper.as_dict()[key] for key in keys]
+        assert lower.schedule == upper.schedule
+
+    def test_unreachable_padding_leaves_the_lower_schedule(self):
+        # nodes no seed reaches are in no sample, so they do not widen the
+        # union bound: the padded graph reads the core's pairs and picks
+        # the core's set
+        params = AlgoParams(k=3, epsilon=0.2, delta=0.1)
+        for seed in range(3):
+            core, padded = padded_twin(seed, 400)
+            (a, ca), (b, cb) = (lsbm(ug, params, make_rng(40 + seed))
+                                for ug in (core, padded))
+            assert ca.schedule == cb.schedule
+            assert list(a) == list(b)
+            assert ca.checks == cb.checks
 
     def test_cap_and_rounds_relation(self):
         ug = fixtures.worked_example_small()
@@ -406,8 +424,7 @@ class TestStopReason:
         monkeypatch.setattr(optimize, "_sigma_lower_term",
                             lambda *args: 0.0)
         _, cert = _certified_maximize(
-            "upper", ug, AlgoParams(k=1), make_rng(17), LRRCollection,
-            tail=6.0)
+            "upper", ug, AlgoParams(k=1), make_rng(17), LRRCollection)
         assert cert.stop_reason == "rounds_cap"
         assert cert.rounds == cert.schedule.rounds_cap
         assert cert.as_dict()["stop_reason"] == "rounds_cap"

@@ -22,9 +22,9 @@ from imin.sampling import (ChainCollection, CPCollection, CPSequence,
 from imin.sandwich import sand_imin
 
 from conftest import (certain_edges, eager_entries, live_successors,
-                      make_rng, random_flowgraph, realization_successors,
-                      recorded, reference_chains, split_chains, split_sets,
-                      tiny_with_dead_edges)
+                      make_rng, padded_twin, random_flowgraph,
+                      realization_successors, recorded, reference_chains,
+                      split_chains, split_sets, tiny_with_dead_edges)
 
 
 def one_sequence(ug, rng):
@@ -560,22 +560,6 @@ class TestBatchEntries:
                 for batch in batches for chains in split_chains(*batch[1:])]
         assert len(got) == _BATCH + 3
         assert got == want
-
-
-def padded_twin(seed, pad):
-    """A mid_synthetic core, and the same core plus `pad` nodes joined by
-    p=0.5 edges among themselves that no seed can reach."""
-    core = fixtures.mid_synthetic(make_rng(seed), 60, 240, 3)
-    rng = make_rng(seed + 1)
-    u = rng.integers(0, pad, size=4 * pad)
-    v = rng.integers(0, pad, size=4 * pad)
-    key = np.unique((u * pad + v)[u != v])
-    src, dst, p = core.base.edge_array()
-    g = Graph.from_edges(
-        core.base.n + pad, np.concatenate([src, key // pad + core.base.n]),
-        np.concatenate([dst, key % pad + core.base.n]),
-        np.concatenate([p, np.full(len(key), 0.5)]))
-    return core, unify_seeds(g, core.seeds)
 
 
 def collections(ug, rng_seed, count):
