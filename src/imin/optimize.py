@@ -46,9 +46,9 @@ log = logging.getLogger(__name__)
 @dataclass
 class AlgoParams:
     """Budget and error knobs shared by the bound maximizers.  `beta` has
-    no effect: the last leftover of the paper's spread estimate, which the
-    lower maximizer no longer draws, it is kept, range-checked, only
-    because the benchmark harness passes it."""
+    no effect.  It is the last leftover of the paper's spread estimate,
+    which the lower maximizer no longer draws, and is kept, range-checked,
+    only because the benchmark harness passes it."""
 
     k: int
     epsilon: float = 0.2
@@ -245,8 +245,8 @@ def _certified_maximize(side, g, params, rng, collection, pairs=None):
 
     Each round reads its primary and validation pairs as `collection` from
     `pairs`, a `PairSource`, or from one made off `rng`.  The schedule
-    depends on the sample kind in nothing: its tail term is ln(6 / delta)
-    and its union bound ln C(N_pop + k, k) (see the module docstring).
+    does not depend on the sample kind: its tail term is ln(6 / delta) and
+    its union bound ln C(N_pop + k, k) (see the module docstring).
     """
     params.validate()
     on = g.seed_out_neighbors()
