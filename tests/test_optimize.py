@@ -248,22 +248,27 @@ class TestCovUpperOpt:
             assert trace.coverages[-1] >= (1 - 1 / math.e) * best - 1e-9
 
 
+def assert_initial_size_matches_closed_form(fn, seed):
+    # one schedule: the union bound over the blocker sets that differ
+    # on the population, ln C(N_pop + k, k), and the tail ln(6 / delta)
+    ug = fixtures.worked_example_small()
+    params = AlgoParams(k=1, epsilon=0.3, delta=0.1)
+    _, cert = fn(ug, params, make_rng(seed))
+    pop, k = cert.population_size, params.k
+    ln_choose = (math.lgamma(pop + k + 1) - math.lgamma(k + 1)
+                 - math.lgamma(pop + 1))
+    ln_tail = math.log(6 / params.delta)
+    closed = 2 * (E_FRACTION * math.sqrt(ln_tail)
+                  + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
+    assert cert.schedule.samples_initial == pytest.approx(closed, rel=1e-9)
+
+
 class TestSchedules:
-    def test_initial_size_matches_closed_form_on_both_sides(self):
-        # one schedule: the union bound over the blocker sets that differ
-        # on the population, ln C(N_pop + k, k), and the tail ln(6 / delta)
-        ug = fixtures.worked_example_small()
-        params = AlgoParams(k=1, epsilon=0.3, delta=0.1)
-        for fn in (lsbm, gsbm):
-            _, cert = fn(ug, params, make_rng(3))
-            pop, k = cert.population_size, params.k
-            ln_choose = (math.lgamma(pop + k + 1) - math.lgamma(k + 1)
-                         - math.lgamma(pop + 1))
-            ln_tail = math.log(6 / params.delta)
-            closed = 2 * (E_FRACTION * math.sqrt(ln_tail)
-                          + math.sqrt(E_FRACTION * (ln_choose + ln_tail))) ** 2
-            assert cert.schedule.samples_initial \
-                == pytest.approx(closed, rel=1e-9)
+    def test_initial_size_matches_closed_form_lower(self):
+        assert_initial_size_matches_closed_form(lsbm, 3)
+
+    def test_initial_size_matches_closed_form_upper(self):
+        assert_initial_size_matches_closed_form(gsbm, 4)
 
     def test_both_sides_report_one_schedule(self):
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
