@@ -23,7 +23,7 @@ def main():
 
     print(f"\nbase spread estimate: {result.base_estimate.value:.1f}")
     for name, est in result.residual_estimates.items():
-        blockers = sorted(result.candidate(name))
+        blockers = sorted(result.candidates[name])
         print(f"  candidate {name:<9} residual {est.value:8.1f}  "
               f"blockers {blockers}")
     print(f"\nchosen: {result.chosen_name} -> decrease estimate "

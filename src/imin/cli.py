@@ -311,8 +311,11 @@ def _run_rows(args, ug, dataset, seed_rank):
         algo_rng = np.random.default_rng(rep_seq.spawn(1)[0])
         eval_rng = np.random.default_rng(rep_seq.spawn(1)[0])
         t0 = time.perf_counter()
-        blockers, samples, ratio, report = _run_algo(args.algo, ug, args,
-                                                     algo_rng)
+        try:
+            blockers, samples, ratio, report = _run_algo(args.algo, ug, args,
+                                                         algo_rng)
+        except GraphError as exc:
+            raise CliError(str(exc), EXIT_BAD_GRAPH) from None
         elapsed = time.perf_counter() - t0
         decrease = _evaluate_decrease(ug, blockers, args, eval_rng)
         rows.append((dataset, args.algo, args.k, len(ug.seeds),
@@ -323,7 +326,9 @@ def _run_rows(args, ug, dataset, seed_rank):
                        "decrease_trials": decrease.samples_used,
                        "decrease_bounds": [decrease.low, decrease.high],
                        "runtime_s": elapsed, "samples": samples,
-                       "seed_rank": seed_rank})
+                       "seed_rank": seed_rank,
+                       "blocker_labels": [int(ug.base.labels[v])
+                                          for v in blockers]})
         reports.append(report)
     return rows, reports
 

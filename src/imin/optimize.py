@@ -35,7 +35,7 @@ import numpy as np
 from .diffusion import _BATCH
 # Not called here; perfbench's span table resolves this name.
 from .diffusion import stopping_rule_spread  # noqa: F401
-from .graph import BlockerSet, UnifiedGraph
+from .graph import BlockerSet, GraphError, UnifiedGraph
 from .sampling import ChainCollection, LRRCollection, PairSource, coverage
 
 E_FRACTION = 1.0 - 1.0 / math.e
@@ -120,23 +120,15 @@ class BoundCertificate:
         return self.stop_reason == "early_exit"
 
     def as_dict(self):
-        return {
-            "side": self.side,
-            "blockers": list(self.blockers),
-            "early_exit": self.early_exit,
-            "stop_reason": self.stop_reason,
-            "ratio": self.ratio,
-            "sigma_lower": self.sigma_lower,
-            "sigma_upper": self.sigma_upper,
-            "rounds": self.rounds,
-            "samples_primary": self.samples_primary,
-            "samples_validation": self.samples_validation,
-            **{key: getattr(self.schedule, key, None) for key in
-               ("samples_initial", "samples_cap", "rounds_cap")},
-            "population_size": self.population_size,
-            "opt_lower": self.opt_lower,
-            "checks": [asdict(c) for c in self.checks],
-        }
+        """The fields with `early_exit` added and the schedule flattened to
+        its sizes (`log_term` and `value` left out)."""
+        out = asdict(self)
+        schedule = out.pop("schedule") or {}
+        del out["value"]
+        return {**out, "blockers": list(self.blockers),
+                "early_exit": self.early_exit,
+                **{key: schedule.get(key) for key in
+                   ("samples_initial", "samples_cap", "rounds_cap")}}
 
 
 @dataclass
@@ -178,8 +170,6 @@ def max_coverage(collection, k: int):
 
 def _topk_sum(values: np.ndarray, k: int) -> int:
     k = min(k, len(values))
-    if k <= 0:
-        return 0
     return int(np.partition(values, len(values) - k)[len(values) - k:].sum())
 
 
@@ -259,8 +249,11 @@ def _certified_maximize(side, g, params, rng, collection, pairs=None):
     k = params.k
     opt_low = opt_lower_bound(g, k)
     if opt_low <= 0.0:
-        raise ValueError("every seed out-edge has zero probability; "
-                         "the schedule lower bound is degenerate")
+        # Reached nodes exist, so some seed out-edge has p > 0, but every
+        # 1 - prod(1 - p) of `seed_activation` rounded to 0 (p < ~1e-16).
+        raise GraphError("seed out-edge probabilities underflow: every "
+                         "one-hop activation probability 1 - prod(1 - p) "
+                         "rounds to 0, so the sample schedule has no bound")
     sched = _make_schedule(npop, k, params, opt_low)
 
     checks, count = [], 0

@@ -55,41 +55,41 @@ def lhga(g: UnifiedGraph, k: int) -> BlockerSet:
 
 @dataclass
 class SandwichResult:
-    """Candidates, their residual-spread estimates and the winner."""
+    """Every fact about a candidate keyed by its name, in the order lower,
+    upper, heuristic (no upper after `sand_imin_minus`), and the winner."""
 
-    b_lower: BlockerSet
-    b_upper: BlockerSet          # None when the upper maximizer was skipped
-    b_heuristic: BlockerSet
+    candidates: dict             # name -> BlockerSet
     base_estimate: SpreadEstimate
-    residual_estimates: dict     # candidate name -> SpreadEstimate
+    residual_estimates: dict     # name -> SpreadEstimate
+    decreases: dict              # name -> max(0, base - residual)
     chosen_name: str
-    chosen: BlockerSet
-    decrease_estimate: float
-    empirical_ratio: float       # None when b_upper is absent
+    empirical_ratio: float = None  # None without the upper candidate
     certificates: dict = field(default_factory=dict, repr=False)
     timings: dict = field(default_factory=dict, repr=False)
     # pairs each shared stream drew, and the reverse searches that drew them
     pair_streams: dict = field(default_factory=dict, repr=False)
 
-    def candidate(self, name):
-        return {"lower": self.b_lower, "upper": self.b_upper,
-                "heuristic": self.b_heuristic}[name]
+    @property
+    def chosen(self) -> BlockerSet:
+        return self.candidates[self.chosen_name]
+
+    @property
+    def decrease_estimate(self) -> float:
+        return self.decreases[self.chosen_name]
 
     def as_dict(self):
         estimates = [("base", self.base_estimate),
                      *self.residual_estimates.items()]
         return {
             "candidates": {
-                name: (list(self.candidate(name))
-                       if self.candidate(name) is not None else None)
+                name: (list(self.candidates[name])
+                       if name in self.candidates else None)
                 for name in ("lower", "upper", "heuristic")},
             "base_spread_estimate": self.base_estimate.value,
             "residual_estimates": {
                 name: est.value
                 for name, est in self.residual_estimates.items()},
-            "decrease_estimates": {
-                name: max(0.0, self.base_estimate.value - est.value)
-                for name, est in self.residual_estimates.items()},
+            "decrease_estimates": self.decreases,
             # stopping-rule trials behind the base and each residual
             # estimate, and the confidence interval each stopped on
             "spread_samples": {
@@ -120,10 +120,8 @@ def empirical_ratio(result: SandwichResult, params: AlgoParams) -> float:
     set (every seed out-neighbor).  Its residual is then exactly zero, so
     the ratio is the scale factor itself.
     """
-    if result.b_upper is None:
+    if "upper" not in result.candidates:
         raise ValueError("empirical ratio needs the upper-bound candidate")
-    dec_upper = max(0.0, result.base_estimate.value
-                    - result.residual_estimates["upper"].value)
     certificate = result.certificates.get("upper")
     upper_val = (certificate.value
                  if certificate is not None and certificate.value is not None
@@ -134,41 +132,39 @@ def empirical_ratio(result: SandwichResult, params: AlgoParams) -> float:
     gamma = params.gamma
     scale = ((1.0 - gamma) / (1.0 + gamma)) ** 2 \
         * (E_FRACTION - params.epsilon)
-    return float(min(1.0, max(0.0, scale * dec_upper / upper_val)))
+    return float(min(1.0, max(
+        0.0, scale * result.decreases["upper"] / upper_val)))
 
 
 def _combine(g, params, rng, with_upper):
     params.validate()
     rng_pairs, _, rng_est = rng.spawn(3)
     pairs = PairSource(g, rng_pairs)
-    timings, certificates, sets = {}, {}, {"lower": None, "upper": None}
+    timings, certificates, candidates = {}, {}, {}
     for name, maximize in [("lower", lsbm), ("upper", gsbm)][:1 + with_upper]:
         t0 = time.perf_counter()
-        sets[name], certificates[name] = maximize(g, params, None, pairs)
+        candidates[name], certificates[name] = maximize(g, params, None,
+                                                        pairs)
         timings[name] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sets["heuristic"] = lhga(g, params.k)
+    candidates["heuristic"] = lhga(g, params.k)
     timings["heuristic"] = time.perf_counter() - t0
-    names = [name for name, b in sets.items() if b is not None]
 
     t0 = time.perf_counter()
     base, *estimates = stopping_rule_spreads(
-        g, [None, *(sets[name] for name in names)], gamma=params.gamma,
+        g, [None, *candidates.values()], gamma=params.gamma,
         delta=params.delta, rng=rng_est)
-    residuals = dict(zip(names, estimates))
+    residuals = dict(zip(candidates, estimates))
     timings["evaluation"] = time.perf_counter() - t0
 
-    # a tie, equal candidates included, goes to the first of `names`
-    chosen_name = min(names, key=lambda nm: residuals[nm].value)
-    decrease = max(0.0, base.value - residuals[chosen_name].value)
-
     result = SandwichResult(
-        b_lower=sets["lower"], b_upper=sets["upper"],
-        b_heuristic=sets["heuristic"],
-        base_estimate=base, residual_estimates=residuals,
-        chosen_name=chosen_name, chosen=sets[chosen_name],
-        decrease_estimate=decrease, empirical_ratio=None,
+        candidates=candidates, base_estimate=base,
+        residual_estimates=residuals,
+        decreases={name: max(0.0, base.value - est.value)
+                   for name, est in residuals.items()},
+        # a tie, equal candidates included, goes to the first candidate
+        chosen_name=min(candidates, key=lambda nm: residuals[nm].value),
         certificates=certificates, timings=timings,
         pair_streams={"primary": pairs.n_pairs, "validation": pairs.n_pairs,
                       "searches": pairs.searches})

@@ -211,9 +211,9 @@ def test_criterion_05b_guarantees_on_shared_streams():
         hits = {"lower": 0, "upper": 0}
         for _ in range(runs):
             res = sand_imin(ug, params, rng)
-            hits["lower"] += model.lower_bound(res.b_lower) \
+            hits["lower"] += model.lower_bound(res.candidates["lower"]) \
                 >= target["lower"] - 1e-9
-            hits["upper"] += model.upper_bound(res.b_upper) \
+            hits["upper"] += model.upper_bound(res.candidates["upper"]) \
                 >= target["upper"] - 1e-9
         for side in worst:
             assert hits[side] / runs >= threshold, \

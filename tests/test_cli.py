@@ -118,7 +118,8 @@ class TestRun:
             assert last["ratio"] == cert["ratio"]
 
     SANDWICH_KEYS = [
-        "algo", "base_spread_estimate", "blockers", "candidates",
+        "algo", "base_spread_estimate", "blocker_labels", "blockers",
+        "candidates",
         "certificates", "chosen", "dataset", "decrease_bounds",
         "decrease_estimate", "decrease_estimates", "decrease_mc",
         "decrease_trials", "empirical_ratio",
@@ -129,9 +130,9 @@ class TestRun:
     @pytest.mark.parametrize("algo, keys", [
         ("sandimin", SANDWICH_KEYS),
         ("sandimin-minus", SANDWICH_KEYS),
-        ("lhga", ["algo", "blockers", "dataset", "decrease_bounds",
-                  "decrease_mc", "decrease_trials", "repeat", "runtime_s",
-                  "samples", "seed_rank"]),
+        ("lhga", ["algo", "blocker_labels", "blockers", "dataset",
+                  "decrease_bounds", "decrease_mc", "decrease_trials",
+                  "repeat", "runtime_s", "samples", "seed_rank"]),
     ])
     def test_json_report_keys(self, tmp_path, algo, keys):
         # the top-level keys of a report, pinned exactly: a change that
@@ -145,6 +146,39 @@ class TestRun:
         payload = json.loads(report.read_text())
         assert len(payload) == 1
         assert sorted(payload[0]) == keys
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_blocker_labels_on_labelled_fixture(self, tmp_path, command):
+        # the three-seed fixture's node ids 0..12 carry labels 1..13
+        report = tmp_path / "report.json"
+        budget = ["--k", "2"] if command == "run" else ["--k-list", "1,2"]
+        assert main([command, "--graph", "fixture:three-seeds", "--algo",
+                     "sandimin", *budget, "--delta", "0.1",
+                     "--eval-trials", "1000", "--out",
+                     str(tmp_path / "rows.csv"), "--json", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert len(payload) == (1 if command == "run" else 2)
+        for rep in payload:
+            assert rep["blockers"]
+            assert rep["blocker_labels"] == [v + 1 for v in rep["blockers"]]
+
+    @pytest.mark.parametrize("algo", ["sandimin", "lhga"])
+    def test_blocker_labels_in_the_input_vocabulary(self, tmp_path, algo):
+        # labels 70, 50, 90, 30 get ids 0..3 in order of appearance; the
+        # one cut of the certain chain 70 -> 50 -> 90 -> 30 from seed 70,
+        # at k=1, is the node labelled 50
+        data = tmp_path / "g.txt"
+        data.write_text("70 50\n50 90\n90 30\n")
+        assert load_edge_list(str(data)).labels.tolist() == [70, 50, 90, 30]
+        report = tmp_path / "report.json"
+        assert main(["run", "--graph", str(data), "--algo", algo, "--k", "1",
+                     "--seeds", "70,", "--prob", "const", "--prob-value",
+                     "1", "--delta", "0.1", "--eval-trials", "1000",
+                     "--out", str(tmp_path / "rows.csv"),
+                     "--json", str(report)]) == 0
+        rep = json.loads(report.read_text())[0]
+        assert rep["blockers"] == [1]
+        assert rep["blocker_labels"] == [50]
 
     def test_chain_lhga(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -183,6 +217,31 @@ class TestExitCodes:
                      "--k", "1", "--seeds", "99,"]) == 5
         assert main(["run", "--graph", str(data), "--algo", "lhga",
                      "--k", "1", "--seeds", "99"]) == 5  # count too large
+
+    def test_file_graph_needs_seeds(self, tmp_path, capsys):
+        data = tmp_path / "g.txt"
+        data.write_text("0 1\n1 2\n")
+        base = ["run", "--graph", str(data), "--algo", "lhga", "--k", "1"]
+        assert main(base) == 5
+        assert main(base + ["--seeds", ","]) == 5
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --seeds is required for file datasets",
+            "error: empty seed list"]
+
+    def test_underflowing_probabilities_unusable_graph(self, tmp_path,
+                                                       capsys):
+        # p = 1e-20 is positive, so the seed reaches nodes, but every
+        # 1 - (1 - p) rounds to 0 and the maximizers have no sample bound
+        data = tmp_path / "g.txt"
+        data.write_text("1 2\n1 3\n2 4\n3 5\n")
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--graph", str(data), "--seeds", "1,",
+                     "--algo", "sandimin", "--k", "1", "--prob", "const",
+                     "--prob-value", "1e-20", "--out", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "underflow" in err[0]
+        assert not out.exists()
 
     def test_missing_graph_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

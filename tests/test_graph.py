@@ -101,14 +101,21 @@ class TestValidation:
         ({"p": [float("nan"), 0.5]}, "probabilities"),
         ({"p": [0.5, 2.0]}, "probabilities"),
         ({"labels": [5]}, "labels"),
+        ({"n": 0}, "at least one node"),
+        ({"n": -1}, "at least one node"),
+        ({"dst": [1]}, "equal length"),
+        ({"p": [0.5]}, "equal length"),
+        ({"dst": [1, 1]}, "self-loops"),
     ])
     def test_each_defect_is_rejected(self, defect, match):
-        # Each defect alone in otherwise valid arrays (edges 0->1, 1->2).
+        # Each defect alone in otherwise valid input (3 nodes, edges 0->1,
+        # 1->2).
         arrays = {"src": [0, 1], "dst": [1, 2], "p": [0.5, 0.5],
                   "labels": [5, 6, 7], **defect}
+        n = arrays.pop("n", 3)
         arrays = {k: np.asarray(v) for k, v in arrays.items()}
         with pytest.raises(GraphError, match=match):
-            Graph.from_edges(3, arrays["src"], arrays["dst"], arrays["p"],
+            Graph.from_edges(n, arrays["src"], arrays["dst"], arrays["p"],
                              labels=arrays["labels"])
 
     def test_duplicate_edges(self):
@@ -154,6 +161,16 @@ class TestUnifySeeds:
     def test_out_of_range_seed(self):
         with pytest.raises(GraphError, match="range"):
             unify_seeds(Graph.from_edges(2, [0], [1]), {5})
+
+    def test_empty_seed_set(self):
+        with pytest.raises(GraphError, match="non-empty"):
+            unify_seeds(Graph.from_edges(2, [0], [1]), set())
+
+    def test_out_of_range_blocker(self):
+        ug = fixtures.chain()
+        for v in (-1, ug.n_total):
+            with pytest.raises(GraphError, match="out of range"):
+                ug.check_blockers([v])
 
     def test_spread_matches_multi_seed_base(self):
         for trial in range(6):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from imin import fixtures
+from imin import fixtures, oracle
 from imin.graph import Graph, unify_seeds
 from imin.oracle import ExactModel, OracleLimitError
 
@@ -34,6 +34,28 @@ class TestExactSpread:
         g = unify_seeds(Graph.from_edges(n, src, dst, [0.5] * (n - 1)), {0})
         with pytest.raises(OracleLimitError, match="22"):
             ExactModel(g).spread()
+
+
+class TestStreamingEnumeration:
+    def test_streaming_matches_cached(self, monkeypatch):
+        # above the cache limit every query regenerates the outcome chunks;
+        # the values are the cached model's, float for float
+        for trial in range(6):
+            ug = fixtures.random_tiny(make_rng(700 + trial), 8, 12)
+            cached = ExactModel(ug)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_CACHE_LIMIT", 0)
+                streamed = ExactModel(ug)
+            assert cached._cacheable and not streamed._cacheable
+            on = ug.seed_out_neighbors()
+            for b in ([], on[:1], on[:2], on):
+                for query in ("spread", "decrease", "lower_bound",
+                              "upper_bound"):
+                    assert getattr(streamed, query)(b) \
+                        == getattr(cached, query)(b), (trial, query, b)
+            assert streamed._cached_chunks is None
+            assert not streamed._protected_single \
+                and not streamed._upper_single
 
 
 class TestExactDecrease:

@@ -41,9 +41,9 @@ class TestSandImin:
     def test_chain_unique_cut(self):
         res = sand_imin(fixtures.chain(), AlgoParams(k=1, delta=0.1),
                         make_rng(0))
-        assert list(res.b_lower) == [1]
-        assert list(res.b_upper) == [1]
-        assert list(res.b_heuristic) == [1]
+        assert list(res.candidates["lower"]) == [1]
+        assert list(res.candidates["upper"]) == [1]
+        assert list(res.candidates["heuristic"]) == [1]
         assert res.residual_estimates[res.chosen_name].value == 0.0
         assert abs(res.decrease_estimate - 2.0) < 0.05
 
@@ -67,7 +67,7 @@ class TestSandImin:
         params = AlgoParams(k=1, epsilon=0.2, delta=0.05, gamma=0.1)
         res = sand_imin(ug, params, make_rng(3))
         true_best = max(
-            model.decrease(res.candidate(name))
+            model.decrease(res.candidates[name])
             for name in res.residual_estimates)
         true_chosen = model.decrease(res.chosen)
         assert true_chosen >= true_best \
@@ -101,7 +101,7 @@ class TestSandIminMinus:
     def test_no_upper_candidate_or_ratio(self):
         res = sand_imin_minus(fixtures.worked_example_small(),
                               AlgoParams(k=1, delta=0.1), make_rng(6))
-        assert res.b_upper is None
+        assert list(res.candidates) == ["lower", "heuristic"]
         assert res.empirical_ratio is None
         assert res.chosen_name in ("lower", "heuristic")
         with pytest.raises(ValueError, match="upper"):
@@ -192,11 +192,11 @@ class TestSharedEvaluation:
             calls.clear()
             res = sand_imin(ug, AlgoParams(k=3, epsilon=0.2, delta=0.1),
                             make_rng(seed))
-            assert calls == [[None, *(res.candidate(n) for n in names)]]
+            assert calls == [[None, *(res.candidates[n] for n in names)]]
             est = res.residual_estimates
             for i, a in enumerate(names):
                 for b in names[i + 1:]:
-                    same = set(res.candidate(a)) == set(res.candidate(b))
+                    same = set(res.candidates[a]) == set(res.candidates[b])
                     assert (est[a] is est[b]) == same
                     shared += same
             best = min(e.value for e in est.values())
@@ -257,11 +257,11 @@ class TestEmpiricalRatio:
         params = AlgoParams(k=1, delta=0.1)
         est0 = SpreadEstimate(1.0, 0.1, 0.1, 1)
         res = SandwichResult(
-            b_lower=BlockerSet([1]), b_upper=BlockerSet([3]),
-            b_heuristic=BlockerSet([1]), base_estimate=est0,
+            candidates={"lower": BlockerSet([1]), "upper": BlockerSet([3]),
+                        "heuristic": BlockerSet([1])},
+            base_estimate=est0,
             residual_estimates={"upper": SpreadEstimate(1.0, 0.1, 0.1, 1)},
-            chosen_name="upper", chosen=BlockerSet([3]),
-            decrease_estimate=0.0, empirical_ratio=None)
+            decreases={"upper": 0.0}, chosen_name="upper")
         assert empirical_ratio(res, params) == 0.0
 
 
@@ -293,6 +293,6 @@ class TestPreBlockedNodes:
         assert not set(g.seed_out_neighbors()) & blocked
         result = sand_imin(g, AlgoParams(k=5), make_rng(1))
         for name in ("lower", "upper", "heuristic"):
-            assert result.candidate(name)
-            assert not set(result.candidate(name)) & blocked
+            assert result.candidates[name]
+            assert not set(result.candidates[name]) & blocked
         assert not set(lhga(g, 5)) & blocked
