@@ -6,9 +6,9 @@ least 1 - delta.  It stops on a betting confidence sequence (Waudby-Smith
 and Ramdas, JRSS-B 2023): bets on the cascades form test martingales at
 the true mean, so by Ville's inequality the interval where neither bet's
 capital reaches 2/delta holds the mean at every batch at once.  The
-cascades it spends grow with the variance of the spread it measures, in
-whole batches of 1024, and each estimate reports the interval it stopped
-on.
+cascades it spends grow with the variance of the spread it measures: it
+checks its interval at 128, 512, 1536, ... cascades, and each estimate
+reports the interval it stopped on.
 """
 
 import numpy as np

@@ -21,9 +21,10 @@ Generator, and `reverse_reach_counts` runs the same reverse search
 (`_reverse_levels`, the one reverse level loop) on a plain graph and
 keeps only how often each node is found, which scores every node's
 singleton influence at once.  `reverse_reach_counts` and the
-sequential estimates size their batches, and `sampling.PairSource`
-decides which pair searches to join, by one budget for a search's
-`n_total * trials` `seen` bitmap, `_SEEN_BYTES`.  All
+sequential estimates size their batches by one budget for a search's
+`n_total * trials` `seen` bitmap, `_SEEN_BYTES`, and `sampling.PairSource`
+joins pair searches by the same budget for bitmaps with a row per node of
+the reach only, all that `reverse_live_edges` enters.  All
 batched searches expand their frontier through one CSR-slice helper, and
 each step compresses its examined edges once, by index: coins are
 compared with every examined edge's probability, and only the live
@@ -85,11 +86,14 @@ once, with no union bound over batches and no separate range term.  The
 upward bet's capital falls and the downward one's rises in m, so the set
 is an interval whose ends are root searches, and each search returns the
 rejected side of its bracket, so the computed interval holds the exact
-one.  Because the sequence holds at every batch, batch sizes spend no
-delta: the first batch is `_FIRST_BATCH` trials, and each next one
-doubles up to a cap taken from `_SEEN_BYTES` (`_batch_sizes`).
-Low-variance spreads close in few cascades, and on the benchmark's graphs
-every estimate closes in the first batch.  Each value is the mean of its
+one.  Because the sequence holds at every batch, batch sizes, and so the
+number of checks, spend no delta: the first batch is `_FIRST_BATCH` (128)
+trials, the second brings the count to 512, and each next one doubles from
+1024 up to a cap taken from `_SEEN_BYTES` (`_batch_sizes`), so the checks
+fall at 128, 512, 1536, 3584, ... trials.  Low-variance spreads close in
+few cascades: on `mid_synthetic(300, 1200, 10)` graphs almost every
+sandwich estimate closes at 128 trials, while on the benchmark's padded
+graph the residuals need 512 or 1536.  Each value is the mean of its
 samples clipped to the gamma contract of its interval
 (`_BettingStop.estimate`).  All sets read one stream of
 shared batches, and a set that stops leaves the search.  Spreads are
@@ -116,15 +120,18 @@ from .graph import Graph, UnifiedGraph
 # knobs.
 _BATCH = 1024
 
-# A sequential estimate's first batch (see `_batch_sizes`).  On perfbench's
-# `mid` every estimate closed in its first batch at 512 and at 1024 trials.
-_FIRST_BATCH = 512
+# A sequential estimate's first batch (see `_batch_sizes`).  On the 40
+# `mid_synthetic(300, 1200, 10)` graphs of perfbench's `mid` cases at seeds
+# 3 and 1234, every estimate of 39 sandwich evaluations closed at 128
+# trials.  The next batch brings the count to 512, the first check before
+# this one was added, so every earlier check stays one.
+_FIRST_BATCH = 128
 
 # Bytes of the `seen` bitmap (one per node and trial) that a reverse search
 # may grow to: `reverse_reach_counts` sizes its batches by it, and a pair
-# source joins two batches' searches only while theirs fits.  Larger
-# searches cost less per trial, but a 4 MB bitmap added 4-6 MB of peak RSS
-# to a cold `imin run`.
+# source joins two batches' searches only while theirs, over the nodes of
+# the reach, fits.  Larger searches cost less per trial, but a 4 MB bitmap
+# added 4-6 MB of peak RSS to a cold `imin run`.
 _SEEN_BYTES = 1 << 20
 
 # Most CSR entries one step of a lazy-coin search's level examines: 2^14
@@ -281,16 +288,20 @@ def _batch_spreads(g, masks, batch, rng):
 
 def _batch_sizes(g, runs):
     """The trials of each batch of a sequential estimate of `runs` sets:
-    `_FIRST_BATCH`, then doubling up to max(_BATCH, _SEEN_BYTES // width),
-    width the larger per-trial cost of a batch, its `seen` bitmap's
-    `g.n_total` bytes or `_batch_spreads`' 8 << runs bytes of counts.  So
-    neither grows past the larger of one `_BATCH` batch's and
-    `_SEEN_BYTES`, as `reverse_reach_counts` sizes its batches."""
+    `_FIRST_BATCH`, then what brings the count to 4 * `_FIRST_BATCH`, then
+    twice that and doubling, up to max(_BATCH, _SEEN_BYTES // width), width
+    the larger per-trial cost of a batch, its `seen` bitmap's `g.n_total`
+    bytes or `_batch_spreads`' 8 << runs bytes of counts.  So neither grows
+    past the larger of one `_BATCH` batch's and `_SEEN_BYTES`, as
+    `reverse_reach_counts` sizes its batches.  The checks fall at 128, 512,
+    1536, 3584, ... trials below the cap."""
     cap = max(_BATCH, _SEEN_BYTES // max(g.n_total, 8 << runs))
-    size = _FIRST_BATCH
+    yield _FIRST_BATCH
+    size = 4 * _FIRST_BATCH
+    yield size - _FIRST_BATCH
     while True:
-        yield size
         size = min(2 * size, cap)
+        yield size
 
 
 def _slices(lo, hi):
@@ -491,24 +502,33 @@ def _forward_levels(g, blocked, batch, rng, live=None):
             yield _joined(owners), head, node, trial, bits
 
 
-def _reverse_levels(g, node, rng, skip, blocked):
+def _reverse_levels(g, node, rng, skip, blocked, enter=None):
     """Breadth-first search backwards over `len(node)` independent
     realizations at once, trial t's from `node[t]`, level by level.
 
     The search never enters a node of the `skip` mask, and no edge into a
-    node of the `blocked` mask is live (either mask may be None).  Each
-    edge's coin is drawn from `rng` when the search first finds its target
-    node, so it is drawn at most once per realization.  Yields, per level,
-    (node, trial) of the pairs it expands, sorted node-major, then (owner,
-    src) of their live in-edges, owner indexing the level's pairs.  The
-    `seen` bitmap is freed when the search ends.
+    node of the `blocked` mask is live (either mask may be None).  With a
+    mask `enter`, it enters no node outside it either, and drops the live
+    edges out of such nodes.  Each edge's coin is drawn from `rng` when the
+    search first finds its target node, so it is drawn at most once per
+    realization.  Yields, per level, (node, trial) of the pairs it expands,
+    sorted node-major, then (owner, src) of their live in-edges, owner
+    indexing the level's pairs.  The `seen` bitmap has one row of trials
+    per node of `enter` and per start node (per node of g without
+    `enter`), numbered in node order, so its keys sort as the nodes do; it
+    is freed when the search ends.
     """
     batch = len(node)
-    seen = np.zeros((len(g.in_ptr) - 1) * batch, dtype=bool)
+    rows = (np.ones(len(g.in_ptr) - 1, dtype=bool) if enter is None
+            else enter.copy())
+    rows[node] = True
+    nodes = np.flatnonzero(rows)        # the node of each row
+    rows = np.cumsum(rows) - 1          # the row of each node in `nodes`
+    seen = np.zeros(len(nodes) * batch, dtype=bool)
     if skip is not None:
-        seen.reshape(-1, batch)[skip] = True
+        seen.reshape(-1, batch)[skip[nodes]] = True
     trial = np.arange(batch, dtype=np.int64)
-    seen[node * batch + trial] = True
+    seen[rows[node] * batch + trial] = True
     while len(node):
         owners, srcs = [], []
         for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
@@ -519,9 +539,13 @@ def _reverse_levels(g, node, rng, skip, blocked):
             owners.append(owner[hit])
             srcs.append(g.in_src[offs[hit]])
         owner, src = _joined(owners), _joined(srcs)
+        if enter is not None:
+            inside = np.flatnonzero(enter[src])
+            owner, src = owner[inside], src[inside]
         yield node, trial, owner, src
-        node, trial = np.divmod(
-            _advance(seen, src * batch + trial[owner]), batch)
+        row, trial = np.divmod(
+            _advance(seen, rows[src] * batch + trial[owner]), batch)
+        node = nodes[row]
 
 
 def reverse_live_edges(g: UnifiedGraph, targets, rng: np.random.Generator):
@@ -529,15 +553,18 @@ def reverse_live_edges(g: UnifiedGraph, targets, rng: np.random.Generator):
     passing through a seed or the source, one independent realization per
     trial t, one trial per entry of `targets`.
 
-    The search (`_reverse_levels`) starts at each target, never enters a
-    seed or the source, and draws its coins from `rng`; edges into blocked
-    nodes are never live.  Returns (trial, src, dst) of every live in-edge
-    of a found node; an edge whose `src` is a seed marks where the seeds
-    feed the found nodes.
+    The search (`_reverse_levels`) starts at each target, enters only the
+    nodes of `g.reach`, never a seed or the source, and draws its coins
+    from `rng`; edges into blocked nodes are never live.  A node outside
+    the reach can lie on no live path from the source, so the live edges
+    out of such nodes are dropped rather than searched.  Returns (trial,
+    src, dst) of every live in-edge of a found node from a node of the
+    reach; an edge whose `src` is a seed marks where the seeds feed the
+    found nodes.
     """
     levels = _reverse_levels(g, np.asarray(targets, dtype=np.int64), rng,
                              g.uncounted,
-                             g.blocked if g.blocked.any() else None)
+                             g.blocked if g.blocked.any() else None, g.reach)
     parts = [(trial[owner], src, node[owner])
              for node, trial, owner, src in levels]
     return tuple(np.concatenate(a) for a in zip(*parts))
@@ -554,15 +581,16 @@ def reverse_reach_counts(g: Graph, samples: int,
     SODA 2014).  Sets are searched with lazy coins (`_reverse_levels`) in
     batches of `max(_BATCH, _SEEN_BYTES // n)`, so each batch's `seen`
     bitmap stays near `_SEEN_BYTES`, and one batch's search, its bitmap
-    with it, ends before the next begins.  Each level adds its nodes to the
-    per-node count; the sets are not kept.
+    with it, ends before the next begins.  One `np.bincount` per batch adds
+    the nodes of its levels to the per-node count; the sets are not kept.
     """
     counts = np.zeros(g.n, dtype=np.int64)
     size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
         targets = rng.integers(0, g.n, size=min(size, samples - done))
-        for node, *_ in _reverse_levels(g, targets, rng, None, None):
-            np.add.at(counts, node, 1)
+        counts += np.bincount(np.concatenate([
+            node for node, *_ in _reverse_levels(g, targets, rng, None,
+                                                 None)]), minlength=g.n)
     return counts
 
 
@@ -791,16 +819,18 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     LB >= (1 - gamma) UB, and N_B times the samples' mean, clipped to the
     values within (1 +/- gamma) of every point of [LB, UB], is then within
     (1 +/- gamma) of the mean (`_BettingStop.estimate`); a constant
-    spread comes out exact.  Each set keeps its spreads
+    spread comes out exact when the interval it stops on lies within (1
+    +/- gamma) of it at both ends.  Each set keeps its spreads
     as a histogram over 0..N_B, so a batch costs its distinct values, and
     the ends of all sets still sampling are searched together.  The trial
     count scales with the samples' variance rather than with the worst
     case of a [0, 1] variable.  Since the sequence holds at every batch,
     the batch sizes spend no delta: the first batch is `_FIRST_BATCH`
-    trials and each next one doubles, up to a cap that keeps a batch's
-    memory within `_SEEN_BYTES` (`_batch_sizes`), so a set stops after a
-    prefix sum of that schedule.  N_B = 0 forces a spread of exactly zero,
-    which is returned without sampling.
+    trials, the second brings the count to 512, and each next one doubles
+    from 1024, up to a cap that keeps a batch's memory within `_SEEN_BYTES`
+    (`_batch_sizes`), so a set stops after a prefix sum of that schedule:
+    128, 512, 1536, 3584, ... trials.  N_B = 0 forces a spread of exactly
+    zero, which is returned without sampling.
 
     Every batch is one forward search with one run per set still
     sampling; a set that stops leaves the search, and its estimate is what

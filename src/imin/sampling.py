@@ -24,12 +24,16 @@ The validation pairs need only be independent of the primary ones, and
 fresh draws from one Generator are, as the pairs of one search already
 are.  So a `PairSource` draws both streams from the one Generator it is
 given, as one list of `_BATCH`-pair batches: batch 2j is primary batch j
-and batch 2j + 1 validation batch j.  A small search pays a fixed cost
-per level, so both batches of a pair come from one search of
-2 * `_BATCH` pairs, cut in two, while that search's `seen` bitmap, one
-byte per node and pair, fits `diffusion._SEEN_BYTES`.  Larger graphs
-draw them in two consecutive `_BATCH` searches, so peak memory does not
-grow with the number of streams.
+and batch 2j + 1 validation batch j.  No node outside the reach
+(`UnifiedGraph.reach`) lies on a live path from the source, so a pair
+search enters only the reach, and its `seen` and `member` bitmaps have
+one row of pairs per node of the reach, numbered in node order, so that
+their keys sort as the nodes do.  A small search pays a fixed cost per
+level, so both batches of a pair come from one search of 2 * `_BATCH`
+pairs, cut in two, while those rows, one byte per node and pair, fit
+`diffusion._SEEN_BYTES`.  Larger reaches draw them in two consecutive
+`_BATCH` searches, so peak memory does not grow with the number of
+streams, and unreachable nodes cost a search no bitmap rows.
 
 The paper's "local sampling" draws the lower bound forward, as the
 reference kept here: a *common-path sequence* holds one entry per reached
@@ -143,20 +147,24 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     """Search the members of a batch of `count` LRR samples from the
     source, yielding levels as `diffusion._forward_levels` does: (owner,
     head) of the live edges out of the level's pairs, then (node, trial) of
-    the member pairs they reach first.
+    the member pairs they reach first, with each node's row in the reach
+    (`ug.reach`, numbered in node order) in place of the node.
 
-    (trial, src, dst) are the live in-edges a reverse search recorded.
-    Trial t's root is the source (pair t of level 0), the seeds collapsed
-    into it: level 1 is one edge to each member a seed feeds, and later
-    levels follow the recorded edges between found nodes.
+    (trial, src, dst) are the live in-edges a reverse search recorded, all
+    between nodes of the reach.  Trial t's root is the source (pair t of
+    level 0), the seeds collapsed into it: level 1 is one edge to each
+    member a seed feeds, and later levels follow the recorded edges between
+    found nodes.  The `member` bitmap has one row of trials per node of the
+    reach, and its keys sort as the nodes do.
     """
+    rows = np.cumsum(ug.reach) - 1
     fed = ug.uncounted[src]
-    tail = src[~fed] * count + trial[~fed]
+    tail = rows[src[~fed]] * count + trial[~fed]
     by_tail = np.argsort(tail)
     tail = tail[by_tail]
-    head = (dst[~fed] * count + trial[~fed])[by_tail]
-    member = np.zeros(ug.n_total * count, dtype=bool)
-    frontier = _advance(member, dst[fed] * count + trial[fed])
+    head = (rows[dst[~fed]] * count + trial[~fed])[by_tail]
+    member = np.zeros((rows[-1] + 1) * count, dtype=bool)
+    frontier = _advance(member, rows[dst[fed]] * count + trial[fed])
     node, found = np.divmod(frontier, count)
     yield found, frontier, node, found
     while len(frontier):
@@ -180,13 +188,17 @@ def _pair_search(ug: UnifiedGraph, population: np.ndarray, count: int,
 
     The search draws its targets first, uniformly from `population`, and
     then its coins (`reverse_live_edges`), all from `rng`.  One member
-    search and one dominator routine then run over all its pairs, and each
-    chain walks up the immediate dominators.
+    search and one dominator routine then run over all its pairs, keyed by
+    the nodes' rows in the reach, and each chain walks up the immediate
+    dominators.
     """
     targets = population[rng.integers(0, len(population), size=count)]
+    # keys are rows of the reach, and the source, the last node, has the
+    # last row
     tree = dominators(_reverse_reach(ug, count, *reverse_live_edges(
-        ug, targets, rng)), ug.s, count)
-    node, trial = np.divmod(tree.key, count)
+        ug, targets, rng)), np.count_nonzero(ug.reach) - 1, count)
+    row, trial = np.divmod(tree.key, count)
+    node = np.flatnonzero(ug.reach)[row]
     mine = node == targets[trial]
     # the member pairs are every number but the roots (below `count`), each
     # (node, trial) once: sorted by trial, then target first, then node
@@ -351,8 +363,9 @@ class PairSource:
 
     The batches form one list: batch 2j is primary batch j and batch
     2j + 1 validation batch j.  Both come from one `_pair_search` of
-    2 * `_BATCH` pairs while its `seen` bitmap, one byte per node and pair,
-    fits `_SEEN_BYTES`; else from two consecutive `_BATCH` searches.
+    2 * `_BATCH` pairs while its bitmaps, one byte per pair and node of
+    the reach, fit `_SEEN_BYTES`; else from two consecutive `_BATCH`
+    searches.
     `searches` counts the reverse searches drawn, `n_pairs` the pairs of
     each stream.
     """
@@ -368,7 +381,7 @@ class PairSource:
         """(primary, validation): the first `count` pairs of each stream
         as a `kind` (`LRRCollection` or `ChainCollection`), drawing the
         whole batches they lack."""
-        shared = 2 * self.ug.n_total * _BATCH <= _SEEN_BYTES
+        shared = 2 * np.count_nonzero(self.ug.reach) * _BATCH <= _SEEN_BYTES
         while self.n_pairs < count:
             for size in [2 * _BATCH] if shared else [_BATCH, _BATCH]:
                 self._batches += _pair_search(self.ug, self.population, size,

@@ -10,8 +10,10 @@ and Lakshmanan, PVLDB 2015, compares its candidates), and the residuals
 differ only by what the candidates block.  Each estimate stops on its own
 betting confidence sequence, valid at every batch at once, as soon as its
 interval is within the gamma contract, and then leaves the shared search;
-the batches are 512 trials, then doubling (`diffusion._batch_sizes`), so
-an estimate that closes early draws few cascades;
+the batches are 128 trials, then 384 (to 512), then doubling from 1024
+(`diffusion._batch_sizes`), so an estimate that closes early draws few
+cascades: on `mid_synthetic(300, 1200, 10)` graphs almost every estimate
+closes at 128;
 `as_dict` reports the interval each stopped on (`spread_bounds`).  When
 the active sets nest, each inside the next, a batch searches the
 most-blocked one and resumes the others from the pairs it held back, with

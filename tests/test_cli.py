@@ -44,14 +44,14 @@ class TestRun:
         # base and residual come from the same cascades, so the decrease
         # is a mean of per-trial differences, none of them negative.  This
         # interval is still open at the 3000-trial cap, drawn in batches
-        # of 512, 1024 and the 1464 left, and the value is the mean.
+        # of 128, 384, 1024 and the 1464 left, and the value is the mean.
         args = argparse.Namespace(gamma=0.1, delta=0.1, eval_trials=3000)
         ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
         blockers = ug.seed_out_neighbors()[:2]
         masks = np.stack([ug.blocked, ug.blocked_with(blockers)])
         rng = make_rng(1)
         rows = np.hstack([_batch_spreads(ug, masks, size, rng)
-                          for size in (512, 1024, 1464)])
+                          for size in (128, 384, 1024, 1464)])
         assert (rows[1] <= rows[0]).all()
         est = _evaluate_decrease(ug, blockers, args, make_rng(1))
         assert est.samples_used == 3000

@@ -2,7 +2,7 @@
 
 Parsing is enough to catch a renamed or deleted name; running every demo
 takes about a minute, so only the spread-estimation demo, which takes well
-under a second, is run.
+under a second, is run here.  The CI workflow runs every demo end to end.
 """
 
 import ast

@@ -592,6 +592,27 @@ class TestPaddingInvariance:
             assert_same_collections(collections(core, 30 + seed, 300),
                                     collections(padded, 30 + seed, 300))
 
+    def test_pair_source_joins_its_searches_by_the_reach(self, monkeypatch):
+        # padded to 1501 nodes, one search of both streams' batches would
+        # pass `_SEEN_BYTES` at a byte per node and pair, but its bitmaps
+        # have a row per node of the reach only: the padded source joins
+        # its batches as the core's does, and reads the same pairs
+        calls = pair_search_calls(monkeypatch)
+        for seed in range(2):
+            core, padded = padded_twin(seed, 1440)
+            assert 2 * padded.n_total * _BATCH > sampling._SEEN_BYTES
+            sources = [PairSource(g, make_rng(40 + seed))
+                       for g in (core, padded)]
+            for kind in (LRRCollection, ChainCollection):
+                got = [source.read(kind, 2 * _BATCH + 1)
+                       for source in sources]
+                for coll_a, coll_b in zip(*got):
+                    assert coll_a.n_samples == coll_b.n_samples
+                    for x, y in zip(coll_a._freeze(), coll_b._freeze()):
+                        assert np.array_equal(x, y)
+            assert sources[0].searches == sources[1].searches == 3
+        assert calls == [2 * _BATCH] * 12
+
 
 class TestBatchedExtend:
     def test_extend_2500_is_exact_and_reproducible(self):
