@@ -94,7 +94,8 @@ fall at 128, 512, 1536, 3584, ... trials.  Low-variance spreads close in
 few cascades: on `mid_synthetic(300, 1200, 10)` graphs almost every
 sandwich estimate closes at 128 trials, while on the benchmark's padded
 graph the residuals need 512 or 1536.  Each value is the mean of its
-samples clipped to the gamma contract of its interval
+samples clipped to the gamma contract of its interval, and samples of one
+value wait until the clip leaves their mean as it is
 (`_BettingStop.estimate`).  All sets read one stream of
 shared batches, and a set that stops leaves the search.  Spreads are
 normalized by the number of non-seed nodes the seeds can reach at all
@@ -502,33 +503,31 @@ def _forward_levels(g, blocked, batch, rng, live=None):
             yield _joined(owners), head, node, trial, bits
 
 
-def _reverse_levels(g, node, rng, skip, blocked, enter=None):
+def _reverse_levels(g, node, rng, skip, blocked, rows=None):
     """Breadth-first search backwards over `len(node)` independent
     realizations at once, trial t's from `node[t]`, level by level.
 
     The search never enters a node of the `skip` mask, and no edge into a
-    node of the `blocked` mask is live (either mask may be None).  With a
-    mask `enter`, it enters no node outside it either, and drops the live
-    edges out of such nodes.  Each edge's coin is drawn from `rng` when the
-    search first finds its target node, so it is drawn at most once per
-    realization.  Yields, per level, (node, trial) of the pairs it expands,
-    sorted node-major, then (owner, src) of their live in-edges, owner
-    indexing the level's pairs.  The `seen` bitmap has one row of trials
-    per node of `enter` and per start node (per node of g without
-    `enter`), numbered in node order, so its keys sort as the nodes do; it
-    is freed when the search ends.
+    node of the `blocked` mask is live (either mask may be None).  Each
+    edge's coin is drawn from `rng` when the search first finds its target
+    node, so it is drawn at most once per realization.  Yields, per level,
+    (node, trial) of the pairs it expands, sorted node-major, then (owner,
+    src) of their live in-edges, owner indexing the level's pairs.  The
+    `seen` bitmap has one row of trials per node, or with `rows`, a
+    `UnifiedGraph.reach_rows` map, one per node of the reach and one that
+    the nodes outside it share: the search then enters no node outside the
+    reach and drops the live edges out of such nodes, so only start nodes
+    use the shared row, one per trial.  The bitmap is freed when the
+    search ends.
     """
     batch = len(node)
-    rows = (np.ones(len(g.in_ptr) - 1, dtype=bool) if enter is None
-            else enter.copy())
-    rows[node] = True
-    nodes = np.flatnonzero(rows)        # the node of each row
-    rows = np.cumsum(rows) - 1          # the row of each node in `nodes`
-    seen = np.zeros(len(nodes) * batch, dtype=bool)
+    row, nodes = rows or (None, None)
+    seen = np.zeros((len(g.in_ptr) - 1 if rows is None else len(nodes) + 1)
+                    * batch, dtype=bool)
     if skip is not None:
-        seen.reshape(-1, batch)[skip[nodes]] = True
+        seen.reshape(-1, batch)[skip if rows is None else row[skip]] = True
     trial = np.arange(batch, dtype=np.int64)
-    seen[rows[node] * batch + trial] = True
+    seen[(node if rows is None else row[node]) * batch + trial] = True
     while len(node):
         owners, srcs = [], []
         for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
@@ -538,14 +537,15 @@ def _reverse_levels(g, node, rng, skip, blocked, enter=None):
             hit = np.flatnonzero(live)
             owners.append(owner[hit])
             srcs.append(g.in_src[offs[hit]])
-        owner, src = _joined(owners), _joined(srcs)
-        if enter is not None:
-            inside = np.flatnonzero(enter[src])
-            owner, src = owner[inside], src[inside]
-        yield node, trial, owner, src
-        row, trial = np.divmod(
-            _advance(seen, rows[src] * batch + trial[owner]), batch)
-        node = nodes[row]
+        owner, key = _joined(owners), _joined(srcs)
+        if rows is not None:
+            key = row[key]
+            inside = np.flatnonzero(key < len(nodes))
+            owner, key = owner[inside], key[inside]
+        yield node, trial, owner, key if rows is None else nodes[key]
+        key, trial = np.divmod(
+            _advance(seen, key * batch + trial[owner]), batch)
+        node = key if rows is None else nodes[key]
 
 
 def reverse_live_edges(g: UnifiedGraph, targets, rng: np.random.Generator):
@@ -564,7 +564,8 @@ def reverse_live_edges(g: UnifiedGraph, targets, rng: np.random.Generator):
     """
     levels = _reverse_levels(g, np.asarray(targets, dtype=np.int64), rng,
                              g.uncounted,
-                             g.blocked if g.blocked.any() else None, g.reach)
+                             g.blocked if g.blocked.any() else None,
+                             g.reach_rows)
     parts = [(trial[owner], src, node[owner])
              for node, trial, owner, src in levels]
     return tuple(np.concatenate(a) for a in zip(*parts))
@@ -581,16 +582,15 @@ def reverse_reach_counts(g: Graph, samples: int,
     SODA 2014).  Sets are searched with lazy coins (`_reverse_levels`) in
     batches of `max(_BATCH, _SEEN_BYTES // n)`, so each batch's `seen`
     bitmap stays near `_SEEN_BYTES`, and one batch's search, its bitmap
-    with it, ends before the next begins.  One `np.bincount` per batch adds
-    the nodes of its levels to the per-node count; the sets are not kept.
+    with it, ends before the next begins.  Each level adds its nodes to the
+    per-node count; the sets are not kept.
     """
     counts = np.zeros(g.n, dtype=np.int64)
     size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
         targets = rng.integers(0, g.n, size=min(size, samples - done))
-        counts += np.bincount(np.concatenate([
-            node for node, *_ in _reverse_levels(g, targets, rng, None,
-                                                 None)]), minlength=g.n)
+        for node, *_ in _reverse_levels(g, targets, rng, None, None):
+            np.add.at(counts, node, 1)
     return counts
 
 
@@ -636,7 +636,11 @@ class _BettingStop:
         """The estimate once the interval is within the gamma contract, or
         at a trial cap (`final`), else None: the samples' mean clipped to
         the values within a factor (1 +/- gamma) of every point of the
-        interval, or at a cap, to the interval alone."""
+        interval, or at a cap, to the interval alone.  Samples of one value,
+        as a spread that the graph fixes gives, stop before a cap only once
+        that value needs no clip: each batch's confidence set holds the
+        mean, so the interval narrows around it until it does, and a
+        constant spread comes out exact."""
         low, high = self.low, self.high
         if (1.0 + gamma) * low >= (1.0 - gamma) * high:
             low, high = (max(low, (1.0 - gamma) * high),
@@ -645,7 +649,10 @@ class _BettingStop:
             return None
         n = self.n_reach
         mean = self.counts @ np.arange(n + 1) / self.samples
-        return SpreadEstimate(value=min(max(mean, low * n), high * n),
+        value = min(max(mean, low * n), high * n)
+        if value != mean and not final and np.count_nonzero(self.counts) == 1:
+            return None
+        return SpreadEstimate(value=value,
                               gamma=gamma, delta=delta,
                               samples_used=self.samples, low=self.low * n,
                               high=self.high * n)
@@ -818,9 +825,9 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     the computed interval always holds C_t.  A set stops once (1 + gamma)
     LB >= (1 - gamma) UB, and N_B times the samples' mean, clipped to the
     values within (1 +/- gamma) of every point of [LB, UB], is then within
-    (1 +/- gamma) of the mean (`_BettingStop.estimate`); a constant
-    spread comes out exact when the interval it stops on lies within (1
-    +/- gamma) of it at both ends.  Each set keeps its spreads
+    (1 +/- gamma) of the mean (`_BettingStop.estimate`); samples of one
+    value stop only once their mean is among those values, so a constant
+    spread comes out exact.  Each set keeps its spreads
     as a histogram over 0..N_B, so a batch costs its distinct values, and
     the ends of all sets still sampling are searched together.  The trial
     count scales with the samples' variance rather than with the worst

@@ -122,66 +122,6 @@ class Graph:
         return src, self.out_dst.copy(), self.out_p.copy()
 
 
-# Whitespace as `str.split` splits at it: the ASCII bytes, and the wider
-# code points (none lies above U+3000), which the parser maps to a space.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_WIDE_SPACE = {c: " " for c in range(0x80, 0x3001) if chr(c).isspace()}
-
-# An edge-list line's errors, in the order a line is checked.
-_NOT_A_PAIR, _NOT_AN_INTEGER, _NOT_INT64 = 1, 2, 3
-_ERRORS = {
-    _NOT_A_PAIR: "{path}: line {lineno}: expected 'u v', got {line!r}",
-    _NOT_AN_INTEGER: "{path}: line {lineno}: non-integer node id in "
-                     "{line!r}",
-    _NOT_INT64: "{path}: line {lineno}: node id outside the 64-bit integer "
-                "range in {line!r}"}
-
-
-def _tokens(text):
-    """(buf, start, end, line): the UTF-8 bytes of `text` with its wide
-    whitespace made spaces, and each whitespace-separated token's [start,
-    end) byte range and 0-based line, lines split at newlines only."""
-    if not text.isascii():
-        text = text.translate(_WIDE_SPACE)
-    buf = np.frombuffer(text.encode(), dtype=np.uint8)
-    space = np.concatenate([[True], _SPACE[buf], [True]])
-    start, end = np.flatnonzero(space[1:] != space[:-1]).reshape(-1, 2).T
-    return buf, start, end, np.searchsorted(np.flatnonzero(buf == 10),
-                                            start)
-
-
-def _token_ids(buf, start, end):
-    """(ids, error): each token's integer value and its error, 0 when it
-    is an integer in the int64 range.  A sign and up to 18 ASCII digits
-    are converted digit by digit over all tokens at once; `int` reads the
-    rest, as it would read any token (underscores, other scripts' digits,
-    more digits)."""
-    sign = (buf[start] == ord("+")) | (buf[start] == ord("-"))
-    first = start + sign
-    width = end - first
-    short = (width >= 1) & (width <= 18)
-    ids = np.zeros(len(start), dtype=np.int64)
-    for k in range(int(width[short].max(initial=0))):
-        at = short & (width > k)
-        digit = buf[np.where(at, first + k, 0)].astype(np.int64) - ord("0")
-        short &= ~at | ((digit >= 0) & (digit <= 9))
-        ids = np.where(at, ids * 10 + digit, ids)
-    ids = np.where(buf[start] == ord("-"), -ids, ids)
-    error = np.zeros(len(start), dtype=np.int64)
-    for i in np.flatnonzero(~short).tolist():
-        try:
-            value = int(buf[start[i]:end[i]].tobytes().decode())
-        except ValueError:
-            error[i] = _NOT_AN_INTEGER
-            continue
-        if value in _INT64:
-            ids[i] = value
-        else:
-            error[i] = _NOT_INT64
-    return ids, error
-
-
 def load_edge_list(path, directed=True):
     """Load a SNAP-style edge list ("u v" per line, '#' comments).
 
@@ -189,61 +129,63 @@ def load_edge_list(path, directed=True):
     are dropped, duplicate (u, v) pairs are deduplicated, and undirected
     input is doubled into two directed edges.  All probabilities start at 1
     (see :func:`assign_wc_probabilities`).  A directory, a file that is
-    not UTF-8 text, and the first line that is not blank, a comment or two
-    integer ids in the int64 range raise `EdgeListParseError`, the line
-    with its number.
-
-    The whole file is parsed by array passes: its tokens split as each
-    line's `str.split` would (`_tokens`), and their ids are converted at
-    once (`_token_ids`).
+    not UTF-8 text and a node id outside the int64 range raise
+    `EdgeListParseError`.
     """
+    id_of = {}
+    labels = []
+    src, dst = [], []
+
+    def intern(label):
+        node = id_of.get(label)
+        if node is None:
+            node = len(labels)
+            id_of[label] = node
+            labels.append(label)
+        return node
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise EdgeListParseError(
+                        f"{path}: line {lineno}: expected 'u v', got {line!r}")
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise EdgeListParseError(
+                        f"{path}: line {lineno}: non-integer node id in "
+                        f"{line!r}") from None
+                if a not in _INT64 or b not in _INT64:
+                    raise EdgeListParseError(
+                        f"{path}: line {lineno}: node id outside the 64-bit "
+                        f"integer range in {line!r}")
+                if a == b:
+                    continue
+                u, v = intern(a), intern(b)
+                src.append(u)
+                dst.append(v)
+                if not directed:
+                    src.append(v)
+                    dst.append(u)
     except IsADirectoryError:
         raise EdgeListParseError(f"{path}: is a directory") from None
     except UnicodeDecodeError:
         raise EdgeListParseError(f"{path}: not UTF-8 text") from None
 
-    buf, start, end, line = _tokens(text)
-    # each line's first token; a comment's starts with '#'
-    opens = np.flatnonzero(np.diff(line, prepend=-1))
-    comment = np.repeat(buf[start[opens]] == ord("#"),
-                        np.diff(opens, append=len(line)))
-    start, end, line = start[~comment], end[~comment], line[~comment]
-    opens = np.flatnonzero(np.diff(line, prepend=-1))
-    pair = np.diff(opens, append=len(line)) == 2
-    u = opens[pair]
-    ids, error = _token_ids(buf, start, end)
-    line_error = np.full(len(opens), _NOT_A_PAIR)
-    line_error[pair] = np.where(
-        (error[u] == _NOT_AN_INTEGER) | (error[u + 1] == _NOT_AN_INTEGER),
-        _NOT_AN_INTEGER, np.maximum(error[u], error[u + 1]))
-    bad = np.flatnonzero(line_error)
-    if len(bad):
-        at = int(line[opens[bad[0]]])
-        raise EdgeListParseError(_ERRORS[int(line_error[bad[0]])].format(
-            path=path, lineno=at + 1,
-            line=text.split("\n", at + 1)[at].strip()))
-
-    edges = np.stack([ids[u], ids[u + 1]], axis=1)
-    edges = edges[edges[:, 0] != edges[:, 1]]       # self-loops dropped
-    if not len(edges):
+    if not src:
         raise EdgeListParseError(f"{path}: empty graph (no usable edges)")
-    # nodes numbered in first-appearance order of u, v, u, v, ...
-    labels, first, node = np.unique(edges, return_index=True,
-                                    return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    node = rank[node].reshape(-1, 2)
-    if not directed:
-        node = np.concatenate([node, node[:, ::-1]], axis=1).reshape(-1, 2)
     n = len(labels)
-    src, dst = node[:, 0], node[:, 1]
-    _, keep = np.unique(src * n + dst, return_index=True)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    key = src * n + dst
+    _, keep = np.unique(key, return_index=True)
     keep.sort()
-    return Graph.from_edges(n, src[keep], dst[keep], labels=labels[order])
+    return Graph.from_edges(n, src[keep], dst[keep], labels=labels)
 
 
 def _with_probabilities(g: Graph, p) -> Graph:
@@ -407,6 +349,20 @@ class UnifiedGraph:
         mask = self.positive_reach()
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def reach_rows(self):
+        """(row, node), read-only: the row of each node in the pair
+        searches' bitmaps, which have one row per node of `reach`, numbered
+        in node order so that their keys sort as the nodes do, and one past
+        those that every node outside the reach shares; and the node of
+        each of the reach's rows.  Computed once per graph."""
+        node = np.flatnonzero(self.reach)
+        row = np.full(self.n_total, len(node), dtype=np.int64)
+        row[node] = np.arange(len(node))
+        for a in (row, node):
+            a.setflags(write=False)
+        return row, node
 
     def candidates(self) -> np.ndarray:
         """Mask of the nodes a blocker may be chosen from: base nodes that

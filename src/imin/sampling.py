@@ -28,12 +28,14 @@ and batch 2j + 1 validation batch j.  No node outside the reach
 (`UnifiedGraph.reach`) lies on a live path from the source, so a pair
 search enters only the reach, and its `seen` and `member` bitmaps have
 one row of pairs per node of the reach, numbered in node order, so that
-their keys sort as the nodes do.  A small search pays a fixed cost per
+their keys sort as the nodes do (`UnifiedGraph.reach_rows`, computed once
+per graph).  A small search pays a fixed cost per
 level, so both batches of a pair come from one search of 2 * `_BATCH`
 pairs, cut in two, while those rows, one byte per node and pair, fit
 `diffusion._SEEN_BYTES`.  Larger reaches draw them in two consecutive
 `_BATCH` searches, so peak memory does not grow with the number of
-streams, and unreachable nodes cost a search no bitmap rows.
+streams, and the nodes outside the reach share one `seen` row, which
+only targets outside it use.
 
 The paper's "local sampling" draws the lower bound forward, as the
 reference kept here: a *common-path sequence* holds one entry per reached
@@ -148,7 +150,7 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     source, yielding levels as `diffusion._forward_levels` does: (owner,
     head) of the live edges out of the level's pairs, then (node, trial) of
     the member pairs they reach first, with each node's row in the reach
-    (`ug.reach`, numbered in node order) in place of the node.
+    (`ug.reach_rows`) in place of the node.
 
     (trial, src, dst) are the live in-edges a reverse search recorded, all
     between nodes of the reach.  Trial t's root is the source (pair t of
@@ -157,13 +159,13 @@ def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
     found nodes.  The `member` bitmap has one row of trials per node of the
     reach, and its keys sort as the nodes do.
     """
-    rows = np.cumsum(ug.reach) - 1
+    rows, nodes = ug.reach_rows
     fed = ug.uncounted[src]
     tail = rows[src[~fed]] * count + trial[~fed]
     by_tail = np.argsort(tail)
     tail = tail[by_tail]
     head = (rows[dst[~fed]] * count + trial[~fed])[by_tail]
-    member = np.zeros((rows[-1] + 1) * count, dtype=bool)
+    member = np.zeros(len(nodes) * count, dtype=bool)
     frontier = _advance(member, rows[dst[fed]] * count + trial[fed])
     node, found = np.divmod(frontier, count)
     yield found, frontier, node, found
@@ -193,12 +195,11 @@ def _pair_search(ug: UnifiedGraph, population: np.ndarray, count: int,
     dominators.
     """
     targets = population[rng.integers(0, len(population), size=count)]
-    # keys are rows of the reach, and the source, the last node, has the
-    # last row
+    rows, nodes = ug.reach_rows
     tree = dominators(_reverse_reach(ug, count, *reverse_live_edges(
-        ug, targets, rng)), np.count_nonzero(ug.reach) - 1, count)
+        ug, targets, rng)), rows[ug.s], count)
     row, trial = np.divmod(tree.key, count)
-    node = np.flatnonzero(ug.reach)[row]
+    node = nodes[row]
     mine = node == targets[trial]
     # the member pairs are every number but the roots (below `count`), each
     # (node, trial) once: sorted by trial, then target first, then node
@@ -381,7 +382,7 @@ class PairSource:
         """(primary, validation): the first `count` pairs of each stream
         as a `kind` (`LRRCollection` or `ChainCollection`), drawing the
         whole batches they lack."""
-        shared = 2 * np.count_nonzero(self.ug.reach) * _BATCH <= _SEEN_BYTES
+        shared = 2 * len(self.ug.reach_rows[1]) * _BATCH <= _SEEN_BYTES
         while self.n_pairs < count:
             for size in [2 * _BATCH] if shared else [_BATCH, _BATCH]:
                 self._batches += _pair_search(self.ug, self.population, size,

@@ -6,7 +6,7 @@ import pytest
 
 from imin import fixtures
 from imin.diffusion import _BATCH, _SEEN_BYTES, _forward_levels
-from imin.graph import EdgeListParseError, Graph, block_nodes, unify_seeds
+from imin.graph import Graph, block_nodes, unify_seeds
 from imin.sampling import _sequence_entries
 
 
@@ -460,63 +460,3 @@ def replayed_cov_upper_opt(coll, selected, coverages, k):
         if i < len(selected):
             state.add(selected[i])
     return float(best)
-
-
-def reference_load_edge_list(path, directed=True):
-    """`graph.load_edge_list` line by line in Python: the parser it
-    replaced, kept as its reference."""
-    int64 = range(-(1 << 63), 1 << 63)
-    id_of = {}
-    labels = []
-    src, dst = [], []
-
-    def intern(label):
-        node = id_of.get(label)
-        if node is None:
-            node = len(labels)
-            id_of[label] = node
-            labels.append(label)
-        return node
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise EdgeListParseError(
-                        f"{path}: line {lineno}: expected 'u v', got {line!r}")
-                try:
-                    a, b = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise EdgeListParseError(
-                        f"{path}: line {lineno}: non-integer node id in "
-                        f"{line!r}") from None
-                if a not in int64 or b not in int64:
-                    raise EdgeListParseError(
-                        f"{path}: line {lineno}: node id outside the 64-bit "
-                        f"integer range in {line!r}")
-                if a == b:
-                    continue
-                u, v = intern(a), intern(b)
-                src.append(u)
-                dst.append(v)
-                if not directed:
-                    src.append(v)
-                    dst.append(u)
-    except IsADirectoryError:
-        raise EdgeListParseError(f"{path}: is a directory") from None
-    except UnicodeDecodeError:
-        raise EdgeListParseError(f"{path}: not UTF-8 text") from None
-
-    if not src:
-        raise EdgeListParseError(f"{path}: empty graph (no usable edges)")
-    n = len(labels)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    key = src * n + dst
-    _, keep = np.unique(key, return_index=True)
-    keep.sort()
-    return Graph.from_edges(n, src[keep], dst[keep], labels=labels)

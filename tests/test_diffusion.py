@@ -388,15 +388,18 @@ def betting_stop_reference(rows, n_reach, gamma, delta, sizes):
     `sizes` at a time: (value, samples, half-width of the interval, in
     spread units) at the first batch whose interval closes, or None.  The
     value is the mean of the spreads so far, clipped to the values within
-    a factor (1 +/- gamma) of every point of the interval."""
+    a factor (1 +/- gamma) of every point of the interval; spreads of one
+    value stop only at an interval that needs no clip."""
     ends = np.cumsum(sizes)
     batches = np.split(rows, ends[ends < len(rows)])
     for end, (low, high) in zip(
             ends, betting_reference(batches, n_reach, delta)):
         if (1 + gamma) * low >= (1 - gamma) * high:
             lo, hi = max(low, (1 - gamma) * high), min(high, (1 + gamma) * low)
-            value = min(max(rows[:end].mean() / n_reach, lo), hi)
-            return value * n_reach, end, 0.5 * (high - low) * n_reach
+            mean = rows[:end].mean() / n_reach
+            value = min(max(mean, lo), hi)
+            if value == mean or len(set(rows[:end].tolist())) > 1:
+                return value * n_reach, end, 0.5 * (high - low) * n_reach
     return None
 
 
@@ -894,10 +897,11 @@ class TestStoppingRuleSpreads:
 
     def test_deterministic_spreads_are_exact(self):
         # every cascade of these graphs activates the same nodes, so the
-        # samples' mean is the spread, and the interval holds it.  The
-        # decrease of 1 out of 7 stops at 128 trials on [0.970, 1.169],
-        # where the value rule clips the mean up to (1 - gamma) times the
-        # upper end: the replayed stop on a constant row
+        # samples' mean is the spread, and the interval holds it.  At 128
+        # trials the decrease of 1 out of 7 has the interval [0.970,
+        # 1.169], within the gamma contract, but 1 lies below (1 - gamma)
+        # times its upper end: the clip would move it, so the estimate
+        # samples on until it would not
         for ug, blockers, spread in (
                 (fixtures.chain(1.0), None, 2.0),
                 (fixtures.fan_gadget(8), None, 7.0),
@@ -909,11 +913,31 @@ class TestStoppingRuleSpreads:
         fan = fixtures.fan_gadget(8)
         est = diffusion.stopping_rule_decrease(fan, [1], 0.1, 0.1,
                                                make_rng(0), 10_000)
+        assert est.value == 1.0
         assert est.low <= 1.0 <= est.high
         assert_matches_reference(est, betting_stop_reference(
             np.ones(10_000, dtype=np.int64), 7, 0.1, 0.1,
             schedule(fan, 2, 10_000)))
-        assert est.samples_used == _FIRST_BATCH
+        assert est.samples_used > _FIRST_BATCH
+
+    def test_one_value_stops_only_where_the_clip_keeps_it(self):
+        # an interval within the gamma contract whose clip would move the
+        # mean: samples of one value sample on, others stop at the clip.
+        # At a cap both stop, clipped.
+        for spreads, clip in ((np.full(100, 5), None),
+                              (np.repeat([4, 6], 50), 4.84)):
+            rule = diffusion._BettingStop(10)
+            rule.add(spreads)
+            rule.low, rule.high = 0.47, 0.55    # 5 needs no clip
+            assert rule.estimate(0.1, 0.1).value == 5.0
+            rule.low, rule.high = 0.44, 0.53    # clipped to 0.484 * 10
+            est = rule.estimate(0.1, 0.1)
+            if clip is None:
+                assert est is None
+            else:
+                assert est.value == pytest.approx(clip)
+            assert rule.estimate(0.1, 0.1, final=True).value == \
+                pytest.approx(4.84)
 
     def test_cut_off_set_is_exact_zero_while_others_sample(self):
         ug = fixtures.worked_example_small()

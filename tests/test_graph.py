@@ -1,72 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from imin import fixtures
 from imin.diffusion import stopping_rule_spread
 from imin.graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
                         assign_constant_probability, assign_wc_probabilities,
                         block_nodes, load_edge_list, unify_seeds)
-from imin.graph import _SPACE, _WIDE_SPACE
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
 
 from conftest import (base_spread_enumeration, make_rng, random_flowgraph,
-                      reference_load_edge_list, reference_positive_reach,
-                      tiny_with_dead_edges)
-
-
-# Node ids of edge-list lines.  Valid ones: small ids (so that lines
-# repeat edges and make self-loops), signs, zero padding, underscores,
-# other scripts' digits and the int64 ends; and ones that are not integers
-# or lie outside int64.
-GOOD_IDS = st.one_of(
-    st.integers(-3, 12).map(str),
-    st.sampled_from(["+3", "-0", "007", "1_0", "\u0665", "\uff11",
-                     "0" * 20 + "1", str((1 << 63) - 1), str(-(1 << 63))]))
-BAD_IDS = st.sampled_from(["1__0", "_1", "1_", "+", "-", "--1", "1.0", "a",
-                           "#1", "\x00", str(1 << 63), str(-(1 << 63) - 1),
-                           "9" * 19, str(1 << 70)])
-
-# Whitespace between and around ids: ASCII, and the separators `str.split`
-# splits at beyond ASCII.
-SPACES = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u2003\u3000"),
-                 min_size=1, max_size=2)
-
-
-def _joined(ids, gaps, ends):
-    """`ids` with a gap between each two and an end on either side."""
-    return ends[0] + "".join(g + i for g, i in zip(["", *gaps], ids)) \
-        + ends[1]
-
-
-def _lines(ids):
-    """Lines of the ids that `ids` draws, whitespace between them and
-    maybe around them."""
-    return ids.flatmap(lambda ids: st.builds(
-        _joined, st.just(ids),
-        st.lists(SPACES, min_size=max(len(ids) - 1, 0),
-                 max_size=max(len(ids) - 1, 0)),
-        st.tuples(SPACES | st.just(""), SPACES | st.just(""))))
-
-
-# Valid lines: mostly edges, then blanks and comments.
-GOOD_LINES = st.one_of(
-    _lines(st.lists(GOOD_IDS, min_size=2, max_size=2)),
-    _lines(st.lists(st.integers(0, 6).map(str), min_size=2, max_size=2)),
-    _lines(st.just([])),
-    st.builds(lambda s, t: s + "#" + t, SPACES | st.just(""),
-              st.text(st.characters(exclude_characters="\r\n"),
-                      max_size=6)))
-
-# Invalid lines: an edge with an id that is not a valid one, or one or
-# three ids.
-BAD_LINES = st.one_of(
-    _lines(st.tuples(GOOD_IDS, BAD_IDS).map(list)),
-    _lines(st.tuples(BAD_IDS, BAD_IDS).map(list)),
-    _lines(st.lists(GOOD_IDS, min_size=1, max_size=1)),
-    _lines(st.lists(GOOD_IDS, min_size=3, max_size=3)))
+                      reference_positive_reach, tiny_with_dead_edges)
 
 
 def write(tmp_path, text):
@@ -112,43 +56,11 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="empty"):
             load_edge_list(write(tmp_path, "# nothing\n1 1\n"))
 
-    def test_wide_whitespace_is_what_str_split_splits_at(self):
-        wide = [c for c in range(0x80, 0x110000) if chr(c).isspace()]
-        assert sorted(_WIDE_SPACE) == wide
-        assert np.flatnonzero(_SPACE).tolist() == [
-            c for c in range(0x80) if chr(c).isspace()]
-
-    @settings(derandomize=True, max_examples=300, deadline=None,
-              database=None)
-    @given(st.lists(GOOD_LINES, max_size=16),
-           st.lists(st.tuples(st.integers(0, 16), BAD_LINES), max_size=2),
-           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
-           st.booleans())
-    def test_matches_the_line_by_line_parser(self, tmp_path_factory, lines,
-                                             bad, newline, last, directed):
-        # the same ids, labels and edges, or the same error message (its
-        # line number included), on both directions of every file
-        for at, line in bad:
-            lines.insert(at, line)
-        path = tmp_path_factory.mktemp("edges") / "edges.txt"
-        path.write_bytes((newline.join(lines) + newline * last).encode())
-        results = []
-        for parse in (load_edge_list, reference_load_edge_list):
-            try:
-                g = parse(str(path), directed=directed)
-            except EdgeListParseError as err:
-                results.append(str(err))
-            else:
-                results.append([a.tolist() for a in (
-                    g.labels, *g.edge_array()[:2], g.in_src, g.in_ptr)])
-        assert results[0] == results[1]
-
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_bytes(b"0 1\n\xff 2\n")
-        for parse in (load_edge_list, reference_load_edge_list):
-            with pytest.raises(EdgeListParseError, match="not UTF-8"):
-                parse(str(path))
+        with pytest.raises(EdgeListParseError, match="not UTF-8"):
+            load_edge_list(str(path))
         with pytest.raises(EdgeListParseError, match="is a directory"):
             load_edge_list(str(tmp_path))
 

@@ -309,10 +309,15 @@ class TestChainSamples:
             assert chain == want.get(target, [])
             assert set(chain) <= set(members.tolist())
 
-    @settings(derandomize=True, max_examples=40, deadline=None,
-              database=None)
-    @given(st.integers(0, 10 ** 6))
-    def test_scaled_coverage_estimates_lower_bound(self, seed):
+    # Within 3 sigma over a fixed example stream from one numpy Generator,
+    # as `TestSharedRealizations.test_rows_against_exact_model` does:
+    # hypothesis mixes constants it finds in the package's source into its
+    # draws, so under `@given` the examples moved with edits to the package.
+    def test_scaled_coverage_estimates_lower_bound(self):
+        for seed in make_rng(20240521).integers(0, 10 ** 6, size=40).tolist():
+            self.check_scaled_coverage(seed)
+
+    def check_scaled_coverage(self, seed):
         # Zero-probability edges, nodes blocked before sampling and a
         # random blocker set among the rest; within 3 sigma of the exact
         # lower bound, sigma from the exact hit probability.
