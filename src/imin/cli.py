@@ -114,7 +114,8 @@ def _cached_ranking(cache_path, pool_trials, fingerprint):
     if cache_path is None or not os.path.exists(cache_path):
         return None
     try:
-        with np.load(cache_path) as data:
+        # np.load does not close a file it opened and then failed to read
+        with open(cache_path, "rb") as fh, np.load(fh) as data:
             if (int(data["format_version"]) == INFCACHE_FORMAT_VERSION
                     and int(data["pool_trials"]) == pool_trials
                     and str(data["fingerprint"]) == fingerprint):

@@ -16,21 +16,21 @@ its live edges and newly reached nodes level by level:
 them, and `ic_spread_samples` keeps only how many nodes each cascade
 activates.  It also takes an eager realization's live-edge mask in place
 of coins, so the tests' reference runs the same search.
-`reverse_live_edges` searches backwards from targets with coins from one
-Generator, and `reverse_reach_counts` runs the same reverse search
-(`_reverse_levels`, the one reverse level loop) on a plain graph and
-keeps only how often each node is found, which scores every node's
-singleton influence at once.  `reverse_reach_counts` and the
-sequential estimates size their batches by one budget for a search's
-`n_total * trials` `seen` bitmap, `_SEEN_BYTES`, and `sampling.PairSource`
-joins pair searches by the same budget for bitmaps with a row per node of
-the reach only, all that `reverse_live_edges` enters.  All
-batched searches expand their frontier through one CSR-slice helper, and
-each step compresses its examined edges once, by index: coins are
-compared with every examined edge's probability, and only the live
-edges' owners and heads are gathered and tested against the blocked mask
-(the reverse search tests an edge's head with its coin, and only when
-some node is blocked).
+The reverse search (`_reverse_levels`, the one reverse level loop) runs
+in any reverse CSR.  `reverse_live_edges` runs it in a unified graph's
+reach graph (`UnifiedGraph.reach_graph`), where the seeds are written as
+the source and no edge enters the source, a seed or a node outside the
+reach, so the search stops there with no masks.  `reverse_reach_counts`
+runs it on a plain graph and keeps only how often each node is found,
+which scores every node's singleton influence at once.
+`reverse_reach_counts` and the sequential estimates size their batches
+by one budget for a search's `n_total * trials` `seen` bitmap,
+`_SEEN_BYTES`, and `sampling.PairSource` joins pair searches by the same
+budget for bitmaps over the reach graph's ids.  All batched searches
+expand their frontier through one CSR-slice helper, and each step
+compresses its examined edges once, by index: coins are compared with
+every examined edge's probability, and only the live edges' owners and
+heads are gathered (and, forward, tested against the blocked mask).
 
 Each lazy-coin search examines a level in steps of at most `_EDGE_BUDGET`
 CSR entries, split by the slice helper's own prefix sum (a level within
@@ -113,7 +113,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, UnifiedGraph
+from .graph import Graph, ReachGraph, UnifiedGraph
 
 # Trials per vectorized batch of the fixed-trial calls (`spread_samples`,
 # the samplers) and the least cap of a sequential estimate's batches.
@@ -130,8 +130,8 @@ _FIRST_BATCH = 128
 
 # Bytes of the `seen` bitmap (one per node and trial) that a reverse search
 # may grow to: `reverse_reach_counts` sizes its batches by it, and a pair
-# source joins two batches' searches only while theirs, over the nodes of
-# the reach, fits.  Larger searches cost less per trial, but a 4 MB bitmap
+# source joins two batches' searches only while theirs, over the reach
+# graph's ids, fits.  Larger searches cost less per trial, but a 4 MB bitmap
 # added 4-6 MB of peak RSS to a cold `imin run`.
 _SEEN_BYTES = 1 << 20
 
@@ -503,69 +503,46 @@ def _forward_levels(g, blocked, batch, rng, live=None):
             yield _joined(owners), head, node, trial, bits
 
 
-def _reverse_levels(g, node, rng, skip, blocked, rows=None):
+def _reverse_levels(g, node, rng):
     """Breadth-first search backwards over `len(node)` independent
-    realizations at once, trial t's from `node[t]`, level by level.
+    realizations at once, trial t's from `node[t]`, level by level, in the
+    reverse CSR of `g`: a plain `Graph`, or a `UnifiedGraph.reach_graph`.
 
-    The search never enters a node of the `skip` mask, and no edge into a
-    node of the `blocked` mask is live (either mask may be None).  Each
-    edge's coin is drawn from `rng` when the search first finds its target
-    node, so it is drawn at most once per realization.  Yields, per level,
-    (node, trial) of the pairs it expands, sorted node-major, then (owner,
-    src) of their live in-edges, owner indexing the level's pairs.  The
-    `seen` bitmap has one row of trials per node, or with `rows`, a
-    `UnifiedGraph.reach_rows` map, one per node of the reach and one that
-    the nodes outside it share: the search then enters no node outside the
-    reach and drops the live edges out of such nodes, so only start nodes
-    use the shared row, one per trial.  The bitmap is freed when the
+    Each edge's coin is drawn from `rng` when the search first finds its
+    target node, so it is drawn at most once per realization.  Yields, per
+    level, (node, trial) of the pairs it expands, sorted node-major, then
+    (owner, src) of their live in-edges, owner indexing the level's pairs.
+    The `seen` bitmap has one row of trials per node and is freed when the
     search ends.
     """
     batch = len(node)
-    row, nodes = rows or (None, None)
-    seen = np.zeros((len(g.in_ptr) - 1 if rows is None else len(nodes) + 1)
-                    * batch, dtype=bool)
-    if skip is not None:
-        seen.reshape(-1, batch)[skip if rows is None else row[skip]] = True
+    seen = np.zeros(g.n * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
-    seen[(node if rows is None else row[node]) * batch + trial] = True
+    seen[node * batch + trial] = True
     while len(node):
         owners, srcs = [], []
         for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
-            live = rng.random(len(offs)) < g.in_p[offs]
-            if blocked is not None:
-                live &= ~blocked[node[owner]]
-            hit = np.flatnonzero(live)
+            hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
             owners.append(owner[hit])
             srcs.append(g.in_src[offs[hit]])
-        owner, key = _joined(owners), _joined(srcs)
-        if rows is not None:
-            key = row[key]
-            inside = np.flatnonzero(key < len(nodes))
-            owner, key = owner[inside], key[inside]
-        yield node, trial, owner, key if rows is None else nodes[key]
-        key, trial = np.divmod(
-            _advance(seen, key * batch + trial[owner]), batch)
-        node = key if rows is None else nodes[key]
+        owner, src = _joined(owners), _joined(srcs)
+        yield node, trial, owner, src
+        node, trial = np.divmod(
+            _advance(seen, src * batch + trial[owner]), batch)
 
 
-def reverse_live_edges(g: UnifiedGraph, targets, rng: np.random.Generator):
-    """Live in-edges of the nodes that reach trial t's target without
-    passing through a seed or the source, one independent realization per
-    trial t, one trial per entry of `targets`.
+def reverse_live_edges(rg: ReachGraph, targets, rng: np.random.Generator):
+    """Live in-edges of the nodes that reach trial t's target, one
+    independent realization per trial t, one trial per entry of `targets`,
+    all as ids of the reach graph `rg` (`UnifiedGraph.reach_graph`).
 
-    The search (`_reverse_levels`) starts at each target, enters only the
-    nodes of `g.reach`, never a seed or the source, and draws its coins
-    from `rng`; edges into blocked nodes are never live.  A node outside
-    the reach can lie on no live path from the source, so the live edges
-    out of such nodes are dropped rather than searched.  Returns (trial,
-    src, dst) of every live in-edge of a found node from a node of the
-    reach; an edge whose `src` is a seed marks where the seeds feed the
-    found nodes.
+    The search (`_reverse_levels`) starts at each target and draws its
+    coins from `rng`.  It enters only the reach and stops at the source,
+    which stands for the seeds.  Returns (trial, src, dst) of every live
+    in-edge of a found node; an edge from the source marks where a seed
+    feeds the found nodes.
     """
-    levels = _reverse_levels(g, np.asarray(targets, dtype=np.int64), rng,
-                             g.uncounted,
-                             g.blocked if g.blocked.any() else None,
-                             g.reach_rows)
+    levels = _reverse_levels(rg, np.asarray(targets, dtype=np.int64), rng)
     parts = [(trial[owner], src, node[owner])
              for node, trial, owner, src in levels]
     return tuple(np.concatenate(a) for a in zip(*parts))
@@ -589,7 +566,7 @@ def reverse_reach_counts(g: Graph, samples: int,
     size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
         targets = rng.integers(0, g.n, size=min(size, samples - done))
-        for node, *_ in _reverse_levels(g, targets, rng, None, None):
+        for node, *_ in _reverse_levels(g, targets, rng):
             np.add.at(counts, node, 1)
     return counts
 

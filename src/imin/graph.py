@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -271,6 +271,19 @@ def _attach_source(base: Graph, seeds):
             np.insert(base.in_eid, slot, np.arange(m, m + k)))
 
 
+class ReachGraph(NamedTuple):
+    """A read-only reverse CSR over ids `0 .. n - 1`
+    (`UnifiedGraph.reach_graph`): `in_ptr`, `in_src` and `in_p` as in
+    `Graph`, `row[v]` the id of node v and `node[i]` the node of id i."""
+
+    n: int
+    in_ptr: np.ndarray
+    in_src: np.ndarray
+    in_p: np.ndarray
+    row: np.ndarray
+    node: np.ndarray
+
+
 class UnifiedGraph:
     """A graph extended with a virtual source ``s`` wired to every seed.
 
@@ -351,18 +364,34 @@ class UnifiedGraph:
         return mask
 
     @cached_property
-    def reach_rows(self):
-        """(row, node), read-only: the row of each node in the pair
-        searches' bitmaps, which have one row per node of `reach`, numbered
-        in node order so that their keys sort as the nodes do, and one past
-        those that every node outside the reach shares; and the node of
-        each of the reach's rows.  Computed once per graph."""
+    def reach_graph(self) -> ReachGraph:
+        """The reverse CSR of `reach`, all that a pair search enters.
+        Computed once per graph.
+
+        Ids 0 .. len(node) - 1 are the nodes of the reach in node order,
+        so keys sort as the nodes do, and id len(node) stands for every
+        node outside it.  Seeds, the source and the outside id have no
+        in-edges, so a reverse search stops at them and never enters a
+        blocked node.  Every other node keeps its in-edges in their order:
+        a seed's tail is written as the source, and an edge from outside
+        the reach keeps its slot, so its coin is still drawn, at
+        probability 0.
+        """
         node = np.flatnonzero(self.reach)
         row = np.full(self.n_total, len(node), dtype=np.int64)
         row[node] = np.arange(len(node))
-        for a in (row, node):
+        deg = np.diff(self.in_ptr) * (self.reach & ~self.uncounted)
+        slots = np.repeat(deg > 0, np.diff(self.in_ptr))
+        src = self.in_src[slots]
+        rg = ReachGraph(
+            n=len(node) + 1,
+            in_ptr=np.concatenate([[0], np.cumsum(deg[node]), [len(src)]]),
+            in_src=np.where(self.seed_mask[src], row[self.s], row[src]),
+            in_p=np.where(self.reach[src], self.in_p[slots], 0.0),
+            row=row, node=node)
+        for a in rg[1:]:
             a.setflags(write=False)
-        return row, node
+        return rg
 
     def candidates(self) -> np.ndarray:
         """Mask of the nodes a blocker may be chosen from: base nodes that

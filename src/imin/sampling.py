@@ -11,11 +11,12 @@ source-to-target path.  An unreached target gives an empty sample, which
 stays in the collection as denominator weight.
 
 Both come from one reverse search (`_pair_search`): it records the live
-in-edges of each target's non-seed ancestors, stopping at the seeds
-(`reverse_live_edges`), then searches forward from the nodes the seeds
-feed inside what it found (`_reverse_reach`); the pairs it reaches are the
-LRR set.  Every live source-to-member path runs through members, so
-`domtree.dominators` on that search gives the realization's dominators;
+in-edges of each target's non-seed ancestors, stopping at the source,
+which stands for the seeds (`reverse_live_edges`), then searches forward
+from the source inside what it found (`_reverse_reach`); the pairs it
+reaches are the LRR set.  Every live source-to-member path runs through
+members, so `domtree.dominators` on that search gives the realization's
+dominators;
 the chain is the target's path to the root.  A solve's `PairSource`
 keeps both samples of every pair of its primary and validation streams:
 both bounds read the same pairs.
@@ -26,16 +27,16 @@ are.  So a `PairSource` draws both streams from the one Generator it is
 given, as one list of `_BATCH`-pair batches: batch 2j is primary batch j
 and batch 2j + 1 validation batch j.  No node outside the reach
 (`UnifiedGraph.reach`) lies on a live path from the source, so a pair
-search enters only the reach, and its `seen` and `member` bitmaps have
-one row of pairs per node of the reach, numbered in node order, so that
-their keys sort as the nodes do (`UnifiedGraph.reach_rows`, computed once
-per graph).  A small search pays a fixed cost per
-level, so both batches of a pair come from one search of 2 * `_BATCH`
-pairs, cut in two, while those rows, one byte per node and pair, fit
-`diffusion._SEEN_BYTES`.  Larger reaches draw them in two consecutive
-`_BATCH` searches, so peak memory does not grow with the number of
-streams, and the nodes outside the reach share one `seen` row, which
-only targets outside it use.
+search runs in the reach graph (`UnifiedGraph.reach_graph`, computed once
+per graph): the nodes of the reach numbered in node order, so that keys
+sort as the nodes do, and one id for every node outside it, which no edge
+enters.  `_pair_search` maps the targets to these ids and the nodes found
+back; the searches in between see only ids.  A small search pays a fixed
+cost per level, so both batches of a pair come from one search of
+2 * `_BATCH` pairs, cut in two, while its `seen` and `member` bitmaps,
+one byte per id and pair, fit `diffusion._SEEN_BYTES`.  Larger reaches
+draw them in two consecutive `_BATCH` searches, so peak memory does not
+grow with the number of streams.
 
 The paper's "local sampling" draws the lower bound forward, as the
 reference kept here: a *common-path sequence* holds one entry per reached
@@ -145,30 +146,22 @@ def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
             ug, ug.blocked, batch, rng))
 
 
-def _reverse_reach(ug: UnifiedGraph, count: int, trial, src, dst):
+def _reverse_reach(ids: int, root: int, count: int, trial, src, dst):
     """Search the members of a batch of `count` LRR samples from the
     source, yielding levels as `diffusion._forward_levels` does: (owner,
     head) of the live edges out of the level's pairs, then (node, trial) of
-    the member pairs they reach first, with each node's row in the reach
-    (`ug.reach_rows`) in place of the node.
+    the member pairs they reach first.
 
-    (trial, src, dst) are the live in-edges a reverse search recorded, all
-    between nodes of the reach.  Trial t's root is the source (pair t of
-    level 0), the seeds collapsed into it: level 1 is one edge to each
-    member a seed feeds, and later levels follow the recorded edges between
-    found nodes.  The `member` bitmap has one row of trials per node of the
-    reach, and its keys sort as the nodes do.
+    (trial, src, dst) are the live in-edges a reverse search recorded, as
+    ids below `ids`.  Trial t's root is the source, id `root` (pair t of
+    level 0), and each level follows the recorded edges out of the pairs
+    found last.  The `member` bitmap has one row of trials per id.
     """
-    rows, nodes = ug.reach_rows
-    fed = ug.uncounted[src]
-    tail = rows[src[~fed]] * count + trial[~fed]
+    tail = src * count + trial
     by_tail = np.argsort(tail)
-    tail = tail[by_tail]
-    head = (rows[dst[~fed]] * count + trial[~fed])[by_tail]
-    member = np.zeros(len(nodes) * count, dtype=bool)
-    frontier = _advance(member, rows[dst[fed]] * count + trial[fed])
-    node, found = np.divmod(frontier, count)
-    yield found, frontier, node, found
+    tail, head = tail[by_tail], (dst * count + trial)[by_tail]
+    member = np.zeros(ids * count, dtype=bool)
+    frontier = root * count + np.arange(count, dtype=np.int64)
     while len(frontier):
         owners, heads = [], []
         for offs, owner in _slices(
@@ -189,17 +182,19 @@ def _pair_search(ug: UnifiedGraph, population: np.ndarray, count: int,
     pair, target first and empty when the target is not reached.
 
     The search draws its targets first, uniformly from `population`, and
-    then its coins (`reverse_live_edges`), all from `rng`.  One member
-    search and one dominator routine then run over all its pairs, keyed by
-    the nodes' rows in the reach, and each chain walks up the immediate
+    then its coins (`reverse_live_edges`), all from `rng`.  It runs in the
+    reach graph (`ug.reach_graph`), and this is the one place that maps
+    its ids: the targets in, and the nodes that the member search and the
+    dominator routine find out.  Each chain walks up the immediate
     dominators.
     """
     targets = population[rng.integers(0, len(population), size=count)]
-    rows, nodes = ug.reach_rows
-    tree = dominators(_reverse_reach(ug, count, *reverse_live_edges(
-        ug, targets, rng)), rows[ug.s], count)
+    rg = ug.reach_graph
+    root = rg.row[ug.s]
+    edges = reverse_live_edges(rg, rg.row[targets], rng)
+    tree = dominators(_reverse_reach(rg.n, root, count, *edges), root, count)
     row, trial = np.divmod(tree.key, count)
-    node = nodes[row]
+    node = rg.node[row]
     mine = node == targets[trial]
     # the member pairs are every number but the roots (below `count`), each
     # (node, trial) once: sorted by trial, then target first, then node
@@ -382,7 +377,7 @@ class PairSource:
         """(primary, validation): the first `count` pairs of each stream
         as a `kind` (`LRRCollection` or `ChainCollection`), drawing the
         whole batches they lack."""
-        shared = 2 * len(self.ug.reach_rows[1]) * _BATCH <= _SEEN_BYTES
+        shared = 2 * len(self.ug.reach_graph.node) * _BATCH <= _SEEN_BYTES
         while self.n_pairs < count:
             for size in [2 * _BATCH] if shared else [_BATCH, _BATCH]:
                 self._batches += _pair_search(self.ug, self.population, size,

@@ -366,9 +366,9 @@ def reference_forward_levels(g, blocked, batch, rng, live=None):
 
 
 def reference_reverse_live_edges(g, targets, rng):
-    """`diffusion.reverse_live_edges` by boolean masks: the live edges out
-    of nodes outside `g.reach` are dropped, and such nodes never
-    entered."""
+    """`diffusion.reverse_live_edges` by boolean masks, in node ids: the
+    live edges out of nodes outside `g.reach` are dropped, such nodes are
+    never entered, and a seed's edges leave the source."""
     batch = len(targets)
     seen = np.zeros(g.n_total * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
@@ -381,7 +381,7 @@ def reference_reverse_live_edges(g, targets, rng):
         live &= ~g.blocked[node[owner]] & g.reach[g.in_src[offs]]
         owner, src = owner[live], g.in_src[offs[live]]
         t = trial[owner]
-        parts.append((t, src, node[owner]))
+        parts.append((t, np.where(g.seed_mask[src], g.s, src), node[owner]))
         inner = ~g.uncounted[src]
         node, trial = np.divmod(
             reference_advance(seen, src[inner] * batch + t[inner]), batch)

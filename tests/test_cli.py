@@ -476,6 +476,10 @@ class TestSeedPool:
             assign_constant_probability(wc_g, 0.3), 1, 200)
         assert wc_top == [0] and const_top != wc_top
 
+    # np.load leaves a torn file open when it raises: a leaked handle fails
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("damage", ["garbage", "truncated"])
     def test_unreadable_cache_is_ranked_again(self, tmp_path, damage,
                                               capsys):

@@ -607,8 +607,11 @@ class TestLevelStepMatchesReference:
         if not population:
             return
         targets = make_rng(seed + 1).choice(population, size=batch)
+        # the search runs in the reach graph's ids; its nodes map back
+        rg = ug.reach_graph
         got, want = make_rng(seed), make_rng(seed)
-        assert_same_arrays([reverse_live_edges(ug, targets, got)],
+        trial, src, dst = reverse_live_edges(rg, rg.row[targets], got)
+        assert_same_arrays([(trial, rg.node[src], rg.node[dst])],
                            [reference_reverse_live_edges(ug, targets, want)])
         assert got.bit_generator.state == want.bit_generator.state
 

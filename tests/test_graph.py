@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imin import fixtures
 from imin.diffusion import stopping_rule_spread
@@ -296,3 +298,41 @@ class TestPositiveReach:
                     for row, blocked in zip(rows, stack):
                         assert np.array_equal(row, reference_positive_reach(
                             ug, blocked, live=mask)), seed
+
+
+class TestReachGraph:
+    """`UnifiedGraph.reach_graph` against a reference built by masks."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_matches_mask_reference(self, seed):
+        view = random_flowgraph(seed)   # up to two nodes blocked
+        for ug in (unify_seeds(view.base, view.seeds), view):
+            rg = ug.reach_graph
+            node = np.flatnonzero(ug.reach)
+            assert rg.n == len(node) + 1
+            assert np.array_equal(rg.node, node)
+            assert np.array_equal(rg.row[node], np.arange(len(node)))
+            assert (rg.row[~ug.reach] == len(node)).all()
+            for v in range(ug.n_total):
+                i = rg.row[v]
+                got = slice(rg.in_ptr[i], rg.in_ptr[i + 1])
+                if not ug.reach[v] or ug.uncounted[v]:
+                    # seeds, the source and the outside id: no in-edges
+                    assert got.start == got.stop
+                    continue
+                src = ug.in_src[ug.in_ptr[v]:ug.in_ptr[v + 1]]
+                p = ug.in_p[ug.in_ptr[v]:ug.in_ptr[v + 1]]
+                seed_tail = ug.seed_mask[src]
+                inside = ug.reach[src]
+                want_src = np.full(len(src), len(node))
+                want_src[inside] = [int(np.flatnonzero(node == u)[0])
+                                    for u in src[inside]]
+                want_src[seed_tail] = np.flatnonzero(node == ug.s)[0]
+                assert np.array_equal(rg.in_src[got], want_src)
+                assert np.array_equal(rg.in_p[got],
+                                      np.where(inside, p, 0.0))
+            # the outside id, last, has no in-edges either
+            assert rg.in_ptr[-2] == rg.in_ptr[-1] == len(rg.in_src)
+            assert not any(a.flags.writeable for a in rg[1:])

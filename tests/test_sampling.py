@@ -172,6 +172,28 @@ class TestGlobalSampling:
         assert coll.n_empty > 0
         assert coll.n_samples == 300
 
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_unreachable_targets_give_empty_samples(self, seed):
+        # Blocked targets of a block_nodes view and targets outside the
+        # reach lie outside the reach graph: no edge enters them, so their
+        # LRR sets and chains are empty, as for a certain edge from a seed
+        # into a blocked node below.
+        ug = random_flowgraph(seed)
+        fixed = block_nodes(unify_seeds(
+            Graph.from_edges(4, [0, 1, 0], [1, 2, 3], [1.0, 1.0, 0.0]),
+            {0}), [1])
+        for g in (ug, fixed):
+            targets = np.flatnonzero(~g.reach)
+            if not len(targets):
+                continue
+            for part in (1, 2):
+                for _, members in split_sets(_pair_search(
+                        g, targets, 2 * len(targets), make_rng(seed)),
+                        part=part):
+                    assert len(members) == 0
+
     def test_empty_population_rejected(self):
         g = unify_seeds(Graph.from_edges(2, [0], [1], [0.0]), {0})
         with pytest.raises(ValueError, match="influence no one"):
@@ -300,7 +322,10 @@ class TestChainSamples:
         assert [len(targets) for targets, *_ in pairs] == [
             min(_BATCH, batch - done) for done in range(0, batch, _BATCH)]
         live = [{} for _ in range(batch)]
-        for t, u, v in zip(*(a.tolist() for a in edges[0])):
+        trial, src, dst = edges[0]      # reach ids, mapped back to nodes
+        node = ug.reach_graph.node
+        for t, u, v in zip(*(a.tolist() for a in (trial, node[src],
+                                                  node[dst]))):
             live[t].setdefault(ug.s if ug.uncounted[u] else u, []).append(v)
         for t, ((target, members), (_, chain)) in enumerate(zip(
                 split_sets(pairs), split_sets(pairs, part=2))):
