@@ -41,26 +41,32 @@ def _argmax_candidate(scores, allowed) -> int:
     return int(np.argmax(masked))
 
 
-def ag(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
-       rng: np.random.Generator = None) -> BlockerSet:
-    """Subtree-greedy: per round, pick the node with the largest average
-    dominator-subtree size, block it, and re-sample."""
-    if realizations_per_round < 1:
+def _greedy(g: UnifiedGraph, allowed, k: int, realizations: int,
+            rng: np.random.Generator) -> list:
+    """Up to k picks from the mask `allowed` (consumed), each the node with
+    the largest average dominator-subtree size once the earlier picks are
+    blocked, re-sampled every round."""
+    if realizations < 1:
         raise ValueError("realizations_per_round must be >= 1")
     chosen = []
-    allowed = g.candidates()
-    for _ in range(max(0, k)):
-        if not allowed.any():
-            break
-        scores = _subtree_scores(g, chosen, realizations_per_round, rng)
+    for _ in range(min(k, int(allowed.sum()))):
+        scores = _subtree_scores(g, chosen, realizations, rng)
         best = _argmax_candidate(scores, allowed)
         chosen.append(best)
         allowed[best] = False
-    return BlockerSet(chosen)
+    return chosen
 
 
-def gr(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
-       rng: np.random.Generator = None) -> BlockerSet:
+def ag(g: UnifiedGraph, k: int, realizations_per_round: int,
+       rng: np.random.Generator) -> BlockerSet:
+    """Subtree-greedy: per round, pick the node with the largest average
+    dominator-subtree size, block it, and re-sample."""
+    return BlockerSet(_greedy(g, g.candidates(), k, realizations_per_round,
+                              rng))
+
+
+def gr(g: UnifiedGraph, k: int, realizations_per_round: int,
+       rng: np.random.Generator) -> BlockerSet:
     """Two-stage subtree-greedy.
 
     Stage 1 greedily fills the budget from the candidate seed
@@ -70,20 +76,10 @@ def gr(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
     survives its challenge (strict improvement required to replace).
     Sweeps are capped at `_MAX_PASSES` to guarantee termination.
     """
-    if realizations_per_round < 1:
-        raise ValueError("realizations_per_round must be >= 1")
     candidates = g.candidates()
-    on_allowed = np.zeros(g.n_total, dtype=bool)
-    on_allowed[g.seed_out_neighbors()] = True
-    on_allowed &= candidates
-    budget = min(int(on_allowed.sum()), max(0, k))
-
-    chosen = []
-    while len(chosen) < budget:
-        scores = _subtree_scores(g, chosen, realizations_per_round, rng)
-        best = _argmax_candidate(scores, on_allowed)
-        chosen.append(best)
-        on_allowed[best] = False
+    near = np.zeros(g.n_total, dtype=bool)
+    near[g.seed_out_neighbors()] = True
+    chosen = _greedy(g, near & candidates, k, realizations_per_round, rng)
 
     for _ in range(_MAX_PASSES):
         for i in reversed(range(len(chosen))):
@@ -99,8 +95,8 @@ def gr(g: UnifiedGraph, k: int, realizations_per_round: int = 10_000,
     return BlockerSet(chosen)
 
 
-def mc_greedy(g: UnifiedGraph, k: int, trials_per_eval: int = 1000,
-              rng: np.random.Generator = None) -> BlockerSet:
+def mc_greedy(g: UnifiedGraph, k: int, trials_per_eval: int,
+              rng: np.random.Generator) -> BlockerSet:
     """Plain greedy with per-candidate Monte-Carlo residual estimation."""
     if trials_per_eval < 1:
         raise ValueError("trials_per_eval must be >= 1")

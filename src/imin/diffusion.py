@@ -218,8 +218,8 @@ def reachable_in_realization(phi: Realization) -> np.ndarray:
     return phi.ug.positive_reach(phi.blocked, live=phi.live)
 
 
-def sample_realization(g: UnifiedGraph, blockers=None,
-                       rng: np.random.Generator = None) -> Realization:
+def sample_realization(g: UnifiedGraph, blockers,
+                       rng: np.random.Generator) -> Realization:
     """Keep each edge independently with its probability.
 
     Edges into blocked nodes are never kept; edges out of the virtual
@@ -250,8 +250,8 @@ def spread_samples(g: UnifiedGraph, blocker_sets, trials: int,
     return out[row]
 
 
-def ic_spread_samples(g: UnifiedGraph, blockers=None, trials: int = 1,
-                      rng: np.random.Generator = None) -> np.ndarray:
+def ic_spread_samples(g: UnifiedGraph, blockers, trials: int,
+                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized forward cascades; returns one spread value per trial:
     the one-set call of `spread_samples`."""
     return spread_samples(g, [blockers], trials, rng)[0]
@@ -764,9 +764,8 @@ def _interpolate(points):
         return math.nan
 
 
-def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
-                          delta: float = 0.1,
-                          rng: np.random.Generator = None) -> list:
+def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float,
+                          delta: float, rng: np.random.Generator) -> list:
     """(gamma, delta)-estimates of the expected non-seed spread of each
     blocker set, all drawn from one stream of shared realizations.
 
@@ -851,9 +850,9 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float = 0.1,
     return [est[r] for r in row]
 
 
-def stopping_rule_spread(g: UnifiedGraph, blockers=None, gamma: float = 0.1,
-                         delta: float = 0.1,
-                         rng: np.random.Generator = None) -> SpreadEstimate:
+def stopping_rule_spread(g: UnifiedGraph, blockers, gamma: float,
+                         delta: float,
+                         rng: np.random.Generator) -> SpreadEstimate:
     """(gamma, delta)-estimate of the expected non-seed spread of
     `blockers`: the one-set call of `stopping_rule_spreads`."""
     return stopping_rule_spreads(g, [blockers], gamma, delta, rng)[0]

@@ -19,8 +19,9 @@ spanning tree.  A node only ever moves to one of its ancestors, so the
 sweeps end, and every true dominator stays an ancestor throughout, so the
 fixed point is the dominator tree.  After the first sweep only the joins
 below a node that just moved, or with a predecessor there, are evaluated
-again.  Common ancestors are found by binary lifting, so a sweep costs a
-fixed number of array passes.
+again.  A common ancestor is found by their two-finger intersect: the
+larger-numbered end of each pair steps up to its immediate dominator
+until the two meet.
 
 The trees are read through root paths: `sampling` walks `idom` up from a
 node, stopping below the seeds, to get its dominator chain.  The chains
@@ -78,22 +79,17 @@ def _heads(sorted_ids):
     return np.flatnonzero(head)
 
 
-def _common_ancestors(up, depth, a, b):
-    """Nearest common ancestors of the pairs (a[i], b[i]) in the tree whose
-    2^k-th ancestor table is up[k]; every pair shares a root."""
-    deeper = depth[a] < depth[b]
-    a, b = np.where(deeper, b, a), np.where(deeper, a, b)
-    lift = depth[a] - depth[b]
-    for k in range(int(lift.max(initial=0)).bit_length()):
-        a = np.where(lift >> k & 1 == 1, up[k][a], a)
-    out = a
-    apart = np.flatnonzero(a != b)
-    a, b = a[apart], b[apart]
-    for jump in reversed(up[:int(depth[b].max(initial=0)).bit_length()]):
-        ja, jb = jump[a], jump[b]
-        step = ja != jb
-        a, b = np.where(step, ja, a), np.where(step, jb, b)
-    out[apart] = up[0][a]
+def _common_ancestors(idom, a, b):
+    """Nearest common ancestors of the pairs (a[i], b[i]) in the tree
+    `idom`; every pair shares a root.  An ancestor has the smaller number,
+    so the larger end of each pair steps up until the two meet."""
+    out = np.empty_like(a)
+    at, x, y = np.arange(len(a)), a, b  # the pairs not yet known to meet
+    while len(at):
+        x, y = np.maximum(x, y), np.minimum(x, y)
+        out[at] = y                     # final once the two are equal
+        apart = x != y
+        at, x, y = at[apart], idom[x[apart]], y[apart]
     return out
 
 
@@ -147,22 +143,17 @@ def dominators(levels, root, batch) -> BatchDominators:
         raise OverflowError(f"a batch reached {n} (node, trial) pairs")
     idom = idom.astype(np.int32)
     # Every predecessor of each join, grouped by join and in ascending
-    # number: the breadth-first parent first, then the other edges' tails.
+    # number: the breadth-first parent first, then the other edges' tails,
+    # as int32 like `idom`, so the intersect moves int32 fingers.
     jd, js = np.divmod(np.sort(dst * n + src), n)
     del src, dst
     first = _heads(jd)
     joins = jd[first]
     jd = np.insert(jd, first, joins)
-    js = np.insert(js, first, idom[joins])
+    js = np.insert(js, first, idom[joins]).astype(np.int32)
     first += np.arange(len(first))
     preds = np.diff(first, append=len(jd))
 
-    depth = np.zeros(n, dtype=np.int32)
-    for lo, hi in spans:
-        depth[lo:hi] = depth[idom[lo:hi]] + 1
-    up = [idom]             # up[k][w]: the 2^k-th ancestor of w
-    while 1 << len(up) <= depth.max():
-        up.append(up[-1][up[-1]])
     active = np.ones(len(joins), dtype=bool)
     sweeps = 0
     level_ends = np.array([hi for _, hi in spans], dtype=np.int64)
@@ -170,7 +161,7 @@ def dominators(levels, root, batch) -> BatchDominators:
         sweeps += 1
         pair = np.repeat(active, preds)
         new = np.minimum.reduceat(
-            _common_ancestors(up, depth, idom[jd[pair]], js[pair]),
+            _common_ancestors(idom, idom[jd[pair]], js[pair]),
             _heads(jd[pair]))
         moved = new != idom[joins[active]]
         moved, new = joins[active][moved], new[moved]
@@ -178,20 +169,14 @@ def dominators(levels, root, batch) -> BatchDominators:
             break
         idom[moved] = new
         # Only the nodes below a moved node, all numbered after it, get new
-        # ancestors and depths, and a join can move again only if it or a
-        # predecessor is one.
+        # ancestors, and a join can move again only if it or a predecessor
+        # is one.
         below = np.zeros(n, dtype=bool)
         below[moved] = True
         top = int(moved.min())
         for lo, hi in spans[np.searchsorted(level_ends, top, side="right"):]:
-            parent = idom[lo:hi]
-            below[lo:hi] |= below[parent]
-            depth[lo:hi] = depth[parent] + 1
+            below[lo:hi] |= below[idom[lo:hi]]
         active = np.logical_or.reduceat(below[js], first) | below[joins]
-        below = np.flatnonzero(below)
-        for k in range(1, len(up)):
-            up[k][below] = up[k - 1][up[k - 1][below]]
-    del up, depth, jd, js
     return BatchDominators(key=key, idom=idom, spans=spans,
                            joins=len(joins), sweeps=sweeps)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imin import diffusion, fixtures
+from imin.baselines import ag, gr, mc_greedy
 from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _FIRST_BATCH,
                             _SEEN_BYTES, _BettingStop, _batch_sizes,
                             _batch_spreads, _distinct_masks, _forward_levels,
@@ -1095,3 +1096,18 @@ class TestStoppingRuleDecrease:
             with pytest.raises(ValueError, match=name):
                 stopping_rule_spreads(ug, [blockers], gamma, delta,
                                       make_rng(1))
+
+
+def test_samplers_require_a_generator():
+    """A sampler called without a Generator fails at the call, not deep
+    inside a search."""
+    ug = fixtures.chain()
+    for call in (lambda: ag(ug, 1, 10), lambda: gr(ug, 1, 10),
+                 lambda: mc_greedy(ug, 1, 10),
+                 lambda: sample_realization(ug, None),
+                 lambda: ic_spread_samples(ug, None, 10),
+                 lambda: stopping_rule_spread(ug, None, 0.1, 0.1),
+                 lambda: stopping_rule_spreads(ug, [None], 0.1, 0.1)):
+        with pytest.raises(TypeError, match="required positional "
+                                            "argument: 'rng'"):
+            call()

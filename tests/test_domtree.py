@@ -2,6 +2,7 @@ import math
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,6 +181,39 @@ class TestBatchDominators:
             want = nx.immediate_dominators(graph, ug.s)
             assert {(v, d) for v, d, _ in got if v != ug.s} \
                 == {(v, d) for v, d in want.items() if v != ug.s}
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("shape", ["path", "rails", "ladder"])
+    def test_deep_trees_match_reference(self, shape, batch):
+        # Dominator chains up to 2,000 long, so common ancestors are found
+        # by long walks up the tree.
+        n = 2000
+        rail = np.arange(n - 1)
+        if shape == "path":     # and a certain edge from the seed to its end
+            src, dst = np.append(rail, 0), np.append(rail + 1, n - 1)
+            p = np.ones(len(src))
+        elif shape == "rails":  # two as long from the seed to the last node,
+            # whose immediate dominator moves 1,000 levels up to the seed
+            rails = [np.r_[0:1000, n - 1], np.r_[0, 1000:n]]
+            src = np.concatenate([r[:-1] for r in rails])
+            dst = np.concatenate([r[1:] for r in rails])
+            p = np.ones(len(src))
+        else:                   # certain rails, rungs i -> i+2 at p = 0.5
+            src = np.concatenate([rail, rail[:-1]])
+            dst = np.concatenate([rail + 1, rail[:-1] + 2])
+            p = np.where(dst - src == 2, 0.5, 1.0)
+        ug = unify_seeds(Graph.from_edges(n, src, dst, p), {0})
+        levels = []
+        tree = dominators(recorded(_forward_levels(
+            ug, ug.blocked, batch, make_rng(batch)), levels), ug.s, batch)
+        node, trial = np.divmod(tree.key, batch)
+        dom = np.where(np.arange(len(node)) < batch, -1, node[tree.idom])
+        for t, live in enumerate(live_successors(levels, ug.s, batch)):
+            mine = trial == t
+            vertex, idom, _ = reference_dominators(live.get, ug.s)
+            assert dict(zip(node[mine].tolist(), dom[mine].tolist())) \
+                == {v: vertex[i] if i >= 0 else -1
+                    for v, i in zip(vertex, idom)}
 
 
 class TestSubtreeSizes:
