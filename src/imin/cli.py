@@ -15,6 +15,7 @@ map to distinct exit codes (see EXIT_*).
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -250,20 +251,24 @@ def _format_row(values):
             out.append(f"{v:.6f}")
         else:
             out.append(str(v))
-    return ",".join(out)
+    return out
 
 
 def _write_csv(path, rows):
-    header = ",".join(CSV_FIELDS)
-    exists = path is not None and os.path.exists(path)
-    lines = [] if exists else [header]
-    lines += [_format_row(r) for r in rows]
-    text = "\n".join(lines) + "\n"
+    """Append `rows` to the CSV file `path`, or write them to stdout when
+    it is None, under a header when nothing precedes them.  A field that
+    holds a comma or a quote, such as a graph file's name, is quoted."""
+    def write(fh, header):
+        out = csv.writer(fh, lineterminator="\n")
+        if header:
+            out.writerow(CSV_FIELDS)
+        out.writerows(_format_row(r) for r in rows)
+
     if path is None:
-        sys.stdout.write(text)
+        write(sys.stdout, True)
     else:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            write(fh, fh.tell() == 0)       # a new or empty file
 
 
 def _check_algo_and_k(algo, k):

@@ -826,14 +826,8 @@ def stopping_rule_spreads(g: UnifiedGraph, blocker_sets, gamma: float,
     """
     _check_contract(gamma, delta)
     masks, row = _distinct_masks(g, blocker_sets)
-    # the graph's own mask reads its cached reach; one search does the rest
-    own = (masks == g.blocked).all(axis=1)
-    reach = np.empty_like(masks)
-    reach[own] = g.reach
-    if not own.all():
-        reach[~own] = g.positive_reach(masks[~own])
     rules = [_BettingStop(int(np.count_nonzero(r & ~g.uncounted)))
-             for r in reach]
+             for r in g.positive_reach(masks)]
     est = [None if rule.n_reach else SpreadEstimate(
         value=0.0, gamma=gamma, delta=delta, samples_used=0, exact_zero=True)
         for rule in rules]

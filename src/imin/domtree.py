@@ -17,11 +17,13 @@ predecessors, until no join moves: the iterative scheme of Cooper, Harvey
 and Kennedy ("A Simple, Fast Dominance Algorithm", 2001) run from a
 spanning tree.  A node only ever moves to one of its ancestors, so the
 sweeps end, and every true dominator stays an ancestor throughout, so the
-fixed point is the dominator tree.  After the first sweep only the joins
-below a node that just moved, or with a predecessor there, are evaluated
-again.  A common ancestor is found by their two-finger intersect: the
-larger-numbered end of each pair steps up to its immediate dominator
-until the two meet.
+fixed point is the dominator tree.  Every sweep evaluates every join: the
+solver's pair searches have few joins over many levels (a few hundred over
+about twenty), so a pass that picked out the joins that could still move,
+one level at a time, would cost more than evaluating them all again.  The
+sweeps stop at the first one that moves nothing.  A common ancestor is
+found by their two-finger intersect: the larger-numbered end of each pair
+steps up to its immediate dominator until the two meet.
 
 The trees are read through root paths: `sampling` walks `idom` up from a
 node, stopping below the seeds, to get its dominator chain.  The chains
@@ -152,31 +154,14 @@ def dominators(levels, root, batch) -> BatchDominators:
     jd = np.insert(jd, first, joins)
     js = np.insert(js, first, idom[joins]).astype(np.int32)
     first += np.arange(len(first))
-    preds = np.diff(first, append=len(jd))
 
-    active = np.ones(len(joins), dtype=bool)
     sweeps = 0
-    level_ends = np.array([hi for _, hi in spans], dtype=np.int64)
-    while active.any():
+    moved = np.ones(len(joins), dtype=bool)
+    while moved.any():
         sweeps += 1
-        pair = np.repeat(active, preds)
-        new = np.minimum.reduceat(
-            _common_ancestors(idom, idom[jd[pair]], js[pair]),
-            _heads(jd[pair]))
-        moved = new != idom[joins[active]]
-        moved, new = joins[active][moved], new[moved]
-        if not len(moved):
-            break
-        idom[moved] = new
-        # Only the nodes below a moved node, all numbered after it, get new
-        # ancestors, and a join can move again only if it or a predecessor
-        # is one.
-        below = np.zeros(n, dtype=bool)
-        below[moved] = True
-        top = int(moved.min())
-        for lo, hi in spans[np.searchsorted(level_ends, top, side="right"):]:
-            below[lo:hi] |= below[idom[lo:hi]]
-        active = np.logical_or.reduceat(below[js], first) | below[joins]
+        new = np.minimum.reduceat(_common_ancestors(idom, idom[jd], js), first)
+        moved = new != idom[joins]
+        idom[joins[moved]] = new[moved]
     return BatchDominators(key=key, idom=idom, spans=spans,
                            joins=len(joins), sweeps=sweeps)
 

@@ -358,7 +358,7 @@ class UnifiedGraph:
     def reach(self) -> np.ndarray:
         """`positive_reach()`, read-only: the nodes the seeds can reach at
         all past the graph's own blocked nodes.  Computed once per graph;
-        the pair samplers' population and the base spread's N_B read it."""
+        the pair samplers' population and the decrease's N_B read it."""
         mask = self.positive_reach()
         mask.setflags(write=False)
         return mask

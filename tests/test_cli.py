@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import subprocess
 import sys
@@ -199,6 +200,31 @@ class TestRun:
                      "--eval-trials", "4000", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 2
+
+    def test_graph_name_with_a_comma_stays_one_field(self, tmp_path):
+        data = tmp_path / "a,b.txt"
+        data.write_text("10 20\n20 30\n10 30\n")
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--graph", str(data), "--algo", "ag", "--k", "1",
+                     "--seeds", "10,", "--realizations", "100",
+                     "--eval-trials", "200", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == list(CSV_FIELDS)
+        assert len(row) == len(CSV_FIELDS) and row[0] == "a,b.txt"
+
+    def test_existing_empty_out_file_gets_the_header(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        out.touch()
+        args = ["run", "--graph", "fixture:chain", "--algo", "lhga", "--k",
+                "1", "--delta", "0.1", "--eval-trials", "200", "--out",
+                str(out)]
+        assert main(args) == 0
+        assert main(args) == 0      # a second run appends its row alone
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(CSV_FIELDS)
+        assert len(rows) == 2 and rows[0] == rows[1]
 
 
 class TestExitCodes:

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from imin import fixtures
 from imin.diffusion import Realization, _forward_levels, sample_realization
-from imin.diffusion import reachable_in_realization
+from imin.diffusion import reachable_in_realization, reverse_live_edges
 from imin.domtree import build_dominator_tree, dominators
 from imin.graph import Graph, assign_constant_probability, unify_seeds
 from imin.oracle import ExactModel
-from imin.sampling import _chains, _cp_batch
+from imin.sampling import (_chains, _cp_batch, _reverse_reach,
+                           compute_population)
 
 from conftest import dominators as reference_dominators
 from conftest import (live_successors, make_rng, random_flowgraph,
@@ -214,6 +215,23 @@ class TestBatchDominators:
             assert dict(zip(node[mine].tolist(), dom[mine].tolist())) \
                 == {v: vertex[i] if i >= 0 else -1
                     for v, i in zip(vertex, idom)}
+
+    def test_seeded_searches_keep_their_join_and_sweep_counts(self):
+        # A pair search built as `sampling._pair_search` builds it, and a
+        # forward common-path batch: (pairs numbered, joins, sweeps).
+        ug = fixtures.mid_synthetic(make_rng(0), 300, 1200, 10)
+        rng = make_rng(1)
+        population = np.asarray(compute_population(ug), dtype=np.int64)
+        targets = population[rng.integers(0, len(population), size=2048)]
+        rg = ug.reach_graph
+        root = rg.row[ug.s]
+        edges = reverse_live_edges(rg, rg.row[targets], rng)
+        pair = dominators(_reverse_reach(rg.n, root, 2048, *edges), root,
+                          2048)
+        forward = dominators(_forward_levels(ug, ug.blocked, 1024,
+                                             make_rng(2)), ug.s, 1024)
+        assert [(len(t.key), t.joins, t.sweeps) for t in (pair, forward)] \
+            == [(5661, 525, 3), (116114, 18637, 5)]
 
 
 class TestSubtreeSizes:
