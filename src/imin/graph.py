@@ -5,7 +5,9 @@ labels from an edge-list file are kept in a side array so results can be
 reported in the input's vocabulary.  Building a graph sorts each CSR
 direction once, by the packed key src * n + dst.  Setting probabilities
 keeps the CSR and replaces only the probability arrays, and attaching the
-virtual source appends its edges to the CSR, so neither sorts again.
+virtual source appends its edges to the forward CSR, so neither sorts
+again.  A unified graph holds that forward CSR only; the reverse CSR of
+its pair searches (`UnifiedGraph.reach_graph`) is cut from the base's.
 Graphs are immutable after construction, and the arrays they share are
 read-only; blocking is expressed as a node mask rather than a rewritten
 edge set, so repeated re-blocking (greedy baselines) never copies the
@@ -249,26 +251,14 @@ def as_blockers(b) -> BlockerSet:
 
 
 def _attach_source(base: Graph, seeds):
-    """The seven CSR arrays of `base` plus a probability-1 edge from the
-    source s = n to each of the sorted `seeds`.
-
-    s has the largest id, so its edges come last in the forward CSR (edge
-    ids m ... m+k-1) and last in each seed's reverse slice: the arrays are
-    those of `Graph.from_edges` on the extended edge list.
-    """
-    n, m, k = base.n, base.m, len(seeds)
-    seeds = np.asarray(seeds, dtype=np.int64)
-    # Each seed's new reverse slot goes at the end of its slice, which
-    # moves every later slice by the number of seeds before it.
-    slot = base.in_ptr[seeds + 1]
-    shift = np.searchsorted(seeds, np.arange(n + 2))
-    return (np.append(base.out_ptr, m + k),
-            np.concatenate([base.out_dst, seeds]),
-            np.concatenate([base.out_p, np.ones(k)]),
-            np.append(base.in_ptr, m) + shift,
-            np.insert(base.in_src, slot, n),
-            np.insert(base.in_p, slot, 1.0),
-            np.insert(base.in_eid, slot, np.arange(m, m + k)))
+    """The forward CSR of `base` plus a probability-1 edge from the source
+    s = n to each of the sorted `seeds`: s has the largest id, so its
+    edges come last (edge ids m ... m+k-1), where `Graph.from_edges` on
+    the extended edge list puts them.  No reverse CSR is built."""
+    k = len(seeds)
+    return (np.append(base.out_ptr, base.m + k),
+            np.concatenate([base.out_dst, np.asarray(seeds, dtype=np.int64)]),
+            np.concatenate([base.out_p, np.ones(k)]))
 
 
 class ReachGraph(NamedTuple):
@@ -293,6 +283,8 @@ class UnifiedGraph:
     non-seed nodes only (neither ``s`` nor seeds are counted), which makes
     the decrease after blocking an exact difference of two spreads.
 
+    Only the forward CSR (``out_ptr``, ``out_dst``, ``out_p``) is
+    extended; `reach_graph` is cut from the base graph's reverse CSR.
     Instances are immutable; ``blocked`` is an optional boolean mask over
     node ids that traversals consult.
     """
@@ -310,8 +302,7 @@ class UnifiedGraph:
 
         if _arrays is None:
             _arrays = _attach_source(base, sorted(seeds))
-        (self.out_ptr, self.out_dst, self.out_p,
-         self.in_ptr, self.in_src, self.in_p, self.in_eid) = _arrays
+        self.out_ptr, self.out_dst, self.out_p = _arrays
         self.m_total = len(self.out_dst)
 
         self.seed_mask = np.zeros(self.n_total, dtype=bool)
@@ -365,29 +356,31 @@ class UnifiedGraph:
 
     @cached_property
     def reach_graph(self) -> ReachGraph:
-        """The reverse CSR of `reach`, all that a pair search enters.
-        Computed once per graph.
+        """The reverse CSR of `reach`, all that a pair search enters, cut
+        from the base graph's reverse CSR.  Computed once per graph.
 
         Ids 0 .. len(node) - 1 are the nodes of the reach in node order,
         so keys sort as the nodes do, and id len(node) stands for every
         node outside it.  Seeds, the source and the outside id have no
         in-edges, so a reverse search stops at them and never enters a
-        blocked node.  Every other node keeps its in-edges in their order:
-        a seed's tail is written as the source, and an edge from outside
-        the reach keeps its slot, so its coin is still drawn, at
-        probability 0.
+        blocked node.  Every other node is a non-seed of the base graph
+        and keeps its base in-edges in their order: a seed's tail is
+        written as the source, and an edge from outside the reach keeps
+        its slot, so its coin is still drawn, at probability 0.
         """
+        base = self.base
         node = np.flatnonzero(self.reach)
         row = np.full(self.n_total, len(node), dtype=np.int64)
         row[node] = np.arange(len(node))
-        deg = np.diff(self.in_ptr) * (self.reach & ~self.uncounted)
-        slots = np.repeat(deg > 0, np.diff(self.in_ptr))
-        src = self.in_src[slots]
+        lens = np.diff(base.in_ptr)
+        deg = np.append(lens, 0) * (self.reach & ~self.uncounted)
+        slots = np.repeat(deg[:-1] > 0, lens)
+        src = base.in_src[slots]
         rg = ReachGraph(
             n=len(node) + 1,
             in_ptr=np.concatenate([[0], np.cumsum(deg[node]), [len(src)]]),
             in_src=np.where(self.seed_mask[src], row[self.s], row[src]),
-            in_p=np.where(self.reach[src], self.in_p[slots], 0.0),
+            in_p=np.where(self.reach[src], base.in_p[slots], 0.0),
             row=row, node=node)
         for a in rg[1:]:
             a.setflags(write=False)
@@ -456,5 +449,4 @@ def block_nodes(g: UnifiedGraph, blockers) -> UnifiedGraph:
     mask = g.blocked_with(blockers)
     return UnifiedGraph(
         g.base, g.seeds, blocked=mask,
-        _arrays=(g.out_ptr, g.out_dst, g.out_p,
-                 g.in_ptr, g.in_src, g.in_p, g.in_eid))
+        _arrays=(g.out_ptr, g.out_dst, g.out_p))

@@ -155,23 +155,28 @@ def _reverse_reach(ids: int, root: int, count: int, trial, src, dst):
     (trial, src, dst) are the live in-edges a reverse search recorded, as
     ids below `ids`.  Trial t's root is the source, id `root` (pair t of
     level 0), and each level follows the recorded edges out of the pairs
-    found last.  The `member` bitmap has one row of trials per id.
+    found last; level 0 keeps one source edge per seed-fed pair, however
+    many seeds feed it.  The `member` bitmap has one row of trials per id.
     """
     tail = src * count + trial
     by_tail = np.argsort(tail)
     tail, head = tail[by_tail], (dst * count + trial)[by_tail]
     member = np.zeros(ids * count, dtype=bool)
-    frontier = root * count + np.arange(count, dtype=np.int64)
-    while len(frontier):
+    lo, hi = np.searchsorted(tail, [root * count, (root + 1) * count])
+    frontier = heads = _advance(member, head[lo:hi])
+    owners = heads % count          # level 0's pair t is trial t's root
+    while True:
+        yield owners, heads, *np.divmod(frontier, count)
+        if not len(frontier):
+            return
         owners, heads = [], []
         for offs, owner in _slices(
                 np.searchsorted(tail, frontier),
                 np.searchsorted(tail, frontier, side="right")):
             owners.append(owner)
             heads.append(head[offs])
-        heads = _joined(heads)
+        owners, heads = _joined(owners), _joined(heads)
         frontier = _advance(member, heads)
-        yield (_joined(owners), heads, *np.divmod(frontier, count))
 
 
 def _pair_search(ug: UnifiedGraph, population: np.ndarray, count: int,

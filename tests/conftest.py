@@ -368,7 +368,9 @@ def reference_forward_levels(g, blocked, batch, rng, live=None):
 def reference_reverse_live_edges(g, targets, rng):
     """`diffusion.reverse_live_edges` by boolean masks, in node ids: the
     live edges out of nodes outside `g.reach` are dropped, such nodes are
-    never entered, and a seed's edges leave the source."""
+    never entered, and a seed's edges leave the source.  Only non-seeds
+    are expanded, so the base graph's reverse CSR and edge ids serve."""
+    rev = g.base
     batch = len(targets)
     seen = np.zeros(g.n_total * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
@@ -376,10 +378,11 @@ def reference_reverse_live_edges(g, targets, rng):
     seen[node * batch + trial] = True
     parts = []
     while len(node):
-        offs, owner = reference_slices(g.in_ptr[node], g.in_ptr[node + 1])
-        live = rng.random(len(offs)) < g.out_p[g.in_eid[offs]]
-        live &= ~g.blocked[node[owner]] & g.reach[g.in_src[offs]]
-        owner, src = owner[live], g.in_src[offs[live]]
+        offs, owner = reference_slices(rev.in_ptr[node],
+                                       rev.in_ptr[node + 1])
+        live = rng.random(len(offs)) < g.out_p[rev.in_eid[offs]]
+        live &= ~g.blocked[node[owner]] & g.reach[rev.in_src[offs]]
+        owner, src = owner[live], rev.in_src[offs[live]]
         t = trial[owner]
         parts.append((t, np.where(g.seed_mask[src], g.s, src), node[owner]))
         inner = ~g.uncounted[src]

@@ -213,6 +213,30 @@ class TestRun:
         assert header == list(CSV_FIELDS)
         assert len(row) == len(CSV_FIELDS) and row[0] == "a,b.txt"
 
+    def test_undirected_flag_doubles_every_edge(self, tmp_path):
+        # `--undirected` on an edge list gives the rows of a directed run
+        # on the same list with every edge written both ways.
+        edges = [(1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (4, 6), (6, 7),
+                 (7, 8), (3, 8)]
+        rows = []
+        for name, undirected, lines in (
+                ("one-way", True, [f"{u} {v}" for u, v in edges]),
+                ("both-ways", False, [f"{u} {v}\n{v} {u}" for u, v in edges])):
+            (tmp_path / name).mkdir()
+            data = tmp_path / name / "edges.txt"
+            data.write_text("\n".join(lines) + "\n")
+            out = tmp_path / name / "rows.csv"
+            assert main(["run", "--graph", str(data), "--algo", "sandimin",
+                         "--k", "2", "--seeds", "1,", "--delta", "0.1",
+                         "--eval-trials", "500", "--rng-seed", "4",
+                         "--out", str(out)]
+                        + ["--undirected"] * undirected) == 0
+            with open(out, newline="") as fh:
+                rows.append(list(csv.reader(fh)))
+        assert rows[0] == rows[1]
+        fields = dict(zip(*rows[0]))
+        assert fields["n_seeds"] == "1" and float(fields["decrease"]) > 0
+
     def test_existing_empty_out_file_gets_the_header(self, tmp_path):
         out = tmp_path / "rows.csv"
         out.touch()

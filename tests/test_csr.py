@@ -7,14 +7,16 @@ probabilities and the source's edges feed every random draw.
 
 The digests below pin the cases the solvers and the CLI build.  Each is
 taken over the dtype, shape and bytes of the seven CSR arrays of its base
-graph, the base graph's labels and the seven arrays of its unified graph,
-and a change to how graphs are built must leave every one unchanged.
+graph, the base graph's labels and the three forward arrays of its unified
+graph, which holds no reverse CSR of its own, and a change to how graphs
+are built must leave every one unchanged.
 Print fresh digests with
 
     PYTHONPATH=src python tests/test_csr.py
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from conftest import (reference_assign_constant, reference_assign_wc,
                       reference_from_edges, reference_unified)
 
 CSR = ("out_ptr", "out_dst", "out_p", "in_ptr", "in_src", "in_p", "in_eid")
+FORWARD = CSR[:3]      # all that a unified graph holds
 
 # An edge list with sparse labels, comments, a self-loop, a repeated pair
 # and both directions of one pair.
@@ -49,7 +52,7 @@ EDGE_LIST_SEEDS = (40, 2)
 def digest(ug):
     h = hashlib.sha256()
     arrays = ([getattr(ug.base, a) for a in CSR] + [ug.base.labels]
-              + [getattr(ug, a) for a in CSR])
+              + [getattr(ug, a) for a in FORWARD])
     for a in arrays:
         a = np.ascontiguousarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
@@ -103,16 +106,16 @@ CASES = {
 }
 
 DIGESTS = {
-    "dead": "45fa05be47a087a26432c87a32b87d47f8c1225a1e9cf5ca9bd9b174dcbf1b96",
-    "edges-const": "b05d04ee525581fc83e7ba1200d66256c6c9aea7f0f39b522824aeccae14e412",
-    "edges-undirected-wc": "57880d228f3319966ee0826e30ccc4b68a0aba2cb8ac70c9bed09c2cd6f4b2a4",
-    "edges-wc": "abd05eba1f40eada2086bdde32bd94f14e808e7992994215a2accbd584298fe1",
-    "mid-const": "0d7400a2df27b87c9ba7966f2b45aea9c494208f3ed1d33608448d9cdd0f507b",
-    "mid-wc": "ab86adef3912fa983f487ceb8e80b98001533e1162cdaf2cfac414f58ba4bd26",
-    "mid120": "833785679f9737f6c6adc08a6f4757131be333b6562e5977b017911c60ef95b9",
-    "padded": "9cff79d3cc5f1cd786f26c5ac75b4d263e1401b812551a84d1ab692de7ed2158",
-    "small": "070a3d6e3c43a80e3dd2e16043b53b2a0bf6236cadf2b8fb96523a27f7a043de",
-    "three-seeds": "300eff71093c856bc61b6eac786351f2ab1ab8eac7854a9d80536d70467d2e28",
+    "dead": "fe8aeca00ffd2bd9a64383e9f06aa74002e15ce6a7201e2e59b9d378c36ccffe",
+    "edges-const": "26473677124b2183f1ebfe73b37223dbbc5f574d4f5d73e70ee647567519a00a",
+    "edges-undirected-wc": "e4e31136b4f8e29bd0e1e16282a1d7bc42845577a5bc07c5293b913fbbae5db9",
+    "edges-wc": "2c88cc6088161c1cdc703d40573e02f89381ff9581d8ea09ee559c9e017b7a5a",
+    "mid-const": "a7b06a0e27879623eb5c67e7fcdf2730c3ce15d547d4b5b0648f075c9c166713",
+    "mid-wc": "1816ee1ff01f19a9dabb0f2f83dc922ee58c21492f09fb97debc14e3684a1857",
+    "mid120": "3a110e3d92bfe03963740264a7a7b2a6ac4f9a027745dac116be45defdef358a",
+    "padded": "c5c8be213f13d59b431b778f021786e8ad85eb281be8de3b135fd86216e1c565",
+    "small": "224a725159939a15493167651a52d3239b4621ef267669776425b51467ffa99a",
+    "three-seeds": "793af67155d6f4fa2bd27857b839c9a942699d10bd1e2165fbd3d2cae776be7b",
 }
 
 
@@ -121,9 +124,24 @@ def test_csr_arrays_unchanged(name, tmp_path):
     assert digest(CASES[name](tmp_path)) == DIGESTS[name]
 
 
+def test_unify_seeds_copies_only_the_forward_csr():
+    # The peak while attaching the source is the forward CSR with its
+    # edges and the three node masks, plus 64 KiB for the seed list and
+    # Python objects: no reverse CSR is built.
+    mid = fixtures.mid_synthetic(np.random.default_rng(5), 20_000, 80_000, 50)
+    tracemalloc.start()
+    try:
+        ug = unify_seeds(mid.base, mid.seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (ug.out_ptr, ug.out_dst, ug.out_p,
+                                  ug.seed_mask, ug.uncounted, ug.blocked))
+    assert peak <= held + 64 * 1024, (peak, held)
 
-def assert_same_csr(got, want):
-    for name in CSR:
+
+def assert_same_csr(got, want, names=CSR):
+    for name in names:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -165,11 +183,11 @@ def test_builders_match_the_reference(case):
                     reference_assign_constant(want, 0.3))
 
     ug = unify_seeds(g, seeds)
-    assert_same_csr(ug, reference_unified(want, seeds))
+    assert_same_csr(ug, reference_unified(want, seeds), FORWARD)
     assert ug.m_total == g.m + len(seeds)
     cands = [v for v in range(n) if v not in seeds]
     view = block_nodes(ug, cands[:2])
-    assert_same_csr(view, reference_unified(want, seeds))
+    assert_same_csr(view, reference_unified(want, seeds), FORWARD)
 
     if src:
         with pytest.raises(GraphError, match="duplicate"):
@@ -182,9 +200,9 @@ def test_shared_arrays_are_read_only():
     assert wc.out_dst is g.out_dst and wc.in_eid is g.in_eid
     ug = unify_seeds(wc, {0})
     view = block_nodes(ug, [1])
-    assert view.in_src is ug.in_src
+    assert view.out_dst is ug.out_dst
     for graph in (g, wc, ug, view):
-        for name in CSR:
+        for name in CSR if isinstance(graph, Graph) else FORWARD:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(graph, name)[0] = 0
     with pytest.raises(ValueError, match="read-only"):

@@ -154,8 +154,6 @@ class TestUnifySeeds:
         targets = sorted(int(v) for v in ug.out_dst[lo:hi])
         assert targets == sorted(ug.seeds)
         assert np.all(ug.out_p[lo:hi] == 1.0)
-        # no incoming edges at the virtual source
-        assert ug.in_ptr[ug.s] == ug.in_ptr[ug.s + 1]
 
     def test_single_seed(self):
         ug = unify_seeds(Graph.from_edges(2, [0], [1]), {0})
@@ -322,8 +320,9 @@ class TestReachGraph:
                     # seeds, the source and the outside id: no in-edges
                     assert got.start == got.stop
                     continue
-                src = ug.in_src[ug.in_ptr[v]:ug.in_ptr[v + 1]]
-                p = ug.in_p[ug.in_ptr[v]:ug.in_ptr[v + 1]]
+                base = ug.base
+                src = base.in_src[base.in_ptr[v]:base.in_ptr[v + 1]]
+                p = base.in_p[base.in_ptr[v]:base.in_ptr[v + 1]]
                 seed_tail = ug.seed_mask[src]
                 inside = ug.reach[src]
                 want_src = np.full(len(src), len(node))

@@ -219,13 +219,14 @@ def lrr_members_by_forward_reach(ug, phi, target):
     if not reach[target]:
         return None
     inside = reach & ~ug.uncounted
+    base = ug.base      # non-seeds keep their base in-edges and edge ids
     found = {target}
     stack = [target]
     while stack:
         v = stack.pop()
-        for off in range(ug.in_ptr[v], ug.in_ptr[v + 1]):
-            u = int(ug.in_src[off])
-            if phi.live[ug.in_eid[off]] and inside[u] and u not in found:
+        for off in range(base.in_ptr[v], base.in_ptr[v + 1]):
+            u = int(base.in_src[off])
+            if phi.live[base.in_eid[off]] and inside[u] and u not in found:
                 found.add(u)
                 stack.append(u)
     return found
