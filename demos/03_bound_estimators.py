@@ -2,7 +2,8 @@
 
 A common-path sequence prices the lower bound the paper's way: per
 realization, every reached node contributes the set of nodes sitting on
-*all* of its paths from the source (its dominator-tree root path).  The
+*all* of its paths from the source (its dominator-tree root path),
+listed as a chain: the node, then its dominators below the seeds.  The
 lower maximizer draws the same sets target-first: the dominator chain of
 one random misinformation receiver per sample.  A reverse-reachable set
 prices the upper bound: who could have cut *some* path to a random
@@ -24,10 +25,11 @@ def main():
 
     one = CPCollection(ug, rng)
     one.extend(1)
-    seq = next(one.sequences())
-    print("one common-path sequence:")
-    for node, members in sorted(seq.sets().items()):
-        print(f"  node {node}: every source path crosses {sorted(members)}")
+    print("one common-path sequence: each reached node's chain, the node "
+          "and then its dominators\nbelow the seeds (every source path to "
+          "the node crosses them all):")
+    for chain in one.sets():
+        print("  " + " <- ".join(str(v) for v in chain.tolist()))
 
     model = ExactModel(ug)
     B = [1, 3]

@@ -28,8 +28,8 @@ from .optimize import (AlgoParams, BoundCertificate, GreedyTrace,
                        SampleSchedule, StopCheck, cov_upper_opt, gsbm, lsbm,
                        max_coverage, opt_lower_bound)
 from .oracle import ExactModel, OracleLimitError
-from .sampling import (ChainCollection, CPCollection, CPSequence,
-                       LRRCollection, compute_population, coverage)
+from .sampling import (ChainCollection, CPCollection, LRRCollection,
+                       compute_population, coverage)
 from .sandwich import (SandwichResult, empirical_ratio, lhga, sand_imin,
                        sand_imin_minus)
 

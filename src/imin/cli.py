@@ -390,10 +390,16 @@ def cmd_oracle(args):
     blockers = _label_ids(args.blockers, g, "blocker")
     try:
         seeds, _ = _resolve_seeds(args, g, seed_rng)
+        labels = g.labels.tolist()
+        for v in blockers:
+            if v in seeds:
+                raise CliError(f"seed node {labels[v]} cannot be blocked",
+                               EXIT_BAD_SEEDS)
         ug = unify_seeds(g, seeds)
         model = ExactModel(ug)
-        print(f"dataset={dataset} n={g.n} m={g.m} seeds={sorted(seeds)} "
-              f"blockers={blockers}")
+        print(f"dataset={dataset} n={g.n} m={g.m} "
+              f"seeds={sorted(labels[v] for v in seeds)} "
+              f"blockers={[labels[v] for v in blockers]}")
         print(f"spread(no blocking) = {model.spread():.6f}")
         print(f"decrease            = {model.decrease(blockers):.6f}")
         print(f"lower bound         = {model.lower_bound(blockers):.6f}")

@@ -30,8 +30,10 @@ node, stopping below the seeds, to get its dominator chain.  The chains
 that contain a node are its subtree, so the greedy baselines' subtree
 sizes (the unit of spread-decrease estimation) are chain-member counts.
 `build_dominator_tree` feeds an eager `diffusion.Realization` to the same
-routine as a batch of one and sums subtree sizes bottom-up, one pass per
-search level: the tests' reference only.
+routine as a batch of one and sums subtree sizes bottom-up, from the last
+search number to the first: every node's immediate dominator has a
+smaller number, so a node's size is whole before it is added to its
+dominator's.  It is the tests' reference only.
 """
 
 from __future__ import annotations
@@ -63,13 +65,12 @@ class BatchDominators(NamedTuple):
     `key[w]` is node * batch + trial of the reached pair; the roots (the
     source of each realization) are numbers 0..batch-1, in trial order.
     `idom[w]` is the number of its immediate dominator (a root points to
-    itself).  `spans` are the [lo, hi) number ranges of the levels after
-    the roots; `joins` and `sweeps` count join nodes and sweeps run.
+    itself), always smaller than w otherwise; `joins` and `sweeps` count
+    join nodes and sweeps run.
     """
 
     key: np.ndarray
     idom: np.ndarray
-    spans: list
     joins: int
     sweeps: int
 
@@ -98,9 +99,8 @@ def _common_ancestors(idom, a, b):
 def _search_numbers(levels, root, batch):
     """Number the pairs a batched search reaches, level by level.
 
-    Returns (key, spans, parent, src, dst): key[w] = node * batch + trial
-    of pair w; spans the [lo, hi) number range of each level after the
-    roots; parent[w] the number of w's breadth-first parent, its
+    Returns (key, parent, src, dst): key[w] = node * batch + trial of
+    pair w; parent[w] the number of w's breadth-first parent, its
     smallest-numbered live predecessor (a root is its own parent); and
     (src, dst) the numbers of the ends of every other live edge.  Only
     those edges are kept, not the tree edges.
@@ -122,12 +122,11 @@ def _search_numbers(levels, root, batch):
         head_key.append(head[other])
         start += len(key[-1])
         key.append(new)
-    bounds = np.cumsum([len(k) for k in key]).tolist()
     key, parent, src, head_key = (np.concatenate(a) for a in
                                   (key, parent, src, head_key))
     order = np.argsort(key, kind="stable")    # merges the sorted levels
     dst = order[np.searchsorted(key[order], head_key)]
-    return key, list(zip(bounds[:-1], bounds[1:])), parent, src, dst
+    return key, parent, src, dst
 
 
 def dominators(levels, root, batch) -> BatchDominators:
@@ -139,7 +138,7 @@ def dominators(levels, root, batch) -> BatchDominators:
     trial of the pair entered) and the pairs first reached.
     Every realization's search starts at `root`.
     """
-    key, spans, idom, src, dst = _search_numbers(levels, root, batch)
+    key, idom, src, dst = _search_numbers(levels, root, batch)
     n = len(key)
     if n >= 2 ** 31:    # numbers are int32, and number pairs pack into int64
         raise OverflowError(f"a batch reached {n} (node, trial) pairs")
@@ -162,8 +161,8 @@ def dominators(levels, root, batch) -> BatchDominators:
         new = np.minimum.reduceat(_common_ancestors(idom, idom[jd], js), first)
         moved = new != idom[joins]
         idom[joins[moved]] = new[moved]
-    return BatchDominators(key=key, idom=idom, spans=spans,
-                           joins=len(joins), sweeps=sweeps)
+    return BatchDominators(key=key, idom=idom, joins=len(joins),
+                           sweeps=sweeps)
 
 
 def build_dominator_tree(phi) -> DominatorTree:
@@ -172,9 +171,10 @@ def build_dominator_tree(phi) -> DominatorTree:
     ug = phi.ug
     tree = dominators(_forward_levels(ug, phi.blocked, 1, None,
                                       live=phi.live), ug.s, 1)
-    size = np.ones(len(tree.key), dtype=np.int64)
-    for lo, hi in reversed(tree.spans):     # children before parents
-        np.add.at(size, tree.idom[lo:hi], size[lo:hi])
+    up = tree.idom.tolist()
+    size = [1] * len(up)
+    for w in range(len(up) - 1, 0, -1):     # children before parents
+        size[up[w]] += size[w]
     node = tree.key         # one realization: the key is the node
     idom = np.full(ug.n_total, -1, dtype=np.int64)
     idom[node[1:]] = node[tree.idom[1:]]

@@ -130,9 +130,10 @@ def load_edge_list(path, directed=True):
     Node ids are compacted to 0..n-1 in first-appearance order, self-loops
     are dropped, duplicate (u, v) pairs are deduplicated, and undirected
     input is doubled into two directed edges.  All probabilities start at 1
-    (see :func:`assign_wc_probabilities`).  A directory, a file that is
-    not UTF-8 text and a node id outside the int64 range raise
-    `EdgeListParseError`.
+    (see :func:`assign_wc_probabilities`).  A leading byte-order mark is
+    skipped.  A directory, a file that is not UTF-8 text, a node id that
+    is not an optionally signed run of ASCII digits and one outside the
+    int64 range raise `EdgeListParseError`.
     """
     id_of = {}
     labels = []
@@ -147,7 +148,7 @@ def load_edge_list(path, directed=True):
         return node
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -157,6 +158,10 @@ def load_edge_list(path, directed=True):
                     raise EdgeListParseError(
                         f"{path}: line {lineno}: expected 'u v', got {line!r}")
                 try:
+                    # `int` alone also takes "1_0" (as 10) and non-ASCII
+                    # digits such as "\u0663" (as 3), merging labels
+                    if "_" in line or not (parts[0] + parts[1]).isascii():
+                        raise ValueError
                     a, b = int(parts[0]), int(parts[1])
                 except ValueError:
                     raise EdgeListParseError(

@@ -45,24 +45,24 @@ set is that node's chain, its dominator-tree root path cut below the
 seeds.  The entries whose chain contains u are u's dominator subtree, so
 counting chain members gives the subtree sizes the greedy baselines score
 nodes by.  One walk (`_chains`) builds every chain, of pairs and of
-entries alike.
+entries alike.  `CPCollection` keeps the entries of its sequences one
+after another and counts the sequences; the estimate needs no more.
 
 Both generators (`_pair_batch`, `_cp_batch`) split any count into
 batches of up to `_BATCH` realizations, each one vectorized search drawing
 an edge's coin only when the search reaches it: a sample costs what its
 search reaches, not the size of the graph.  Each search logs one DEBUG
 line.  Every collection keeps its samples as member sets in whole-batch
-chunks, and one coverage state works on the chunks concatenated once
-(`_freeze`), with no inverted index: a node's memberships are found by
-one comparison over the flat arrays, and every node's marginal gain by
-one `np.bincount`.  Cov/|collection|, times the population size for LRR
-sets and chains, estimates the bound unbiasedly.
+chunks and lists them one way (`sets`).  One coverage state works on the
+chunks concatenated once (`_freeze`), with no inverted index: a node's
+memberships are found by one comparison over the flat arrays, and every
+node's marginal gain by one `np.bincount`.  Cov/|collection|, times the
+population size for LRR sets and chains, estimates the bound unbiasedly.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,21 +78,6 @@ def compute_population(g: UnifiedGraph) -> list:
     """Non-seed nodes reachable from the source over positive-prob edges
     (`g.reach`, searched once per graph)."""
     return [int(v) for v in np.nonzero(g.reach & ~g.uncounted)[0]]
-
-
-@dataclass
-class CPSequence:
-    """All common-path sets of one realization (inspection-friendly form)."""
-
-    members: np.ndarray    # the entries' chains, entry after entry
-    sizes: np.ndarray      # entry -> chain size; a chain starts at its node
-
-    def sets(self):
-        """{node: frozenset of its common-path set}, materialized."""
-        ends = np.cumsum(self.sizes).tolist()
-        chains = [self.members[end - size:end].tolist()
-                  for end, size in zip(ends, self.sizes.tolist())]
-        return {chain[0]: frozenset(chain) for chain in chains}
 
 
 def _chains(idom, counted, starts):
@@ -231,8 +216,10 @@ def _pair_batch(ug: UnifiedGraph, population: np.ndarray, count: int,
 
 
 class _SetChunks:
-    """Samples kept as member sets in whole-batch chunks and scored by
-    `_LRRState`: an LRR set, a chain or a common-path entry is one set."""
+    """Samples kept as member sets in whole-batch chunks, listed by
+    `sets` and scored by `_LRRState`: an LRR set, a chain or a
+    common-path entry is one set.  `n_samples` counts what each kind
+    samples: a set, or a whole common-path sequence."""
 
     def __init__(self, ug: UnifiedGraph, rng: np.random.Generator):
         self.ug = ug
@@ -260,6 +247,14 @@ class _SetChunks:
             self._frozen = (self._members[0], set_of, len(sizes))
         return self._frozen
 
+    def sets(self):
+        """Each set's members, set after set, as a list of views of the
+        frozen members: an LRR set or a chain target first (an empty array
+        where the target was not reached), a common-path entry's chain
+        node first."""
+        members, _, _ = self._freeze()
+        return np.split(members, np.cumsum(self._sizes[0]))[:-1]
+
     def state(self):
         return _LRRState(self)
 
@@ -269,34 +264,17 @@ class CPCollection(_SetChunks):
     estimator of the lower bound, kept as the reference the tests and
     `checks` compare `ChainCollection` against.  No solver samples it.
 
-    Each entry is one set, its chain; `n_samples` counts sequences, and
-    `_starts` holds each chunk's sequence boundaries as global entry
-    offsets.
+    Each entry is one set, its chain, node first, and `n_samples` counts
+    sequences.  The collection keeps no sequence boundaries: the estimate
+    needs only the count, and a one-sequence collection's `sets` are that
+    realization's chains.
     """
-
-    def __init__(self, ug: UnifiedGraph, rng: np.random.Generator):
-        super().__init__(ug, rng)
-        self._starts = [np.zeros(1, dtype=np.int64)]
 
     def extend(self, count: int):
         """Generate `count` more sequences from the collection's stream."""
-        for entries in _cp_batch(self.ug, count, self.rng):
-            self._add(*entries)
-
-    def _add(self, nodes, members, sizes, ptr):
-        """Append one chunk of `_sequence_entries` output."""
-        self._chunk(members, sizes)
-        self._starts.append(self._starts[-1][-1] + ptr[1:])
-        self.n_samples += len(ptr) - 1
-
-    def sequences(self):
-        """Each sequence as a `CPSequence`, in sampling order."""
-        members = np.concatenate(self._members)
-        sizes = np.concatenate(self._sizes)
-        at = np.concatenate([[0], np.cumsum(sizes)])    # each entry's chain
-        starts = np.concatenate(self._starts).tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            yield CPSequence(members[at[lo]:at[hi]], sizes[lo:hi])
+        for _, members, sizes, ptr in _cp_batch(self.ug, count, self.rng):
+            self._chunk(members, sizes)
+            self.n_samples += len(ptr) - 1
 
 
 class LRRCollection(_SetChunks):
@@ -314,18 +292,6 @@ class LRRCollection(_SetChunks):
                              "is empty")
         self.n_empty = 0
 
-    @classmethod
-    def from_sets(cls, ug: UnifiedGraph, sets, population=None):
-        """Build a collection from explicit member lists (tests/debugging).
-
-        Empty member lists become counted empty sets, as in sampling.
-        """
-        coll = cls(ug, rng=None, population=population)
-        sets = [list(members) for members in sets]
-        coll._add(np.asarray([v for m in sets for v in m], dtype=np.int64),
-                  np.asarray([len(m) for m in sets], dtype=np.int64))
-        return coll
-
     _part = 1   # the sets in each `_pair_batch` tuple
 
     def extend(self, count: int):
@@ -339,14 +305,6 @@ class LRRCollection(_SetChunks):
         self._chunk(members, sizes)
         self.n_samples += len(sizes)
         self.n_empty += int(np.count_nonzero(sizes == 0))
-
-    def sets(self):
-        """Each sample's members, target first, in sampling order; an
-        empty array where the target was not reached."""
-        members = np.concatenate(self._members)
-        starts = np.cumsum(np.concatenate([[0], *self._sizes])).tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            yield members[lo:hi]
 
 
 class ChainCollection(LRRCollection):

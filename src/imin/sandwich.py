@@ -140,6 +140,9 @@ def empirical_ratio(result: SandwichResult, params: AlgoParams) -> float:
 
 def _combine(g, params, rng, with_upper):
     params.validate()
+    # The middle child is unused.  A child's stream follows from its spawn
+    # index, so keeping `rng_est` the third keeps the estimates' draws,
+    # and every fixed-seed output, byte for byte.
     rng_pairs, _, rng_est = rng.spawn(3)
     pairs = PairSource(g, rng_pairs)
     timings, certificates, candidates = {}, {}, {}

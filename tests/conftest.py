@@ -7,7 +7,7 @@ import pytest
 from imin import fixtures
 from imin.diffusion import _BATCH, _SEEN_BYTES, _forward_levels
 from imin.graph import Graph, block_nodes, unify_seeds
-from imin.sampling import _sequence_entries
+from imin.sampling import CPCollection, _sequence_entries
 
 
 @pytest.fixture
@@ -148,6 +148,13 @@ def eager_entries(ug, phi):
         ug, phi.blocked, 1, None, live=phi.live))
 
 
+def eager_sets(ug, phi):
+    """{node: frozenset of its chain} of the common-path entries of the
+    eager realization `phi`."""
+    (chains,) = split_chains(*eager_entries(ug, phi)[1:])
+    return {chain[0]: frozenset(chain) for chain in chains}
+
+
 def realization_successors(phi):
     """`successors(v)` of the eager realization `phi`: v's live successors
     that are not blocked, in edge-id order."""
@@ -185,6 +192,38 @@ def split_chains(members, sizes, ptr):
               for end, size in zip(ends, sizes.tolist())]
     for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
         yield chains[lo:hi]
+
+
+def per_sequence_coverage(batches, blockers):
+    """Per sequence of `sampling._cp_batch` output, the entries whose
+    chain meets `blockers`, as floats."""
+    out = []
+    for _, members, sizes, ptr in batches:
+        hit = np.zeros(len(sizes), dtype=bool)
+        entry = np.repeat(np.arange(len(sizes)), sizes)
+        hit[entry[np.isin(members, blockers)]] = True
+        sequence = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+        out.append(np.bincount(sequence, weights=hit,
+                               minlength=len(ptr) - 1))
+    return np.concatenate(out)
+
+
+def collection_of(kind, ug, sets, population=None):
+    """A `kind` collection (`sampling.LRRCollection`, `ChainCollection` or
+    `CPCollection`) holding the member lists `sets`, set after set, as one
+    chunk and drawing nothing: one sample per set, an empty list an empty
+    sample, or for a `CPCollection` one sequence of those entries."""
+    sets = [list(members) for members in sets]
+    members = np.asarray([v for m in sets for v in m], dtype=np.int64)
+    sizes = np.asarray([len(m) for m in sets], dtype=np.int64)
+    if kind is CPCollection:
+        coll = kind(ug, None)
+        coll._chunk(members, sizes)
+        coll.n_samples = 1
+    else:
+        coll = kind(ug, None, population)
+        coll._add(members, sizes)
+    return coll
 
 
 def split_sets(batches, part=1):

@@ -7,7 +7,6 @@ measured quantities; tolerances are fixed here, not tuned elsewhere.
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from imin import fixtures
@@ -17,12 +16,12 @@ from imin.domtree import build_dominator_tree
 from imin.graph import Graph, unify_seeds
 from imin.optimize import AlgoParams, E_FRACTION, gsbm, lsbm
 from imin.oracle import ExactModel
-from imin.sampling import (CPCollection, CPSequence, LRRCollection,
+from imin.sampling import (CPCollection, LRRCollection, _cp_batch,
                            compute_population, coverage)
 from imin.sandwich import sand_imin
 from imin.baselines import ag, gr, mc_greedy
 
-from conftest import eager_entries, make_rng
+from conftest import eager_sets, make_rng, per_sequence_coverage
 
 
 def report(criterion, detail):
@@ -46,7 +45,7 @@ def test_criterion_01_worked_realization_reproduction():
     sizes = {v: int(dt.subtree_size[v]) for v in range(1, 7)}
     assert sizes == {1: 1, 2: 1, 3: 3, 4: 0, 5: 1, 6: 1}
 
-    got = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
+    got = eager_sets(ug, phi)
     assert got == {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({3}),
                    5: frozenset({3, 5}), 6: frozenset({3, 6})}
     report(1, f"subtree sizes {sizes}, 5 common-path sets exact")
@@ -128,10 +127,9 @@ def test_criterion_04_estimator_unbiasedness():
 
         coll = CPCollection(ug, make_rng(7200 + trial))
         coll.extend(n_samples)
-        state = coll.state()
-        for u in B:
-            state.add(u)
-        per_seq = _per_sequence_coverage(coll, state)
+        per_seq = per_sequence_coverage(
+            _cp_batch(ug, n_samples, make_rng(7200 + trial)), B)
+        assert per_seq.sum() == coverage(coll, B)
         true_low = model.lower_bound(B)
         se = per_seq.std() / math.sqrt(n_samples)
         z = abs(per_seq.mean() - true_low) / max(se, 1e-9)
@@ -150,15 +148,6 @@ def test_criterion_04_estimator_unbiasedness():
         max_z = max(max_z, z)
     report(4, f"{n_pairs} (graph, B) pairs, {n_samples} samples each, "
               f"worst |z| = {max_z:.2f}")
-
-
-def _per_sequence_coverage(coll, state):
-    out = np.zeros(coll.n_samples)
-    pos = 0
-    for i, seq in enumerate(coll.sequences()):
-        out[i] = state.covered[pos:pos + len(seq.sizes)].sum()
-        pos += len(seq.sizes)
-    return out
 
 
 def test_criterion_05_maximizer_guarantees():

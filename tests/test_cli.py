@@ -237,6 +237,38 @@ class TestRun:
         fields = dict(zip(*rows[0]))
         assert fields["n_seeds"] == "1" and float(fields["decrease"]) > 0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # an edge list that starts with a UTF-8 byte-order mark gives the
+        # rows of the same list without it
+        text = "1 2\n2 3\n3 4\n2 5\n5 4\n4 6\n"
+        rows = []
+        for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            data = tmp_path / name / "edges.txt"
+            data.write_bytes(head + text.encode())
+            out = tmp_path / name / "rows.csv"
+            assert main(["run", "--graph", str(data), "--algo", "sandimin",
+                         "--k", "1", "--seeds", "1,", "--delta", "0.1",
+                         "--eval-trials", "500", "--rng-seed", "4",
+                         "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                rows.append(list(csv.reader(fh)))
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("label", ["1_0", "\u0663"])
+    def test_id_not_in_ascii_digits_is_rejected(self, tmp_path, capsys,
+                                                 label):
+        # `int` reads "1_0" as 10 and the Arabic-Indic digit three as 3,
+        # so those labels would merge with "10" and "3"
+        data = tmp_path / "edges.txt"
+        data.write_text(f"{label} 2\n10 3\n3 2\n", encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--graph", str(data), "--algo", "lhga",
+                     "--k", "1", "--seeds", "1", "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert "line 1: non-integer node id" in err
+        assert not out.exists()
+
     def test_existing_empty_out_file_gets_the_header(self, tmp_path):
         out = tmp_path / "rows.csv"
         out.touch()
@@ -643,6 +675,24 @@ class TestOracleCommands:
         assert main(["oracle", "--graph", "fixture:three-seeds",
                      "--blockers", "3,999"]) == 5
         assert "blocker id 999 not in graph" in capsys.readouterr().err
+
+    def test_oracle_speaks_in_labels(self, tmp_path, capsys):
+        # labels 10, 20, 30 are ids 0, 1, 2: the header and the errors
+        # name the labels, and a seed among the blockers is refused
+        # before any value is printed
+        data = tmp_path / "g.txt"
+        data.write_text("10 20\n20 30\n10 30\n")
+        args = ["oracle", "--graph", str(data), "--seeds", "10,",
+                "--prob", "const", "--prob-value", "0.5", "--blockers"]
+        assert main(args + ["20"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("dataset=g.txt n=3 m=3 seeds=[10] "
+                              "blockers=[20]\n")
+        assert "decrease            = 0.625000" in out
+        assert main(args + ["30,10"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed node 10 cannot be blocked" in captured.err
 
     def test_oracle_refuses_large_graph(self, tmp_path):
         data = tmp_path / "g.txt"

@@ -17,7 +17,7 @@ from imin.sampling import (_chains, _cp_batch, _reverse_reach,
 
 from conftest import dominators as reference_dominators
 from conftest import (live_successors, make_rng, random_flowgraph,
-                      recorded)
+                      realization_successors, recorded)
 
 
 def brute_force_idom(ug, phi):
@@ -215,6 +215,16 @@ class TestBatchDominators:
             assert dict(zip(node[mine].tolist(), dom[mine].tolist())) \
                 == {v: vertex[i] if i >= 0 else -1
                     for v, i in zip(vertex, idom)}
+        if batch == 1:      # and the reference's subtree sizes, summed
+            # over chains 2,000 long, on an eager realization
+            phi = sample_realization(ug, None, make_rng(7))
+            vertex, idom, size = reference_dominators(
+                realization_successors(phi), ug.s)
+            dt = build_dominator_tree(phi)
+            assert dt.idom[vertex[1:]].tolist() \
+                == [vertex[i] for i in idom[1:]]
+            assert dt.subtree_size[vertex].tolist() == size
+            assert np.count_nonzero(dt.subtree_size) == len(vertex)
 
     def test_seeded_searches_keep_their_join_and_sweep_counts(self):
         # A pair search built as `sampling._pair_search` builds it, and a

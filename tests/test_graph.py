@@ -54,6 +54,18 @@ class TestLoadEdgeList:
         g = load_edge_list(write(tmp_path, "%d %d\n" % tuple(extremes)))
         assert g.labels.tolist() == extremes
 
+    def test_ids_are_signed_ascii_digits(self, tmp_path):
+        # a byte-order mark is skipped and any whitespace separates, but
+        # an id must be ASCII digits with an optional sign, or labels such
+        # as "1_0" and "10" would become one node
+        path = tmp_path / "edges.txt"
+        path.write_bytes("\ufeff+7 -3\n-3\u30000010\n".encode())
+        assert load_edge_list(str(path)).labels.tolist() == [7, -3, 10]
+        for label in ("1_0", "\u0663", "\uff11", "0x1", "1.0", "+-1"):
+            with pytest.raises(EdgeListParseError,
+                               match="line 2: non-integer node id"):
+                load_edge_list(write(tmp_path, f"10 3\n{label} 3\n"))
+
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(EdgeListParseError, match="empty"):
             load_edge_list(write(tmp_path, "# nothing\n1 1\n"))

@@ -18,8 +18,8 @@ from imin.oracle import ExactModel
 from imin.sampling import (CPCollection, LRRCollection, compute_population,
                            coverage)
 
-from conftest import (celf_max_coverage, make_rng, padded_twin,
-                      random_flowgraph, replayed_cov_upper_opt)
+from conftest import (celf_max_coverage, collection_of, make_rng,
+                      padded_twin, random_flowgraph, replayed_cov_upper_opt)
 
 
 def collection_from_sets(sets, n_nodes=8):
@@ -27,8 +27,8 @@ def collection_from_sets(sets, n_nodes=8):
     src = [0] * (n_nodes - 1)
     dst = list(range(1, n_nodes))
     ug = unify_seeds(Graph.from_edges(n_nodes, src, dst), {0})
-    return ug, LRRCollection.from_sets(ug, sets,
-                                       population=list(range(1, n_nodes)))
+    return ug, collection_of(LRRCollection, ug, sets,
+                             population=list(range(1, n_nodes)))
 
 
 def naive_greedy(coll, ug, k):
@@ -89,8 +89,8 @@ class TestMaxCoverage:
 
     def test_never_picks_a_blocked_node(self):
         ug = block_nodes(collection_from_sets([])[0], [1, 4])
-        coll = LRRCollection.from_sets(ug, [[1, 2], [3], [], [1]],
-                                       population=range(1, 8))
+        coll = collection_of(LRRCollection, ug, [[1, 2], [3], [], [1]],
+                             population=range(1, 8))
         blockers, trace = max_coverage(coll, 9)
         assert list(blockers) == [2, 3, 5, 6, 7]
         assert trace.gains == [1, 1, 0, 0, 0]
@@ -109,8 +109,8 @@ def random_collections(seed, count):
         coll.extend(count)
     sets = [rng.choice(ug.base.n, size=int(rng.integers(0, 4)),
                        replace=False).tolist() for _ in range(count % 30)]
-    colls.append(LRRCollection.from_sets(ug, sets,
-                                         population=range(ug.base.n)))
+    colls.append(collection_of(LRRCollection, ug, sets,
+                               population=range(ug.base.n)))
     return colls
 
 

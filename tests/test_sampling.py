@@ -15,23 +15,24 @@ from imin.oracle import ExactModel
 from imin.diffusion import _BATCH, _forward_levels
 from imin import sampling
 from imin.optimize import AlgoParams
-from imin.sampling import (ChainCollection, CPCollection, CPSequence,
-                           LRRCollection, PairSource, _cp_batch, _pair_batch,
-                           _pair_search, _sequence_entries,
-                           compute_population, coverage)
+from imin.sampling import (ChainCollection, CPCollection, LRRCollection,
+                           PairSource, _cp_batch, _pair_batch, _pair_search,
+                           _sequence_entries, compute_population, coverage)
 from imin.sandwich import sand_imin
 
-from conftest import (certain_edges, eager_entries, live_successors,
-                      make_rng, padded_twin, random_flowgraph,
+from conftest import (certain_edges, collection_of, eager_entries,
+                      eager_sets, live_successors, make_rng, padded_twin,
+                      per_sequence_coverage, random_flowgraph,
                       realization_successors, recorded, reference_chains,
                       split_chains, split_sets, tiny_with_dead_edges)
 
 
 def one_sequence(ug, rng):
-    """The common-path sequence of one sampled realization."""
+    """The common-path sets of one sampled realization: {node: frozenset
+    of its chain}, read from a one-sequence collection."""
     coll = CPCollection(ug, rng)
     coll.extend(1)
-    return next(coll.sequences())
+    return {int(s[0]): frozenset(s.tolist()) for s in coll.sets()}
 
 
 def one_lrr_set(ug, population, rng):
@@ -39,7 +40,7 @@ def one_lrr_set(ug, population, rng):
     where the target was not reached."""
     coll = LRRCollection(ug, rng, population=population)
     coll.extend(1)
-    return next(coll.sets())
+    return coll.sets()[0]
 
 
 def cp_sets_by_path_enumeration(ug, phi):
@@ -85,34 +86,32 @@ def worked_collection():
     """A one-sequence collection holding the fixed worked-example draw."""
     ug = fixtures.worked_example_small()
     phi = fixtures.worked_example_small_realization(ug)
-    coll = CPCollection(ug, rng=None)
-    coll._add(*eager_entries(ug, phi))
-    return ug, coll
+    (chains,) = split_chains(*eager_entries(ug, phi)[1:])
+    return ug, collection_of(CPCollection, ug, chains)
 
 
 class TestLocalSampling:
     def test_worked_example_sets(self):
         ug = fixtures.worked_example_small()
         phi = fixtures.worked_example_small_realization(ug)
-        got = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
+        got = eager_sets(ug, phi)
         assert got == {1: frozenset({1}), 2: frozenset({2}),
                        3: frozenset({3}), 5: frozenset({3, 5}),
                        6: frozenset({3, 6})}
 
     def test_chain_single_path(self):
-        seq = one_sequence(fixtures.chain(), make_rng(0))
-        assert seq.sets() == {1: frozenset({1}), 2: frozenset({1, 2})}
+        sets = one_sequence(fixtures.chain(), make_rng(0))
+        assert sets == {1: frozenset({1}), 2: frozenset({1, 2})}
 
     def test_unreached_source_gives_empty_sequence(self):
         g = unify_seeds(Graph.from_edges(2, [0], [1], [0.0]), {0})
-        seq = one_sequence(g, make_rng(0))
-        assert seq.sets() == {}
+        assert one_sequence(g, make_rng(0)) == {}
 
     def test_matches_path_enumeration(self):
         for trial in range(40):
             ug = fixtures.random_tiny(make_rng(trial), 8, 10)
             phi = sample_realization(ug, None, make_rng(4000 + trial))
-            got = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
+            got = eager_sets(ug, phi)
             want = cp_sets_by_path_enumeration(ug, phi)
             assert got == want
             gate = set(ug.seeds) | {ug.s}
@@ -285,7 +284,7 @@ class TestChainSamples:
     @given(st.integers(0, 10 ** 6))
     def test_chains_match_cp_sets_on_certain_edges(self, seed):
         ug, phi = deterministic(seed)
-        want = CPSequence(*eager_entries(ug, phi)[1:3]).sets()
+        want = eager_sets(ug, phi)
         non_seeds = [v for v in range(ug.base.n) if v not in ug.seeds]
         for target, chain in split_sets(_pair_batch(
                 ug, np.asarray(non_seeds), 40, make_rng(seed)), part=2):
@@ -559,7 +558,9 @@ class TestBatchEntries:
         coll = CPCollection(g, make_rng(1))
         coll.extend(7)
         assert coll.n_samples == 7
-        assert [seq.sets() for seq in coll.sequences()] == [{}] * 7
+        members, set_of, n_sets = coll._freeze()
+        assert len(members) == len(set_of) == n_sets == 0
+        assert coll.sets() == []
         assert coverage(coll, [1, 2]) == 0
 
     def test_one_debug_line_per_batch(self, caplog):
@@ -586,11 +587,14 @@ class TestBatchEntries:
         coll = CPCollection(ug, make_rng(2))
         coll.extend(_BATCH + 3)
         assert coll.n_samples == _BATCH + 3
-        got = [seq.sets() for seq in coll.sequences()]
-        want = [{chain[0]: frozenset(chain) for chain in chains}
-                for batch in batches for chains in split_chains(*batch[1:])]
-        assert len(got) == _BATCH + 3
-        assert got == want
+        # members, the set of each member, the number of sets
+        members, set_of, n_sets = coll._freeze()
+        sizes = np.concatenate([batch[2] for batch in batches])
+        assert np.array_equal(members, np.concatenate(
+            [batch[1] for batch in batches]))
+        assert np.array_equal(set_of, np.repeat(np.arange(len(sizes)),
+                                                sizes))
+        assert n_sets == len(sizes) == sum(ptr[-1] for *_, ptr in batches)
 
 
 def collections(ug, rng_seed, count):
@@ -603,8 +607,6 @@ def collections(ug, rng_seed, count):
 
 def assert_same_collections(a, b):
     (cp_a, lrr_a), (cp_b, lrr_b) = a, b
-    assert [len(s.sizes) for s in cp_a.sequences()] \
-        == [len(s.sizes) for s in cp_b.sequences()]
     assert lrr_a.n_empty == lrr_b.n_empty
     for coll_a, coll_b in ((cp_a, cp_b), (lrr_a, lrr_b)):
         assert coll_a.n_samples == coll_b.n_samples
@@ -650,7 +652,6 @@ class TestBatchedExtend:
         ug = fixtures.mid_synthetic(make_rng(5), 60, 240, 3)
         first = collections(ug, 12, 2500)
         assert first[0].n_samples == first[1].n_samples == 2500
-        assert len(list(first[0].sequences())) == 2500
         assert len(list(first[1].sets())) == 2500
         assert_same_collections(first, collections(ug, 12, 2500))
 
@@ -670,15 +671,16 @@ class TestCoverage:
 
     def test_lrr_direct_counts(self):
         ug = fixtures.chain()
-        coll = LRRCollection.from_sets(ug, [[1, 2], [], [2]],
-                                       population=[1, 2])
+        coll = collection_of(LRRCollection, ug, [[1, 2], [], [2]],
+                             population=[1, 2])
         assert coverage(coll, [2]) == 2
         assert coverage(coll, []) == 0
         assert coll.n_samples == 3
 
     def test_all_sets_empty(self):
         ug = fixtures.chain()
-        coll = LRRCollection.from_sets(ug, [[], [], []], population=[1, 2])
+        coll = collection_of(LRRCollection, ug, [[], [], []],
+                             population=[1, 2])
         assert coverage(coll, [1]) == 0
 
     def test_coverage_monotone_submodular_exhaustive(self):
@@ -712,8 +714,9 @@ class TestUnbiasedness:
             n = 8000
             coll = CPCollection(ug, make_rng(6000 + trial))
             coll.extend(n)
-            state = coll.state()
-            per_seq = _per_sequence_coverage_cp(coll, B)
+            per_seq = per_sequence_coverage(
+                _cp_batch(ug, n, make_rng(6000 + trial)), B)
+            assert per_seq.sum() == coverage(coll, B)
             est = per_seq.mean()
             sigma = per_seq.std() / math.sqrt(n)
             assert abs(est - model.lower_bound(B)) < 3 * sigma + 1e-6
@@ -735,15 +738,6 @@ class TestUnbiasedness:
             sigma = len(pop) * math.sqrt(
                 max(hit_prob * (1 - hit_prob), 1e-9) / n)
             assert abs(est - model.upper_bound(B)) < 3 * sigma + 1e-6
-
-
-def _per_sequence_coverage_cp(coll, B):
-    out = []
-    bset = set(B)
-    for seq in coll.sequences():
-        sets = seq.sets()
-        out.append(sum(1 for members in sets.values() if members & bset))
-    return np.asarray(out, dtype=float)
 
 
 class TestConcentration:
