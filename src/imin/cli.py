@@ -30,7 +30,7 @@ from .baselines import ag, gr, mc_greedy
 from .diffusion import reverse_reach_counts, stopping_rule_decrease
 from .graph import (EdgeListParseError, GraphError,
                     assign_constant_probability, assign_wc_probabilities,
-                    load_edge_list, unify_seeds)
+                    load_edge_list, parse_label, unify_seeds)
 from .optimize import AlgoParams
 from .sandwich import lhga, sand_imin, sand_imin_minus
 
@@ -147,18 +147,22 @@ def _save_ranking(cache_path, pool_trials, fingerprint, ranked):
         os.unlink(tmp)
 
 
+def _label(part, what):
+    """The label `part` spells by the edge-list rule; else exit 5."""
+    try:
+        return parse_label(part)
+    except ValueError:
+        raise CliError(f"bad {what} id {part!r}", EXIT_BAD_SEEDS) from None
+
+
 def _label_ids(spec, g, what):
     """Node ids of comma-separated labels; a bad label ends with exit 5."""
-    label_to_id = {int(lbl): i for i, lbl in enumerate(g.labels)}
+    label_to_id = {lbl: i for i, lbl in enumerate(g.labels.tolist())}
     ids = []
     for part in spec.split(","):
         if not part:
             continue
-        try:
-            label = int(part)
-        except ValueError:
-            raise CliError(f"bad {what} id {part!r}",
-                           EXIT_BAD_SEEDS) from None
+        label = _label(part, what)
         if label not in label_to_id:
             raise CliError(f"{what} id {label} not in graph",
                            EXIT_BAD_SEEDS)
@@ -175,12 +179,14 @@ def _resolve_seeds(args, g, rng):
             return _fixture_seeds(args.graph), None
         raise CliError("--seeds is required for file datasets",
                        EXIT_BAD_SEEDS)
-    if "," in spec or not spec.lstrip("-").isdigit():
+    # a count is ASCII digits, after at most one "-"; a list, "+7" and ""
+    # name labels
+    if "," in spec or spec[:1] in ("", "+"):
         seeds = _label_ids(spec, g, "seed")
         if not seeds:
             raise CliError("empty seed list", EXIT_BAD_SEEDS)
         return sorted(set(seeds)), None
-    count = int(spec)
+    count = _label(spec, "seed")
     if count < 1 or count > g.n:
         raise CliError(f"seed count {count} out of range", EXIT_BAD_SEEDS)
     cache = None

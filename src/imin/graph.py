@@ -22,8 +22,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-_INT64 = range(-(1 << 63), 1 << 63)  # node labels are stored as int64
-
 
 class EdgeListParseError(ValueError):
     """Raised when an edge-list file cannot be parsed."""
@@ -31,6 +29,26 @@ class EdgeListParseError(ValueError):
 
 class GraphError(ValueError):
     """Raised on invalid graph construction or invalid blocker/seed input."""
+
+
+def parse_label(token: str) -> int:
+    """The node label that `token` spells: an optional sign and ASCII
+    digits, within the int64 range that labels are stored in.
+
+    Edge lists, `--seeds` and `--blockers` read labels through this one
+    rule.  Anything else raises `ValueError`, whose message names the
+    fault ("non-integer node id" or "node id outside the 64-bit integer
+    range").
+    """
+    # `int` alone also takes "1_0" (as 10), " 3" and non-ASCII digits
+    # such as "\u0663" (as 3), which would merge distinct labels
+    if ((token.isdigit() or token[:1] in ("+", "-") and token[1:].isdigit())
+            and token.isascii()):
+        label = int(token)
+        if -(1 << 63) <= label < 1 << 63:
+            return label
+        raise ValueError("node id outside the 64-bit integer range")
+    raise ValueError("non-integer node id")
 
 
 def _build_csr(n, src, dst):
@@ -131,9 +149,8 @@ def load_edge_list(path, directed=True):
     are dropped, duplicate (u, v) pairs are deduplicated, and undirected
     input is doubled into two directed edges.  All probabilities start at 1
     (see :func:`assign_wc_probabilities`).  A leading byte-order mark is
-    skipped.  A directory, a file that is not UTF-8 text, a node id that
-    is not an optionally signed run of ASCII digits and one outside the
-    int64 range raise `EdgeListParseError`.
+    skipped.  A directory, a file that is not UTF-8 text and a node id
+    that `parse_label` refuses raise `EdgeListParseError`.
     """
     id_of = {}
     labels = []
@@ -158,19 +175,10 @@ def load_edge_list(path, directed=True):
                     raise EdgeListParseError(
                         f"{path}: line {lineno}: expected 'u v', got {line!r}")
                 try:
-                    # `int` alone also takes "1_0" (as 10) and non-ASCII
-                    # digits such as "\u0663" (as 3), merging labels
-                    if "_" in line or not (parts[0] + parts[1]).isascii():
-                        raise ValueError
-                    a, b = int(parts[0]), int(parts[1])
-                except ValueError:
+                    a, b = parse_label(parts[0]), parse_label(parts[1])
+                except ValueError as exc:
                     raise EdgeListParseError(
-                        f"{path}: line {lineno}: non-integer node id in "
-                        f"{line!r}") from None
-                if a not in _INT64 or b not in _INT64:
-                    raise EdgeListParseError(
-                        f"{path}: line {lineno}: node id outside the 64-bit "
-                        f"integer range in {line!r}")
+                        f"{path}: line {lineno}: {exc} in {line!r}") from None
                 if a == b:
                     continue
                 u, v = intern(a), intern(b)

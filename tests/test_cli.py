@@ -15,6 +15,11 @@ from imin.graph import (Graph, assign_constant_probability,
 
 from conftest import make_rng
 
+# labels that `int` reads but the edge-list rule refuses: "1_0" as 10,
+# Arabic-Indic three and seven, "1_2" as 12 and a fullwidth one; in
+# fixture:three-seeds each names a node, and 10 and 1 are seeds
+NOT_ASCII_DIGITS = ["1_0", "\u0663", "1_2", "\u0667", "\uff11"]
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "imin", *args],
@@ -255,7 +260,7 @@ class TestRun:
                 rows.append(list(csv.reader(fh)))
         assert rows[0] == rows[1]
 
-    @pytest.mark.parametrize("label", ["1_0", "\u0663"])
+    @pytest.mark.parametrize("label", NOT_ASCII_DIGITS)
     def test_id_not_in_ascii_digits_is_rejected(self, tmp_path, capsys,
                                                  label):
         # `int` reads "1_0" as 10 and the Arabic-Indic digit three as 3,
@@ -299,6 +304,25 @@ class TestExitCodes:
                      "--k", "1", "--seeds", "99,"]) == 5
         assert main(["run", "--graph", str(data), "--algo", "lhga",
                      "--k", "1", "--seeds", "99"]) == 5  # count too large
+
+    @pytest.mark.parametrize("spec", [f"{label}," for label in
+                                      NOT_ASCII_DIGITS]
+                             + ["\u0663", "-\u0663", "--3"])
+    def test_seed_label_not_in_ascii_digits_is_rejected(self, tmp_path,
+                                                        capsys, spec):
+        # `--seeds` labels follow the edge-list rule, so none of these
+        # names label 10, 3, 12, 7 or 1, and "\u0663" (or "-\u0663") is no
+        # count either
+        data = tmp_path / "g.txt"
+        data.write_text("10 2\n12 3\n7 2\n3 1\n1 2\n")
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--graph", str(data), "--algo", "lhga", "--k",
+                     "1", f"--seeds={spec}", "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: bad seed id {spec.rstrip(',')!r}"]
+        assert not out.exists()
 
     def test_file_graph_needs_seeds(self, tmp_path, capsys):
         data = tmp_path / "g.txt"
@@ -675,6 +699,15 @@ class TestOracleCommands:
         assert main(["oracle", "--graph", "fixture:three-seeds",
                      "--blockers", "3,999"]) == 5
         assert "blocker id 999 not in graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", NOT_ASCII_DIGITS)
+    def test_oracle_blocker_label_not_in_ascii_digits(self, capsys, label):
+        assert main(["oracle", "--graph", "fixture:three-seeds",
+                     "--blockers", f"3,{label}"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: bad blocker id {label!r}"]
 
     def test_oracle_speaks_in_labels(self, tmp_path, capsys):
         # labels 10, 20, 30 are ids 0, 1, 2: the header and the errors

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from imin import fixtures
 from imin.diffusion import stopping_rule_spread
 from imin.graph import (BlockerSet, EdgeListParseError, Graph, GraphError,
                         assign_constant_probability, assign_wc_probabilities,
-                        block_nodes, load_edge_list, unify_seeds)
+                        block_nodes, load_edge_list, parse_label,
+                        unify_seeds)
 from imin.oracle import ExactModel
 from imin.sampling import compute_population
 
@@ -19,6 +22,22 @@ def write(tmp_path, text):
     path = tmp_path / "edges.txt"
     path.write_text(text)
     return str(path)
+
+
+# Short tokens without whitespace: numerals about the int64 bounds, with a
+# sign or a leading zero, and text of digits, signs, "_" and any other
+# character.  A leading "#" would make a comment line, and a leading
+# byte-order mark is skipped, so line 1 never starts with either.
+_NUMERALS = st.tuples(
+    st.sampled_from(["", "+", "-", "0", "-0", "+-"]),
+    st.one_of(st.integers(0, 1 << 64),
+              st.sampled_from([(1 << 63) - 1, 1 << 63])).map(str))
+LABEL_TOKENS = st.one_of(
+    _NUMERALS.map("".join),
+    st.text(st.one_of(st.sampled_from("0123456789+-_"),
+                      st.characters(codec="utf-8")), min_size=1, max_size=6),
+).filter(lambda t: not any(c.isspace() for c in t)
+         and t[:1] not in ("#", "\ufeff"))
 
 
 class TestLoadEdgeList:
@@ -65,6 +84,39 @@ class TestLoadEdgeList:
             with pytest.raises(EdgeListParseError,
                                match="line 2: non-integer node id"):
                 load_edge_list(write(tmp_path, f"10 3\n{label} 3\n"))
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(LABEL_TOKENS)
+    def test_loader_reads_labels_by_parse_label(self, tmp_path_factory,
+                                                token):
+        # the loader and the parser accept the same tokens, read the same
+        # label from each and refuse the rest with the same fault
+        path = tmp_path_factory.getbasetemp() / "token-edges.txt"
+        path.write_text(f"{token} 1\n0 1\n", encoding="utf-8")
+        try:
+            label = parse_label(token)
+        except ValueError as exc:
+            with pytest.raises(EdgeListParseError,
+                               match=re.escape(f"line 1: {exc} in ")):
+                load_edge_list(str(path))
+        else:
+            first = [] if label == 1 else [label, 1]   # "1 1" is dropped
+            assert (load_edge_list(str(path)).labels.tolist()
+                    == list(dict.fromkeys(first + [0, 1])))
+
+    def test_parse_label(self):
+        for token, label in (("7", 7), ("+7", 7), ("-0", 0), ("007", 7),
+                             (str((1 << 63) - 1), (1 << 63) - 1),
+                             (str(-(1 << 63)), -(1 << 63))):
+            assert parse_label(token) == label
+        for token in ("", "+", "+-1", "1_0", " 3", "3\n", "\u0663",
+                      "\uff11", "\u00b2", "0x1", "1.0"):
+            with pytest.raises(ValueError, match="^non-integer node id$"):
+                parse_label(token)
+        for token in (str(1 << 63), str(-(1 << 63) - 1)):
+            with pytest.raises(ValueError, match="64-bit integer range"):
+                parse_label(token)
 
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(EdgeListParseError, match="empty"):
