@@ -2,18 +2,20 @@
 (AdvancedGreedy) and its seed-neighbor two-stage refinement
 (GreedyReplace), after Xie et al., ICDE 2023.
 
-All three re-estimate marginal decreases from scratch after every pick;
-that is their defining cost.  A node's dominator-subtree size in a
-realization is the number of common-path chains (from the batched
-forward sampler) that contain it.  Ties always break toward the lowest
-node id.
+All three pick through one loop, `_greedy`, which re-estimates every
+candidate's score after each pick; that is their defining cost.  A
+node's dominator-subtree size in a realization is the number of
+common-path chains (from the batched forward sampler) that contain it.
+Monte-Carlo greedy compares each round's candidates on shared
+realizations, up to `diffusion._MAX_RUNS` of them per forward search.
+Ties always break toward the lowest node id.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffusion import ic_spread_samples
+from .diffusion import _MAX_RUNS, spread_samples
 from .graph import BlockerSet, UnifiedGraph, block_nodes
 from .sampling import _cp_batch
 
@@ -41,17 +43,16 @@ def _argmax_candidate(scores, allowed) -> int:
     return int(np.argmax(masked))
 
 
-def _greedy(g: UnifiedGraph, allowed, k: int, realizations: int,
-            rng: np.random.Generator) -> list:
-    """Up to k picks from the mask `allowed` (consumed), each the node with
-    the largest average dominator-subtree size once the earlier picks are
-    blocked, re-sampled every round."""
-    if realizations < 1:
-        raise ValueError("realizations_per_round must be >= 1")
+def _greedy(allowed, k: int, samples: int, scores) -> list:
+    """Up to k picks from the mask `allowed` (consumed): each the allowed
+    node with the largest score in `scores(chosen)`, `chosen` the picks
+    so far, ties to the lowest id.  `samples`, the count behind each
+    round's scores, must be at least 1."""
+    if samples < 1:
+        raise ValueError(f"samples per round must be >= 1, got {samples}")
     chosen = []
     for _ in range(min(k, int(allowed.sum()))):
-        scores = _subtree_scores(g, chosen, realizations, rng)
-        best = _argmax_candidate(scores, allowed)
+        best = _argmax_candidate(scores(chosen), allowed)
         chosen.append(best)
         allowed[best] = False
     return chosen
@@ -61,8 +62,9 @@ def ag(g: UnifiedGraph, k: int, realizations_per_round: int,
        rng: np.random.Generator) -> BlockerSet:
     """Subtree-greedy: per round, pick the node with the largest average
     dominator-subtree size, block it, and re-sample."""
-    return BlockerSet(_greedy(g, g.candidates(), k, realizations_per_round,
-                              rng))
+    return BlockerSet(_greedy(
+        g.candidates(), k, realizations_per_round,
+        lambda b: _subtree_scores(g, b, realizations_per_round, rng)))
 
 
 def gr(g: UnifiedGraph, k: int, realizations_per_round: int,
@@ -79,7 +81,9 @@ def gr(g: UnifiedGraph, k: int, realizations_per_round: int,
     candidates = g.candidates()
     near = np.zeros(g.n_total, dtype=bool)
     near[g.seed_out_neighbors()] = True
-    chosen = _greedy(g, near & candidates, k, realizations_per_round, rng)
+    chosen = _greedy(
+        near & candidates, k, realizations_per_round,
+        lambda b: _subtree_scores(g, b, realizations_per_round, rng))
 
     for _ in range(_MAX_PASSES):
         for i in reversed(range(len(chosen))):
@@ -97,20 +101,21 @@ def gr(g: UnifiedGraph, k: int, realizations_per_round: int,
 
 def mc_greedy(g: UnifiedGraph, k: int, trials_per_eval: int,
               rng: np.random.Generator) -> BlockerSet:
-    """Plain greedy with per-candidate Monte-Carlo residual estimation."""
-    if trials_per_eval < 1:
-        raise ValueError("trials_per_eval must be >= 1")
-    chosen = []
-    candidates = np.flatnonzero(g.candidates()).tolist()
-    for _ in range(max(0, k)):
-        remaining = [v for v in candidates if v not in chosen]
-        if not remaining:
-            break
-        best, best_residual = None, None
-        for v in remaining:
-            residual = float(ic_spread_samples(
-                g, chosen + [v], trials_per_eval, rng).mean())
-            if best is None or residual < best_residual - 1e-12:
-                best, best_residual = v, residual
-        chosen.append(best)
-    return BlockerSet(chosen)
+    """Plain greedy by Monte-Carlo residual spread.
+
+    Each round scores every remaining candidate v by minus the mean
+    residual spread of `chosen + [v]` over `trials_per_eval` cascades.
+    The candidates are taken in ascending id, `_MAX_RUNS` sets to one
+    `spread_samples` call, whose sets share their realizations, so
+    candidates of one call are compared on the same cascades.
+    """
+    def scores(chosen):
+        out = np.zeros(g.n_total)
+        remaining = np.flatnonzero(block_nodes(g, chosen).candidates())
+        for i in range(0, len(remaining), _MAX_RUNS):
+            group = remaining[i:i + _MAX_RUNS]
+            out[group] = -spread_samples(g, [chosen + [v] for v in group],
+                                         trials_per_eval, rng).mean(axis=1)
+        return out
+
+    return BlockerSet(_greedy(g.candidates(), k, trials_per_eval, scores))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffusion import Realization
-from .graph import Graph, UnifiedGraph, unify_seeds
+from .graph import Graph, UnifiedGraph, assign_wc_probabilities, unify_seeds
 
 
 def chain(p: float = 1.0) -> UnifiedGraph:
@@ -138,10 +138,7 @@ def mid_synthetic(rng: np.random.Generator, n: int = 600,
     key = u * n + v
     _, idx = np.unique(key, return_index=True)
     idx = np.sort(idx)[:m]
-    g = Graph.from_edges(n, u[idx], v[idx])
-    from .graph import assign_wc_probabilities
-
-    g = assign_wc_probabilities(g)
+    g = assign_wc_probabilities(Graph.from_edges(n, u[idx], v[idx]))
     order = np.argsort(-g.out_degree(), kind="stable")
     seeds = [int(x) for x in order[:n_seeds]]
     return unify_seeds(g, seeds)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from imin import fixtures
+from imin import diffusion, fixtures
 from imin.baselines import _subtree_scores, ag, gr, mc_greedy
 from imin.diffusion import sample_realization
 from imin.domtree import build_dominator_tree
-from imin.graph import block_nodes
+from imin.graph import Graph, block_nodes, unify_seeds
 from imin.oracle import ExactModel
 from imin.sampling import _cp_batch
 
@@ -30,6 +30,19 @@ def batched_sizes(ug, blockers, n, rng):
         for chains in split_chains(*batch[1:]):
             yield np.bincount(np.asarray(sum(chains, []), dtype=np.int64),
                               minlength=ug.n_total)
+
+
+def exact_greedy(ug, k):
+    """Greedy by the exact decrease of `ExactModel`, ties to the lowest
+    id."""
+    model = ExactModel(ug)
+    chosen = []
+    for _ in range(k):
+        cands = [v for v in range(ug.base.n)
+                 if v not in ug.seeds and v not in chosen]
+        chosen.append(max(cands, key=lambda v: (
+            model.decrease(chosen + [v]), -v)))
+    return chosen
 
 
 class TestSubtreeScores:
@@ -59,24 +72,43 @@ class TestMcGreedy:
         # With 10^4 trials per evaluation the empirical argmax should
         # agree with exact greedy in nearly every run.
         ug = fixtures.worked_example_small()
-        model = ExactModel(ug)
-
-        def oracle_greedy(k):
-            chosen = []
-            for _ in range(k):
-                cands = [v for v in range(ug.base.n)
-                         if v not in ug.seeds and v not in chosen]
-                best = max(cands, key=lambda v: (
-                    model.decrease(chosen + [v]) - model.decrease(chosen),
-                    -v))
-                chosen.append(best)
-            return chosen
-
-        want = oracle_greedy(2)
+        want = exact_greedy(ug, 2)
         rng = make_rng(3)
         hits = sum(list(mc_greedy(ug, 2, 10_000, rng)) == want
                    for _ in range(100))
         assert hits >= 95
+
+    @pytest.mark.parametrize("ug, k, want", [
+        # six candidates, then five: one search per round
+        (fixtures.worked_example_small(), 2, [6, 5]),
+        # 28 candidates, then 27: eight sets to a search
+        (fixtures.mid_synthetic(np.random.default_rng(1), 30, 90, 2), 2,
+         [8, 8, 8, 4, 8, 8, 8, 3]),
+    ], ids=["worked_example_small", "mid_synthetic"])
+    def test_one_search_per_eight_candidates(self, monkeypatch, ug, k,
+                                             want):
+        # the runs of every forward search, in order
+        runs = []
+        batch_spreads = diffusion._batch_spreads
+
+        def spy(g, masks, batch, rng):
+            runs.append(len(masks))
+            return batch_spreads(g, masks, batch, rng)
+
+        monkeypatch.setattr(diffusion, "_batch_spreads", spy)
+        assert len(mc_greedy(ug, k, 200, make_rng(13))) == k
+        assert runs == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_exact_greedy_on_certain_edges(self, seed):
+        # every edge live: one trial gives each set its exact residual, so
+        # the picks, and their ties across searches, are exact greedy's
+        ug = fixtures.mid_synthetic(np.random.default_rng(seed), 20, 50, 2)
+        src, dst, p = ug.base.edge_array()
+        ug = unify_seeds(Graph.from_edges(ug.base.n, src, dst,
+                                          np.ones_like(p)), ug.seeds)
+        assert list(mc_greedy(ug, 3, 1, make_rng(seed))) == \
+            exact_greedy(ug, 3)
 
 
 class TestAg:
@@ -141,6 +173,12 @@ class TestGr:
             got = list(algo(diamond, 2, 200, make_rng(12)))
             assert 2 not in got and 0 not in got
             assert 1 in got
+
+
+@pytest.mark.parametrize("algo", [ag, gr, mc_greedy])
+def test_a_count_below_one_is_refused(algo):
+    with pytest.raises(ValueError):
+        algo(fixtures.chain(), 1, 0, make_rng(14))
 
 
 class TestEffectivenessAgainstOracle:

@@ -133,12 +133,18 @@ class TestRun:
         "samples", "seed_rank", "spread_bounds", "spread_samples",
         "timings_s"]
 
+    GREEDY_KEYS = [
+        "algo", "blocker_labels", "blockers", "dataset", "decrease_bounds",
+        "decrease_mc", "decrease_trials", "repeat", "runtime_s", "samples",
+        "seed_rank"]
+
     @pytest.mark.parametrize("algo, keys", [
         ("sandimin", SANDWICH_KEYS),
         ("sandimin-minus", SANDWICH_KEYS),
-        ("lhga", ["algo", "blocker_labels", "blockers", "dataset",
-                  "decrease_bounds", "decrease_mc", "decrease_trials",
-                  "repeat", "runtime_s", "samples", "seed_rank"]),
+        ("lhga", GREEDY_KEYS),
+        ("mc", GREEDY_KEYS),
+        ("ag", GREEDY_KEYS),
+        ("gr", GREEDY_KEYS),
     ])
     def test_json_report_keys(self, tmp_path, algo, keys):
         # the top-level keys of a report, pinned exactly: a change that
@@ -168,18 +174,19 @@ class TestRun:
             assert rep["blockers"]
             assert rep["blocker_labels"] == [v + 1 for v in rep["blockers"]]
 
-    @pytest.mark.parametrize("algo", ["sandimin", "lhga"])
+    @pytest.mark.parametrize("algo", ["sandimin", "lhga", "mc"])
     def test_blocker_labels_in_the_input_vocabulary(self, tmp_path, algo):
         # labels 70, 50, 90, 30 get ids 0..3 in order of appearance; the
         # one cut of the certain chain 70 -> 50 -> 90 -> 30 from seed 70,
-        # at k=1, is the node labelled 50
+        # at k=1, is the node labelled 50, at any number of trials
         data = tmp_path / "g.txt"
         data.write_text("70 50\n50 90\n90 30\n")
         assert load_edge_list(str(data)).labels.tolist() == [70, 50, 90, 30]
         report = tmp_path / "report.json"
         assert main(["run", "--graph", str(data), "--algo", algo, "--k", "1",
                      "--seeds", "70,", "--prob", "const", "--prob-value",
-                     "1", "--delta", "0.1", "--eval-trials", "1000",
+                     "1", "--trials", "1", "--delta", "0.1",
+                     "--eval-trials", "1000",
                      "--out", str(tmp_path / "rows.csv"),
                      "--json", str(report)]) == 0
         rep = json.loads(report.read_text())[0]
