@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import functools
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from . import fixtures
 from .baselines import ag, gr, mc_greedy
-from .diffusion import reverse_reach_counts, stopping_rule_decrease
+from .diffusion import _reach_count_batches, stopping_rule_decrease
 from .graph import (EdgeListParseError, GraphError,
                     assign_constant_probability, assign_wc_probabilities,
                     load_edge_list, parse_label, unify_seeds)
@@ -42,8 +41,9 @@ EXIT_BAD_SEEDS = 5
 EXIT_BAD_GRAPH = 6
 EXIT_CHECK_FAILED = 1
 
-# Version of the `<graph>.infcache.npz` seed-ranking cache layout.
-INFCACHE_FORMAT_VERSION = 4
+# Reverse-reachable sets in which the last node of the seed-count pool
+# must lie before the ranking stops drawing (`_influence_pool`).
+POOL_HITS = 100
 
 ALGORITHMS = ("ag", "gr", "mc", "sandimin", "sandimin-minus", "lhga")
 
@@ -81,70 +81,33 @@ def _fixture_seeds(spec):
     return sorted(fixtures.bundled(spec.split(":", 1)[1]).seeds)
 
 
-def _influence_pool(g, pool_size, pool_trials, cache_path=None):
+def _influence_pool(g, pool_size, pool_trials):
     """(top nodes, seed_rank): the `pool_size` node ids of highest
-    estimated singleton influence, best first, and the ranking's
-    provenance {"samples", "from_cache"}.
+    estimated singleton influence, best first, and how the ranking
+    stopped, {"samples": sets drawn, "cap": pool_trials * n,
+    "stop": "hits" | "cap"}.
 
-    Every node is scored at once by `pool_trials * n` reverse-reachable
-    sets drawn with a fixed internal seed, so the ranking is stable across
-    runs.  It is cached next to the dataset when possible, keyed on the
-    sample count and a fingerprint of the graph's edges and probabilities,
-    so a different probability model or edge direction never reuses a
-    stale ranking.  A cache file that cannot be read is re-ranked and
-    replaced.
+    Every node is scored at once by reverse-reachable sets drawn in
+    batches (`diffusion._reach_count_batches`) from a fixed internal
+    seed, so the ranking is stable across runs.  After each batch the
+    pool's last node, the min(pool_size, n)-th largest count, is checked:
+    the drawing stops once it has `POOL_HITS` hits ("hits"), or at
+    `pool_trials * n` sets ("cap"), and the nodes are ranked by the counts
+    so far.  A ranking that runs to the cap is that of `pool_trials * n`
+    sets.
     """
-    fingerprint = hashlib.sha256(b"".join(
-        arr.tobytes() for arr in (g.out_ptr, g.out_dst, g.out_p))).hexdigest()
-    samples = pool_trials * g.n
-    ranked = _cached_ranking(cache_path, pool_trials, fingerprint)
-    from_cache = ranked is not None
-    if not from_cache:
-        rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
-        counts = reverse_reach_counts(g, samples, rng)
-        ranked = np.argsort(-counts, kind="stable").astype(np.int64)
-        if cache_path is not None:
-            _save_ranking(cache_path, pool_trials, fingerprint, ranked)
+    cap = pool_trials * g.n
+    last = g.n - min(pool_size, g.n)
+    counts = np.zeros(g.n, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
+    stop = "cap"
+    for samples in _reach_count_batches(g, counts, cap, rng):
+        if np.partition(counts, last)[last] >= POOL_HITS:
+            stop = "hits"
+            break
+    ranked = np.argsort(-counts, kind="stable")
     return ([int(v) for v in ranked[:pool_size]],
-            {"samples": samples, "from_cache": from_cache})
-
-
-def _cached_ranking(cache_path, pool_trials, fingerprint):
-    """The cached ranking if the cache matches; None if it is absent,
-    stale or unreadable."""
-    if cache_path is None or not os.path.exists(cache_path):
-        return None
-    try:
-        # np.load does not close a file it opened and then failed to read
-        with open(cache_path, "rb") as fh, np.load(fh) as data:
-            if (int(data["format_version"]) == INFCACHE_FORMAT_VERSION
-                    and int(data["pool_trials"]) == pool_trials
-                    and str(data["fingerprint"]) == fingerprint):
-                return data["ranked"]
-    # A torn or foreign file raises any of BadZipFile, EOFError, KeyError,
-    # NotImplementedError, OSError, TypeError or ValueError.
-    except Exception as exc:
-        print(f"warning: ignoring unreadable rank cache {cache_path}: "
-              f"{exc!r}", file=sys.stderr)
-    return None
-
-
-def _save_ranking(cache_path, pool_trials, fingerprint, ranked):
-    """Write the cache atomically: a reader sees the old file or the new
-    one, never a torn one.  A cache that cannot be written is skipped."""
-    try:
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(cache_path)), suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, format_version=np.int64(INFCACHE_FORMAT_VERSION),
-                     pool_trials=np.int64(pool_trials),
-                     fingerprint=np.str_(fingerprint), ranked=ranked)
-        os.replace(tmp, cache_path)
-    except OSError:
-        os.unlink(tmp)
+            {"samples": samples, "cap": cap, "stop": stop})
 
 
 def _label(part, what):
@@ -170,9 +133,18 @@ def _label_ids(spec, g, what):
     return ids
 
 
-def _resolve_seeds(args, g, rng):
-    """(seed ids, seed_rank): seed_rank is {"samples", "from_cache"} of
-    the influence ranking a seed count is drawn from, else None."""
+def _ranking(g, args):
+    """`_influence_pool` of `g` under --seed-rank-pool and --pool-trials,
+    as a callable that ranks on its first call only: the ranking is
+    deterministic, so the seed counts of a sweep share one."""
+    return functools.cache(lambda: _influence_pool(
+        g, args.seed_rank_pool, args.pool_trials))
+
+
+def _resolve_seeds(args, g, rng, rank):
+    """(seed ids, seed_rank): a seed count is drawn from the pool of
+    `rank()` (see `_ranking`), and seed_rank is that ranking's stop;
+    seed_rank is None for labels and fixtures."""
     spec = args.seeds
     if spec is None:
         if args.graph.startswith("fixture:"):
@@ -189,11 +161,7 @@ def _resolve_seeds(args, g, rng):
     count = _label(spec, "seed")
     if count < 1 or count > g.n:
         raise CliError(f"seed count {count} out of range", EXIT_BAD_SEEDS)
-    cache = None
-    if not args.graph.startswith("fixture:"):
-        cache = args.graph + ".infcache.npz"
-    pool, seed_rank = _influence_pool(g, args.seed_rank_pool,
-                                      args.pool_trials, cache)
+    pool, seed_rank = rank()
     if count > len(pool):
         raise CliError(
             f"seed count {count} exceeds the rank pool ({len(pool)})",
@@ -202,13 +170,13 @@ def _resolve_seeds(args, g, rng):
     return sorted(int(pool[i]) for i in picked), seed_rank
 
 
-def _unified_graph(args, g):
+def _unified_graph(args, g, rank):
     """Resolve --seeds (drawn from the --rng-seed stream) and unify them;
     returns (unified graph, seed_rank of `_resolve_seeds`)."""
     root = np.random.SeedSequence(args.rng_seed)
     seed_rng = np.random.default_rng(root.spawn(1)[0])
     try:
-        seeds, seed_rank = _resolve_seeds(args, g, seed_rng)
+        seeds, seed_rank = _resolve_seeds(args, g, seed_rng, rank)
         return unify_seeds(g, seeds), seed_rank
     except GraphError as exc:
         raise CliError(str(exc), EXIT_BAD_SEEDS) from None
@@ -355,24 +323,26 @@ def _write_outputs(args, rows, reports):
 def cmd_run(args):
     _check_algo_and_k(args.algo, args.k)
     g, dataset = _load_run_graph(args)
-    ug, seed_rank = _unified_graph(args, g)
+    ug, seed_rank = _unified_graph(args, g, _ranking(g, args))
     rows, reports = _run_rows(args, ug, dataset, seed_rank)
     _write_outputs(args, rows, reports)
     return EXIT_OK
 
 
 def cmd_bench(args):
-    """Sweep seeds x k x epsilon; the graph is loaded and each seed spec
-    resolved once, then every (k, epsilon) cell runs on the same seeds."""
+    """Sweep seeds x k x epsilon; the graph is loaded and ranked once and
+    each seed spec resolved once, then every (k, epsilon) cell runs on the
+    same seeds."""
     seeds_list = args.seeds_list.split(";") if args.seeds_list else [None]
     for k in args.k_list:
         _check_algo_and_k(args.algo, k)
     g, dataset = _load_run_graph(args)
+    rank = _ranking(g, args)
     rows, reports = [], []
     for n_seeds in seeds_list:
         sub = argparse.Namespace(**vars(args))
         sub.seeds = n_seeds if n_seeds is not None else args.seeds
-        ug, seed_rank = _unified_graph(sub, g)
+        ug, seed_rank = _unified_graph(sub, g, rank)
         for k in args.k_list:
             for eps in args.epsilon_list:
                 sub.k, sub.epsilon = k, eps
@@ -395,7 +365,7 @@ def cmd_oracle(args):
     seed_rng = np.random.default_rng(np.random.SeedSequence(0))
     blockers = _label_ids(args.blockers, g, "blocker")
     try:
-        seeds, _ = _resolve_seeds(args, g, seed_rng)
+        seeds, _ = _resolve_seeds(args, g, seed_rng, _ranking(g, args))
         labels = g.labels.tolist()
         for v in blockers:
             if v in seeds:
@@ -476,8 +446,9 @@ def _add_graph_options(p):
                    help="how many top-ranked nodes a seed count is drawn "
                         "from")
     p.add_argument("--pool-trials", type=_COUNT, default=100,
-                   help="reverse-reachable samples per node for the "
-                        "influence ranking")
+                   help="most reverse-reachable sets per node for the "
+                        "influence ranking, which stops sooner once the "
+                        f"pool's last node lies in {POOL_HITS} of them")
 
 
 def _add_common_options(p, sweep=False):

@@ -556,19 +556,32 @@ def reverse_reach_counts(g: Graph, samples: int,
     Each set is the nodes that reach a uniform random target over live
     edges, target included, so n * count[v] / samples estimates the
     expected spread of the seed set {v}, v itself counted (Borgs et al.,
-    SODA 2014).  Sets are searched with lazy coins (`_reverse_levels`) in
-    batches of `max(_BATCH, _SEEN_BYTES // n)`, so each batch's `seen`
-    bitmap stays near `_SEEN_BYTES`, and one batch's search, its bitmap
-    with it, ends before the next begins.  Each level adds its nodes to the
-    per-node count; the sets are not kept.
+    SODA 2014).  The sets are drawn by `_reach_count_batches`.
     """
     counts = np.zeros(g.n, dtype=np.int64)
+    for _ in _reach_count_batches(g, counts, samples, rng):
+        pass
+    return counts
+
+
+def _reach_count_batches(g: Graph, counts: np.ndarray, samples: int,
+                         rng: np.random.Generator):
+    """Add to `counts`, in place, the nodes of `samples` reverse-reachable
+    sets of `g` (see `reverse_reach_counts`), yielding the sets drawn so
+    far after each batch, so a caller may stop between batches.
+
+    Sets are searched with lazy coins (`_reverse_levels`) in batches of
+    `max(_BATCH, _SEEN_BYTES // n)`, so each batch's `seen` bitmap stays
+    near `_SEEN_BYTES`, and one batch's search, its bitmap with it, ends
+    before the next begins.  Each level adds its nodes to the per-node
+    count; the sets are not kept.
+    """
     size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
         targets = rng.integers(0, g.n, size=min(size, samples - done))
         for node, *_ in _reverse_levels(g, targets, rng):
             np.add.at(counts, node, 1)
-    return counts
+        yield done + len(targets)
 
 
 @dataclass

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from imin import cli, fixtures
-from imin.cli import CSV_FIELDS, _evaluate_decrease, _influence_pool, main
-from imin.diffusion import _batch_spreads, ic_spread_samples
+from imin.cli import (CSV_FIELDS, POOL_HITS, _evaluate_decrease,
+                      _influence_pool, main)
+from imin.diffusion import (_BATCH, _SEEN_BYTES, _batch_spreads,
+                            ic_spread_samples, reverse_reach_counts)
 from imin.graph import (Graph, assign_constant_probability,
                         assign_wc_probabilities, load_edge_list, unify_seeds)
 
@@ -147,8 +149,9 @@ class TestRun:
         ("gr", GREEDY_KEYS),
     ])
     def test_json_report_keys(self, tmp_path, algo, keys):
-        # the top-level keys of a report, pinned exactly: a change that
-        # adds, drops or renames one updates this list on purpose
+        # the top-level keys of a report and those of a seed count's
+        # `seed_rank`, pinned exactly: a change that adds, drops or
+        # renames one updates these lists on purpose
         report = tmp_path / "report.json"
         code = main(["run", "--graph", "fixture:small", "--algo", algo,
                      "--k", "1", "--delta", "0.1", "--eval-trials", "1000",
@@ -158,6 +161,16 @@ class TestRun:
         payload = json.loads(report.read_text())
         assert len(payload) == 1
         assert sorted(payload[0]) == keys
+        data = tmp_path / "g.txt"
+        data.write_text("0 1\n1 2\n2 3\n0 3\n")
+        assert main(["run", "--graph", str(data), "--seeds", "1",
+                     "--algo", algo, "--k", "1", "--delta", "0.1",
+                     "--eval-trials", "1000", "--trials", "50",
+                     "--realizations", "100", "--rng-seed", "2",
+                     "--out", str(tmp_path / "rows.csv"),
+                     "--json", str(report)]) == 0
+        seed_rank = json.loads(report.read_text())[0]["seed_rank"]
+        assert sorted(seed_rank) == ["cap", "samples", "stop"]
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_blocker_labels_on_labelled_fixture(self, tmp_path, command):
@@ -552,69 +565,49 @@ class TestSeedPool:
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["run", "--graph", str(data), *self.ARGS]
         assert main(args + ["--out", str(out_a)]) == 0
-        cache = data.with_name(data.name + ".infcache.npz")
-        assert cache.exists()
-        assert main(args + ["--out", str(out_b)]) == 0  # cached path
+        assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        # the ranking is kept nowhere
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", "b.csv", "g.txt"]
+
+    def test_bench_ranks_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _influence_pool(*args)
+
+        monkeypatch.setattr(cli, "_influence_pool", counted)
+        data = self.star_file(tmp_path)
+        common = ["--graph", str(data), "--algo", "lhga",
+                  "--seed-rank-pool", "4", "--pool-trials", "60",
+                  "--eval-trials", "2000", "--rng-seed", "13"]
+        sweep = tmp_path / "sweep.csv"
+        assert main(["bench", *common, "--k-list", "1,2",
+                     "--seeds-list", "2;3", "--out", str(sweep)]) == 0
+        assert len(calls) == 1
+        single = tmp_path / "single.csv"
+        for seeds in ("2", "3"):
+            for k in ("1", "2"):
+                assert main(["run", *common, "--seeds", seeds, "--k", k,
+                             "--out", str(single)]) == 0
+        assert len(calls) == 1 + 4
+        assert sweep.read_bytes() == single.read_bytes()
 
     def test_cache_not_reused_across_probability_models(self, tmp_path):
         # Node 0 feeds five in-degree-1 nodes; nodes 1-4 share ten
         # in-degree-4 targets.  Weighted cascade ranks node 0 first,
-        # a constant 0.3 ranks it last.
+        # a constant 0.3 ranks it last: each model ranks its own graph.
         lines = [f"0 {v}" for v in range(10, 15)]
         lines += [f"{u} {v}" for u in range(1, 5) for v in range(20, 30)]
-        text = "\n".join(lines) + "\n"
-        warm_dir, cold_dir = tmp_path / "warm", tmp_path / "cold"
-        warm_dir.mkdir()
-        cold_dir.mkdir()
-        (warm_dir / "g.txt").write_text(text)
-        (cold_dir / "g.txt").write_text(text)
-        args = ["run", "--algo", "lhga", "--k", "1", "--seeds", "1",
-                "--seed-rank-pool", "1", "--pool-trials", "200",
-                "--eval-trials", "2000", "--rng-seed", "3"]
-        const = ["--prob", "const", "--prob-value", "0.3"]
-        warm, cold = warm_dir / "g.txt", cold_dir / "g.txt"
-        assert main(args + ["--graph", str(warm),
-                            "--out", str(tmp_path / "wc.csv")]) == 0
-        assert main(args + const + ["--graph", str(warm), "--out",
-                                    str(tmp_path / "warm.csv")]) == 0
-        assert main(args + const + ["--graph", str(cold), "--out",
-                                    str(tmp_path / "cold.csv")]) == 0
-        assert (tmp_path / "warm.csv").read_bytes() \
-            == (tmp_path / "cold.csv").read_bytes()
-        # the two models really rank differently, so a stale cache shows
-        wc_g = load_edge_list(str(cold))
-        wc_top, _ = _influence_pool(assign_wc_probabilities(wc_g), 1, 200)
+        data = tmp_path / "g.txt"
+        data.write_text("\n".join(lines) + "\n")
+        g = load_edge_list(str(data))
+        wc_top, _ = _influence_pool(assign_wc_probabilities(g), 1, 200)
         const_top, _ = _influence_pool(
-            assign_constant_probability(wc_g, 0.3), 1, 200)
+            assign_constant_probability(g, 0.3), 1, 200)
         assert wc_top == [0] and const_top != wc_top
-
-    # np.load leaves a torn file open when it raises: a leaked handle fails
-    @pytest.mark.filterwarnings("error::ResourceWarning")
-    @pytest.mark.filterwarnings(
-        "error::pytest.PytestUnraisableExceptionWarning")
-    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
-    def test_unreadable_cache_is_ranked_again(self, tmp_path, damage,
-                                              capsys):
-        data = self.star_file(tmp_path)
-        cache = data.with_name(data.name + ".infcache.npz")
-        cold, again = tmp_path / "cold.csv", tmp_path / "again.csv"
-        assert main(["run", "--graph", str(data), *self.ARGS,
-                     "--out", str(cold)]) == 0
-        with np.load(cache) as npz:
-            ranked = npz["ranked"]
-        good = cache.read_bytes()
-        cache.write_bytes(b"not a cache" if damage == "garbage"
-                          else good[:len(good) // 2])
-        assert main(["run", "--graph", str(data), *self.ARGS,
-                     "--out", str(again)]) == 0
-        assert again.read_bytes() == cold.read_bytes()
-        assert "ignoring unreadable rank cache" in capsys.readouterr().err
-        with np.load(cache) as npz:  # rewritten whole, not left torn
-            assert int(npz["format_version"]) == 4
-            assert np.array_equal(npz["ranked"], ranked)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "again.csv", "cold.csv", "g.txt", "g.txt.infcache.npz"]
 
     def test_json_reports_seed_rank(self, tmp_path):
         data = self.star_file(tmp_path)
@@ -627,26 +620,47 @@ class TestSeedPool:
                          "--json", str(report)]) == 0
             return json.loads(report.read_text())[0]["seed_rank"]
 
-        count = ["--graph", str(data), "--seeds", "2", "--pool-trials", "7"]
-        assert seed_rank(*count) == {"samples": 7 * 11, "from_cache": False}
-        assert seed_rank(*count) == {"samples": 7 * 11, "from_cache": True}
+        # 11 nodes: one batch of 2^20 // 11 sets, cut at a cap of 77, or
+        # whole once every node has POOL_HITS hits
+        count = ["--graph", str(data), "--seeds", "2", "--pool-trials"]
+        assert seed_rank(*count, "7") == {
+            "samples": 7 * 11, "cap": 7 * 11, "stop": "cap"}
+        assert seed_rank(*count, "10000") == {
+            "samples": _SEEN_BYTES // 11, "cap": 10000 * 11, "stop": "hits"}
         assert seed_rank("--graph", str(data), "--seeds", "0,") is None
         assert seed_rank("--graph", "fixture:small") is None
 
-    def test_older_cache_version_not_reused(self, tmp_path):
-        g = assign_wc_probabilities(load_edge_list(str(
-            self.star_file(tmp_path))))
-        cache = tmp_path / "g.txt.infcache.npz"
-        fresh, seed_rank = _influence_pool(g, g.n, 60, str(cache))
-        assert seed_rank == {"samples": 60 * g.n, "from_cache": False}
-        with np.load(cache) as data:
-            assert int(data["format_version"]) == 4
-            fingerprint = data["fingerprint"]
-        np.savez(cache, format_version=np.int64(3), pool_trials=np.int64(60),
-                 fingerprint=fingerprint,
-                 ranked=np.arange(g.n, dtype=np.int64)[::-1])
-        assert _influence_pool(g, g.n, 60, str(cache)) == (fresh, seed_rank)
-        assert _influence_pool(g, g.n, 60, str(cache))[1]["from_cache"]
+    @staticmethod
+    def full_counts(g, samples):
+        """`reverse_reach_counts` from the ranking's fixed stream."""
+        return reverse_reach_counts(g, samples, np.random.default_rng(
+            np.random.SeedSequence(0xC0FFEE)))
+
+    @pytest.mark.parametrize("pool", [300, 1000])
+    def test_capped_ranking_is_the_full_sample(self, pool):
+        # a pool of every node waits for the least-found one, which does
+        # not reach POOL_HITS before the cap, so nine batches are drawn
+        g = fixtures.mid_synthetic(make_rng(5), 300, 1200).base
+        ranked, seed_rank = _influence_pool(g, pool, 100)
+        assert seed_rank == {"samples": 100 * g.n, "cap": 100 * g.n,
+                             "stop": "cap"}
+        want = np.argsort(-self.full_counts(g, 100 * g.n), kind="stable")
+        assert ranked == want.tolist()
+
+    def test_ranking_stops_once_the_pool_has_its_hits(self):
+        g = fixtures.mid_synthetic(make_rng(5), 300, 1200).base
+        ranked, seed_rank = _influence_pool(g, 200, 100)
+        samples = seed_rank["samples"]
+        batch = max(_BATCH, _SEEN_BYTES // g.n)
+        assert seed_rank["stop"] == "hits" and samples < seed_rank["cap"]
+        assert samples % batch == 0
+        # the first whole batch at which the 200th node has its hits, and
+        # the pool is the top of that prefix of the capped stream
+        counts = self.full_counts(g, samples)
+        assert np.sort(counts)[-200] >= POOL_HITS
+        assert np.sort(self.full_counts(g, samples - batch))[-200] \
+            < POOL_HITS
+        assert ranked == np.argsort(-counts, kind="stable")[:200].tolist()
 
     def test_count_larger_than_pool_rejected(self, tmp_path):
         data = tmp_path / "g.txt"
@@ -657,10 +671,11 @@ class TestSeedPool:
 
 
 class TestRankingQuality:
-    """The reverse-reachable ranking at the default 100 samples per node
-    finds the top nodes of a high-trial forward Monte-Carlo reference at
-    least as well as the earlier ranking, 1000 forward cascades per node
-    from the same fixed seed."""
+    """The reverse-reachable ranking at the default cap of 100 samples per
+    node finds the top nodes of a high-trial forward Monte-Carlo reference
+    at least as well as the earlier ranking, 1000 forward cascades per
+    node from the same fixed seed; a pool smaller than n, whose ranking
+    stops before the cap, still holds most of the reference's top."""
 
     @staticmethod
     def mc_scores(g, trials, rng):
@@ -683,6 +698,19 @@ class TestRankingQuality:
                 rr_hits += len(top & set(rr[:k]))
                 mc_hits += len(top & set(old[:k].tolist()))
         assert rr_hits >= mc_hits
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stopped_pools_hold_the_forward_top(self, seed):
+        # pools of 30, 75 and 200 of 300 nodes, each ranked until its
+        # last node has POOL_HITS hits, hold at least nine tenths of the
+        # reference's top nodes
+        g = fixtures.mid_synthetic(make_rng(seed), 300, 1200).base
+        ref = np.argsort(-self.mc_scores(g, 10_000, make_rng(999)),
+                         kind="stable")
+        for pool in (30, 75, 200):
+            top, seed_rank = _influence_pool(g, pool, 100)
+            assert seed_rank["stop"] == "hits"
+            assert len(set(top) & set(ref[:pool].tolist())) >= 0.9 * pool
 
 
 class TestOracleCommands:
