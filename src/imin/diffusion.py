@@ -10,19 +10,22 @@ batch of independent realizations at once and draws an edge's coin only
 when the search first reaches the node at its near end, so a realization
 costs what its cascade reaches (the live-edge idiom of
 reverse-reachable-set influence maximization: Borgs et al., SODA 2014;
-Tang et al., SIGMOD 2015).  The forward search (`_forward_levels`) yields
-its live edges and newly reached nodes level by level:
-`domtree.dominators` builds the dominator trees of a whole batch from
-them, and `ic_spread_samples` keeps only how many nodes each cascade
-activates.  It also takes an eager realization's live-edge mask in place
-of coins, so the tests' reference runs the same search.
-The reverse search (`_reverse_levels`, the one reverse level loop) runs
-in any reverse CSR.  `reverse_live_edges` runs it in a unified graph's
-reach graph (`UnifiedGraph.reach_graph`), where the seeds are written as
-the source and no edge enters the source, a seed or a node outside the
-reach, so the search stops there with no masks.  `reverse_reach_counts`
-runs it on a plain graph and keeps only how often each node is found,
-which scores every node's singleton influence at once.
+Tang et al., SIGMOD 2015).  One level loop, `_forward_levels`, draws
+every lazy coin: it searches from one start node per trial, the source
+by default, along whatever forward CSR it is given, and yields its live
+edges and newly reached nodes level by level.  On a unified graph it is
+the cascade: `domtree.dominators` builds the dominator trees of a whole
+batch from its levels, and `ic_spread_samples` keeps only how many nodes
+each cascade activates.  It also takes an eager realization's live-edge
+mask in place of coins, so the tests' reference runs the same search.
+Handed a reverse CSR read as a forward one (`_Reversed`) and no blocked
+node, it is the reverse search, which finds what reaches each start.
+`reverse_live_edges` runs it along a unified graph's reach graph
+(`UnifiedGraph.reach_graph`), where the seeds are written as the source
+and no edge enters the source, a seed or a node outside the reach, so
+the search stops there with no masks.  `reverse_reach_counts` runs it
+along a plain graph's reverse CSR and keeps only how often each node is
+found, which scores every node's singleton influence at once.
 `reverse_reach_counts` and the sequential estimates size their batches
 by one budget for a search's `n_total * trials` `seen` bitmap,
 `_SEEN_BYTES`, and `sampling.PairSource` joins pair searches by the same
@@ -30,7 +33,8 @@ budget for bitmaps over the reach graph's ids.  All batched searches
 expand their frontier through one CSR-slice helper, and each step
 compresses its examined edges once, by index: coins are compared with
 every examined edge's probability, and only the live edges' owners and
-heads are gathered (and, forward, tested against the blocked mask).
+heads are gathered (and, in the lazy-coin loop, tested against the
+blocked mask of a run that blocks any node).
 
 Each lazy-coin search examines a level in steps of at most `_EDGE_BUDGET`
 CSR entries, split by the slice helper's own prefix sum (a level within
@@ -128,11 +132,13 @@ _BATCH = 1024
 # this one was added, so every earlier check stays one.
 _FIRST_BATCH = 128
 
-# Bytes of the `seen` bitmap (one per node and trial) that a reverse search
-# may grow to: `reverse_reach_counts` sizes its batches by it, and a pair
-# source joins two batches' searches only while theirs, over the reach
-# graph's ids, fits.  Larger searches cost less per trial, but a 4 MB bitmap
-# added 4-6 MB of peak RSS to a cold `imin run`.
+# Bytes of a search's `seen` bitmap (one per node and trial) that batches
+# are sized by: `reverse_reach_counts` draws max(_BATCH, _SEEN_BYTES // n)
+# sets a batch, so its bitmap is this budget up to n = 1024 and n * 1024
+# bytes above it (51 MB at 50k nodes, of which only the touched pages are
+# resident), and a pair source joins two batches' searches only while
+# theirs, over the reach graph's ids, fits.  Larger searches cost less per
+# trial, but a 4 MB bitmap added 4-6 MB of peak RSS to a cold `imin run`.
 _SEEN_BYTES = 1 << 20
 
 # Most CSR entries one step of a lazy-coin search's level examines: 2^14
@@ -395,9 +401,13 @@ def _nested_order(blocked):
     return None if (chain[1:] & ~chain[:-1]).any() else order
 
 
-def _forward_levels(g, blocked, batch, rng, live=None):
-    """Breadth-first search from the source over `batch` independent
-    realizations at once, level by level, for one run or several.
+def _forward_levels(g, blocked, batch, rng, live=None, start=None):
+    """Breadth-first search over `batch` independent realizations at once,
+    trial t's from `start[t]` (by default every trial's from the source),
+    level by level, for one run or several.  It follows the forward CSR
+    of `g` (`out_ptr`, `out_dst`, `out_p`, over `g.n_total` nodes): a
+    unified graph's, or a reverse CSR read as one (`_Reversed`), so the
+    same loop searches against the edges.
 
     `blocked` is a node mask, or a stack of up to `_MAX_RUNS` of them, one
     per run; run r never enters the nodes of its mask.  Each (node, trial)
@@ -415,7 +425,8 @@ def _forward_levels(g, blocked, batch, rng, live=None):
     deduplicated by `_advance` on a bool `seen`, and each edge's coin is
     drawn from `rng` when its source node is first reached; a `live` edge
     mask, when given, stands in for the coins (one realization, no
-    draws).
+    draws).  A run that blocks no node, as a reverse search's does, keeps
+    every live edge without testing its head.
 
     Masks that do not nest are searched together.  A pair is expanded
     again at every level where it gains bits, and only for those bits:
@@ -434,21 +445,25 @@ def _forward_levels(g, blocked, batch, rng, live=None):
     that pass on at least one bit, owner indexing the level's pairs in
     ascending order and head the key dst * batch + trial of the pair the
     edge enters, then (node, trial) of the pairs that gain bits,
-    sorted node-major, and the bits each gains.  A resumed run's first
-    level yields the held pairs it gains, with no edges.
+    sorted node-major, and the bits each gains.  The first level expands
+    the start pairs in trial order, which are not yielded; each later
+    level expands the pairs the level before it yielded.  A resumed run's
+    first level yields the held pairs it gains, with no edges.
     """
     blocked = np.atleast_2d(blocked)
     runs = len(blocked)
-    order = _nested_order(blocked)
+    order = np.arange(1) if runs == 1 else _nested_order(blocked)
     nested = order is not None
     trial = np.arange(batch, dtype=np.int64)
-    node = np.full(batch, g.s, dtype=np.int64)
+    node = np.full(batch, g.s, dtype=np.int64) if start is None else start
     seen = np.zeros(g.n_total * batch, dtype=bool if nested else np.uint8)
     seen[node * batch + trial] = (1 << runs) - 1    # True in a bool seen
     if nested:
         # per run, most blocked first: the nodes it may enter, and the bits
-        # its new pairs gain (its own and every less-blocked run's)
-        stages = [(~blocked[r], np.bitwise_or.reduce(1 << order[i:]))
+        # its new pairs gain (its own and every less-blocked run's), as one
+        # uint8 to repeat per pair
+        stages = [(~blocked[r],
+                   np.uint8([np.bitwise_or.reduce(1 << order[i:])]))
                   for i, r in enumerate(order)]
         held = [np.zeros(0, dtype=np.int64)]
     else:
@@ -458,6 +473,7 @@ def _forward_levels(g, blocked, batch, rng, live=None):
         bits = np.full(batch, (1 << runs) - 1, dtype=np.uint8)
         stages = [(None, None)]
     for stage, (free, gained) in enumerate(stages):
+        sieve = nested and not free.all()   # the run blocks some node
         if stage:
             held = np.concatenate(held)
             resume = free[held // batch]
@@ -465,7 +481,7 @@ def _forward_levels(g, blocked, batch, rng, live=None):
             held = [held[~resume]]
             node, trial = np.divmod(pair, batch)
             yield (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                   node, trial, np.full(len(pair), gained, dtype=np.uint8))
+                   node, trial, gained.repeat(len(pair)))
         while len(node):
             owners, heads, gains = [], [], []
             for eids, owner in _slices(g.out_ptr[node], g.out_ptr[node + 1]):
@@ -478,57 +494,40 @@ def _forward_levels(g, blocked, batch, rng, live=None):
                            < g.out_p[eids])
                 hit = np.flatnonzero(hit)
                 owner, dst = owner[hit], g.out_dst[eids[hit]]
-                if nested:
+                if sieve:
                     enter = free[dst]
                     if stage + 1 < len(stages):
                         stop = np.flatnonzero(~enter)
                         held.append(dst[stop] * batch + trial[owner[stop]])
                     hit = np.flatnonzero(enter)
-                else:
+                    owner, dst = owner[hit], dst[hit]
+                elif not nested:
                     # the runs each live edge passes on: its tail's, less
                     # those that block its head
                     gain = bits[owner] & allow[dst]
                     hit = np.flatnonzero(gain)
                     gains.append(gain[hit])
-                owner = owner[hit]
+                    owner, dst = owner[hit], dst[hit]
                 owners.append(owner)
-                heads.append(dst[hit] * batch + trial[owner])
+                heads.append(dst * batch + trial[owner])
             head = _joined(heads)
             if nested:
                 node = _advance(seen, head)
-                bits = np.full(len(node), gained, dtype=np.uint8)
+                bits = gained.repeat(len(node))
             else:
                 node, bits = _advance_bits(seen, head, _joined(gains))
             node, trial = np.divmod(node, batch)
             yield _joined(owners), head, node, trial, bits
 
 
-def _reverse_levels(g, node, rng):
-    """Breadth-first search backwards over `len(node)` independent
-    realizations at once, trial t's from `node[t]`, level by level, in the
-    reverse CSR of `g`: a plain `Graph`, or a `UnifiedGraph.reach_graph`.
+class _Reversed:
+    """The reverse CSR of `g` (a plain `Graph` or a `ReachGraph`) read as
+    the forward CSR that `_forward_levels` follows: each node's edges lead
+    to its in-neighbours, so a search from a node finds what reaches it."""
 
-    Each edge's coin is drawn from `rng` when the search first finds its
-    target node, so it is drawn at most once per realization.  Yields, per
-    level, (node, trial) of the pairs it expands, sorted node-major, then
-    (owner, src) of their live in-edges, owner indexing the level's pairs.
-    The `seen` bitmap has one row of trials per node and is freed when the
-    search ends.
-    """
-    batch = len(node)
-    seen = np.zeros(g.n * batch, dtype=bool)
-    trial = np.arange(batch, dtype=np.int64)
-    seen[node * batch + trial] = True
-    while len(node):
-        owners, srcs = [], []
-        for offs, owner in _slices(g.in_ptr[node], g.in_ptr[node + 1]):
-            hit = np.flatnonzero(rng.random(len(offs)) < g.in_p[offs])
-            owners.append(owner[hit])
-            srcs.append(g.in_src[offs[hit]])
-        owner, src = _joined(owners), _joined(srcs)
-        yield node, trial, owner, src
-        node, trial = np.divmod(
-            _advance(seen, src * batch + trial[owner]), batch)
+    def __init__(self, g):
+        self.n_total, self.out_ptr = g.n, g.in_ptr
+        self.out_dst, self.out_p = g.in_src, g.in_p
 
 
 def reverse_live_edges(rg: ReachGraph, targets, rng: np.random.Generator):
@@ -536,15 +535,21 @@ def reverse_live_edges(rg: ReachGraph, targets, rng: np.random.Generator):
     independent realization per trial t, one trial per entry of `targets`,
     all as ids of the reach graph `rg` (`UnifiedGraph.reach_graph`).
 
-    The search (`_reverse_levels`) starts at each target and draws its
-    coins from `rng`.  It enters only the reach and stops at the source,
-    which stands for the seeds.  Returns (trial, src, dst) of every live
-    in-edge of a found node; an edge from the source marks where a seed
-    feeds the found nodes.
+    The search is `_forward_levels` from the targets along the reversed
+    reach graph, with no node blocked, drawing its coins from `rng`.  It
+    enters only the reach and stops at the source, which stands for the
+    seeds.  Returns (trial, src, dst) of every live in-edge of a found
+    node; an edge from the source marks where a seed feeds the found
+    nodes.  A level's edges lead from its yielded heads back to the pairs
+    it expanded, the start pairs or the level before's.
     """
-    levels = _reverse_levels(rg, np.asarray(targets, dtype=np.int64), rng)
-    parts = [(trial[owner], src, node[owner])
-             for node, trial, owner, src in levels]
+    node = np.asarray(targets, dtype=np.int64)
+    batch, parts = len(node), []
+    trial = np.arange(batch, dtype=np.int64)
+    for owner, head, *level, _ in _forward_levels(
+            _Reversed(rg), np.zeros(rg.n, dtype=bool), batch, rng, start=node):
+        parts.append((trial[owner], head // batch, node[owner]))
+        node, trial = level
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -570,16 +575,22 @@ def _reach_count_batches(g: Graph, counts: np.ndarray, samples: int,
     sets of `g` (see `reverse_reach_counts`), yielding the sets drawn so
     far after each batch, so a caller may stop between batches.
 
-    Sets are searched with lazy coins (`_reverse_levels`) in batches of
-    `max(_BATCH, _SEEN_BYTES // n)`, so each batch's `seen` bitmap stays
-    near `_SEEN_BYTES`, and one batch's search, its bitmap with it, ends
-    before the next begins.  Each level adds its nodes to the per-node
-    count; the sets are not kept.
+    Each batch is one `_forward_levels` search from its targets along the
+    reversed graph, with no node blocked and lazy coins.  Batches hold
+    `max(_BATCH, _SEEN_BYTES // n)` sets, so a batch's `n * batch` byte
+    `seen` bitmap is `_SEEN_BYTES` up to n = 1024 and n * 1024 bytes above
+    it (51 MB at 50k nodes), of which only the pages the search touches
+    become resident; one batch's search, its bitmap with it, ends before
+    the next begins.  The targets are counted once, then each level adds
+    its new nodes to the per-node count; the sets are not kept.
     """
     size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):
         targets = rng.integers(0, g.n, size=min(size, samples - done))
-        for node, *_ in _reverse_levels(g, targets, rng):
+        np.add.at(counts, targets, 1)
+        for *_, node, _, _ in _forward_levels(
+                _Reversed(g), np.zeros(g.n, dtype=bool), len(targets), rng,
+                start=targets):
             np.add.at(counts, node, 1)
         yield done + len(targets)
 

@@ -386,12 +386,14 @@ def reference_advance(seen, key):
     return key
 
 
-def reference_forward_levels(g, blocked, batch, rng, live=None):
-    """A one-run `diffusion._forward_levels` by boolean masks: every pair
-    reached gains the run's one bit."""
+def reference_forward_levels(g, blocked, batch, rng, live=None,
+                             start=None):
+    """A one-run `diffusion._forward_levels` by boolean masks, trial t's
+    search from `start[t]` or the source: every pair reached gains the
+    run's one bit."""
     seen = np.zeros(g.n_total * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
-    node = np.full(batch, g.s, dtype=np.int64)
+    node = np.full(batch, g.s, dtype=np.int64) if start is None else start
     seen[node * batch + trial] = True
     while len(node):
         eids, owner = reference_slices(g.out_ptr[node], g.out_ptr[node + 1])

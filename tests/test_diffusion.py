@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from imin import diffusion, fixtures
 from imin.baselines import ag, gr, mc_greedy
 from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _FIRST_BATCH,
-                            _SEEN_BYTES, _BettingStop, _batch_sizes,
-                            _batch_spreads, _distinct_masks, _forward_levels,
-                            _slices, _tighten, ic_spread_samples,
+                            _SEEN_BYTES, _BettingStop, _Reversed,
+                            _batch_sizes, _batch_spreads, _distinct_masks,
+                            _forward_levels, _slices, _tighten,
+                            ic_spread_samples,
                             reverse_live_edges,
                             reachable_in_realization,
                             reverse_reach_counts, sample_realization,
@@ -598,6 +599,22 @@ class TestLevelStepMatchesReference:
         assert_same_arrays(
             _forward_levels(ug, ug.blocked, 1, None, live=live),
             reference_forward_levels(ug, ug.blocked, 1, None, live=live))
+        # one start node per trial, along the reversed reach graph: nodes
+        # repeat across trials, and about half are the seeds, the source or
+        # the outside id, which have no out-edges there
+        rg = ug.reach_graph
+        view, draw = _Reversed(rg), make_rng(seed + 2)
+        sinks = np.flatnonzero(np.diff(rg.in_ptr) == 0)
+        start = np.where(draw.random(batch) < 0.5,
+                         draw.choice(sinks, size=batch),
+                         draw.integers(0, rg.n, size=batch))
+        blocked = draw.random(rg.n) < 0.2
+        got, want = make_rng(seed), make_rng(seed)
+        assert_same_arrays(
+            _forward_levels(view, blocked, batch, got, start=start),
+            reference_forward_levels(view, blocked, batch, want,
+                                     start=start))
+        assert got.bit_generator.state == want.bit_generator.state
 
     @settings(derandomize=True, max_examples=40, deadline=None,
               database=None)
