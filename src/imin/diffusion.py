@@ -23,18 +23,23 @@ node, it is the reverse search, which finds what reaches each start.
 `reverse_live_edges` runs it along a unified graph's reach graph
 (`UnifiedGraph.reach_graph`), where the seeds are written as the source
 and no edge enters the source, a seed or a node outside the reach, so
-the search stops there with no masks.  `reverse_reach_counts` runs it
-along a plain graph's reverse CSR and keeps only how often each node is
-found, which scores every node's singleton influence at once.
-`reverse_reach_counts` and the sequential estimates size their batches
+the search stops there with no masks.  It hands each live in-edge on
+as the packed keys id * batch + trial of its two ends, which
+`sampling._reverse_reach` sorts and searches as they are.
+`_reach_count_batches`, the CLI's seed ranking, runs it along a plain
+graph's reverse CSR and keeps only how often each node is found, which
+scores every node's singleton influence at once.
+`_reach_count_batches` and the sequential estimates size their batches
 by one budget for a search's `n_total * trials` `seen` bitmap,
 `_SEEN_BYTES`, and `sampling.PairSource` joins pair searches by the same
 budget for bitmaps over the reach graph's ids.  All batched searches
-expand their frontier through one CSR-slice helper, and each step
-compresses its examined edges once, by index: coins are compared with
-every examined edge's probability, and only the live edges' owners and
-heads are gathered (and, in the lazy-coin loop, tested against the
-blocked mask of a run that blocks any node).
+expand their frontier through one CSR-slice helper and find the runs of
+equal keys in a sorted array through one run-start helper (`_heads`,
+which `domtree.dominators` shares), and each step compresses its
+examined edges once, by index: coins are compared with every examined
+edge's probability, and only the live edges' owners and heads are
+gathered (and, in the lazy-coin loop, tested against the blocked mask of
+a run that blocks any node).
 
 Each lazy-coin search examines a level in steps of at most `_EDGE_BUDGET`
 CSR entries, split by the slice helper's own prefix sum (a level within
@@ -133,7 +138,7 @@ _BATCH = 1024
 _FIRST_BATCH = 128
 
 # Bytes of a search's `seen` bitmap (one per node and trial) that batches
-# are sized by: `reverse_reach_counts` draws max(_BATCH, _SEEN_BYTES // n)
+# are sized by: `_reach_count_batches` draws max(_BATCH, _SEEN_BYTES // n)
 # sets a batch, so its bitmap is this budget up to n = 1024 and n * 1024
 # bytes above it (51 MB at 50k nodes, of which only the touched pages are
 # resident), and a pair source joins two batches' searches only while
@@ -300,7 +305,7 @@ def _batch_sizes(g, runs):
     the larger per-trial cost of a batch, its `seen` bitmap's `g.n_total`
     bytes or `_batch_spreads`' 8 << runs bytes of counts.  So neither grows
     past the larger of one `_BATCH` batch's and `_SEEN_BYTES`, as
-    `reverse_reach_counts` sizes its batches.  The checks fall at 128, 512,
+    `_reach_count_batches` sizes its batches.  The checks fall at 128, 512,
     1536, 3584, ... trials below the cap."""
     cap = max(_BATCH, _SEEN_BYTES // max(g.n_total, 8 << runs))
     yield _FIRST_BATCH
@@ -352,11 +357,16 @@ def _advance(seen, key):
     on these keys.
     """
     key = np.sort(key[np.flatnonzero(~seen[key])])
-    fresh = np.ones(len(key), dtype=bool)
-    fresh[1:] = key[1:] != key[:-1]
-    key = key[fresh]
+    key = key[_heads(key)]
     seen[key] = True
     return key
+
+
+def _heads(sorted_ids):
+    """Positions where a run of equal values starts in `sorted_ids`."""
+    head = np.ones(len(sorted_ids), dtype=bool)
+    head[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    return np.flatnonzero(head)
 
 
 def _replayed_coins(key, index):
@@ -384,9 +394,7 @@ def _advance_bits(seen, key, gain):
     # each key packs its gain into its low byte, so one sort groups both
     packed = np.sort(key[hit] << 8 | gain[hit])
     key = packed >> 8
-    head = np.ones(len(key), dtype=bool)
-    head[1:] = key[1:] != key[:-1]
-    head = np.flatnonzero(head)
+    head = _heads(key)
     bits = np.bitwise_or.reduceat(packed.astype(np.uint8), head)
     key = key[head]
     seen[key] |= bits
@@ -538,42 +546,35 @@ def reverse_live_edges(rg: ReachGraph, targets, rng: np.random.Generator):
     The search is `_forward_levels` from the targets along the reversed
     reach graph, with no node blocked, drawing its coins from `rng`.  It
     enters only the reach and stops at the source, which stands for the
-    seeds.  Returns (trial, src, dst) of every live in-edge of a found
-    node; an edge from the source marks where a seed feeds the found
-    nodes.  A level's edges lead from its yielded heads back to the pairs
-    it expanded, the start pairs or the level before's.
+    seeds.  Returns (tail, head) of every live in-edge of a found pair,
+    each end as its pair's key id * batch + trial, batch = len(targets):
+    the in-neighbour's key, then the found pair's, so both keys of an edge
+    share their trial.  An edge from the source marks where a seed feeds
+    the found pairs.  A level's edges lead from its yielded heads back to
+    the pairs it expanded, the start pairs or the level before's.
     """
-    node = np.asarray(targets, dtype=np.int64)
-    batch, parts = len(node), []
-    trial = np.arange(batch, dtype=np.int64)
-    for owner, head, *level, _ in _forward_levels(
-            _Reversed(rg), np.zeros(rg.n, dtype=bool), batch, rng, start=node):
-        parts.append((trial[owner], head // batch, node[owner]))
-        node, trial = level
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def reverse_reach_counts(g: Graph, samples: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """For each node, in how many of `samples` reverse-reachable sets of
-    the plain graph `g` it lies.
-
-    Each set is the nodes that reach a uniform random target over live
-    edges, target included, so n * count[v] / samples estimates the
-    expected spread of the seed set {v}, v itself counted (Borgs et al.,
-    SODA 2014).  The sets are drawn by `_reach_count_batches`.
-    """
-    counts = np.zeros(g.n, dtype=np.int64)
-    for _ in _reach_count_batches(g, counts, samples, rng):
-        pass
-    return counts
+    start = np.asarray(targets, dtype=np.int64)
+    batch, tails, heads = len(start), [], []
+    key = start * batch + np.arange(batch, dtype=np.int64)
+    for owner, head, node, trial, _ in _forward_levels(
+            _Reversed(rg), np.zeros(rg.n, dtype=bool), batch, rng,
+            start=start):
+        tails.append(head)          # searched against the edges: the
+        heads.append(key[owner])    # in-neighbour entered is the tail
+        key = node * batch + trial
+    return np.concatenate(tails), np.concatenate(heads)
 
 
 def _reach_count_batches(g: Graph, counts: np.ndarray, samples: int,
                          rng: np.random.Generator):
     """Add to `counts`, in place, the nodes of `samples` reverse-reachable
-    sets of `g` (see `reverse_reach_counts`), yielding the sets drawn so
-    far after each batch, so a caller may stop between batches.
+    sets of `g`, yielding the sets drawn so far after each batch, so a
+    caller may stop between batches.
+
+    Each set is the nodes that reach a uniform random target over live
+    edges, target included, so n * count[v] / samples estimates the
+    expected spread of the seed set {v}, v itself counted (Borgs et al.,
+    SODA 2014).
 
     Each batch is one `_forward_levels` search from its targets along the
     reversed graph, with no node blocked and lazy coins.  Batches hold

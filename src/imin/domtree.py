@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffusion import _forward_levels
+from .diffusion import _forward_levels, _heads
 
 
 @dataclass
@@ -62,24 +62,18 @@ class DominatorTree:
 class BatchDominators(NamedTuple):
     """Dominator trees of a batch, indexed by search number w.
 
-    `key[w]` is node * batch + trial of the reached pair; the roots (the
-    source of each realization) are numbers 0..batch-1, in trial order.
-    `idom[w]` is the number of its immediate dominator (a root points to
-    itself), always smaller than w otherwise; `joins` and `sweeps` count
-    join nodes and sweeps run.
+    Pair w is node `node[w]` of realization `trial[w]`, as the levels
+    yielded them, unpacked; the roots (the source of each realization) are
+    numbers 0..batch-1, in trial order.  `idom[w]` is the number of its
+    immediate dominator (a root points to itself), always smaller than w
+    otherwise; `joins` and `sweeps` count join nodes and sweeps run.
     """
 
-    key: np.ndarray
+    node: np.ndarray
+    trial: np.ndarray
     idom: np.ndarray
     joins: int
     sweeps: int
-
-
-def _heads(sorted_ids):
-    """Positions where a run of equal values starts in `sorted_ids`."""
-    head = np.ones(len(sorted_ids), dtype=bool)
-    head[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    return np.flatnonzero(head)
 
 
 def _common_ancestors(idom, a, b):
@@ -99,21 +93,23 @@ def _common_ancestors(idom, a, b):
 def _search_numbers(levels, root, batch):
     """Number the pairs a batched search reaches, level by level.
 
-    Returns (key, parent, src, dst): key[w] = node * batch + trial of
-    pair w; parent[w] the number of w's breadth-first parent, its
+    Returns (node, trial, parent, src, dst): (node[w], trial[w]) is pair
+    w; parent[w] the number of w's breadth-first parent, its
     smallest-numbered live predecessor (a root is its own parent); and
     (src, dst) the numbers of the ends of every other live edge.  Only
     those edges are kept, not the tree edges.
     """
-    key = [root * batch + np.arange(batch, dtype=np.int64)]
+    trial = [np.arange(batch, dtype=np.int64)]
+    node = [np.full(batch, root, dtype=np.int64)]
+    key = [root * batch + trial[0]]
     parent = [np.arange(batch, dtype=np.int64)]
     src, head_key = [], []
     start = 0                           # the current level's first number
-    for owner, head, node, trial, *_ in levels:
+    for owner, head, level_node, level_trial, *_ in levels:
         # A stable sort keeps each head's edges in ascending tail order.
         by_head = np.argsort(head, kind="stable")
         head, owner = head[by_head], owner[by_head]
-        new = node * batch + trial        # sorted, each the head of an edge
+        new = level_node * batch + level_trial  # sorted, each an edge's head
         first = np.searchsorted(head, new)
         parent.append(start + owner[first])
         other = np.ones(len(head), dtype=bool)
@@ -122,11 +118,13 @@ def _search_numbers(levels, root, batch):
         head_key.append(head[other])
         start += len(key[-1])
         key.append(new)
-    key, parent, src, head_key = (np.concatenate(a) for a in
-                                  (key, parent, src, head_key))
+        node.append(level_node)
+        trial.append(level_trial)
+    node, trial, key, parent, src, head_key = (
+        np.concatenate(a) for a in (node, trial, key, parent, src, head_key))
     order = np.argsort(key, kind="stable")    # merges the sorted levels
     dst = order[np.searchsorted(key[order], head_key)]
-    return key, parent, src, dst
+    return node, trial, parent, src, dst
 
 
 def dominators(levels, root, batch) -> BatchDominators:
@@ -136,10 +134,11 @@ def dominators(levels, root, batch) -> BatchDominators:
     as its run bits, is ignored): the live edges out of the previous level
     (owner indexes that level's pairs, head is the key node * batch +
     trial of the pair entered) and the pairs first reached.
-    Every realization's search starts at `root`.
+    Every realization's search starts at `root`.  The trees come back with
+    each pair's node and trial unpacked, so no caller splits a key.
     """
-    key, idom, src, dst = _search_numbers(levels, root, batch)
-    n = len(key)
+    node, trial, idom, src, dst = _search_numbers(levels, root, batch)
+    n = len(node)
     if n >= 2 ** 31:    # numbers are int32, and number pairs pack into int64
         raise OverflowError(f"a batch reached {n} (node, trial) pairs")
     idom = idom.astype(np.int32)
@@ -161,8 +160,8 @@ def dominators(levels, root, batch) -> BatchDominators:
         new = np.minimum.reduceat(_common_ancestors(idom, idom[jd], js), first)
         moved = new != idom[joins]
         idom[joins[moved]] = new[moved]
-    return BatchDominators(key=key, idom=idom, joins=len(joins),
-                           sweeps=sweeps)
+    return BatchDominators(node=node, trial=trial, idom=idom,
+                           joins=len(joins), sweeps=sweeps)
 
 
 def build_dominator_tree(phi) -> DominatorTree:
@@ -175,7 +174,7 @@ def build_dominator_tree(phi) -> DominatorTree:
     size = [1] * len(up)
     for w in range(len(up) - 1, 0, -1):     # children before parents
         size[up[w]] += size[w]
-    node = tree.key         # one realization: the key is the node
+    node = tree.node
     idom = np.full(ug.n_total, -1, dtype=np.int64)
     idom[node[1:]] = node[tree.idom[1:]]
     sizes = np.zeros(ug.n_total, dtype=np.int64)

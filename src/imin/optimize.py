@@ -133,10 +133,10 @@ class BoundCertificate:
 
 @dataclass
 class GreedyTrace:
-    """Greedy per-step gains, prefix coverages and, for each prefix, the
-    sum of its k largest marginal gains."""
+    """Greedy prefix coverages and, for each prefix, the sum of its k
+    largest marginal gains; each pick's gain is the step between its
+    coverages."""
 
-    gains: list
     coverages: list  # coverage of the empty prefix, then after each pick
     top_k: list      # k largest gains summed: empty prefix, then each pick
 
@@ -153,19 +153,18 @@ def max_coverage(collection, k: int):
     allowed = g.candidates()
     state = collection.state()
     marginal = state.gains_all(g.n_total)
-    selected, gains, coverages = [], [], [0]
+    selected, coverages = [], [0]
     top_k = [_topk_sum(marginal, k)]
     for _ in range(min(k, int(allowed.sum()))):
         v = int(np.argmax(np.where(allowed, marginal, -1)))
         allowed[v] = False
         selected.append(v)
-        gains.append(int(marginal[v]))
-        coverages.append(coverages[-1] + gains[-1])
+        coverages.append(coverages[-1] + int(marginal[v]))
         state.add(v)
         marginal = state.gains_all(g.n_total)
         top_k.append(_topk_sum(marginal, k))
     return (BlockerSet(selected),
-            GreedyTrace(gains=gains, coverages=coverages, top_k=top_k))
+            GreedyTrace(coverages=coverages, top_k=top_k))
 
 
 def _topk_sum(values: np.ndarray, k: int) -> int:

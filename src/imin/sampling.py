@@ -16,10 +16,14 @@ which stands for the seeds (`reverse_live_edges`), then searches forward
 from the source inside what it found (`_reverse_reach`); the pairs it
 reaches are the LRR set.  Every live source-to-member path runs through
 members, so `domtree.dominators` on that search gives the realization's
-dominators;
-the chain is the target's path to the root.  A solve's `PairSource`
-keeps both samples of every pair of its primary and validation streams:
-both bounds read the same pairs.
+dominators; the chain is the target's path to the root.  Each stage
+hands its arrays on in the form the next reads: `reverse_live_edges`
+gives each recorded edge as the packed keys id * count + trial of its
+two ends, which `_reverse_reach` sorts and searches as given, and
+`dominators` gives each pair found as its id and trial, unpacked, which
+`_pair_search` maps back to nodes.  A solve's `PairSource` keeps both
+samples of every pair of its primary and validation streams: both bounds
+read the same pairs.
 
 The validation pairs need only be independent of the primary ones, and
 fresh draws from one Generator are, as the pairs of one search already
@@ -110,7 +114,7 @@ def _sequence_entries(ug: UnifiedGraph, batch: int, levels):
     node first and then its dominators other than the source and seeds.
     """
     tree = dominators(levels, ug.s, batch)
-    node, trial = np.divmod(tree.key, batch)
+    node, trial = tree.node, tree.trial
     counted = ~ug.uncounted[node]
     starts = np.flatnonzero(counted)
     starts = starts[np.argsort(trial[starts] * ug.n_total + node[starts])]
@@ -131,21 +135,22 @@ def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
             ug, ug.blocked, batch, rng))
 
 
-def _reverse_reach(ids: int, root: int, count: int, trial, src, dst):
+def _reverse_reach(ids: int, root: int, count: int, tail, head):
     """Search the members of a batch of `count` LRR samples from the
     source, yielding levels as `diffusion._forward_levels` does: (owner,
     head) of the live edges out of the level's pairs, then (node, trial) of
     the member pairs they reach first.
 
-    (trial, src, dst) are the live in-edges a reverse search recorded, as
-    ids below `ids`.  Trial t's root is the source, id `root` (pair t of
-    level 0), and each level follows the recorded edges out of the pairs
-    found last; level 0 keeps one source edge per seed-fed pair, however
-    many seeds feed it.  The `member` bitmap has one row of trials per id.
+    (tail, head) are the live in-edges a reverse search recorded
+    (`reverse_live_edges`), each end as the key id * count + trial of its
+    pair, ids below `ids`; they are sorted by tail and searched as given.
+    Trial t's root is the source, id `root` (pair t of level 0), and each
+    level follows the recorded edges out of the pairs found last; level 0
+    keeps one source edge per seed-fed pair, however many seeds feed it.
+    The `member` bitmap has one row of trials per id.
     """
-    tail = src * count + trial
     by_tail = np.argsort(tail)
-    tail, head = tail[by_tail], (dst * count + trial)[by_tail]
+    tail, head = tail[by_tail], head[by_tail]
     member = np.zeros(ids * count, dtype=bool)
     lo, hi = np.searchsorted(tail, [root * count, (root + 1) * count])
     frontier = heads = _advance(member, head[lo:hi])
@@ -183,8 +188,7 @@ def _pair_search(ug: UnifiedGraph, population: np.ndarray, count: int,
     root = rg.row[ug.s]
     edges = reverse_live_edges(rg, rg.row[targets], rng)
     tree = dominators(_reverse_reach(rg.n, root, count, *edges), root, count)
-    row, trial = np.divmod(tree.key, count)
-    node = rg.node[row]
+    node, trial = rg.node[tree.node], tree.trial
     mine = node == targets[trial]
     # the member pairs are every number but the roots (below `count`), each
     # (node, trial) once: sorted by trial, then target first, then node

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from imin import fixtures
-from imin.diffusion import _BATCH, _SEEN_BYTES, _forward_levels
+from imin.diffusion import (_BATCH, _SEEN_BYTES, _forward_levels,
+                            _reach_count_batches)
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.sampling import CPCollection, _sequence_entries
 
@@ -432,8 +433,18 @@ def reference_reverse_live_edges(g, targets, rng):
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
+def reverse_reach_counts(g, samples, rng):
+    """For each node, in how many of `samples` reverse-reachable sets of
+    the plain graph `g` it lies: every batch of
+    `diffusion._reach_count_batches`, the CLI's seed ranking, drawn."""
+    counts = np.zeros(g.n, dtype=np.int64)
+    for _ in _reach_count_batches(g, counts, samples, rng):
+        pass
+    return counts
+
+
 def reference_reverse_reach_counts(g, samples, rng):
-    """`diffusion.reverse_reach_counts` by boolean masks."""
+    """`reverse_reach_counts` by boolean masks."""
     counts = np.zeros(g.n, dtype=np.int64)
     size = max(_BATCH, _SEEN_BYTES // g.n)
     for done in range(0, samples, size):

@@ -11,11 +11,11 @@ from imin import cli, fixtures
 from imin.cli import (CSV_FIELDS, POOL_HITS, _evaluate_decrease,
                       _influence_pool, main)
 from imin.diffusion import (_BATCH, _SEEN_BYTES, _batch_spreads,
-                            ic_spread_samples, reverse_reach_counts)
+                            ic_spread_samples)
 from imin.graph import (Graph, assign_constant_probability,
                         assign_wc_probabilities, load_edge_list, unify_seeds)
 
-from conftest import make_rng
+from conftest import make_rng, reverse_reach_counts
 
 # labels that `int` reads but the edge-list rule refuses: "1_0" as 10,
 # Arabic-Indic three and seven, "1_2" as 12 and a fullwidth one; in

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from imin import diffusion, fixtures
 from imin.baselines import ag, gr, mc_greedy
 from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _FIRST_BATCH,
-                            _SEEN_BYTES, _BettingStop, _Reversed,
+                            _SEEN_BYTES, _BettingStop, _Reversed, _advance,
                             _batch_sizes, _batch_spreads, _distinct_masks,
-                            _forward_levels, _slices, _tighten,
+                            _forward_levels, _heads, _slices, _tighten,
                             ic_spread_samples,
                             reverse_live_edges,
-                            reachable_in_realization,
-                            reverse_reach_counts, sample_realization,
+                            reachable_in_realization, sample_realization,
                             spread_samples, stopping_rule_spread,
                             stopping_rule_spreads)
 from imin.graph import Graph, assign_constant_probability, unify_seeds
@@ -26,7 +25,7 @@ from imin.sampling import _cp_batch, _pair_batch, compute_population
 from conftest import (make_rng, random_flowgraph, reference_forward_levels,
                       reference_reverse_live_edges,
                       reference_reverse_reach_counts, reference_slices,
-                      tiny_with_dead_edges)
+                      reverse_reach_counts, tiny_with_dead_edges)
 
 
 def simulate_ic(g, blockers=None, rng=None):
@@ -628,7 +627,11 @@ class TestLevelStepMatchesReference:
         # the search runs in the reach graph's ids; its nodes map back
         rg = ug.reach_graph
         got, want = make_rng(seed), make_rng(seed)
-        trial, src, dst = reverse_live_edges(rg, rg.row[targets], got)
+        tail, head = reverse_live_edges(rg, rg.row[targets], got)
+        # both ends are keys id * batch + trial of one realization
+        (src, trial), (dst, head_trial) = (np.divmod(k, batch)
+                                           for k in (tail, head))
+        assert np.array_equal(trial, head_trial)
         assert_same_arrays([(trial, rg.node[src], rg.node[dst])],
                            [reference_reverse_live_edges(ug, targets, want)])
         assert got.bit_generator.state == want.bit_generator.state
@@ -654,6 +657,35 @@ class TestLevelStepMatchesReference:
             [[reverse_reach_counts(g, samples, got)]],
             [[reference_reverse_reach_counts(g, samples, want)]])
         assert got.bit_generator.state == want.bit_generator.state
+
+
+class TestRunStarts:
+    """`_heads` finds where each run of equal values starts, and `_advance`
+    keeps each key not yet seen once, sorted, and marks it seen."""
+
+    @pytest.mark.parametrize("ids, want", [
+        ([], []), ([5], [0]), ([3, 3, 3, 3], [0]),
+        ([1, 2, 4, 9], [0, 1, 2, 3]), ([0, 0, 1, 4, 4, 4, 7], [0, 2, 3, 6])])
+    def test_heads(self, ids, want):
+        assert _heads(np.array(ids, dtype=np.int64)).tolist() == want
+
+    def test_advance_no_keys(self):
+        seen = np.zeros(8, dtype=bool)
+        got = _advance(seen, np.zeros(0, dtype=np.int64))
+        assert got.dtype == np.int64 and len(got) == 0
+        assert not seen.any()
+
+    def test_advance_duplicate_keys(self):
+        # 64 ids drawn 5,000 times, about a third of them already seen
+        rng = make_rng(4)
+        seen = rng.random(64) < 0.3
+        before = seen.copy()
+        key = rng.integers(0, 64, size=5000)
+        got = _advance(seen, key)
+        assert got.tolist() == sorted(set(key.tolist())
+                                      - set(np.flatnonzero(before).tolist()))
+        assert np.array_equal(seen, before | np.isin(np.arange(64), key))
+        assert len(_advance(seen, key)) == 0
 
 
 class TestBoundedSteps:

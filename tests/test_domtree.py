@@ -161,7 +161,7 @@ class TestBatchDominators:
         levels = []
         tree = dominators(recorded(_forward_levels(
             ug, ug.blocked, batch, make_rng(seed)), levels), ug.s, batch)
-        node, trial = np.divmod(tree.key, batch)
+        node, trial = tree.node, tree.trial
         number = np.arange(len(node))
         dom = np.where(number < batch, -1, node[tree.idom])
         # A subtree size counts the chains through the number, and every
@@ -207,7 +207,7 @@ class TestBatchDominators:
         levels = []
         tree = dominators(recorded(_forward_levels(
             ug, ug.blocked, batch, make_rng(batch)), levels), ug.s, batch)
-        node, trial = np.divmod(tree.key, batch)
+        node, trial = tree.node, tree.trial
         dom = np.where(np.arange(len(node)) < batch, -1, node[tree.idom])
         for t, live in enumerate(live_successors(levels, ug.s, batch)):
             mine = trial == t
@@ -242,7 +242,7 @@ class TestBatchDominators:
                           2048)
         forward = dominators(_forward_levels(ug, ug.blocked, 1024,
                                              make_rng(2)), ug.s, 1024)
-        assert [(len(t.key), t.joins, t.sweeps) for t in (pair, forward)] \
+        assert [(len(t.node), t.joins, t.sweeps) for t in (pair, forward)] \
             == [(5661, 502, 3), (116114, 18637, 5)]
 
 

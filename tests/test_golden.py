@@ -21,13 +21,14 @@ import numpy as np
 
 from imin import fixtures
 from imin.baselines import ag, gr
-from imin.diffusion import (ic_spread_samples, reverse_reach_counts,
-                            spread_samples)
+from imin.diffusion import ic_spread_samples, spread_samples
 from imin.graph import Graph, block_nodes, unify_seeds
 from imin.optimize import AlgoParams, gsbm, lsbm
 from imin.sampling import (ChainCollection, LRRCollection, PairSource,
                            _cp_batch, _pair_batch, compute_population)
 from imin.sandwich import sand_imin, sand_imin_minus
+
+from conftest import reverse_reach_counts
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 

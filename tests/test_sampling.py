@@ -322,7 +322,8 @@ class TestChainSamples:
         assert [len(targets) for targets, *_ in pairs] == [
             min(_BATCH, batch - done) for done in range(0, batch, _BATCH)]
         live = [{} for _ in range(batch)]
-        trial, src, dst = edges[0]      # reach ids, mapped back to nodes
+        # keys of reach ids, split and mapped back to nodes
+        (src, trial), (dst, _) = (np.divmod(k, batch) for k in edges[0])
         node = ug.reach_graph.node
         for t, u, v in zip(*(a.tolist() for a in (trial, node[src],
                                                   node[dst]))):
