@@ -13,11 +13,16 @@ reverse-reachable-set influence maximization: Borgs et al., SODA 2014;
 Tang et al., SIGMOD 2015).  One level loop, `_forward_levels`, draws
 every lazy coin: it searches from one start node per trial, the source
 by default, along whatever forward CSR it is given, and yields its live
-edges and newly reached nodes level by level.  On a unified graph it is
-the cascade: `domtree.dominators` builds the dominator trees of a whole
-batch from its levels, and `ic_spread_samples` keeps only how many nodes
-each cascade activates.  It also takes an eager realization's live-edge
-mask in place of coins, so the tests' reference runs the same search.
+edges and newly reached pairs level by level, each pair as one packed key
+node * batch + trial, sorted; it splits a level's keys into nodes and
+trials once, where it expands that level, and no consumer packs or splits
+them again per level.  On a unified graph it is the cascade:
+`domtree.dominators` builds the dominator trees of a whole batch from its
+levels, and `ic_spread_samples` keeps only how many nodes each cascade
+activates: its first level is every seed of every trial, and no later
+level holds a seed or the source, so the count skips that level and
+tests no node.  It also takes an eager realization's live-edge mask in
+place of coins, so the tests' reference runs the same search.
 Handed a reverse CSR read as a forward one (`_Reversed`) and no blocked
 node, it is the reverse search, which finds what reaches each start.
 `reverse_live_edges` runs it along a unified graph's reach graph
@@ -27,8 +32,9 @@ the search stops there with no masks.  It hands each live in-edge on
 as the packed keys id * batch + trial of its two ends, which
 `sampling._reverse_reach` sorts and searches as they are.
 `_reach_count_batches`, the CLI's seed ranking, runs it along a plain
-graph's reverse CSR and keeps only how often each node is found, which
-scores every node's singleton influence at once.
+graph's reverse CSR and keeps only how often each node is found (each
+key's floor quotient by the batch), which scores every node's singleton
+influence at once.
 `_reach_count_batches` and the sequential estimates size their batches
 by one budget for a search's `n_total * trials` `seen` bitmap,
 `_SEEN_BYTES`, and `sampling.PairSource` joins pair searches by the same
@@ -277,25 +283,36 @@ def _distinct_masks(g, blocker_sets):
         row.append(index.setdefault(mask.tobytes(), len(masks)))
         if row[-1] == len(masks):
             masks.append(mask)
-    if not 1 <= len(masks) <= _MAX_RUNS:
-        raise ValueError(f"need 1 to {_MAX_RUNS} distinct blocker sets, "
-                         f"got {len(masks)}")
+    _check_runs(len(masks), "distinct blocker sets")
     return np.stack(masks), row
+
+
+def _check_runs(runs, what):
+    """Raise ValueError unless 1 <= `runs` <= `_MAX_RUNS`, one bit each of
+    a uint8: `what` names the runs in the message."""
+    if not 1 <= runs <= _MAX_RUNS:
+        raise ValueError(f"need 1 to {_MAX_RUNS} {what}, got {runs}")
 
 
 def _batch_spreads(g, masks, batch, rng):
     """(runs, batch) spreads of one forward search, run r blocking
-    `masks[r]`: each reached pair is counted per trial and set of runs
-    gained, and each run sums the sets that hold it."""
+    `masks[r]`: each reached pair is counted per trial (its key modulo
+    `batch`) and set of runs gained, and each run sums the sets that hold
+    it.  The search's first level is every seed of every trial, and no
+    later level holds a seed or the source: the source's only edges lead
+    to the seeds (`graph._attach_source`), no edge enters it, and every
+    run's mask holds the graph's own mask, which never holds a seed.  So
+    that level is skipped, and the rest are counted whole."""
     runs = len(masks)
     offset = np.arange(1 << runs, dtype=np.int64) * batch
-    per_set = np.zeros(batch << runs, dtype=np.int64)
-    for *_, node, trial, bits in _forward_levels(g, masks, batch, rng):
-        per_set += np.bincount((offset[bits] + trial)[~g.uncounted[node]],
-                               minlength=len(per_set))
+    tally = np.zeros(batch << runs, dtype=np.int64)   # per set and trial
+    levels = _forward_levels(g, masks, batch, rng)
+    next(levels)                        # the seeds, which are not counted
+    for *_, key, bits in levels:
+        tally += np.bincount(offset[bits] + key % batch, minlength=tally.size)
     holds = np.unpackbits(np.arange(1 << runs, dtype=np.uint8)[None],
                           axis=0, count=runs, bitorder="little")
-    return holds @ per_set.reshape(1 << runs, batch)
+    return holds @ tally.reshape(1 << runs, batch)
 
 
 def _batch_sizes(g, runs):
@@ -449,23 +466,27 @@ def _forward_levels(g, blocked, batch, rng, live=None, start=None):
 
     Either search examines a level's edges in steps of at most
     `_EDGE_BUDGET`, and takes `live` in place of coins; the run-bit search
-    then draws no key.  Yields, per level, (owner, head) of the live edges
-    that pass on at least one bit, owner indexing the level's pairs in
-    ascending order and head the key dst * batch + trial of the pair the
-    edge enters, then (node, trial) of the pairs that gain bits,
-    sorted node-major, and the bits each gains.  The first level expands
-    the start pairs in trial order, which are not yielded; each later
-    level expands the pairs the level before it yielded.  A resumed run's
-    first level yields the held pairs it gains, with no edges.
+    then draws no key.  Yields, per level, (owner, head, key, bits):
+    owner and head of the live edges that pass on at least one bit, owner
+    indexing the level's pairs in ascending order and head the key
+    dst * batch + trial of the pair the edge enters; then the sorted keys
+    node * batch + trial of the pairs that gain bits, and the bits each
+    gains.  The first level expands the start pairs in trial order, which
+    are not yielded; each later level expands the pairs the level before
+    it yielded, split into nodes and trials once, here.  A resumed run's
+    first level yields the held pairs it gains, with no edges.  From the
+    source of a unified graph, the first level yielded is every seed of
+    every trial with every run's bit (as long as no mask holds a seed),
+    and no later level holds a seed or the source.
     """
     blocked = np.atleast_2d(blocked)
     runs = len(blocked)
     order = np.arange(1) if runs == 1 else _nested_order(blocked)
     nested = order is not None
-    trial = np.arange(batch, dtype=np.int64)
-    node = np.full(batch, g.s, dtype=np.int64) if start is None else start
+    key = np.arange(batch, dtype=np.int64)      # the start pairs' keys
+    key += (g.s if start is None else start) * batch
     seen = np.zeros(g.n_total * batch, dtype=bool if nested else np.uint8)
-    seen[node * batch + trial] = (1 << runs) - 1    # True in a bool seen
+    seen[key] = (1 << runs) - 1     # True in a bool seen
     if nested:
         # per run, most blocked first: the nodes it may enter, and the bits
         # its new pairs gain (its own and every less-blocked run's), as one
@@ -485,12 +506,13 @@ def _forward_levels(g, blocked, batch, rng, live=None, start=None):
         if stage:
             held = np.concatenate(held)
             resume = free[held // batch]
-            pair = _advance(seen, held[resume])
+            key = _advance(seen, held[resume])
             held = [held[~resume]]
-            node, trial = np.divmod(pair, batch)
             yield (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                   node, trial, gained.repeat(len(pair)))
-        while len(node):
+                   key, gained.repeat(len(key)))
+        while len(key):
+            node = key // batch
+            trial = key - node * batch
             owners, heads, gains = [], [], []
             for eids, owner in _slices(g.out_ptr[node], g.out_ptr[node + 1]):
                 if live is not None:
@@ -520,12 +542,11 @@ def _forward_levels(g, blocked, batch, rng, live=None, start=None):
                 heads.append(dst * batch + trial[owner])
             head = _joined(heads)
             if nested:
-                node = _advance(seen, head)
-                bits = gained.repeat(len(node))
+                key = _advance(seen, head)
+                bits = gained.repeat(len(key))
             else:
-                node, bits = _advance_bits(seen, head, _joined(gains))
-            node, trial = np.divmod(node, batch)
-            yield _joined(owners), head, node, trial, bits
+                key, bits = _advance_bits(seen, head, _joined(gains))
+            yield _joined(owners), head, key, bits
 
 
 class _Reversed:
@@ -551,17 +572,18 @@ def reverse_live_edges(rg: ReachGraph, targets, rng: np.random.Generator):
     the in-neighbour's key, then the found pair's, so both keys of an edge
     share their trial.  An edge from the source marks where a seed feeds
     the found pairs.  A level's edges lead from its yielded heads back to
-    the pairs it expanded, the start pairs or the level before's.
+    the pairs it expanded, the start pairs or the level before's, whose
+    keys the loop gave as they are, so nothing is split or packed here.
     """
     start = np.asarray(targets, dtype=np.int64)
     batch, tails, heads = len(start), [], []
     key = start * batch + np.arange(batch, dtype=np.int64)
-    for owner, head, node, trial, _ in _forward_levels(
+    for owner, head, new, _ in _forward_levels(
             _Reversed(rg), np.zeros(rg.n, dtype=bool), batch, rng,
             start=start):
         tails.append(head)          # searched against the edges: the
         heads.append(key[owner])    # in-neighbour entered is the tail
-        key = node * batch + trial
+        key = new
     return np.concatenate(tails), np.concatenate(heads)
 
 
@@ -589,10 +611,10 @@ def _reach_count_batches(g: Graph, counts: np.ndarray, samples: int,
     for done in range(0, samples, size):
         targets = rng.integers(0, g.n, size=min(size, samples - done))
         np.add.at(counts, targets, 1)
-        for *_, node, _, _ in _forward_levels(
+        for *_, key, _ in _forward_levels(
                 _Reversed(g), np.zeros(g.n, dtype=bool), len(targets), rng,
                 start=targets):
-            np.add.at(counts, node, 1)
+            np.add.at(counts, key // len(targets), 1)
         yield done + len(targets)
 
 

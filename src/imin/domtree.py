@@ -2,8 +2,10 @@
 
 `dominators` is the one dominator routine.  It takes the levels of a
 breadth-first search over many independent realizations at once
-(`diffusion._forward_levels`) and builds every realization's dominator
-tree with array passes only, so no Python code runs per realization.
+(`diffusion._forward_levels` or `sampling._reverse_reach`), each level's
+new pairs as their sorted packed keys node * batch + trial, and builds
+every realization's dominator tree with array passes only, so no Python
+code runs per realization.
 
 Each reached (realization, node) pair is numbered in the order the search
 finds it, one level after another.  A dominator lies on every path,
@@ -62,8 +64,8 @@ class DominatorTree:
 class BatchDominators(NamedTuple):
     """Dominator trees of a batch, indexed by search number w.
 
-    Pair w is node `node[w]` of realization `trial[w]`, as the levels
-    yielded them, unpacked; the roots (the source of each realization) are
+    Pair w is node `node[w]` of realization `trial[w]`, its key as the
+    levels yielded it, split; the roots (the source of each realization) are
     numbers 0..batch-1, in trial order.  `idom[w]` is the number of its
     immediate dominator (a root points to itself), always smaller than w
     otherwise; `joins` and `sweeps` count join nodes and sweeps run.
@@ -93,24 +95,21 @@ def _common_ancestors(idom, a, b):
 def _search_numbers(levels, root, batch):
     """Number the pairs a batched search reaches, level by level.
 
-    Returns (node, trial, parent, src, dst): (node[w], trial[w]) is pair
-    w; parent[w] the number of w's breadth-first parent, its
-    smallest-numbered live predecessor (a root is its own parent); and
-    (src, dst) the numbers of the ends of every other live edge.  Only
-    those edges are kept, not the tree edges.
+    Returns (key, parent, src, dst): key[w] is pair w's packed key
+    node * batch + trial, as the levels give it; parent[w] the number of
+    w's breadth-first parent, its smallest-numbered live predecessor (a
+    root is its own parent); and (src, dst) the numbers of the ends of
+    every other live edge.  Only those edges are kept, not the tree edges.
     """
-    trial = [np.arange(batch, dtype=np.int64)]
-    node = [np.full(batch, root, dtype=np.int64)]
-    key = [root * batch + trial[0]]
+    key = [root * batch + np.arange(batch, dtype=np.int64)]
     parent = [np.arange(batch, dtype=np.int64)]
     src, head_key = [], []
     start = 0                           # the current level's first number
-    for owner, head, level_node, level_trial, *_ in levels:
+    for owner, head, new, *_ in levels:
         # A stable sort keeps each head's edges in ascending tail order.
         by_head = np.argsort(head, kind="stable")
         head, owner = head[by_head], owner[by_head]
-        new = level_node * batch + level_trial  # sorted, each an edge's head
-        first = np.searchsorted(head, new)
+        first = np.searchsorted(head, new)  # new is sorted, each a head
         parent.append(start + owner[first])
         other = np.ones(len(head), dtype=bool)
         other[first] = False
@@ -118,26 +117,27 @@ def _search_numbers(levels, root, batch):
         head_key.append(head[other])
         start += len(key[-1])
         key.append(new)
-        node.append(level_node)
-        trial.append(level_trial)
-    node, trial, key, parent, src, head_key = (
-        np.concatenate(a) for a in (node, trial, key, parent, src, head_key))
+    key, parent, src, head_key = (
+        np.concatenate(a) for a in (key, parent, src, head_key))
     order = np.argsort(key, kind="stable")    # merges the sorted levels
     dst = order[np.searchsorted(key[order], head_key)]
-    return node, trial, parent, src, dst
+    return key, parent, src, dst
 
 
 def dominators(levels, root, batch) -> BatchDominators:
     """Dominator trees of the `batch` realizations whose search `levels`
-    yields, per level, (owner, head, node, trial) as
-    `diffusion._forward_levels` does for one run (what follows them, such
-    as its run bits, is ignored): the live edges out of the previous level
-    (owner indexes that level's pairs, head is the key node * batch +
-    trial of the pair entered) and the pairs first reached.
-    Every realization's search starts at `root`.  The trees come back with
-    each pair's node and trial unpacked, so no caller splits a key.
+    yields, per level, (owner, head, key) as `diffusion._forward_levels`
+    and `sampling._reverse_reach` do (what follows them, such as the run
+    bits, is ignored): the live edges out of the previous level (owner
+    indexes that level's pairs, head is the packed key node * batch +
+    trial of the pair entered) and the sorted keys of the pairs first
+    reached.  Every realization's search starts at `root`.  The trees come
+    back with each pair's node and trial unpacked, split once here, so no
+    caller splits a key.
     """
-    node, trial, idom, src, dst = _search_numbers(levels, root, batch)
+    trial, idom, src, dst = _search_numbers(levels, root, batch)
+    node = trial // batch
+    trial -= node * batch               # the keys, split in place
     n = len(node)
     if n >= 2 ** 31:    # numbers are int32, and number pairs pack into int64
         raise OverflowError(f"a batch reached {n} (node, trial) pairs")
@@ -145,8 +145,9 @@ def dominators(levels, root, batch) -> BatchDominators:
     # Every predecessor of each join, grouped by join and in ascending
     # number: the breadth-first parent first, then the other edges' tails,
     # as int32 like `idom`, so the intersect moves int32 fingers.
-    jd, js = np.divmod(np.sort(dst * n + src), n)
+    js = np.sort(dst * n + src)
     del src, dst
+    jd, js = js // n, js % n
     first = _heads(jd)
     joins = jd[first]
     jd = np.insert(jd, first, joins)

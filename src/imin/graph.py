@@ -411,18 +411,21 @@ class UnifiedGraph:
         or over the edges of the edge mask ``live`` when one is given.
 
         The traversal never enters a node of ``blocked`` (default: the
-        graph's own mask); ``s`` itself is in the mask.  A stack of up to
-        eight node masks gives one row per mask, all from one search.
+        graph's own mask); ``s`` itself is in the mask.  A stack of one
+        to eight node masks (`diffusion._MAX_RUNS`, one bit each) gives one
+        row per mask, all from one search; any other count raises
+        `ValueError`.
         """
-        from .diffusion import _forward_levels  # diffusion imports graph
+        from .diffusion import _check_runs, _forward_levels  # imports graph
 
         blocked = self.blocked if blocked is None else blocked
         follow = self.out_p > 0.0 if live is None else live
         runs = np.atleast_2d(blocked)
+        _check_runs(len(runs), "node masks")
         reach = np.zeros(self.n_total, dtype=np.uint8)
         reach[self.s] = (1 << len(runs)) - 1
-        for _, _, node, _, bits in _forward_levels(self, runs, 1, None,
-                                                   follow):
+        # a batch of one: each level's keys are its nodes
+        for _, _, node, bits in _forward_levels(self, runs, 1, None, follow):
             reach[node] |= bits
         rows = np.unpackbits(reach[None], axis=0, count=len(runs),
                              bitorder="little").view(bool)

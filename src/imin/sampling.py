@@ -19,11 +19,12 @@ members, so `domtree.dominators` on that search gives the realization's
 dominators; the chain is the target's path to the root.  Each stage
 hands its arrays on in the form the next reads: `reverse_live_edges`
 gives each recorded edge as the packed keys id * count + trial of its
-two ends, which `_reverse_reach` sorts and searches as given, and
-`dominators` gives each pair found as its id and trial, unpacked, which
-`_pair_search` maps back to nodes.  A solve's `PairSource` keeps both
-samples of every pair of its primary and validation streams: both bounds
-read the same pairs.
+two ends, which `_reverse_reach` sorts and searches as given; each level
+it yields holds its new pairs as their sorted keys, which `dominators`
+numbers as given; and `dominators` gives each pair found as its id and
+trial, split once, which `_pair_search` maps back to nodes.  A solve's
+`PairSource` keeps both samples of every pair of its primary and
+validation streams: both bounds read the same pairs.
 
 The validation pairs need only be independent of the primary ones, and
 fresh draws from one Generator are, as the pairs of one search already
@@ -137,9 +138,10 @@ def _cp_batch(ug: UnifiedGraph, count: int, rng: np.random.Generator):
 
 def _reverse_reach(ids: int, root: int, count: int, tail, head):
     """Search the members of a batch of `count` LRR samples from the
-    source, yielding levels as `diffusion._forward_levels` does: (owner,
-    head) of the live edges out of the level's pairs, then (node, trial) of
-    the member pairs they reach first.
+    source, yielding levels as `diffusion._forward_levels` does, less its
+    run bits: (owner, head, key), owner and head of the live edges out of
+    the level's pairs, then the sorted keys id * count + trial of the
+    member pairs they reach first, the frontier as it is searched.
 
     (tail, head) are the live in-edges a reverse search recorded
     (`reverse_live_edges`), each end as the key id * count + trial of its
@@ -156,7 +158,7 @@ def _reverse_reach(ids: int, root: int, count: int, tail, head):
     frontier = heads = _advance(member, head[lo:hi])
     owners = heads % count          # level 0's pair t is trial t's root
     while True:
-        yield owners, heads, *np.divmod(frontier, count)
+        yield owners, heads, frontier
         if not len(frontier):
             return
         owners, heads = [], []

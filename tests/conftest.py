@@ -279,13 +279,14 @@ def recorded(levels, out):
 
 
 def live_successors(levels, root, batch):
-    """Per realization {node: live successors} of recorded search levels."""
+    """Per realization {node: live successors} of recorded search levels,
+    each (owner, head, key, ...)."""
     succ = [{} for _ in range(batch)]
     node, trial = np.full(batch, root), np.arange(batch)
-    for owner, head, new_node, new_trial, *_ in levels:
+    for owner, head, key, *_ in levels:
         for o, d in zip(owner.tolist(), (head // batch).tolist()):
             succ[trial[o]].setdefault(int(node[o]), []).append(d)
-        node, trial = new_node, new_trial
+        node, trial = np.divmod(key, batch)
     return succ
 
 
@@ -391,7 +392,7 @@ def reference_forward_levels(g, blocked, batch, rng, live=None,
                              start=None):
     """A one-run `diffusion._forward_levels` by boolean masks, trial t's
     search from `start[t]` or the source: every pair reached gains the
-    run's one bit."""
+    run's one bit.  Yields (owner, head, key, bits) per level."""
     seen = np.zeros(g.n_total * batch, dtype=bool)
     trial = np.arange(batch, dtype=np.int64)
     node = np.full(batch, g.s, dtype=np.int64) if start is None else start
@@ -403,8 +404,21 @@ def reference_forward_levels(g, blocked, batch, rng, live=None,
                 else live[eids]) & ~blocked[dst]
         owner, dst = owner[keep], dst[keep]
         head = dst * batch + trial[owner]
-        node, trial = np.divmod(reference_advance(seen, head), batch)
-        yield owner, head, node, trial, np.ones(len(node), dtype=np.uint8)
+        key = reference_advance(seen, head)
+        node, trial = np.divmod(key, batch)
+        yield owner, head, key, np.ones(len(key), dtype=np.uint8)
+
+
+def reference_batch_spreads(g, masks, batch, rng):
+    """`diffusion._batch_spreads` by the rule it had first: every level of
+    the search counted, its pairs filtered by `g.uncounted`, run by run."""
+    out = np.zeros((len(masks), batch), dtype=np.int64)
+    for *_, key, bits in _forward_levels(g, masks, batch, rng):
+        node, trial = np.divmod(key, batch)
+        counted = ~g.uncounted[node]
+        for r, row in enumerate(out):
+            np.add.at(row, trial[counted & (bits >> r & 1 == 1)], 1)
+    return out
 
 
 def reference_reverse_live_edges(g, targets, rng):

@@ -18,12 +18,13 @@ from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _FIRST_BATCH,
                             reachable_in_realization, sample_realization,
                             spread_samples, stopping_rule_spread,
                             stopping_rule_spreads)
-from imin.graph import Graph, assign_constant_probability, unify_seeds
+from imin.graph import (Graph, assign_constant_probability, block_nodes,
+                        unify_seeds)
 from imin.oracle import ExactModel
 from imin.sampling import _cp_batch, _pair_batch, compute_population
 
-from conftest import (make_rng, random_flowgraph, reference_forward_levels,
-                      reference_reverse_live_edges,
+from conftest import (make_rng, random_flowgraph, reference_batch_spreads,
+                      reference_forward_levels, reference_reverse_live_edges,
                       reference_reverse_reach_counts, reference_slices,
                       reverse_reach_counts, tiny_with_dead_edges)
 
@@ -829,6 +830,18 @@ class TestSharedRealizations:
                     if small <= big:
                         assert (row_big <= row_small).all()
 
+    def test_nine_distinct_sets_are_refused(self):
+        # one run bit per distinct set in a uint8
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        sets = [[int(v)] for v in np.flatnonzero(ug.candidates())[:9]]
+        with pytest.raises(ValueError, match="need 1 to 8 distinct"):
+            spread_samples(ug, sets, 10, make_rng(1))
+        with pytest.raises(ValueError, match="need 1 to 8 distinct"):
+            stopping_rule_spreads(ug, sets, 0.1, 0.1, make_rng(1))
+        # nine sets of which eight are distinct share eight runs
+        rows = spread_samples(ug, sets[:8] + sets[:1], 10, make_rng(1))
+        assert rows.shape == (9, 10) and np.array_equal(rows[0], rows[8])
+
     @settings(derandomize=True, max_examples=20, deadline=None,
               database=None)
     @given(st.integers(0, 10 ** 6))
@@ -859,7 +872,8 @@ class TestSharedRealizations:
         masks = masks[rng.permutation(3)]
         reached = np.zeros((3, ug.n_total), dtype=bool)
         reached[:, ug.s] = True
-        for _, _, node, _, bits in _forward_levels(ug, masks, 1, None, live):
+        # a batch of one: each level's keys are its nodes
+        for _, _, node, bits in _forward_levels(ug, masks, 1, None, live):
             for r in range(3):
                 reached[r, node[bits >> r & 1 == 1]] = True
         for r in range(3):
@@ -881,8 +895,9 @@ class TestSharedRealizations:
         for done in range(0, self.TRIALS, _BATCH):
             batch = min(_BATCH, self.TRIALS - done)
             ref.append(np.zeros(batch, dtype=np.int64))
-            for *_, node, trial, _ in reference_forward_levels(
+            for *_, key, _ in reference_forward_levels(
                     ug, blocked, batch, want):
+                node, trial = np.divmod(key, batch)
                 np.add.at(ref[-1], trial[~ug.uncounted[node]], 1)
         assert rows.dtype == np.int64
         assert np.array_equal(rows[0], np.concatenate(ref))
@@ -912,17 +927,65 @@ class TestSharedRealizations:
         batches = 100
         live = np.zeros(5, dtype=np.int64)
         for _ in range(batches):
-            for *_, node, trial, bits in _forward_levels(ug, masks, _BATCH,
-                                                         rng):
+            for *_, key, bits in _forward_levels(ug, masks, _BATCH, rng):
                 # the isolated nodes block nothing: both runs see one
                 # realization, so every pair gains both bits at once
                 assert (bits == 3).all()
+                node = key // _BATCH
                 live += np.bincount(node[node < 5], minlength=5)
         n = batches * _BATCH
         assert live[0] == n             # the seed itself
         for leaf, p in enumerate(probs, start=1):
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(live[leaf] / n - p) <= 3 * sigma, (leaf, p)
+
+
+class TestSeedLevel:
+    """A forward search from the source enters every seed of every trial
+    at its first level, with every run's bit, and neither a seed nor the
+    source at any later level: the source's only edges lead to the seeds,
+    no edge enters it, and no run's mask holds a seed.  So `_batch_spreads`
+    skips that level in place of testing `uncounted` on every level."""
+
+    @staticmethod
+    def stacks():
+        """(graph, mask stack, whether the masks nest) on a graph and on a
+        `block_nodes` view of it."""
+        ug = fixtures.mid_synthetic(make_rng(5), 60, 240, 3)
+        a, b, c = (int(v) for v in ug.seed_out_neighbors()[:3])
+        view = block_nodes(ug, [int(v) for v in np.flatnonzero(
+            ug.candidates()) if v not in (a, b, c)][-2:])
+        out = []
+        for g, sets, nests in (
+                (ug, ([], [a], [a, b]), True),
+                (ug, ([a], [b], [b, c]), False),
+                (view, ([], [a, c]), True),
+                (view, ([a], [b]), False)):
+            masks = np.stack([g.blocked_with(s) for s in sets])
+            assert (diffusion._nested_order(masks) is not None) == nests
+            out.append((g, masks))
+        return out
+
+    @pytest.mark.parametrize("batch", [1, 1024])
+    def test_only_the_first_level_holds_seeds(self, batch):
+        for g, masks in self.stacks():
+            seeds = np.flatnonzero(g.seed_mask)
+            levels = list(_forward_levels(g, masks, batch, make_rng(batch)))
+            _, _, key, bits = levels[0]
+            assert np.array_equal(
+                key, (seeds[:, None] * batch + np.arange(batch)).ravel())
+            assert (bits == (1 << len(masks)) - 1).all()
+            for _, _, key, _ in levels[1:]:
+                assert not g.uncounted[key // batch].any()
+
+    @pytest.mark.parametrize("batch", [1, 1024])
+    def test_batch_spreads_match_the_uncounted_filter(self, batch):
+        for g, masks in self.stacks():
+            got, want = make_rng(batch), make_rng(batch)
+            assert np.array_equal(
+                _batch_spreads(g, masks, batch, got),
+                reference_batch_spreads(g, masks, batch, want))
+            assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestStoppingRuleSpreads:

@@ -361,6 +361,22 @@ class TestPositiveReach:
                         assert np.array_equal(row, reference_positive_reach(
                             ug, blocked, live=mask)), seed
 
+    @pytest.mark.parametrize("nested", [True, False])
+    def test_rejects_a_stack_outside_the_run_limit(self, nested):
+        # one bit per mask in a uint8: nine masks, nested or not, and an
+        # empty stack are refused by name
+        ug = fixtures.mid_synthetic(make_rng(0), 60, 240, 3)
+        free = np.flatnonzero(ug.candidates())[:9]
+        masks = np.tile(ug.blocked, (9, 1))
+        for r in range(9):
+            masks[r, free[:r] if nested else free[r]] = True
+        for stack in (masks, masks[:0]):
+            with pytest.raises(ValueError, match="need 1 to 8 node masks"):
+                ug.positive_reach(stack)
+        rows = ug.positive_reach(masks[:8])
+        for row, blocked in zip(rows, masks):
+            assert np.array_equal(row, reference_positive_reach(ug, blocked))
+
 
 class TestReachGraph:
     """`UnifiedGraph.reach_graph` against a reference built by masks."""
