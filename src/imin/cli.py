@@ -217,15 +217,9 @@ def _evaluate_decrease(ug, blockers, args, rng):
 
 
 def _format_row(values):
-    out = []
-    for v in values:
-        if v is None:
-            out.append("")
-        elif isinstance(v, float):
-            out.append(f"{v:.6f}")
-        else:
-            out.append(str(v))
-    return out
+    """`values` with each float to six decimals; `csv.writer` writes None
+    as an empty field and anything else through `str`."""
+    return [f"{v:.6f}" if isinstance(v, float) else v for v in values]
 
 
 def _write_csv(path, rows):

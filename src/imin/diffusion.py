@@ -217,16 +217,14 @@ class Realization:
         listed.
         """
         wanted = set((int(u), int(v)) for u, v in edges)
-        live = np.zeros(ug.m_total, dtype=bool)
         src = np.repeat(np.arange(ug.n_total, dtype=np.int64),
                         np.diff(ug.out_ptr))
-        for eid in range(ug.m_total):
-            u, v = int(src[eid]), int(ug.out_dst[eid])
-            if u == ug.s or (u, v) in wanted:
-                live[eid] = True
-                wanted.discard((u, v))
-        if wanted:
-            raise ValueError(f"edges not present in graph: {sorted(wanted)}")
+        eid = dict(zip(zip(src.tolist(), ug.out_dst.tolist()),
+                       range(ug.m_total)))
+        if missing := wanted - eid.keys():
+            raise ValueError(f"edges not present in graph: {sorted(missing)}")
+        live = src == ug.s
+        live[[eid[e] for e in wanted]] = True
         return cls(ug, live)
 
 
@@ -309,7 +307,8 @@ def _batch_spreads(g, masks, batch, rng):
     levels = _forward_levels(g, masks, batch, rng)
     next(levels)                        # the seeds, which are not counted
     for *_, key, bits in levels:
-        tally += np.bincount(offset[bits] + key % batch, minlength=tally.size)
+        trial = key - key // batch * batch
+        tally += np.bincount(offset[bits] + trial, minlength=tally.size)
     holds = np.unpackbits(np.arange(1 << runs, dtype=np.uint8)[None],
                           axis=0, count=runs, bitorder="little")
     return holds @ tally.reshape(1 << runs, batch)

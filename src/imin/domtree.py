@@ -147,7 +147,8 @@ def dominators(levels, root, batch) -> BatchDominators:
     # as int32 like `idom`, so the intersect moves int32 fingers.
     js = np.sort(dst * n + src)
     del src, dst
-    jd, js = js // n, js % n
+    jd = js // n
+    js -= jd * n
     first = _heads(jd)
     joins = jd[first]
     jd = np.insert(jd, first, joins)

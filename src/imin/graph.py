@@ -152,18 +152,8 @@ def load_edge_list(path, directed=True):
     skipped.  A directory, a file that is not UTF-8 text and a node id
     that `parse_label` refuses raise `EdgeListParseError`.
     """
-    id_of = {}
-    labels = []
+    id_of = {}      # label -> node id, in first-appearance order
     src, dst = [], []
-
-    def intern(label):
-        node = id_of.get(label)
-        if node is None:
-            node = len(labels)
-            id_of[label] = node
-            labels.append(label)
-        return node
-
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -181,7 +171,8 @@ def load_edge_list(path, directed=True):
                         f"{path}: line {lineno}: {exc} in {line!r}") from None
                 if a == b:
                     continue
-                u, v = intern(a), intern(b)
+                u = id_of.setdefault(a, len(id_of))
+                v = id_of.setdefault(b, len(id_of))
                 src.append(u)
                 dst.append(v)
                 if not directed:
@@ -194,13 +185,12 @@ def load_edge_list(path, directed=True):
 
     if not src:
         raise EdgeListParseError(f"{path}: empty graph (no usable edges)")
-    n = len(labels)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    key = src * n + dst
-    _, keep = np.unique(key, return_index=True)
-    keep.sort()
-    return Graph.from_edges(n, src[keep], dst[keep], labels=labels)
+    n = len(id_of)
+    # `from_edges` sorts the edges by this same key, so the order that
+    # `np.unique` leaves them in is the one they would end in anyway
+    key = np.unique(np.asarray(src, dtype=np.int64) * n + dst)
+    tail = key // n
+    return Graph.from_edges(n, tail, key - tail * n, labels=list(id_of))
 
 
 def _with_probabilities(g: Graph, p) -> Graph:
@@ -227,15 +217,8 @@ class BlockerSet:
     __slots__ = ("nodes", "_member")
 
     def __init__(self, nodes: Iterable[int] = ()):
-        ordered = []
-        seen = set()
-        for v in nodes:
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                ordered.append(v)
-        self.nodes = tuple(ordered)
-        self._member = seen
+        self.nodes = tuple(dict.fromkeys(map(int, nodes)))
+        self._member = frozenset(self.nodes)
 
     def __contains__(self, v):
         return v in self._member
@@ -445,10 +428,8 @@ class UnifiedGraph:
 
     def blocked_with(self, blockers) -> np.ndarray:
         """Combined blocked mask of the graph's own mask plus `blockers`."""
-        b = self.check_blockers(blockers)
         mask = self.blocked.copy()
-        for v in b:
-            mask[v] = True
+        mask[list(self.check_blockers(blockers))] = True
         return mask
 
 

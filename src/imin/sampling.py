@@ -156,7 +156,8 @@ def _reverse_reach(ids: int, root: int, count: int, tail, head):
     member = np.zeros(ids * count, dtype=bool)
     lo, hi = np.searchsorted(tail, [root * count, (root + 1) * count])
     frontier = heads = _advance(member, head[lo:hi])
-    owners = heads % count          # level 0's pair t is trial t's root
+    # level 0's pair t is trial t's root
+    owners = heads - heads // count * count
     while True:
         yield owners, heads, frontier
         if not len(frontier):
@@ -195,7 +196,8 @@ def _pair_search(ug: UnifiedGraph, population: np.ndarray, count: int,
     # the member pairs are every number but the roots (below `count`), each
     # (node, trial) once: sorted by trial, then target first, then node
     members = np.sort((trial[count:] * 2 + ~mine[count:]) * ug.n_total
-                      + node[count:]) % ug.n_total
+                      + node[count:])
+    members -= members // ug.n_total * ug.n_total
     reached = np.flatnonzero(mine)
     chain, _ = _chains(tree.idom, ~ug.uncounted[node],
                        reached[np.argsort(trial[reached])])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from imin import diffusion, fixtures
 from imin.baselines import ag, gr, mc_greedy
 from imin.diffusion import (_BATCH, _BET_CAP, _BETS, _FIRST_BATCH,
-                            _SEEN_BYTES, _BettingStop, _Reversed, _advance,
+                            _SEEN_BYTES, Realization, _BettingStop,
+                            _Reversed, _advance,
                             _batch_sizes, _batch_spreads, _distinct_masks,
                             _forward_levels, _heads, _slices, _tighten,
                             ic_spread_samples,
@@ -108,6 +110,34 @@ class TestSampleRealization:
         ug = fixtures.diamond(1.0)
         phi = sample_realization(ug, [3], rng)
         assert not reachable_in_realization(phi)[3]
+
+
+class TestRealizationFromEdgeList:
+    def test_worked_example_mask(self):
+        ug = fixtures.worked_example_small()
+        src, dst, _ = ug.base.edge_array()
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (5, 6)]
+        # every edge but 3 -> 4, then the source's edge to the seed 0
+        want = [True, True, True, True, False, True, True, True, True]
+        phi = fixtures.worked_example_small_realization(ug)
+        assert phi.live.dtype == bool and phi.live.tolist() == want
+
+    def test_source_edges_need_not_be_listed(self):
+        ug = fixtures.worked_example_three_seeds()
+        source = np.arange(ug.m_total) >= ug.base.m
+        assert Realization.from_edge_list(ug, []).live.tolist() \
+            == source.tolist()
+        seed = min(ug.seeds)
+        listed = Realization.from_edge_list(ug, [(ug.s, seed)])
+        assert listed.live.tolist() == source.tolist()
+
+    def test_absent_edges_are_named_sorted(self):
+        ug = fixtures.worked_example_small()
+        with pytest.raises(ValueError, match=re.escape(
+                "edges not present in graph: [(4, 3), (6, 0)]")):
+            Realization.from_edge_list(
+                ug, [(6, 0), (0, 1), (np.int64(4), 3), (6, 0)])
 
 
 class TestSimulateIC:

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imin import fixtures
@@ -15,7 +15,8 @@ from imin.oracle import ExactModel
 from imin.sampling import compute_population
 
 from conftest import (base_spread_enumeration, make_rng, random_flowgraph,
-                      reference_positive_reach, tiny_with_dead_edges)
+                      reference_from_edges, reference_positive_reach,
+                      tiny_with_dead_edges)
 
 
 def write(tmp_path, text):
@@ -40,7 +41,51 @@ LABEL_TOKENS = st.one_of(
          and t[:1] not in ("#", "\ufeff"))
 
 
+def reference_load(pairs, directed):
+    """The graph `load_edge_list` reads from the lines "a b" of `pairs`:
+    self-loops dropped, nodes numbered in order of first appearance,
+    undirected pairs doubled and each edge kept where it first occurs."""
+    labels, edges = [], []
+    for a, b in pairs:
+        if a == b:
+            continue
+        for label in (a, b):
+            if label not in labels:
+                labels.append(label)
+        u, v = labels.index(a), labels.index(b)
+        for edge in [(u, v)] if directed else [(u, v), (v, u)]:
+            if edge not in edges:
+                edges.append(edge)
+    src, dst = zip(*edges) if edges else ((), ())
+    return len(labels), src, dst, labels
+
+
 class TestLoadEdgeList:
+    # Small label pools repeat pairs, write both directions of a pair and
+    # make self-loops, some of them on labels that no other line names.
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)),
+                    max_size=24), st.booleans())
+    @example([(7, 7), (3, -1), (-1, 3), (3, -1), (9, 9), (3, 4)], True)
+    @example([(7, 7), (3, -1), (-1, 3), (3, -1), (9, 9), (3, 4)], False)
+    @example([(1, 1)], True)
+    def test_matches_the_reference(self, tmp_path_factory, pairs, directed):
+        path = tmp_path_factory.getbasetemp() / "random-edges.txt"
+        path.write_text("".join(f"{a} {b}\n" for a, b in pairs))
+        n, src, dst, labels = reference_load(pairs, directed)
+        if not src:
+            with pytest.raises(EdgeListParseError, match="empty graph"):
+                load_edge_list(str(path), directed=directed)
+            return
+        g = load_edge_list(str(path), directed=directed)
+        want = reference_from_edges(n, src, dst, np.ones(len(src)), labels)
+        assert (g.n, g.m) == (want.n, want.m)
+        for name in ("out_ptr", "out_dst", "out_p", "in_ptr", "in_src",
+                     "in_p", "in_eid", "labels"):
+            a, b = getattr(g, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_directed(self, tmp_path):
         g = load_edge_list(write(tmp_path, "0 1\n1 2\n"), directed=True)
         assert (g.n, g.m) == (3, 2)
@@ -307,6 +352,20 @@ class TestBlockerSet:
         assert b.nodes == (5, 3, 9)
         assert 3 in b and 4 not in b
         assert len(b) == 3
+
+    def test_equal_by_members(self):
+        b = BlockerSet([5, 3, 9])
+        assert b == BlockerSet([9, np.int64(3), 5, 3, 9])
+        assert b != BlockerSet([5, 3, 8]) and b != BlockerSet([5, 3])
+        assert b != BlockerSet([5, 3, 9, 4])
+        # a tuple is not a blocker set, whatever it holds
+        assert b.__eq__((5, 3, 9)) is NotImplemented
+        assert b != (5, 3, 9) and not b == (5, 3, 9)
+        assert BlockerSet() == BlockerSet([])
+
+    def test_repr_in_insertion_order(self):
+        assert repr(BlockerSet([5, 3, 5, 9])) == "BlockerSet([5, 3, 9])"
+        assert repr(BlockerSet()) == "BlockerSet([])"
 
 
 class TestPositiveReach:
