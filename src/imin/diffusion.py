@@ -57,15 +57,16 @@ level deduplicates them, as a whole level does.  PCG64's `random(a)` then
 `random(b)` draws what `random(a + b)` draws, so every output, the
 Generator's stream included, is what one step gives.  2^14 int64s are
 128 KiB, glibc's default mmap threshold, and a step's temporaries stay
-that small however large the level: one `spread_samples(..., 1024)` batch
-on `fixtures.mid_synthetic(2000, 8000, 20)` peaks at 7.9 MB of
-tracemalloc, not 16.9 MB.  On perfbench's `mid`, 2^15 and 2^16 gave back
-part of the peak-RSS gain, and 2^12 and 2^13 added nothing to it.  What
-stays whole-level grows with a level's live edges, not its examined ones:
-the per-level `_advance` and what a level yields.  The LRR member search
-(`sampling._reverse_reach`) draws no coins and only gathers recorded live
-edges, so it joins its steps at once.  The `n_total * batch` `seen`
-bitmap is then most of the peak on large graphs (51 of 68 MB on
+that small however large the level: a one-set `spread_samples(..., 1024)`
+batch on `fixtures.mid_synthetic(2000, 8000, 20)` peaks at 5.7 MB of
+tracemalloc, not the 16.3 MB of whole levels.  On perfbench's `mid`, 2^15
+and 2^16 gave back part of the peak-RSS gain, and 2^12 and 2^13 added
+nothing to it.  What stays whole-level grows with a level's live edges,
+not its examined ones: the per-level `_advance` and what a level yields,
+and a search holds one level at a time (`_forward_levels`).  The LRR
+member search (`sampling._reverse_reach`) draws no coins and only gathers
+recorded live edges, so it joins its steps at once.  The `n_total * batch`
+`seen` bitmap is then most of the peak on large graphs (51 of 62 MB on
 `mid_synthetic(50000, 200000, 50)`).
 
 Several blocker sets are compared on shared realizations (common random
@@ -309,6 +310,7 @@ def _batch_spreads(g, masks, batch, rng):
     for *_, key, bits in levels:
         trial = key - key // batch * batch
         tally += np.bincount(offset[bits] + trial, minlength=tally.size)
+        del _, key, bits, trial             # one level at a time
     holds = np.unpackbits(np.arange(1 << runs, dtype=np.uint8)[None],
                           axis=0, count=runs, bitorder="little")
     return holds @ tally.reshape(1 << runs, batch)
@@ -369,20 +371,23 @@ def _advance(seen, key):
 
     Keys are node-major, node * batch + trial, and `seen` is allocated with
     `np.zeros`, so the memory it touches follows the nodes reached, not
-    batch * n.  Duplicates go by one sort: np.unique's hash table is slower
-    on these keys.
+    batch * n.  Duplicates go by one in-place sort of the unseen keys and a
+    mask of run starts, so no index array or sorted copy is made:
+    np.unique's hash table is slower on these keys.
     """
-    key = np.sort(key[np.flatnonzero(~seen[key])])
+    key = key[~seen[key]]           # a copy, so sorted in place
+    key.sort()
     key = key[_heads(key)]
     seen[key] = True
     return key
 
 
 def _heads(sorted_ids):
-    """Positions where a run of equal values starts in `sorted_ids`."""
+    """Mask of the positions where a run of equal values starts in
+    `sorted_ids`."""
     head = np.ones(len(sorted_ids), dtype=bool)
     head[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    return np.flatnonzero(head)
+    return head
 
 
 def _replayed_coins(key, index):
@@ -406,11 +411,13 @@ def _advance_bits(seen, key, gain):
     once each and sorted, and the bits each gains, the union of its
     `gain` entries; adds them to `seen`."""
     gain &= ~seen[key]
-    hit = np.flatnonzero(gain)
+    hit = gain != 0
     # each key packs its gain into its low byte, so one sort groups both
-    packed = np.sort(key[hit] << 8 | gain[hit])
+    packed = key[hit] << 8
+    packed |= gain[hit]
+    packed.sort()
     key = packed >> 8
-    head = _heads(key)
+    head = np.flatnonzero(_heads(key))
     bits = np.bitwise_or.reduceat(packed.astype(np.uint8), head)
     key = key[head]
     seen[key] |= bits
@@ -477,6 +484,14 @@ def _forward_levels(g, blocked, batch, rng, live=None, start=None):
     source of a unified graph, the first level yielded is every seed of
     every trial with every run's bit (as long as no mask holds a seed),
     and no later level holds a seed or the source.
+
+    The loop holds one level at a time: of the level it expands it keeps
+    only the trials and bits once the CSR slices are taken, and none of
+    the edges it yielded.  A consumer that keeps nothing of a level
+    releases the level's arrays before it asks for the next
+    (`_batch_spreads`, `_reach_count_batches`,
+    `UnifiedGraph.positive_reach`), so a batch peaks at its `seen`, the
+    level being built and the trials of the level before.
     """
     blocked = np.atleast_2d(blocked)
     runs = len(blocked)
@@ -512,8 +527,10 @@ def _forward_levels(g, blocked, batch, rng, live=None, start=None):
         while len(key):
             node = key // batch
             trial = key - node * batch
+            steps = _slices(g.out_ptr[node], g.out_ptr[node + 1])
+            del node, key                   # the level is its trials now
             owners, heads, gains = [], [], []
-            for eids, owner in _slices(g.out_ptr[node], g.out_ptr[node + 1]):
+            for eids, owner in steps:
                 if live is not None:
                     hit = live[eids]
                 elif nested:
@@ -546,6 +563,7 @@ def _forward_levels(g, blocked, batch, rng, live=None, start=None):
             else:
                 key, bits = _advance_bits(seen, head, _joined(gains))
             yield _joined(owners), head, key, bits
+            del head
 
 
 class _Reversed:
@@ -614,6 +632,7 @@ def _reach_count_batches(g: Graph, counts: np.ndarray, samples: int,
                 _Reversed(g), np.zeros(g.n, dtype=bool), len(targets), rng,
                 start=targets):
             np.add.at(counts, key // len(targets), 1)
+            del key, _                      # one level at a time
         yield done + len(targets)
 
 

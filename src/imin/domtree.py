@@ -149,7 +149,7 @@ def dominators(levels, root, batch) -> BatchDominators:
     del src, dst
     jd = js // n
     js -= jd * n
-    first = _heads(jd)
+    first = np.flatnonzero(_heads(jd))
     joins = jd[first]
     jd = np.insert(jd, first, joins)
     js = np.insert(js, first, idom[joins]).astype(np.int32)

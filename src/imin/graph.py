@@ -410,6 +410,7 @@ class UnifiedGraph:
         # a batch of one: each level's keys are its nodes
         for _, _, node, bits in _forward_levels(self, runs, 1, None, follow):
             reach[node] |= bits
+            del _, node, bits       # one level at a time (`_forward_levels`)
         rows = np.unpackbits(reach[None], axis=0, count=len(runs),
                              bitorder="little").view(bool)
         return rows if np.ndim(blocked) == 2 else rows[0]

@@ -379,7 +379,8 @@ def reference_slices(lo, hi):
 
 
 def reference_advance(seen, key):
-    """`diffusion._advance` by boolean masks."""
+    """`diffusion._advance` written out: a sorted copy of the unseen keys
+    and its own run-start mask."""
     key = np.sort(key[~seen[key]])
     fresh = np.ones(len(key), dtype=bool)
     fresh[1:] = key[1:] != key[:-1]

@@ -698,7 +698,8 @@ class TestRunStarts:
         ([], []), ([5], [0]), ([3, 3, 3, 3], [0]),
         ([1, 2, 4, 9], [0, 1, 2, 3]), ([0, 0, 1, 4, 4, 4, 7], [0, 2, 3, 6])])
     def test_heads(self, ids, want):
-        assert _heads(np.array(ids, dtype=np.int64)).tolist() == want
+        assert np.flatnonzero(
+            _heads(np.array(ids, dtype=np.int64))).tolist() == want
 
     def test_advance_no_keys(self):
         seen = np.zeros(8, dtype=bool)
@@ -790,11 +791,26 @@ def traced_peak(fn):
 class TestPeakMemory:
     def test_forward_batch(self):
         # the batch's `seen` bitmap is 2 MB.  Examining each level whole
-        # peaked at 16-17 MB; bounded steps peak near 8 MB
+        # peaked at 16-17 MB and bounded steps at 8.4 MB; holding one
+        # level at a time peaks near 5.6 MB
         ug = fixtures.mid_synthetic(make_rng(1), 2000, 8000, 20)
         blockers = ug.seed_out_neighbors()[:10]
         assert traced_peak(lambda: spread_samples(
-            ug, [None, blockers], _BATCH, make_rng(2))) < 12e6
+            ug, [None, blockers], _BATCH, make_rng(2))) < 7e6
+
+    @pytest.mark.parametrize("nests", [True, False])
+    def test_forward_batch_holds_one_level(self, nests):
+        # one set takes the nested search, three disjoint sets the run-bit
+        # one; the `seen` bitmap is 0.3 MB.  Keeping each level while the
+        # next was built peaked at 3.2-3.3 MB, one level at a time at
+        # 2.1-2.2 MB
+        ug = fixtures.mid_synthetic(make_rng(1), 300, 1200, 10)
+        out = ug.seed_out_neighbors()
+        sets = [None] if nests else [out[0:3], out[3:6], out[6:9]]
+        masks, _ = _distinct_masks(ug, sets)
+        assert (diffusion._nested_order(masks) is not None) == nests
+        assert traced_peak(lambda: spread_samples(
+            ug, sets, _BATCH, make_rng(2))) < 2.7e6
 
     def test_reverse_reach_counts_holds_one_bitmap(self):
         # three batches; each batch's bitmap is freed before the next
