@@ -211,9 +211,22 @@ def _run_algo(algo, ug, args, rng):
 def _evaluate_decrease(ug, blockers, args, rng):
     """The decrease of `blockers` to the run's --gamma and --delta, from at
     most --eval-trials paired cascades (`diffusion.stopping_rule_decrease`):
-    the base and the residual spread of each come from one realization."""
+    the base and the residual spread of each come from one realization.
+    Its batches are 512 trials, then 1024 doubling up to the cap, so it
+    checks its interval at 512, 1536, 3584, ... trials: no check at 128,
+    where none of 360 measured decreases closed."""
     return stopping_rule_decrease(ug, blockers, args.gamma, args.delta, rng,
                                   args.eval_trials)
+
+
+def _decrease_stop(decrease):
+    """Why the final decrease stopped: `exact_zero` (no blocker the seeds
+    can reach, no trial drawn), `contract` (its interval met the gamma
+    contract) or `cap` (it reached --eval-trials with its interval still
+    open)."""
+    if decrease.exact_zero:
+        return "exact_zero"
+    return "cap" if decrease.capped else "contract"
 
 
 def _format_row(values):
@@ -298,6 +311,7 @@ def _run_rows(args, ug, dataset, seed_rank):
         report.update({"dataset": dataset, "algo": args.algo, "repeat": rep,
                        "decrease_mc": decrease.value,
                        "decrease_trials": decrease.samples_used,
+                       "decrease_stop": _decrease_stop(decrease),
                        "decrease_bounds": [decrease.low, decrease.high],
                        "runtime_s": elapsed, "samples": samples,
                        "seed_rank": seed_rank,

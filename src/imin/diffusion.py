@@ -119,11 +119,18 @@ rather than by the node count n, so nodes no cascade can reach do not
 inflate the trial count.  `ic_spread_samples` and `stopping_rule_spread`
 are the one-set calls of `spread_samples` and `stopping_rule_spreads`.
 `stopping_rule_decrease` runs the same stop and value rule on the paired
-per-trial decrease of one blocker set, up to a trial cap.
+per-trial decrease of one blocker set, up to a trial cap, with the first
+two batches joined into one of 512 trials: its checks fall at 512, 1536,
+3584, ... trials.  A paired decrease is a difference of two cascades, and
+its first check at 128 never closed: of 360 decreases (the sandwich's three
+candidates on 20 `mid_synthetic` graphs of 300 to 2000 nodes, k in {1, 3,
+10} and delta in {0.1, 1/n}) none stopped at 128 trials, and each such
+check cost a whole extra search.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -324,7 +331,9 @@ def _batch_sizes(g, runs):
     bytes or `_batch_spreads`' 8 << runs bytes of counts.  So neither grows
     past the larger of one `_BATCH` batch's and `_SEEN_BYTES`, as
     `_reach_count_batches` sizes its batches.  The checks fall at 128, 512,
-    1536, 3584, ... trials below the cap."""
+    1536, 3584, ... trials below the cap.  `stopping_rule_decrease` draws
+    the first two batches as one of 512 trials, so it checks at 512, 1536,
+    3584, ..."""
     cap = max(_BATCH, _SEEN_BYTES // max(g.n_total, 8 << runs))
     yield _FIRST_BATCH
     size = 4 * _FIRST_BATCH
@@ -647,7 +656,9 @@ class SpreadEstimate:
     `exact_zero` is set when the graph structure forces a spread of exactly
     zero; no cascade is drawn in that case, so `samples_used` is 0 and the
     interval is (0, 0).  A `stopping_rule_decrease` estimate is of a decrease,
-    and one that reaches its trial cap first holds only its interval.
+    and one that reaches its trial cap first holds only its interval:
+    `capped` is set when that interval is still wider than the gamma
+    contract.
     """
 
     value: float
@@ -657,6 +668,7 @@ class SpreadEstimate:
     exact_zero: bool = False
     low: float = 0.0
     high: float = 0.0
+    capped: bool = False
 
 
 class _BettingStop:
@@ -684,7 +696,8 @@ class _BettingStop:
         mean, so the interval narrows around it until it does, and a
         constant spread comes out exact."""
         low, high = self.low, self.high
-        if (1.0 + gamma) * low >= (1.0 - gamma) * high:
+        met = (1.0 + gamma) * low >= (1.0 - gamma) * high
+        if met:
             low, high = (max(low, (1.0 - gamma) * high),
                          min(high, (1.0 + gamma) * low))
         elif not final:
@@ -697,7 +710,7 @@ class _BettingStop:
         return SpreadEstimate(value=value,
                               gamma=gamma, delta=delta,
                               samples_used=self.samples, low=self.low * n,
-                              high=self.high * n)
+                              high=self.high * n, capped=not met)
 
 
 def _check_contract(gamma, delta, cap=1):
@@ -930,11 +943,18 @@ def stopping_rule_decrease(g: UnifiedGraph, blockers, gamma: float,
     subset of the base one, so D_t is an integer in [0, N], N the non-seed
     nodes the seeds can reach at all.  D_t / N stops on the same betting
     confidence sequence, batch schedule (`_batch_sizes`) and value rule
-    (`_BettingStop.estimate`).  A run that reaches `cap` trials before its
-    interval closes clips the mean to the interval alone, which still holds
-    the decrease with probability at least 1 - delta.  When no blocker lies
-    in `g.reach`, no cascade can differ, and the decrease is exactly zero,
-    with no cascade drawn.
+    (`_BettingStop.estimate`), except that the schedule's first two
+    batches are drawn as one search of 512 trials (all of `cap` when it is
+    smaller): the batches are 512, 1024, 2048, ... up to the cap of
+    `_batch_sizes`, and the checks fall at 512, 1536, 3584, ... trials.  No
+    paired decrease of 360 on `mid_synthetic` graphs (module docstring)
+    closed at 128 trials, so that check was a whole search that never
+    stopped one; the sequence is valid at every batch, so the joined batch
+    spends no delta.  A run that reaches `cap` trials before its interval
+    closes clips the mean to the interval alone, which still holds the
+    decrease with probability at least 1 - delta, and is marked `capped`.
+    When no blocker lies in `g.reach`, no cascade can differ, and the
+    decrease is exactly zero, with no cascade drawn.
     """
     _check_contract(gamma, delta, cap)
     blocked = g.blocked_with(blockers)
@@ -943,7 +963,8 @@ def stopping_rule_decrease(g: UnifiedGraph, blockers, gamma: float,
                               samples_used=0, exact_zero=True)
     masks = np.stack([g.blocked, blocked])
     rule = _BettingStop(int(np.count_nonzero(g.reach & ~g.uncounted)))
-    for size in _batch_sizes(g, len(masks)):
+    sizes = _batch_sizes(g, len(masks))
+    for size in itertools.chain([next(sizes) + next(sizes)], sizes):
         size = min(size, cap - rule.samples)
         base, residual = _batch_spreads(g, masks, size, rng)
         rule.add(base - residual)

@@ -407,6 +407,14 @@ def schedule(g, runs, total):
         sizes.append(size)
 
 
+def decrease_schedule(g, total):
+    """The batch sizes of `stopping_rule_decrease` on `g` whose sum first
+    reaches `total`: the schedule of two sets (`schedule`) with its first
+    two batches, 128 and 384, joined into one of 512."""
+    sizes = schedule(g, 2, total)
+    return [sum(sizes[:2]), *sizes[2:]]
+
+
 def replay_batches(g, sets, sizes, rng):
     """The rows of `spread_samples(g, sets, sum(sizes), rng)` as a
     sequential estimate draws them: one search per batch of `sizes`."""
@@ -1060,10 +1068,10 @@ class TestStoppingRuleSpreads:
     def test_deterministic_spreads_are_exact(self):
         # every cascade of these graphs activates the same nodes, so the
         # samples' mean is the spread, and the interval holds it.  At 128
-        # trials the decrease of 1 out of 7 has the interval [0.970,
-        # 1.169], within the gamma contract, but 1 lies below (1 - gamma)
-        # times its upper end: the clip would move it, so the estimate
-        # samples on until it would not
+        # trials the decrease of 1 out of 7 would have the interval
+        # [0.970, 1.169], within the gamma contract, but 1 lies below
+        # (1 - gamma) times its upper end, so the clip would move it; a
+        # decrease first checks at 512, where [0.992, 1.043] needs no clip
         for ug, blockers, spread in (
                 (fixtures.chain(1.0), None, 2.0),
                 (fixtures.fan_gadget(8), None, 7.0),
@@ -1079,7 +1087,7 @@ class TestStoppingRuleSpreads:
         assert est.low <= 1.0 <= est.high
         assert_matches_reference(est, betting_stop_reference(
             np.ones(10_000, dtype=np.int64), 7, 0.1, 0.1,
-            schedule(fan, 2, 10_000)))
+            decrease_schedule(fan, 10_000)))
         assert est.samples_used > _FIRST_BATCH
 
     def test_one_value_stops_only_where_the_clip_keeps_it(self):
@@ -1153,7 +1161,8 @@ class TestBatchSchedule:
     """Sequential estimates draw batches of 128, 384, 1024, 2048, ..., up
     to the cap `_batch_sizes` takes from `_SEEN_BYTES`, so a batch's
     forward `seen` bitmap does not grow with batch x n, and they check
-    their interval at 128, 512, 1536, 3584, ... trials."""
+    their interval at 128, 512, 1536, 3584, ... trials.  A paired decrease
+    draws its first 512 trials as one batch and checks from 512."""
 
     @pytest.mark.parametrize("n, runs, cap", [
         (60, 2, _SEEN_BYTES // 61), (60, 8, 1024), (300, 2, _SEEN_BYTES // 301),
@@ -1208,8 +1217,37 @@ class TestBatchSchedule:
         drawn.clear()
         est = diffusion.stopping_rule_decrease(ug, sets[1], 0.1, 0.1,
                                                make_rng(2), 10_000)
-        assert drawn[:-1] == schedule(ug, 2, 10_000)[:-1]
+        assert drawn[:-1] == decrease_schedule(ug, 10_000)[:-1]
         assert est.samples_used == sum(drawn) == 10_000
+
+    @pytest.mark.parametrize("cap", [200, 10_000])
+    def test_decrease_draws_512_first_and_spreads_128(self, monkeypatch,
+                                                      cap):
+        # a paired decrease joins the spreads' first two batches into one
+        # search of 512 trials (all of a smaller cap), then doubles from
+        # 1024 to the bitmap cap, cutting its last batch at `cap`; the
+        # spreads still check first at 128.  At p = 0.01 this decrease is
+        # still open at either cap, and the spreads run past two batches
+        mid = fixtures.mid_synthetic(make_rng(0), 300, 1200, 10)
+        ug = unify_seeds(assign_constant_probability(mid.base, 0.01),
+                         mid.seeds)
+        blockers = ug.seed_out_neighbors()[:1]
+        drawn = []
+
+        def spy(g, masks, batch, rng, _real=diffusion._batch_spreads):
+            drawn.append(batch)
+            return _real(g, masks, batch, rng)
+
+        monkeypatch.setattr(diffusion, "_batch_spreads", spy)
+        est = diffusion.stopping_rule_decrease(ug, blockers, 0.1, 0.1,
+                                               make_rng(2), cap)
+        full = [512, 1024, 2048, _SEEN_BYTES // 301]     # 3483, the cap
+        assert drawn == ([200] if cap == 200 else
+                         [*full, 10_000 - sum(full)])
+        assert est.samples_used == cap and est.capped
+        drawn.clear()
+        stopping_rule_spreads(ug, [None, blockers], 0.1, 0.1, make_rng(1))
+        assert drawn[:3] == [128, 384, 1024]
 
 
 class TestStoppingRuleDecrease:
